@@ -29,7 +29,7 @@
 //! * writes land on the pre-migration owner until the key moves, then on
 //!   the new owner — decided per-op under the route lock, so no write is
 //!   ever applied to a shard that has ceded the key;
-//! * epoch-fenced CAS ([`KvClient::try_cas_fenced`]) rejects writers whose
+//! * CAS is epoch-fenced ([`KvClient::cas`]): it rejects writers whose
 //!   routing view predates a membership event with
 //!   [`KvError::WrongEpoch`]; the caller re-reads (fresh version + epoch)
 //!   and retries — versions survive migration, so the retry lands.
@@ -224,26 +224,10 @@ impl KvCluster {
         Self::with_options(topology, profile, None, 0)
     }
 
-    /// As [`KvCluster::new`] with a station-id base for the shards (used
+    /// Full-control constructor: every provisioned node starts on the
+    /// ring. `shard_max_bytes` is the per-shard byte budget (`None` =
+    /// unbounded); `station_base` offsets the shards' station ids (used
     /// when several cache clusters coexist in one simulation).
-    pub fn with_station_base(
-        topology: Topology,
-        profile: Arc<LatencyProfile>,
-        station_base: u32,
-    ) -> Arc<Self> {
-        Self::with_options(topology, profile, None, station_base)
-    }
-
-    /// As [`KvCluster::new`] but with a per-shard byte budget.
-    pub fn with_shard_budget(
-        topology: Topology,
-        profile: Arc<LatencyProfile>,
-        shard_max_bytes: Option<usize>,
-    ) -> Arc<Self> {
-        Self::with_options(topology, profile, shard_max_bytes, 0)
-    }
-
-    /// Full-control constructor: every provisioned node starts on the ring.
     pub fn with_options(
         topology: Topology,
         profile: Arc<LatencyProfile>,
@@ -251,47 +235,14 @@ impl KvCluster {
         station_base: u32,
     ) -> Arc<Self> {
         let node_ids: Vec<NodeId> = topology.node_ids().collect();
-        let members = node_ids.clone();
-        Self::build(node_ids, members, profile, shard_max_bytes, station_base)
-    }
-
-    /// As [`KvCluster::with_options`] but with only `members` (a non-empty
-    /// subset of the provisioned nodes) on the initial ring; the rest are
-    /// provisioned spares that can [`begin_join`](Self::begin_join) later.
-    pub fn with_initial_members(
-        topology: Topology,
-        profile: Arc<LatencyProfile>,
-        shard_max_bytes: Option<usize>,
-        station_base: u32,
-        members: &[NodeId],
-    ) -> Arc<Self> {
-        let node_ids: Vec<NodeId> = topology.node_ids().collect();
-        assert!(!members.is_empty(), "ring needs at least one member");
-        assert!(
-            members.iter().all(|m| node_ids.contains(m)),
-            "every ring member must be a provisioned node"
-        );
-        let mut members = members.to_vec();
-        members.sort_unstable_by_key(|n| n.0);
-        members.dedup();
-        Self::build(node_ids, members, profile, shard_max_bytes, station_base)
-    }
-
-    fn build(
-        node_ids: Vec<NodeId>,
-        members: Vec<NodeId>,
-        profile: Arc<LatencyProfile>,
-        shard_max_bytes: Option<usize>,
-        station_base: u32,
-    ) -> Arc<Self> {
         let shards: Vec<Arc<Shard>> =
             node_ids.iter().map(|_| Arc::new(Shard::new(shard_max_bytes))).collect();
         let up = node_ids.iter().map(|_| AtomicBool::new(true)).collect();
         let slowdown_ns = node_ids.iter().map(|_| AtomicU64::new(0)).collect();
         Arc::new(Self {
             shards,
+            router: EpochRouter::new(node_ids.clone()),
             node_ids,
-            router: EpochRouter::new(members),
             profile,
             station_base,
             up,
@@ -713,12 +664,13 @@ impl KvClient {
     /// Charge the network hop, check liveness, then charge shard service
     /// (with any fault-plane slow-down). A request to a crashed node pays
     /// the hop — the packet travelled before the timeout — but no shard
-    /// service, and surfaces [`KvError::NodeDown`].
-    fn access(&self, target: NodeId, payload_len: usize) -> Result<(), KvError> {
+    /// service, and reports the down node (the only way a routed shard
+    /// access can fail).
+    fn access(&self, target: NodeId, payload_len: usize) -> Result<(), NodeId> {
         self.charge_hop(target);
         let idx = self.cluster.node_index(target);
         if !self.cluster.up[idx].load(Ordering::Acquire) {
-            return Err(KvError::NodeDown(target));
+            return Err(target);
         }
         let p = &self.cluster.profile;
         let extra = self.cluster.slowdown_ns[idx].load(Ordering::Acquire);
@@ -757,7 +709,7 @@ impl KvClient {
         old: NodeId,
         new: NodeId,
         key: &[u8],
-    ) -> Result<Option<(Value, u64)>, KvError> {
+    ) -> Result<Option<(Value, u64)>, NodeId> {
         self.access(new, 0)?;
         if let Some(hit) = self.cluster.shard(new).get(key) {
             return Ok(Some(hit));
@@ -769,35 +721,17 @@ impl KvClient {
         }
     }
 
-    fn fault_panic(e: KvError) -> ! {
-        match e {
-            KvError::NodeDown(n) => {
-                panic!("kv access to crashed node {n:?}; use the try_* surface to handle faults")
-            }
-            KvError::WrongEpoch { seen, current } => {
-                panic!("kv op fenced on stale epoch {seen} (current {current}); refresh and retry")
-            }
-        }
-    }
-
     /// `gets`: value and CAS version.
-    pub fn get(&self, key: &[u8]) -> Option<(Value, u64)> {
-        match self.try_get(key) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware `gets`: surfaces [`KvError::NodeDown`] for crashed
-    /// shards instead of panicking.
-    pub fn try_get(&self, key: &[u8]) -> Result<Option<(Value, u64)>, KvError> {
+    pub fn get(&self, key: &[u8]) -> Result<Option<(Value, u64)>, KvError> {
         let s = self.cluster.router.state.read();
         match self.cluster.decide(&s, key) {
             Target::Direct(n) => {
-                self.access(n, 0)?;
+                self.access(n, 0).map_err(KvError::NodeDown)?;
                 Ok(self.cluster.shard(n).get(key))
             }
-            Target::Migrating { old, new } => self.get_migrating(old, new, key),
+            Target::Migrating { old, new } => {
+                self.get_migrating(old, new, key).map_err(KvError::NodeDown)
+            }
         }
     }
 
@@ -805,35 +739,14 @@ impl KvClient {
     /// network hop plus one batched shard service per node group instead
     /// of a full round trip per key (the read-side analogue of group
     /// commit). Results are in input order; a missing key yields `None`.
-    pub fn multi_gets(&self, keys: &[&[u8]]) -> Vec<Option<(Value, u64)>> {
-        match self.try_multi_gets(keys) {
-            Ok(out) => out,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`multi_gets`](Self::multi_gets): if *any* owning node
-    /// is down the whole batch fails with [`KvError::NodeDown`] — a batch
-    /// with a hole would force callers to guess which misses are real.
-    /// The batch is scatter-gathered in full, so hops charged to healthy
-    /// groups stand (the packets flew). Callers that can use a batch with
-    /// holes should prefer
-    /// [`try_multi_gets_partial`](Self::try_multi_gets_partial).
-    pub fn try_multi_gets(&self, keys: &[&[u8]]) -> Result<Vec<Option<(Value, u64)>>, KvError> {
-        let partial = self.try_multi_gets_partial(keys);
-        match partial.failed.first() {
-            Some((node, _)) => Err(KvError::NodeDown(*node)),
-            None => Ok(partial.results),
-        }
-    }
-
-    /// Partial-failure batched `gets`: every healthy node group's results
-    /// are returned even when another group's node is down mid-batch —
-    /// the unfetched keys are reported per down node instead of poisoning
+    ///
+    /// Fault-isolated per node group: every healthy group's results are
+    /// returned even when another group's node is down mid-batch — the
+    /// unfetched keys are reported per down node instead of poisoning
     /// the whole batch. Keys in mid-migration ranges are routed
     /// individually (new owner first, old-owner fallback) — the
     /// documented read amplification of a live reshard.
-    pub fn try_multi_gets_partial(&self, keys: &[&[u8]]) -> PartialMultiGet {
+    pub fn multi_gets(&self, keys: &[&[u8]]) -> PartialMultiGet {
         let s = self.cluster.router.state.read();
         let mut out: Vec<Option<(Value, u64)>> = vec![None; keys.len()];
         // Group key indices by owning node, preserving first-seen order.
@@ -882,79 +795,36 @@ impl KvClient {
         for (i, old, new) in migrating {
             match self.get_migrating(old, new, keys[i]) {
                 Ok(v) => out[i] = v,
-                Err(KvError::NodeDown(n)) => fail(n, i),
-                Err(e @ KvError::WrongEpoch { .. }) => Self::fault_panic(e),
+                Err(down) => fail(down, i),
             }
         }
         PartialMultiGet { results: out, failed }
     }
 
-    /// Batched `get` (no versions): convenience over [`KvClient::multi_gets`].
-    pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<Value>> {
-        self.multi_gets(keys).into_iter().map(|r| r.map(|(v, _)| v)).collect()
-    }
-
     /// Unconditional store; returns the new version.
-    pub fn set(&self, key: &[u8], value: &[u8]) -> u64 {
-        match self.try_set(key, value) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`set`](Self::set).
-    pub fn try_set(&self, key: &[u8], value: &[u8]) -> Result<u64, KvError> {
+    pub fn set(&self, key: &[u8], value: &[u8]) -> Result<u64, KvError> {
         let s = self.cluster.router.state.read();
         let n = self.write_target(&s, key);
-        self.access(n, value.len())?;
+        self.access(n, value.len()).map_err(KvError::NodeDown)?;
         Ok(self.cluster.shard(n).set(key, value))
     }
 
-    /// Store if absent.
-    pub fn add(&self, key: &[u8], value: &[u8]) -> Option<u64> {
-        match self.try_add(key, value) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`add`](Self::add).
-    pub fn try_add(&self, key: &[u8], value: &[u8]) -> Result<Option<u64>, KvError> {
+    /// Store if absent; `None` when the key already exists.
+    pub fn add(&self, key: &[u8], value: &[u8]) -> Result<Option<u64>, KvError> {
         let s = self.cluster.router.state.read();
         let n = self.write_target(&s, key);
-        self.access(n, value.len())?;
+        self.access(n, value.len()).map_err(KvError::NodeDown)?;
         Ok(self.cluster.shard(n).add(key, value))
     }
 
-    /// Check-and-swap.
-    pub fn cas(&self, key: &[u8], expected_version: u64, value: &[u8]) -> CasOutcome {
-        match self.try_cas(key, expected_version, value) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`cas`](Self::cas).
-    pub fn try_cas(
-        &self,
-        key: &[u8],
-        expected_version: u64,
-        value: &[u8],
-    ) -> Result<CasOutcome, KvError> {
-        let s = self.cluster.router.state.read();
-        let n = self.write_target(&s, key);
-        self.access(n, value.len())?;
-        Ok(self.cluster.shard(n).cas(key, expected_version, value))
-    }
-
-    /// Epoch-fenced CAS: rejects with [`KvError::WrongEpoch`] when ring
-    /// membership changed since the caller read `seen_epoch` (alongside
-    /// the version it is CASing against). The fence closes the
+    /// Epoch-fenced check-and-swap: rejects with [`KvError::WrongEpoch`]
+    /// when ring membership changed since the caller read `seen_epoch`
+    /// (alongside the version it is CASing against). The fence closes the
     /// stale-owner window: a CAS routed under an old view can never land
     /// on a shard that has since ceded the key. On `WrongEpoch`, re-read
     /// (fresh value, version **and** epoch) and retry — migration
     /// preserves versions, so an otherwise-valid retry lands.
-    pub fn try_cas_fenced(
+    pub fn cas(
         &self,
         key: &[u8],
         expected_version: u64,
@@ -969,23 +839,15 @@ impl KvClient {
             self.charge_hop(n);
             return Err(KvError::WrongEpoch { seen: seen_epoch, current });
         }
-        self.access(n, value.len())?;
+        self.access(n, value.len()).map_err(KvError::NodeDown)?;
         Ok(self.cluster.shard(n).cas(key, expected_version, value))
     }
 
     /// Delete; true if the key existed.
-    pub fn delete(&self, key: &[u8]) -> bool {
-        match self.try_delete(key) {
-            Ok(v) => v,
-            Err(e) => Self::fault_panic(e),
-        }
-    }
-
-    /// Fault-aware [`delete`](Self::delete).
-    pub fn try_delete(&self, key: &[u8]) -> Result<bool, KvError> {
+    pub fn delete(&self, key: &[u8]) -> Result<bool, KvError> {
         let s = self.cluster.router.state.read();
         let n = self.write_target(&s, key);
-        self.access(n, 0)?;
+        self.access(n, 0).map_err(KvError::NodeDown)?;
         Ok(self.cluster.shard(n).delete(key))
     }
 
@@ -1014,10 +876,10 @@ mod tests {
         let c = cluster(4);
         let a = c.client(NodeId(0));
         let b = c.client(NodeId(3));
-        a.set(b"/w/f1", b"hello");
-        assert_eq!(&*b.get(b"/w/f1").unwrap().0, b"hello");
-        assert!(b.delete(b"/w/f1"));
-        assert_eq!(a.get(b"/w/f1"), None);
+        a.set(b"/w/f1", b"hello").unwrap();
+        assert_eq!(&*b.get(b"/w/f1").unwrap().unwrap().0, b"hello");
+        assert_eq!(b.delete(b"/w/f1"), Ok(true));
+        assert_eq!(a.get(b"/w/f1"), Ok(None));
     }
 
     #[test]
@@ -1036,7 +898,7 @@ mod tests {
         let local_key = local_key.expect("some key must land on node 0");
         let client = c.client(NodeId(0));
         let ((), t) = with_recording(|| {
-            client.get(local_key.as_bytes());
+            client.get(local_key.as_bytes()).unwrap();
         });
         assert_eq!(t.station_ns(Station::Network), profile.net_local);
         assert_eq!(t.station_ns(Station::KvShard(0)), profile.kv_op);
@@ -1052,7 +914,7 @@ mod tests {
         }
         let remote_key = remote_key.unwrap();
         let ((), t) = with_recording(|| {
-            client.get(remote_key.as_bytes());
+            client.get(remote_key.as_bytes()).unwrap();
         });
         assert_eq!(t.station_ns(Station::Network), profile.net_hop_remote);
     }
@@ -1063,10 +925,10 @@ mod tests {
         let p = c.profile().clone();
         let client = c.client(NodeId(0));
         let ((), small) = with_recording(|| {
-            client.set(b"k", &[0u8; 100]);
+            client.set(b"k", &[0u8; 100]).unwrap();
         });
         let ((), big) = with_recording(|| {
-            client.set(b"k", &[0u8; 4096]);
+            client.set(b"k", &[0u8; 4096]).unwrap();
         });
         let shard = Station::KvShard(0);
         assert_eq!(small.station_ns(shard), p.kv_op + p.kv_payload_per_kib);
@@ -1078,10 +940,10 @@ mod tests {
         let c = cluster(4);
         let client = c.client(NodeId(1));
         for i in 0..40 {
-            client.set(format!("/ws/a/f{i:02}").as_bytes(), b"m");
+            client.set(format!("/ws/a/f{i:02}").as_bytes(), b"m").unwrap();
         }
         for i in 0..10 {
-            client.set(format!("/other/f{i:02}").as_bytes(), b"m");
+            client.set(format!("/other/f{i:02}").as_bytes(), b"m").unwrap();
         }
         let keys = c.keys_with_prefix(b"/ws/a/");
         assert_eq!(keys.len(), 40);
@@ -1105,14 +967,15 @@ mod tests {
         let keys: Vec<String> = (0..24).map(|i| format!("/batch/f{i:02}")).collect();
         for (i, k) in keys.iter().enumerate() {
             if i % 3 != 0 {
-                client.set(k.as_bytes(), format!("v{i}").as_bytes());
+                client.set(k.as_bytes(), format!("v{i}").as_bytes()).unwrap();
             }
         }
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
         let (batched, trace) = with_recording(|| client.multi_gets(&refs));
+        assert!(batched.is_complete());
         // Byte-for-byte equal to sequential gets, in input order.
-        for (k, got) in refs.iter().zip(&batched) {
-            assert_eq!(got, &client.get(k));
+        for (k, got) in refs.iter().zip(&batched.results) {
+            assert_eq!(got, &client.get(k).unwrap());
         }
         // One network hop per distinct owning node, not one per key.
         let nodes: std::collections::BTreeSet<u32> =
@@ -1135,10 +998,10 @@ mod tests {
     fn multi_get_empty_and_single() {
         let c = cluster(2);
         let client = c.client(NodeId(0));
-        assert!(client.multi_gets(&[]).is_empty());
-        client.set(b"k", b"v");
-        let got = client.multi_get(&[b"k".as_ref()]);
-        assert_eq!(&*got[0].clone().unwrap(), b"v");
+        assert!(client.multi_gets(&[]).results.is_empty());
+        client.set(b"k", b"v").unwrap();
+        let got = client.multi_gets(&[b"k".as_ref()]);
+        assert_eq!(&*got.results[0].clone().unwrap().0, b"v");
     }
 
     #[test]
@@ -1153,26 +1016,26 @@ mod tests {
             .find(|k| c.shard_node(k.as_bytes()) != victim)
             .expect("4-node ring spreads keys");
         for k in &keys {
-            client.set(k.as_bytes(), b"v");
+            client.set(k.as_bytes(), b"v").unwrap();
         }
 
         c.crash(victim);
         assert_eq!(c.node_status(victim), NodeStatus::Down);
         // The ring still routes to the dead node — no silent re-hash.
         assert_eq!(c.shard_node(keys[0].as_bytes()), victim);
-        assert_eq!(client.try_get(keys[0].as_bytes()), Err(KvError::NodeDown(victim)));
+        assert_eq!(client.get(keys[0].as_bytes()), Err(KvError::NodeDown(victim)));
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
-        assert_eq!(client.try_multi_gets(&refs), Err(KvError::NodeDown(victim)));
-        assert_eq!(client.try_set(keys[0].as_bytes(), b"x"), Err(KvError::NodeDown(victim)));
+        assert_eq!(client.multi_gets(&refs).failed[0].0, victim);
+        assert_eq!(client.set(keys[0].as_bytes(), b"x"), Err(KvError::NodeDown(victim)));
         // Surviving shards keep serving.
-        assert!(client.try_get(surviving_key.as_bytes()).unwrap().is_some());
+        assert!(client.get(surviving_key.as_bytes()).unwrap().is_some());
 
         // Restart comes back cold: up, but the crash wiped its state.
         c.restart(victim);
         assert_eq!(c.node_status(victim), NodeStatus::Up);
-        assert_eq!(client.try_get(keys[0].as_bytes()), Ok(None), "cold cache after restart");
-        assert!(client.try_set(keys[0].as_bytes(), b"warm").is_ok());
-        assert!(client.try_get(keys[0].as_bytes()).unwrap().is_some());
+        assert_eq!(client.get(keys[0].as_bytes()), Ok(None), "cold cache after restart");
+        assert!(client.set(keys[0].as_bytes(), b"warm").is_ok());
+        assert!(client.get(keys[0].as_bytes()).unwrap().is_some());
     }
 
     #[test]
@@ -1193,8 +1056,8 @@ mod tests {
         }
         // Unrelated traffic never moves the epoch.
         let client = c.client(NodeId(0));
-        client.set(b"k", b"v");
-        client.get(b"k");
+        client.set(b"k", b"v").unwrap();
+        client.get(b"k").unwrap();
         assert_eq!(c.ring_epoch(), last);
     }
 
@@ -1205,32 +1068,23 @@ mod tests {
         let client = c.client(NodeId(0));
         c.set_slowdown(NodeId(0), 7_000);
         let ((), t) = with_recording(|| {
-            client.get(b"k");
+            client.get(b"k").unwrap();
         });
         assert_eq!(t.station_ns(Station::KvShard(0)), p.kv_op + 7_000);
         c.set_slowdown(NodeId(0), 0);
         let ((), t) = with_recording(|| {
-            client.get(b"k");
+            client.get(b"k").unwrap();
         });
         assert_eq!(t.station_ns(Station::KvShard(0)), p.kv_op);
-    }
-
-    #[test]
-    #[should_panic(expected = "crashed node")]
-    fn infallible_surface_panics_on_crashed_node() {
-        let c = cluster(1);
-        let client = c.client(NodeId(0));
-        c.crash(NodeId(0));
-        client.get(b"k");
     }
 
     #[test]
     fn aggregated_stats() {
         let c = cluster(2);
         let client = c.client(NodeId(0));
-        client.set(b"a", b"1");
-        client.get(b"a");
-        client.get(b"nope");
+        client.set(b"a", b"1").unwrap();
+        client.get(b"a").unwrap();
+        client.get(b"nope").unwrap();
         let st = c.stats();
         assert_eq!(st.sets, 1);
         assert_eq!(st.gets, 2);
@@ -1249,7 +1103,7 @@ mod reshard_tests {
     fn fill(client: &KvClient, n: usize) -> Vec<String> {
         let keys: Vec<String> = (0..n).map(|i| format!("/reshard/f{i:03}")).collect();
         for (i, k) in keys.iter().enumerate() {
-            client.set(k.as_bytes(), format!("v{i}").as_bytes());
+            client.set(k.as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
         keys
     }
@@ -1276,7 +1130,7 @@ mod reshard_tests {
         // Mid-migration: every key still reads its written value.
         c.migration_step(10);
         for (i, k) in keys.iter().enumerate() {
-            let (v, _) = client.get(k.as_bytes()).expect("readable mid-migration");
+            let (v, _) = client.get(k.as_bytes()).unwrap().expect("readable mid-migration");
             assert_eq!(&*v, format!("v{i}").as_bytes());
         }
         drive_to_completion(&c);
@@ -1284,7 +1138,7 @@ mod reshard_tests {
         // The leaver's shard is empty and no key routes to it.
         for k in &keys {
             assert_ne!(c.shard_node(k.as_bytes()), NodeId(2));
-            let (v, _) = client.get(k.as_bytes()).expect("readable after migration");
+            let (v, _) = client.get(k.as_bytes()).unwrap().expect("readable after migration");
             assert!(v.len() >= 2);
         }
         let st = c.reshard_stats();
@@ -1308,7 +1162,7 @@ mod reshard_tests {
             keys.iter().filter(|k| c.shard_node(k.as_bytes()) == NodeId(2)).count();
         assert!(moved > 0, "a join must take over some ranges");
         for (i, k) in keys.iter().enumerate() {
-            let (v, _) = client.get(k.as_bytes()).expect("readable after join");
+            let (v, _) = client.get(k.as_bytes()).unwrap().expect("readable after join");
             assert_eq!(&*v, format!("v{i}").as_bytes());
         }
     }
@@ -1336,16 +1190,16 @@ mod reshard_tests {
         // Move roughly half, then overwrite every key mid-window.
         c.migration_step(25);
         for (i, k) in keys.iter().enumerate() {
-            client.set(k.as_bytes(), format!("w{i}").as_bytes());
+            client.set(k.as_bytes(), format!("w{i}").as_bytes()).unwrap();
         }
         // Every key reads the overwrite, wherever it lives right now.
         for (i, k) in keys.iter().enumerate() {
-            let (v, _) = client.get(k.as_bytes()).unwrap();
+            let (v, _) = client.get(k.as_bytes()).unwrap().unwrap();
             assert_eq!(&*v, format!("w{i}").as_bytes(), "mid-migration write lost");
         }
         drive_to_completion(&c);
         for (i, k) in keys.iter().enumerate() {
-            let (v, _) = client.get(k.as_bytes()).unwrap();
+            let (v, _) = client.get(k.as_bytes()).unwrap().unwrap();
             assert_eq!(&*v, format!("w{i}").as_bytes(), "post-migration write lost");
         }
     }
@@ -1356,16 +1210,16 @@ mod reshard_tests {
         let client = c.client(NodeId(0));
         let keys = fill(&client, 80);
         let versions: Vec<u64> =
-            keys.iter().map(|k| client.get(k.as_bytes()).unwrap().1).collect();
+            keys.iter().map(|k| client.get(k.as_bytes()).unwrap().unwrap().1).collect();
         assert!(c.begin_leave(NodeId(2)));
         drive_to_completion(&c);
         for (k, ver) in keys.iter().zip(&versions) {
-            let (_, now) = client.get(k.as_bytes()).unwrap();
+            let (_, now) = client.get(k.as_bytes()).unwrap().unwrap();
             assert_eq!(now, *ver, "migration must preserve CAS versions");
             // And the pre-migration token still swaps.
             assert!(matches!(
-                client.cas(k.as_bytes(), *ver, b"swapped"),
-                CasOutcome::Stored { .. }
+                client.cas(k.as_bytes(), *ver, b"swapped", c.ring_epoch()),
+                Ok(CasOutcome::Stored { .. })
             ));
         }
     }
@@ -1377,11 +1231,11 @@ mod reshard_tests {
         let keys = fill(&client, 60);
         let k = keys[0].as_bytes();
         let seen = c.ring_epoch();
-        let (_, ver) = client.get(k).unwrap();
+        let (_, ver) = client.get(k).unwrap().unwrap();
         // Membership changes between the read and the CAS.
         assert!(c.begin_leave(NodeId(2)));
         drive_to_completion(&c);
-        let out = client.try_cas_fenced(k, ver, b"stale-route", seen);
+        let out = client.cas(k, ver, b"stale-route", seen);
         match out {
             Err(KvError::WrongEpoch { seen: s, current }) => {
                 assert_eq!(s, seen);
@@ -1392,10 +1246,10 @@ mod reshard_tests {
         // Refresh: re-read version + epoch, retry — versions survived the
         // move, so the CAS lands.
         let fresh_epoch = c.ring_epoch();
-        let (_, fresh_ver) = client.get(k).unwrap();
+        let (_, fresh_ver) = client.get(k).unwrap().unwrap();
         assert_eq!(fresh_ver, ver, "version preserved across the reshard");
         assert!(matches!(
-            client.try_cas_fenced(k, fresh_ver, b"landed", fresh_epoch),
+            client.cas(k, fresh_ver, b"landed", fresh_epoch),
             Ok(CasOutcome::Stored { .. })
         ));
     }
@@ -1420,12 +1274,12 @@ mod reshard_tests {
         for (i, (k, owner)) in keys.iter().zip(&owner_before).enumerate() {
             assert_eq!(c.shard_node(k.as_bytes()), *owner);
             // A moved key lost with the joiner reads as a clean miss.
-            if let Some((v, _)) = client.try_get(k.as_bytes()).unwrap() {
+            if let Some((v, _)) = client.get(k.as_bytes()).unwrap() {
                 assert_eq!(&*v, format!("v{i}").as_bytes());
             }
         }
         // The cluster keeps serving writes on the restored ring.
-        assert!(client.try_set(keys[0].as_bytes(), b"fresh").is_ok());
+        assert!(client.set(keys[0].as_bytes(), b"fresh").is_ok());
     }
 
     #[test]
@@ -1442,7 +1296,7 @@ mod reshard_tests {
         for (i, k) in keys.iter().enumerate() {
             assert_ne!(c.shard_node(k.as_bytes()), NodeId(2));
             // An unmoved key that died with the leaver is a clean miss.
-            if let Some((v, _)) = client.try_get(k.as_bytes()).unwrap() {
+            if let Some((v, _)) = client.get(k.as_bytes()).unwrap() {
                 assert_eq!(&*v, format!("v{i}").as_bytes());
             }
         }
@@ -1463,7 +1317,7 @@ mod reshard_tests {
         assert!(!c.migration_active());
         assert_eq!(c.reshard_stats().migration_aborts, 1);
         for (i, k) in keys.iter().enumerate() {
-            match client.try_get(k.as_bytes()) {
+            match client.get(k.as_bytes()) {
                 Ok(Some((v, _))) => assert_eq!(&*v, format!("v{i}").as_bytes()),
                 Ok(None) => {}
                 Err(KvError::NodeDown(n)) => assert_eq!(n, NodeId(1)),
@@ -1511,7 +1365,7 @@ mod reshard_tests {
         let c = cluster(2);
         let client = c.client(NodeId(0));
         for i in 0..60 {
-            client.set(format!("/xfer/f{i}").as_bytes(), b"0123456789");
+            client.set(format!("/xfer/f{i}").as_bytes(), b"0123456789").unwrap();
         }
         c.begin_leave(NodeId(1));
         let ((), t) = simnet::with_recording(|| {
@@ -1532,12 +1386,12 @@ mod reshard_tests {
         let client = c.client(NodeId(0));
         let keys: Vec<String> = (0..200).map(|i| format!("/pmg/f{i}")).collect();
         for (i, k) in keys.iter().enumerate() {
-            client.set(k.as_bytes(), format!("v{i}").as_bytes());
+            client.set(k.as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
         let victim = c.shard_node(keys[0].as_bytes());
         c.crash(victim);
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
-        let p = client.try_multi_gets_partial(&refs);
+        let p = client.multi_gets(&refs);
         assert!(!p.is_complete());
         assert_eq!(p.failed.len(), 1, "exactly one node group failed");
         assert_eq!(p.failed[0].0, victim);
@@ -1555,7 +1409,5 @@ mod reshard_tests {
             }
         }
         assert_eq!(p.failed_keys(), failed.len());
-        // The whole-batch surface still fails closed.
-        assert_eq!(client.try_multi_gets(&refs), Err(KvError::NodeDown(victim)));
     }
 }

@@ -11,7 +11,7 @@
 //! * [`shard`] — one in-memory shard: versioned `Arc<[u8]>` entries, CAS,
 //!   CLOCK eviction, byte accounting; reads share an `RwLock`,
 //! * [`cluster`] — the cluster facade plus the per-node client handle
-//!   that charges simulated network/service costs; batched `multi_get`
+//!   that charges simulated network/service costs; batched `multi_gets`
 //!   pays one round trip per shard node per batch. Ring membership is
 //!   **live**: `begin_join`/`begin_leave` start an epoch'd migration
 //!   (driven by `migration_step`) that moves only remapped key ranges

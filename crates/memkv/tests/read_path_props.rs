@@ -26,14 +26,15 @@ proptest! {
         let cluster = KvCluster::new(Topology::new(nodes, 1), Arc::new(LatencyProfile::zero()));
         let client = cluster.client(NodeId(0));
         for (k, v) in &present {
-            client.set(&k.to_be_bytes(), v);
+            client.set(&k.to_be_bytes(), v).unwrap();
         }
         let keys: Vec<Vec<u8>> = queried.iter().map(|k| k.to_be_bytes().to_vec()).collect();
         let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
         let batched = client.multi_gets(&refs);
-        prop_assert_eq!(batched.len(), refs.len());
-        for (key, got) in refs.iter().zip(&batched) {
-            let single = client.get(key);
+        prop_assert!(batched.is_complete());
+        prop_assert_eq!(batched.results.len(), refs.len());
+        for (key, got) in refs.iter().zip(&batched.results) {
+            let single = client.get(key).unwrap();
             match (got, &single) {
                 (Some((bv, bver)), Some((sv, sver))) => {
                     prop_assert_eq!(&**bv, &**sv, "value mismatch for {:?}", key);
@@ -76,10 +77,11 @@ proptest! {
         budget in 1024usize..4096,
         nodes in 3u32..5,
     ) {
-        let cluster = KvCluster::with_shard_budget(
+        let cluster = KvCluster::with_options(
             Topology::new(nodes, 1),
             Arc::new(LatencyProfile::zero()),
             Some(budget),
+            0,
         );
         let client = cluster.client(NodeId(0));
         let mut latest: std::collections::HashMap<Vec<u8>, (Vec<u8>, u64)> =
@@ -87,7 +89,7 @@ proptest! {
         for (k, len) in &entries {
             let key = k.to_be_bytes().to_vec();
             let val = vec![(*k % 251) as u8; *len];
-            let ver = client.set(&key, &val);
+            let ver = client.set(&key, &val).unwrap();
             latest.insert(key, (val, ver));
         }
         // Shrink the ring by one node: its whole shard migrates into the
@@ -109,7 +111,7 @@ proptest! {
         // corrupted — and then only if eviction actually ran.
         let mut missing = 0usize;
         for (key, (val, ver)) in &latest {
-            match client.get(key) {
+            match client.get(key).unwrap() {
                 Some((v, got_ver)) => {
                     prop_assert_eq!(&*v, &val[..], "value corrupted by migration");
                     prop_assert_eq!(got_ver, *ver, "version changed by migration");
@@ -135,16 +137,17 @@ proptest! {
         val_len in 8usize..32,
         leave_at in 5u16..15,
     ) {
-        let cluster = KvCluster::with_shard_budget(
+        let cluster = KvCluster::with_options(
             Topology::new(3, 1),
             Arc::new(LatencyProfile::zero()),
             Some(1024),
+            0,
         );
         let client = cluster.client(NodeId(0));
-        client.set(b"hot", &[1; 16]);
+        client.set(b"hot", &[1; 16]).unwrap();
         for k in 0..cold_count {
-            prop_assert!(client.get(b"hot").is_some(), "hot key evicted at {}", k);
-            client.set(&k.to_be_bytes(), &vec![0; val_len]);
+            prop_assert!(client.get(b"hot").unwrap().is_some(), "hot key evicted at {}", k);
+            client.set(&k.to_be_bytes(), &vec![0; val_len]).unwrap();
             if k == leave_at {
                 // Mid-churn reshard; pumped incrementally below.
                 cluster.begin_leave(NodeId(2));
@@ -157,7 +160,7 @@ proptest! {
             spins += 1;
             prop_assert!(spins < 10_000, "migration never converged");
         }
-        prop_assert!(client.get(b"hot").is_some(), "hot key lost across the reshard");
+        prop_assert!(client.get(b"hot").unwrap().is_some(), "hot key lost across the reshard");
     }
 
     #[test]
@@ -184,7 +187,7 @@ fn multi_get_under_interleaved_writers_sees_only_valid_states() {
     let keys: Vec<Vec<u8>> = (0..64u16).map(|k| k.to_be_bytes().to_vec()).collect();
     let writer_client = cluster.client(NodeId(0));
     for k in &keys {
-        writer_client.set(k, b"v0");
+        writer_client.set(k, b"v0").unwrap();
     }
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
@@ -194,7 +197,7 @@ fn multi_get_under_interleaved_writers_sees_only_valid_states() {
             let mut flip = false;
             while !stop.load(Ordering::Relaxed) {
                 for k in &keys {
-                    writer_client.set(k, if flip { b"v1" } else { b"v0" });
+                    writer_client.set(k, if flip { b"v1" } else { b"v0" }).unwrap();
                 }
                 flip = !flip;
             }
@@ -203,7 +206,7 @@ fn multi_get_under_interleaved_writers_sees_only_valid_states() {
     let reader = cluster.client(NodeId(1));
     let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
     for _ in 0..200 {
-        for got in reader.multi_gets(&refs) {
+        for got in reader.multi_gets(&refs).results {
             // Every key always exists, and each slot holds exactly what
             // some sequential get could have returned at that instant.
             let (v, _) = got.expect("keys are never deleted");

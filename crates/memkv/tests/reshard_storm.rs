@@ -152,7 +152,7 @@ fn run_storm(seed: u64) {
     // never legal.
     for i in 0..KEYS {
         let v = format!("seed-{i}").into_bytes();
-        let ver = s.clients[0].set(&key(i), &v);
+        let ver = s.clients[0].set(&key(i), &v).expect("quiet cluster");
         s.oracle.insert(i, (v, ver));
     }
 
@@ -164,14 +164,14 @@ fn run_storm(seed: u64) {
                 let i = rng.gen_range(0..KEYS);
                 let v = format!("s{seed:x}-w{step}").into_bytes();
                 let c = s.client(&mut rng);
-                if let Ok(ver) = c.try_set(&key(i), &v) {
+                if let Ok(ver) = c.set(&key(i), &v) {
                     s.oracle.insert(i, (v, ver));
                 }
             }
             // ---- reads verified against the oracle ------------------
             40..=59 => {
                 let i = rng.gen_range(0..KEYS);
-                if let Ok(got) = s.client(&mut rng).try_get(&key(i)) {
+                if let Ok(got) = s.client(&mut rng).get(&key(i)) {
                     s.check_read(i, got);
                 }
             }
@@ -181,7 +181,7 @@ fn run_storm(seed: u64) {
                     let i = rng.gen_range(0..KEYS);
                     let seen_epoch = s.cluster.ring_epoch();
                     if let Ok(Some((_, version))) =
-                        s.clients[0].try_get(&key(i))
+                        s.clients[0].get(&key(i))
                     {
                         s.pending = Some(PendingCas {
                             key: i,
@@ -196,8 +196,7 @@ fn run_storm(seed: u64) {
             65..=74 => {
                 if let Some(p) = s.pending.take() {
                     let c = &s.clients[0];
-                    match c.try_cas_fenced(&key(p.key), p.version, &p.value, p.seen_epoch)
-                    {
+                    match c.cas(&key(p.key), p.version, &p.value, p.seen_epoch) {
                         Ok(out) => s.settle_cas(p.key, p.version, &p.value, out),
                         Err(KvError::WrongEpoch { seen, current }) => {
                             assert_eq!(seen, p.seen_epoch);
@@ -206,13 +205,9 @@ fn run_storm(seed: u64) {
                             // The documented recovery: one refresh (fresh
                             // value, version AND epoch), one retry.
                             let fresh_epoch = s.cluster.ring_epoch();
-                            if let Ok(Some((_, ver))) = c.try_get(&key(p.key)) {
-                                if let Ok(out) = c.try_cas_fenced(
-                                    &key(p.key),
-                                    ver,
-                                    &p.value,
-                                    fresh_epoch,
-                                ) {
+                            if let Ok(Some((_, ver))) = c.get(&key(p.key)) {
+                                if let Ok(out) = c.cas(&key(p.key), ver, &p.value, fresh_epoch)
+                                {
                                     s.settle_cas(p.key, ver, &p.value, out);
                                 }
                             }
@@ -296,7 +291,7 @@ fn run_storm(seed: u64) {
     let reader = &s.clients[0];
     let mut present = 0usize;
     for i in 0..KEYS {
-        let got = reader.try_get(&key(i)).expect("all nodes are up");
+        let got = reader.get(&key(i)).expect("all nodes are up");
         if got.is_some() {
             present += 1;
         }

@@ -5,18 +5,17 @@
 //! loop of Section III.D-3 ("when multiple write operations conflict ...
 //! Pacon will re-execute it until the update is successful").
 //!
-//! Two surfaces coexist:
-//!
-//! * the original **infallible** methods (`get`, `put`, …) assume a
-//!   healthy cluster and panic if a request lands on a crashed node —
-//!   appropriate for tests and for callers that run only while healthy;
-//! * the **fault-aware** `try_*` methods return [`CacheError`] instead.
-//!   On a [`MetaCache`] built with [`MetaCache::with_faults`], every
-//!   `try_*` RPC is wrapped in a guarded retry loop: bounded attempts
-//!   with deterministic jittered exponential backoff (virtual-clock
-//!   sleeps, see [`RetryPolicy`]), and on exhaustion the *region* enters
-//!   degraded mode — subsequent calls fail fast, gated by a rate-limited
-//!   recovery probe ([`crate::degraded`]).
+//! One surface, fallible throughout: a cache RPC can land on a crashed
+//! shard or race a ring-membership change at any time, so every method
+//! returns [`CacheError`] through the [`MetaCache::guarded`] envelope and
+//! the caller states what `Unavailable` means for it (fall back to the
+//! DFS copy, skip a best-effort cleanup, take the degraded write path).
+//! On a [`MetaCache`] built with [`MetaCache::with_faults`] the envelope
+//! retries: bounded attempts with deterministic jittered exponential
+//! backoff (virtual-clock sleeps, see [`RetryPolicy`]), and on exhaustion
+//! the *region* enters degraded mode — subsequent calls fail fast, gated
+//! by a rate-limited recovery probe ([`crate::degraded`]). A bare handle
+//! ([`MetaCache::new`]) makes exactly one attempt.
 
 use std::sync::Arc;
 
@@ -32,7 +31,7 @@ use crate::retry::{splitmix64, RetryPolicy};
 /// livelock-grade pathology rather than normal contention.
 const MAX_CAS_ATTEMPTS: u32 = 1_000;
 
-/// A fault-aware cache RPC gave up: the owning node stayed down through
+/// A cache RPC gave up: the owning node stayed down through
 /// the whole retry budget (or the region is degraded and the probe is
 /// not due). The caller falls back to the DFS backup copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +45,7 @@ pub struct MetaCache {
     kv: KvClient,
     /// Fault plane: retry policy, degraded-mode state, counters and the
     /// virtual clock all live on the region core. `None` = bare cache
-    /// (workers, merged regions, unit tests): `try_*` makes exactly one
+    /// (workers, merged regions, unit tests): every RPC makes exactly one
     /// attempt and never retries or trips degraded mode.
     fault: Option<Arc<RegionCore>>,
 }
@@ -56,8 +55,8 @@ impl MetaCache {
         Self { kv, fault: None }
     }
 
-    /// Fault-aware handle: `try_*` RPCs retry with backoff against
-    /// `core`'s policy and drive its degraded-mode state machine.
+    /// Fault-aware handle: RPCs retry with backoff against `core`'s
+    /// policy and drive its degraded-mode state machine.
     pub fn with_faults(kv: KvClient, core: Arc<RegionCore>) -> Self {
         Self { kv, fault: Some(core) }
     }
@@ -135,10 +134,10 @@ impl MetaCache {
         }
     }
 
-    /// Fault-aware [`Self::get`].
-    pub fn try_get(&self, path: &str) -> Result<Option<(CachedMeta, u64)>, CacheError> {
+    /// Fetch a record and its CAS version.
+    pub fn get(&self, path: &str) -> Result<Option<(CachedMeta, u64)>, CacheError> {
         let hit = self
-            .guarded(|kv| kv.try_get(path.as_bytes()))?
+            .guarded(|kv| kv.get(path.as_bytes()))?
             .and_then(|(bytes, ver)| CachedMeta::decode(&bytes).map(|m| (m, ver)));
         if hit.is_some() && self.purge_if_stale(path) {
             return Ok(None);
@@ -158,25 +157,25 @@ impl MetaCache {
         if !core.is_stale_tombstone(path) {
             return false;
         }
-        if self.guarded(|kv| kv.try_delete(path.as_bytes())).is_ok() {
+        if self.delete(path).is_ok() {
             core.clear_stale_tombstone(path);
         }
         true
     }
 
-    /// Fault-aware [`Self::multi_get`], fault-isolated per node group: a
-    /// node crashing mid-batch no longer discards the results already
-    /// fetched from healthy groups
-    /// (`memkv::KvClient::try_multi_gets_partial`). Keys owned by a down
-    /// node are salvaged per-key through the guarded retry envelope;
-    /// keys that stay unreachable are reported as misses — the caller's
-    /// per-path DFS fallback *is* the degraded read, counted here.
-    pub fn try_multi_get(
-        &self,
-        paths: &[&str],
-    ) -> Result<Vec<Option<(CachedMeta, u64)>>, CacheError> {
+    /// Batched fetch: one multi-get against the KV cluster — one round
+    /// trip per shard node instead of one per path. Results are in input
+    /// order; a missing (or undecodable) record yields `None`.
+    ///
+    /// Fault-isolated per node group: a node crashing mid-batch does not
+    /// discard the results already fetched from healthy groups
+    /// (`memkv::PartialMultiGet`). Keys owned by a down node are salvaged
+    /// per-key through the guarded retry envelope; keys that stay
+    /// unreachable are reported as misses — the caller's per-path DFS
+    /// fallback *is* the degraded read, counted here.
+    pub fn multi_get(&self, paths: &[&str]) -> Result<Vec<Option<(CachedMeta, u64)>>, CacheError> {
         let keys: Vec<&[u8]> = paths.iter().map(|p| p.as_bytes()).collect();
-        let partial = self.guarded(|kv| Ok(kv.try_multi_gets_partial(&keys)))?;
+        let partial = self.guarded(|kv| Ok(kv.multi_gets(&keys)))?;
         let mut failed = vec![false; paths.len()];
         for (_, idxs) in &partial.failed {
             for &i in idxs {
@@ -186,7 +185,7 @@ impl MetaCache {
         let mut out = Vec::with_capacity(paths.len());
         for (i, (r, path)) in partial.results.into_iter().zip(paths).enumerate() {
             if failed[i] {
-                match self.try_get(path) {
+                match self.get(path) {
                     Ok(hit) => out.push(hit),
                     Err(CacheError::Unavailable) => {
                         if let Some(core) = &self.fault {
@@ -203,10 +202,12 @@ impl MetaCache {
         Ok(out)
     }
 
-    /// Fault-aware [`Self::put`].
-    pub fn try_put(&self, path: &str, meta: &CachedMeta) -> Result<u64, CacheError> {
+    /// Unconditional store (used when loading DFS entries into the cache;
+    /// last writer wins is fine because both writers hold the same
+    /// DFS-derived truth).
+    pub fn put(&self, path: &str, meta: &CachedMeta) -> Result<u64, CacheError> {
         let bytes = meta.encode();
-        let ver = self.guarded(|kv| kv.try_set(path.as_bytes(), &bytes))?;
+        let ver = self.guarded(|kv| kv.set(path.as_bytes(), &bytes))?;
         // A fresh authoritative record supersedes any stale survivor.
         if let Some(core) = &self.fault {
             core.clear_stale_tombstone(path);
@@ -214,15 +215,11 @@ impl MetaCache {
         Ok(ver)
     }
 
-    /// Fault-aware [`Self::add_new`]. Outer error = cache unreachable;
-    /// inner error = the path is already cached.
-    pub fn try_add_new(
-        &self,
-        path: &str,
-        meta: &CachedMeta,
-    ) -> Result<FsResult<u64>, CacheError> {
+    /// Insert a brand-new record. Outer error = cache unreachable; inner
+    /// error = the path is already cached.
+    pub fn add_new(&self, path: &str, meta: &CachedMeta) -> Result<FsResult<u64>, CacheError> {
         let bytes = meta.encode();
-        let added = self.guarded(|kv| kv.try_add(path.as_bytes(), &bytes))?;
+        let added = self.guarded(|kv| kv.add(path.as_bytes(), &bytes))?;
         if added.is_some() {
             if let Some(core) = &self.fault {
                 core.clear_stale_tombstone(path);
@@ -231,10 +228,12 @@ impl MetaCache {
         Ok(added.ok_or(FsError::AlreadyExists))
     }
 
-    /// Fault-aware [`Self::update`]: the CAS-retry loop with every get
-    /// and CAS individually guarded. Outer error = cache unreachable
-    /// mid-loop; inner is the caller's abort.
-    pub fn try_update<E>(
+    /// The CAS-retry update loop, every get and CAS individually guarded.
+    /// `f` is re-run on every conflict against the freshest record;
+    /// returning `Err` aborts. Outer error = cache unreachable mid-loop;
+    /// inner = the caller's abort, or the final record (`None` if the
+    /// path is not cached).
+    pub fn update<E>(
         &self,
         path: &str,
         mut f: impl FnMut(&mut CachedMeta) -> Result<(), E>,
@@ -244,7 +243,7 @@ impl MetaCache {
             // any membership change since this read (a reshard could have
             // moved the key mid-loop) rejects the CAS, never the reverse.
             let seen_epoch = self.kv.cluster().ring_epoch();
-            let Some((mut meta, version)) = self.try_get(path)? else {
+            let Some((mut meta, version)) = self.get(path)? else {
                 return Ok(Ok(None));
             };
             if let Err(e) = f(&mut meta) {
@@ -252,7 +251,7 @@ impl MetaCache {
             }
             let bytes = meta.encode();
             let outcome = self.guarded(|kv| {
-                match kv.try_cas_fenced(path.as_bytes(), version, &bytes, seen_epoch) {
+                match kv.cas(path.as_bytes(), version, &bytes, seen_epoch) {
                     // Stale routing view: surface as a version conflict so
                     // this loop re-reads value, version *and* epoch.
                     // (Retrying inside `guarded` would re-send the same
@@ -275,68 +274,9 @@ impl MetaCache {
         panic!("cache CAS loop exceeded {MAX_CAS_ATTEMPTS} attempts on {path}");
     }
 
-    /// Fault-aware [`Self::delete`].
-    pub fn try_delete(&self, path: &str) -> Result<bool, CacheError> {
-        self.guarded(|kv| kv.try_delete(path.as_bytes()))
-    }
-
-    /// Fetch a record and its CAS version.
-    pub fn get(&self, path: &str) -> Option<(CachedMeta, u64)> {
-        self.kv
-            .get(path.as_bytes())
-            .and_then(|(bytes, ver)| CachedMeta::decode(&bytes).map(|m| (m, ver)))
-    }
-
-    /// Batched fetch: one multi-get against the KV cluster — one round
-    /// trip per shard node instead of one per path. Results are in input
-    /// order; a missing (or undecodable) record yields `None`.
-    pub fn multi_get(&self, paths: &[&str]) -> Vec<Option<(CachedMeta, u64)>> {
-        let keys: Vec<&[u8]> = paths.iter().map(|p| p.as_bytes()).collect();
-        self.kv
-            .multi_gets(&keys)
-            .into_iter()
-            .map(|r| r.and_then(|(bytes, ver)| CachedMeta::decode(&bytes).map(|m| (m, ver))))
-            .collect()
-    }
-
-    /// Insert a brand-new record; fails if the path is already cached.
-    pub fn add_new(&self, path: &str, meta: &CachedMeta) -> FsResult<u64> {
-        self.kv
-            .add(path.as_bytes(), &meta.encode())
-            .ok_or(FsError::AlreadyExists)
-    }
-
-    /// Unconditional store (used when loading DFS entries into the cache;
-    /// last writer wins is fine because both writers hold the same
-    /// DFS-derived truth).
-    pub fn put(&self, path: &str, meta: &CachedMeta) -> u64 {
-        self.kv.set(path.as_bytes(), &meta.encode())
-    }
-
-    /// CAS-retry update loop. `f` is re-run on every conflict against the
-    /// freshest record; returning `Err` aborts. Returns the final record.
-    pub fn update<E>(
-        &self,
-        path: &str,
-        mut f: impl FnMut(&mut CachedMeta) -> Result<(), E>,
-    ) -> Result<Option<CachedMeta>, E> {
-        for _ in 0..MAX_CAS_ATTEMPTS {
-            let Some((mut meta, version)) = self.get(path) else {
-                return Ok(None);
-            };
-            f(&mut meta)?;
-            match self.kv.cas(path.as_bytes(), version, &meta.encode()) {
-                CasOutcome::Stored { .. } => return Ok(Some(meta)),
-                CasOutcome::Conflict { .. } => continue,
-                CasOutcome::NotFound => return Ok(None),
-            }
-        }
-        panic!("cache CAS loop exceeded {MAX_CAS_ATTEMPTS} attempts on {path}");
-    }
-
     /// Delete a record; true if it existed.
-    pub fn delete(&self, path: &str) -> bool {
-        self.kv.delete(path.as_bytes())
+    pub fn delete(&self, path: &str) -> Result<bool, CacheError> {
+        self.guarded(|kv| kv.delete(path.as_bytes()))
     }
 
     /// The underlying KV client (for cost-sensitive callers that need the
@@ -366,21 +306,21 @@ mod tests {
     #[test]
     fn add_then_get_then_duplicate_fails() {
         let c = cache();
-        c.add_new("/w/f", &meta()).unwrap();
-        let (m, _) = c.get("/w/f").unwrap();
+        c.add_new("/w/f", &meta()).unwrap().unwrap();
+        let (m, _) = c.get("/w/f").unwrap().unwrap();
         assert_eq!(m, meta());
-        assert_eq!(c.add_new("/w/f", &meta()), Err(FsError::AlreadyExists));
+        assert_eq!(c.add_new("/w/f", &meta()), Ok(Err(FsError::AlreadyExists)));
     }
 
     #[test]
     fn multi_get_matches_sequential_gets() {
         let c = cache();
-        c.add_new("/w/a", &meta()).unwrap();
-        c.add_new("/w/b", &meta()).unwrap();
+        c.add_new("/w/a", &meta()).unwrap().unwrap();
+        c.add_new("/w/b", &meta()).unwrap().unwrap();
         let paths = ["/w/a", "/w/missing", "/w/b"];
-        let batched = c.multi_get(&paths);
+        let batched = c.multi_get(&paths).unwrap();
         for (p, got) in paths.iter().zip(&batched) {
-            assert_eq!(got, &c.get(p));
+            assert_eq!(got, &c.get(p).unwrap());
         }
         assert!(batched[1].is_none());
     }
@@ -388,7 +328,7 @@ mod tests {
     #[test]
     fn update_applies_and_returns_final() {
         let c = cache();
-        c.add_new("/w/f", &meta()).unwrap();
+        c.add_new("/w/f", &meta()).unwrap().unwrap();
         let out = c
             .update::<()>("/w/f", |m| {
                 m.size = 77;
@@ -396,25 +336,25 @@ mod tests {
                 Ok(())
             })
             .unwrap()
+            .unwrap()
             .unwrap();
         assert_eq!(out.size, 77);
-        let (m, _) = c.get("/w/f").unwrap();
+        let (m, _) = c.get("/w/f").unwrap().unwrap();
         assert!(m.committed);
     }
 
     #[test]
     fn update_missing_returns_none() {
         let c = cache();
-        assert_eq!(c.update::<()>("/nope", |_| Ok(())).unwrap(), None);
+        assert_eq!(c.update::<()>("/nope", |_| Ok(())), Ok(Ok(None)));
     }
 
     #[test]
     fn update_error_aborts() {
         let c = cache();
-        c.add_new("/w/f", &meta()).unwrap();
-        let res: Result<_, &str> = c.update("/w/f", |_| Err("nope"));
-        assert_eq!(res, Err("nope"));
-        let (m, _) = c.get("/w/f").unwrap();
+        c.add_new("/w/f", &meta()).unwrap().unwrap();
+        assert_eq!(c.update("/w/f", |_| Err("nope")), Ok(Err("nope")));
+        let (m, _) = c.get("/w/f").unwrap().unwrap();
         assert_eq!(m.size, 0, "aborted update must not mutate");
     }
 
@@ -422,7 +362,7 @@ mod tests {
     fn concurrent_updates_all_land() {
         let cluster = KvCluster::new(Topology::new(1, 4), Arc::new(LatencyProfile::zero()));
         let c0 = MetaCache::new(cluster.client(NodeId(0)));
-        c0.add_new("/ctr", &meta()).unwrap();
+        c0.add_new("/ctr", &meta()).unwrap().unwrap();
         let mut handles = Vec::new();
         for _ in 0..4 {
             let c = MetaCache::new(cluster.client(NodeId(0)));
@@ -432,6 +372,7 @@ mod tests {
                         m.size += 1;
                         Ok(())
                     })
+                    .unwrap()
                     .unwrap();
                 }
             }));
@@ -439,7 +380,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(c0.get("/ctr").unwrap().0.size, 800);
+        assert_eq!(c0.get("/ctr").unwrap().unwrap().0.size, 800);
     }
 
     /// A fault-aware cache over a real region core (paused — no worker
@@ -460,12 +401,12 @@ mod tests {
     #[test]
     fn guarded_rpc_retries_then_degrades_probes_and_rewarms() {
         let (core, c) = faulted();
-        c.add_new("/w/f", &meta()).unwrap();
+        c.add_new("/w/f", &meta()).unwrap().unwrap();
         let victim = core.cache_cluster.shard_node(b"/w/f");
         core.cache_cluster.crash(victim);
 
         // Healthy → bounded retries with backoff → Degraded.
-        assert_eq!(c.try_get("/w/f"), Err(CacheError::Unavailable));
+        assert_eq!(c.get("/w/f"), Err(CacheError::Unavailable));
         let policy = RetryPolicy::from_config(&core.config);
         assert_eq!(core.counters.get("rpc_retries") as u32, policy.budget);
         assert_eq!(core.degraded.mode(), Mode::Degraded);
@@ -473,20 +414,20 @@ mod tests {
 
         // Degraded: fail fast, no further retries burned.
         let before = core.counters.get("rpc_retries");
-        assert_eq!(c.try_get("/w/f"), Err(CacheError::Unavailable));
+        assert_eq!(c.get("/w/f"), Err(CacheError::Unavailable));
         assert_eq!(core.counters.get("rpc_retries"), before);
 
         // Node restarts; the first call past the probe interval probes,
         // reaches the (cold) cache and starts rewarming.
         core.cache_cluster.restart(victim);
         core.advance(policy.deadline_ns);
-        assert_eq!(c.try_get("/w/f"), Ok(None), "restart wiped the record");
+        assert_eq!(c.get("/w/f"), Ok(None), "restart wiped the record");
         assert_eq!(core.degraded.mode(), Mode::Rewarming);
         assert_eq!(core.counters.get("recovery_probes"), 1);
 
         // A streak of cache successes closes the degraded window.
         for _ in 0..crate::degraded::REWARM_STREAK {
-            c.try_get("/w/f").unwrap();
+            c.get("/w/f").unwrap();
         }
         assert_eq!(core.degraded.mode(), Mode::Healthy);
         assert_eq!(core.counters.get("degraded_recoveries"), 1);
@@ -494,14 +435,14 @@ mod tests {
     }
 
     #[test]
-    fn bare_cache_try_surface_fails_fast_without_degraded_state() {
+    fn bare_cache_fails_fast_without_degraded_state() {
         let cluster = KvCluster::new(Topology::new(2, 1), Arc::new(LatencyProfile::zero()));
         let c = MetaCache::new(cluster.client(NodeId(0)));
-        c.add_new("/w/f", &meta()).unwrap();
+        c.add_new("/w/f", &meta()).unwrap().unwrap();
         cluster.crash(cluster.shard_node(b"/w/f"));
         // No region core: exactly one attempt, mapped to Unavailable.
-        assert_eq!(c.try_get("/w/f"), Err(CacheError::Unavailable));
-        assert_eq!(c.try_put("/w/f", &meta()), Err(CacheError::Unavailable));
-        assert_eq!(c.try_delete("/w/f"), Err(CacheError::Unavailable));
+        assert_eq!(c.get("/w/f"), Err(CacheError::Unavailable));
+        assert_eq!(c.put("/w/f", &meta()), Err(CacheError::Unavailable));
+        assert_eq!(c.delete("/w/f"), Err(CacheError::Unavailable));
     }
 }

@@ -272,9 +272,11 @@ impl PaconClient {
                 // The unlink settled client-side: its pending-removal
                 // mark retires here, not in a commit worker.
                 self.core.note_unlink_retired(&path, timestamp);
-                if let Some((meta, _)) = self.cache.get(&path) {
+                // Best-effort: a record unreachable now died with the
+                // shard its removal mark was just written to.
+                if let Ok(Some((meta, _))) = self.cache.get(&path) {
                     if meta.removed {
-                        self.cache.delete(&path);
+                        let _ = self.cache.delete(&path);
                     }
                 }
                 self.core.staging.lock().remove(path.as_str());
@@ -304,21 +306,24 @@ impl PaconClient {
                 // lint: allow(commit-path, sync-consistency ablation: applying directly IS this mode)
                 let r = self.dfs.unlink(path, &cred);
                 if r.is_ok() {
-                    self.cache.delete(path);
+                    // Best-effort: a crashed shard's record is wiped anyway.
+                    let _ = self.cache.delete(path);
                 }
                 r
             }
             CommitOp::WriteInline { path } => {
-                // Mirror the async worker: free the coalescing slot before
-                // reading the primary copy so later writes re-queue.
-                self.core.pending_writebacks.lock().remove(path.as_str());
-                match self.cache.get(path) {
-                    Some((meta, _)) if !meta.removed && !meta.large => {
+                // Mirror the async worker: claim the slot, write back the
+                // current primary copy, settle.
+                let r = match eviction::claim_writeback(&self.core, &self.cache, path) {
+                    Ok(Some((meta, _))) if !meta.removed && !meta.large => {
                         // lint: allow(commit-path, sync-consistency ablation: applying directly IS this mode)
                         self.dfs.write(path, &cred, 0, &meta.inline).map(|_| ())
                     }
-                    _ => Ok(()),
-                }
+                    Ok(_) => Ok(()),
+                    Err(CacheError::Unavailable) => Err(FsError::Backend("cache node down".into())),
+                };
+                eviction::release_writeback(&self.core, path);
+                r
             }
             CommitOp::Barrier { .. } => Ok(()),
             // Batches are assembled by the publish buffer, which is never
@@ -387,7 +392,7 @@ impl PaconClient {
         if self.parent_memo.lock().as_deref() == Some(parent) {
             return Ok(());
         }
-        let cached = match self.cache.try_get(parent) {
+        let cached = match self.cache.get(parent) {
             Ok(c) => c,
             Err(CacheError::Unavailable) => {
                 // Degraded: verify against the backup copy only.
@@ -423,7 +428,7 @@ impl PaconClient {
     /// Best-effort cache populate from a DFS-loaded record; counts the
     /// key as rewarmed while the region is recovering from an outage.
     fn warm_cache(&self, path: &str, meta: &CachedMeta) {
-        if self.cache.try_put(path, meta).is_ok()
+        if self.cache.put(path, meta).is_ok()
             && self.core.degraded.mode() == DegradedMode::Rewarming
         {
             self.core.counters.incr("rewarm_keys");
@@ -449,7 +454,7 @@ impl PaconClient {
     /// Get the cached record, falling back to a sync DFS load. While
     /// degraded, reads are served straight from the backup copy.
     fn get_or_load(&self, path: &str, cred: &Credentials) -> FsResult<CachedMeta> {
-        match self.cache.try_get(path) {
+        match self.cache.get(path) {
             Ok(Some((meta, _))) => Ok(meta),
             Ok(None) => self.load_from_dfs(path, cred),
             Err(CacheError::Unavailable) => {
@@ -471,7 +476,7 @@ impl PaconClient {
         paths: &[&str],
     ) -> Result<Vec<Option<(CachedMeta, u64)>>, CacheError> {
         if !self.core.config.read_batching {
-            return paths.iter().map(|p| cache.try_get(p)).collect(); // lint:allow-per-key-get
+            return paths.iter().map(|p| cache.get(p)).collect();
         }
         if paths.is_empty() {
             return Ok(Vec::new());
@@ -479,7 +484,7 @@ impl PaconClient {
         let cluster = cache.kv().cluster();
         let mut nodes: Vec<NodeId> = Vec::new();
         for p in paths {
-            // lint: allow(stale-owner, accounting only — the grouping feeds read_rtts_saved; the authoritative per-key routing happens inside try_multi_get under the cluster's route lock)
+            // lint: allow(stale-owner, accounting only — the grouping feeds read_rtts_saved; the authoritative per-key routing happens inside multi_get under the cluster's route lock)
             let n = cluster.shard_node(p.as_bytes());
             if !nodes.contains(&n) {
                 nodes.push(n);
@@ -488,7 +493,7 @@ impl PaconClient {
         self.core.counters.incr("batched_reads");
         self.core.counters.add("batched_read_keys", paths.len() as u64);
         self.core.counters.add("read_rtts_saved", (paths.len() - nodes.len()) as u64);
-        cache.try_multi_get(paths)
+        cache.multi_get(paths)
     }
 
     /// [`Self::batched_get_on`] against this client's own region cache.
@@ -517,12 +522,12 @@ impl PaconClient {
         // conflict (it may duplicate an acknowledged-but-uncommitted
         // creation this admission check cannot see).
         let mut degraded = false;
-        match self.cache.try_add_new(path, &fresh) {
+        match self.cache.add_new(path, &fresh) {
             Ok(Ok(_)) => {}
             Ok(Err(FsError::AlreadyExists)) => {
                 // A record exists; re-creation is legal only over a
                 // marked-removed one (Section III.D-1).
-                match self.cache.try_update(path, |m| {
+                match self.cache.update(path, |m| {
                     if m.removed {
                         *m = fresh.clone();
                         Ok(())
@@ -534,7 +539,7 @@ impl PaconClient {
                     Ok(Ok(None)) => {
                         // Record vanished between add and update: retry
                         // once as a fresh add.
-                        match self.cache.try_add_new(path, &fresh) {
+                        match self.cache.add_new(path, &fresh) {
                             Ok(r) => {
                                 r?;
                             }
@@ -717,21 +722,20 @@ impl PaconClient {
                 // opened by a different node's crash), keep the primary
                 // copy coherent too: a writeback already queued for this
                 // path reads the cache at commit time, and a stale inline
-                // record would clobber the bytes just written.
-                // lint: allow(stale-owner, best-effort liveness probe — a stale owner only skips or attempts the coherence update; the update itself re-routes under the cluster's route lock)
-                let shard = self.core.cache_cluster.shard_node(path.as_bytes());
-                if self.core.cache_cluster.node_status(shard) == memkv::NodeStatus::Up {
-                    let _ = self.cache.update::<()>(path, |m| {
-                        if !m.large && !m.removed {
-                            if m.inline.len() < end {
-                                m.inline.resize(end, 0);
-                            }
-                            m.inline[offset as usize..end].copy_from_slice(data);
+                // record would clobber the bytes just written. One bare
+                // attempt: the retry envelope of a degraded region would
+                // fail fast, and a shard that is down has no record left
+                // to keep coherent.
+                let _ = MetaCache::new(self.cache.kv().clone()).update::<()>(path, |m| {
+                    if !m.large && !m.removed {
+                        if m.inline.len() < end {
+                            m.inline.resize(end, 0);
                         }
-                        m.size = m.size.max(end as u64);
-                        Ok(())
-                    });
-                }
+                        m.inline[offset as usize..end].copy_from_slice(data);
+                    }
+                    m.size = m.size.max(end as u64);
+                    Ok(())
+                });
                 Ok(data.len())
             }
             Err(FsError::NotFound) => {
@@ -785,7 +789,7 @@ impl FileSystem for PaconClient {
                 if path != self.core.root {
                     self.check_perm(self.parent_of(path)?, cred, ACCESS_X)?;
                 }
-                match self.cache.try_get(path) {
+                match self.cache.get(path) {
                     Ok(Some((meta, _))) if meta.removed => Err(FsError::NotFound),
                     Ok(Some((meta, _))) => Ok(meta.to_stat()),
                     Ok(None) => Ok(self.load_from_dfs(path, cred)?.to_stat()),
@@ -809,11 +813,12 @@ impl FileSystem for PaconClient {
                     }
                 }
                 match m.cache.get(path) {
-                    Some((meta, _)) if meta.removed => Err(FsError::NotFound),
-                    Some((meta, _)) => Ok(meta.to_stat()),
-                    // Read-only: fall back to the DFS without populating
-                    // the foreign cache.
-                    None => self.dfs.stat(path, cred),
+                    Ok(Some((meta, _))) if meta.removed => Err(FsError::NotFound),
+                    Ok(Some((meta, _))) => Ok(meta.to_stat()),
+                    // Read-only: a miss — or a foreign shard that is down
+                    // — falls back to the DFS without populating the
+                    // foreign cache.
+                    Ok(None) | Err(CacheError::Unavailable) => self.dfs.stat(path, cred),
                 }
             }
             Route::Redirect => self.dfs.stat(path, cred),
@@ -891,7 +896,7 @@ impl FileSystem for PaconClient {
             Route::Own => {
                 drop(merged);
                 self.check_perm(self.parent_of(path)?, cred, ACCESS_W | ACCESS_X)?;
-                match self.cache.try_get(path) {
+                match self.cache.get(path) {
                     Ok(Some(_)) => {}
                     Ok(None) => {
                         // rm of an uncached entry: verify against the DFS
@@ -903,7 +908,7 @@ impl FileSystem for PaconClient {
                         return self.degraded_unlink(path, cred);
                     }
                 }
-                let updated = match self.cache.try_update(path, |m| {
+                let updated = match self.cache.update(path, |m| {
                     if m.removed {
                         return Err(FsError::NotFound);
                     }
@@ -996,7 +1001,7 @@ impl FileSystem for PaconClient {
                             // Best-effort: a crashed shard's records are
                             // wiped anyway; removed_dirs epochs guard any
                             // survivors from stale resurrection.
-                            let _ = self.cache.try_delete(k);
+                            let _ = self.cache.delete(k);
                         }
                     }
                 }
@@ -1008,7 +1013,7 @@ impl FileSystem for PaconClient {
                     // Same rationale as unlink: re-creations after the
                     // rmdir must queue fresh writebacks.
                     let mut pending = self.core.pending_writebacks.lock();
-                    pending.retain(|k| !fspath::is_same_or_ancestor(path, k));
+                    pending.retain(|k, _| !fspath::is_same_or_ancestor(path, k));
                 }
                 // Backup copy: everything earlier is committed, so the
                 // DFS subtree is complete; remove it synchronously.
@@ -1139,7 +1144,7 @@ impl FileSystem for PaconClient {
             Route::Own => {
                 drop(merged);
                 self.check_perm(path, cred, ACCESS_W)?;
-                match self.cache.try_get(path) {
+                match self.cache.get(path) {
                     Ok(Some(_)) => {}
                     Ok(None) => {
                         self.load_from_dfs(path, cred)?;
@@ -1155,7 +1160,7 @@ impl FileSystem for PaconClient {
                 }
                 let mut outcome = Outcome::Inline;
                 let end = offset as usize + data.len();
-                let updated = match self.cache.try_update(path, |m| {
+                let updated = match self.cache.update(path, |m| {
                     if m.removed {
                         return Err(FsError::NotFound);
                     }
@@ -1201,9 +1206,7 @@ impl FileSystem for PaconClient {
                         // Coalesce: the worker reads the freshest primary
                         // copy at commit time, so one queued writeback
                         // covers all earlier writes to this file.
-                        let fresh =
-                            self.core.pending_writebacks.lock().insert(path.to_string());
-                        if fresh {
+                        if eviction::queue_writeback(&self.core, path) {
                             self.publish_with_snapshot(
                                 CommitOp::WriteInline { path: path.to_string() },
                                 Some(&meta.inline),
@@ -1247,11 +1250,13 @@ impl FileSystem for PaconClient {
                         if committed {
                             // lint: allow(commit-path, data plane: committed file contents write back directly, only metadata is queued)
                             self.dfs.write(path, cred, offset, data)?;
-                            self.cache.update::<()>(path, |m| {
+                            // Best-effort: a wiped record reloads its
+                            // size from the DFS copy just written.
+                            let _ = self.cache.update::<()>(path, |m| {
                                 m.size = m.size.max(end as u64);
                                 m.mtime = self.core.now();
                                 Ok(())
-                            }).ok();
+                            });
                         } else {
                             let mut staging = self.core.staging.lock();
                             let buf = staging.entry(path.to_string()).or_default();
@@ -1262,10 +1267,11 @@ impl FileSystem for PaconClient {
                             let snapshot = buf.clone();
                             drop(staging);
                             self.stage_data(path, snapshot, data.len());
-                            self.cache.update::<()>(path, |m| {
+                            // Best-effort: the bytes are staged durably.
+                            let _ = self.cache.update::<()>(path, |m| {
                                 m.size = m.size.max(end as u64);
                                 Ok(())
-                            }).ok();
+                            });
                         }
                     }
                 }
@@ -1314,7 +1320,7 @@ impl FileSystem for PaconClient {
                     return Err(FsError::PermissionDenied);
                 }
                 match m.cache.get(path) {
-                    Some((meta, _)) if !meta.large && !meta.removed => {
+                    Ok(Some((meta, _))) if !meta.large && !meta.removed => {
                         let start = (offset as usize).min(meta.inline.len());
                         let end = (start + len).min(meta.inline.len());
                         Ok(meta.inline[start..end].to_vec())

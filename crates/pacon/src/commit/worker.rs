@@ -35,6 +35,7 @@ use simnet::{charge, NodeId, Station};
 use crate::cache::MetaCache;
 use crate::commit::op::{CommitOp, QueueMsg};
 use crate::commit::wal::CrashPoint;
+use crate::eviction;
 use crate::region::RegionCore;
 
 /// Outcome of one `step()` call.
@@ -371,11 +372,7 @@ impl CommitWorker {
                 self.apply_ns(BatchOp::Unlink { path: path.clone() }, id)
             }
             CommitOp::WriteInline { path } => {
-                // Release the coalescing slot *before* reading the primary
-                // copy: a write racing in after our read re-queues a fresh
-                // writeback instead of being silently absorbed.
-                self.core.pending_writebacks.lock().remove(path.as_str());
-                match self.cache.try_get(path) {
+                match eviction::claim_writeback(&self.core, &self.cache, path) {
                     // Freshest primary copy wins; a record that vanished,
                     // was marked removed, or went large needs no inline
                     // writeback.
@@ -541,12 +538,15 @@ impl CommitWorker {
         }
     }
 
-    /// Release the pending-removal mark once an unlink settles for good
-    /// (committed or discarded). Must run *before* `after_success` so the
-    /// deferred cache deletion sees the post-retirement count.
+    /// Release what an op holds until it settles for good (committed or
+    /// discarded): an unlink's pending-removal mark, a writeback's
+    /// eviction pin. Must run *before* `after_success` so the deferred
+    /// cache deletion sees the post-retirement count.
     fn retire(&self, msg: &QueueMsg) {
-        if let CommitOp::Unlink { path } = &msg.op {
-            self.core.note_unlink_retired(path, msg.timestamp);
+        match &msg.op {
+            CommitOp::Unlink { path } => self.core.note_unlink_retired(path, msg.timestamp),
+            CommitOp::WriteInline { path } => eviction::release_writeback(&self.core, path),
+            _ => {}
         }
     }
 
@@ -558,7 +558,7 @@ impl CommitWorker {
                 // Backup copy now exists: mark the cached record
                 // committed. Best-effort — a crashed shard's record is
                 // wiped anyway and rewarms as committed from the DFS.
-                let _ = self.cache.try_update::<()>(path, |m| {
+                let _ = self.cache.update::<()>(path, |m| {
                     m.committed = true;
                     Ok(())
                 });
@@ -582,12 +582,12 @@ impl CommitWorker {
                 // resurrect the record from the not-yet-updated backup
                 // copy. Best-effort under faults, as above.
                 if !self.core.unlink_pending(path) {
-                    if let Ok(Some((meta, _))) = self.cache.try_get(path) {
+                    if let Ok(Some((meta, _))) = self.cache.get(path) {
                         // A record marked stale is this very unlink's
                         // degraded-mode leftover: it never got its
                         // removed-mark, delete it all the same.
                         if (meta.removed || self.core.is_stale_tombstone(path))
-                            && self.cache.try_delete(path).is_ok()
+                            && self.cache.delete(path).is_ok()
                         {
                             self.core.clear_stale_tombstone(path);
                         }

@@ -47,7 +47,12 @@ pub struct RegionCore {
     /// commit process reads the *current* primary copy at commit time,
     /// one queued writeback covers every earlier write to the file —
     /// repeated small-file writes coalesce instead of flooding the queue.
-    pub pending_writebacks: Mutex<std::collections::HashSet<String>>,
+    /// The value is `true` while a commit process is reading the record
+    /// for that writeback (`eviction::claim_writeback`): a write arriving
+    /// then must queue a fresh one, but the entry still pins the record
+    /// against eviction — until the read, the cache holds the only copy
+    /// of the bytes.
+    pub pending_writebacks: Mutex<HashMap<String, bool>>,
     /// Acknowledged-but-uncommitted unlinks per path, by publish
     /// timestamp (a multiset: each published `CommitOp::Unlink` holds one
     /// entry until it settles). Three consumers: the commit worker defers
@@ -419,9 +424,10 @@ impl PaconRegion {
             .permissions
             .clone()
             .unwrap_or_else(|| RegionPermissions::default_for(config.cred));
-        let cache_cluster = KvCluster::with_station_base(
+        let cache_cluster = KvCluster::with_options(
             config.topology,
             Arc::clone(dfs.profile()),
+            None,
             config.station_base,
         );
         let nodes = config.topology.nodes as usize;
@@ -458,7 +464,7 @@ impl PaconRegion {
             pending_writebacks: Mutex::new(
                 level::REGION_STATE,
                 "pacon.region.pending_writebacks",
-                std::collections::HashSet::new(),
+                HashMap::new(),
             ),
             pending_removals: Mutex::new(
                 level::REGION_STATE,

@@ -172,12 +172,19 @@ fn assert_matches_oracle(dfs: &Arc<DfsCluster>, oracle: &Arc<DfsCluster>, cred: 
 }
 
 /// Scenario A: the full storm (cache crashes included) over a namespace
-/// workload, with committed paths stat'd throughout.
-fn cache_storm(seed: u64) {
+/// workload, with committed paths stat'd throughout. `pressure` runs it
+/// the way the benchmark workloads run — group commit plus an eviction
+/// threshold the universe always exceeds — and adds create→write→unlink
+/// triples to the workload, so eviction rounds and the coalesced
+/// create×unlink cleanup happen while a shard is down.
+fn cache_storm(seed: u64, pressure: bool) {
     let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
     let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
     let mut config = PaconConfig::new("/w", Topology::new(NODES, 1), cred);
+    if pressure {
+        config = config.with_commit_batch(8).with_eviction_threshold(512);
+    }
     // Keep duplicate-create spins (the documented degraded-mode
     // admission gap) from burning 10k commit retries before they drop.
     config.max_commit_retries = 200;
@@ -205,6 +212,10 @@ fn cache_storm(seed: u64) {
 
     // Phase 1: the storm. One namespace op and one stable stat per tick.
     let mut last_epoch = core.cache_cluster.ring_epoch();
+    // Triple files whose unlink was refused (a degraded window cannot see
+    // a creation that is still queued); removed after the heal.
+    let mut leftovers: Vec<String> = Vec::new();
+    let mut triples = 0usize;
     while core.sim_ns() < STORM_END + STEP_NS {
         core.advance(STEP_NS);
         for ev in plan.advance_to(core.sim_ns()) {
@@ -215,7 +226,24 @@ fn cache_storm(seed: u64) {
         assert!(epoch >= last_epoch, "ring epoch regressed: {last_epoch} -> {epoch}");
         last_epoch = epoch;
 
-        match rng.gen_range(0u32..9) {
+        match rng.gen_range(0u32..if pressure { 12 } else { 9 }) {
+            9.. => {
+                // A fresh name per triple, all three ops inside one tick:
+                // they meet in the publish buffer. The write's bytes die
+                // with the file, so the oracle needs only the namespace.
+                let p = format!("/w/s{}/x{triples}", triples % 4);
+                let c = &clients[triples % 3];
+                triples += 1;
+                if c.create(&p, &cred, 0o644).is_ok() {
+                    acked.push(Acked::Create(p.clone()));
+                    let _ = c.write(&p, &cred, 0, b"short-lived");
+                    if c.unlink(&p, &cred).is_ok() {
+                        acked.push(Acked::Unlink(p));
+                    } else {
+                        leftovers.push(p);
+                    }
+                }
+            }
             0..=1 => {
                 let d = rng.gen_range(0usize..4);
                 if clients[d % 3].mkdir(&tdir(d), &cred, 0o755).is_ok() {
@@ -256,6 +284,11 @@ fn cache_storm(seed: u64) {
         c.flush_publishes().unwrap();
     }
     drain(&region, &mut workers);
+    for p in leftovers {
+        clients[0].unlink(&p, &cred).unwrap();
+        acked.push(Acked::Unlink(p));
+    }
+    drain(&region, &mut workers);
     for c in &clients {
         // A second flush reconciles the window against the drained
         // broker: everything must now be provably consumed.
@@ -279,6 +312,13 @@ fn cache_storm(seed: u64) {
         degraded_before,
         "post-recovery reads still falling through to the backup"
     );
+
+    // The pressure input is not vacuous: eviction rounds ran and triples
+    // annihilated in the publish buffer.
+    if pressure {
+        assert!(core.counters.get("evicted") > 0, "threshold never triggered an eviction");
+        assert!(core.counters.get("coalesced_cancel") > 0, "no create×unlink pair coalesced");
+    }
 
     // If the storm crashed a cache node mid-traffic, the fault plane must
     // actually have been exercised: retries burned, degraded reads
@@ -636,17 +676,22 @@ fn multi_stat_survives_mid_batch_cache_crash() {
 
 #[test]
 fn cache_storm_seed_1() {
-    cache_storm(0xC1A050001);
+    cache_storm(0xC1A050001, false);
 }
 
 #[test]
 fn cache_storm_seed_2() {
-    cache_storm(0xC1A050002);
+    cache_storm(0xC1A050002, false);
 }
 
 #[test]
 fn cache_storm_seed_3() {
-    cache_storm(0xC1A050003);
+    cache_storm(0xC1A050003, false);
+}
+
+#[test]
+fn cache_storm_under_group_commit_and_eviction_seed_1() {
+    cache_storm(0xC1A050001, true);
 }
 
 #[test]
@@ -674,7 +719,7 @@ fn reshard_storm_seed_3() {
 /// `stale_tombstones` machinery existed; they stay pinned.
 #[test]
 fn cache_storm_regression_stale_survivor() {
-    cache_storm(4830043364150732443);
+    cache_storm(4830043364150732443, false);
 }
 
 #[test]
@@ -689,8 +734,8 @@ proptest! {
 
     /// Any seeded storm preserves the chaos invariants.
     #[test]
-    fn any_cache_storm_preserves_acked_updates(seed in any::<u64>()) {
-        cache_storm(seed);
+    fn any_cache_storm_preserves_acked_updates(seed in any::<u64>(), pressure in any::<bool>()) {
+        cache_storm(seed, pressure);
     }
 
     #[test]

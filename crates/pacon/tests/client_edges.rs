@@ -114,6 +114,42 @@ fn merged_region_large_file_and_listing() {
     r2.shutdown().unwrap();
 }
 
+/// A merged region's cache is somebody else's cluster: when the shard
+/// that owns a path there is down, reads degrade to the DFS copy exactly
+/// like a miss.
+#[test]
+fn merged_region_reads_fall_back_to_dfs_when_the_foreign_shard_is_down() {
+    let profile = Arc::new(LatencyProfile::zero());
+    let dfs = DfsCluster::with_default_config(profile);
+    let cred1 = Credentials::new(1, 1);
+    let cred2 = Credentials::new(2, 2);
+    let r1 = PaconRegion::launch(
+        PaconConfig::new("/a", Topology::new(2, 1), cred1)
+            .with_permissions(pacon::RegionPermissions::uniform(0o755, cred1)),
+        &dfs,
+    )
+    .unwrap();
+    let r2 =
+        PaconRegion::launch(PaconConfig::new("/b", Topology::new(1, 1), cred2), &dfs).unwrap();
+
+    let p = r1.client(ClientId(0));
+    p.create("/a/small.txt", &cred1, 0o644).unwrap();
+    p.write("/a/small.txt", &cred1, 0, b"inline bytes").unwrap();
+    r1.quiesce(); // the DFS copy now holds the file and its data
+
+    let consumer = r2.client(ClientId(0));
+    consumer.merge_region(r1.handle());
+    // Healthy: served from r1's cache.
+    assert_eq!(consumer.read("/a/small.txt", &cred2, 0, 64).unwrap(), b"inline bytes");
+
+    let owner = r1.core().cache_cluster.shard_node(b"/a/small.txt");
+    r1.apply_fault(simnet::FaultEvent::CrashCacheNode(owner));
+    assert_eq!(consumer.stat("/a/small.txt", &cred2).unwrap().size, 12);
+    assert_eq!(consumer.read("/a/small.txt", &cred2, 7, 64).unwrap(), b"bytes");
+    r1.shutdown().unwrap();
+    r2.shutdown().unwrap();
+}
+
 #[test]
 fn hierarchical_permission_ablation_is_functionally_equivalent() {
     let profile = Arc::new(LatencyProfile::zero());

@@ -54,13 +54,17 @@ impl Process for KvOpClient {
     fn next(&mut self, _now: u64) -> Step {
         match self.ops.next() {
             Some(op) => {
+                // No fault plan drives this raw-KV baseline; an op that
+                // fails would make the reported throughput meaningless.
                 let ((), trace) = with_recording(|| match &op {
                     KvOp::Set(key, len) => {
                         let len = (*len).min(self.payload.len());
-                        self.kv.set(key.as_bytes(), &self.payload[..len]);
+                        self.kv
+                            .set(key.as_bytes(), &self.payload[..len])
+                            .expect("memaslap runs on a healthy cluster");
                     }
                     KvOp::Get(key) => {
-                        self.kv.get(key.as_bytes());
+                        self.kv.get(key.as_bytes()).expect("memaslap runs on a healthy cluster");
                     }
                 });
                 let class = match &op {

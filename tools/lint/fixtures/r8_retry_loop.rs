@@ -3,7 +3,7 @@
 // this function forever. Analyzed as `crates/pacon/src/fix_r8.rs`.
 pub fn spin_until_up(cache: &MetaCache, key: &str) -> Vec<u8> {
     loop {
-        if let Ok(v) = cache.try_get(key) {
+        if let Ok(v) = cache.get(key) {
             return v;
         }
     }
@@ -16,7 +16,7 @@ pub fn retry_with_policy(cache: &MetaCache, policy: &RetryPolicy, key: &str) -> 
     let mut attempt = 0;
     let mut slept = 0;
     loop {
-        if let Ok(v) = cache.try_get(key) {
+        if let Ok(v) = cache.get(key) {
             return Some(v);
         }
         let delay = policy.next_backoff(attempt, slept, 7)?;
@@ -29,7 +29,7 @@ pub fn retry_with_policy(cache: &MetaCache, policy: &RetryPolicy, key: &str) -> 
 // attempt per key.
 pub fn sweep(cache: &MetaCache, keys: &[&str]) {
     for key in keys {
-        let _ = cache.try_delete(key);
+        let _ = cache.delete(key);
     }
 }
 
@@ -38,7 +38,7 @@ pub fn drain(kv: &KvClient, key: &str) {
     loop {
         // Shutdown path: the node is already fenced, so the loop ends
         // with the queue. lint: allow(retry-loop)
-        if kv.try_remove(key).is_ok() {
+        if kv.delete(key).is_ok() {
             return;
         }
     }

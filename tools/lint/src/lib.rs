@@ -24,7 +24,8 @@
 //!   wrapped in `syncguard::permit_blocking`.
 //! - **R7 commit-path** — no dfs mutation from `pacon` outside the
 //!   `apply_batch`/`write_idempotent`/replay entry points.
-//! - **R8 retry-loop** — no `try_*` cache/kv call retried in a loop
+//! - **R8 retry-loop** — no cache/kv data-plane call (`get`, `put`,
+//!   `cas`, … — every one is fallible) retried in a `while`/`loop`
 //!   without a bounded budget and backoff (`RetryPolicy::next_backoff`)
 //!   in core-crate library code.
 //! - **R9 stale-owner** — no `shard_node(..)` lookup outside `memkv`
@@ -330,8 +331,14 @@ fn f(c: &C) {
     }
 }
 ";
+        // A `while` has no structural bound, so the same call is also an
+        // unbounded retry now that `get` is the fallible surface.
         let f = lint_source("crates/pacon/src/bad.rs", wloop);
-        assert_eq!(rules_of(&f), vec![Rule::R5PerKeyGetLoop], "{f:?}");
+        assert_eq!(
+            rules_of(&f),
+            vec![Rule::R5PerKeyGetLoop, Rule::R8UnboundedRetryLoop],
+            "{f:?}"
+        );
     }
 
     #[test]
@@ -346,7 +353,11 @@ fn f(c: &C, it: &mut I) {
 }
 ";
         let f = lint_source("crates/pacon/src/bad.rs", wl);
-        assert_eq!(rules_of(&f), vec![Rule::R5PerKeyGetLoop], "{f:?}");
+        assert_eq!(
+            rules_of(&f),
+            vec![Rule::R5PerKeyGetLoop, Rule::R8UnboundedRetryLoop],
+            "{f:?}"
+        );
         // …and a `match` arm after a loop keyword in a string is not.
         let not_loop = "\
 fn g(c: &C) {

@@ -4,7 +4,7 @@
 //! `graph.rs` because they need guard liveness.
 
 use crate::extract::{crate_of, FileFacts, FlatKind, FlatTok};
-use crate::model::{Base, Finding, Link, Rule, CORE_CRATES, DETERMINISTIC_CRATES};
+use crate::model::{Base, Call, Finding, Link, Rule, CORE_CRATES, DETERMINISTIC_CRATES};
 use crate::resolve::Workspace;
 
 const LOCK_TYPES: &[&str] = &["Mutex", "RwLock", "Condvar"];
@@ -179,6 +179,27 @@ fn empty_call(toks: &[FlatTok], i: usize) -> Option<(&str, usize)> {
     }
 }
 
+/// The one data-plane surface of `memkv::KvClient` and
+/// `pacon::MetaCache`. Every method is fallible (a crashed shard or a
+/// ring-membership change surfaces as an error), so these names *are*
+/// the fault surface R8 watches; `get` is the per-key read R5 watches.
+const CACHE_SURFACE: &[&str] = &[
+    "get", "multi_get", "multi_gets", "put", "set", "add", "add_new", "cas", "update", "delete",
+];
+
+/// The receiver of a call on that surface — `cache.m(..)`, `kv.m(..)`,
+/// `x.cache.m(..)`, `x.kv().m(..)` — or `None` for any other call.
+fn cache_receiver(call: &Call) -> Option<&str> {
+    let recv = match call.links.last() {
+        Some(Link::Field(n)) | Some(Link::Method(n)) => n.as_str(),
+        None => match &call.base {
+            Base::Ident(n) => n.as_str(),
+            _ => return None,
+        },
+    };
+    (matches!(recv, "cache" | "kv") && CACHE_SURFACE.contains(&call.name.as_str())).then_some(recv)
+}
+
 /// R5: per-key `cache.get(..)` / `kv.get(..)` / `kv().get(..)` inside a
 /// loop body, pacon library code only.
 pub fn r5(f: &FileFacts) -> Vec<Finding> {
@@ -191,16 +212,7 @@ pub fn r5(f: &FileFacts) -> Vec<Finding> {
             if call.name != "get" || call.loop_depth == 0 {
                 continue;
             }
-            let recv = match call.links.last() {
-                Some(Link::Field(n)) | Some(Link::Method(n)) => n.as_str(),
-                None => match &call.base {
-                    Base::Ident(n) => n.as_str(),
-                    _ => continue,
-                },
-            };
-            if !matches!(recv, "cache" | "kv") {
-                continue;
-            }
+            let Some(recv) = cache_receiver(call) else { continue };
             if f.allows(call.line, Rule::R5PerKeyGetLoop.slug()) {
                 continue;
             }
@@ -219,16 +231,16 @@ pub fn r5(f: &FileFacts) -> Vec<Finding> {
     findings
 }
 
-/// R8: a `try_*` cache/kv call (the fault surface — these return
-/// `NodeDown`-class errors when a node is crashed or partitioned)
-/// inside a `while`/`loop` body, in a function that shows no evidence
-/// of a bounded retry envelope. A free-running retry turns a dead node
-/// into a hot spin (and, under the virtual clock, a livelock): every
-/// such loop must consult `RetryPolicy`-style backoff — whose
-/// `next_backoff` bounds both the attempt budget and the deadline — or
-/// carry an explicit `lint: allow(retry-loop)` justification. `for`
-/// loops are exempt: their iteration is structurally bounded (a sweep
-/// over keys is not a retry).
+/// R8: a cache/kv data-plane call (all of them return `NodeDown`-class
+/// errors when a node is crashed or partitioned) inside a
+/// `while`/`loop` body, in a function that shows no evidence of a
+/// bounded retry envelope. A free-running retry turns a dead node into
+/// a hot spin (and, under the virtual clock, a livelock): every such
+/// loop must consult `RetryPolicy`-style backoff — whose `next_backoff`
+/// bounds both the attempt budget and the deadline — or carry an
+/// explicit `lint: allow(retry-loop)` justification. `for` loops are
+/// exempt: their iteration is structurally bounded (a sweep over keys is
+/// not a retry).
 pub fn r8(f: &FileFacts) -> Vec<Finding> {
     let mut findings = Vec::new();
     if !f.crate_name.as_deref().is_some_and(|c| CORE_CRATES.contains(&c)) {
@@ -243,19 +255,10 @@ pub fn r8(f: &FileFacts) -> Vec<Finding> {
             continue;
         }
         for call in &ff.calls {
-            if call.spin_depth == 0 || !call.name.starts_with("try_") {
+            if call.spin_depth == 0 {
                 continue;
             }
-            let recv = match call.links.last() {
-                Some(Link::Field(n)) | Some(Link::Method(n)) => n.as_str(),
-                None => match &call.base {
-                    Base::Ident(n) => n.as_str(),
-                    _ => continue,
-                },
-            };
-            if !matches!(recv, "cache" | "kv") {
-                continue;
-            }
+            let Some(recv) = cache_receiver(call) else { continue };
             if f.allows(call.line, Rule::R8UnboundedRetryLoop.slug()) {
                 continue;
             }

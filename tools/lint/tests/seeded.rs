@@ -95,7 +95,11 @@ fn r8_retry_loop_fixture_fires() {
     // Only the bare spin fires: the policy-gated loop (next_backoff in
     // the same function) and the allow-marked drain stay silent.
     assert_eq!(lines_of(&a, Rule::R8UnboundedRetryLoop), vec![6], "{:?}", a.findings);
-    assert!(a.findings[0].message.contains("next_backoff"), "{}", a.findings[0].message);
+    let r8 = a.findings.iter().find(|f| f.rule == Rule::R8UnboundedRetryLoop).expect("fired");
+    assert!(r8.message.contains("next_backoff"), "{}", r8.message);
+    // Both rules key on the one fallible surface: the retried reads are
+    // per-key gets in a loop as well, policy-gated or not.
+    assert_eq!(lines_of(&a, Rule::R5PerKeyGetLoop), vec![6, 19], "{:?}", a.findings);
     // The same source outside the core crates is not the lint's
     // business (a bench may poll freely).
     let b = run(&[("crates/bench/src/fix_r8.rs", "r8_retry_loop.rs")]);
