@@ -596,7 +596,8 @@ impl KvCluster {
 
     /// All keys with `prefix`, across shards, sorted (management surface
     /// for region eviction / subtree cleanup; not charged — callers charge
-    /// the individual deletions they then perform).
+    /// the individual deletions they then perform). One range scan per
+    /// shard: the first ordered query builds the shards' key indexes.
     pub fn keys_with_prefix(&self, prefix: &[u8]) -> Vec<Vec<u8>> {
         let mut all: Vec<Vec<u8>> = Vec::new();
         for s in &self.shards {
@@ -604,6 +605,19 @@ impl KvCluster {
         }
         all.sort_unstable();
         all
+    }
+
+    /// The smallest key `>= key` in byte order across all shards (same
+    /// management surface, same index): where a scan that resumes at
+    /// `key` finds its next resident entry.
+    pub fn first_key_at_or_after(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.shards.iter().filter_map(|s| s.first_key_at_or_after(key)).min()
+    }
+
+    /// Has any shard materialised its ordered key index? (Debug surface,
+    /// see [`Shard::index_built`].)
+    pub fn index_built(&self) -> bool {
+        self.shards.iter().any(|s| s.index_built())
     }
 
     /// Wipe every shard (failure-recovery cache rebuild).
@@ -628,6 +642,7 @@ impl KvCluster {
             agg.multi_gets += st.multi_gets;
             agg.multi_keys += st.multi_keys;
             agg.bytes_referenced += st.bytes_referenced;
+            agg.scanned_keys += st.scanned_keys;
         }
         agg
     }
@@ -1036,6 +1051,32 @@ mod tests {
         assert_eq!(client.get(keys[0].as_bytes()), Ok(None), "cold cache after restart");
         assert!(client.set(keys[0].as_bytes(), b"warm").is_ok());
         assert!(client.get(keys[0].as_bytes()).unwrap().is_some());
+    }
+
+    #[test]
+    fn restarted_shard_answers_ordered_queries() {
+        let c = cluster(3);
+        let client = c.client(NodeId(0));
+        let keys: Vec<Vec<u8>> = (0..90).map(|i| format!("/ord/f{i:02}").into_bytes()).collect();
+        for k in &keys {
+            client.set(k, b"v").unwrap();
+        }
+        assert!(!c.index_built(), "sets alone never build the index");
+        assert_eq!(c.keys_with_prefix(b"/ord/"), keys);
+        assert!(c.index_built());
+
+        // The crash wipes the victim's keys out of its index as well ...
+        let victim = c.shard_node(&keys[0]);
+        c.crash(victim);
+        let survivors: Vec<Vec<u8>> =
+            keys.iter().filter(|k| c.shard_node(k) != victim).cloned().collect();
+        assert_eq!(c.keys_with_prefix(b"/ord/"), survivors);
+        assert_eq!(c.first_key_at_or_after(b"/ord/"), survivors.first().cloned());
+        // ... and what the cold shard is given after the restart shows up.
+        c.restart(victim);
+        client.set(&keys[0], b"rewarmed").unwrap();
+        assert_eq!(c.first_key_at_or_after(b""), Some(keys[0].clone()));
+        assert_eq!(c.keys_with_prefix(b"/ord/").len(), survivors.len() + 1);
     }
 
     #[test]

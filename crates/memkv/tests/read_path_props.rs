@@ -2,7 +2,8 @@
 //! equivalent to sequential gets (including misses and under interleaved
 //! writers), and CLOCK eviction keeps its two invariants — the budget
 //! holds after every insertion, and recently-referenced entries survive
-//! hand sweeps.
+//! hand sweeps. Ordered queries (the lazily built key index) always
+//! answer what a brute-force filter/sort/min over the live map would.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -161,6 +162,106 @@ proptest! {
             prop_assert!(spins < 10_000, "migration never converged");
         }
         prop_assert!(client.get(b"hot").unwrap().is_some(), "hot key lost across the reshard");
+    }
+
+    /// The ordered key index is built by the first ordered query —
+    /// issued at a random point of the history — and from then on tracks
+    /// every way a key enters or leaves the map: client stores, deletes,
+    /// migration export/import, crash wipes and budgeted CLOCK evictions.
+    /// After every later op both ordered queries equal a brute-force
+    /// filter/sort/min over the live keys.
+    #[test]
+    fn ordered_queries_equal_brute_force_over_the_live_map(
+        ops in proptest::collection::vec(
+            (0u8..16, proptest::collection::vec(0u8..3, 1..4), 1usize..48),
+            1..120,
+        ),
+        budget in 0usize..600,
+        first_query_at in 0usize..120,
+    ) {
+        // A third of the cases run unbounded, the rest under CLOCK pressure.
+        let budget = (budget >= 200).then_some(budget);
+        // Every key an op can name: 1–3 bytes over a 3-letter alphabet.
+        let mut universe: Vec<Vec<u8>> = Vec::new();
+        for a in 0u8..3 {
+            universe.push(vec![a]);
+            for b in 0u8..3 {
+                universe.push(vec![a, b]);
+                universe.extend((0u8..3).map(|c| vec![a, b, c]));
+            }
+        }
+        let shard = Shard::new(budget);
+        for (i, (kind, key, len)) in ops.iter().enumerate() {
+            let value = vec![0xCD; *len];
+            match kind {
+                0..=4 => { shard.set(key, &value); }
+                5 | 6 => { shard.add(key, &value); }
+                7 | 8 => {
+                    if let Some((_, version)) = shard.get(key) {
+                        shard.cas(key, version, &value);
+                    }
+                }
+                9..=11 => { shard.delete(key); }
+                12 => { shard.migrate_out(key); }
+                13 | 14 => { shard.install(key, &value, 1_000 + i as u64); }
+                _ => shard.clear(),
+            }
+            if i < first_query_at {
+                prop_assert!(!shard.index_built(), "op {} ({}) built the index", i, kind);
+                continue;
+            }
+            let live: Vec<&Vec<u8>> =
+                universe.iter().filter(|k| shard.get(k).is_some()).collect();
+            prop_assert_eq!(live.len(), shard.len());
+            // The op's own key, its parent prefix, and the empty prefix.
+            for probe in [&key[..], &key[..key.len() - 1], &[]] {
+                let mut with_prefix: Vec<Vec<u8>> =
+                    live.iter().filter(|k| k.starts_with(probe)).map(|k| (*k).clone()).collect();
+                with_prefix.sort();
+                prop_assert_eq!(shard.keys_with_prefix(probe), with_prefix);
+                let at_or_after = live.iter().filter(|k| &k[..] >= probe).min().map(|k| (*k).clone());
+                prop_assert_eq!(shard.first_key_at_or_after(probe), at_or_after);
+            }
+        }
+    }
+
+    /// The cluster-wide ordered queries merge the shards' answers — sorted
+    /// union and minimum — whatever the shard count and wherever a live
+    /// reshard has put the keys.
+    #[test]
+    fn cluster_ordered_queries_merge_the_shards(
+        present in proptest::collection::vec(any::<u16>(), 0..80),
+        deleted in proptest::collection::vec(any::<u16>(), 0..40),
+        probes in proptest::collection::vec(any::<u16>(), 1..12),
+        nodes in 1u32..6,
+        reshard_steps in 0usize..6,
+    ) {
+        let cluster = KvCluster::new(Topology::new(nodes, 1), Arc::new(LatencyProfile::zero()));
+        let client = cluster.client(NodeId(0));
+        let mut live = std::collections::BTreeSet::new();
+        for k in &present {
+            client.set(&k.to_be_bytes(), b"v").unwrap();
+            live.insert(k.to_be_bytes().to_vec());
+        }
+        // The first ordered query lands before the deletes and the
+        // (possibly unfinished) reshard, so both run against built indexes.
+        prop_assert_eq!(cluster.keys_with_prefix(b""), live.iter().cloned().collect::<Vec<_>>());
+        for k in &deleted {
+            client.delete(&k.to_be_bytes()).unwrap();
+            live.remove(&k.to_be_bytes()[..]);
+        }
+        cluster.begin_leave(NodeId(nodes - 1));
+        for _ in 0..reshard_steps {
+            cluster.migration_step(4);
+        }
+        for probe in &probes {
+            let probe = probe.to_be_bytes();
+            let with_prefix: Vec<Vec<u8>> =
+                live.iter().filter(|k| k.starts_with(&probe[..1])).cloned().collect();
+            prop_assert_eq!(cluster.keys_with_prefix(&probe[..1]), with_prefix);
+            let at_or_after = live.range(probe.to_vec()..).next().cloned();
+            prop_assert_eq!(cluster.first_key_at_or_after(&probe), at_or_after);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! region through an `Arc<RegionCore>`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dfs::DfsCluster;
@@ -93,8 +93,10 @@ pub struct RegionCore {
     /// or dropped).
     pub completed: AtomicU64,
     clock: AtomicU64,
-    /// Round-robin pointer of the eviction policy (Section III.F).
-    pub evict_cursor: AtomicUsize,
+    /// Round-robin pointer of the eviction policy (Section III.F): a
+    /// position in key order, see [`crate::eviction`]. Locked only to read
+    /// or replace it, never across a cache query.
+    pub(crate) evict_cursor: Mutex<Vec<u8>>,
     /// Durable commit logs, one per node. Empty in volatile mode — the
     /// cheap `wals.is_empty()` check is the durability switch on every
     /// hot path.
@@ -488,7 +490,11 @@ impl PaconRegion {
             enqueued: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             clock: AtomicU64::new(0),
-            evict_cursor: AtomicUsize::new(0),
+            evict_cursor: Mutex::new(
+                level::REGION_STATE,
+                "pacon.region.evict_cursor",
+                Vec::new(),
+            ),
             wals,
             crash: CrashSwitch::new(),
             incarnation,

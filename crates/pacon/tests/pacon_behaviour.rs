@@ -350,6 +350,7 @@ fn eviction_only_removes_committed_entries() {
         region.core().counters.get("evicted") > 0,
         "eviction must fire above the threshold"
     );
+    assert!(region.core().cache_cluster.index_built(), "eviction rides the ordered key index");
     // Every entry remains reachable (reloaded from the DFS on miss).
     for d in 0..4 {
         for i in 0..20 {
@@ -357,6 +358,59 @@ fn eviction_only_removes_committed_entries() {
         }
     }
     region.shutdown().unwrap();
+}
+
+/// The cache shards' ordered key index is paid for by cache pressure,
+/// `rmdir` and resharding only. The op mix of the three benchmark
+/// workloads that never evict — creates, single and batched stats,
+/// inline writes, reads, unlinks, a durable commit queue and its
+/// recovery — leaves it unbuilt, so their cache writes cost what they
+/// did before the index existed.
+#[test]
+fn point_traffic_never_builds_the_ordered_index() {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let wal_dir =
+        std::env::temp_dir().join(format!("pacon-index-lazy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let config = || {
+        PaconConfig::new("/app", Topology::new(2, 2), cred)
+            .with_commit_batch(8)
+            .with_durability(&wal_dir)
+            .with_wal_fsync_batch(4)
+    };
+    let region = PaconRegion::launch(config(), &dfs).unwrap();
+    let c = region.client(ClientId(0));
+    c.mkdir("/app/d", &cred, 0o755).unwrap();
+    let paths: Vec<String> = (0..40).map(|i| format!("/app/d/f{i:02}")).collect();
+    for p in &paths {
+        c.create(p, &cred, 0o644).unwrap();
+        c.write(p, &cred, 0, b"inline payload").unwrap();
+    }
+    assert!(c.stat_many(&paths, &cred).iter().all(|r| r.is_ok()));
+    for p in &paths[..10] {
+        assert_eq!(c.read(p, &cred, 0, 64).unwrap(), b"inline payload");
+        c.unlink(p, &cred).unwrap();
+    }
+    region.quiesce();
+    assert!(c.stat(&paths[20], &cred).unwrap().is_file());
+    assert!(!region.core().cache_cluster.index_built());
+    // Kill with journaled work pending, then recover on the same logs.
+    for p in &paths[..10] {
+        c.create(p, &cred, 0o644).unwrap();
+    }
+    region.abort();
+    drop(c);
+    drop(region);
+    let region = PaconRegion::launch(config(), &dfs).unwrap();
+    region.quiesce();
+    assert!(region.client(ClientId(1)).stat(&paths[0], &cred).unwrap().is_file());
+    assert!(!region.core().cache_cluster.index_built());
+    // The first dependent subtree removal is what asks an ordered question.
+    region.client(ClientId(1)).rmdir("/app/d", &cred).unwrap();
+    assert!(region.core().cache_cluster.index_built());
+    region.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 #[test]
