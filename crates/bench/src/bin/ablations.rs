@@ -1,9 +1,9 @@
 //! Ablation study — which design decision buys what (DESIGN.md §5).
 //!
-//! Four switches, each isolating one mechanism from Section III:
+//! Three switches, each isolating one mechanism from Section III (what
+//! asynchronous commit buys over waiting for the MDS is Fig 7's BeeGFS
+//! column — the synchronous baseline is the system, not a client mode):
 //!
-//! * **async vs synchronous commit** — partial consistency's core: let
-//!   clients return after the cache write instead of waiting for the MDS;
 //! * **batch vs hierarchical permission checks** — Section III.C's
 //!   traversal-free authentication;
 //! * **parent check on/off** — Section III.C's optional creation check;
@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use pacon_bench::*;
 use simnet::{LatencyProfile, Topology};
-use workloads::mdtest;
 use workloads::ops::FsOp;
 
 /// Two named columns plus the shared tail-latency columns.
@@ -27,28 +26,6 @@ fn main() {
     let profile = Arc::new(LatencyProfile::default());
     let topo = Topology::new(8, 20);
     let items = 100u32;
-
-    // --- (a) async vs synchronous commit ------------------------------
-    let mut rows = Vec::new();
-    for (label, sync) in [("async (partial consistency)", false), ("synchronous commit", true)] {
-        let bed = pacon_testbed_with(Arc::clone(&profile), topo, "/app", |c| {
-            if sync {
-                c.with_synchronous_commit()
-            } else {
-                c
-            }
-        });
-        let pool = WorkerPool::claim(&bed);
-        let res = run_phase(&bed, &pool, |c| mdtest::create_phase("/app", c.0, items));
-        let mut row = vec![label.to_string(), fmt_ops(res.ops_per_sec)];
-        row.extend(latency_cells(&res.run));
-        rows.push(row);
-    }
-    print_table(
-        "Ablation (a): commit strategy — create ops/s, 160 clients",
-        &ablation_header("strategy", "create"),
-        &rows,
-    );
 
     // --- (b) batch vs hierarchical permission checks ------------------
     // Deep working paths make traversal cost visible.

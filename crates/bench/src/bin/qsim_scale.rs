@@ -23,8 +23,8 @@
 //! * **wheel** — the timer-wheel scheduler driving a dense,
 //!   monomorphized process table ([`qsim::Simulation::run_procs`]);
 //! * **heap** — the original `BinaryHeap` scheduler driving `Box<dyn
-//!   Process>` clients (the pre-rework engine, kept behind qsim's
-//!   `reference-heap` feature).
+//!   Process>` clients (the pre-rework engine, kept in qsim as the
+//!   equivalence oracle).
 //!
 //! The synthetic population is scheduler-bound on purpose: clients
 //! mostly sleep for pseudo-random intervals (pure push/pop traffic,

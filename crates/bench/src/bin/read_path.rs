@@ -3,11 +3,15 @@
 //! Stat-heavy + readdir mdtest on the default simnet profile: every
 //! client randomly multi-stats the shared file universe, then lists the
 //! shared parent with `readdir_plus`. Both series run the *same* op
-//! stream; only `read_batching` differs. Unbatched, every path pays its
-//! own network hop and full `kv_op` shard demand; batched, keys group by
-//! ring node and each group pays one hop plus `kv_op` + marginal
-//! per-key slices (`kv_multi_per_key`), so the KvShard bottleneck — and
-//! with it read throughput — scales with the batch fill.
+//! stream against the same region configuration; the unbatched series
+//! reaches its clients through a [`MountTable`], which forwards the
+//! per-path calls and leaves `stat_many`/`readdir_plus` at the
+//! `FileSystem` trait defaults (`stat` per path, `readdir` + `stat` per
+//! entry). Unbatched, every path pays its own network hop and full
+//! `kv_op` shard demand; batched, keys group by ring node and each group
+//! pays one hop plus `kv_op` + marginal per-key slices
+//! (`kv_multi_per_key`), so the KvShard bottleneck — and with it read
+//! throughput — scales with the batch fill.
 //!
 //! Commit workers run threaded (`PaconRegion::launch`): the measured
 //! phases are read-only, and `readdir_plus` barriers need live workers.
@@ -17,8 +21,7 @@
 
 use std::sync::Arc;
 
-use fsapi::FsError;
-use fsapi::FileSystem;
+use fsapi::{FileSystem, FsError, MountTable};
 use pacon::{PaconConfig, PaconRegion};
 use pacon_bench::*;
 use simnet::{ClientId, LatencyProfile, Topology};
@@ -60,11 +63,17 @@ fn run_series(
         Ok(()) | Err(FsError::AlreadyExists) => {}
         Err(e) => panic!("setup mkdir /app: {e}"),
     }
-    let mut cfg = PaconConfig::new("/app", topo, CRED).with_commit_batch(32);
-    if !batched {
-        cfg = cfg.without_read_batching();
-    }
+    let cfg = PaconConfig::new("/app", topo, CRED).with_commit_batch(32);
     let region = PaconRegion::launch(cfg, &dfs).expect("pacon launch");
+    let client = |c: ClientId| -> Box<dyn FileSystem> {
+        let direct = Box::new(region.client(c));
+        if batched {
+            return direct;
+        }
+        let mut per_path = MountTable::new();
+        per_path.mount("/", direct).expect("empty table");
+        Box::new(per_path)
+    };
 
     // Setup (unmeasured, functional): the shared file universe, created
     // under each client's mdtest item names.
@@ -79,13 +88,13 @@ fn run_series(
     region.quiesce();
 
     // Measured phase 1: stat-heavy — `items` random stats per client in
-    // StatMany chunks (identical streams across series; `read_batching`
-    // alone decides whether they batch).
+    // StatMany chunks (identical streams across series; `client` alone
+    // decides whether they batch).
     let stat_clients: Vec<FsOpClient> = topo
         .clients()
         .map(|c| {
             FsOpClient::new(
-                Box::new(region.client(c)),
+                client(c),
                 CRED,
                 mdtest::batched_stat_phase(&universe, items, STAT_CHUNK, c.0 as u64),
             )
@@ -100,11 +109,7 @@ fn run_series(
     let rd_clients: Vec<FsOpClient> = topo
         .clients()
         .map(|c| {
-            FsOpClient::new(
-                Box::new(region.client(c)),
-                CRED,
-                mdtest::readdir_plus_phase("/app", 1),
-            )
+            FsOpClient::new(client(c), CRED, mdtest::readdir_plus_phase("/app", 1))
         })
         .collect();
     let rd_res = run_phase_with_clients(rd_clients, &WorkerPool::default());

@@ -70,7 +70,7 @@ impl MetaCache {
         let Some(core) = &self.fault else {
             return f(&self.kv).map_err(|_| CacheError::Unavailable);
         };
-        let policy = RetryPolicy::from_config(&core.config);
+        let policy = RetryPolicy::DEFAULT;
         let probe_interval = policy.deadline_ns;
         if core.degraded.mode() == Mode::Degraded {
             if !core.degraded.probe_due(core.sim_ns(), probe_interval) {
@@ -407,7 +407,7 @@ mod tests {
 
         // Healthy → bounded retries with backoff → Degraded.
         assert_eq!(c.get("/w/f"), Err(CacheError::Unavailable));
-        let policy = RetryPolicy::from_config(&core.config);
+        let policy = RetryPolicy::DEFAULT;
         assert_eq!(core.counters.get("rpc_retries") as u32, policy.budget);
         assert_eq!(core.degraded.mode(), Mode::Degraded);
         assert!(core.sim_ns() > 0, "backoff slept on the virtual clock");

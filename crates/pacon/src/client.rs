@@ -90,15 +90,13 @@ impl PaconClient {
     /// view (read-only access, Section III.D-4).
     pub fn merge_region(&self, handle: RegionHandle) {
         let cache = MetaCache::new(handle.cache_cluster.remote_client());
-        if self.core.config.read_batching {
-            // Warm-up: prefetch the merged region's "basic information"
-            // (Section III.D-4) — the root record plus every
-            // special-permission path — in one batched read so the first
-            // accesses after the merge do not each pay a remote miss.
-            let mut paths: Vec<&str> = vec![handle.root.as_str()];
-            paths.extend(handle.perms.special.iter().map(|(p, _)| p.as_str()));
-            let _ = self.batched_get_on(&cache, &paths);
-        }
+        // Warm-up: prefetch the merged region's "basic information"
+        // (Section III.D-4) — the root record plus every
+        // special-permission path — in one batched read so the first
+        // accesses after the merge do not each pay a remote miss.
+        let mut paths: Vec<&str> = vec![handle.root.as_str()];
+        paths.extend(handle.perms.special.iter().map(|(p, _)| p.as_str()));
+        let _ = self.batched_get_on(&cache, &paths);
         self.merged.write().push(Merged { handle, cache });
     }
 
@@ -149,9 +147,6 @@ impl PaconClient {
         degraded: bool,
         ts: Option<u64>,
     ) -> FsResult<()> {
-        if self.core.config.synchronous_commit {
-            return self.commit_synchronously(op);
-        }
         if self.core.config.commit_batch_size > 1 {
             return self.publish_buffered(op, snapshot, degraded, ts);
         }
@@ -246,7 +241,7 @@ impl PaconClient {
             return Err(e);
         }
         let mut buf = self.core.publish_bufs[node].lock();
-        let outcome = buf.push(msg, self.core.config.commit_batch_coalescing);
+        let outcome = buf.push(msg);
         let flush = buf.len() >= self.core.config.commit_batch_size;
         drop(buf);
         match outcome {
@@ -256,7 +251,7 @@ impl PaconClient {
                     // `flush_publish_buffer` re-takes the lock; a racing
                     // publisher may have flushed first, which is fine —
                     // an empty buffer makes this a no-op.
-                    self.core.flush_publish_buffer(node, &self.publishers[node])?;
+                    self.core.flush_publish_buffer(node, &self.publishers[node]);
                 }
             }
             Buffered::Cancelled { absorbed } => {
@@ -291,54 +286,6 @@ impl PaconClient {
             }
         }
         Ok(())
-    }
-
-    /// Ablation path: apply the operation to the DFS before returning
-    /// (strong primary/backup consistency; no queue, no commit process).
-    fn commit_synchronously(&self, op: CommitOp) -> FsResult<()> {
-        let cred = self.core.config.cred;
-        let res = match &op {
-            // lint: allow(commit-path, sync-consistency ablation: applying directly IS this mode)
-            CommitOp::Mkdir { path, mode } => self.dfs.mkdir(path, &cred, *mode),
-            // lint: allow(commit-path, sync-consistency ablation: applying directly IS this mode)
-            CommitOp::Create { path, mode } => self.dfs.create(path, &cred, *mode),
-            CommitOp::Unlink { path } => {
-                // lint: allow(commit-path, sync-consistency ablation: applying directly IS this mode)
-                let r = self.dfs.unlink(path, &cred);
-                if r.is_ok() {
-                    // Best-effort: a crashed shard's record is wiped anyway.
-                    let _ = self.cache.delete(path);
-                }
-                r
-            }
-            CommitOp::WriteInline { path } => {
-                // Mirror the async worker: claim the slot, write back the
-                // current primary copy, settle.
-                let r = match eviction::claim_writeback(&self.core, &self.cache, path) {
-                    Ok(Some((meta, _))) if !meta.removed && !meta.large => {
-                        // lint: allow(commit-path, sync-consistency ablation: applying directly IS this mode)
-                        self.dfs.write(path, &cred, 0, &meta.inline).map(|_| ())
-                    }
-                    Ok(_) => Ok(()),
-                    Err(CacheError::Unavailable) => Err(FsError::Backend("cache node down".into())),
-                };
-                eviction::release_writeback(&self.core, path);
-                r
-            }
-            CommitOp::Barrier { .. } => Ok(()),
-            // Batches are assembled by the publish buffer, which is never
-            // engaged in synchronous-commit mode.
-            CommitOp::Batch(_) => unreachable!("no group commit under synchronous_commit"),
-        };
-        if res.is_ok() {
-            if let Some(path) = op.path() {
-                let _ = self.cache.update::<()>(path, |m| {
-                    m.committed = true;
-                    Ok(())
-                });
-            }
-        }
-        res
     }
 
     /// Batch permission check — a local table match, never a traversal
@@ -467,17 +414,13 @@ impl PaconClient {
         }
     }
 
-    /// Batched cache fetch with read-path accounting. With batching
-    /// disabled (the unbatched baseline) this degrades to one charged
-    /// lookup per path.
+    /// Batched cache fetch with read-path accounting: one cache round
+    /// trip per shard node instead of one per path.
     fn batched_get_on(
         &self,
         cache: &MetaCache,
         paths: &[&str],
     ) -> Result<Vec<Option<(CachedMeta, u64)>>, CacheError> {
-        if !self.core.config.read_batching {
-            return paths.iter().map(|p| cache.get(p)).collect();
-        }
         if paths.is_empty() {
             return Ok(Vec::new());
         }
@@ -599,7 +542,7 @@ impl PaconClient {
             // Barriers always force publish buffers out: every op queued
             // before the marker must commit before the dependent op runs,
             // including ops still coalescing below the batch threshold.
-            self.core.flush_publish_buffer(n, tx)?;
+            self.core.flush_publish_buffer(n, tx);
             charge(Station::ClientCpu, self.profile().queue_push);
             // permit_blocking: the barrier slot is held across the marker
             // send by design — workers never take the slot, they only
@@ -826,10 +769,6 @@ impl FileSystem for PaconClient {
     }
 
     fn stat_many(&self, paths: &[String], cred: &Credentials) -> Vec<FsResult<FileStat>> {
-        if !self.core.config.read_batching {
-            // Unbatched baseline: a full stat round trip per path.
-            return paths.iter().map(|p| self.stat(p, cred)).collect();
-        }
         self.charge_overhead();
         let mut own: Vec<usize> = Vec::new();
         let mut other: Vec<usize> = Vec::new();
@@ -931,26 +870,20 @@ impl FileSystem for PaconClient {
                 // after a re-creation (the worker would apply it ahead of
                 // the queued unlink+create and the data would be lost).
                 self.core.pending_writebacks.lock().remove(path);
-                if self.core.config.synchronous_commit {
-                    // Synchronous ablation: the commit settles before
-                    // publish returns, so there is no pending window.
-                    self.publish(CommitOp::Unlink { path: path.to_string() })?;
-                } else {
-                    // Mark the removal pending *before* publishing: once
-                    // the worker can see the message it may settle it at
-                    // any time, and retiring an unmarked unlink would
-                    // leak the count.
-                    let ts = self.core.now();
-                    self.core.note_unlink_pending(path, ts);
-                    if let Err(e) = self.publish_at(
-                        CommitOp::Unlink { path: path.to_string() },
-                        None,
-                        false,
-                        Some(ts),
-                    ) {
-                        self.core.note_unlink_retired(path, ts);
-                        return Err(e);
-                    }
+                // Mark the removal pending *before* publishing: once the
+                // worker can see the message it may settle it at any
+                // time, and retiring an unmarked unlink would leak the
+                // count.
+                let ts = self.core.now();
+                self.core.note_unlink_pending(path, ts);
+                if let Err(e) = self.publish_at(
+                    CommitOp::Unlink { path: path.to_string() },
+                    None,
+                    false,
+                    Some(ts),
+                ) {
+                    self.core.note_unlink_retired(path, ts);
+                    return Err(e);
                 }
                 self.core.counters.incr("unlink");
                 Ok(())
@@ -1213,7 +1146,7 @@ impl FileSystem for PaconClient {
                             )?;
                         } else {
                             self.core.counters.incr("writeback_coalesced");
-                            if self.core.durable() && !self.core.config.synchronous_commit {
+                            if self.core.durable() {
                                 // The queued writeback absorbs this write
                                 // at commit time, but the log still needs
                                 // the bytes: replay rebuilds content from

@@ -19,9 +19,10 @@
 //!   before publish; the buffer-level rule is the backstop that keeps
 //!   the invariant local.
 //!
-//! Coalescing never crosses a flush boundary: once ops leave the buffer
-//! their queue order is final, and per-publisher FIFO of the underlying
-//! queue does the rest.
+//! Coalescing never crosses a flush boundary: once ops are in the queue
+//! their order is final, and per-publisher FIFO of the underlying queue
+//! does the rest. A flush the link refuses never reached the queue; its
+//! ops come back through [`PublishBuffer::put_back`].
 
 use crate::commit::op::{CommitOp, QueueMsg};
 
@@ -58,27 +59,24 @@ impl PublishBuffer {
         self.ops.is_empty()
     }
 
-    /// Buffer `msg`, coalescing against buffered ops when allowed.
-    /// Barriers and batches must not be pushed — they bypass the buffer.
-    pub fn push(&mut self, msg: QueueMsg, coalesce: bool) -> Buffered {
+    /// Buffer `msg`, coalescing it against buffered ops where the rules
+    /// in the module doc allow. Barriers and batches must not be pushed —
+    /// they bypass the buffer.
+    pub fn push(&mut self, msg: QueueMsg) -> Buffered {
         debug_assert!(
             !matches!(msg.op, CommitOp::Barrier { .. } | CommitOp::Batch(_)),
             "barriers and batches bypass the publish buffer"
         );
-        if coalesce {
-            match &msg.op {
-                CommitOp::Unlink { path } => {
-                    if let Some(absorbed) = self.cancel_create(path) {
-                        return Buffered::Cancelled { absorbed };
-                    }
+        match &msg.op {
+            CommitOp::Unlink { path } => {
+                if let Some(absorbed) = self.cancel_create(path) {
+                    return Buffered::Cancelled { absorbed };
                 }
-                CommitOp::WriteInline { path }
-                    if self.collapses_into_buffered_writeback(path) =>
-                {
-                    return Buffered::Collapsed;
-                }
-                _ => {}
             }
+            CommitOp::WriteInline { path } if self.collapses_into_buffered_writeback(path) => {
+                return Buffered::Collapsed;
+            }
+            _ => {}
         }
         self.ops.push(msg);
         Buffered::Queued
@@ -87,6 +85,12 @@ impl PublishBuffer {
     /// Drain the buffer in publish order.
     pub fn take_all(&mut self) -> Vec<QueueMsg> {
         std::mem::take(&mut self.ops)
+    }
+
+    /// Return ops a flush took but could not deliver, ahead of anything
+    /// buffered since, so publish order survives the failed send.
+    pub fn put_back(&mut self, ops: Vec<QueueMsg>) {
+        self.ops.splice(0..0, ops);
     }
 
     /// Annihilate the most recent buffered `Create{path}` together with
@@ -156,20 +160,20 @@ mod tests {
     #[test]
     fn create_then_unlink_annihilate() {
         let mut b = PublishBuffer::new();
-        assert_eq!(b.push(create("/f"), true), Buffered::Queued);
-        assert_eq!(b.push(unlink("/f"), true), Buffered::Cancelled { absorbed: 1 });
+        assert_eq!(b.push(create("/f")), Buffered::Queued);
+        assert_eq!(b.push(unlink("/f")), Buffered::Cancelled { absorbed: 1 });
         assert!(b.is_empty());
     }
 
     #[test]
     fn cancel_absorbs_trailing_writeback_only() {
         let mut b = PublishBuffer::new();
-        b.push(wi("/f"), true); // previous incarnation, already unlinked below
-        b.push(unlink("/f"), true);
-        b.push(create("/f"), true);
-        b.push(wi("/f"), true);
-        b.push(create("/g"), true);
-        assert_eq!(b.push(unlink("/f"), true), Buffered::Cancelled { absorbed: 2 });
+        b.push(wi("/f")); // previous incarnation, already unlinked below
+        b.push(unlink("/f"));
+        b.push(create("/f"));
+        b.push(wi("/f"));
+        b.push(create("/g"));
+        assert_eq!(b.push(unlink("/f")), Buffered::Cancelled { absorbed: 2 });
         let rest: Vec<_> = b.take_all();
         assert_eq!(rest.len(), 3);
         assert!(matches!(&rest[0].op, CommitOp::WriteInline { path } if path == "/f"));
@@ -180,8 +184,8 @@ mod tests {
     #[test]
     fn unlink_without_buffered_create_queues() {
         let mut b = PublishBuffer::new();
-        b.push(wi("/f"), true);
-        assert_eq!(b.push(unlink("/f"), true), Buffered::Queued);
+        b.push(wi("/f"));
+        assert_eq!(b.push(unlink("/f")), Buffered::Queued);
         assert_eq!(b.len(), 2);
     }
 
@@ -190,17 +194,17 @@ mod tests {
         // Unlink of a directory is rejected client-side; a same-path
         // mkdir must not be annihilated by an unrelated unlink message.
         let mut b = PublishBuffer::new();
-        b.push(mkdir("/d"), true);
-        assert_eq!(b.push(unlink("/d"), true), Buffered::Queued);
+        b.push(mkdir("/d"));
+        assert_eq!(b.push(unlink("/d")), Buffered::Queued);
         assert_eq!(b.len(), 2);
     }
 
     #[test]
     fn duplicate_writeback_collapses() {
         let mut b = PublishBuffer::new();
-        b.push(create("/f"), true);
-        assert_eq!(b.push(wi("/f"), true), Buffered::Queued);
-        assert_eq!(b.push(wi("/f"), true), Buffered::Collapsed);
+        b.push(create("/f"));
+        assert_eq!(b.push(wi("/f")), Buffered::Queued);
+        assert_eq!(b.push(wi("/f")), Buffered::Collapsed);
         assert_eq!(b.len(), 2);
     }
 
@@ -209,29 +213,34 @@ mod tests {
         // [WI, Unlink, Create] + WI: collapsing onto the pre-unlink
         // writeback would lose the re-created file's data.
         let mut b = PublishBuffer::new();
-        b.push(wi("/f"), true);
-        b.push(unlink("/f"), true);
-        b.push(create("/f"), true);
-        assert_eq!(b.push(wi("/f"), true), Buffered::Queued);
+        b.push(wi("/f"));
+        b.push(unlink("/f"));
+        b.push(create("/f"));
+        assert_eq!(b.push(wi("/f")), Buffered::Queued);
         assert_eq!(b.len(), 4);
     }
 
     #[test]
-    fn coalescing_disabled_buffers_everything() {
+    fn put_back_restores_publish_order_ahead_of_newer_ops() {
         let mut b = PublishBuffer::new();
-        b.push(create("/f"), false);
-        assert_eq!(b.push(unlink("/f"), false), Buffered::Queued);
-        assert_eq!(b.push(wi("/f"), false), Buffered::Queued);
-        assert_eq!(b.push(wi("/f"), false), Buffered::Queued);
-        assert_eq!(b.len(), 4);
+        b.push(create("/a"));
+        b.push(create("/b"));
+        let undelivered = b.take_all();
+        b.push(create("/c"));
+        b.put_back(undelivered);
+        // A returned create is buffered again, so it still cancels.
+        assert_eq!(b.push(unlink("/b")), Buffered::Cancelled { absorbed: 1 });
+        let rest = b.take_all();
+        let paths: Vec<_> = rest.iter().map(|m| m.op.path().unwrap()).collect();
+        assert_eq!(paths, ["/a", "/c"]);
     }
 
     #[test]
     fn take_all_preserves_publish_order() {
         let mut b = PublishBuffer::new();
-        b.push(mkdir("/d"), true);
-        b.push(create("/d/a"), true);
-        b.push(create("/d/b"), true);
+        b.push(mkdir("/d"));
+        b.push(create("/d/a"));
+        b.push(create("/d/b"));
         let batch = b.take_all();
         assert!(b.is_empty());
         let paths: Vec<_> = batch.iter().map(|m| m.op.path().unwrap().to_string()).collect();

@@ -1,5 +1,12 @@
 //! Region configuration (Section III.B: workspace path + node addresses,
 //! plus the tunables the paper describes).
+//!
+//! Admission rule for a field: it is a deployment setting or a tunable
+//! the paper describes, or at least two non-test callers (benches,
+//! examples, the repo benchmark) set it to different values. Anything
+//! else is a constant next to the code that reads it — an ablation that
+//! needs its own code path in the client is not a field. Each field's
+//! doc ends with the clause that admits it.
 
 use fsapi::Credentials;
 use simnet::Topology;
@@ -10,91 +17,71 @@ use crate::permission::RegionPermissions;
 #[derive(Debug, Clone)]
 pub struct PaconConfig {
     /// The application's workspace directory — the root of the consistent
-    /// region. Must be a normalized absolute path.
+    /// region. Must be a normalized absolute path. Deployment setting.
     pub workspace: String,
     /// The nodes the application runs on; Pacon launches one cache shard
-    /// and one commit process per node.
+    /// and one commit process per node. Deployment setting.
     pub topology: Topology,
     /// The application's system user (one user per HPC application,
-    /// Section II.A).
+    /// Section II.A). Deployment setting.
     pub cred: Credentials,
     /// Small-file threshold in bytes, *including metadata* (Section
     /// III.D-2; 4 KiB in the paper's prototype). Files at or below this
-    /// size keep their data inline in the metadata cache.
+    /// size keep their data inline in the metadata cache. Paper tunable.
     pub small_file_threshold: usize,
     /// Whether create/mkdir verify the parent directory exists (Section
     /// III.C; applications that guarantee correct creation order can turn
-    /// this off).
+    /// this off). Paper tunable.
     pub parent_check: bool,
     /// Predefined batch permissions. `None` = the default policy (all
-    /// entries readable/writable/executable by the creating user).
+    /// entries readable/writable/executable by the creating user). Paper
+    /// tunable (Section III.C).
     pub permissions: Option<RegionPermissions>,
     /// Cache-space eviction threshold in bytes over the whole region
     /// (`None` = never evict; Section III.F assumes pressure is rare).
+    /// Paper tunable.
     pub eviction_threshold: Option<usize>,
-    /// Capacity of each per-node commit queue.
-    pub commit_queue_capacity: usize,
     /// Group commit: buffer up to this many operations per node before
     /// publishing them as one batched queue message. `1` disables
     /// batching — every op is published directly, the paper prototype's
     /// behaviour. Barriers always flush the buffer regardless of fill.
+    /// In use at 1 (fig01–fig12), 1–64 (`commit_batch`) and 32 (the repo
+    /// benchmark).
     pub commit_batch_size: usize,
-    /// Coalesce buffered operations before they reach the queue: a
-    /// buffered `Create` cancels against a later `Unlink` of the same
-    /// path, and repeated inline-data writebacks for one path collapse
-    /// into a single entry. Only consulted when `commit_batch_size > 1`.
-    pub commit_batch_coalescing: bool,
     /// Give up retrying one op's commit after this many attempts (guards
-    /// against workloads that violate the namespace conventions).
+    /// against workloads that violate the namespace conventions). In use
+    /// at 10 000 (every figure) and 200 (the `chaos` bench, whose storms
+    /// must shed poisoned ops quickly).
     pub max_commit_retries: u32,
-    /// Batched reads: serve multi-path lookups (`stat_many`,
-    /// `readdir_plus`, batch-permission loads, merge warm-up) with one
-    /// cache round trip per shard node instead of one per path — the
-    /// read-side analogue of group commit. Disabled only for the
-    /// unbatched baseline in experiments.
-    pub read_batching: bool,
-    /// Ablation switch: check permissions the traditional way — one
-    /// distributed-cache lookup per path component — instead of the batch
-    /// table match. Quantifies what Section III.C saves; never enabled in
-    /// normal operation.
+    /// Check permissions the traditional way — one distributed-cache
+    /// lookup per path component — instead of the batch table match.
+    /// Never enabled in normal operation; kept as the only in-cache
+    /// evidence for what Section III.C saves (`ablations` row (b)), at
+    /// the cost of one `if` in `PaconClient::check_perm`.
     pub hierarchical_permission_check: bool,
-    /// Ablation switch: commit every metadata update to the DFS
-    /// *synchronously* (strong consistency between primary and backup
-    /// copy), disabling the async commit queue. Quantifies what partial
-    /// consistency buys; never enabled in normal operation.
-    pub synchronous_commit: bool,
     /// Base id for this region's stations in the queueing model
     /// (`KvShard`/`CommitProc`). Multi-application experiments give each
     /// region a disjoint base so the simulated regions do not share
-    /// service stations — they are on different physical nodes.
+    /// service stations — they are on different physical nodes. In use
+    /// at 0 (single-application figures) and `app × nodes_per_app` (fig08).
     pub station_base: u32,
-    /// Durable commit queue: journal every commit op into a per-node
-    /// write-ahead log before the mutation is acknowledged locally, and
-    /// replay the log (idempotently) on the next launch. Requires
-    /// `wal_dir`. Off by default — the paper's prototype is volatile.
-    pub commit_durability: bool,
-    /// Directory holding the per-node commit logs and the region's
-    /// incarnation counter. Must outlive the process for recovery to
-    /// mean anything.
+    /// Durable commit queue: when set, every commit op is journaled into
+    /// a per-node write-ahead log in this directory (next to the region's
+    /// incarnation counter) before the mutation is acknowledged locally,
+    /// and the logs replay idempotently on the next launch. The directory
+    /// must outlive the process for recovery to mean anything. `None` =
+    /// volatile, the paper's prototype. Deployment setting (a path).
     pub wal_dir: Option<std::path::PathBuf>,
     /// Group fsync: sync the log to disk every `n` appends instead of on
     /// every append. `1` = fsync per op (strict durability); larger
-    /// values trade the tail of the crash window for throughput.
+    /// values trade the tail of the crash window for throughput. In use
+    /// at 1 and 32 (`wal_commit`) and 32 (the repo benchmark).
     pub wal_fsync_batch: usize,
     /// Test knob: fail the launch-time WAL replay after this many
     /// recovered ops have applied, *before* the logs are truncated — the
-    /// crash-during-recovery (double-replay) scenario.
+    /// crash-during-recovery (double-replay) scenario. A field because it
+    /// must arm before `launch` builds the core and its `CrashSwitch`.
     pub recovery_crash_after: Option<u64>,
-    /// Fault plane: total virtual ns one cache RPC may spend sleeping
-    /// across retries before the client declares the node unreachable
-    /// and enters degraded mode. Measured on the region's virtual clock
-    /// (no wall time is ever consumed).
-    pub rpc_deadline: u64,
-    /// Fault plane: retry attempts after the initial try of a cache RPC.
-    pub retry_budget: u32,
-    /// Fault plane: first retry's nominal backoff in virtual ns; doubles
-    /// per retry with deterministic full jitter (see `retry::RetryPolicy`).
-    pub backoff_base: u64,
 }
 
 impl PaconConfig {
@@ -108,47 +95,19 @@ impl PaconConfig {
             parent_check: true,
             permissions: None,
             eviction_threshold: None,
-            commit_queue_capacity: 1 << 16,
             commit_batch_size: 1,
-            commit_batch_coalescing: true,
             max_commit_retries: 10_000,
-            read_batching: true,
             hierarchical_permission_check: false,
-            synchronous_commit: false,
             station_base: 0,
-            commit_durability: false,
             wal_dir: None,
             wal_fsync_batch: 1,
             recovery_crash_after: None,
-            rpc_deadline: 8_000_000,
-            retry_budget: 4,
-            backoff_base: 100_000,
         }
-    }
-
-    /// Builder-style: set the per-RPC retry deadline (virtual ns).
-    pub fn with_rpc_deadline(mut self, ns: u64) -> Self {
-        self.rpc_deadline = ns;
-        self
-    }
-
-    /// Builder-style: set the cache-RPC retry budget.
-    pub fn with_retry_budget(mut self, attempts: u32) -> Self {
-        self.retry_budget = attempts;
-        self
-    }
-
-    /// Builder-style: set the base backoff delay (virtual ns).
-    pub fn with_backoff_base(mut self, ns: u64) -> Self {
-        assert!(ns >= 2, "backoff base must be at least 2 ns (jitter needs range)");
-        self.backoff_base = ns;
-        self
     }
 
     /// Builder-style: enable the durable commit queue, journaling into
     /// per-node write-ahead logs under `wal_dir`.
     pub fn with_durability(mut self, wal_dir: impl Into<std::path::PathBuf>) -> Self {
-        self.commit_durability = true;
         self.wal_dir = Some(wal_dir.into());
         self
     }
@@ -196,29 +155,10 @@ impl PaconConfig {
         self
     }
 
-    /// Builder-style: enable the synchronous-commit ablation.
-    pub fn with_synchronous_commit(mut self) -> Self {
-        self.synchronous_commit = true;
-        self
-    }
-
     /// Builder-style: enable group commit with batches of up to `n` ops.
     pub fn with_commit_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "batch size must be at least 1");
         self.commit_batch_size = n;
-        self
-    }
-
-    /// Builder-style: disable pre-queue coalescing (keep batching).
-    pub fn without_commit_coalescing(mut self) -> Self {
-        self.commit_batch_coalescing = false;
-        self
-    }
-
-    /// Builder-style: disable batched reads (one cache round trip per
-    /// path — the unbatched baseline).
-    pub fn without_read_batching(mut self) -> Self {
-        self.read_batching = false;
         self
     }
 }
@@ -251,20 +191,8 @@ mod tests {
     fn batching_defaults_off_and_builders_set_it() {
         let c = PaconConfig::new("/app", Topology::new(1, 1), Credentials::new(1, 1));
         assert_eq!(c.commit_batch_size, 1, "seed behaviour: direct publish");
-        assert!(c.commit_batch_coalescing);
-        let c = c.with_commit_batch(32).without_commit_coalescing();
+        let c = c.with_commit_batch(32);
         assert_eq!(c.commit_batch_size, 32);
-        assert!(!c.commit_batch_coalescing);
-    }
-
-    #[test]
-    fn fault_knobs_default_and_build() {
-        let c = PaconConfig::new("/app", Topology::new(1, 1), Credentials::new(1, 1));
-        assert_eq!(c.rpc_deadline, 8_000_000);
-        assert_eq!(c.retry_budget, 4);
-        assert_eq!(c.backoff_base, 100_000);
-        let c = c.with_rpc_deadline(1_000).with_retry_budget(2).with_backoff_base(10);
-        assert_eq!((c.rpc_deadline, c.retry_budget, c.backoff_base), (1_000, 2, 10));
     }
 
     #[test]

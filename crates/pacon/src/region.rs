@@ -27,6 +27,10 @@ use crate::commit::worker::{CommitWorker, WorkerStep};
 use crate::config::PaconConfig;
 use crate::permission::RegionPermissions;
 
+/// Capacity of each per-node commit queue, in messages; a publisher
+/// blocks while its node's queue is full.
+const COMMIT_QUEUE_CAPACITY: usize = 1 << 16;
+
 /// State shared by every client and commit process of one region.
 pub struct RegionCore {
     /// Normalized workspace root.
@@ -329,21 +333,21 @@ impl RegionCore {
     /// deadlock-free: the commit process only takes the buffer lock when
     /// its queue is *empty*, so a full queue implies it is draining and
     /// the blocking send resolves.
-    pub(crate) fn flush_publish_buffer(
-        &self,
-        node: usize,
-        publisher: &Publisher<QueueMsg>,
-    ) -> FsResult<()> {
+    ///
+    /// A send the queue refuses (partitioned or severed link, consumer
+    /// gone) is not an error: the ops are acknowledged and counted in
+    /// flight, so they go back to the front of the buffer and the next
+    /// flush — or the commit process's empty-queue pull — delivers them.
+    pub(crate) fn flush_publish_buffer(&self, node: usize, publisher: &Publisher<QueueMsg>) {
         let mut buf = self.publish_bufs[node].lock();
         if buf.is_empty() {
-            return Ok(());
+            return;
         }
         let batch = buf.take_all();
-        let msg = if batch.len() == 1 {
+        let ops = batch.len();
+        let msg = if ops == 1 {
             batch.into_iter().next().expect("len checked")
         } else {
-            self.counters.incr("batches_flushed");
-            self.counters.add("batched_ops", batch.len() as u64);
             QueueMsg {
                 op: CommitOp::Batch(batch),
                 client: u32::MAX,
@@ -355,11 +359,20 @@ impl RegionCore {
         };
         // permit_blocking: the send blocks while the buffer lock is held by
         // design (see the method doc for the deadlock-freedom argument).
-        syncguard::permit_blocking(|| {
-            publisher
-                .send(msg)
-                .map_err(|_| FsError::Backend("commit queue closed".into()))
-        })
+        match syncguard::permit_blocking(|| publisher.send(msg)) {
+            Ok(()) if ops > 1 => {
+                self.counters.incr("batches_flushed");
+                self.counters.add("batched_ops", ops as u64);
+            }
+            Ok(()) => {}
+            Err(msg) => {
+                buf.put_back(match msg.op {
+                    CommitOp::Batch(batch) => batch,
+                    _ => vec![msg],
+                });
+                self.counters.incr("publishes_buffered");
+            }
+        }
     }
 }
 
@@ -439,13 +452,10 @@ impl PaconRegion {
         let mut wals = Vec::new();
         let mut recovered: Vec<Vec<WalEntry>> = Vec::new();
         let mut incarnation = 0u64;
-        if config.commit_durability {
-            let wal_dir = config.wal_dir.clone().ok_or_else(|| {
-                FsError::InvalidPath("commit_durability requires wal_dir".into())
-            })?;
-            std::fs::create_dir_all(&wal_dir)
+        if let Some(wal_dir) = &config.wal_dir {
+            std::fs::create_dir_all(wal_dir)
                 .map_err(|e| FsError::Backend(format!("wal dir {}: {e}", wal_dir.display())))?;
-            incarnation = bump_incarnation(&wal_dir)?;
+            incarnation = bump_incarnation(wal_dir)?;
             for n in 0..nodes {
                 let (wal, entries) = CommitWal::open(
                     &wal_dir.join(format!("node{n}.wal")),
@@ -537,7 +547,7 @@ impl PaconRegion {
         let mut workers = Vec::with_capacity(nodes);
         for n in 0..nodes as u32 {
             let (tx, rx): (Publisher<QueueMsg>, Consumer<QueueMsg>) =
-                push_pull(core.config.commit_queue_capacity);
+                push_pull(COMMIT_QUEUE_CAPACITY);
             publishers.push(tx);
             workers.push(Some(CommitWorker::new(
                 NodeId(n),
@@ -730,9 +740,7 @@ impl PaconRegion {
         for (n, tx) in self.publishers.iter().enumerate() {
             // Barriers always force the publish buffer out first; the
             // marker must sit behind every op published before it.
-            self.core
-                .flush_publish_buffer(n, tx)
-                .expect("commit queue closed during sync barrier");
+            self.core.flush_publish_buffer(n, tx);
             // permit_blocking: the barrier slot is held across the marker
             // send by design — workers never take the slot, they only
             // drain the queue, so a full queue always resolves.

@@ -6,11 +6,9 @@
 //! region's virtual clock ([`crate::region::RegionCore::advance`]); real
 //! time never passes (lint R3).
 
-use crate::config::PaconConfig;
-
 /// How many times the base delay may double before it is clamped. With
 /// the default budget (a handful of retries) the cap never binds; it is
-/// a safety rail for configs with a huge `retry_budget`.
+/// a safety rail for policies with a huge `budget`.
 const CAP_DOUBLINGS: u32 = 6;
 
 /// Backoff/deadline envelope guarding one cache RPC.
@@ -28,17 +26,13 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Policy from the region's config knobs (`rpc_deadline`,
-    /// `retry_budget`, `backoff_base`).
-    pub fn from_config(cfg: &PaconConfig) -> Self {
-        let base = cfg.backoff_base.max(2);
-        Self {
-            deadline_ns: cfg.rpc_deadline,
-            budget: cfg.retry_budget,
-            base_ns: base,
-            cap_ns: base.saturating_mul(1 << CAP_DOUBLINGS),
-        }
-    }
+    /// The one policy every region runs: 4 retries starting at 100 µs
+    /// inside an 8 ms deadline, all in virtual ns. No caller ever needed
+    /// another value, so it is a constant rather than configuration.
+    pub const DEFAULT: Self = {
+        let base_ns = 100_000;
+        Self { deadline_ns: 8_000_000, budget: 4, base_ns, cap_ns: base_ns << CAP_DOUBLINGS }
+    };
 
     /// Full-jitter delay for retry `attempt` (0-based): uniform in
     /// `[d/2, d]` with `d = min(base · 2^attempt, cap)`. Never zero — a
@@ -81,17 +75,10 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsapi::Credentials;
-    use simnet::Topology;
-
-    fn policy() -> RetryPolicy {
-        let cfg = PaconConfig::new("/app", Topology::new(1, 1), Credentials::new(1, 1));
-        RetryPolicy::from_config(&cfg)
-    }
 
     #[test]
     fn same_seed_same_delays() {
-        let p = policy();
+        let p = RetryPolicy::DEFAULT;
         for attempt in 0..8 {
             assert_eq!(p.backoff_ns(attempt, 42), p.backoff_ns(attempt, 42));
         }
@@ -100,7 +87,7 @@ mod tests {
 
     #[test]
     fn budget_and_deadline_cut_off() {
-        let p = policy();
+        let p = RetryPolicy::DEFAULT;
         assert!(p.next_backoff(p.budget, 0, 7).is_none(), "budget exhausted");
         assert!(p.next_backoff(0, p.deadline_ns, 7).is_none(), "deadline burned");
         assert!(p.next_backoff(0, 0, 7).is_some());

@@ -143,7 +143,7 @@ fn recover(
     let core = region.core();
     let mut guard = 0;
     while core.degraded.mode() != DegradedMode::Healthy {
-        core.advance(10_000_000); // > default rpc_deadline: next probe is due
+        core.advance(10_000_000); // > RetryPolicy::DEFAULT.deadline_ns: next probe is due
         let p = sfile(guard % 12);
         let st = clients[guard % clients.len()].stat(&p, cred);
         assert!(st.is_ok(), "stable path {p} unreadable during recovery: {st:?}");

@@ -1,13 +1,15 @@
 //! Edge cases of the client surface: region-root operations, merged
-//! regions, write offsets, and the ablation flags' functional
-//! correctness.
+//! regions, write offsets, batched reads against the per-path trait
+//! defaults, group commit over a partitioned link, and the permission
+//! ablation flag's functional correctness.
 
 use std::sync::Arc;
 
 use dfs::DfsCluster;
-use fsapi::{Credentials, FileSystem, FsError};
-use pacon::{PaconConfig, PaconRegion};
-use simnet::{ClientId, LatencyProfile, Topology};
+use fsapi::{Credentials, FileSystem, FsError, MountTable, Perm};
+use pacon::commit::worker::{CommitWorker, WorkerStep};
+use pacon::{PaconConfig, PaconRegion, RegionPermissions};
+use simnet::{ClientId, FaultEvent, LatencyProfile, NodeId, Topology};
 
 fn setup() -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
     let profile = Arc::new(LatencyProfile::zero());
@@ -16,6 +18,16 @@ fn setup() -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
     let region =
         PaconRegion::launch(PaconConfig::new("/app", Topology::new(2, 2), cred), &dfs).unwrap();
     (dfs, region, cred)
+}
+
+/// Drive a claimed commit worker until it has nothing left to do.
+fn step_to_idle(w: &mut CommitWorker) {
+    for _ in 0..1000 {
+        if matches!(w.step(), WorkerStep::Idle | WorkerStep::Disconnected) {
+            return;
+        }
+    }
+    panic!("commit worker still busy after 1000 steps");
 }
 
 #[test]
@@ -84,7 +96,7 @@ fn merged_region_large_file_and_listing() {
     let cred2 = Credentials::new(2, 2);
     let r1 = PaconRegion::launch(
         PaconConfig::new("/a", Topology::new(1, 1), cred1)
-            .with_permissions(pacon::RegionPermissions::uniform(0o755, cred1))
+            .with_permissions(RegionPermissions::uniform(0o755, cred1))
             .with_small_file_threshold(128),
         &dfs,
     )
@@ -125,7 +137,7 @@ fn merged_region_reads_fall_back_to_dfs_when_the_foreign_shard_is_down() {
     let cred2 = Credentials::new(2, 2);
     let r1 = PaconRegion::launch(
         PaconConfig::new("/a", Topology::new(2, 1), cred1)
-            .with_permissions(pacon::RegionPermissions::uniform(0o755, cred1)),
+            .with_permissions(RegionPermissions::uniform(0o755, cred1)),
         &dfs,
     )
     .unwrap();
@@ -171,27 +183,147 @@ fn hierarchical_permission_ablation_is_functionally_equivalent() {
     region.shutdown().unwrap();
 }
 
+/// `PaconClient` overrides `stat_many` and `readdir_plus` with batched
+/// cache reads; the overrides must answer exactly what the `FileSystem`
+/// trait defaults (`stat` per path, `readdir` + `stat` per entry) answer
+/// on the same process. A `MountTable` forwards the per-path calls only,
+/// so a client mounted at `/` *is* the trait defaults. Each fixture runs
+/// twice so both sides see every miss first (a miss loads the record).
 #[test]
-fn synchronous_commit_ablation_is_functionally_equivalent() {
-    let profile = Arc::new(LatencyProfile::zero());
-    let dfs = DfsCluster::with_default_config(profile);
+fn batched_reads_match_the_per_path_trait_defaults() {
+    let owner = Credentials::new(1, 1);
+    let cred = Credentials::new(2, 2);
+    for batched_first in [true, false] {
+        let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let raw = dfs.client();
+
+        // A foreign region to merge, committed; a directory outside
+        // every region (redirected to the DFS).
+        let foreign = PaconRegion::launch(
+            PaconConfig::new("/a", Topology::new(2, 1), owner)
+                .with_permissions(RegionPermissions::uniform(0o755, owner)),
+            &dfs,
+        )
+        .unwrap();
+        let f = foreign.client(ClientId(0));
+        f.mkdir("/a/sub", &owner, 0o755).unwrap();
+        f.create("/a/m", &owner, 0o644).unwrap();
+        f.write("/a/m", &owner, 0, b"merged").unwrap();
+        foreign.quiesce();
+        raw.mkdir("/outside", &cred, 0o755).unwrap();
+        raw.create("/outside/file", &cred, 0o644).unwrap();
+
+        // The own region starts paused, so unlinks stay uncommitted.
+        let region = PaconRegion::launch_paused(
+            PaconConfig::new("/b", Topology::new(2, 2), cred).with_permissions(
+                RegionPermissions::uniform(0o700, cred)
+                    .with_special("/b/locked", Perm::new(0o000, cred.uid, cred.gid)),
+            ),
+            &dfs,
+        )
+        .unwrap();
+        let batched = region.client(ClientId(0));
+        batched.merge_region(foreign.handle());
+        let per_path = {
+            let same_process = region.client(ClientId(0));
+            same_process.merge_region(foreign.handle());
+            let mut table = MountTable::new();
+            table.mount("/", Box::new(same_process)).unwrap();
+            table
+        };
+        raw.mkdir("/b/locked", &cred, 0o755).unwrap();
+        for p in ["/b/cold", "/b/cold-gone", "/b/locked/x"] {
+            raw.create(p, &cred, 0o644).unwrap();
+        }
+        batched.mkdir("/b/d", &cred, 0o755).unwrap();
+        batched.create("/b/hit", &cred, 0o644).unwrap();
+        batched.write("/b/hit", &cred, 0, b"inline").unwrap();
+        batched.create("/b/gone", &cred, 0o644).unwrap();
+        batched.unlink("/b/gone", &cred).unwrap();
+        batched.unlink("/b/cold-gone", &cred).unwrap();
+
+        let paths: Vec<String> = [
+            "/b",             // region root
+            "/b/hit",         // cached, uncommitted
+            "/b/d",           // cached directory
+            "/b/cold",        // DFS-only: a miss that loads
+            "/b/nope",        // nowhere
+            "/b/gone",        // created and unlinked, neither committed
+            "/b/cold-gone",   // on the DFS, unlink acknowledged but queued
+            "/b/locked/x",    // parent denies search
+            "/a/m",           // merged region, cached there
+            "/a/absent",      // merged region, nowhere
+            "/outside/file",  // redirected
+            "/outside/absent",
+        ]
+        .map(String::from)
+        .to_vec();
+        let (first, second): (&dyn FileSystem, &dyn FileSystem) =
+            if batched_first { (&batched, &per_path) } else { (&per_path, &batched) };
+        let got = first.stat_many(&paths, &cred);
+        assert_eq!(got, second.stat_many(&paths, &cred), "stat_many");
+        assert_eq!(got[1].as_ref().map(|st| st.size), Ok(6));
+        assert!(got[3].as_ref().is_ok_and(|st| st.is_file()));
+        assert_eq!(
+            got[5..8],
+            [Err(FsError::NotFound), Err(FsError::NotFound), Err(FsError::PermissionDenied)]
+        );
+        assert_eq!(got[8].as_ref().map(|st| st.size), Ok(6));
+
+        // Listings need live commit processes (readdir is a barrier op).
+        region.start_worker_threads();
+        region.quiesce();
+        raw.create("/b/d/cold", &cred, 0o644).unwrap();
+        batched.create("/b/d/late", &cred, 0o644).unwrap();
+        batched.create("/b/d/late-gone", &cred, 0o644).unwrap();
+        batched.unlink("/b/d/late-gone", &cred).unwrap();
+        for dir in ["/b", "/b/d", "/b/locked", "/b/hit", "/b/nope", "/a", "/a/sub", "/outside"] {
+            let got = first.readdir_plus(dir, &cred);
+            assert_eq!(got, second.readdir_plus(dir, &cred), "readdir_plus {dir}");
+            match dir {
+                "/b/d" => {
+                    let names: Vec<_> = got.unwrap().into_iter().map(|(n, _)| n).collect();
+                    assert_eq!(names, ["cold", "late"]);
+                }
+                "/b/locked" => assert_eq!(got, Err(FsError::PermissionDenied)),
+                "/a" => assert_eq!(got.unwrap().len(), 2),
+                _ => {}
+            }
+        }
+        region.shutdown().unwrap();
+        foreign.shutdown().unwrap();
+    }
+}
+
+/// Group commit over a partitioned commit link: a flush the link refuses
+/// must not drop the batch. Every create below is acknowledged (its cache
+/// write landed), so every one must reach the DFS once the link heals.
+#[test]
+fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let cred = Credentials::new(1, 1);
-    let region = PaconRegion::launch(
-        PaconConfig::new("/app", Topology::new(1, 1), cred).with_synchronous_commit(),
+    let region = PaconRegion::launch_paused(
+        PaconConfig::new("/app", Topology::new(1, 1), cred).with_commit_batch(4),
         &dfs,
     )
     .unwrap();
     let c = region.client(ClientId(0));
-    c.mkdir("/app/d", &cred, 0o755).unwrap();
-    c.create("/app/d/f", &cred, 0o644).unwrap();
-    // Synchronous: the backup copy is current *immediately*.
+    let files: Vec<String> = (0..8).map(|i| format!("/app/f{i}")).collect();
+
+    region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
+    let acked = files.iter().filter(|f| c.create(f, &cred, 0o644).is_ok()).count();
+    assert_eq!(acked, 8, "the cache write landed, so the create is acknowledged");
+    assert!(region.core().counters.get("publishes_buffered") > 0);
+
+    region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+    c.flush_publishes().unwrap();
+    let mut w = region.take_worker(0);
+    step_to_idle(&mut w);
     let raw = dfs.client();
-    assert!(raw.stat("/app/d/f", &cred).unwrap().is_file());
-    c.write("/app/d/f", &cred, 0, b"sync!").unwrap();
-    c.unlink("/app/d/f", &cred).unwrap();
-    assert_eq!(raw.stat("/app/d/f", &cred), Err(FsError::NotFound));
-    assert_eq!(c.stat("/app/d/f", &cred), Err(FsError::NotFound));
-    region.shutdown().unwrap();
+    let on_dfs = files.iter().filter(|f| raw.stat(f, &cred).is_ok()).count();
+    assert_eq!(on_dfs, 8);
+    let report = region.report();
+    assert_eq!((report.ops_enqueued, report.ops_completed), (8, 8));
 }
 
 #[test]
@@ -230,12 +362,7 @@ fn repeated_small_writes_coalesce_into_one_writeback() {
 
     // Drain manually; the backup copy ends at the *newest* data.
     let mut w = region.take_worker(0);
-    for _ in 0..1000 {
-        use pacon::commit::worker::WorkerStep;
-        if matches!(w.step(), WorkerStep::Idle | WorkerStep::Disconnected) {
-            break;
-        }
-    }
+    step_to_idle(&mut w);
     assert_eq!(dfs.client().read("/app/hot", &cred, 0, 16).unwrap(), vec![49u8; 16]);
     // After the drain, a new write queues a fresh writeback.
     c.write("/app/hot", &cred, 0, b"fresh").unwrap();

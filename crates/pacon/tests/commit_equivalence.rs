@@ -168,17 +168,14 @@ fn bstep_strategy(with_rmdir: bool, with_faults: bool) -> impl Strategy<Value = 
 /// contents of every file slot in the universe.
 type DfsState = (Vec<(String, fsapi::FileKind, u64)>, Vec<Option<Vec<u8>>>);
 
-/// Run `steps` on a threaded region with the given group-commit config
-/// and return the final [`DfsState`].
-fn run_grouped(steps: &[BStep], batch: usize, coalesce: bool) -> DfsState {
+/// Run `steps` on a threaded region with the given group-commit batch
+/// size and return the final [`DfsState`].
+fn run_grouped(steps: &[BStep], batch: usize) -> DfsState {
     let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
     let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
-    let mut config =
+    let config =
         PaconConfig::new("/w", Topology::new(3, 1), cred).with_commit_batch(batch.max(1));
-    if !coalesce {
-        config = config.without_commit_coalescing();
-    }
     let region = PaconRegion::launch(config, &dfs).unwrap();
     let clients: Vec<_> = (0..3).map(|i| region.client(ClientId(i))).collect();
     for s in steps.iter() {
@@ -241,10 +238,9 @@ proptest! {
     fn batched_commit_equivalent_to_unbatched(
         steps in proptest::collection::vec(bstep_strategy(true, false), 1..60),
         batch in 2usize..9,
-        coalesce in any::<bool>(),
     ) {
-        let (want_snap, want_data) = run_grouped(&steps, 1, true);
-        let (got_snap, got_data) = run_grouped(&steps, batch, coalesce);
+        let (want_snap, want_data) = run_grouped(&steps, 1);
+        let (got_snap, got_data) = run_grouped(&steps, batch);
         prop_assert_eq!(&got_snap, &want_snap, "namespace diverged (batch={})", batch);
         prop_assert_eq!(&got_data, &want_data, "file contents diverged (batch={})", batch);
     }
@@ -259,8 +255,8 @@ proptest! {
         steps in proptest::collection::vec(bstep_strategy(false, true), 1..60),
         batch in 2usize..9,
     ) {
-        let (want_snap, want_data) = run_grouped(&steps, 1, true);
-        let (got_snap, got_data) = run_grouped(&steps, batch, true);
+        let (want_snap, want_data) = run_grouped(&steps, 1);
+        let (got_snap, got_data) = run_grouped(&steps, batch);
         prop_assert_eq!(&got_snap, &want_snap, "namespace diverged (batch={})", batch);
         prop_assert_eq!(&got_data, &want_data, "file contents diverged (batch={})", batch);
     }

@@ -23,8 +23,8 @@
 //! slab event arena and a calendar fallback ([`crate::wheel`]): pushes
 //! and pops are amortized `O(1)` and allocation-free on the hot path,
 //! which is what makes 10^5–10^6 closed-loop clients tractable. The
-//! original `BinaryHeap` scheduler survives behind the `reference-heap`
-//! feature as the trace-equivalence oracle ([`crate::heap`]). Both
+//! original `BinaryHeap` scheduler survives as the trace-equivalence
+//! oracle ([`crate::heap`]). Both
 //! schedulers implement the same total `(time, push-seq)` dispatch
 //! order, so runs are bit-for-bit deterministic and scheduler-agnostic.
 //!
@@ -187,8 +187,7 @@ pub(crate) enum EventKind {
 
 /// An event scheduler: a priority queue over `(time, push-seq)` with
 /// FIFO tie-break at equal times. The timer wheel is the default; the
-/// `reference-heap` feature provides the original binary heap as an
-/// equivalence oracle.
+/// original binary heap is the equivalence oracle.
 pub(crate) trait Scheduler {
     fn push(&mut self, time: u64, pid: u32, kind: EventKind);
     fn pop(&mut self) -> Option<(u64, u32, EventKind)>;
@@ -331,7 +330,6 @@ impl Simulation {
 
     /// As [`Simulation::run_procs`], but on the original binary-heap
     /// scheduler — the trace-equivalence oracle and bench baseline.
-    #[cfg(feature = "reference-heap")]
     pub fn run_reference_heap<P: Process>(&self, procs: &mut [P]) -> RunResult {
         let mut sched = crate::heap::HeapScheduler::new();
         self.run_core(&mut sched, procs)

@@ -1,5 +1,5 @@
 //! The original `BinaryHeap` event scheduler, kept as the reference
-//! oracle behind the `reference-heap` feature.
+//! oracle.
 //!
 //! This is a verbatim port of the engine's pre-timer-wheel scheduler: a
 //! min-heap over `(time, seq)` with a monotone push sequence number as

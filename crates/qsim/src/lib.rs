@@ -15,16 +15,13 @@
 //!
 //! Event scheduling uses a hierarchical timer wheel with an arena-backed
 //! event slab ([`wheel`]); the original binary-heap scheduler is kept
-//! behind the `reference-heap` feature ([`heap`]) as the
-//! trace-equivalence oracle and benchmark baseline.
+//! ([`heap`]) as the trace-equivalence oracle and benchmark baseline.
 
 #![forbid(unsafe_code)]
 
 pub mod engine;
-#[cfg(feature = "reference-heap")]
 pub(crate) mod heap;
 pub mod mva;
-#[cfg(feature = "reference-heap")]
 pub mod sched_bench;
 pub(crate) mod wheel;
 

@@ -1,4 +1,4 @@
-//! Raw scheduler benchmark support (feature `reference-heap`).
+//! Raw scheduler benchmark support.
 //!
 //! The scheduler trait and both implementations are crate-private, so
 //! this module exposes the one workload the `qsim_scale` bench needs:

@@ -39,7 +39,7 @@
 //! pushes, and then the stable sort just merges the two runs).
 //! Cascading preserves this because a higher-level slot is always
 //! re-distributed *before* its time range starts dispatching. The
-//! `reference-heap` scheduler and the trace-equivalence proptest
+//! reference heap scheduler and the trace-equivalence proptest
 //! (`tests/wheel_equivalence.rs`) pin this behaviour.
 
 use std::collections::BTreeMap;

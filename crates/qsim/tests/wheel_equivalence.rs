@@ -7,11 +7,6 @@
 //! states: same-timestamp collisions (the FIFO `seq` tie-break),
 //! zero-length segments, contended FIFO stations, background drain, and
 //! idle jumps far beyond the wheel horizon (the overflow calendar).
-//!
-//! Requires the `reference-heap` feature (enabled by the workspace CI
-//! build via pacon-bench).
-
-#![cfg(feature = "reference-heap")]
 
 use std::cell::RefCell;
 use std::rc::Rc;

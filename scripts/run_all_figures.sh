@@ -20,6 +20,7 @@ bins=(
   wal_commit
   qsim_scale
   reshard
+  chaos
 )
 for b in "${bins[@]}"; do
   echo "=== $b ==="
