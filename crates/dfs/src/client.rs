@@ -19,7 +19,7 @@ use simnet::{charge, Counters, Station};
 use syncguard::{level, Mutex};
 
 use crate::cluster::DfsCluster;
-use crate::datasrv::CHUNK_SIZE;
+use crate::datasrv::{ChunkWrite, DataServer, CHUNK_SIZE};
 use crate::mds::BatchOp;
 use crate::namespace::Ino;
 use crate::replay::OpId;
@@ -101,6 +101,23 @@ impl DentryCache {
     fn len(&self) -> usize {
         self.map.len()
     }
+}
+
+/// Split the byte range `[offset, offset + len)` at chunk boundaries:
+/// `(chunk index, offset inside the chunk, length)` per piece.
+fn chunk_pieces(offset: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+    let end = offset + len as u64;
+    let mut pos = offset;
+    std::iter::from_fn(move || {
+        if pos >= end {
+            return None;
+        }
+        let chunk_idx = pos / CHUNK_SIZE;
+        let in_chunk = (pos % CHUNK_SIZE) as usize;
+        let take = ((CHUNK_SIZE as usize - in_chunk) as u64).min(end - pos) as usize;
+        pos += take as u64;
+        Some((chunk_idx, in_chunk, take))
+    })
 }
 
 /// A DFS client bound to one process.
@@ -278,6 +295,90 @@ impl DfsClient {
         Ok(n)
     }
 
+    /// Group commit for the data plane: many small full-content
+    /// writebacks (each `data` lands at offset 0 of its `path`) as **one
+    /// vectored write per data server** and **one size-update request**,
+    /// instead of a server visit, a `getattr` and a `set_size` per file.
+    /// Results come back per item in input order, and items fail
+    /// independently — a path that does not resolve, a fault striking one
+    /// size update — so the caller can retry exactly those through
+    /// [`FileSystem::write`] / [`DfsClient::write_idempotent`].
+    ///
+    /// An item whose `id` is not [`OpId::NONE`] is an identified replay,
+    /// as in `write_idempotent`: skipped when stale, and recorded only
+    /// once its own size update succeeded. Two items may name the same
+    /// path; their contents apply in input order.
+    pub fn write_small_batch(
+        &self,
+        items: &[(&str, &[u8], OpId)],
+        cred: &Credentials,
+    ) -> Vec<FsResult<usize>> {
+        if items.is_empty() {
+            return Vec::new();
+        }
+        self.counters.incr("small_batch_rpcs");
+        let mut results: Vec<Option<FsResult<usize>>> = vec![None; items.len()];
+        // Items with bytes for the servers, and the inode they resolved to.
+        let mut targets: Vec<(usize, Ino)> = Vec::with_capacity(items.len());
+        for (i, &(path, data, id)) in items.iter().enumerate() {
+            if self.cluster.data_replay_is_stale(path, &id) {
+                self.counters.incr("replay_skipped_write");
+                results[i] = Some(Ok(data.len()));
+            } else if data.is_empty() && id.is_none() {
+                // As `write`: nothing to move, nothing to resolve.
+                results[i] = Some(Ok(0));
+            } else {
+                match self.resolve(path, cred) {
+                    // As `write_idempotent`: an empty replay only has to
+                    // find its file to count as applied.
+                    Ok(ino) if data.is_empty() => {
+                        self.cluster.record_data_replay(path, &id, ino);
+                        results[i] = Some(Ok(0));
+                    }
+                    Ok(ino) => targets.push((i, ino)),
+                    Err(e) => results[i] = Some(Err(e)),
+                }
+            }
+        }
+
+        // One visit per data server, carrying every range striped to it.
+        let mut visits: Vec<(&Arc<DataServer>, Vec<ChunkWrite<'_>>)> = Vec::new();
+        for &(i, ino) in &targets {
+            let data = items[i].1;
+            let mut written = 0;
+            for (chunk_idx, offset_in_chunk, take) in chunk_pieces(0, data.len()) {
+                let server = self.cluster.data_server_for(ino, chunk_idx);
+                let piece =
+                    ChunkWrite { ino, chunk_idx, offset_in_chunk, data: &data[written..written + take] };
+                written += take;
+                match visits.iter_mut().find(|(s, _)| Arc::ptr_eq(s, server)) {
+                    Some((_, writes)) => writes.push(piece),
+                    None => visits.push((server, vec![piece])),
+                }
+            }
+        }
+        for (server, writes) in &visits {
+            self.charge_rtt();
+            server.write_chunks(writes);
+        }
+
+        // One request for every size that may have grown.
+        if !targets.is_empty() {
+            let sizes: Vec<(Ino, u64)> =
+                targets.iter().map(|&(i, ino)| (ino, items[i].1.len() as u64)).collect();
+            self.charge_rtt();
+            let sized = self.cluster.mds_for(Ino::ROOT).set_sizes(&sizes, cred);
+            for ((i, ino), size_update) in targets.into_iter().zip(sized) {
+                let (path, data, id) = items[i];
+                results[i] = Some(size_update.map(|()| {
+                    self.cluster.record_data_replay(path, &id, ino);
+                    data.len()
+                }));
+            }
+        }
+        results.into_iter().map(|r| r.expect("every item settled above")).collect()
+    }
+
     /// Number of dentries currently cached (diagnostics).
     pub fn dentry_count(&self) -> usize {
         self.dentries.lock().len()
@@ -350,17 +451,12 @@ impl FileSystem for DfsClient {
         let end = offset + data.len() as u64;
         // Stripe across data servers chunk by chunk; one round trip per
         // contiguous chunk write.
-        let mut pos = offset;
         let mut written = 0usize;
-        while pos < end {
-            let chunk_idx = pos / CHUNK_SIZE;
-            let in_chunk = (pos % CHUNK_SIZE) as usize;
-            let take = ((CHUNK_SIZE as usize - in_chunk) as u64).min(end - pos) as usize;
+        for (chunk_idx, in_chunk, take) in chunk_pieces(offset, data.len()) {
             let server = self.cluster.data_server_for(ino, chunk_idx);
             self.charge_rtt();
             server.write_chunk(ino, chunk_idx, in_chunk, &data[written..written + take]);
             written += take;
-            pos += take as u64;
         }
         // Size update on the MDS when the file grew.
         let cur = self.cluster.mds_for(ino).getattr(ino, cred)?.size;
@@ -380,17 +476,12 @@ impl FileSystem for DfsClient {
         }
         let end = (offset + len as u64).min(size);
         let mut out = Vec::with_capacity((end - offset) as usize);
-        let mut pos = offset;
-        while pos < end {
-            let chunk_idx = pos / CHUNK_SIZE;
-            let in_chunk = (pos % CHUNK_SIZE) as usize;
-            let take = ((CHUNK_SIZE as usize - in_chunk) as u64).min(end - pos) as usize;
+        for (chunk_idx, in_chunk, take) in chunk_pieces(offset, (end - offset) as usize) {
             let server = self.cluster.data_server_for(ino, chunk_idx);
             self.charge_rtt();
             let mut part = server.read_chunk(ino, chunk_idx, in_chunk, take);
             part.resize(take, 0); // zero-fill sparse holes
             out.extend_from_slice(&part);
-            pos += take as u64;
         }
         Ok(out)
     }

@@ -340,6 +340,100 @@ mod tests {
         assert_eq!(total, 65);
     }
 
+    /// Twelve small files plus the corner cases of a group: a missing
+    /// path, an empty payload, and the same path twice.
+    fn small_batch_items(payloads: &[Vec<u8>]) -> Vec<(String, &[u8])> {
+        let mut items: Vec<(String, &[u8])> =
+            payloads.iter().enumerate().map(|(i, d)| (format!("/s/f{i:02}"), &d[..])).collect();
+        items.push(("/s/missing".to_string(), b"lost"));
+        items.push(("/s/f00".to_string(), b""));
+        items.push(("/s/f01".to_string(), b"rewritten, and longer than the first payload"));
+        items
+    }
+
+    #[test]
+    fn small_batch_equals_single_writes_and_costs_one_visit_per_server() {
+        let payloads: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 8 + i as usize]).collect();
+        let items = small_batch_items(&payloads);
+        let u = cred();
+        let populate = |c: &Arc<DfsCluster>| {
+            let fs = c.client();
+            fs.mkdir("/s", &u, 0o755).unwrap();
+            for i in 0..12 {
+                fs.create(&format!("/s/f{i:02}"), &u, 0o644).unwrap();
+            }
+            fs
+        };
+
+        let single = cluster();
+        let fs = populate(&single);
+        let want: Vec<FsResult<usize>> =
+            items.iter().map(|(path, data)| fs.write(path, &u, 0, data)).collect();
+
+        let batched = cluster();
+        let fs = populate(&batched);
+        let refs: Vec<(&str, &[u8], OpId)> =
+            items.iter().map(|(path, data)| (path.as_str(), *data, OpId::NONE)).collect();
+        let (got, t) = with_recording(|| fs.write_small_batch(&refs, &u));
+        assert_eq!(got, want);
+        assert_eq!(got[12], Err(FsError::NotFound), "a missing path fails alone");
+        assert_eq!(batched.snapshot(), single.snapshot(), "same namespace and sizes");
+        let (a, b) = (single.client(), batched.client());
+        for i in 0..12 {
+            let p = format!("/s/f{i:02}");
+            assert_eq!(b.read(&p, &u, 0, 4096).unwrap(), a.read(&p, &u, 0, 4096).unwrap());
+        }
+
+        // 13 payloads in one visit per data server (12 inodes stripe over
+        // all three) and one size request; the missing path costs its
+        // lookup round as it would alone.
+        let p = batched.profile();
+        let data_ns: u64 = (0..3).map(|i| t.station_ns(Station::DataServer(i))).sum();
+        assert_eq!(data_ns, 3 * p.data_write_per_mib);
+        assert_eq!(
+            t.station_ns(Station::Mds(0)),
+            p.mds_batch_base + 13 * p.mds_stat + p.mds_lookup
+        );
+        assert_eq!(t.station_ns(Station::Network), 5 * p.net_rtt_storage);
+        assert_eq!(fs.counters.get("small_batch_rpcs"), 1);
+        assert_eq!(fs.counters.get("batch_rpcs"), 0);
+        assert_eq!(batched.mds_counter("size_batch_ops"), 13);
+    }
+
+    #[test]
+    fn identified_small_batch_replays_as_noops() {
+        let c = cluster();
+        let fs = c.client();
+        let u = cred();
+        fs.mkdir("/s", &u, 0o755).unwrap();
+        for i in 0..4 {
+            fs.create(&format!("/s/f{i}"), &u, 0o644).unwrap();
+        }
+        let paths: Vec<String> = (0..4).map(|i| format!("/s/f{i}")).collect();
+        let items: Vec<(&str, &[u8], OpId)> = paths
+            .iter()
+            .zip(1u64..)
+            .map(|(p, w)| (p.as_str(), &b"payload"[..], OpId { write_id: w, generation: 0 }))
+            .collect();
+        // A fault striking the first size update (the paths resolve from
+        // the dentry cache, so nothing else consumes it): that item fails
+        // alone and must not be remembered as applied.
+        c.inject_mds_failures(0, 1);
+        let first = fs.write_small_batch(&items, &u);
+        assert!(matches!(first[0], Err(FsError::Backend(_))), "{first:?}");
+        assert_eq!(first[1..], [Ok(7), Ok(7), Ok(7)]);
+        assert_eq!(c.seen_len(), 3, "the failed item has no replay identity yet");
+
+        // Replaying the whole group: three no-ops, the failed item applies.
+        let replay = fs.write_small_batch(&items, &u);
+        assert_eq!(replay, vec![Ok(7); 4]);
+        assert_eq!(fs.counters.get("replay_skipped_write"), 3);
+        assert_eq!(fs.read("/s/f0", &u, 0, 64).unwrap(), b"payload");
+        // And once more: all four are remembered.
+        fs.write_small_batch(&items, &u);
+        assert_eq!(fs.counters.get("replay_skipped_write"), 7);
+    }
+
     #[test]
     fn write_to_missing_file_fails() {
         let c = cluster();

@@ -337,6 +337,33 @@ impl Mds {
         self.ns.write().set_size(ino, size, cred)
     }
 
+    /// The size updates of one vectored data write, in a single request:
+    /// each file grows to its `size` if that is larger than what the
+    /// namespace holds (the compare runs here, under one namespace-lock
+    /// acquisition, instead of costing the client a `getattr` round) and
+    /// is never shrunk. Items succeed or fail independently, in input
+    /// order; injected failures are consumed per item, as in
+    /// [`Mds::apply_batch`]. Counted apart from namespace batches.
+    pub fn set_sizes(&self, items: &[(Ino, u64)], cred: &Credentials) -> Vec<FsResult<()>> {
+        charge(
+            self.station(),
+            self.profile.mds_batch_base + items.len() as u64 * self.profile.mds_stat,
+        );
+        self.counters.incr("size_batch");
+        self.counters.add("size_batch_ops", items.len() as u64);
+        let mut ns = self.ns.write();
+        items
+            .iter()
+            .map(|&(ino, size)| {
+                self.check_fault()?;
+                if size > ns.getattr(ino)?.size {
+                    ns.set_size(ino, size, cred)?;
+                }
+                Ok(())
+            })
+            .collect()
+    }
+
     /// Validate a read and return the current size.
     pub fn check_read(&self, ino: Ino, cred: &Credentials) -> FsResult<u64> {
         charge(self.station(), self.profile.mds_stat);
@@ -456,6 +483,44 @@ mod tests {
         assert_eq!(m.lookup(Ino::ROOT, "f0", &cred), Err(FsError::NotFound));
         assert!(m.lookup(Ino::ROOT, "f2", &cred).is_ok());
         assert_eq!(m.counters.get("injected_failures"), 2);
+    }
+
+    #[test]
+    fn size_batch_charges_once_grows_only_and_fails_per_item() {
+        let m = mds();
+        let cred = Credentials::new(1, 1);
+        let profile = LatencyProfile::default();
+        let inos: Vec<Ino> = (0..4)
+            .map(|i| m.create(Ino::ROOT, &format!("f{i}"), FileKind::File, 0o644, &cred).unwrap())
+            .collect();
+        m.set_size(inos[0], 100, &cred).unwrap();
+        let size_of = |ino| m.getattr(ino, &cred).unwrap().size;
+
+        let items: Vec<(Ino, u64)> = inos.iter().map(|&ino| (ino, 64)).collect();
+        let (results, t) = with_recording(|| m.set_sizes(&items, &cred));
+        assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
+        assert_eq!(t.station_ns(Station::Mds(0)), profile.mds_batch_base + 4 * profile.mds_stat);
+        assert_eq!(size_of(inos[0]), 100, "a size batch never shrinks a file");
+        assert_eq!(size_of(inos[1]), 64);
+
+        // A fault inside the group fails exactly the items it strikes; an
+        // unknown inode fails alone as well.
+        m.inject_failures(1);
+        let items = [(inos[1], 200), (inos[2], 200), (Ino(9_999), 200), (inos[3], 200)];
+        let results = m.set_sizes(&items, &cred);
+        assert!(matches!(results[0], Err(FsError::Backend(_))));
+        assert_eq!(results[1], Ok(()));
+        assert_eq!(results[2], Err(FsError::NotFound));
+        assert_eq!(results[3], Ok(()));
+        assert_eq!(size_of(inos[1]), 64);
+        assert_eq!(size_of(inos[2]), 200);
+
+        // Counted under its own names: `batch`/`batch_ops` keep meaning
+        // namespace batches.
+        assert_eq!(m.counters.get("size_batch"), 2);
+        assert_eq!(m.counters.get("size_batch_ops"), 8);
+        assert_eq!(m.counters.get("batch"), 0);
+        assert_eq!(m.counters.get("batch_ops"), 0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use fsapi::FileSystem;
 use mq::{Consumer, TryRecvError};
 use simnet::{charge, NodeId, Station};
 
-use crate::cache::MetaCache;
+use crate::cache::{CacheError, MetaCache};
 use crate::commit::op::{CommitOp, QueueMsg};
 use crate::commit::wal::CrashPoint;
 use crate::eviction;
@@ -275,8 +275,9 @@ impl CommitWorker {
     }
 
     /// Commit one batched message: namespace ops go through a single
-    /// batched DFS RPC (in publish order), inline-data writebacks follow
-    /// individually on the data path. Writebacks read the *current*
+    /// batched DFS RPC (in publish order), then the inline-data
+    /// writebacks follow as one group on the data path
+    /// ([`Self::apply_writebacks`]). Writebacks read the *current*
     /// primary copy at commit time, so settling them after the batch's
     /// namespace ops cannot regress any data. Each op settles
     /// independently; failures disaggregate into single-op retries.
@@ -333,15 +334,69 @@ impl CommitWorker {
                 tally(self.settle(msg, 0, false, res));
             }
         }
-        for msg in wb_msgs {
-            let res = self.execute(&msg);
+        if !wb_msgs.is_empty() {
+            let results = self.apply_writebacks(&wb_msgs);
+            // Same window on the data plane: the group's bytes and sizes
+            // are on the DFS, none of its writebacks has settled.
             if self.core.crash.hit(CrashPoint::MidBatch) {
                 return WorkerStep::Crashed;
             }
-            tally(self.settle(msg, 0, false, res));
+            for (msg, res) in wb_msgs.into_iter().zip(results) {
+                tally(self.settle(msg, 0, false, res));
+            }
         }
         self.core.maybe_truncate_wals();
         WorkerStep::Batch { committed, retried, discarded }
+    }
+
+    /// Data-plane group commit: claim every writeback of the batch
+    /// together (one batched cache read), then hand the ones that still
+    /// owe bytes to the DFS as one vectored write per data server and one
+    /// size-update request. One result per message, in order.
+    fn apply_writebacks(&mut self, msgs: &[QueueMsg]) -> Vec<FsResult<()>> {
+        let cred = self.core.config.cred;
+        let paths: Vec<&str> =
+            msgs.iter().map(|m| m.op.path().expect("writebacks have a path")).collect();
+        let claims: Vec<FsResult<Option<Vec<u8>>>> =
+            eviction::claim_writebacks(&self.core, &self.cache, &paths)
+                .into_iter()
+                .map(|claim| self.claimed(claim))
+                .collect();
+        let mut written = {
+            let items: Vec<(&str, &[u8], dfs::OpId)> = claims
+                .iter()
+                .zip(&paths)
+                .zip(msgs)
+                .filter_map(|((claim, path), msg)| match claim {
+                    Ok(Some(bytes)) => Some((*path, &bytes[..], msg.id)),
+                    _ => None,
+                })
+                .collect();
+            self.dfs.write_small_batch(&items, &cred).into_iter()
+        };
+        claims
+            .into_iter()
+            .map(|claim| match claim? {
+                Some(_) => written.next().expect("one result per item sent").map(|_| ()),
+                None => Ok(()),
+            })
+            .collect()
+    }
+
+    /// What a writeback claim means for its commit: bytes to write, or
+    /// nothing left to write (counted, settles as committed), or — cache
+    /// node unreachable — a retriable backend error. After the node
+    /// restarts the wiped record reads as gone and the writeback settles
+    /// as skipped.
+    fn claimed(&self, claim: Result<Option<Vec<u8>>, CacheError>) -> FsResult<Option<Vec<u8>>> {
+        match claim {
+            Ok(Some(bytes)) => Ok(Some(bytes)),
+            Ok(None) => {
+                self.core.counters.incr("writeback_skipped");
+                Ok(None)
+            }
+            Err(_) => Err(FsError::Backend("cache node down".into())),
+        }
     }
 
     fn apply(&mut self, msg: QueueMsg, attempts: u32, backend_faulted: bool) -> WorkerStep {
@@ -372,27 +427,15 @@ impl CommitWorker {
                 self.apply_ns(BatchOp::Unlink { path: path.clone() }, id)
             }
             CommitOp::WriteInline { path } => {
-                match eviction::claim_writeback(&self.core, &self.cache, path) {
-                    // Freshest primary copy wins; a record that vanished,
-                    // was marked removed, or went large needs no inline
-                    // writeback.
-                    Ok(Some((meta, _))) if !meta.removed && !meta.large => {
-                        if id.is_none() {
-                            self.dfs.write(path, &cred, 0, &meta.inline).map(|_| ())
-                        } else {
-                            self.dfs
-                                .write_idempotent(path, &cred, &meta.inline, id)
-                                .map(|_| ())
-                        }
+                let claim = eviction::claim_writeback(&self.core, &self.cache, path);
+                match self.claimed(claim)? {
+                    Some(bytes) if id.is_none() => {
+                        self.dfs.write(path, &cred, 0, &bytes).map(|_| ())
                     }
-                    Ok(_) => {
-                        self.core.counters.incr("writeback_skipped");
-                        Ok(())
+                    Some(bytes) => {
+                        self.dfs.write_idempotent(path, &cred, &bytes, id).map(|_| ())
                     }
-                    // Cache node down: retriable through the backlog.
-                    // After the node restarts the wiped record reads as
-                    // gone and the writeback settles as skipped.
-                    Err(_) => Err(FsError::Backend("cache node down".into())),
+                    None => Ok(()),
                 }
             }
             CommitOp::Barrier { .. } | CommitOp::Batch(_) => {

@@ -9,8 +9,9 @@
 //! are never evicted; neither is a committed record whose inline data
 //! still waits in the commit queue. That pin is the record's writeback
 //! slot (`RegionCore::pending_writebacks`), whose whole life cycle —
-//! [`queue_writeback`], [`claim_writeback`], [`release_writeback`] —
-//! lives here next to the eviction check that reads it.
+//! [`queue_writeback`], [`claim_writeback`] / [`claim_writebacks`],
+//! [`release_writeback`] — lives here next to the eviction check that
+//! reads it.
 //!
 //! # The cursor is a position in key order
 //!
@@ -157,23 +158,61 @@ pub(crate) fn queue_writeback(core: &RegionCore, path: &str) -> bool {
     core.pending_writebacks.lock().insert(path.to_string(), false) != Some(false)
 }
 
-/// The commit side of a queued inline writeback: read `path`'s record for
-/// it. The slot flips to in-flight first, so a write that lands after
-/// this read queues a fresh writeback instead of being silently absorbed,
-/// and stays in place — still pinning the record against eviction —
-/// until [`release_writeback`] once the writeback has settled.
+/// The commit side of a queued inline writeback: the bytes to write back
+/// for `path` — its freshest primary copy — or `None` when nothing needs
+/// writing (the record vanished, is marked removed, or went large). The
+/// slot flips to in-flight first, so a write that lands after this read
+/// queues a fresh writeback instead of being silently absorbed, and stays
+/// in place — still pinning the record against eviction — until
+/// [`release_writeback`] once the writeback has settled.
 pub(crate) fn claim_writeback(
     core: &RegionCore,
     cache: &MetaCache,
     path: &str,
-) -> Result<Option<(CachedMeta, u64)>, CacheError> {
-    {
-        let mut pending = core.pending_writebacks.lock();
-        if let Some(in_flight) = pending.get_mut(path) {
+) -> Result<Option<Vec<u8>>, CacheError> {
+    mark_in_flight(core, &[path]);
+    cache.get(path).map(writeback_payload)
+}
+
+/// [`claim_writeback`] for every writeback of one commit batch: all slots
+/// flip to in-flight, then the records come from one batched lookup. One
+/// result per path, in input order (a path may repeat).
+///
+/// The batched lookup answers "miss" for a key whose owner is unreachable
+/// — the read path's cue to fall back to the DFS copy. Here that answer
+/// would drop an acknowledged write as "record vanished", so every miss
+/// is confirmed by the single-key read, which tells absent (`Ok(None)`)
+/// from unreachable (`Err`).
+pub(crate) fn claim_writebacks(
+    core: &RegionCore,
+    cache: &MetaCache,
+    paths: &[&str],
+) -> Vec<Result<Option<Vec<u8>>, CacheError>> {
+    mark_in_flight(core, paths);
+    let Ok(hits) = cache.multi_get(paths) else {
+        return vec![Err(CacheError::Unavailable); paths.len()];
+    };
+    hits.into_iter()
+        .zip(paths)
+        .map(|(hit, path)| match hit {
+            Some(_) => Ok(writeback_payload(hit)),
+            None => cache.get(path).map(writeback_payload),
+        })
+        .collect()
+}
+
+fn mark_in_flight(core: &RegionCore, paths: &[&str]) {
+    let mut pending = core.pending_writebacks.lock();
+    for path in paths {
+        if let Some(in_flight) = pending.get_mut(*path) {
             *in_flight = true;
         }
     }
-    cache.get(path)
+}
+
+/// The inline bytes a claimed record still owes the DFS, if any.
+fn writeback_payload(hit: Option<(CachedMeta, u64)>) -> Option<Vec<u8>> {
+    hit.filter(|(meta, _)| !meta.removed && !meta.large).map(|(meta, _)| meta.inline)
 }
 
 /// The writeback claimed for `path` settled (applied, skipped or

@@ -261,3 +261,189 @@ proptest! {
         prop_assert_eq!(&got_data, &want_data, "file contents diverged (batch={})", batch);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Data-plane group commit: a batch's writebacks as one vectored write
+// ---------------------------------------------------------------------------
+
+/// A step over a universe of six files in two pre-made directories —
+/// small enough that one batch regularly carries two writebacks of the
+/// same path (write · unlink · re-create · write).
+#[derive(Debug, Clone)]
+enum WStep {
+    Create(usize),
+    /// Inline write (or overwrite) at offset 0; payload derived from `.1`.
+    Write(usize, u8),
+    Unlink(usize),
+    /// Run the commit pipeline dry, so later steps meet committed files.
+    Drain,
+}
+
+fn wfile(i: usize) -> String {
+    format!("/w/d{}/f{}", (i / 3) % 2, i % 3)
+}
+
+fn wpayload(b: u8) -> Vec<u8> {
+    vec![b; (b as usize % 24) + 1]
+}
+
+fn wstep_strategy() -> impl Strategy<Value = WStep> {
+    prop_oneof![
+        4 => (0usize..6).prop_map(WStep::Create),
+        6 => ((0usize..6), any::<u8>()).prop_map(|(i, b)| WStep::Write(i, b)),
+        3 => (0usize..6).prop_map(WStep::Unlink),
+        1 => Just(WStep::Drain),
+    ]
+}
+
+/// What one run leaves behind: the DFS (namespace with sizes, contents of
+/// every slot) and the per-op accounting of the commit pipeline.
+#[derive(Debug, PartialEq)]
+struct WOutcome {
+    snapshot: Vec<(String, fsapi::FileKind, u64)>,
+    contents: Vec<Option<Vec<u8>>>,
+    /// Ops that settled as committed or never needed the queue (cancelled
+    /// or collapsed in the publish buffer).
+    settled: u64,
+    writeback_skipped: u64,
+    discarded: u64,
+    small_batches: u64,
+}
+
+/// Run `steps` on a paused two-node region, workers stepped round-robin
+/// at every `Drain` and at the end. Deterministic: the same steps drain
+/// at the same points whatever the batch size.
+fn run_writebacks(steps: &[WStep], batch: usize) -> WOutcome {
+    let cred = Credentials::new(1, 1);
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let config = PaconConfig::new("/w", Topology::new(2, 1), cred).with_commit_batch(batch);
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let clients: Vec<_> = (0..2).map(|i| region.client(ClientId(i))).collect();
+    let mut workers: Vec<_> = (0..2).map(|n| region.take_worker(n)).collect();
+    let mut drain = || {
+        let mut spins = 0;
+        while !region.core().drained() {
+            for w in workers.iter_mut() {
+                w.step();
+            }
+            spins += 1;
+            assert!(spins < 100_000, "commit did not converge");
+        }
+    };
+    for (d, client) in clients.iter().enumerate() {
+        client.mkdir(&format!("/w/d{d}"), &cred, 0o755).unwrap();
+    }
+    drain();
+    for s in steps {
+        // Directory affinity: every op on one file goes through one queue.
+        let _ = match s {
+            WStep::Create(i) => clients[(i / 3) % 2].create(&wfile(*i), &cred, 0o644),
+            WStep::Write(i, b) => {
+                clients[(i / 3) % 2].write(&wfile(*i), &cred, 0, &wpayload(*b)).map(|_| ())
+            }
+            WStep::Unlink(i) => clients[(i / 3) % 2].unlink(&wfile(*i), &cred),
+            WStep::Drain => {
+                drain();
+                Ok(())
+            }
+        };
+    }
+    drain();
+    let fs = dfs.client();
+    let report = region.report();
+    let counters = &region.core().counters;
+    WOutcome {
+        snapshot: dfs.snapshot(),
+        contents: (0..6).map(|i| fs.read(&wfile(i), &cred, 0, 4096).ok()).collect(),
+        settled: report.committed + report.coalesced_cancel + report.coalesced_collapse,
+        writeback_skipped: counters.get("writeback_skipped"),
+        discarded: report.discarded + counters.get("commit_errors"),
+        small_batches: dfs.mds_counter("size_batch"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Grouping a batch's writebacks changes how many requests carry them,
+    /// never what they do: at batch 2, 8 and 32 the DFS ends with the
+    /// namespace, file sizes and file contents of the one-at-a-time path,
+    /// which in turn are what the same steps leave on a plain DFS; every
+    /// op settles exactly once; and a writeback is skipped only where the
+    /// single path skips it too (a create cancelled in the publish buffer
+    /// takes its queued writebacks with it, so there may be fewer).
+    #[test]
+    fn grouped_writebacks_equivalent_to_single_writebacks(
+        steps in proptest::collection::vec(wstep_strategy(), 1..80),
+    ) {
+        let cred = Credentials::new(1, 1);
+        let single = run_writebacks(&steps, 1);
+        prop_assert_eq!(single.small_batches, 0, "batch 1 is the one-at-a-time path");
+        prop_assert_eq!(single.discarded, 0);
+
+        let oracle = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let fs = oracle.client();
+        for dir in ["/w", "/w/d0", "/w/d1"] {
+            fs.mkdir(dir, &cred, if dir == "/w" { 0o777 } else { 0o755 }).unwrap();
+        }
+        for s in &steps {
+            let _ = match s {
+                WStep::Create(i) => fs.create(&wfile(*i), &cred, 0o644),
+                WStep::Write(i, b) => fs.write(&wfile(*i), &cred, 0, &wpayload(*b)).map(|_| ()),
+                WStep::Unlink(i) => fs.unlink(&wfile(*i), &cred),
+                WStep::Drain => Ok(()),
+            };
+        }
+        prop_assert_eq!(&single.snapshot, &oracle.snapshot(), "batch 1 vs plain DFS");
+        let want: Vec<_> = (0..6).map(|i| fs.read(&wfile(i), &cred, 0, 4096).ok()).collect();
+        prop_assert_eq!(&single.contents, &want, "batch 1 vs plain DFS");
+
+        for batch in [2usize, 8, 32] {
+            let grouped = run_writebacks(&steps, batch);
+            prop_assert_eq!(&grouped.snapshot, &single.snapshot, "namespace/sizes (batch={})", batch);
+            prop_assert_eq!(&grouped.contents, &single.contents, "contents (batch={})", batch);
+            prop_assert_eq!(grouped.settled, single.settled, "settled ops (batch={})", batch);
+            prop_assert_eq!(grouped.discarded, 0, "discarded (batch={})", batch);
+            prop_assert!(
+                grouped.writeback_skipped <= single.writeback_skipped,
+                "skipped {} > {} (batch={})", grouped.writeback_skipped, single.writeback_skipped, batch
+            );
+        }
+    }
+}
+
+/// The shape the proptest is built to reach, pinned: one batch carrying
+/// two writebacks of the same path around an unlink and a re-create. Both
+/// settle, and the DFS copy holds the re-created file's bytes.
+#[test]
+fn one_batch_with_two_writebacks_of_one_path_settles_both() {
+    let cred = Credentials::new(1, 1);
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let config = PaconConfig::new("/w", Topology::new(1, 1), cred).with_commit_batch(32);
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+    c.create("/w/f", &cred, 0o644).unwrap();
+    c.create("/w/g", &cred, 0o644).unwrap();
+    while !region.core().drained() {
+        w.step();
+    }
+    // The creates are committed, so the unlink below cannot cancel one.
+    c.write("/w/f", &cred, 0, b"first incarnation").unwrap();
+    c.unlink("/w/f", &cred).unwrap();
+    c.create("/w/f", &cred, 0o644).unwrap();
+    c.write("/w/f", &cred, 0, b"second").unwrap();
+    c.write("/w/g", &cred, 0, b"bystander").unwrap();
+    assert_eq!(
+        w.step(),
+        WorkerStep::Batch { committed: 5, retried: 0, discarded: 0 },
+        "[write f, unlink f, create f, write f, write g] in one message"
+    );
+    assert!(region.core().drained());
+    assert_eq!(dfs.mds_counter("size_batch"), 1, "one size request for the group");
+    assert_eq!(dfs.mds_counter("size_batch_ops"), 3, "both writebacks of /w/f are in it");
+    assert_eq!(region.core().counters.get("writeback_skipped"), 0);
+    let fs = dfs.client();
+    assert_eq!(fs.read("/w/f", &cred, 0, 64).unwrap(), b"second");
+    assert_eq!(fs.read("/w/g", &cred, 0, 64).unwrap(), b"bystander");
+}

@@ -238,6 +238,16 @@ mod tests {
         assert!(p.mds_batch_per_op < p.mds_unlink);
         assert!(p.mds_batch_per_op < p.mds_create);
         assert!(p.mds_batch_base + 32 * p.mds_batch_per_op < 32 * p.mds_unlink);
+        // Data-plane group commit: the data server's per-visit floor (one
+        // whole MiB) is paid per request, so a vectored visit carrying 16
+        // small files undercuts 16 single visits; the size batch that
+        // follows amortizes only the request base — each file's size
+        // update still costs a full `mds_stat`, and 16 of them batched
+        // beat the getattr + set_size pair per file they replace.
+        let visit = |bytes: u64| bytes.div_ceil(1 << 20).max(1) * p.data_write_per_mib;
+        assert!(visit(16 * 64) < 16 * visit(64));
+        assert!((p.mds_batch_base + 16 * p.mds_stat) / 16 >= p.mds_stat);
+        assert!(p.mds_batch_base + 16 * p.mds_stat < 16 * 2 * p.mds_stat);
         // Batched multi-get amortizes below per-key gets: the marginal
         // key undercuts the standalone op, and a batch of 32 beats 32
         // singles even before saved network hops are counted.

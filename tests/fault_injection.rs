@@ -515,3 +515,182 @@ fn mid_batch_crash_keeps_every_acked_op() {
     assert_eq!(names, (0..8).map(|i| format!("f{i}")).collect::<Vec<_>>());
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
+
+// ---------------------------------------------------------------------------
+// Data-plane group commit: faults inside a writeback group
+// ---------------------------------------------------------------------------
+
+/// Step `w` until the region is drained.
+fn drain(region: &PaconRegion, w: &mut pacon::commit::CommitWorker) {
+    let mut spins = 0;
+    while !region.core().drained() {
+        assert_ne!(w.step(), WorkerStep::Crashed);
+        spins += 1;
+        assert!(spins < 10_000, "commit never converged");
+    }
+}
+
+fn group_payload(i: usize) -> Vec<u8> {
+    vec![b'a' + i as u8; 16 + i]
+}
+
+/// An MDS outage landing inside a group's size request fails exactly the
+/// items it strikes; they disaggregate into the single-op retry backlog
+/// and commit there, the rest of the group commits at once.
+#[test]
+fn outage_inside_a_size_group_retries_only_the_struck_writebacks() {
+    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let region = PaconRegion::launch_paused(
+        PaconConfig::new("/job", Topology::new(1, 1), cred).with_commit_batch(6),
+        &dfs,
+    )
+    .unwrap();
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+    for i in 0..6 {
+        c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
+    }
+    // One writeback alone first: it walks `/job` into the commit process's
+    // dentry cache, so the group below resolves without an MDS round.
+    c.write("/job/f0", &cred, 0, b"warm").unwrap();
+    drain(&region, &mut w);
+    // Six writebacks, one full batch. The size request is the group's only
+    // MDS round and the outage strikes its first two items.
+    for i in 0..6 {
+        c.write(&format!("/job/f{i}"), &cred, 0, &group_payload(i)).unwrap();
+    }
+    dfs.inject_mds_failures(0, 2);
+    assert_eq!(w.step(), WorkerStep::Batch { committed: 4, retried: 2, discarded: 0 });
+    assert_eq!(dfs.mds_counter("size_batch"), 1);
+    assert_eq!(dfs.mds_counter("size_batch_ops"), 6);
+    assert_eq!(dfs.mds_counter("injected_failures"), 2);
+    assert!(!w.backlog_empty());
+    let sizes = |dfs: &dfs::DfsCluster| -> Vec<u64> {
+        let mut files: Vec<_> =
+            dfs.snapshot().into_iter().filter(|(p, _, _)| p.starts_with("/job/f")).collect();
+        files.sort();
+        files.into_iter().map(|(_, _, size)| size).collect()
+    };
+    assert_eq!(sizes(&dfs), [4, 0, 18, 19, 20, 21], "the struck items did not grow");
+
+    drain(&region, &mut w);
+    let report = region.report();
+    assert_eq!(report.committed, 13);
+    assert_eq!(report.resubmitted, 2);
+    assert_eq!(report.discarded, 0);
+    assert_eq!(dfs.mds_counter("size_batch"), 1, "retries take the single-op path");
+    assert_eq!(dfs.mds_counter("set_size"), 3, "the warm-up and the two retries");
+    let fs = dfs.client();
+    for i in 0..6 {
+        assert_eq!(fs.read(&format!("/job/f{i}"), &cred, 0, 64).unwrap(), group_payload(i));
+    }
+    assert!(region.core().pending_writebacks.lock().is_empty(), "every slot released");
+}
+
+/// A cache node that is down while a group is claimed: its records are
+/// unreachable, not gone. Their writebacks must go to the retry backlog
+/// (`resubmitted`), never settle as "record vanished" — the batched cache
+/// read reports both as a miss. Once the node is back (cold: a crash
+/// wipes it) they find no record and settle as skipped; every file whose
+/// record survived has its full payload on the DFS.
+#[test]
+fn cache_node_down_during_the_group_claim_retries_instead_of_skipping() {
+    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let region = PaconRegion::launch_paused(
+        PaconConfig::new("/job", Topology::new(2, 1), cred).with_commit_batch(8),
+        &dfs,
+    )
+    .unwrap();
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+    let paths: Vec<String> = (0..8).map(|i| format!("/job/f{i}")).collect();
+    for p in &paths {
+        c.create(p, &cred, 0o644).unwrap();
+    }
+    drain(&region, &mut w);
+    for (i, p) in paths.iter().enumerate() {
+        c.write(p, &cred, 0, &group_payload(i)).unwrap();
+    }
+    let victim = simnet::NodeId(1);
+    let on_victim: Vec<bool> = paths
+        .iter()
+        .map(|p| region.core().cache_cluster.shard_node(p.as_bytes()) == victim)
+        .collect();
+    let down = on_victim.iter().filter(|v| **v).count() as u32;
+    assert!(down > 0 && down < 8, "the eight names must spread over both shards");
+
+    region.apply_fault(simnet::FaultEvent::CrashCacheNode(victim));
+    assert_eq!(w.step(), WorkerStep::Batch { committed: 8 - down, retried: down, discarded: 0 });
+    let counters = &region.core().counters;
+    assert_eq!(region.report().resubmitted, down as u64);
+    assert_eq!(counters.get("writeback_skipped"), 0, "unreachable is not absent");
+    // Still unreachable: the single-op retries keep failing the same way.
+    w.step();
+    assert_eq!(counters.get("writeback_skipped"), 0);
+    assert!(region.report().resubmitted > down as u64);
+
+    region.apply_fault(simnet::FaultEvent::RestartCacheNode(victim));
+    drain(&region, &mut w);
+    assert_eq!(counters.get("writeback_skipped"), down as u64, "wiped records are gone");
+    assert_eq!(region.report().committed, 16);
+    assert_eq!(region.report().discarded, 0);
+    let fs = dfs.client();
+    for (i, p) in paths.iter().enumerate() {
+        let want = if on_victim[i] { Vec::new() } else { group_payload(i) };
+        assert_eq!(fs.read(p, &cred, 0, 64).unwrap(), want, "{p}");
+    }
+    assert!(region.core().pending_writebacks.lock().is_empty());
+}
+
+/// `CrashPoint::MidBatch` firing inside a writeback group: the group's
+/// bytes and sizes are on the DFS, none of its writebacks has settled.
+/// The relaunch replays the whole log — creates and writebacks alike
+/// no-op on their recorded identities — and every file is complete,
+/// exactly once.
+#[test]
+fn mid_batch_crash_inside_a_writeback_group_replays_without_duplicates() {
+    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let wal_dir = fresh_wal_dir("midgroup");
+    let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
+        .with_commit_batch(8)
+        .with_durability(&wal_dir);
+
+    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
+    // First hit: after the namespace batch. Second: after the group.
+    region.core().crash.arm(CrashPoint::MidBatch, 2);
+    let c = region.client(ClientId(0));
+    for i in 0..4 {
+        c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
+        c.write(&format!("/job/f{i}"), &cred, 0, &group_payload(i)).unwrap();
+    }
+    let mut w = region.take_worker(0);
+    assert_eq!(w.step(), WorkerStep::Crashed, "killed between the group's apply and its settle");
+    let old = region.report();
+    assert_eq!(old.committed, 4, "the creates settled, no writeback did");
+    assert_eq!(old.wal_appended, 8);
+    assert_eq!(dfs.mds_counter("size_batch_ops"), 4, "the group reached the DFS");
+    let identities = dfs.seen_len();
+    assert_eq!(identities, 8, "four creates and four writebacks are remembered");
+    drop(w);
+    region.abort();
+    drop(c);
+    drop(region);
+
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let rep = region.report();
+    assert_eq!(rep.wal_replayed, 8);
+    assert_eq!(rep.wal_replayed, rep.recovery_applied + rep.recovery_skipped);
+    assert_eq!(dfs.mds_counter("replay_noop"), 4, "replayed creates no-op");
+    assert_eq!(dfs.mds_counter("set_size"), 0, "replayed writebacks no-op: no size moved twice");
+    let fs = dfs.client();
+    let mut names = fs.readdir("/job", &cred).unwrap();
+    names.sort();
+    assert_eq!(names, (0..4).map(|i| format!("f{i}")).collect::<Vec<_>>());
+    for i in 0..4 {
+        assert_eq!(fs.read(&format!("/job/f{i}"), &cred, 0, 64).unwrap(), group_payload(i));
+    }
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}

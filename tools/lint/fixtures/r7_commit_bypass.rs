@@ -9,4 +9,12 @@ impl Mounter {
     pub fn ensure_root(&self) {
         self.dfs.mkdir("/pacon");
     }
+
+    pub fn flush_inline(&self) {
+        self.dfs.write_small_batch("/pacon/f");
+    }
+
+    pub fn replay_inline(&self) {
+        self.dfs.write_small_batch("/pacon/f");
+    }
 }

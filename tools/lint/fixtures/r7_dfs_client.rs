@@ -8,4 +8,8 @@ impl DfsClient {
     pub fn mkdir(&self, path: &str) -> bool {
         !path.is_empty() && !self.root.is_empty()
     }
+
+    pub fn write_small_batch(&self, path: &str) -> bool {
+        path.starts_with(&self.root)
+    }
 }

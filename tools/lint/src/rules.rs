@@ -324,16 +324,27 @@ pub fn r9(f: &FileFacts) -> Vec<Finding> {
     findings
 }
 
-/// Point mutations on the dfs surface — everything that changes
-/// namespace state outside the sanctioned batch/idempotent entry
-/// points.
-const DFS_MUTATORS: &[&str] =
-    &["mkdir", "create", "unlink", "rmdir", "write", "set_size", "rename"];
+/// Mutations on the dfs surface that pacon may only reach from the
+/// commit path: the point mutations, and the data-plane group commit
+/// (`write_small_batch` and the server requests it is made of).
+const DFS_MUTATORS: &[&str] = &[
+    "mkdir",
+    "create",
+    "unlink",
+    "rmdir",
+    "write",
+    "set_size",
+    "rename",
+    "write_small_batch",
+    "write_chunks",
+    "set_sizes",
+];
 
 /// R7: pacon code mutating Mds/cluster state outside the commit path.
 /// Commits must flow through `apply_batch` / `write_idempotent` /
 /// replay so idempotent-replay identities and failure injection see
-/// them; a direct `self.dfs.mkdir(..)` bypasses all of it.
+/// them; a direct `self.dfs.mkdir(..)` bypasses all of it, and so does
+/// a `write_small_batch` issued from anywhere but the commit worker.
 pub fn r7(ws: &Workspace, allows: &dyn Fn(&str, usize, &str) -> bool) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (i, f) in ws.fns.iter().enumerate() {
