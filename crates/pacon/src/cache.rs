@@ -39,6 +39,16 @@ pub enum CacheError {
     Unavailable,
 }
 
+/// A record as its shard held it: the CAS version it was stored (or read)
+/// at, and the ring epoch observed *before* that store or read. This is
+/// what [`MetaCache::update`] returns and what it can start from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Held {
+    pub meta: CachedMeta,
+    pub version: u64,
+    pub epoch: u64,
+}
+
 /// Per-client handle onto the region's distributed metadata cache.
 #[derive(Clone)]
 pub struct MetaCache {
@@ -228,30 +238,59 @@ impl MetaCache {
         Ok(added.ok_or(FsError::AlreadyExists))
     }
 
-    /// The CAS-retry update loop, every get and CAS individually guarded.
-    /// `f` is re-run on every conflict against the freshest record;
-    /// returning `Err` aborts. Outer error = cache unreachable mid-loop;
-    /// inner = the caller's abort, or the final record (`None` if the
-    /// path is not cached).
+    /// The one read-modify-write primitive: the CAS-retry loop, every get
+    /// and CAS individually guarded. `f` is re-run on every conflict
+    /// against the freshest record; returning `Err` aborts. Outer error =
+    /// cache unreachable mid-loop; inner = the caller's abort, or the
+    /// record as the cache now holds it (`None` if the path is not cached).
+    ///
+    /// `start` is a record the caller already holds ([`Held`]): the first
+    /// attempt then skips the `gets` and goes straight to the CAS, whose
+    /// version check and epoch fence are the only things that validate a
+    /// held copy. Nothing else is concluded from it — if `f` aborts on it
+    /// or leaves it unchanged there is no CAS to validate it, so the loop
+    /// re-reads and asks `f` again. A stale copy therefore costs one
+    /// rejected CAS and then the ordinary `gets` + `cas`.
+    ///
+    /// An update that leaves a *read* record unchanged returns it without
+    /// a CAS: an identical store buys nothing and bumps the version under
+    /// every other holder.
     pub fn update<E>(
         &self,
         path: &str,
+        mut start: Option<Held>,
         mut f: impl FnMut(&mut CachedMeta) -> Result<(), E>,
-    ) -> Result<Result<Option<CachedMeta>, E>, CacheError> {
+    ) -> Result<Result<Option<Held>, E>, CacheError> {
         for _ in 0..MAX_CAS_ATTEMPTS {
-            // Epoch before the get: the fence below is then conservative —
-            // any membership change since this read (a reshard could have
-            // moved the key mid-loop) rejects the CAS, never the reverse.
-            let seen_epoch = self.kv.cluster().ring_epoch();
-            let Some((mut meta, version)) = self.get(path)? else {
-                return Ok(Ok(None));
+            let (mut cur, read) = match start.take() {
+                Some(held) => (held, false),
+                None => {
+                    // Epoch before the get: the fence below is then
+                    // conservative — any membership change since this read
+                    // (a reshard could have moved the key mid-loop) rejects
+                    // the CAS, never the reverse.
+                    let epoch = self.kv.cluster().ring_epoch();
+                    let Some((meta, version)) = self.get(path)? else {
+                        return Ok(Ok(None));
+                    };
+                    (Held { meta, version, epoch }, true)
+                }
             };
-            if let Err(e) = f(&mut meta) {
+            let before = cur.meta.clone();
+            let verdict = f(&mut cur.meta);
+            let unchanged = cur.meta == before;
+            if !read && (verdict.is_err() || unchanged) {
+                continue;
+            }
+            if let Err(e) = verdict {
                 return Ok(Err(e));
             }
-            let bytes = meta.encode();
+            if unchanged {
+                return Ok(Ok(Some(cur)));
+            }
+            let bytes = cur.meta.encode();
             let outcome = self.guarded(|kv| {
-                match kv.cas(path.as_bytes(), version, &bytes, seen_epoch) {
+                match kv.cas(path.as_bytes(), cur.version, &bytes, cur.epoch) {
                     // Stale routing view: surface as a version conflict so
                     // this loop re-reads value, version *and* epoch.
                     // (Retrying inside `guarded` would re-send the same
@@ -260,13 +299,16 @@ impl MetaCache {
                         if let Some(core) = &self.fault {
                             core.counters.incr("wrong_epoch_retries");
                         }
-                        Ok(CasOutcome::Conflict { current_version: version })
+                        Ok(CasOutcome::Conflict { current_version: cur.version })
                     }
                     other => other,
                 }
             })?;
             match outcome {
-                CasOutcome::Stored { .. } => return Ok(Ok(Some(meta))),
+                CasOutcome::Stored { new_version } => {
+                    cur.version = new_version;
+                    return Ok(Ok(Some(cur)));
+                }
                 CasOutcome::Conflict { .. } => continue,
                 CasOutcome::NotFound => return Ok(Ok(None)),
             }
@@ -330,7 +372,7 @@ mod tests {
         let c = cache();
         c.add_new("/w/f", &meta()).unwrap().unwrap();
         let out = c
-            .update::<()>("/w/f", |m| {
+            .update::<()>("/w/f", None, |m| {
                 m.size = 77;
                 m.committed = true;
                 Ok(())
@@ -338,24 +380,125 @@ mod tests {
             .unwrap()
             .unwrap()
             .unwrap();
-        assert_eq!(out.size, 77);
-        let (m, _) = c.get("/w/f").unwrap().unwrap();
+        assert_eq!(out.meta.size, 77);
+        let (m, version) = c.get("/w/f").unwrap().unwrap();
         assert!(m.committed);
+        assert_eq!(out.version, version, "update reports the version it stored");
     }
 
     #[test]
     fn update_missing_returns_none() {
         let c = cache();
-        assert_eq!(c.update::<()>("/nope", |_| Ok(())), Ok(Ok(None)));
+        assert_eq!(c.update::<()>("/nope", None, |_| Ok(())), Ok(Ok(None)));
     }
 
     #[test]
     fn update_error_aborts() {
         let c = cache();
         c.add_new("/w/f", &meta()).unwrap().unwrap();
-        assert_eq!(c.update("/w/f", |_| Err("nope")), Ok(Err("nope")));
+        assert_eq!(c.update("/w/f", None, |_| Err("nope")), Ok(Err("nope")));
         let (m, _) = c.get("/w/f").unwrap().unwrap();
         assert_eq!(m.size, 0, "aborted update must not mutate");
+    }
+
+    #[test]
+    fn unchanged_update_does_not_cas() {
+        let c = cache();
+        c.add_new("/w/f", &meta()).unwrap().unwrap();
+        let (_, version) = c.get("/w/f").unwrap().unwrap();
+        let before = c.kv().cluster().stats();
+        let out = c.update::<()>("/w/f", None, |_| Ok(())).unwrap().unwrap().unwrap();
+        let after = c.kv().cluster().stats();
+        assert_eq!((after.gets - before.gets, after.cas_ok - before.cas_ok), (1, 0));
+        assert_eq!(out.version, version, "nothing stored, so the version stands");
+    }
+
+    #[test]
+    fn held_start_goes_straight_to_the_cas() {
+        let c = cache();
+        let epoch = c.kv().cluster().ring_epoch();
+        let version = c.add_new("/w/f", &meta()).unwrap().unwrap();
+        let before = c.kv().cluster().stats();
+        let held = Held { meta: meta(), version, epoch };
+        let out = c
+            .update::<()>("/w/f", Some(held), |m| {
+                m.size += 1;
+                Ok(())
+            })
+            .unwrap()
+            .unwrap()
+            .unwrap();
+        let after = c.kv().cluster().stats();
+        assert_eq!((after.gets - before.gets, after.cas_ok - before.cas_ok), (0, 1));
+        assert_eq!(c.get("/w/f").unwrap().unwrap(), (out.meta.clone(), out.version));
+        assert_eq!(out.meta.size, 1);
+    }
+
+    #[test]
+    fn stale_held_start_falls_back_to_the_read_loop() {
+        let c = cache();
+        let epoch = c.kv().cluster().ring_epoch();
+        let version = c.add_new("/w/f", &meta()).unwrap().unwrap();
+        // Somebody else moves the record on: the held copy is now stale in
+        // both content and version.
+        c.update::<()>("/w/f", None, |m| {
+            m.committed = true;
+            Ok(())
+        })
+        .unwrap()
+        .unwrap();
+        let before = c.kv().cluster().stats();
+        let held = Held { meta: meta(), version, epoch };
+        let out = c
+            .update::<()>("/w/f", Some(held), |m| {
+                m.size = 9;
+                Ok(())
+            })
+            .unwrap()
+            .unwrap()
+            .unwrap();
+        let after = c.kv().cluster().stats();
+        assert_eq!(
+            (
+                after.cas_conflicts - before.cas_conflicts,
+                after.gets - before.gets,
+                after.cas_ok - before.cas_ok
+            ),
+            (1, 1, 1)
+        );
+        assert!(out.meta.committed, "the stale copy's content never landed");
+        assert_eq!(out.meta.size, 9);
+    }
+
+    /// A held copy is only ever trusted through a CAS. When the closure
+    /// aborts on it, or has nothing to change, there is no CAS — so the
+    /// verdict must come from a fresh read instead.
+    #[test]
+    fn held_start_is_never_trusted_without_a_cas() {
+        let c = cache();
+        let epoch = c.kv().cluster().ring_epoch();
+        let version = c.add_new("/w/f", &meta()).unwrap().unwrap();
+        c.update::<()>("/w/f", None, |m| {
+            m.removed = true;
+            Ok(())
+        })
+        .unwrap()
+        .unwrap();
+        let held = || Some(Held { meta: meta(), version, epoch });
+        // Unchanged on the held copy: the answer is the fresh record.
+        let seen = c.update::<()>("/w/f", held(), |_| Ok(())).unwrap().unwrap().unwrap();
+        assert!(seen.meta.removed);
+        // Abort decided on the held copy: re-decided on the fresh one.
+        let mut calls = 0;
+        let verdict = c.update("/w/f", held(), |m| {
+            calls += 1;
+            if m.removed {
+                Err("removed")
+            } else {
+                Err("live")
+            }
+        });
+        assert_eq!((verdict, calls), (Ok(Err("removed")), 2));
     }
 
     #[test]
@@ -368,7 +511,7 @@ mod tests {
             let c = MetaCache::new(cluster.client(NodeId(0)));
             handles.push(std::thread::spawn(move || {
                 for _ in 0..200 {
-                    c.update::<()>("/ctr", |m| {
+                    c.update::<()>("/ctr", None, |m| {
                         m.size += 1;
                         Ok(())
                     })

@@ -24,7 +24,7 @@ use mq::{Publisher, ReliablePublisher};
 use simnet::{charge, ClientId, NodeId, Station};
 use syncguard::{level, Mutex, RwLock};
 
-use crate::cache::{CacheError, MetaCache};
+use crate::cache::{CacheError, Held, MetaCache};
 use crate::commit::op::{CommitOp, QueueMsg};
 use crate::degraded::Mode as DegradedMode;
 use crate::eviction;
@@ -57,6 +57,20 @@ pub struct PaconClient {
     /// creations in one directory (the common mdtest/N-N pattern) pay the
     /// parent-existence check only once. Invalidated by rmdir.
     parent_memo: Mutex<Option<String>>,
+    /// Own-write memo: the one record this client stored last, exactly as
+    /// its shard holds it. The next write of the same path hands it to
+    /// [`MetaCache::update`] and goes straight to the CAS — the N-N
+    /// checkpoint shape (create a file, write it) then costs two cache
+    /// round trips, not four. Taken out on use and put back only by the
+    /// update that succeeded, so an unlink or any failure in between
+    /// drops it. A leaf lock: never held across a cache RPC.
+    write_memo: Mutex<WriteMemo>,
+}
+
+struct WriteMemo {
+    /// Outlives the entry, so refilling the memo reuses the buffer.
+    path: String,
+    held: Option<Held>,
 }
 
 /// Encoded-metadata header size (see `CachedMeta::encode`); counted
@@ -83,6 +97,11 @@ impl PaconClient {
             id,
             node,
             parent_memo: Mutex::new(level::CLIENT_MEMO, "pacon.client.parent_memo", None),
+            write_memo: Mutex::new(
+                level::CLIENT_MEMO,
+                "pacon.client.write_memo",
+                WriteMemo { path: String::new(), held: None },
+            ),
         }
     }
 
@@ -444,6 +463,62 @@ impl PaconClient {
         self.batched_get_on(&self.cache, paths)
     }
 
+    /// Take the own-write memo's record for `path`, if it may stand in for
+    /// a read. Safety does not rest on the copy being fresh — the CAS it
+    /// feeds carries its version and ring epoch, so a record that moved
+    /// on, was evicted and reloaded, lost its shard or changed owner is
+    /// rejected there. What a skipped read would silently bypass is
+    /// checked here instead: the degraded guard (the memo is used only
+    /// while the region is `Healthy`) and `purge_if_stale` (a path whose
+    /// removal committed while its shard was dark must read as gone).
+    fn take_memo(&self, path: &str) -> Option<Held> {
+        let held = {
+            let mut memo = self.write_memo.lock();
+            if memo.path != path {
+                return None;
+            }
+            memo.held.take()
+        }?;
+        (self.core.degraded.mode() == DegradedMode::Healthy && !self.core.is_stale_tombstone(path))
+            .then_some(held)
+    }
+
+    /// Fill the own-write memo with a record this client just stored.
+    /// Only files are ever written or unlinked, so only they are kept.
+    fn remember(&self, path: &str, held: Held) {
+        if held.meta.kind != FileKind::File {
+            return;
+        }
+        let mut memo = self.write_memo.lock();
+        if memo.path != path {
+            memo.path.clear();
+            memo.path.push_str(path);
+        }
+        memo.held = Some(held);
+    }
+
+    /// Read-modify-write of `path`'s record for write and unlink: one
+    /// [`MetaCache::update`], from `start` if the caller holds the record.
+    /// An uncached entry is pulled in from the DFS (mirroring the
+    /// getattr-miss path) and the same update runs again; `None` after
+    /// that means the entry is gone.
+    fn update_cached(
+        &self,
+        path: &str,
+        cred: &Credentials,
+        start: Option<Held>,
+        mut f: impl FnMut(&mut CachedMeta) -> FsResult<()>,
+    ) -> Result<FsResult<Option<Held>>, CacheError> {
+        match self.cache.update(path, start, &mut f)? {
+            Ok(None) => {}
+            settled => return Ok(settled),
+        }
+        if let Err(e) = self.load_from_dfs(path, cred) {
+            return Ok(Err(e));
+        }
+        self.cache.update(path, None, &mut f)
+    }
+
     fn create_kind(
         &self,
         path: &str,
@@ -465,12 +540,15 @@ impl PaconClient {
         // conflict (it may duplicate an acknowledged-but-uncommitted
         // creation this admission check cannot see).
         let mut degraded = false;
+        // Read before the store, like `update` reads it before its get:
+        // a membership change in between then fences the memo's CAS.
+        let epoch = self.core.cache_cluster.ring_epoch();
         match self.cache.add_new(path, &fresh) {
-            Ok(Ok(_)) => {}
+            Ok(Ok(version)) => self.remember(path, Held { meta: fresh, version, epoch }),
             Ok(Err(FsError::AlreadyExists)) => {
                 // A record exists; re-creation is legal only over a
                 // marked-removed one (Section III.D-1).
-                match self.cache.update(path, |m| {
+                match self.cache.update(path, None, |m| {
                     if m.removed {
                         *m = fresh.clone();
                         Ok(())
@@ -478,7 +556,7 @@ impl PaconClient {
                         Err(FsError::AlreadyExists)
                     }
                 }) {
-                    Ok(Ok(Some(_))) => {}
+                    Ok(Ok(Some(held))) => self.remember(path, held),
                     Ok(Ok(None)) => {
                         // Record vanished between add and update: retry
                         // once as a fresh add.
@@ -669,7 +747,7 @@ impl PaconClient {
                 // attempt: the retry envelope of a degraded region would
                 // fail fast, and a shard that is down has no record left
                 // to keep coherent.
-                let _ = MetaCache::new(self.cache.kv().clone()).update::<()>(path, |m| {
+                let _ = MetaCache::new(self.cache.kv().clone()).update::<()>(path, None, |m| {
                     if !m.large && !m.removed {
                         if m.inline.len() < end {
                             m.inline.resize(end, 0);
@@ -835,19 +913,13 @@ impl FileSystem for PaconClient {
             Route::Own => {
                 drop(merged);
                 self.check_perm(self.parent_of(path)?, cred, ACCESS_W | ACCESS_X)?;
-                match self.cache.get(path) {
-                    Ok(Some(_)) => {}
-                    Ok(None) => {
-                        // rm of an uncached entry: verify against the DFS
-                        // and pull the record in, mirroring the
-                        // getattr-miss path.
-                        self.load_from_dfs(path, cred)?;
-                    }
-                    Err(CacheError::Unavailable) => {
-                        return self.degraded_unlink(path, cred);
-                    }
-                }
-                let updated = match self.cache.update(path, |m| {
+                // The record this describes is going away: spend the memo
+                // without using it. An unlink rarely follows its file's
+                // last write closely — the commit worker has usually
+                // marked the record committed by then, and a copy gone
+                // stale costs a wasted CAS on top of the read.
+                drop(self.take_memo(path));
+                let updated = match self.update_cached(path, cred, None, |m| {
                     if m.removed {
                         return Err(FsError::NotFound);
                     }
@@ -1077,15 +1149,6 @@ impl FileSystem for PaconClient {
             Route::Own => {
                 drop(merged);
                 self.check_perm(path, cred, ACCESS_W)?;
-                match self.cache.get(path) {
-                    Ok(Some(_)) => {}
-                    Ok(None) => {
-                        self.load_from_dfs(path, cred)?;
-                    }
-                    Err(CacheError::Unavailable) => {
-                        return self.degraded_write(path, cred, offset, data);
-                    }
-                }
                 enum Outcome {
                     Inline,
                     WentLarge(Vec<u8>),
@@ -1093,7 +1156,8 @@ impl FileSystem for PaconClient {
                 }
                 let mut outcome = Outcome::Inline;
                 let end = offset as usize + data.len();
-                let updated = match self.cache.update(path, |m| {
+                let memo = self.take_memo(path);
+                let updated = match self.update_cached(path, cred, memo, |m| {
                     if m.removed {
                         return Err(FsError::NotFound);
                     }
@@ -1133,8 +1197,8 @@ impl FileSystem for PaconClient {
                         return self.degraded_write(path, cred, offset, data);
                     }
                 };
-                let meta = updated.ok_or(FsError::NotFound)?;
-                match outcome {
+                let held = updated.ok_or(FsError::NotFound)?;
+                let held = match outcome {
                     Outcome::Inline => {
                         // Coalesce: the worker reads the freshest primary
                         // copy at commit time, so one queued writeback
@@ -1142,7 +1206,7 @@ impl FileSystem for PaconClient {
                         if eviction::queue_writeback(&self.core, path) {
                             self.publish_with_snapshot(
                                 CommitOp::WriteInline { path: path.to_string() },
-                                Some(&meta.inline),
+                                Some(&held.meta.inline),
                             )?;
                         } else {
                             self.core.counters.incr("writeback_coalesced");
@@ -1165,31 +1229,35 @@ impl FileSystem for PaconClient {
                                 self.core.wal_append(
                                     self.node.index(),
                                     &msg,
-                                    Some(&meta.inline),
+                                    Some(&held.meta.inline),
                                 )?;
                             }
                         }
+                        Some(held)
                     }
                     Outcome::WentLarge(full) => {
-                        if meta.committed {
+                        if held.meta.committed {
                             // lint: allow(commit-path, data plane: committed file contents write back directly, only metadata is queued)
                             self.dfs.write(path, cred, 0, &full)?;
                         } else {
                             let n = full.len();
                             self.stage_data(path, full, n);
                         }
+                        Some(held)
                     }
+                    // The size updates below start from the record the
+                    // first update just read: one CAS, no second read.
                     Outcome::AlreadyLarge { committed } => {
-                        if committed {
+                        let resized = if committed {
                             // lint: allow(commit-path, data plane: committed file contents write back directly, only metadata is queued)
                             self.dfs.write(path, cred, offset, data)?;
                             // Best-effort: a wiped record reloads its
                             // size from the DFS copy just written.
-                            let _ = self.cache.update::<()>(path, |m| {
+                            self.cache.update::<()>(path, Some(held), |m| {
                                 m.size = m.size.max(end as u64);
                                 m.mtime = self.core.now();
                                 Ok(())
-                            });
+                            })
                         } else {
                             let mut staging = self.core.staging.lock();
                             let buf = staging.entry(path.to_string()).or_default();
@@ -1201,12 +1269,19 @@ impl FileSystem for PaconClient {
                             drop(staging);
                             self.stage_data(path, snapshot, data.len());
                             // Best-effort: the bytes are staged durably.
-                            let _ = self.cache.update::<()>(path, |m| {
+                            self.cache.update::<()>(path, Some(held), |m| {
                                 m.size = m.size.max(end as u64);
                                 Ok(())
-                            });
+                            })
+                        };
+                        match resized {
+                            Ok(Ok(held)) => held,
+                            _ => None,
                         }
                     }
+                };
+                if let Some(held) = held {
+                    self.remember(path, held);
                 }
                 self.core.counters.incr("write");
                 eviction::maybe_evict(&self.core, &self.cache);

@@ -601,7 +601,7 @@ impl CommitWorker {
                 // Backup copy now exists: mark the cached record
                 // committed. Best-effort — a crashed shard's record is
                 // wiped anyway and rewarms as committed from the DFS.
-                let _ = self.cache.update::<()>(path, |m| {
+                let _ = self.cache.update::<()>(path, None, |m| {
                     m.committed = true;
                     Ok(())
                 });

@@ -672,6 +672,184 @@ fn multi_stat_survives_mid_batch_cache_crash() {
     );
 }
 
+// ---- the own-write memo can never land a stale write -----------------
+//
+// A client that wrote a file last remembers the record it stored and
+// sends its next write straight to the CAS. Each test below changes the
+// world under that remembered copy and checks that the write lands on
+// what is there *now* — final cache and DFS content after the drain.
+
+/// A three-node paused region with `/w/f` created, committed, written
+/// (`before`) and written back, so client 0's memo holds exactly the
+/// record the shard holds: same bytes, same version, same ring epoch.
+fn region_with_fresh_memo(
+    before: &[u8],
+) -> (Arc<DfsCluster>, Arc<PaconRegion>, Vec<pacon::PaconClient>, Vec<CommitWorker>, Credentials) {
+    let cred = Credentials::new(1, 1);
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let region =
+        PaconRegion::launch_paused(PaconConfig::new("/w", Topology::new(NODES, 1), cred), &dfs)
+            .unwrap();
+    let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
+    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
+    clients[0].create("/w/f", &cred, 0o644).unwrap();
+    drain(&region, &mut workers);
+    clients[0].write("/w/f", &cred, 0, before).unwrap();
+    drain(&region, &mut workers);
+    // The memo is live: one more write is a single CAS, no read.
+    let stats = region.core().cache_cluster.stats();
+    clients[0].write("/w/f", &cred, 0, before).unwrap();
+    let after = region.core().cache_cluster.stats();
+    assert_eq!((after.gets - stats.gets, after.cas_ok - stats.cas_ok), (0, 1));
+    drain(&region, &mut workers);
+    (dfs, region, clients, workers, cred)
+}
+
+/// (b) The owning cache node crashes, restarts cold, and a stat reloads
+/// the record from the DFS copy. Both membership events moved the ring
+/// epoch, so the remembered version is fenced before the shard even
+/// compares it.
+#[test]
+fn own_write_memo_is_fenced_by_a_cache_node_crash_and_restart() {
+    for reload in [true, false] {
+        let (dfs, region, clients, mut workers, cred) = region_with_fresh_memo(b"first-payload");
+        let core = region.core();
+        let owner = core.cache_cluster.shard_node(b"/w/f");
+        region.apply_fault(FaultEvent::CrashCacheNode(owner));
+        region.apply_fault(FaultEvent::RestartCacheNode(owner));
+        if reload {
+            assert_eq!(clients[1].stat("/w/f", &cred).unwrap().size, 13);
+        }
+        let fenced = core.counters.get("wrong_epoch_retries");
+        clients[0].write("/w/f", &cred, 0, b"2nd").unwrap();
+        assert!(core.counters.get("wrong_epoch_retries") > fenced, "reload={reload}");
+        assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
+        // The record in the cache is the DFS-loaded one (data on the
+        // DFS), not the remembered inline copy.
+        assert_eq!(clients[2].stat("/w/f", &cred).unwrap().size, 13);
+        drain(&region, &mut workers);
+        assert_eq!(dfs.client().read("/w/f", &cred, 0, 64).unwrap(), b"2ndst-payload");
+        assert_eq!(clients[0].read("/w/f", &cred, 0, 64).unwrap(), b"2ndst-payload");
+    }
+}
+
+/// (b, with traffic during the outage) A write while the owner is down
+/// takes the degraded path and drops the memo; after the restart and the
+/// recovery the next write starts from a read again.
+#[test]
+fn own_write_memo_is_dropped_by_a_degraded_window() {
+    let (dfs, region, clients, mut workers, cred) = region_with_fresh_memo(b"first-payload");
+    let core = region.core();
+    let owner = core.cache_cluster.shard_node(b"/w/f");
+    region.apply_fault(FaultEvent::CrashCacheNode(owner));
+    clients[0].write("/w/f", &cred, 0, b"dark").unwrap();
+    assert_eq!(core.degraded.mode(), DegradedMode::Degraded);
+    assert!(core.counters.get("degraded_writes") > 0);
+    region.apply_fault(FaultEvent::RestartCacheNode(owner));
+    while core.degraded.mode() != DegradedMode::Healthy {
+        core.advance(10_000_000); // past the probe interval
+        clients[1].stat("/w", &cred).unwrap();
+    }
+    let before = core.cache_cluster.stats();
+    clients[0].write("/w/f", &cred, 0, b"lit").unwrap();
+    let after = core.cache_cluster.stats();
+    assert!(after.gets > before.gets, "no remembered copy survived the outage");
+    drain(&region, &mut workers);
+    assert_eq!(dfs.client().read("/w/f", &cred, 0, 64).unwrap(), b"litkt-payload");
+    assert_eq!(clients[0].read("/w/f", &cred, 0, 64).unwrap(), b"litkt-payload");
+}
+
+/// (c) A live reshard moves the key between two writes of its owner-
+/// writer: once while the migration is in flight, once after it
+/// completed. Migration preserves versions, so only the epoch fence
+/// stands between the remembered copy and a CAS routed under a view the
+/// client never saw — it must trip both times, and both writes must land
+/// on the record's current home.
+#[test]
+fn own_write_memo_is_fenced_by_a_live_reshard() {
+    let (dfs, region, clients, mut workers, cred) = region_with_fresh_memo(b"0000000000");
+    let core = region.core();
+    let cluster = &core.cache_cluster;
+    let old_owner = cluster.shard_node(b"/w/f");
+    region.apply_fault(FaultEvent::LeaveNode(old_owner));
+    assert!(cluster.migration_active());
+
+    let fenced = core.counters.get("wrong_epoch_retries");
+    clients[0].write("/w/f", &cred, 0, b"11").unwrap();
+    assert!(core.counters.get("wrong_epoch_retries") > fenced, "mid-migration");
+
+    while cluster.migration_active() {
+        region.pump_reshard(4);
+    }
+    assert_ne!(cluster.shard_node(b"/w/f"), old_owner, "the key moved");
+    let fenced = core.counters.get("wrong_epoch_retries");
+    clients[0].write("/w/f", &cred, 4, b"22").unwrap();
+    assert!(core.counters.get("wrong_epoch_retries") > fenced, "after the flip");
+
+    // ...and with the ring quiet again the memo is back in business.
+    let before = cluster.stats();
+    clients[0].write("/w/f", &cred, 8, b"33").unwrap();
+    let after = cluster.stats();
+    assert_eq!((after.gets - before.gets, after.cas_ok - before.cas_ok), (0, 1));
+
+    assert_eq!(clients[1].read("/w/f", &cred, 0, 64).unwrap(), b"1100220033");
+    drain(&region, &mut workers);
+    assert_eq!(dfs.client().read("/w/f", &cred, 0, 64).unwrap(), b"1100220033");
+    assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
+}
+
+/// (e) A bystander node stays down. The writer's memo is filled *after*
+/// that crash (so no later membership event fences it), then a second
+/// client, refused by the degraded region, unlinks the file against the
+/// backup copy. The record survives on its healthy shard — untouched, so
+/// version and epoch still match the remembered copy exactly — marked
+/// only by a stale tombstone. The memo must not carry a write past that
+/// mark: `NotFound`, as before.
+#[test]
+fn own_write_memo_does_not_bypass_a_stale_tombstone() {
+    let (dfs, region, clients, mut workers, cred) = region_with_fresh_memo(b"live");
+    let core = region.core();
+    let owner = core.cache_cluster.shard_node(b"/w/f");
+    let bystander = (0..NODES).map(NodeId).find(|n| *n != owner).unwrap();
+    let key_on = |node: NodeId| {
+        (0..)
+            .map(|i| format!("/w/probe{i}"))
+            .find(|k| core.cache_cluster.shard_node(k.as_bytes()) == node)
+            .unwrap()
+    };
+    let (dark_key, lit_key) = (key_on(bystander), key_on(owner));
+    // Recover without a restart: probes that land on the healthy shard.
+    let recover = || {
+        while core.degraded.mode() != DegradedMode::Healthy {
+            core.advance(10_000_000); // past the probe interval
+            let _ = clients[2].stat(&lit_key, &cred);
+        }
+    };
+
+    region.apply_fault(FaultEvent::CrashCacheNode(bystander));
+    let _ = clients[1].stat(&dark_key, &cred); // burns the retry budget
+    assert_eq!(core.degraded.mode(), DegradedMode::Degraded);
+    recover();
+    let before = core.cache_cluster.stats();
+    clients[0].write("/w/f", &cred, 0, b"LIVE").unwrap();
+    clients[0].write("/w/f", &cred, 0, b"LIVE").unwrap();
+    let after = core.cache_cluster.stats();
+    assert_eq!((after.gets - before.gets, after.cas_ok - before.cas_ok), (1, 2), "memo refilled");
+
+    let _ = clients[1].stat(&dark_key, &cred);
+    assert_eq!(core.degraded.mode(), DegradedMode::Degraded);
+    clients[1].unlink("/w/f", &cred).unwrap();
+    recover();
+
+    let before = core.cache_cluster.stats();
+    assert_eq!(clients[0].write("/w/f", &cred, 0, b"dead"), Err(fsapi::FsError::NotFound));
+    let after = core.cache_cluster.stats();
+    assert_eq!(after.cas_ok, before.cas_ok, "nothing was stored on the dead incarnation");
+    drain(&region, &mut workers);
+    assert_eq!(dfs.client().stat("/w/f", &cred), Err(fsapi::FsError::NotFound));
+    assert_eq!(clients[2].stat("/w/f", &cred), Err(fsapi::FsError::NotFound));
+}
+
 // ---- fixed seeds: the CI chaos job runs exactly these three ----------
 
 #[test]

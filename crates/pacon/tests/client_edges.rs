@@ -368,3 +368,220 @@ fn repeated_small_writes_coalesce_into_one_writeback() {
     c.write("/app/hot", &cred, 0, b"fresh").unwrap();
     assert_eq!(region.report().ops_enqueued, 3);
 }
+
+// ---------------------------------------------------------------------------
+// Cache round trips per mutation
+// ---------------------------------------------------------------------------
+
+/// Cache round trips of one step, read from the shards' own counters:
+/// `(gets, sets, cas_ok, cas_conflicts)`. Every single-key read is one
+/// `gets`, `add`/`set` is one `sets`, a CAS is `cas_ok` or `cas_conflicts`
+/// (a CAS that finds no record counts as neither).
+fn round_trips(region: &PaconRegion, step: impl FnOnce()) -> (u64, u64, u64, u64) {
+    let before = region.core().cache_cluster.stats();
+    step();
+    let after = region.core().cache_cluster.stats();
+    (
+        after.gets - before.gets,
+        after.sets - before.sets,
+        after.cas_ok - before.cas_ok,
+        after.cas_conflicts - before.cas_conflicts,
+    )
+}
+
+/// A paused region: the test decides when commit workers run, so nothing
+/// but the step under measurement touches the cache.
+fn paused(topology: Topology) -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let region =
+        PaconRegion::launch_paused(PaconConfig::new("/app", topology, cred), &dfs).unwrap();
+    (dfs, region, cred)
+}
+
+/// The budget per op class. Counted, not timed: a write is one cache
+/// round trip when the client already holds the record it stored last;
+/// any other write or unlink is two, the read and the CAS; and a held
+/// copy gone stale costs one rejected CAS on top — three, what every
+/// write and unlink cost before.
+#[test]
+fn cache_round_trip_budget_per_op_class() {
+    let (dfs, region, cred) = paused(Topology::new(2, 2));
+    let raw = dfs.client();
+    let c = region.client(ClientId(0));
+    let other = region.client(ClientId(1));
+    let mut workers = [region.take_worker(0), region.take_worker(1)];
+    let mut drain = || {
+        while !region.core().drained() {
+            workers.iter_mut().for_each(|w| {
+                w.step();
+            });
+        }
+    };
+    let write = |who: &pacon::PaconClient, path: &str, data: &[u8]| {
+        who.write(path, &cred, 0, data).unwrap();
+    };
+    let budget = |what: &str, step: &mut dyn FnMut(), want: (u64, u64, u64, u64)| {
+        assert_eq!(round_trips(&region, step), want, "{what}: (gets, sets, cas_ok, cas_conflicts)");
+    };
+
+    // create = one store.
+    budget("create", &mut || c.create("/app/f", &cred, 0o644).unwrap(), (0, 1, 0, 0));
+    // create -> write and write -> write: straight to the CAS.
+    for data in [&b"one"[..], b"two", b"three"] {
+        budget("write own file", &mut || write(&c, "/app/f", data), (0, 0, 1, 0));
+    }
+    // An unlink reads: it comes long after its file's last write, as a
+    // rule, and a remembered copy gone stale would cost a wasted CAS. It
+    // spends the memo all the same.
+    c.create("/app/g", &cred, 0o644).unwrap();
+    budget("unlink own file", &mut || c.unlink("/app/g", &cred).unwrap(), (1, 0, 1, 0));
+    budget(
+        "write after own unlink",
+        &mut || assert_eq!(c.write("/app/g", &cred, 0, b"x"), Err(FsError::NotFound)),
+        (1, 0, 0, 0),
+    );
+
+    // A cached record another client wrote: one read, one CAS.
+    c.create("/app/h", &cred, 0o644).unwrap();
+    budget("write foreign record", &mut || write(&other, "/app/f", b"2"), (1, 0, 1, 0));
+    budget("unlink foreign record", &mut || other.unlink("/app/h", &cred).unwrap(), (1, 0, 1, 0));
+    // ...which leaves this client's copy of /app/f stale: one rejected
+    // CAS, then the same read + CAS.
+    c.create("/app/i", &cred, 0o644).unwrap();
+    c.write("/app/f", &cred, 0, b"x").unwrap(); // memo := /app/f, fresh again
+    other.write("/app/f", &cred, 0, b"y").unwrap();
+    budget("write with a stale memo", &mut || write(&c, "/app/f", b"z"), (1, 0, 1, 1));
+    // The worker's mark-committed moves the record on just the same.
+    c.create("/app/j", &cred, 0o644).unwrap();
+    drain();
+    budget("write after commit", &mut || write(&c, "/app/j", b"z"), (1, 0, 1, 1));
+    budget("unlink right after", &mut || c.unlink("/app/j", &cred).unwrap(), (1, 0, 1, 0));
+
+    // An uncached path: a miss, the DFS load (one store), read + CAS.
+    for p in ["/app/cold-w", "/app/cold-u"] {
+        raw.create(p, &cred, 0o644).unwrap();
+    }
+    budget("write uncached", &mut || write(&c, "/app/cold-w", b"w"), (2, 1, 1, 0));
+    budget("unlink uncached", &mut || c.unlink("/app/cold-u", &cred).unwrap(), (2, 1, 1, 0));
+    budget(
+        "write nowhere",
+        &mut || assert_eq!(c.write("/app/nope", &cred, 0, b"w"), Err(FsError::NotFound)),
+        (1, 0, 0, 0),
+    );
+
+    drain();
+    assert_eq!(raw.read("/app/f", &cred, 0, 64).unwrap(), b"zhree");
+    assert_eq!(raw.read("/app/cold-w", &cred, 0, 64).unwrap(), b"w");
+    for gone in ["/app/g", "/app/h", "/app/j", "/app/cold-u"] {
+        assert_eq!(raw.stat(gone, &cred), Err(FsError::NotFound), "{gone}");
+    }
+}
+
+/// An update that changes nothing must not store: a write to a file that
+/// is already large only decides where the bytes go (one read), and its
+/// size update starts from that read (one CAS) — two round trips where
+/// there were five. The worker's mark-committed of a record that already
+/// says so (reloaded from the DFS copy in between) stores nothing at all.
+#[test]
+fn unchanged_records_are_not_stored_again() {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let region = PaconRegion::launch_paused(
+        PaconConfig::new("/app", Topology::new(1, 1), cred).with_small_file_threshold(64),
+        &dfs,
+    )
+    .unwrap();
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+
+    c.create("/app/big", &cred, 0o644).unwrap();
+    c.write("/app/big", &cred, 0, &[7u8; 256]).unwrap(); // goes large, staged
+    step_to_idle(&mut w); // committed, staged bytes flushed
+    c.stat("/app/big", &cred).unwrap();
+    for offset in [256u64, 512] {
+        assert_eq!(
+            round_trips(&region, || {
+                c.write("/app/big", &cred, offset, &[8u8; 256]).unwrap();
+            }),
+            (1, 0, 1, 0),
+            "large write at {offset}"
+        );
+    }
+    assert_eq!(c.stat("/app/big", &cred).unwrap().size, 768);
+    assert_eq!(dfs.client().read("/app/big", &cred, 700, 100).unwrap(), vec![8u8; 68]);
+
+    // Mark-committed of an already-committed record.
+    c.create("/app/f", &cred, 0o644).unwrap();
+    let cache = pacon::cache::MetaCache::new(region.core().cache_cluster.client(NodeId(0)));
+    let (mut meta, _) = cache.get("/app/f").unwrap().unwrap();
+    meta.committed = true;
+    cache.put("/app/f", &meta).unwrap();
+    let (gets, sets, cas_ok, _) = round_trips(&region, || step_to_idle(&mut w));
+    assert_eq!((gets, sets, cas_ok), (1, 0, 0), "the worker read the record and left it alone");
+    assert!(dfs.client().stat("/app/f", &cred).unwrap().is_file());
+}
+
+/// The memo can never land a stale write (a): another client unlinks and
+/// re-creates the path between this client's create and its write. The
+/// write must land on the record that is there now.
+#[test]
+fn memo_does_not_survive_a_foreign_unlink_and_recreate() {
+    let (dfs, region, cred) = paused(Topology::new(2, 1));
+    let c = region.client(ClientId(0));
+    let other = region.client(ClientId(1));
+    c.create("/app/f", &cred, 0o644).unwrap();
+    other.unlink("/app/f", &cred).unwrap();
+    other.create("/app/f", &cred, 0o644).unwrap();
+    other.write("/app/f", &cred, 0, b"second incarnation").unwrap();
+
+    let trips = round_trips(&region, || {
+        c.write("/app/f", &cred, 0, b"FIRST").unwrap();
+    });
+    assert_eq!(trips, (1, 0, 1, 1), "rejected CAS, then read + CAS");
+    assert_eq!(c.read("/app/f", &cred, 0, 64).unwrap(), b"FIRSTd incarnation");
+
+    let mut workers = [region.take_worker(0), region.take_worker(1)];
+    while !region.core().drained() {
+        workers.iter_mut().for_each(|w| {
+            w.step();
+        });
+    }
+    assert_eq!(dfs.client().read("/app/f", &cred, 0, 64).unwrap(), b"FIRSTd incarnation");
+    assert_eq!(c.read("/app/f", &cred, 0, 64).unwrap(), b"FIRSTd incarnation");
+}
+
+/// The memo can never land a stale write (d): eviction drops the record
+/// and a stat reloads it from the DFS copy in between. The reloaded
+/// record says "data lives on the DFS"; the remembered inline copy must
+/// not overwrite it.
+#[test]
+fn memo_does_not_survive_eviction_and_reload() {
+    for reload in [true, false] {
+        let (dfs, region, cred) = paused(Topology::new(1, 1));
+        let c = region.client(ClientId(0));
+        let mut w = region.take_worker(0);
+        c.create("/app/f", &cred, 0o644).unwrap();
+        step_to_idle(&mut w);
+        c.write("/app/f", &cred, 0, b"inline-bytes").unwrap(); // memo holds the inline record
+        step_to_idle(&mut w); // written back: the record is evictable
+        let cache = pacon::cache::MetaCache::new(region.core().cache_cluster.client(NodeId(0)));
+        assert_eq!(pacon::eviction::evict_one_entry(region.core(), &cache), 1);
+        if reload {
+            assert_eq!(c.stat("/app/f", &cred).unwrap().size, 12);
+        }
+
+        let trips = round_trips(&region, || {
+            c.write("/app/f", &cred, 0, b"NEW").unwrap();
+        });
+        // Reloaded: the CAS meets another version. Not reloaded: it meets
+        // no record, and the client loads it like any uncached path.
+        assert_eq!(trips, if reload { (1, 0, 1, 1) } else { (1, 1, 1, 0) }, "reload={reload}");
+        let (meta, _) = cache.get("/app/f").unwrap().unwrap();
+        assert!(meta.large && meta.inline.is_empty(), "the DFS-loaded record stands: {meta:?}");
+        step_to_idle(&mut w);
+        assert!(region.core().drained());
+        assert_eq!(dfs.client().read("/app/f", &cred, 0, 64).unwrap(), b"NEWine-bytes");
+        assert_eq!(c.read("/app/f", &cred, 0, 64).unwrap(), b"NEWine-bytes");
+    }
+}

@@ -447,3 +447,78 @@ fn one_batch_with_two_writebacks_of_one_path_settles_both() {
     assert_eq!(fs.read("/w/f", &cred, 0, 64).unwrap(), b"second");
     assert_eq!(fs.read("/w/g", &cred, 0, 64).unwrap(), b"bystander");
 }
+
+// ---------------------------------------------------------------------------
+// Own-write memo: mutations that skip the read, worker at every position
+// ---------------------------------------------------------------------------
+
+/// One client working on one file — the shape in which every write and
+/// unlink starts from the record the client remembers having stored. The
+/// commit worker runs (one step, or to idle) after any subset of the ops:
+/// each mark-committed, deferred delete and writeback claim in between
+/// moves the record under the remembered copy or leaves it valid. Whatever
+/// the interleaving, the DFS must end as a plain DFS given the same ops in
+/// program order, and the primary copy must read the same.
+#[test]
+fn remembered_records_commit_like_a_plain_dfs_at_every_worker_position() {
+    #[derive(Clone, Copy)]
+    enum Op {
+        Create,
+        Write(u64, &'static [u8]),
+        Unlink,
+    }
+    use Op::*;
+    let sequences: [&[Op]; 4] = [
+        &[Create, Write(0, b"aaaaaa"), Write(2, b"bb"), Unlink],
+        &[Create, Write(0, b"aaaaaa"), Write(2, b"bb")],
+        &[Create, Write(0, b"aaaaaa"), Unlink, Create, Write(1, b"c"), Write(3, b"dd")],
+        &[Create, Unlink, Write(0, b"late"), Create, Write(0, b"e"), Unlink],
+    ];
+    let cred = Credentials::new(1, 1);
+    let apply = |fs: &dyn FileSystem, op: Op| match op {
+        Create => fs.create("/w/f", &cred, 0o644),
+        Write(offset, data) => fs.write("/w/f", &cred, offset, data).map(|_| ()),
+        Unlink => fs.unlink("/w/f", &cred),
+    };
+    for ops in sequences {
+        let oracle = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let plain = oracle.client();
+        plain.mkdir("/w", &cred, 0o777).unwrap();
+        let want_acks: Vec<_> = ops.iter().map(|&op| apply(&plain, op)).collect();
+        let want = (oracle.snapshot(), plain.read("/w/f", &cred, 0, 64));
+
+        for batch in [1usize, 4] {
+            for to_idle in [false, true] {
+                for worker_after in 0u32..1 << ops.len() {
+                    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+                    let config =
+                        PaconConfig::new("/w", Topology::new(1, 1), cred).with_commit_batch(batch);
+                    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+                    let c = region.client(ClientId(0));
+                    let mut w = region.take_worker(0);
+                    let mut acks = Vec::new();
+                    for (i, &op) in ops.iter().enumerate() {
+                        acks.push(apply(&c, op));
+                        if worker_after & (1 << i) != 0 {
+                            w.step();
+                            while to_idle && !region.core().drained() {
+                                w.step();
+                            }
+                        }
+                    }
+                    let primary = c.read("/w/f", &cred, 0, 64);
+                    while !region.core().drained() {
+                        w.step();
+                    }
+                    let at =
+                        format!("batch={batch} to_idle={to_idle} worker_after={worker_after:#b}");
+                    assert_eq!(acks, want_acks, "acknowledgements, {at}");
+                    assert_eq!(primary, want.1, "primary copy, {at}");
+                    let got = (dfs.snapshot(), dfs.client().read("/w/f", &cred, 0, 64));
+                    assert_eq!(got, want, "DFS end state, {at}");
+                    assert_eq!(region.report().discarded, 0, "{at}");
+                }
+            }
+        }
+    }
+}

@@ -11,7 +11,8 @@
 //!                 operations (rmdir/readdir); held across publish-buffer
 //!                 flushes, marker sends and the dependent op itself.
 //! CLIENT_VIEW     pacon client merged-region map, region directory.
-//! CLIENT_MEMO     pacon client parent-existence memo.
+//! CLIENT_MEMO     pacon client memos (parent existence, own last write);
+//!                 leaves — never held across a cache RPC.
 //! REGION_STATE    region-core maps: removed_dirs, staging,
 //!                 pending_writebacks, worker slots, thread registry.
 //! WAL             per-node durable commit log (pacon CommitWal). Taken
