@@ -858,12 +858,13 @@ impl KvClient {
         Ok(self.cluster.shard(n).cas(key, expected_version, value))
     }
 
-    /// Delete; true if the key existed.
-    pub fn delete(&self, key: &[u8]) -> Result<bool, KvError> {
+    /// Delete — with `expected_version`, only the record a `get` returned
+    /// at that version ([`Shard::delete`]); true if a record was removed.
+    pub fn delete(&self, key: &[u8], expected_version: Option<u64>) -> Result<bool, KvError> {
         let s = self.cluster.router.state.read();
         let n = self.write_target(&s, key);
         self.access(n, 0).map_err(KvError::NodeDown)?;
-        Ok(self.cluster.shard(n).delete(key))
+        Ok(self.cluster.shard(n).delete(key, expected_version))
     }
 
     /// The cluster this client talks to.
@@ -893,7 +894,7 @@ mod tests {
         let b = c.client(NodeId(3));
         a.set(b"/w/f1", b"hello").unwrap();
         assert_eq!(&*b.get(b"/w/f1").unwrap().unwrap().0, b"hello");
-        assert_eq!(b.delete(b"/w/f1"), Ok(true));
+        assert_eq!(b.delete(b"/w/f1", None), Ok(true));
         assert_eq!(a.get(b"/w/f1"), Ok(None));
     }
 

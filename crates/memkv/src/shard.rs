@@ -331,11 +331,19 @@ impl Shard {
         Some(next)
     }
 
-    /// Remove a key. True if it existed. The key's CLOCK ring slot goes
-    /// stale and is reclaimed lazily by the next sweep.
-    pub fn delete(&self, key: &[u8]) -> bool {
+    /// Remove a key — with `expected_version`, only while it still holds
+    /// the version a [`Shard::get`] returned (check-and-delete: a store
+    /// that landed since keeps its record). True if a record was removed.
+    /// The key's CLOCK ring slot goes stale and is reclaimed lazily by the
+    /// next sweep.
+    pub fn delete(&self, key: &[u8], expected_version: Option<u64>) -> bool {
         let mut g = self.inner.write();
         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
+        if let Some(expected) = expected_version {
+            if g.map.get(key).is_some_and(|e| e.version != expected) {
+                return false;
+            }
+        }
         g.remove(key).is_some()
     }
 
@@ -623,9 +631,23 @@ mod tests {
         s.set(b"/a/y", b"2");
         s.set(b"/b/z", b"3");
         assert_eq!(s.keys_with_prefix(b"/a/"), vec![b"/a/x".to_vec(), b"/a/y".to_vec()]);
-        assert!(s.delete(b"/a/x"));
-        assert!(!s.delete(b"/a/x"));
+        assert!(s.delete(b"/a/x", None));
+        assert!(!s.delete(b"/a/x", None));
         assert_eq!(s.keys_with_prefix(b"/a/"), vec![b"/a/y".to_vec()]);
+    }
+
+    #[test]
+    fn versioned_delete_spares_a_record_stored_since_the_read() {
+        let s = Shard::new(None);
+        let read = s.set(b"k", b"old");
+        let CasOutcome::Stored { new_version } = s.cas(b"k", read, b"new") else {
+            panic!("cas on the version just stored must land");
+        };
+        assert!(!s.delete(b"k", Some(read)), "the version read is gone");
+        let (value, version) = s.get(b"k").expect("the newer record stays");
+        assert_eq!((&value[..], version), (&b"new"[..], new_version));
+        assert!(s.delete(b"k", Some(new_version)));
+        assert!(!s.delete(b"k", Some(new_version)), "absent key: nothing to remove");
     }
 
     #[test]
@@ -640,7 +662,7 @@ mod tests {
             }
             s.get_many(&[&key[..], b"/missing"]);
             if i % 3 == 0 {
-                s.delete(&key);
+                s.delete(&key, None);
             }
         }
         assert!(s.stats().evictions > 0, "the CLOCK hand ran too");
@@ -653,7 +675,7 @@ mod tests {
         assert_eq!(live.len(), s.len());
         assert_eq!(s.stats().scanned_keys, live.len() as u64);
         // ... and from then on it follows every store and delete.
-        s.delete(&live[0]);
+        s.delete(&live[0], None);
         s.set(b"/a", b"dir");
         assert_eq!(s.first_key_at_or_after(b"/"), Some(b"/a".to_vec()));
         assert_eq!(s.first_key_at_or_after(b"/a\0"), Some(live[1].clone()));
@@ -687,7 +709,7 @@ mod tests {
         s.set(b"key-0", b"0123456789");
         s.set(b"key-1", b"0123456789");
         s.set(b"key-2", b"0123456789");
-        s.delete(b"key-1"); // stale slot in the ring
+        s.delete(b"key-1", None); // stale slot in the ring
         s.get(b"key-0");
         s.get(b"key-2");
         s.set(b"key-3", b"0123456789"); // fits: 3 live entries
@@ -742,8 +764,8 @@ mod tests {
         let full = s.used_bytes();
         s.set(b"k1", b"c"); // shrink
         assert!(s.used_bytes() < full);
-        s.delete(b"k1");
-        s.delete(b"k2");
+        s.delete(b"k1", None);
+        s.delete(b"k2", None);
         assert_eq!(s.used_bytes(), 0);
         assert!(s.is_empty());
     }
@@ -844,7 +866,7 @@ mod extended_op_tests {
         let before = s.used_bytes();
         s.append(b"k", b"5678").unwrap();
         assert_eq!(s.used_bytes(), before + 4);
-        s.delete(b"k");
+        s.delete(b"k", None);
         assert_eq!(s.used_bytes(), 0);
     }
 

@@ -52,7 +52,7 @@ proptest! {
                     }
                 }
                 Op::Delete(k) => {
-                    let existed = shard.delete(&[*k]);
+                    let existed = shard.delete(&[*k], None);
                     prop_assert_eq!(existed, model.remove(k).is_some());
                 }
                 Op::Get(k) => {

@@ -201,7 +201,7 @@ proptest! {
                         shard.cas(key, version, &value);
                     }
                 }
-                9..=11 => { shard.delete(key); }
+                9..=11 => { shard.delete(key, None); }
                 12 => { shard.migrate_out(key); }
                 13 | 14 => { shard.install(key, &value, 1_000 + i as u64); }
                 _ => shard.clear(),
@@ -247,7 +247,7 @@ proptest! {
         // (possibly unfinished) reshard, so both run against built indexes.
         prop_assert_eq!(cluster.keys_with_prefix(b""), live.iter().cloned().collect::<Vec<_>>());
         for k in &deleted {
-            client.delete(&k.to_be_bytes()).unwrap();
+            client.delete(&k.to_be_bytes(), None).unwrap();
             live.remove(&k.to_be_bytes()[..]);
         }
         cluster.begin_leave(NodeId(nodes - 1));

@@ -167,7 +167,7 @@ impl MetaCache {
         if !core.is_stale_tombstone(path) {
             return false;
         }
-        if self.delete(path).is_ok() {
+        if self.delete(path, None).is_ok() {
             core.clear_stale_tombstone(path);
         }
         true
@@ -316,9 +316,12 @@ impl MetaCache {
         panic!("cache CAS loop exceeded {MAX_CAS_ATTEMPTS} attempts on {path}");
     }
 
-    /// Delete a record; true if it existed.
-    pub fn delete(&self, path: &str) -> Result<bool, CacheError> {
-        self.guarded(|kv| kv.delete(path.as_bytes()))
+    /// Delete a record; true if one was removed. A cleanup that judged
+    /// the record it *read* passes that read's version as `expected`: the
+    /// delete then removes exactly that record and nothing stored since (a
+    /// re-create, a write) — `false`, as for a record already gone.
+    pub fn delete(&self, path: &str, expected: Option<u64>) -> Result<bool, CacheError> {
+        self.guarded(|kv| kv.delete(path.as_bytes(), expected))
     }
 
     /// The underlying KV client (for cost-sensitive callers that need the
@@ -501,6 +504,29 @@ mod tests {
         assert_eq!((verdict, calls), (Ok(Err("removed")), 2));
     }
 
+    /// Regression (acked update lost): the post-unlink cleanup reads a
+    /// record, sees `removed`, then deletes. A re-create that lands between
+    /// the two — here as the CAS that replaces the version read — must
+    /// survive: the delete carries the version it judged.
+    #[test]
+    fn delete_carrying_a_replaced_version_removes_nothing() {
+        let c = cache();
+        c.add_new("/w/f", &meta()).unwrap().unwrap();
+        let (_, read) = c.get("/w/f").unwrap().unwrap();
+        let stored = c
+            .update::<()>("/w/f", None, |m| {
+                m.size = 5;
+                Ok(())
+            })
+            .unwrap()
+            .unwrap()
+            .unwrap();
+        assert_eq!(c.delete("/w/f", Some(read)), Ok(false));
+        assert_eq!(c.get("/w/f").unwrap(), Some((stored.meta, stored.version)));
+        assert_eq!(c.delete("/w/f", Some(stored.version)), Ok(true));
+        assert_eq!(c.get("/w/f").unwrap(), None);
+    }
+
     #[test]
     fn concurrent_updates_all_land() {
         let cluster = KvCluster::new(Topology::new(1, 4), Arc::new(LatencyProfile::zero()));
@@ -586,6 +612,6 @@ mod tests {
         // No region core: exactly one attempt, mapped to Unavailable.
         assert_eq!(c.get("/w/f"), Err(CacheError::Unavailable));
         assert_eq!(c.put("/w/f", &meta()), Err(CacheError::Unavailable));
-        assert_eq!(c.delete("/w/f"), Err(CacheError::Unavailable));
+        assert_eq!(c.delete("/w/f", None), Err(CacheError::Unavailable));
     }
 }

@@ -176,7 +176,7 @@ impl PaconRegion {
         // logs so the next launch cannot resurrect rolled-back mutations.
         let mut dropped = 0u64;
         for buf in &self.core().publish_bufs {
-            let stale = buf.lock().take_all();
+            let stale = buf.lock().take(usize::MAX);
             dropped += stale.len() as u64;
             for _ in &stale {
                 self.core().note_completed();

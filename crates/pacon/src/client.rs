@@ -226,7 +226,8 @@ impl PaconClient {
 
     /// Group commit: buffer the op in the node's publish buffer instead
     /// of dispatching a queue message per op; flush as one batch message
-    /// when the buffer reaches the configured size. Coalescing may settle
+    /// when either commit plane of the buffer holds `commit_batch_size`
+    /// ops (`commit::publish` module docs). Coalescing may settle
     /// the op entirely client-side (create×unlink annihilation, writeback
     /// collapse) — those ops complete without ever touching the queue.
     fn publish_buffered(
@@ -261,7 +262,7 @@ impl PaconClient {
         }
         let mut buf = self.core.publish_bufs[node].lock();
         let outcome = buf.push(msg);
-        let flush = buf.len() >= self.core.config.commit_batch_size;
+        let flush = buf.fullest_plane() >= self.core.config.commit_batch_size;
         drop(buf);
         match outcome {
             Buffered::Queued => {
@@ -269,7 +270,9 @@ impl PaconClient {
                     charge(Station::ClientCpu, self.profile().queue_push);
                     // `flush_publish_buffer` re-takes the lock; a racing
                     // publisher may have flushed first, which is fine —
-                    // an empty buffer makes this a no-op.
+                    // an empty buffer makes this a no-op. One message per
+                    // publish: a backlog behind it leaves with the next
+                    // flushes and the worker's empty-queue pulls.
                     self.core.flush_publish_buffer(node, &self.publishers[node]);
                 }
             }
@@ -288,9 +291,10 @@ impl PaconClient {
                 self.core.note_unlink_retired(&path, timestamp);
                 // Best-effort: a record unreachable now died with the
                 // shard its removal mark was just written to.
-                if let Ok(Some((meta, _))) = self.cache.get(&path) {
+                // Versioned: a re-create landing after this read stays.
+                if let Ok(Some((meta, version))) = self.cache.get(&path) {
                     if meta.removed {
-                        let _ = self.cache.delete(&path);
+                        let _ = self.cache.delete(&path, Some(version));
                     }
                 }
                 self.core.staging.lock().remove(path.as_str());
@@ -620,7 +624,7 @@ impl PaconClient {
             // Barriers always force publish buffers out: every op queued
             // before the marker must commit before the dependent op runs,
             // including ops still coalescing below the batch threshold.
-            self.core.flush_publish_buffer(n, tx);
+            self.core.drain_publish_buffer(n, tx);
             charge(Station::ClientCpu, self.profile().queue_push);
             // permit_blocking: the barrier slot is held across the marker
             // send by design — workers never take the slot, they only
@@ -1006,7 +1010,7 @@ impl FileSystem for PaconClient {
                             // Best-effort: a crashed shard's records are
                             // wiped anyway; removed_dirs epochs guard any
                             // survivors from stale resurrection.
-                            let _ = self.cache.delete(k);
+                            let _ = self.cache.delete(k, None);
                         }
                     }
                 }

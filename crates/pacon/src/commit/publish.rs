@@ -3,9 +3,22 @@
 //! Clients on one node funnel their operation messages through a shared
 //! [`PublishBuffer`] instead of pushing each one into the commit queue
 //! directly. The buffer flushes as one [`CommitOp::Batch`] message when
-//! it reaches the configured batch size, when a barrier needs the queue
-//! flushed, or when the node's commit process pulls it on an empty queue
-//! (liveness for quiesce/shutdown without a timer).
+//! either commit plane reaches the configured batch size, when a barrier
+//! needs the queue flushed, or when the node's commit process pulls it on
+//! an empty queue (liveness for quiesce/shutdown without a timer).
+//!
+//! # One budget per plane
+//!
+//! The commit process never puts a batch's namespace ops
+//! (`Mkdir`/`Create`/`Unlink` → one `Mds::apply_batch`) and its inline
+//! writebacks (`WriteInline` → one vectored write per data server and one
+//! size batch) into the same RPC, so the batch size budgets each plane
+//! separately: [`PublishBuffer::fullest_plane`] reaching it triggers the
+//! flush (the RPC of the plane that filled is full, the other rides
+//! along), and [`PublishBuffer::take`] never hands out more than the
+//! budget on either plane — a message carries at most `2·n − 1` ops and
+//! no commit RPC more than `n`, also when a healed link releases a
+//! backlog many budgets long.
 //!
 //! While ops sit in the buffer they can still annihilate each other:
 //!
@@ -44,6 +57,14 @@ pub enum Buffered {
 #[derive(Debug, Default)]
 pub struct PublishBuffer {
     ops: Vec<QueueMsg>,
+    /// How many of `ops` are data-plane (`WriteInline`); the rest are
+    /// namespace-plane. Kept current by every path that adds or removes
+    /// an op, so the flush rule costs no scan.
+    data_ops: usize,
+}
+
+fn is_data_plane(msg: &QueueMsg) -> bool {
+    matches!(msg.op, CommitOp::WriteInline { .. })
 }
 
 impl PublishBuffer {
@@ -57,6 +78,12 @@ impl PublishBuffer {
 
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Buffered ops on the plane that holds more of them — what the flush
+    /// rule compares with the batch size (module docs).
+    pub fn fullest_plane(&self) -> usize {
+        self.data_ops.max(self.ops.len() - self.data_ops)
     }
 
     /// Buffer `msg`, coalescing it against buffered ops where the rules
@@ -78,18 +105,40 @@ impl PublishBuffer {
             }
             _ => {}
         }
+        self.data_ops += is_data_plane(&msg) as usize;
         self.ops.push(msg);
         Buffered::Queued
     }
 
-    /// Drain the buffer in publish order.
-    pub fn take_all(&mut self) -> Vec<QueueMsg> {
-        std::mem::take(&mut self.ops)
+    /// Take, in publish order, the longest prefix that holds at most
+    /// `budget` ops of each plane — the whole buffer unless a refused
+    /// flush left a backlog ([`Self::put_back`]).
+    pub fn take(&mut self, budget: usize) -> Vec<QueueMsg> {
+        if self.fullest_plane() <= budget {
+            self.data_ops = 0;
+            return std::mem::take(&mut self.ops);
+        }
+        let (mut ns, mut data) = (0, 0);
+        let end = self
+            .ops
+            .iter()
+            .position(|m| {
+                let plane = if is_data_plane(m) { &mut data } else { &mut ns };
+                if *plane == budget {
+                    return true;
+                }
+                *plane += 1;
+                false
+            })
+            .expect("a plane over budget holds an op past it");
+        self.data_ops -= data;
+        self.ops.drain(..end).collect()
     }
 
     /// Return ops a flush took but could not deliver, ahead of anything
     /// buffered since, so publish order survives the failed send.
     pub fn put_back(&mut self, ops: Vec<QueueMsg>) {
+        self.data_ops += ops.iter().filter(|m| is_data_plane(m)).count();
         self.ops.splice(0..0, ops);
     }
 
@@ -113,7 +162,10 @@ impl PublishBuffer {
             idx += 1;
             keep
         });
-        Some(before - self.ops.len())
+        let removed = before - self.ops.len();
+        // One create; everything else removed is a writeback.
+        self.data_ops -= removed - 1;
+        Some(removed)
     }
 
     /// Safe to collapse only when the *last* buffered op for `path` is a
@@ -174,7 +226,7 @@ mod tests {
         b.push(wi("/f"));
         b.push(create("/g"));
         assert_eq!(b.push(unlink("/f")), Buffered::Cancelled { absorbed: 2 });
-        let rest: Vec<_> = b.take_all();
+        let rest = b.take(usize::MAX);
         assert_eq!(rest.len(), 3);
         assert!(matches!(&rest[0].op, CommitOp::WriteInline { path } if path == "/f"));
         assert!(matches!(&rest[1].op, CommitOp::Unlink { path } if path == "/f"));
@@ -225,12 +277,12 @@ mod tests {
         let mut b = PublishBuffer::new();
         b.push(create("/a"));
         b.push(create("/b"));
-        let undelivered = b.take_all();
+        let undelivered = b.take(usize::MAX);
         b.push(create("/c"));
         b.put_back(undelivered);
         // A returned create is buffered again, so it still cancels.
         assert_eq!(b.push(unlink("/b")), Buffered::Cancelled { absorbed: 1 });
-        let rest = b.take_all();
+        let rest = b.take(usize::MAX);
         let paths: Vec<_> = rest.iter().map(|m| m.op.path().unwrap()).collect();
         assert_eq!(paths, ["/a", "/c"]);
     }
@@ -241,9 +293,113 @@ mod tests {
         b.push(mkdir("/d"));
         b.push(create("/d/a"));
         b.push(create("/d/b"));
-        let batch = b.take_all();
+        let batch = b.take(usize::MAX);
         assert!(b.is_empty());
         let paths: Vec<_> = batch.iter().map(|m| m.op.path().unwrap().to_string()).collect();
         assert_eq!(paths, ["/d", "/d/a", "/d/b"]);
+    }
+
+    #[test]
+    fn the_fuller_plane_sets_the_flush_and_the_take_stops_at_either_budget() {
+        let mut b = PublishBuffer::new();
+        for p in ["/a", "/b", "/c"] {
+            b.push(create(p));
+            b.push(wi(p));
+        }
+        b.push(unlink("/x"));
+        assert_eq!((b.len(), b.fullest_plane()), (7, 4), "4 namespace ops, 3 writebacks");
+        // Budget 2: C W C W, then the third create would be one too many.
+        let head = b.take(2);
+        assert_eq!(head.len(), 4);
+        assert_eq!((b.len(), b.fullest_plane()), (3, 2));
+        // What is left fits: C W U leave together.
+        assert_eq!(b.take(2).len(), 3);
+        assert!(b.is_empty());
+        assert_eq!(b.fullest_plane(), 0);
+    }
+
+    #[test]
+    fn coalescing_outcomes_keep_the_plane_counts() {
+        let mut b = PublishBuffer::new();
+        b.push(create("/f"));
+        b.push(wi("/f"));
+        assert_eq!(b.push(wi("/f")), Buffered::Collapsed);
+        b.push(wi("/g"));
+        b.push(wi("/h"));
+        assert_eq!((b.len(), b.fullest_plane()), (4, 3), "the collapsed writeback counts nowhere");
+        // The create leaves the namespace plane, its writeback the data plane.
+        assert_eq!(b.push(unlink("/f")), Buffered::Cancelled { absorbed: 2 });
+        assert_eq!((b.len(), b.fullest_plane()), (2, 2));
+        b.put_back(vec![create("/a"), create("/b"), create("/c"), wi("/a")]);
+        assert_eq!((b.len(), b.fullest_plane()), (6, 3));
+    }
+
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Push(QueueMsg),
+        /// Take a bounded prefix; `put_back` returns it (a refused flush).
+        Take { budget: usize, put_back: bool },
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        // Few paths, so unlinks meet buffered creates (with writebacks
+        // behind them) and writebacks meet writebacks.
+        let path = (0u8..4).prop_map(|i| format!("/w/f{i}"));
+        prop_oneof![
+            3 => path.clone().prop_map(|p| Step::Push(create(&p))),
+            4 => path.clone().prop_map(|p| Step::Push(wi(&p))),
+            2 => path.prop_map(|p| Step::Push(unlink(&p))),
+            1 => Just(Step::Push(mkdir("/w/d"))),
+            2 => (1usize..6, any::<bool>())
+                .prop_map(|(budget, put_back)| Step::Take { budget, put_back }),
+        ]
+    }
+
+    fn planes(ops: &[QueueMsg]) -> (usize, usize) {
+        let data = ops.iter().filter(|m| is_data_plane(m)).count();
+        (ops.len() - data, data)
+    }
+
+    fn stamps(ops: &[QueueMsg]) -> Vec<u64> {
+        ops.iter().map(|m| m.timestamp).collect()
+    }
+
+    proptest! {
+        /// The O(1) plane count equals a recount after every `push`
+        /// outcome, bounded take and `put_back`; a bounded take is the
+        /// longest order-preserving prefix inside both budgets.
+        #[test]
+        fn plane_counts_track_every_mutation(steps in proptest::collection::vec(step(), 1..80)) {
+            let mut b = PublishBuffer::new();
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Push(mut msg) => {
+                        msg.timestamp = i as u64;
+                        b.push(msg);
+                    }
+                    Step::Take { budget, put_back } => {
+                        let before = stamps(&b.ops);
+                        let taken = b.take(budget);
+                        let (ns, data) = planes(&taken);
+                        prop_assert!(ns <= budget && data <= budget);
+                        prop_assert_eq!(&before[..taken.len()], &stamps(&taken)[..]);
+                        prop_assert_eq!(&before[taken.len()..], &stamps(&b.ops)[..]);
+                        if let Some(next) = b.ops.first() {
+                            let plane = if is_data_plane(next) { data } else { ns };
+                            prop_assert_eq!(plane, budget, "the prefix stops only at a full plane");
+                        }
+                        if put_back {
+                            b.put_back(taken);
+                            prop_assert_eq!(&before, &stamps(&b.ops));
+                        }
+                    }
+                }
+                let (ns, data) = planes(&b.ops);
+                prop_assert_eq!(b.data_ops, data);
+                prop_assert_eq!(b.fullest_plane(), ns.max(data));
+            }
+        }
     }
 }

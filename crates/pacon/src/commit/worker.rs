@@ -146,6 +146,13 @@ impl CommitWorker {
         self.node
     }
 
+    /// This commit process's DFS client: its `counters` tell the commit
+    /// RPCs apart (`batch_rpcs` namespace batches, `small_batch_rpcs`
+    /// writeback groups).
+    pub fn dfs(&self) -> &DfsClient {
+        &self.dfs
+    }
+
     /// True when the retry backlog is empty (shutdown condition).
     pub fn backlog_empty(&self) -> bool {
         self.retry.is_empty()
@@ -217,15 +224,17 @@ impl CommitWorker {
         }
     }
 
-    /// The queue is empty: drain whatever accumulated in this node's
-    /// publish buffer below the flush threshold. Queue-empty means every
+    /// The queue is empty: pull what accumulated in this node's publish
+    /// buffer below the flush threshold — one budget-bounded batch per
+    /// step when a refused flush left more. Queue-empty means every
     /// earlier message was consumed, so buffered ops are the newest and
     /// applying them directly preserves per-node FIFO order.
     fn pull_publish_buffer(&mut self) -> Option<WorkerStep> {
-        if self.core.config.commit_batch_size <= 1 {
+        let budget = self.core.config.commit_batch_size;
+        if budget <= 1 {
             return None;
         }
-        let batch = self.core.publish_bufs[self.node.0 as usize].lock().take_all();
+        let batch = self.core.publish_bufs[self.node.0 as usize].lock().take(budget);
         if batch.is_empty() {
             return None;
         }
@@ -619,18 +628,19 @@ impl CommitWorker {
             CommitOp::Unlink { path } => {
                 // Deferred cache deletion: drop the record only if it is
                 // still the marked-removed version (a re-create must
-                // survive) and no *later* unlink of the same path is still
-                // queued — the removed-mark we would delete is that
-                // unlink's tombstone, and dropping it lets the read path
-                // resurrect the record from the not-yet-updated backup
-                // copy. Best-effort under faults, as above.
+                // survive — also one that lands after this read, hence
+                // the versioned delete) and no *later* unlink of the same
+                // path is still queued — the removed-mark we would delete
+                // is that unlink's tombstone, and dropping it lets the
+                // read path resurrect the record from the not-yet-updated
+                // backup copy. Best-effort under faults, as above.
                 if !self.core.unlink_pending(path) {
-                    if let Ok(Some((meta, _))) = self.cache.get(path) {
+                    if let Ok(Some((meta, version))) = self.cache.get(path) {
                         // A record marked stale is this very unlink's
                         // degraded-mode leftover: it never got its
                         // removed-mark, delete it all the same.
                         if (meta.removed || self.core.is_stale_tombstone(path))
-                            && self.cache.delete(path).is_ok()
+                            && self.cache.delete(path, Some(version)).is_ok()
                         {
                             self.core.clear_stale_tombstone(path);
                         }

@@ -41,10 +41,14 @@ pub struct PaconConfig {
     /// (`None` = never evict; Section III.F assumes pressure is rare).
     /// Paper tunable.
     pub eviction_threshold: Option<usize>,
-    /// Group commit: buffer up to this many operations per node before
-    /// publishing them as one batched queue message. `1` disables
-    /// batching — every op is published directly, the paper prototype's
-    /// behaviour. Barriers always flush the buffer regardless of fill.
+    /// Group commit: ops per commit RPC per plane. A node buffers
+    /// operations until its namespace ops (one `Mds::apply_batch`) or its
+    /// inline writebacks (one vectored write per data server + one size
+    /// batch) number this many, then publishes the buffer as one batched
+    /// queue message; no message carries more than this many of either
+    /// plane, so no commit RPC does. `1` disables batching — every op is
+    /// published directly, the paper prototype's behaviour. Barriers
+    /// always flush the buffer regardless of fill.
     /// In use at 1 (fig01–fig12), 1–64 (`commit_batch`) and 32 (the repo
     /// benchmark).
     pub commit_batch_size: usize,
@@ -155,7 +159,8 @@ impl PaconConfig {
         self
     }
 
-    /// Builder-style: enable group commit with batches of up to `n` ops.
+    /// Builder-style: enable group commit with up to `n` ops per commit
+    /// RPC per plane.
     pub fn with_commit_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "batch size must be at least 1");
         self.commit_batch_size = n;

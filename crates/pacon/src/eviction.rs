@@ -119,21 +119,23 @@ fn evict_at_cursor(core: &RegionCore, cache: &MetaCache) -> usize {
     // Only the backup-copy-backed records may go, and of those not the
     // ones with a writeback slot: a committed record whose inline bytes
     // are still queued holds their only copy until `release_writeback`.
-    let victims: Vec<&str> = {
+    let victims: Vec<(&str, u64)> = {
         let pinned = core.pending_writebacks.lock();
         paths
             .iter()
             .zip(metas)
-            .filter(|(path, meta)| {
-                meta.as_ref().is_some_and(|(m, _)| m.committed && !m.removed)
-                    && !pinned.contains_key(**path)
+            .filter_map(|(path, meta)| {
+                let (m, version) = meta?;
+                (m.committed && !m.removed && !pinned.contains_key(*path))
+                    .then_some((*path, version))
             })
-            .map(|(path, _)| *path)
             .collect()
     };
     let mut evicted = 0;
-    for path in victims {
-        match cache.delete(path) {
+    for (path, version) in victims {
+        // Only the version judged evictable: a write whose CAS landed
+        // since the lookup holds bytes the DFS does not have yet.
+        match cache.delete(path, Some(version)) {
             Ok(true) => evicted += 1,
             Ok(false) => {}
             Err(CacheError::Unavailable) => break,

@@ -328,22 +328,29 @@ impl RegionCore {
     }
 
     /// Flush node `node`'s publish buffer into its commit queue as one
-    /// message. The buffer lock is held across the send so concurrent
-    /// publishers on the node cannot reorder around the flush. This is
-    /// deadlock-free: the commit process only takes the buffer lock when
-    /// its queue is *empty*, so a full queue implies it is draining and
-    /// the blocking send resolves.
+    /// message of at most `commit_batch_size` ops per plane — the whole
+    /// buffer, unless a refused flush left a backlog. The buffer lock is
+    /// held across the send so concurrent publishers on the node cannot
+    /// reorder around the flush. This is deadlock-free: the commit process
+    /// only takes the buffer lock when its queue is *empty*, so a full
+    /// queue implies it is draining and the blocking send resolves.
     ///
     /// A send the queue refuses (partitioned or severed link, consumer
     /// gone) is not an error: the ops are acknowledged and counted in
     /// flight, so they go back to the front of the buffer and the next
     /// flush — or the commit process's empty-queue pull — delivers them.
-    pub(crate) fn flush_publish_buffer(&self, node: usize, publisher: &Publisher<QueueMsg>) {
+    ///
+    /// True when the message was delivered and ops remain buffered.
+    pub(crate) fn flush_publish_buffer(
+        &self,
+        node: usize,
+        publisher: &Publisher<QueueMsg>,
+    ) -> bool {
         let mut buf = self.publish_bufs[node].lock();
         if buf.is_empty() {
-            return;
+            return false;
         }
-        let batch = buf.take_all();
+        let batch = buf.take(self.config.commit_batch_size);
         let ops = batch.len();
         let msg = if ops == 1 {
             batch.into_iter().next().expect("len checked")
@@ -371,8 +378,17 @@ impl RegionCore {
                     _ => vec![msg],
                 });
                 self.counters.incr("publishes_buffered");
+                return false;
             }
         }
+        !buf.is_empty()
+    }
+
+    /// Barrier flush: everything buffered on `node` goes out, one bounded
+    /// message after another, until the buffer is empty or the link
+    /// refuses.
+    pub(crate) fn drain_publish_buffer(&self, node: usize, publisher: &Publisher<QueueMsg>) {
+        while self.flush_publish_buffer(node, publisher) {}
     }
 }
 
@@ -740,7 +756,7 @@ impl PaconRegion {
         for (n, tx) in self.publishers.iter().enumerate() {
             // Barriers always force the publish buffer out first; the
             // marker must sit behind every op published before it.
-            self.core.flush_publish_buffer(n, tx);
+            self.core.drain_publish_buffer(n, tx);
             // permit_blocking: the barrier slot is held across the marker
             // send by design — workers never take the slot, they only
             // drain the queue, so a full queue always resolves.

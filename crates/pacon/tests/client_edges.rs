@@ -1,7 +1,8 @@
 //! Edge cases of the client surface: region-root operations, merged
 //! regions, write offsets, batched reads against the per-path trait
-//! defaults, group commit over a partitioned link, and the permission
-//! ablation flag's functional correctness.
+//! defaults, group commit over a partitioned link, the cache round-trip
+//! and commit-RPC occupancy budgets, and the permission ablation flag's
+//! functional correctness.
 
 use std::sync::Arc;
 
@@ -295,35 +296,107 @@ fn batched_reads_match_the_per_path_trait_defaults() {
     }
 }
 
+/// What the MDS saw of the commit traffic: `[namespace batch RPCs, ops in
+/// them, size-batch RPCs, ops in them]` (a size batch is the MDS half of
+/// one `write_small_batch` group).
+fn commit_rpcs(dfs: &DfsCluster) -> [u64; 4] {
+    ["batch", "batch_ops", "size_batch", "size_batch_ops"].map(|c| dfs.mds_counter(c))
+}
+
+/// Step `w` until `done`, one queue message (or buffer pull) per step, and
+/// hold every batch to the occupancy budget: at most one RPC per plane
+/// and at most `n` ops in it. Returns per batch message `[namespace ops,
+/// data ops]` as the MDS counted them.
+fn step_within_budget(
+    w: &mut CommitWorker,
+    dfs: &DfsCluster,
+    n: usize,
+    mut done: impl FnMut(WorkerStep) -> bool,
+) -> Vec<[u64; 2]> {
+    let mut batches = Vec::new();
+    let mut seen = commit_rpcs(dfs);
+    for _ in 0..10_000 {
+        let step = w.step();
+        let now = commit_rpcs(dfs);
+        let [ns_rpcs, ns_ops, data_rpcs, data_ops] = std::array::from_fn(|i| now[i] - seen[i]);
+        seen = now;
+        assert!(ns_rpcs <= 1 && data_rpcs <= 1, "{step:?}: one RPC per plane per message");
+        assert!(ns_ops <= n as u64 && data_ops <= n as u64, "{step:?}: {ns_ops}/{data_ops} > {n}");
+        if matches!(step, WorkerStep::Batch { .. }) {
+            batches.push([ns_ops, data_ops]);
+        }
+        if done(step) {
+            return batches;
+        }
+    }
+    panic!("commit worker still busy after 10000 steps");
+}
+
 /// Group commit over a partitioned commit link: a flush the link refuses
-/// must not drop the batch. Every create below is acknowledged (its cache
-/// write landed), so every one must reach the DFS once the link heals.
+/// must not drop the batch, and the backlog it leaves — many budgets long
+/// — must not leave as one message once the link heals. Every op below is
+/// acknowledged (its cache write landed), so every one must reach the DFS,
+/// in publish order, in RPCs of at most `n` ops: through the threshold
+/// flush and the worker's empty-queue pull, and through a barrier's flush.
 #[test]
 fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
-    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
-    let cred = Credentials::new(1, 1);
-    let region = PaconRegion::launch_paused(
-        PaconConfig::new("/app", Topology::new(1, 1), cred).with_commit_batch(4),
-        &dfs,
-    )
-    .unwrap();
-    let c = region.client(ClientId(0));
-    let files: Vec<String> = (0..8).map(|i| format!("/app/f{i}")).collect();
+    const N: usize = 4;
+    for heal_by_barrier in [false, true] {
+        let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let cred = Credentials::new(1, 1);
+        let region = PaconRegion::launch_paused(
+            PaconConfig::new("/app", Topology::new(1, 1), cred).with_commit_batch(N),
+            &dfs,
+        )
+        .unwrap();
+        let c = region.client(ClientId(0));
+        let counters = &region.core().counters;
 
-    region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
-    let acked = files.iter().filter(|f| c.create(f, &cred, 0o644).is_ok()).count();
-    assert_eq!(acked, 8, "the cache write landed, so the create is acknowledged");
-    assert!(region.core().counters.get("publishes_buffered") > 0);
+        // 5 × N namespace ops with 10 writebacks mixed in; each op needs
+        // the one before it on the DFS first (mkdir → create → write).
+        region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
+        for i in 0..10 {
+            c.mkdir(&format!("/app/d{i}"), &cred, 0o755).unwrap();
+            c.create(&format!("/app/d{i}/f"), &cred, 0o644).unwrap();
+            c.write(&format!("/app/d{i}/f"), &cred, 0, format!("payload {i}").as_bytes()).unwrap();
+        }
+        assert!(counters.get("publishes_buffered") > 0);
+        assert_eq!(region.core().publish_bufs[0].lock().len(), 30, "refused flushes lost nothing");
+        region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+        c.flush_publishes().unwrap();
 
-    region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
-    c.flush_publishes().unwrap();
-    let mut w = region.take_worker(0);
-    step_to_idle(&mut w);
-    let raw = dfs.client();
-    let on_dfs = files.iter().filter(|f| raw.stat(f, &cred).is_ok()).count();
-    assert_eq!(on_dfs, 8);
-    let report = region.report();
-    assert_eq!((report.ops_enqueued, report.ops_completed), (8, 8));
+        let mut w = region.take_worker(0);
+        let batches = if heal_by_barrier {
+            // The barrier's flush empties the buffer into the queue before
+            // it posts its marker; only then does the worker start, so
+            // every message it meets was cut by that flush.
+            std::thread::scope(|s| {
+                s.spawn(|| region.sync_barrier());
+                while !region.core().publish_bufs[0].lock().is_empty() {
+                    std::thread::yield_now();
+                }
+                step_within_budget(&mut w, &dfs, N, |step| step == WorkerStep::BarrierReported)
+            })
+        } else {
+            // One publish past the heal: its threshold flush sends one
+            // bounded message, the worker pulls the rest.
+            c.create("/app/late", &cred, 0o644).unwrap();
+            assert_eq!(counters.get("batches_flushed"), 1);
+            step_within_budget(&mut w, &dfs, N, |step| step == WorkerStep::Idle)
+        };
+        assert!(batches.len() >= 5, "20 namespace ops, {N} to an RPC: {batches:?}");
+        assert!(batches[..4].iter().all(|b| b[0] == N as u64), "backlog RPCs leave full");
+        assert_eq!(counters.get("resubmitted"), 0, "publish order survived the backlog");
+
+        let raw = dfs.client();
+        for i in 0..10 {
+            let want = format!("payload {i}").into_bytes();
+            assert_eq!(raw.read(&format!("/app/d{i}/f"), &cred, 0, 64).unwrap(), want);
+        }
+        let ops = if heal_by_barrier { 30 } else { 31 };
+        let report = region.report();
+        assert_eq!((report.ops_enqueued, report.ops_completed), (ops, ops));
+    }
 }
 
 #[test]
@@ -583,5 +656,113 @@ fn memo_does_not_survive_eviction_and_reload() {
         assert!(region.core().drained());
         assert_eq!(dfs.client().read("/app/f", &cred, 0, 64).unwrap(), b"NEWine-bytes");
         assert_eq!(c.read("/app/f", &cred, 0, 64).unwrap(), b"NEWine-bytes");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Commit RPC occupancy
+// ---------------------------------------------------------------------------
+
+/// The budget per publish mix. Counted, not timed: `commit_batch_size` is
+/// ops per commit RPC *per plane*, so a threshold flush ships exactly `n`
+/// ops on the plane that filled and no RPC of either plane carries more.
+/// One node, one client, `8 × n` files:
+///
+/// * creates only — `n` creates per message, as under the old one-budget
+///   rule;
+/// * create + write, 1 : 1 — messages alternate `n` creates + `n − 1`
+///   writebacks and `n − 1` + `n`: 9 RPCs per plane where the one-budget
+///   rule (`n/2` + `n/2` per message) needed 16;
+/// * create + write + unlink of an older file, 2 : 1 — the namespace plane
+///   fills, the data plane rides along half full (`n` + `n/2` per
+///   message): 16 RPCs per plane instead of 24.
+#[test]
+fn commit_rpc_occupancy_budget_per_publish_mix() {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mix {
+        Creates,
+        CreateWrite,
+        CreateWriteUnlink,
+    }
+    for n in [8usize, 32] {
+        for (mix, want_rpcs) in
+            [(Mix::Creates, [8, 0]), (Mix::CreateWrite, [9, 9]), (Mix::CreateWriteUnlink, [16, 16])]
+        {
+            let what = format!("{mix:?} at batch {n}");
+            // Only a data-server visit costs anything, and costs one: the
+            // demand recorded at the data servers is the number of visits.
+            let profile = LatencyProfile { data_write_per_mib: 1, ..LatencyProfile::zero() };
+            let dfs = DfsCluster::with_default_config(Arc::new(profile));
+            let cred = Credentials::new(1, 1);
+            let region = PaconRegion::launch_paused(
+                PaconConfig::new("/app", Topology::new(1, 1), cred).with_commit_batch(n),
+                &dfs,
+            )
+            .unwrap();
+            let c = region.client(ClientId(0));
+            let mut w = region.take_worker(0);
+            let files = 8 * n;
+            if mix == Mix::CreateWriteUnlink {
+                for i in 0..files {
+                    c.create(&format!("/app/old{i}"), &cred, 0o644).unwrap();
+                }
+                step_within_budget(&mut w, &dfs, n, |step| step == WorkerStep::Idle);
+            }
+            let rpcs_before = commit_rpcs(&dfs);
+            let client_rpcs = |w: &CommitWorker| {
+                ["batch_rpcs", "small_batch_rpcs"].map(|c| w.dfs().counters.get(c))
+            };
+            let client_rpcs_before = client_rpcs(&w);
+            let flushed_before = region.core().counters.get("batches_flushed");
+
+            for i in 0..files {
+                let f = format!("/app/f{i}");
+                c.create(&f, &cred, 0o644).unwrap();
+                if mix != Mix::Creates {
+                    c.write(&f, &cred, 0, b"small file").unwrap();
+                }
+                if mix == Mix::CreateWriteUnlink {
+                    c.unlink(&format!("/app/old{i}"), &cred).unwrap();
+                }
+            }
+            // Nothing consumed yet: these are the threshold flushes, and
+            // they are what the worker meets first.
+            let flushed = region.core().counters.get("batches_flushed");
+            let threshold = (flushed - flushed_before) as usize;
+            let (batches, trace) = simnet::with_recording(|| {
+                step_within_budget(&mut w, &dfs, n, |step| step == WorkerStep::Idle)
+            });
+            assert!(threshold >= 8, "{what}: {threshold} threshold flushes");
+            for b in &batches[..threshold] {
+                assert_eq!(b[0].max(b[1]), n as u64, "{what}: a threshold flush fills an RPC");
+            }
+
+            let now = commit_rpcs(&dfs);
+            let [ns_rpcs, ns_ops, data_rpcs, data_ops] =
+                std::array::from_fn(|i| now[i] - rpcs_before[i]);
+            let published = match mix {
+                Mix::Creates => [files, 0],
+                Mix::CreateWrite => [files, files],
+                Mix::CreateWriteUnlink => [2 * files, files],
+            };
+            assert_eq!([ns_ops, data_ops], published.map(|ops| ops as u64), "{what}: all batched");
+            assert_eq!([ns_rpcs, data_rpcs], want_rpcs, "{what}: [namespace, data] RPCs");
+            // The commit process's own client counted the same requests.
+            let client_now = client_rpcs(&w);
+            assert_eq!(
+                [client_now[0] - client_rpcs_before[0], client_now[1] - client_rpcs_before[1]],
+                want_rpcs,
+                "{what}"
+            );
+            // Each group visits each data server at most once.
+            let servers = dfs.config().n_data;
+            let visits: u64 =
+                (0..servers).map(|i| trace.station_ns(simnet::Station::DataServer(i))).sum();
+            assert!(
+                (data_rpcs..=data_rpcs * servers as u64).contains(&visits),
+                "{what}: {visits} data-server visits for {data_rpcs} groups"
+            );
+            assert!(region.core().drained());
+        }
     }
 }

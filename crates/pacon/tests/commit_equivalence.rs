@@ -266,9 +266,7 @@ proptest! {
 // Data-plane group commit: a batch's writebacks as one vectored write
 // ---------------------------------------------------------------------------
 
-/// A step over a universe of six files in two pre-made directories —
-/// small enough that one batch regularly carries two writebacks of the
-/// same path (write · unlink · re-create · write).
+/// A step over a universe of files in two pre-made directories.
 #[derive(Debug, Clone)]
 enum WStep {
     Create(usize),
@@ -279,20 +277,45 @@ enum WStep {
     Drain,
 }
 
+/// The largest universe a case draws from.
+const WFILES: usize = 24;
+
 fn wfile(i: usize) -> String {
-    format!("/w/d{}/f{}", (i / 3) % 2, i % 3)
+    format!("/w/d{}/f{}", (i / 3) % 2, i % 3 + i / 6 * 3)
 }
 
 fn wpayload(b: u8) -> Vec<u8> {
     vec![b; (b as usize % 24) + 1]
 }
 
-fn wstep_strategy() -> impl Strategy<Value = WStep> {
+/// Steps over the first `files` files with the given weights.
+fn wsteps(
+    files: usize,
+    [create, write, unlink, drain]: [u32; 4],
+    len: usize,
+) -> impl Strategy<Value = Vec<WStep>> {
+    let step = prop_oneof![
+        create => (0..files).prop_map(WStep::Create),
+        write => ((0..files), any::<u8>()).prop_map(|(i, b)| WStep::Write(i, b)),
+        unlink => (0..files).prop_map(WStep::Unlink),
+        drain => Just(WStep::Drain),
+    ];
+    proptest::collection::vec(step, 1..len)
+}
+
+/// A case draws its shape, and with it the namespace : data mix of the
+/// commit traffic: six files, balanced, with drains — small enough that
+/// one batch regularly carries two writebacks of the same path (write ·
+/// unlink · re-create · write) — or all the files and hardly a drain, so
+/// that a plane of a node's publish buffer fills to the batch size while
+/// the other holds ops too and messages of more than `batch` ops occur:
+/// one to one, namespace-heavy, data-heavy.
+fn wsteps_strategy() -> impl Strategy<Value = Vec<WStep>> {
     prop_oneof![
-        4 => (0usize..6).prop_map(WStep::Create),
-        6 => ((0usize..6), any::<u8>()).prop_map(|(i, b)| WStep::Write(i, b)),
-        3 => (0usize..6).prop_map(WStep::Unlink),
-        1 => Just(WStep::Drain),
+        2 => wsteps(6, [4, 6, 3, 1], 80),
+        1 => wsteps(WFILES, [32, 32, 4, 1], 120),
+        1 => wsteps(WFILES, [32, 12, 8, 1], 120),
+        1 => wsteps(WFILES, [16, 48, 4, 1], 120),
     ]
 }
 
@@ -308,6 +331,8 @@ struct WOutcome {
     writeback_skipped: u64,
     discarded: u64,
     small_batches: u64,
+    /// Ops in the largest batched message a worker handled.
+    largest_message: u32,
 }
 
 /// Run `steps` on a paused two-node region, workers stepped round-robin
@@ -320,11 +345,14 @@ fn run_writebacks(steps: &[WStep], batch: usize) -> WOutcome {
     let region = PaconRegion::launch_paused(config, &dfs).unwrap();
     let clients: Vec<_> = (0..2).map(|i| region.client(ClientId(i))).collect();
     let mut workers: Vec<_> = (0..2).map(|n| region.take_worker(n)).collect();
+    let mut largest_message = 0;
     let mut drain = || {
         let mut spins = 0;
         while !region.core().drained() {
             for w in workers.iter_mut() {
-                w.step();
+                if let WorkerStep::Batch { committed, retried, discarded } = w.step() {
+                    largest_message = largest_message.max(committed + retried + discarded);
+                }
             }
             spins += 1;
             assert!(spins < 100_000, "commit did not converge");
@@ -354,28 +382,47 @@ fn run_writebacks(steps: &[WStep], batch: usize) -> WOutcome {
     let counters = &region.core().counters;
     WOutcome {
         snapshot: dfs.snapshot(),
-        contents: (0..6).map(|i| fs.read(&wfile(i), &cred, 0, 4096).ok()).collect(),
+        contents: (0..WFILES).map(|i| fs.read(&wfile(i), &cred, 0, 4096).ok()).collect(),
         settled: report.committed + report.coalesced_cancel + report.coalesced_collapse,
         writeback_skipped: counters.get("writeback_skipped"),
         discarded: report.discarded + counters.get("commit_errors"),
         small_batches: dfs.mds_counter("size_batch"),
+        largest_message,
+    }
+}
+
+thread_local! {
+    /// Per batch size of [`grouped_writebacks_cases`]: the largest message
+    /// any case produced, in ops.
+    static LARGEST_MESSAGE: std::cell::Cell<[u32; 3]> = const { std::cell::Cell::new([0; 3]) };
+}
+
+const WBATCHES: [usize; 3] = [2, 8, 32];
+
+/// Grouping a batch's writebacks changes how many requests carry them,
+/// never what they do: at batch 2, 8 and 32 the DFS ends with the
+/// namespace, file sizes and file contents of the one-at-a-time path,
+/// which in turn are what the same steps leave on a plain DFS; every
+/// op settles exactly once; and a writeback is skipped only where the
+/// single path skips it too (a create cancelled in the publish buffer
+/// takes its queued writebacks with it, so there may be fewer).
+#[test]
+fn grouped_writebacks_equivalent_to_single_writebacks() {
+    grouped_writebacks_cases();
+    // Not vacuous for the per-plane budget: messages of more than `batch`
+    // ops — a full plane plus whatever the other held — were among them.
+    // (Filling a 32-op plane takes more steps than a case has; the
+    // occupancy budget in `client_edges` covers that size directly.)
+    let largest = LARGEST_MESSAGE.get();
+    for (batch, largest) in WBATCHES.into_iter().zip(largest).take(2) {
+        assert!(largest as usize > batch, "batch {batch}: largest message {largest} ops");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Grouping a batch's writebacks changes how many requests carry them,
-    /// never what they do: at batch 2, 8 and 32 the DFS ends with the
-    /// namespace, file sizes and file contents of the one-at-a-time path,
-    /// which in turn are what the same steps leave on a plain DFS; every
-    /// op settles exactly once; and a writeback is skipped only where the
-    /// single path skips it too (a create cancelled in the publish buffer
-    /// takes its queued writebacks with it, so there may be fewer).
-    #[test]
-    fn grouped_writebacks_equivalent_to_single_writebacks(
-        steps in proptest::collection::vec(wstep_strategy(), 1..80),
-    ) {
+    fn grouped_writebacks_cases(steps in wsteps_strategy()) {
         let cred = Credentials::new(1, 1);
         let single = run_writebacks(&steps, 1);
         prop_assert_eq!(single.small_batches, 0, "batch 1 is the one-at-a-time path");
@@ -395,11 +442,14 @@ proptest! {
             };
         }
         prop_assert_eq!(&single.snapshot, &oracle.snapshot(), "batch 1 vs plain DFS");
-        let want: Vec<_> = (0..6).map(|i| fs.read(&wfile(i), &cred, 0, 4096).ok()).collect();
+        let want: Vec<_> = (0..WFILES).map(|i| fs.read(&wfile(i), &cred, 0, 4096).ok()).collect();
         prop_assert_eq!(&single.contents, &want, "batch 1 vs plain DFS");
 
-        for batch in [2usize, 8, 32] {
+        for (slot, batch) in WBATCHES.into_iter().enumerate() {
             let grouped = run_writebacks(&steps, batch);
+            let mut largest = LARGEST_MESSAGE.get();
+            largest[slot] = largest[slot].max(grouped.largest_message);
+            LARGEST_MESSAGE.set(largest);
             prop_assert_eq!(&grouped.snapshot, &single.snapshot, "namespace/sizes (batch={})", batch);
             prop_assert_eq!(&grouped.contents, &single.contents, "contents (batch={})", batch);
             prop_assert_eq!(grouped.settled, single.settled, "settled ops (batch={})", batch);

@@ -694,3 +694,64 @@ fn mid_batch_crash_inside_a_writeback_group_replays_without_duplicates() {
     }
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
+
+/// The per-plane budget makes messages of up to `2·n − 1` ops (here 4
+/// creates + 3 writebacks at batch 4). `CrashPoint::MidBatch` in either
+/// window of such a message — after its namespace RPC, after its
+/// writeback group — and a relaunch: every acknowledged op is on the DFS
+/// with its payload, the ones still in the publish buffer included.
+#[test]
+fn mid_batch_crash_inside_a_two_plane_message_keeps_every_acked_op() {
+    const N: usize = 4;
+    for window in [1u32, 2] {
+        let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let cred = Credentials::new(1, 1);
+        let wal_dir = fresh_wal_dir(&format!("twoplane{window}"));
+        let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
+            .with_commit_batch(N)
+            .with_durability(&wal_dir);
+
+        let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
+        region.core().crash.arm(CrashPoint::MidBatch, window);
+        let c = region.client(ClientId(0));
+        // The fourth create fills the namespace plane and flushes; its
+        // write and one more file stay behind in the buffer.
+        for i in 0..N + 1 {
+            c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
+            c.write(&format!("/job/f{i}"), &cred, 0, &group_payload(i)).unwrap();
+        }
+        let counters = &region.core().counters;
+        assert_eq!(
+            (counters.get("batches_flushed"), counters.get("batched_ops")),
+            (1, 2 * N as u64 - 1),
+            "one message: {N} creates and the {} writebacks between them",
+            N - 1
+        );
+        let mut w = region.take_worker(0);
+        assert_eq!(w.step(), WorkerStep::Crashed, "window {window}");
+        let old = region.report();
+        assert_eq!(old.committed, if window == 1 { 0 } else { N as u64 }, "window {window}");
+        assert_eq!(dfs.mds_counter("batch_ops"), N as u64, "the namespace RPC landed");
+        assert_eq!(dfs.mds_counter("size_batch_ops"), if window == 1 { 0 } else { N as u64 - 1 });
+        assert_eq!(old.wal_appended, 2 * (N as u64 + 1));
+        drop(w);
+        region.abort();
+        drop(c);
+        drop(region);
+
+        let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+        let rep = region.report();
+        assert_eq!(rep.wal_replayed, 2 * (N as u64 + 1));
+        assert_eq!(rep.wal_replayed, rep.recovery_applied + rep.recovery_skipped);
+        assert_eq!(dfs.mds_counter("replay_noop"), N as u64, "the applied creates no-op");
+        let fs = dfs.client();
+        let mut names = fs.readdir("/job", &cred).unwrap();
+        names.sort();
+        assert_eq!(names, (0..N + 1).map(|i| format!("f{i}")).collect::<Vec<_>>());
+        for i in 0..N + 1 {
+            let got = fs.read(&format!("/job/f{i}"), &cred, 0, 64).unwrap();
+            assert_eq!(got, group_payload(i), "window {window}, f{i}");
+        }
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
+}
