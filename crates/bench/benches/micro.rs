@@ -39,7 +39,7 @@ fn bench_lsmkv(c: &mut Criterion) {
 }
 
 fn bench_memkv(c: &mut Criterion) {
-    let shard = memkv::Shard::new(None);
+    let shard = memkv::Shard::new();
     shard.set(b"/w/file", b"value-bytes");
     let mut g = c.benchmark_group("memkv-shard");
     g.measurement_time(Duration::from_millis(800)).warm_up_time(Duration::from_millis(200));

@@ -216,25 +216,13 @@ impl DfsClient {
     /// op. Results come back per op in input order; the dentry cache is
     /// maintained for each op that succeeded. Batches route to one MDS
     /// (root-sharded), matching the single-MDS testbed the paper runs.
-    pub fn apply_batch(&self, ops: &[BatchOp], cred: &Credentials) -> Vec<FsResult<()>> {
-        self.apply_batch_inner(ops, None, cred)
-    }
-
-    /// [`DfsClient::apply_batch`] carrying per-op replay identities, for
-    /// durable commit pipelines: already-applied ops no-op server-side.
+    /// `ids` are the per-op replay identities of a durable commit
+    /// pipeline — already-applied ops no-op server-side; a volatile
+    /// pipeline passes [`OpId::NONE`]s.
     pub fn apply_batch_idempotent(
         &self,
         ops: &[BatchOp],
         ids: &[OpId],
-        cred: &Credentials,
-    ) -> Vec<FsResult<()>> {
-        self.apply_batch_inner(ops, Some(ids), cred)
-    }
-
-    fn apply_batch_inner(
-        &self,
-        ops: &[BatchOp],
-        ids: Option<&[OpId]>,
         cred: &Credentials,
     ) -> Vec<FsResult<()>> {
         if ops.is_empty() {
@@ -243,10 +231,7 @@ impl DfsClient {
         self.counters.incr("batch_rpcs");
         self.charge_rtt();
         let mds = self.cluster.mds_for(Ino::ROOT);
-        let results = match ids {
-            Some(ids) => mds.apply_batch_idempotent(ops, ids, cred),
-            None => mds.apply_batch(ops, cred),
-        };
+        let results = mds.apply_batch(ops, ids, cred);
         let mut dentries = self.dentries.lock();
         ops.iter()
             .zip(results)

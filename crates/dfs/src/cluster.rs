@@ -126,13 +126,8 @@ impl DfsCluster {
         }
     }
 
-    /// Perm of an inode, fetched with the lookup reply (uncharged — it is
-    /// piggybacked on the lookup RPC the caller already paid for).
-    pub fn peek_perm(&self, ino: Ino) -> FsResult<Perm> {
-        Ok(self.ns.read().get(ino)?.perm)
-    }
-
-    /// Perm and kind of an inode (piggybacked on the lookup RPC).
+    /// Perm and kind of an inode (uncharged — piggybacked on the lookup
+    /// RPC the caller already paid for).
     pub fn peek_meta(&self, ino: Ino) -> FsResult<(Perm, fsapi::FileKind)> {
         let ns = self.ns.read();
         let inode = ns.get(ino)?;

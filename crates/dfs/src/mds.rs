@@ -226,28 +226,17 @@ impl Mds {
     /// fails `n` consecutive ops (possibly mid-batch) while every other
     /// op in the same batch applies, the partial-failure shape the
     /// commit process must disaggregate.
-    pub fn apply_batch(&self, ops: &[BatchOp], cred: &Credentials) -> Vec<FsResult<Ino>> {
-        self.apply_batch_inner(ops, None, cred)
-    }
-
-    /// [`Mds::apply_batch`] with per-op replay identities: an op whose
-    /// identity is already in the seen-cache is a no-op returning the
-    /// original inode ("replay_noop"), and every applied op is recorded
-    /// *before* its reply can be lost — so a durable commit log can be
-    /// replayed any number of times without duplicating effects.
-    pub fn apply_batch_idempotent(
+    ///
+    /// `ids` are per-op replay identities: an op whose identity is already
+    /// in the seen-cache is a no-op returning the original inode
+    /// ("replay_noop"), and every applied op is recorded *before* its
+    /// reply can be lost — so a durable commit log can be replayed any
+    /// number of times without duplicating effects. [`OpId::NONE`] (or a
+    /// missing id) leaves an op unidentified.
+    pub fn apply_batch(
         &self,
         ops: &[BatchOp],
         ids: &[OpId],
-        cred: &Credentials,
-    ) -> Vec<FsResult<Ino>> {
-        self.apply_batch_inner(ops, Some(ids), cred)
-    }
-
-    fn apply_batch_inner(
-        &self,
-        ops: &[BatchOp],
-        ids: Option<&[OpId]>,
         cred: &Credentials,
     ) -> Vec<FsResult<Ino>> {
         charge(
@@ -260,7 +249,7 @@ impl Mds {
         ops.iter()
             .enumerate()
             .map(|(i, op)| {
-                let id = ids.and_then(|ids| ids.get(i)).copied().unwrap_or(OpId::NONE);
+                let id = ids.get(i).copied().unwrap_or(OpId::NONE);
                 self.check_fault()?;
                 if !id.is_none() {
                     if let Some(ino) = self.seen.lock().hit(op.path(), id.write_id) {
@@ -437,7 +426,7 @@ mod tests {
             BatchOp::Create { path: "/d/g".into(), mode: 0o644 },
             BatchOp::Unlink { path: "/d/f".into() },
         ];
-        let (results, t) = with_recording(|| m.apply_batch(&ops, &cred));
+        let (results, t) = with_recording(|| m.apply_batch(&ops, &[OpId::NONE; 4], &cred));
         assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
         assert_eq!(
             t.station_ns(Station::Mds(0)),
@@ -461,7 +450,7 @@ mod tests {
             BatchOp::Create { path: "/missing/f".into(), mode: 0o644 },
             BatchOp::Create { path: "/b".into(), mode: 0o644 },
         ];
-        let results = m.apply_batch(&ops, &cred);
+        let results = m.apply_batch(&ops, &[OpId::NONE; 3], &cred);
         assert!(results[0].is_ok());
         assert_eq!(results[1].as_ref().err(), Some(&FsError::NotFound));
         assert!(results[2].is_ok(), "a namespace rejection must not poison the batch");
@@ -475,7 +464,7 @@ mod tests {
             .map(|i| BatchOp::Create { path: format!("/f{i}"), mode: 0o644 })
             .collect();
         m.inject_failures(2);
-        let results = m.apply_batch(&ops, &cred);
+        let results = m.apply_batch(&ops, &[OpId::NONE; 5], &cred);
         assert!(matches!(results[0], Err(FsError::Backend(_))));
         assert!(matches!(results[1], Err(FsError::Backend(_))));
         assert!(results[2..].iter().all(|r| r.is_ok()), "{results:?}");

@@ -155,11 +155,6 @@ impl IndexFsCluster {
     pub fn server_counter(&self, name: &str) -> u64 {
         self.servers.iter().map(|s| s.counters.get(name)).sum()
     }
-
-    /// Number of servers (= client nodes).
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
 }
 
 impl Drop for IndexFsCluster {

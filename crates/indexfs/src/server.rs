@@ -131,11 +131,6 @@ impl Server {
         self.counters.add("bulk_records", batch.len() as u64);
         Self::backend(self.db.ingest_sorted(batch))
     }
-
-    /// LSM stats passthrough (diagnostics).
-    pub fn lsm_stats(&self) -> lsmkv::Stats {
-        self.db.stats()
-    }
 }
 
 #[cfg(test)]

@@ -188,11 +188,6 @@ impl PartialMultiGet {
     pub fn is_complete(&self) -> bool {
         self.failed.is_empty()
     }
-
-    /// Number of keys left unfetched by down node groups.
-    pub fn failed_keys(&self) -> usize {
-        self.failed.iter().map(|(_, idxs)| idxs.len()).sum()
-    }
 }
 
 /// A distributed cache: one shard per provisioned node plus the epoch'd
@@ -219,24 +214,21 @@ pub struct KvCluster {
 }
 
 impl KvCluster {
-    /// Spin up one unbounded shard per node of `topology`.
+    /// Spin up one shard per node of `topology`.
     pub fn new(topology: Topology, profile: Arc<LatencyProfile>) -> Arc<Self> {
-        Self::with_options(topology, profile, None, 0)
+        Self::with_options(topology, profile, 0)
     }
 
-    /// Full-control constructor: every provisioned node starts on the
-    /// ring. `shard_max_bytes` is the per-shard byte budget (`None` =
-    /// unbounded); `station_base` offsets the shards' station ids (used
-    /// when several cache clusters coexist in one simulation).
+    /// Every provisioned node starts on the ring; `station_base` offsets
+    /// the shards' station ids (used when several cache clusters coexist
+    /// in one simulation).
     pub fn with_options(
         topology: Topology,
         profile: Arc<LatencyProfile>,
-        shard_max_bytes: Option<usize>,
         station_base: u32,
     ) -> Arc<Self> {
         let node_ids: Vec<NodeId> = topology.node_ids().collect();
-        let shards: Vec<Arc<Shard>> =
-            node_ids.iter().map(|_| Arc::new(Shard::new(shard_max_bytes))).collect();
+        let shards: Vec<Arc<Shard>> = node_ids.iter().map(|_| Arc::new(Shard::new())).collect();
         let up = node_ids.iter().map(|_| AtomicBool::new(true)).collect();
         let slowdown_ns = node_ids.iter().map(|_| AtomicU64::new(0)).collect();
         Arc::new(Self {
@@ -252,11 +244,6 @@ impl KvCluster {
             migration_aborts: AtomicU64::new(0),
             forced_completes: AtomicU64::new(0),
         })
-    }
-
-    /// Station-id base of this cluster's shards.
-    pub fn station_base(&self) -> u32 {
-        self.station_base
     }
 
     /// Client handle for a process living on `local` node.
@@ -548,11 +535,6 @@ impl KvCluster {
 
     // ---------------------------------------------------------------------
 
-    /// Number of provisioned nodes (members or spares, up or down).
-    pub fn node_count(&self) -> usize {
-        self.node_ids.len()
-    }
-
     /// Liveness of `node`.
     pub fn node_status(&self, node: NodeId) -> NodeStatus {
         if self.up[self.node_index(node)].load(Ordering::Acquire) {
@@ -566,12 +548,6 @@ impl KvCluster {
     /// restart, migration begin/complete/abort.
     pub fn ring_epoch(&self) -> u64 {
         self.router.epoch()
-    }
-
-    /// The epoch'd router (read surface for consumers that need the
-    /// epoch alongside routing, e.g. fenced CAS callers).
-    pub fn router(&self) -> &EpochRouter {
-        &self.router
     }
 
     /// Fault-plane slow-down: every access to `node` charges `extra_ns`
@@ -638,7 +614,6 @@ impl KvCluster {
             agg.cas_ok += st.cas_ok;
             agg.cas_conflicts += st.cas_conflicts;
             agg.deletes += st.deletes;
-            agg.evictions += st.evictions;
             agg.multi_gets += st.multi_gets;
             agg.multi_keys += st.multi_keys;
             agg.bytes_referenced += st.bytes_referenced;
@@ -871,11 +846,6 @@ impl KvClient {
     pub fn cluster(&self) -> &Arc<KvCluster> {
         &self.cluster
     }
-
-    /// Node this client runs on (`None` for remote/merged clients).
-    pub fn local_node(&self) -> Option<NodeId> {
-        self.local
-    }
 }
 
 #[cfg(test)]
@@ -1083,7 +1053,6 @@ mod tests {
     #[test]
     fn ring_epoch_is_monotonic_across_crash_restart_cycles() {
         let c = cluster(3);
-        assert_eq!(c.node_count(), 3);
         let mut last = c.ring_epoch();
         assert_eq!(last, 0);
         for _ in 0..3 {
@@ -1450,6 +1419,5 @@ mod reshard_tests {
                 assert_eq!(&*v, format!("v{i}").as_bytes());
             }
         }
-        assert_eq!(p.failed_keys(), failed.len());
     }
 }

@@ -9,7 +9,9 @@
 //! * [`ring`] — a consistent-hash ring with virtual nodes mapping keys to
 //!   shard nodes,
 //! * [`shard`] — one in-memory shard: versioned `Arc<[u8]>` entries, CAS,
-//!   CLOCK eviction, byte accounting; reads share an `RwLock`,
+//!   byte accounting and no eviction of its own (the cache is Pacon's
+//!   primary copy; `pacon::eviction` decides what may go); reads share
+//!   an `RwLock`,
 //! * [`cluster`] — the cluster facade plus the per-node client handle
 //!   that charges simulated network/service costs; batched `multi_gets`
 //!   pays one round trip per shard node per batch. Ring membership is

@@ -35,7 +35,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn shard_matches_hashmap_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let shard = Shard::new(None);
+        let shard = Shard::new();
         let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
 
         for op in &ops {
@@ -95,7 +95,7 @@ proptest! {
     #[test]
     fn versions_strictly_increase_per_key(values in proptest::collection::vec(
         proptest::collection::vec(any::<u8>(), 0..8), 2..20)) {
-        let shard = Shard::new(None);
+        let shard = Shard::new();
         let mut last = 0u64;
         for v in &values {
             let ver = shard.set(b"key", v);

@@ -3,26 +3,23 @@
 //! The paper implements Pacon's commit queue with ZeroMQ (Section III.D,
 //! Fig. 5): every client in a consistent region is a *publisher*, and the
 //! per-node commit process is the *subscriber* that applies operations to
-//! the DFS. This crate provides the two socket patterns that design
+//! the DFS. This crate provides the one socket pattern that design
 //! needs:
 //!
 //! * [`queue::push_pull`] — a bounded multi-producer single-or-multi-
 //!   consumer pipeline where each message is delivered to exactly one
 //!   consumer (ZeroMQ PUSH/PULL). This carries the commit traffic.
-//! * [`pubsub::PubSub`] — fan-out broadcast where every subscriber sees
-//!   every message (ZeroMQ PUB/SUB). Pacon uses it to announce region
-//!   merges and checkpoints to all nodes.
+//! * [`redelivery::ReliablePublisher`] — a publisher-side window that
+//!   re-sends what a faulted link or broker dropped.
 //!
-//! Both patterns expose non-blocking receives and backlog inspection so
-//! they can be driven by the discrete-event harness as well as by real
+//! The queue exposes non-blocking receives and backlog inspection so it
+//! can be driven by the discrete-event harness as well as by real
 //! threads.
 
 #![forbid(unsafe_code)]
 
-pub mod pubsub;
 pub mod queue;
 pub mod redelivery;
 
-pub use pubsub::PubSub;
 pub use queue::{push_pull, Consumer, LinkView, Publisher, RecvError, SendFault, TryRecvError};
 pub use redelivery::{Disconnected, FlushOutcome, ReliablePublisher};

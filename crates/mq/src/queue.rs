@@ -195,11 +195,6 @@ impl<T> Publisher<T> {
         self.shared.state.lock().severed = false;
     }
 
-    /// Is the broker link currently severed?
-    pub fn is_severed(&self) -> bool {
-        self.shared.state.lock().severed
-    }
-
     /// Arm scripted message duplication: the next `n` messages enqueued
     /// through [`send_seq`](Self::send_seq) are delivered twice
     /// (back-to-back), modelling a fault-plane duplicated send.
@@ -342,12 +337,6 @@ impl<T> Consumer<T> {
     pub fn backlog(&self) -> usize {
         self.shared.state.lock().buf.len()
     }
-
-    /// (sent, received) totals since creation.
-    pub fn counters(&self) -> (u64, u64) {
-        let st = self.shared.state.lock();
-        (st.sent, st.received)
-    }
 }
 
 impl<T> Clone for Consumer<T> {
@@ -384,7 +373,6 @@ mod tests {
             assert_eq!(rx.recv().unwrap(), i);
         }
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        assert_eq!(rx.counters(), (10, 10));
     }
 
     #[test]
@@ -516,14 +504,12 @@ mod tests {
         let (tx, rx) = push_pull::<u32>(4);
         tx.send(1).unwrap();
         assert_eq!(tx.sever(), 1, "one buffered message wiped");
-        assert!(tx.is_severed());
         assert_eq!(tx.send(2), Err(2));
         assert_eq!(tx.try_send(3), Err(3));
         assert_eq!(tx.send_seq(&4), Err(SendFault::Severed));
         // Consumers see an empty-but-connected queue while severed.
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         tx.heal();
-        assert!(!tx.is_severed());
         tx.send(5).unwrap();
         assert_eq!(rx.recv().unwrap(), 5);
     }

@@ -101,7 +101,7 @@ impl PaconRegion {
         if name.is_empty() || name.contains('/') {
             return Err(FsError::InvalidArgument(format!("bad checkpoint name: {name}")));
         }
-        self.sync_barrier();
+        self.sync_barrier()?;
         let cred = self.core().config.cred;
         let fs = self.dfs().client();
         let dst = checkpoint_dir(&self.core().root, name);
@@ -166,11 +166,11 @@ impl PaconRegion {
         let mut stats = CheckpointStats::default();
         copy_tree(&fs, &src, &self.core().root, &cred, &mut stats)?;
         // Rebuild the primary copy: start empty; getattr misses reload
-        // from the DFS.
+        // from the DFS. The side tables go with it — what they say about
+        // queued unlinks, writebacks and committed incarnations describes
+        // the tree this rollback just replaced.
         self.core().cache_cluster.clear();
-        self.core().staging.lock().clear();
-        self.core().removed_dirs.write().clear();
-        self.core().pending_writebacks.lock().clear();
+        self.core().forget_in_flight();
         // Buffered-but-unpublished ops predate the rollback and must not
         // survive it — drop them and, in durable mode, reset the commit
         // logs so the next launch cannot resurrect rolled-back mutations.
@@ -184,7 +184,6 @@ impl PaconRegion {
         }
         self.core().counters.add("rollback_dropped_ops", dropped);
         self.core().reset_wals()?;
-        self.core().generations.lock().clear();
         self.core().counters.incr("rollbacks");
         Ok(stats)
     }

@@ -29,7 +29,7 @@ use crate::commit::op::{CommitOp, QueueMsg};
 use crate::degraded::Mode as DegradedMode;
 use crate::eviction;
 use crate::metadata::CachedMeta;
-use crate::region::{RegionCore, RegionHandle, Route};
+use crate::region::{RegionCore, RegionHandle};
 
 /// A merged region: its handle plus a remote cache client.
 struct Merged {
@@ -619,28 +619,10 @@ impl PaconClient {
     /// performs the dependent op, then completes it.
     fn barrier(&self) -> FsResult<crate::commit::barrier::BarrierGuard<'_>> {
         let guard = self.core.board.start_barrier();
-        let epoch = guard.epoch();
-        for (n, tx) in self.publishers.iter().enumerate() {
-            // Barriers always force publish buffers out: every op queued
-            // before the marker must commit before the dependent op runs,
-            // including ops still coalescing below the batch threshold.
-            self.core.drain_publish_buffer(n, tx);
-            charge(Station::ClientCpu, self.profile().queue_push);
-            // permit_blocking: the barrier slot is held across the marker
-            // send by design — workers never take the slot, they only
-            // drain the queue, so a full queue always resolves.
-            syncguard::permit_blocking(|| {
-                tx.send(QueueMsg {
-                    id: dfs::OpId::NONE,
-                    op: CommitOp::Barrier { epoch },
-                    client: self.id.0,
-                    epoch,
-                    timestamp: self.core.now(),
-                    degraded: false,
-                })
-            })
-            .map_err(|_| FsError::Backend("commit queue closed".into()))?;
-        }
+        let queue_push = self.profile().queue_push;
+        self.core.post_barrier_markers(&self.publishers, guard.epoch(), self.id.0, || {
+            charge(Station::ClientCpu, queue_push)
+        })?;
         guard.wait_workers();
         Ok(guard)
     }
@@ -1382,6 +1364,16 @@ impl FileSystem for PaconClient {
             Route::Redirect => self.dfs.fsync(path, cred),
         }
     }
+}
+
+/// Route for an incoming path.
+enum Route {
+    /// Inside this client's own region.
+    Own,
+    /// Inside merged region `idx` (read-only).
+    Merged(usize),
+    /// Outside every known region: redirect to the DFS.
+    Redirect,
 }
 
 /// Route a path against the own region and the merged handles without

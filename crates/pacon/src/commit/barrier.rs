@@ -59,10 +59,6 @@ impl BarrierBoard {
         }
     }
 
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
     /// Epoch whose operations are all known committed.
     pub fn current_epoch(&self) -> u64 {
         self.state.lock().current
@@ -82,9 +78,14 @@ impl BarrierBoard {
     }
 
     /// A commit process reports that it consumed the marker for `epoch`
-    /// and has nothing older left.
-    pub fn worker_reached(&self, epoch: u64) {
+    /// and has nothing older left. False — and nothing is counted — when
+    /// that barrier is already over: its client abandoned it (a marker
+    /// could not be posted on another node) before this worker got here.
+    pub fn worker_reached(&self, epoch: u64) -> bool {
         let mut st = self.state.lock();
+        if st.current >= epoch {
+            return false;
+        }
         assert_eq!(
             st.active,
             Some(epoch),
@@ -94,6 +95,7 @@ impl BarrierBoard {
         st.reached += 1;
         assert!(st.reached <= self.workers, "more reports than workers");
         self.cv.notify_all();
+        true
     }
 
     /// Non-blocking: has the barrier for `epoch` been completed (workers
@@ -202,6 +204,7 @@ mod tests {
             // Dependent op "failed": guard dropped without complete().
         }
         assert_eq!(b.current_epoch(), 1, "drop must still advance the epoch");
+        assert!(!b.worker_reached(1), "a late report to the abandoned barrier is refused");
     }
 
     #[test]

@@ -35,6 +35,22 @@ impl CommitOp {
         }
     }
 
+    /// The DFS namespace request this op commits as; `None` for
+    /// everything that is not a namespace update (writebacks, barrier
+    /// markers, batch wrappers).
+    pub(crate) fn namespace_op(&self) -> Option<dfs::BatchOp> {
+        match self {
+            CommitOp::Mkdir { path, mode } => {
+                Some(dfs::BatchOp::Mkdir { path: path.clone(), mode: *mode })
+            }
+            CommitOp::Create { path, mode } => {
+                Some(dfs::BatchOp::Create { path: path.clone(), mode: *mode })
+            }
+            CommitOp::Unlink { path } => Some(dfs::BatchOp::Unlink { path: path.clone() }),
+            CommitOp::WriteInline { .. } | CommitOp::Barrier { .. } | CommitOp::Batch(_) => None,
+        }
+    }
+
     /// True for operations that create a namespace entry (the kind that
     /// may be discarded when their directory is removed, Section III.D-1).
     pub fn is_creation(&self) -> bool {

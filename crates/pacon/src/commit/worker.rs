@@ -182,13 +182,21 @@ impl CommitWorker {
             }
         }
 
-        // A marker was consumed: flush the retry backlog, then report.
+        // A marker was consumed: flush the retry backlog, then report —
+        // unless its barrier is already over. A barrier that could not
+        // post every marker is abandoned by its client, and the markers
+        // it did post are stale: flush nothing, report nothing.
         if let Some(epoch) = self.flushing_for {
-            if let Some(e) = self.retry.pop_front() {
-                return self.apply(e.msg, e.attempts, e.backend_faulted);
+            if !self.core.board.is_released(epoch) {
+                if let Some(e) = self.retry.pop_front() {
+                    return self.apply(e.msg, e.attempts, e.backend_faulted);
+                }
             }
             self.flushing_for = None;
-            self.core.board.worker_reached(epoch);
+            if !self.core.board.worker_reached(epoch) {
+                self.core.counters.incr("stale_barrier_markers");
+                return WorkerStep::Retried;
+            }
             self.waiting = Some(epoch);
             return WorkerStep::BarrierReported;
         }
@@ -293,14 +301,16 @@ impl CommitWorker {
     fn apply_batch(&mut self, inner: Vec<QueueMsg>) -> WorkerStep {
         let cred = self.core.config.cred;
         let mut ns_msgs = Vec::with_capacity(inner.len());
+        let mut ops: Vec<BatchOp> = Vec::with_capacity(inner.len());
         let mut wb_msgs = Vec::new();
         for msg in inner {
-            match &msg.op {
-                CommitOp::WriteInline { .. } => wb_msgs.push(msg),
-                CommitOp::Barrier { .. } | CommitOp::Batch(_) => {
-                    unreachable!("markers and batches are never batched")
+            match msg.op.namespace_op() {
+                Some(op) => {
+                    ops.push(op);
+                    ns_msgs.push(msg);
                 }
-                _ => ns_msgs.push(msg),
+                None if matches!(msg.op, CommitOp::WriteInline { .. }) => wb_msgs.push(msg),
+                None => unreachable!("markers and batches are never batched"),
             }
         }
 
@@ -315,25 +325,9 @@ impl CommitWorker {
         };
 
         if !ns_msgs.is_empty() {
-            let ops: Vec<BatchOp> = ns_msgs
-                .iter()
-                .map(|m| match &m.op {
-                    CommitOp::Mkdir { path, mode } => {
-                        BatchOp::Mkdir { path: path.clone(), mode: *mode }
-                    }
-                    CommitOp::Create { path, mode } => {
-                        BatchOp::Create { path: path.clone(), mode: *mode }
-                    }
-                    CommitOp::Unlink { path } => BatchOp::Unlink { path: path.clone() },
-                    _ => unreachable!("partitioned above"),
-                })
-                .collect();
-            let results = if self.core.durable() {
-                let ids: Vec<dfs::OpId> = ns_msgs.iter().map(|m| m.id).collect();
-                self.dfs.apply_batch_idempotent(&ops, &ids, &cred)
-            } else {
-                self.dfs.apply_batch(&ops, &cred)
-            };
+            // A volatile region's ids are all `OpId::NONE`: unidentified.
+            let ids: Vec<dfs::OpId> = ns_msgs.iter().map(|m| m.id).collect();
+            let results = self.dfs.apply_batch_idempotent(&ops, &ids, &cred);
             // Crash window: the DFS applied the batch but nothing has
             // settled. Recovery must re-drive these ops idempotently.
             if self.core.crash.hit(CrashPoint::MidBatch) {
@@ -425,16 +419,10 @@ impl CommitWorker {
     fn execute(&mut self, msg: &QueueMsg) -> FsResult<()> {
         let cred = self.core.config.cred;
         let id = msg.id;
+        if let Some(op) = msg.op.namespace_op() {
+            return self.apply_ns(op, id);
+        }
         match &msg.op {
-            CommitOp::Mkdir { path, mode } => {
-                self.apply_ns(BatchOp::Mkdir { path: path.clone(), mode: *mode }, id)
-            }
-            CommitOp::Create { path, mode } => {
-                self.apply_ns(BatchOp::Create { path: path.clone(), mode: *mode }, id)
-            }
-            CommitOp::Unlink { path } => {
-                self.apply_ns(BatchOp::Unlink { path: path.clone() }, id)
-            }
             CommitOp::WriteInline { path } => {
                 let claim = eviction::claim_writeback(&self.core, &self.cache, path);
                 match self.claimed(claim)? {
@@ -447,9 +435,7 @@ impl CommitWorker {
                     None => Ok(()),
                 }
             }
-            CommitOp::Barrier { .. } | CommitOp::Batch(_) => {
-                unreachable!("barriers and batches handled in step()")
-            }
+            _ => unreachable!("barriers and batches handled in step()"),
         }
     }
 

@@ -49,7 +49,6 @@ pub mod client;
 pub mod commit;
 pub mod config;
 pub mod degraded;
-pub mod directory;
 pub mod eviction;
 pub mod metadata;
 pub mod permission;
@@ -63,7 +62,6 @@ pub use degraded::{DegradedState, Mode as DegradedMode};
 pub use retry::RetryPolicy;
 pub use commit::op::{CommitOp, QueueMsg};
 pub use config::PaconConfig;
-pub use directory::RegionDirectory;
 pub use metadata::CachedMeta;
 pub use permission::RegionPermissions;
 pub use region::{PaconRegion, RegionHandle};

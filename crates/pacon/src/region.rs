@@ -125,6 +125,21 @@ pub struct RegionCore {
 }
 
 impl RegionCore {
+    /// Forget every per-path record of work in flight, as a fresh launch
+    /// over the same DFS state would hold none: checkpoint rollback has
+    /// just dropped the ops and replaced the incarnations they describe.
+    /// Every per-path side table of the region is cleared here, so a new
+    /// one belongs in this list.
+    pub(crate) fn forget_in_flight(&self) {
+        self.removed_dirs.write().clear();
+        self.staging.lock().clear();
+        self.pending_writebacks.lock().clear();
+        self.pending_removals.lock().clear();
+        self.stale_tombstones.lock().clear();
+        self.committed_births.lock().clear();
+        self.generations.lock().clear();
+    }
+
     /// Monotonic logical timestamp.
     pub fn now(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
@@ -384,11 +399,42 @@ impl RegionCore {
         !buf.is_empty()
     }
 
-    /// Barrier flush: everything buffered on `node` goes out, one bounded
-    /// message after another, until the buffer is empty or the link
-    /// refuses.
-    pub(crate) fn drain_publish_buffer(&self, node: usize, publisher: &Publisher<QueueMsg>) {
-        while self.flush_publish_buffer(node, publisher) {}
+    /// Post the `Barrier { epoch }` marker into every node's queue, each
+    /// behind everything published on that node so far: the publish
+    /// buffer is forced out first — ops still coalescing below the batch
+    /// threshold included — one bounded message after another, until it
+    /// is empty or the link refuses. `on_marker` runs once per marker,
+    /// before its send (the client's per-message CPU charge).
+    ///
+    /// A queue that refuses its marker (partitioned or severed link) fails
+    /// the barrier; the caller drops its guard, and the markers already
+    /// posted are stale — the commit processes skip them.
+    pub(crate) fn post_barrier_markers(
+        &self,
+        publishers: &[Publisher<QueueMsg>],
+        epoch: u64,
+        client: u32,
+        on_marker: impl Fn(),
+    ) -> FsResult<()> {
+        for (n, tx) in publishers.iter().enumerate() {
+            while self.flush_publish_buffer(n, tx) {}
+            on_marker();
+            // permit_blocking: the barrier slot is held across the marker
+            // send by design — workers never take the slot, they only
+            // drain the queue, so a full queue always resolves.
+            syncguard::permit_blocking(|| {
+                tx.send(QueueMsg {
+                    op: CommitOp::Barrier { epoch },
+                    client,
+                    epoch,
+                    timestamp: self.now(),
+                    id: dfs::OpId::NONE,
+                    degraded: false,
+                })
+            })
+            .map_err(|_| FsError::Backend("commit queue closed".into()))?;
+        }
+        Ok(())
     }
 }
 
@@ -455,12 +501,8 @@ impl PaconRegion {
             .permissions
             .clone()
             .unwrap_or_else(|| RegionPermissions::default_for(config.cred));
-        let cache_cluster = KvCluster::with_options(
-            config.topology,
-            Arc::clone(dfs.profile()),
-            None,
-            config.station_base,
-        );
+        let cache_cluster =
+            KvCluster::with_options(config.topology, Arc::clone(dfs.profile()), config.station_base);
         let nodes = config.topology.nodes as usize;
 
         // Durable mode: bump the incarnation, open every node's commit
@@ -741,37 +783,14 @@ impl PaconRegion {
         self.core.cache_cluster.migration_step(max_keys)
     }
 
-    /// Is node `n`'s commit link currently down?
-    pub fn commit_link_severed(&self, n: usize) -> bool {
-        self.publishers[n].is_severed()
-    }
-
     /// Run an empty barrier: returns once every operation published
     /// before this call is committed to the DFS. Used by checkpointing
     /// and by tests that need a consistent backup copy without shutting
-    /// the region down.
-    pub fn sync_barrier(&self) {
+    /// the region down. Fails, with the barrier abandoned, while a commit
+    /// link cannot take its marker.
+    pub fn sync_barrier(&self) -> FsResult<()> {
         let guard = self.core.board.start_barrier();
-        let epoch = guard.epoch();
-        for (n, tx) in self.publishers.iter().enumerate() {
-            // Barriers always force the publish buffer out first; the
-            // marker must sit behind every op published before it.
-            self.core.drain_publish_buffer(n, tx);
-            // permit_blocking: the barrier slot is held across the marker
-            // send by design — workers never take the slot, they only
-            // drain the queue, so a full queue always resolves.
-            syncguard::permit_blocking(|| {
-                tx.send(QueueMsg {
-                    op: CommitOp::Barrier { epoch },
-                    client: u32::MAX,
-                    epoch,
-                    timestamp: self.core.now(),
-                    id: dfs::OpId::NONE,
-                    degraded: false,
-                })
-            })
-            .expect("commit queue closed during sync barrier");
-        }
+        self.core.post_barrier_markers(&self.publishers, guard.epoch(), u32::MAX, || ())?;
         guard.wait_workers();
         guard.complete();
         // Everything published before the barrier is now confirmed; a
@@ -784,6 +803,7 @@ impl PaconRegion {
             let pruned = self.dfs.prune_replay_identities(&self.core.root, u64::MAX);
             self.core.counters.add("replay_pruned", pruned as u64);
         }
+        Ok(())
     }
 }
 
@@ -930,47 +950,29 @@ fn replay_one(
     cred: &fsapi::Credentials,
 ) -> FsResult<bool> {
     let msg = &entry.msg;
-    let apply_ns = |op: dfs::BatchOp| -> FsResult<()> {
-        fs.apply_batch_idempotent(&[op], &[msg.id], cred)
+    if let Some(op) = msg.op.namespace_op() {
+        let applied = fs
+            .apply_batch_idempotent(&[op], &[msg.id], cred)
             .pop()
-            .unwrap_or(Err(FsError::Backend("empty batch result".into())))
-    };
+            .unwrap_or(Err(FsError::Backend("empty batch result".into())));
+        return match applied {
+            Ok(()) => Ok(true),
+            // The entry exists (created outside the log's view): the
+            // intent is satisfied.
+            Err(FsError::AlreadyExists) if msg.op.is_creation() => {
+                core.counters.incr("recovery_exists");
+                Ok(true)
+            }
+            Err(FsError::NotFound) if msg.op.is_creation() => Ok(false),
+            // Unlink of something already gone — removal is satisfied.
+            Err(FsError::NotFound) => {
+                core.counters.incr("recovery_gone");
+                Ok(true)
+            }
+            Err(e) => Err(e),
+        };
+    }
     match &msg.op {
-        CommitOp::Mkdir { path, mode } => {
-            match apply_ns(dfs::BatchOp::Mkdir { path: path.clone(), mode: *mode }) {
-                Ok(()) => Ok(true),
-                // The directory exists (created outside the log's view):
-                // the intent is satisfied.
-                Err(FsError::AlreadyExists) => {
-                    core.counters.incr("recovery_exists");
-                    Ok(true)
-                }
-                Err(FsError::NotFound) => Ok(false),
-                Err(e) => Err(e),
-            }
-        }
-        CommitOp::Create { path, mode } => {
-            match apply_ns(dfs::BatchOp::Create { path: path.clone(), mode: *mode }) {
-                Ok(()) => Ok(true),
-                Err(FsError::AlreadyExists) => {
-                    core.counters.incr("recovery_exists");
-                    Ok(true)
-                }
-                Err(FsError::NotFound) => Ok(false),
-                Err(e) => Err(e),
-            }
-        }
-        CommitOp::Unlink { path } => {
-            match apply_ns(dfs::BatchOp::Unlink { path: path.clone() }) {
-                Ok(()) => Ok(true),
-                // Already gone — removal is satisfied.
-                Err(FsError::NotFound) => {
-                    core.counters.incr("recovery_gone");
-                    Ok(true)
-                }
-                Err(e) => Err(e),
-            }
-        }
         CommitOp::WriteInline { path } => {
             let data = entry.snapshot.as_deref().unwrap_or(&[]);
             match fs.write_idempotent(path, cred, data, msg.id) {
@@ -979,8 +981,9 @@ fn replay_one(
                 Err(e) => Err(e),
             }
         }
-        // Barriers and batch wrappers are never logged.
-        CommitOp::Barrier { .. } | CommitOp::Batch(_) => Ok(true),
+        // Barriers and batch wrappers are never logged; namespace ops
+        // returned above.
+        _ => Ok(true),
     }
 }
 
@@ -993,29 +996,6 @@ impl Drop for PaconRegion {
             let _ = t.join();
         }
     }
-}
-
-/// Route for an incoming path (used by the client).
-pub enum Route {
-    /// Inside this client's own region.
-    Own,
-    /// Inside merged region `idx` (read-only).
-    Merged(usize),
-    /// Outside every known region: redirect to the DFS.
-    Redirect,
-}
-
-/// Pick a route for `path` given the own region and merged handles.
-pub fn route_path(core: &RegionCore, merged: &[RegionHandle], path: &str) -> Route {
-    if core.contains(path) {
-        return Route::Own;
-    }
-    for (i, h) in merged.iter().enumerate() {
-        if fspath::is_same_or_ancestor(&h.root, path) {
-            return Route::Merged(i);
-        }
-    }
-    Route::Redirect
 }
 
 /// The paper's use case 3 (Section III.B): applications with
@@ -1095,14 +1075,6 @@ mod tests {
         assert!(core.contains("/app/x/y"));
         assert!(!core.contains("/apps"));
         assert!(!core.contains("/other"));
-        assert!(matches!(route_path(core, &[], "/app/x"), Route::Own));
-        assert!(matches!(route_path(core, &[], "/other"), Route::Redirect));
-        let handle = region.handle();
-        let (_d2, region2) = launch("/other");
-        assert!(matches!(
-            route_path(region2.core(), &[handle], "/app/x"),
-            Route::Merged(0)
-        ));
     }
 
     #[test]

@@ -201,10 +201,7 @@ fn run_grouped(steps: &[BStep], batch: usize) -> DfsState {
                 c.write(&file_path(i / 3, i % 3), &cred, 0, &data).map(|_| ())
             }
             BStep::Rmdir(d) => c.rmdir(&dir_path(*d), &cred),
-            BStep::SyncBarrier => {
-                region.sync_barrier();
-                Ok(())
-            }
+            BStep::SyncBarrier => region.sync_barrier(),
             BStep::InjectFaults(n) => {
                 dfs.inject_mds_failures(0, *n as u64);
                 Ok(())

@@ -108,7 +108,7 @@ fn barrier_stalls_worker_until_released() {
     // worker reaches the marker and the dependent op completes).
     let region2 = Arc::clone(&region);
     let t = std::thread::spawn(move || {
-        region2.sync_barrier();
+        region2.sync_barrier().unwrap();
     });
 
     // Worker: commit /w/before, consume marker, report, stall. Yield on

@@ -10,7 +10,7 @@
 //! REGION          barrier slot — serializes region-wide dependent
 //!                 operations (rmdir/readdir); held across publish-buffer
 //!                 flushes, marker sends and the dependent op itself.
-//! CLIENT_VIEW     pacon client merged-region map, region directory.
+//! CLIENT_VIEW     pacon client merged-region map.
 //! CLIENT_MEMO     pacon client memos (parent existence, own last write);
 //!                 leaves — never held across a cache RPC.
 //! REGION_STATE    region-core maps: removed_dirs, staging,
@@ -24,8 +24,7 @@
 //! BARRIER         barrier-board state (epoch/reached counters).
 //! REDELIVERY      mq publisher-side redelivery buffer (unacked sends);
 //!                 held across the queue send it is redelivering.
-//! QUEUE           mq PUSH/PULL queue state; PUB/SUB hub.
-//! QUEUE_SUB       PUB/SUB per-subscriber buffers (locked under the hub).
+//! QUEUE           mq PUSH/PULL queue state.
 //! ROUTE           memkv epoch router (ring membership + live-migration
 //!                 state); read-held across the shard ops it routes, so
 //!                 it sits just outside SHARD.
@@ -54,7 +53,6 @@ pub const PUBLISH: u16 = 30;
 pub const BARRIER: u16 = 40;
 pub const REDELIVERY: u16 = 45;
 pub const QUEUE: u16 = 50;
-pub const QUEUE_SUB: u16 = 55;
 pub const ROUTE: u16 = 58;
 pub const SHARD: u16 = 60;
 pub const FS_CLIENT: u16 = 70;
@@ -78,7 +76,6 @@ pub const ALL: &[(&str, u16)] = &[
     ("BARRIER", BARRIER),
     ("REDELIVERY", REDELIVERY),
     ("QUEUE", QUEUE),
-    ("QUEUE_SUB", QUEUE_SUB),
     ("ROUTE", ROUTE),
     ("SHARD", SHARD),
     ("FS_CLIENT", FS_CLIENT),

@@ -25,7 +25,7 @@ use pacon::commit::wal::{CrashPoint, CrashSwitch};
 use pacon::commit::worker::WorkerStep;
 use pacon::{PaconConfig, PaconRegion};
 use proptest::prelude::*;
-use simnet::{ClientId, LatencyProfile, Topology};
+use simnet::{ClientId, FaultEvent, LatencyProfile, NodeId, Topology};
 
 #[test]
 fn transient_mds_outage_is_absorbed_by_resubmission() {
@@ -227,6 +227,77 @@ fn lost_reply_mid_batch_replays_idempotently() {
     let mut names = dfs.client().readdir("/job", &cred).unwrap();
     names.sort();
     assert_eq!(names, (0..4).map(|i| format!("g{i}")).collect::<Vec<_>>());
+}
+
+// ---------------------------------------------------------------------------
+// Barriers whose marker cannot be posted (partitioned commit link)
+// ---------------------------------------------------------------------------
+
+/// `checkpoint` returns `FsResult`: while a commit link refuses the
+/// barrier marker it fails like the client-side barrier does, and it
+/// works again once the link heals.
+#[test]
+fn checkpoint_fails_cleanly_while_a_commit_link_is_partitioned() {
+    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let region =
+        PaconRegion::launch(PaconConfig::new("/job", Topology::new(1, 1), cred), &dfs).unwrap();
+    let c = region.client(ClientId(0));
+    c.create("/job/f", &cred, 0o644).unwrap();
+    region.quiesce();
+
+    region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
+    assert!(matches!(region.checkpoint("v1"), Err(FsError::Backend(_))));
+    assert_eq!(region.list_checkpoints().unwrap(), Vec::<String>::new());
+
+    region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+    assert_eq!(region.checkpoint("v1").unwrap().files, 1);
+    region.shutdown().unwrap();
+}
+
+/// A barrier that posts node 0's marker and is refused at node 1 is
+/// abandoned by its client. The marker already in node 0's queue is an
+/// orphan: its commit process must skip it — not report to a barrier that
+/// is over — and the region must run its next barrier normally.
+#[test]
+fn a_half_posted_barrier_leaves_a_stale_marker_not_a_dead_commit_process() {
+    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let region =
+        PaconRegion::launch_paused(PaconConfig::new("/job", Topology::new(2, 1), cred), &dfs)
+            .unwrap();
+    let c = region.client(ClientId(0));
+    c.create("/job/f", &cred, 0o644).unwrap();
+
+    region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(1)));
+    assert!(matches!(c.readdir("/job", &cred), Err(FsError::Backend(_))));
+    region.apply_fault(FaultEvent::HealCommitLink(NodeId(1)));
+
+    // Each commit process works off its queue — node 0's holds the create
+    // and the orphan — and goes idle without answering the dead barrier.
+    let mut workers = [region.take_worker(0), region.take_worker(1)];
+    for w in &mut workers {
+        let steps: Vec<WorkerStep> = (0..6).map(|_| w.step()).collect();
+        assert_eq!(steps.last(), Some(&WorkerStep::Idle), "{steps:?}");
+        assert!(!steps.contains(&WorkerStep::BarrierReported), "{steps:?}");
+    }
+    assert_eq!(region.core().counters.get("stale_barrier_markers"), 1);
+    assert!(region.core().drained());
+    assert!(dfs.client().stat("/job/f", &cred).unwrap().is_file());
+
+    // The next barrier op runs to completion on both commit processes.
+    let names = std::thread::scope(|s| {
+        let listing = s.spawn(|| c.readdir("/job", &cred));
+        while !listing.is_finished() {
+            for w in &mut workers {
+                w.step();
+            }
+            std::thread::yield_now();
+        }
+        listing.join().expect("readdir thread")
+    });
+    assert_eq!(names.unwrap(), vec!["f".to_string()]);
+    assert_eq!(region.core().counters.get("stale_barrier_markers"), 1);
 }
 
 // ---------------------------------------------------------------------------

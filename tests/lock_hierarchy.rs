@@ -51,7 +51,7 @@ fn threaded_workload_has_clean_lock_report() {
     for h in handles {
         h.join().unwrap();
     }
-    region.sync_barrier();
+    region.sync_barrier().unwrap();
     region.shutdown().unwrap();
 
     // Group-commit configuration: the publish buffer is engaged, so the
@@ -68,7 +68,7 @@ fn threaded_workload_has_clean_lock_report() {
         client.create(&format!("/gc/d/f{i}"), &cred, 0o644).unwrap();
     }
     assert_eq!(client.readdir("/gc/d", &cred).unwrap().len(), 10);
-    region2.sync_barrier();
+    region2.sync_barrier().unwrap();
     region2.shutdown().unwrap();
 
     // A second backend shape: IndexFS bulk-insertion client.

@@ -350,6 +350,40 @@ fn rollback_does_not_resurrect_walled_ops() {
     assert_eq!(dfs.client().read("/job/keep", &cred, 0, 64).unwrap(), b"keep-data");
 }
 
+/// Rollback leaves the region as a fresh launch over the restored tree
+/// would find it: the marks of the ops it dropped go with them. Here the
+/// dropped op is an acknowledged unlink — its pending-removal mark used
+/// to survive, so the read path refused to load the restored file from
+/// the DFS ("a removal is still queued") for good.
+#[test]
+fn rollback_retires_the_marks_of_the_ops_it_drops() {
+    let dfs = dfs();
+    let cred = Credentials::new(1, 1);
+    let region = PaconRegion::launch(
+        PaconConfig::new("/job", Topology::new(1, 2), cred).with_commit_batch(16),
+        &dfs,
+    )
+    .unwrap();
+    let c = region.client(ClientId(0));
+    c.create("/job/keep", &cred, 0o644).unwrap();
+    c.write("/job/keep", &cred, 0, b"keep-data").unwrap();
+    region.quiesce();
+    region.checkpoint("v1").unwrap();
+
+    // The worker dies; the unlink is acknowledged and stays buffered.
+    region.abort();
+    c.unlink("/job/keep", &cred).unwrap();
+    assert_eq!(c.stat("/job/keep", &cred), Err(FsError::NotFound));
+
+    region.rollback("v1").unwrap();
+    assert_eq!(region.report().rollback_dropped_ops, 1);
+    assert_eq!(dfs.client().read("/job/keep", &cred, 0, 64).unwrap(), b"keep-data");
+    for client in [c, region.client(ClientId(1))] {
+        assert_eq!(client.stat("/job/keep", &cred).map(|st| st.size), Ok(9));
+        assert_eq!(client.read("/job/keep", &cred, 0, 64).unwrap(), b"keep-data");
+    }
+}
+
 #[test]
 fn region_failure_is_isolated_from_other_regions() {
     let dfs = dfs();

@@ -59,6 +59,8 @@ pub struct FileFacts {
     /// Line → allowed rule slugs from `// lint: allow(slug)` markers
     /// (the marker covers its own line and the next).
     pub allow: BTreeMap<usize, BTreeSet<String>>,
+    /// The slug of every marker in the file, one entry per marker.
+    pub markers: Vec<String>,
 }
 
 impl FileFacts {
@@ -83,10 +85,12 @@ pub fn is_test_path(rel_path: &str) -> bool {
 /// Extract all facts from one source file.
 pub fn extract(rel: &str, source: &str) -> Result<FileFacts, syn::Error> {
     let (file, comments) = syn::parse_file(source)?;
+    let (allow, markers) = allow_markers(&comments);
     let mut facts = FileFacts {
         rel: rel.to_string(),
         crate_name: crate_of(rel).map(str::to_string),
-        allow: allow_markers(&comments),
+        allow,
+        markers,
         ..FileFacts::default()
     };
     walk_items(&file.items, None, &mut facts);
@@ -94,9 +98,11 @@ pub fn extract(rel: &str, source: &str) -> Result<FileFacts, syn::Error> {
 }
 
 /// Parse `lint: allow(slug[, reason])` markers (and the legacy
-/// `lint:allow-per-key-get` spelling) out of the comment stream.
-fn allow_markers(comments: &[Comment]) -> BTreeMap<usize, BTreeSet<String>> {
+/// `lint:allow-per-key-get` spelling) out of the comment stream: the
+/// lines each marker covers, and the flat list of marker slugs.
+fn allow_markers(comments: &[Comment]) -> (BTreeMap<usize, BTreeSet<String>>, Vec<String>) {
     let mut map: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
+    let mut markers = Vec::new();
     for c in comments {
         let mut slugs: Vec<String> = Vec::new();
         let mut rest = c.text.as_str();
@@ -115,9 +121,10 @@ fn allow_markers(comments: &[Comment]) -> BTreeMap<usize, BTreeSet<String>> {
         for line in [c.line, c.line + 1] {
             map.entry(line).or_default().extend(slugs.iter().cloned());
         }
+        markers.append(&mut slugs);
     }
     map.retain(|_, s| !s.is_empty());
-    map
+    (map, markers)
 }
 
 fn is_test_fn(f: &ItemFn) -> bool {

@@ -37,7 +37,8 @@
 //!   `crates/syncguard/src/level.rs`; inversions report both sites.
 //!
 //! Deliberate exceptions carry `// lint: allow(<slug>)` on or directly
-//! above the line. Test code — `#[cfg(test)]` items, `#[test]` fns, and
+//! above the line; how many each slug may have is budgeted in
+//! `allow_budget.txt` (shrink-only, like R4's). Test code — `#[cfg(test)]` items, `#[test]` fns, and
 //! anything under `tests/`, `benches/` or `examples/` — is exempt from
 //! every rule, excluded structurally from the AST walk.
 
@@ -127,6 +128,9 @@ pub fn analyze(files: &[(String, String)]) -> Result<Analysis, String> {
         if unwraps > 0 {
             analysis.unwrap_counts.insert(f.rel.clone(), unwraps);
         }
+        for slug in &f.markers {
+            *analysis.allow_counts.entry(slug.clone()).or_default() += 1;
+        }
         analysis.findings.append(&mut rules::r5(f));
         analysis.findings.append(&mut rules::r8(f));
         analysis.findings.append(&mut rules::r9(f));
@@ -184,8 +188,26 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
-/// Parse `unwrap_allowlist.txt`: `count<space>path` per line, `#`
-/// comments and blank lines ignored.
+/// Compare counts found in the tree with a checked-in budget (both
+/// keyed the same way). A budget must match the tree exactly, so it can
+/// shrink with the tree and never grow ahead of it: every key whose two
+/// numbers differ comes back as `(key, found, budget)` — over budget,
+/// under budget, and entries for things that are gone alike.
+pub fn budget_mismatches(
+    found: &BTreeMap<String, usize>,
+    budget: &BTreeMap<String, usize>,
+) -> Vec<(String, usize, usize)> {
+    let keys: std::collections::BTreeSet<&String> = found.keys().chain(budget.keys()).collect();
+    keys.into_iter()
+        .filter_map(|k| {
+            let (f, b) = (found.get(k).copied().unwrap_or(0), budget.get(k).copied().unwrap_or(0));
+            (f != b).then(|| (k.clone(), f, b))
+        })
+        .collect()
+}
+
+/// Parse a budget file (`unwrap_allowlist.txt`, `allow_budget.txt`):
+/// `count<space>key` per line, `#` comments and blank lines ignored.
 pub fn parse_allowlist(text: &str) -> Result<Vec<(String, usize)>, String> {
     let mut entries = Vec::new();
     for (i, line) in text.lines().enumerate() {

@@ -10,13 +10,17 @@
 //! - `--write-allowlist` — regenerate `tools/lint/unwrap_allowlist.txt`
 //!   from the current tree (use only when deleting unwraps, never to
 //!   admit new ones).
+//!
+//! Two budgets are compared exactly on every run: `.unwrap()` per file
+//! (`unwrap_allowlist.txt`) and `lint: allow(..)` markers per slug
+//! (`allow_budget.txt`, edited by hand when a marker is removed).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use tools_lint::{analyze, collect_workspace, dot, parse_allowlist, to_json};
+use tools_lint::{analyze, budget_mismatches, collect_workspace, dot, parse_allowlist, to_json};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -83,48 +87,55 @@ fn main() -> ExitCode {
         }
     }
 
-    // R4: compare counts against the allowlist (over, under, and stale
-    // entries all fail — the budget must match the tree exactly).
-    let allow_text = std::fs::read_to_string(&allowlist_path).unwrap_or_default();
-    let allow: BTreeMap<String, usize> = match parse_allowlist(&allow_text) {
-        Ok(entries) => entries.into_iter().collect(),
-        Err(e) => {
-            eprintln!("lint: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut r4_errors = Vec::new();
-    for (file, &count) in &analysis.unwrap_counts {
-        let budget = allow.get(file).copied().unwrap_or(0);
-        if count > budget {
-            r4_errors.push(format!(
-                "{file}: {count} `.unwrap()` calls in library code (budget {budget}) — \
-                 handle the error or use expect with an invariant message"
-            ));
-        } else if count < budget {
-            r4_errors.push(format!(
-                "{file}: allowlist budget {budget} but only {count} unwraps remain — \
-                 shrink the entry (the allowlist may never overshoot)"
-            ));
-        }
-    }
-    for (file, &budget) in &allow {
-        if !analysis.unwrap_counts.contains_key(file) && budget > 0 {
-            r4_errors.push(format!(
-                "{file}: allowlisted ({budget}) but has no unwraps — remove the entry"
-            ));
+    // R4 and the `lint: allow` markers: each count must equal its
+    // checked-in budget (over, under, and stale entries all fail — a
+    // budget matches the tree exactly, so it only ever shrinks).
+    let mut budget_errors = Vec::new();
+    for (rule, path, found, unit, advice) in [
+        (
+            "R4 unwrap",
+            &allowlist_path,
+            &analysis.unwrap_counts,
+            "`.unwrap()` calls in library code",
+            "handle the error or use expect with an invariant message",
+        ),
+        (
+            "allow budget",
+            &root.join("tools/lint/allow_budget.txt"),
+            &analysis.allow_counts,
+            "`lint: allow(..)` markers",
+            "fix the site the new marker excuses",
+        ),
+    ] {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        let budget: BTreeMap<String, usize> = match parse_allowlist(&text) {
+            Ok(entries) => entries.into_iter().collect(),
+            Err(e) => {
+                eprintln!("lint: {}: {e}", path.display());
+                return ExitCode::FAILURE;
+            }
+        };
+        for (key, found, budget) in budget_mismatches(found, &budget) {
+            budget_errors.push(if found > budget {
+                format!("[{rule}] {key}: {found} {unit} (budget {budget}) — {advice}")
+            } else {
+                format!(
+                    "[{rule}] {key}: budget {budget} but only {found} remain — shrink or \
+                     remove the entry (a budget may never overshoot)"
+                )
+            });
         }
     }
 
     for f in &analysis.findings {
         eprintln!("lint: {f}");
     }
-    for e in &r4_errors {
-        eprintln!("lint: [R4 unwrap] {e}");
+    for e in &budget_errors {
+        eprintln!("lint: {e}");
     }
     let elapsed = started.elapsed();
     let s = &analysis.stats;
-    let total = analysis.findings.len() + r4_errors.len();
+    let total = analysis.findings.len() + budget_errors.len();
     if total > 0 {
         eprintln!(
             "lint: {total} finding(s) — {} files, {} fns, {} lock classes, {} edges ({:.2?})",

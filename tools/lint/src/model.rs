@@ -280,6 +280,9 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// `.unwrap()` count per file (R4 — budget-checked by the driver).
     pub unwrap_counts: std::collections::BTreeMap<String, usize>,
+    /// `lint: allow(slug)` markers per slug across the scanned tree
+    /// (budget-checked by the driver against `allow_budget.txt`).
+    pub allow_counts: std::collections::BTreeMap<String, usize>,
     pub graph: LockGraph,
     pub stats: Stats,
 }

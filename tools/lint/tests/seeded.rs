@@ -4,7 +4,9 @@
 //! at the seeded line — and, for the inversion, that the finding
 //! carries BOTH sites (acquire site + holder site via `related`).
 
-use tools_lint::{analyze, Analysis, Rule};
+use std::collections::BTreeMap;
+
+use tools_lint::{analyze, budget_mismatches, parse_allowlist, Analysis, Rule};
 
 fn fixture(name: &str) -> String {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures");
@@ -158,4 +160,21 @@ fn clean_ordered_fixture_is_silent_but_edged() {
         .expect("edge recorded");
     assert_eq!(e.from_site.line, 20);
     assert_eq!(e.to_site.line, 21);
+}
+
+#[test]
+fn allow_markers_are_counted_and_held_to_an_exact_budget() {
+    // The R9 fixture carries one deliberate `lint: allow(stale-owner)`.
+    let a = run(&[("crates/pacon/src/fix_r9.rs", "r9_stale_owner.rs")]);
+    assert_eq!(a.allow_counts, BTreeMap::from([("stale-owner".to_string(), 1)]));
+    let check = |budget: &str| {
+        let budget = parse_allowlist(budget).expect("budget parses").into_iter().collect();
+        budget_mismatches(&a.allow_counts, &budget)
+    };
+    assert!(check("1 stale-owner").is_empty());
+    // Seeded violation: a marker the budget does not cover.
+    assert_eq!(check(""), vec![("stale-owner".to_string(), 1, 0)]);
+    // A budget that overshoots, and an entry for markers that are gone.
+    assert_eq!(check("2 stale-owner"), vec![("stale-owner".to_string(), 1, 2)]);
+    assert_eq!(check("1 stale-owner\n3 commit-path"), vec![("commit-path".to_string(), 0, 3)]);
 }
