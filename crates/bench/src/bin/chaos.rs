@@ -212,14 +212,11 @@ fn main() {
         guard += 1;
         assert!(guard < 64, "region never recovered to Healthy");
     }
-    for c in &clients {
-        c.flush_publishes().expect("flush");
-    }
+    region.flush_publishes().expect("flush");
     drain(&region, &mut workers);
-    for c in &clients {
-        c.flush_publishes().expect("flush");
-        assert_eq!(c.unacked_publishes(), 0, "redelivery window not empty after drain");
-    }
+    // Each commit process acknowledges what it takes: once the queues are
+    // drained every window is provably consumed.
+    assert_eq!(region.unacked_publishes(), 0, "redelivery window not empty after drain");
 
     // -- phase 3: post-recovery ------------------------------------------
     let post = run_phase("post-recovery", items, &region, &clients, &mut workers, &empty);

@@ -12,9 +12,8 @@
 //! * [`redelivery::ReliablePublisher`] — a publisher-side window that
 //!   re-sends what a faulted link or broker dropped.
 //!
-//! The queue exposes non-blocking receives and backlog inspection so it
-//! can be driven by the discrete-event harness as well as by real
-//! threads.
+//! The queue exposes non-blocking receives so it can be driven by the
+//! discrete-event harness as well as by real threads.
 
 #![forbid(unsafe_code)]
 

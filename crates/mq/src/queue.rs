@@ -1,8 +1,9 @@
 //! Bounded PUSH/PULL pipeline.
 //!
 //! Built on a mutex-protected ring plus condvars rather than an external
-//! channel so the queue can expose backlog length (the commit process and
-//! the eviction policy both need it) and precise disconnect semantics:
+//! channel so the queue can number every message it takes, record exactly
+//! which numbers a broker crash wiped (the redelivery layer reconciles
+//! against both, see [`LinkView`]) and keep precise disconnect semantics:
 //! consumers drain everything that was sent before the last publisher
 //! dropped.
 
@@ -16,8 +17,6 @@ use syncguard::{level, Condvar, Mutex};
 pub enum RecvError {
     /// All publishers dropped and the queue is empty.
     Disconnected,
-    /// `recv_timeout` elapsed.
-    Timeout,
 }
 
 /// Error from a non-blocking receive.
@@ -41,8 +40,6 @@ struct State<T> {
     /// set of messages that left the buffer *without* being consumed.
     /// One entry per fault event.
     wipes: Vec<(u64, u64)>,
-    /// Total sever events (diagnostics).
-    wipe_gen: u64,
     /// Scripted duplication: the next `dup_next` successful sends are
     /// enqueued twice (fault-plane message duplication).
     dup_next: u32,
@@ -67,7 +64,6 @@ pub fn push_pull<T>(capacity: usize) -> (Publisher<T>, Consumer<T>) {
             received: 0,
             severed: false,
             wipes: Vec::new(),
-            wipe_gen: 0,
             dup_next: 0,
         }),
         capacity,
@@ -85,6 +81,8 @@ pub enum SendFault {
     Severed,
     /// Every consumer is gone for good.
     NoConsumers,
+    /// The queue is at capacity ([`Publisher::try_send_seq`] only).
+    Full,
 }
 
 /// Broker-side view the redelivery layer reconciles against: how far the
@@ -99,8 +97,9 @@ pub struct LinkView {
     pub received: u64,
     /// Link currently down.
     pub severed: bool,
-    /// `[lo, hi)` sequence intervals wiped by lossy severs. One entry
-    /// per fault event, so this stays tiny.
+    /// `[lo, hi)` sequence intervals wiped by lossy severs, one entry per
+    /// fault event, oldest first — those past the `wipes_seen` the view
+    /// was asked for (empty, and unallocated, on a healthy link).
     pub wipes: Vec<(u64, u64)>,
 }
 
@@ -139,24 +138,6 @@ impl<T> Publisher<T> {
         }
     }
 
-    /// Enqueue without blocking; `Err(msg)` if full, severed, or no
-    /// consumers.
-    pub fn try_send(&self, msg: T) -> Result<(), T> {
-        let mut st = self.shared.state.lock();
-        if st.consumers == 0 || st.severed || st.buf.len() >= self.shared.capacity {
-            return Err(msg);
-        }
-        st.buf.push_back(msg);
-        st.sent += 1;
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Messages currently waiting.
-    pub fn backlog(&self) -> usize {
-        self.shared.state.lock().buf.len()
-    }
-
     /// Simulate broker loss: the link goes down, every buffered message
     /// is wiped (recorded as a lost-sequence interval for the redelivery
     /// layer), and sends fail fast until [`heal`](Self::heal). Blocked
@@ -174,7 +155,6 @@ impl<T> Publisher<T> {
             st.received = hi;
             st.buf.clear();
         }
-        st.wipe_gen += 1;
         drop(st);
         self.shared.not_full.notify_all();
         lost
@@ -195,6 +175,11 @@ impl<T> Publisher<T> {
         self.shared.state.lock().severed = false;
     }
 
+    /// Is the link down (severed or partitioned, not yet healed)?
+    pub fn is_severed(&self) -> bool {
+        self.shared.state.lock().severed
+    }
+
     /// Arm scripted message duplication: the next `n` messages enqueued
     /// through [`send_seq`](Self::send_seq) are delivered twice
     /// (back-to-back), modelling a fault-plane duplicated send.
@@ -202,10 +187,15 @@ impl<T> Publisher<T> {
         self.shared.state.lock().dup_next += n;
     }
 
-    /// Snapshot the broker-side drain state (see [`LinkView`]).
-    pub fn link_view(&self) -> LinkView {
+    /// Snapshot the broker-side drain state (see [`LinkView`]) for a
+    /// caller that has already seen the first `wipes_seen` wipe intervals.
+    pub fn link_view(&self, wipes_seen: usize) -> LinkView {
         let st = self.shared.state.lock();
-        LinkView { received: st.received, severed: st.severed, wipes: st.wipes.clone() }
+        LinkView {
+            received: st.received,
+            severed: st.severed,
+            wipes: st.wipes[wipes_seen..].to_vec(),
+        }
     }
 }
 
@@ -215,6 +205,17 @@ impl<T: Clone> Publisher<T> {
     /// was consumed or lost. Fails fast (never blocks) on a severed link.
     pub fn send_seq(&self, msg: &T) -> Result<u64, SendFault> {
         syncguard::enter_blocking("mq::Publisher::send_seq");
+        self.enqueue_seq(msg, true)
+    }
+
+    /// [`send_seq`](Self::send_seq) for a sender that must not wait — the
+    /// queue's own consumer redelivering into it: a queue at capacity is
+    /// `Err(SendFault::Full)`.
+    pub fn try_send_seq(&self, msg: &T) -> Result<u64, SendFault> {
+        self.enqueue_seq(msg, false)
+    }
+
+    fn enqueue_seq(&self, msg: &T, wait: bool) -> Result<u64, SendFault> {
         let mut st = self.shared.state.lock();
         loop {
             if st.severed {
@@ -234,6 +235,9 @@ impl<T: Clone> Publisher<T> {
                 }
                 self.shared.not_empty.notify_one();
                 return Ok(seq);
+            }
+            if !wait {
+                return Err(SendFault::Full);
             }
             self.shared.not_full.wait(&mut st);
         }
@@ -283,41 +287,6 @@ impl<T> Consumer<T> {
         }
     }
 
-    /// Block with a timeout. When the deadline and a disconnect hold
-    /// simultaneously the disconnect wins: a timed-out wait re-checks the
-    /// buffer (a message that slipped in still wins) and the publisher
-    /// count before reporting `Timeout`, so a producer crash during the
-    /// final wait is never masked as a timeout.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvError> {
-        syncguard::enter_blocking("mq::Consumer::recv_timeout");
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.shared.state.lock();
-        loop {
-            if let Some(msg) = st.buf.pop_front() {
-                st.received += 1;
-                self.shared.not_full.notify_one();
-                return Ok(msg);
-            }
-            if st.publishers == 0 {
-                return Err(RecvError::Disconnected);
-            }
-            if self.shared.not_empty.wait_until(&mut st, deadline).timed_out() {
-                // The wait expired, but the state may have changed while
-                // we raced the deadline: settle in priority order —
-                // message, then disconnect, then timeout.
-                if let Some(msg) = st.buf.pop_front() {
-                    st.received += 1;
-                    self.shared.not_full.notify_one();
-                    return Ok(msg);
-                }
-                if st.publishers == 0 {
-                    return Err(RecvError::Disconnected);
-                }
-                return Err(RecvError::Timeout);
-            }
-        }
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut st = self.shared.state.lock();
@@ -331,11 +300,6 @@ impl<T> Consumer<T> {
         } else {
             Err(TryRecvError::Empty)
         }
-    }
-
-    /// Messages currently waiting.
-    pub fn backlog(&self) -> usize {
-        self.shared.state.lock().buf.len()
     }
 }
 
@@ -368,7 +332,6 @@ mod tests {
         for i in 0..10 {
             tx.send(i).unwrap();
         }
-        assert_eq!(rx.backlog(), 10);
         for i in 0..10 {
             assert_eq!(rx.recv().unwrap(), i);
         }
@@ -390,15 +353,16 @@ mod tests {
         let (tx, rx) = push_pull::<u32>(4);
         drop(rx);
         assert_eq!(tx.send(7), Err(7));
-        assert_eq!(tx.try_send(8), Err(8));
     }
 
     #[test]
     fn try_send_respects_capacity() {
-        let (tx, _rx) = push_pull::<u32>(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.try_send(3), Err(3));
+        let (tx, rx) = push_pull::<u32>(2);
+        assert_eq!(tx.try_send_seq(&1), Ok(0));
+        assert_eq!(tx.try_send_seq(&2), Ok(1));
+        assert_eq!(tx.try_send_seq(&3), Err(SendFault::Full));
+        assert_eq!(rx.recv().unwrap(), 1);
+        assert_eq!(tx.try_send_seq(&3), Ok(2), "room again once the consumer popped");
     }
 
     #[test]
@@ -417,40 +381,15 @@ mod tests {
 
     #[test]
     fn producer_crash_during_recv_reports_disconnect() {
-        // Regression (ISSUE 9): a producer crashing while the consumer is
-        // parked in `recv_timeout` must surface as `Disconnected`, not as
-        // a timeout — disconnect wins whenever both could hold.
+        // A producer crashing while the consumer is parked in `recv` must
+        // wake it with `Disconnected`, not leave it waiting.
         let (tx, rx) = push_pull::<u32>(4);
         let producer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(40));
             drop(tx); // crash: publisher dies without sending
         });
-        let start = std::time::Instant::now();
-        let got = rx.recv_timeout(Duration::from_secs(30));
-        assert_eq!(got, Err(RecvError::Disconnected));
-        assert!(start.elapsed() < Duration::from_secs(5), "must not run out the clock");
+        assert_eq!(rx.recv(), Err(RecvError::Disconnected));
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn disconnect_wins_over_timeout_when_both_hold() {
-        // Deadline already expired *and* all publishers gone: the settle
-        // order is message > disconnect > timeout.
-        let (tx, rx) = push_pull::<u32>(4);
-        tx.send(9).unwrap();
-        drop(tx);
-        // A buffered message still wins at an expired deadline…
-        assert_eq!(rx.recv_timeout(Duration::ZERO), Ok(9));
-        // …and with the buffer empty the disconnect wins over the timeout.
-        assert_eq!(rx.recv_timeout(Duration::ZERO), Err(RecvError::Disconnected));
-    }
-
-    #[test]
-    fn recv_timeout_times_out() {
-        let (_tx, rx) = push_pull::<u32>(4);
-        let start = std::time::Instant::now();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(30)), Err(RecvError::Timeout));
-        assert!(start.elapsed() >= Duration::from_millis(25));
     }
 
     #[test]
@@ -496,7 +435,7 @@ mod tests {
         tx.send(3).unwrap();
         assert_eq!(rx.recv().unwrap(), 2);
         assert_eq!(rx.recv().unwrap(), 3);
-        assert_eq!(rx.backlog(), 0);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
 
     #[test]
@@ -504,12 +443,14 @@ mod tests {
         let (tx, rx) = push_pull::<u32>(4);
         tx.send(1).unwrap();
         assert_eq!(tx.sever(), 1, "one buffered message wiped");
+        assert!(tx.is_severed());
         assert_eq!(tx.send(2), Err(2));
-        assert_eq!(tx.try_send(3), Err(3));
         assert_eq!(tx.send_seq(&4), Err(SendFault::Severed));
+        assert_eq!(tx.try_send_seq(&4), Err(SendFault::Severed));
         // Consumers see an empty-but-connected queue while severed.
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         tx.heal();
+        assert!(!tx.is_severed());
         tx.send(5).unwrap();
         assert_eq!(rx.recv().unwrap(), 5);
     }
@@ -527,7 +468,7 @@ mod tests {
         assert_eq!(tx.sever(), 2);
         tx.heal();
         assert_eq!(tx.send_seq(&14), Ok(4));
-        let view = tx.link_view();
+        let view = tx.link_view(0);
         assert_eq!(view.wipes, vec![(2, 4)]);
         assert!(!view.lost(0) && !view.lost(1), "consumed messages are not lost");
         assert!(view.lost(2) && view.lost(3), "wiped messages are provably lost");
@@ -535,7 +476,9 @@ mod tests {
         // Alignment survives the wipe: seq 4 pops as received reaches 5.
         assert_eq!(view.received, 4);
         assert_eq!(rx.recv().unwrap(), 14);
-        assert_eq!(tx.link_view().received, 5);
+        let later = tx.link_view(1);
+        assert_eq!(later.received, 5);
+        assert!(later.wipes.is_empty(), "a wipe already seen is not reported again");
     }
 
     #[test]

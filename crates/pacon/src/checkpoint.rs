@@ -16,6 +16,7 @@
 use fsapi::{path as fspath, Credentials, FileKind, FsError, FsResult};
 use fsapi::FileSystem;
 
+use crate::commit::op::CommitOp;
 use crate::region::PaconRegion;
 
 /// Where checkpoints live on the DFS.
@@ -171,16 +172,23 @@ impl PaconRegion {
         // the tree this rollback just replaced.
         self.core().cache_cluster.clear();
         self.core().forget_in_flight();
-        // Buffered-but-unpublished ops predate the rollback and must not
-        // survive it — drop them and, in durable mode, reset the commit
-        // logs so the next launch cannot resurrect rolled-back mutations.
+        // Ops that never reached a commit queue predate the rollback and
+        // must not survive it — drop them where they wait, in the publish
+        // buffers and (refused by a faulted link) in the redelivery
+        // windows, and, in durable mode, reset the commit logs so the next
+        // launch cannot resurrect rolled-back mutations.
         let mut dropped = 0u64;
-        for buf in &self.core().publish_bufs {
-            let stale = buf.lock().take(usize::MAX);
-            dropped += stale.len() as u64;
-            for _ in &stale {
-                self.core().note_completed();
+        for (n, buf) in self.core().publish_bufs.iter().enumerate() {
+            dropped += buf.lock().take(usize::MAX).len() as u64;
+            for msg in self.core().window(n).drop_undelivered() {
+                dropped += match &msg.op {
+                    CommitOp::Batch(ops) => ops.len() as u64,
+                    _ => 1,
+                };
             }
+        }
+        for _ in 0..dropped {
+            self.core().note_completed();
         }
         self.core().counters.add("rollback_dropped_ops", dropped);
         self.core().reset_wals()?;

@@ -20,7 +20,6 @@ use dfs::DfsClient;
 use fsapi::types::{ACCESS_R, ACCESS_W, ACCESS_X};
 use fsapi::{path as fspath, Credentials, FileKind, FileStat, FsError, FsResult, Perm};
 use fsapi::FileSystem;
-use mq::{Publisher, ReliablePublisher};
 use simnet::{charge, ClientId, NodeId, Station};
 use syncguard::{level, Mutex, RwLock};
 
@@ -41,14 +40,6 @@ struct Merged {
 pub struct PaconClient {
     core: Arc<RegionCore>,
     cache: MetaCache,
-    /// Per-node queue publishers; index = node id. A client publishes its
-    /// own ops to its node's queue and barrier markers to all queues.
-    publishers: Vec<Publisher<QueueMsg>>,
-    /// Redelivery wrapper around this client's own-node publisher: commit
-    /// ops survive broker loss in the unacked window and are resent after
-    /// [`Self::flush_publishes`]. Barrier markers bypass it on purpose —
-    /// a barrier during an outage should fail, not silently queue.
-    redelivery: ReliablePublisher<QueueMsg>,
     dfs: DfsClient,
     merged: RwLock<Vec<Merged>>,
     id: ClientId,
@@ -81,17 +72,13 @@ impl PaconClient {
     pub(crate) fn new(
         core: Arc<RegionCore>,
         kv: memkv::KvClient,
-        publishers: Vec<Publisher<QueueMsg>>,
         dfs: DfsClient,
         id: ClientId,
         node: NodeId,
     ) -> Self {
-        let redelivery = ReliablePublisher::new(publishers[node.index()].clone());
         Self {
             cache: MetaCache::with_faults(kv, Arc::clone(&core)),
             core,
-            publishers,
-            redelivery,
             dfs,
             merged: RwLock::new(level::CLIENT_VIEW, "pacon.client.merged", Vec::new()),
             id,
@@ -155,82 +142,29 @@ impl PaconClient {
         self.publish_at(op, snapshot, false, None)
     }
 
-    /// Full publish entry point. `ts` carries a pre-allocated publish
-    /// timestamp — unlinks stamp themselves *before* marking the removal
-    /// pending, so the pending-removal table and the queue envelope agree
-    /// on the op's identity.
-    fn publish_at(
-        &self,
-        op: CommitOp,
-        snapshot: Option<&[u8]>,
-        degraded: bool,
-        ts: Option<u64>,
-    ) -> FsResult<()> {
-        if self.core.config.commit_batch_size > 1 {
-            return self.publish_buffered(op, snapshot, degraded, ts);
-        }
-        charge(Station::ClientCpu, self.profile().queue_push);
-        let msg = QueueMsg {
+    /// The queue envelope of one of this client's ops, stamped `ts` or now.
+    fn envelope(&self, op: CommitOp, degraded: bool, ts: Option<u64>) -> QueueMsg {
+        QueueMsg {
             id: self.core.op_identity(&op),
             op,
             client: self.id.0,
             epoch: self.core.board.current_epoch(),
             timestamp: ts.unwrap_or_else(|| self.core.now()),
             degraded,
-        };
-        // Durable order: count the op in flight, journal it, then send.
-        // Enqueued-before-append is what makes truncation safe: `drained()`
-        // under the WAL lock proves the log holds no unconfirmed op.
-        self.core.note_enqueued();
-        if let Err(e) = self.core.wal_append(self.node.index(), &msg, snapshot) {
-            self.core.note_completed();
-            return Err(e);
-        }
-        match self.redelivery.publish(msg) {
-            Ok(out) => {
-                // `pending > 0` = the broker link is down and the op sits
-                // in the redelivery window: acknowledged to the caller,
-                // still counted in flight, resent on heal/flush.
-                if out.pending > 0 {
-                    self.core.counters.incr("publishes_buffered");
-                }
-                Ok(())
-            }
-            Err(mq::Disconnected) => {
-                // Shutdown race. In durable mode the op is already
-                // journaled — keep it counted in flight so no truncation
-                // can drop it; the next launch replays it.
-                if !self.core.durable() {
-                    self.core.note_completed();
-                }
-                Err(FsError::Backend("commit queue closed".into()))
-            }
         }
     }
 
-    /// Reconcile this client's redelivery window with its node's broker:
-    /// resend commit ops provably lost in a broker crash, deliver ones
-    /// buffered while the link was down. Returns how many messages this
-    /// call delivered. The chaos driver calls this after healing a link.
-    pub fn flush_publishes(&self) -> FsResult<usize> {
-        self.redelivery
-            .flush()
-            .map(|out| out.delivered)
-            .map_err(|_| FsError::Backend("commit queue closed".into()))
-    }
-
-    /// Commit messages not yet provably consumed by this node's broker.
-    pub fn unacked_publishes(&self) -> usize {
-        self.redelivery.unacked()
-    }
-
-    /// Group commit: buffer the op in the node's publish buffer instead
-    /// of dispatching a queue message per op; flush as one batch message
-    /// when either commit plane of the buffer holds `commit_batch_size`
-    /// ops (`commit::publish` module docs). Coalescing may settle
-    /// the op entirely client-side (create×unlink annihilation, writeback
-    /// collapse) — those ops complete without ever touching the queue.
-    fn publish_buffered(
+    /// Full publish entry point: journal the op, hand it to the node's
+    /// publish buffer, and flush one message into the node's redelivery
+    /// window when either commit plane of the buffer holds
+    /// `commit_batch_size` ops (`commit::publish` module docs) — at batch
+    /// size 1, on every op. Coalescing may settle the op entirely
+    /// client-side (create×unlink annihilation, writeback collapse) —
+    /// those ops complete without ever touching the queue. `ts` carries a
+    /// pre-allocated publish timestamp — unlinks stamp themselves *before*
+    /// marking the removal pending, so the pending-removal table and the
+    /// queue envelope agree on the op's identity.
+    fn publish_at(
         &self,
         op: CommitOp,
         snapshot: Option<&[u8]>,
@@ -242,15 +176,11 @@ impl PaconClient {
             CommitOp::Unlink { path } => Some(path.clone()),
             _ => None,
         };
-        let timestamp = ts.unwrap_or_else(|| self.core.now());
-        let msg = QueueMsg {
-            id: self.core.op_identity(&op),
-            op,
-            client: self.id.0,
-            epoch: self.core.board.current_epoch(),
-            timestamp,
-            degraded,
-        };
+        let msg = self.envelope(op, degraded, ts);
+        let timestamp = msg.timestamp;
+        // Durable order: count the op in flight, journal it, then buffer.
+        // Enqueued-before-append is what makes truncation safe: `drained()`
+        // under the WAL lock proves the log holds no unconfirmed op.
         self.core.note_enqueued();
         let node = self.node.index();
         // Journal before the buffer sees the op: coalescing may settle it
@@ -271,9 +201,12 @@ impl PaconClient {
                     // `flush_publish_buffer` re-takes the lock; a racing
                     // publisher may have flushed first, which is fine —
                     // an empty buffer makes this a no-op. One message per
-                    // publish: a backlog behind it leaves with the next
-                    // flushes and the worker's empty-queue pulls.
-                    self.core.flush_publish_buffer(node, &self.publishers[node]);
+                    // publish: what racing publishers left behind leaves
+                    // with the next flushes and the worker's empty-queue
+                    // pulls. A failure is the shutdown race: the op is
+                    // journaled (durable mode) and stays counted in
+                    // flight, the next launch replays it.
+                    self.core.flush_publish_buffer(node)?;
                 }
             }
             Buffered::Cancelled { absorbed } => {
@@ -620,7 +553,7 @@ impl PaconClient {
     fn barrier(&self) -> FsResult<crate::commit::barrier::BarrierGuard<'_>> {
         let guard = self.core.board.start_barrier();
         let queue_push = self.profile().queue_push;
-        self.core.post_barrier_markers(&self.publishers, guard.epoch(), self.id.0, || {
+        self.core.post_barrier_markers(guard.epoch(), self.id.0, || {
             charge(Station::ClientCpu, queue_push)
         })?;
         guard.wait_workers();
@@ -1204,14 +1137,7 @@ impl FileSystem for PaconClient {
                                 // while the absorbing writeback is in
                                 // flight, so no extra enqueue accounting.
                                 let op = CommitOp::WriteInline { path: path.to_string() };
-                                let msg = QueueMsg {
-                                    id: self.core.op_identity(&op),
-                                    op,
-                                    client: self.id.0,
-                                    epoch: self.core.board.current_epoch(),
-                                    timestamp: self.core.now(),
-                                    degraded: false,
-                                };
+                                let msg = self.envelope(op, false, None);
                                 self.core.wal_append(
                                     self.node.index(),
                                     &msg,

@@ -1,11 +1,12 @@
 //! Per-node publish buffer for group commit.
 //!
-//! Clients on one node funnel their operation messages through a shared
-//! [`PublishBuffer`] instead of pushing each one into the commit queue
-//! directly. The buffer flushes as one [`CommitOp::Batch`] message when
-//! either commit plane reaches the configured batch size, when a barrier
-//! needs the queue flushed, or when the node's commit process pulls it on
-//! an empty queue (liveness for quiesce/shutdown without a timer).
+//! Every client on a node hands its operation messages to the node's
+//! [`PublishBuffer`]; nothing reaches the commit queue any other way. The
+//! buffer flushes as one message (a [`CommitOp::Batch`], or the op itself
+//! when there is only one — always, at batch size 1) when either commit
+//! plane reaches the configured batch size, when a barrier needs the
+//! queue flushed, or when the node's commit process pulls it on an empty
+//! queue (liveness for quiesce/shutdown without a timer).
 //!
 //! # One budget per plane
 //!
@@ -17,8 +18,8 @@
 //! flush (the RPC of the plane that filled is full, the other rides
 //! along), and [`PublishBuffer::take`] never hands out more than the
 //! budget on either plane — a message carries at most `2·n − 1` ops and
-//! no commit RPC more than `n`, also when a healed link releases a
-//! backlog many budgets long.
+//! no commit RPC more than `n`, also when a barrier forces out what
+//! piled up behind a refusing link.
 //!
 //! While ops sit in the buffer they can still annihilate each other:
 //!
@@ -32,10 +33,9 @@
 //!   before publish; the buffer-level rule is the backstop that keeps
 //!   the invariant local.
 //!
-//! Coalescing never crosses a flush boundary: once ops are in the queue
-//! their order is final, and per-publisher FIFO of the underlying queue
-//! does the rest. A flush the link refuses never reached the queue; its
-//! ops come back through [`PublishBuffer::put_back`].
+//! Coalescing never crosses a flush boundary: a flushed message is final
+//! — it goes to the node's redelivery window, which delivers it in
+//! publish order now or, when the link refuses, once the link heals.
 
 use crate::commit::op::{CommitOp, QueueMsg};
 
@@ -111,8 +111,8 @@ impl PublishBuffer {
     }
 
     /// Take, in publish order, the longest prefix that holds at most
-    /// `budget` ops of each plane — the whole buffer unless a refused
-    /// flush left a backlog ([`Self::put_back`]).
+    /// `budget` ops of each plane — the whole buffer unless more piled up
+    /// than one flush takes (flushes stop while the link refuses).
     pub fn take(&mut self, budget: usize) -> Vec<QueueMsg> {
         if self.fullest_plane() <= budget {
             self.data_ops = 0;
@@ -133,13 +133,6 @@ impl PublishBuffer {
             .expect("a plane over budget holds an op past it");
         self.data_ops -= data;
         self.ops.drain(..end).collect()
-    }
-
-    /// Return ops a flush took but could not deliver, ahead of anything
-    /// buffered since, so publish order survives the failed send.
-    pub fn put_back(&mut self, ops: Vec<QueueMsg>) {
-        self.data_ops += ops.iter().filter(|m| is_data_plane(m)).count();
-        self.ops.splice(0..0, ops);
     }
 
     /// Annihilate the most recent buffered `Create{path}` together with
@@ -273,21 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn put_back_restores_publish_order_ahead_of_newer_ops() {
-        let mut b = PublishBuffer::new();
-        b.push(create("/a"));
-        b.push(create("/b"));
-        let undelivered = b.take(usize::MAX);
-        b.push(create("/c"));
-        b.put_back(undelivered);
-        // A returned create is buffered again, so it still cancels.
-        assert_eq!(b.push(unlink("/b")), Buffered::Cancelled { absorbed: 1 });
-        let rest = b.take(usize::MAX);
-        let paths: Vec<_> = rest.iter().map(|m| m.op.path().unwrap()).collect();
-        assert_eq!(paths, ["/a", "/c"]);
-    }
-
-    #[test]
     fn take_all_preserves_publish_order() {
         let mut b = PublishBuffer::new();
         b.push(mkdir("/d"));
@@ -330,8 +308,6 @@ mod tests {
         // The create leaves the namespace plane, its writeback the data plane.
         assert_eq!(b.push(unlink("/f")), Buffered::Cancelled { absorbed: 2 });
         assert_eq!((b.len(), b.fullest_plane()), (2, 2));
-        b.put_back(vec![create("/a"), create("/b"), create("/c"), wi("/a")]);
-        assert_eq!((b.len(), b.fullest_plane()), (6, 3));
     }
 
     use proptest::prelude::*;
@@ -339,8 +315,8 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Step {
         Push(QueueMsg),
-        /// Take a bounded prefix; `put_back` returns it (a refused flush).
-        Take { budget: usize, put_back: bool },
+        /// Take a bounded prefix.
+        Take { budget: usize },
     }
 
     fn step() -> impl Strategy<Value = Step> {
@@ -352,8 +328,7 @@ mod tests {
             4 => path.clone().prop_map(|p| Step::Push(wi(&p))),
             2 => path.prop_map(|p| Step::Push(unlink(&p))),
             1 => Just(Step::Push(mkdir("/w/d"))),
-            2 => (1usize..6, any::<bool>())
-                .prop_map(|(budget, put_back)| Step::Take { budget, put_back }),
+            2 => (1usize..6).prop_map(|budget| Step::Take { budget }),
         ]
     }
 
@@ -368,8 +343,8 @@ mod tests {
 
     proptest! {
         /// The O(1) plane count equals a recount after every `push`
-        /// outcome, bounded take and `put_back`; a bounded take is the
-        /// longest order-preserving prefix inside both budgets.
+        /// outcome and bounded take; a bounded take is the longest
+        /// order-preserving prefix inside both budgets.
         #[test]
         fn plane_counts_track_every_mutation(steps in proptest::collection::vec(step(), 1..80)) {
             let mut b = PublishBuffer::new();
@@ -379,7 +354,7 @@ mod tests {
                         msg.timestamp = i as u64;
                         b.push(msg);
                     }
-                    Step::Take { budget, put_back } => {
+                    Step::Take { budget } => {
                         let before = stamps(&b.ops);
                         let taken = b.take(budget);
                         let (ns, data) = planes(&taken);
@@ -389,10 +364,6 @@ mod tests {
                         if let Some(next) = b.ops.first() {
                             let plane = if is_data_plane(next) { data } else { ns };
                             prop_assert_eq!(plane, budget, "the prefix stops only at a full plane");
-                        }
-                        if put_back {
-                            b.put_back(taken);
-                            prop_assert_eq!(&before, &stamps(&b.ops));
                         }
                     }
                 }

@@ -19,9 +19,10 @@
 //! each inner op independently — failed ops *disaggregate* into the
 //! single-op retry backlog, so a partial batch failure degrades to
 //! exactly the paper's independent-commit behaviour. When the queue runs
-//! empty the worker also pulls whatever is still sitting in its node's
-//! publish buffer, which gives quiesce/shutdown liveness without a flush
-//! timer.
+//! empty the worker first lets its node's redelivery window send what a
+//! faulted link still owes the queue, and — with nothing older waiting —
+//! takes whatever is still sitting in the node's publish buffer, which
+//! gives quiesce/shutdown liveness without a flush timer.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -29,7 +30,7 @@ use std::sync::Arc;
 use dfs::{BatchOp, DfsClient};
 use fsapi::{path as fspath, FsError, FsResult};
 use fsapi::FileSystem;
-use mq::{Consumer, TryRecvError};
+use mq::Consumer;
 use simnet::{charge, NodeId, Station};
 
 use crate::cache::{CacheError, MetaCache};
@@ -59,7 +60,10 @@ pub enum WorkerStep {
     Blocked(u64),
     /// Nothing to do right now.
     Idle,
-    /// Queue closed and backlog empty: the worker is done.
+    /// Never reported: the sending end of a worker's queue lives in the
+    /// region core the worker itself keeps alive, so the queue cannot
+    /// close under it — commit threads stop on the region's stop flags.
+    /// Kept for the drivers that match on it.
     Disconnected,
     /// The crash switch tripped: the node is dead. Unsettled work stays
     /// in the WAL for the next launch's recovery replay.
@@ -84,7 +88,7 @@ struct RetryEntry {
 
 pub struct CommitWorker {
     node: NodeId,
-    consumer: Consumer<QueueMsg>,
+    consumer: Consumer<Arc<QueueMsg>>,
     dfs: DfsClient,
     cache: MetaCache,
     core: Arc<RegionCore>,
@@ -106,7 +110,7 @@ pub struct CommitWorker {
 impl CommitWorker {
     pub fn new(
         node: NodeId,
-        consumer: Consumer<QueueMsg>,
+        consumer: Consumer<Arc<QueueMsg>>,
         dfs: DfsClient,
         core: Arc<RegionCore>,
     ) -> Self {
@@ -201,75 +205,75 @@ impl CommitWorker {
             return WorkerStep::BarrierReported;
         }
 
-        // Fresh messages first; fall back to the publish buffer, then the
-        // retry backlog.
-        match self.consumer.try_recv() {
-            Ok(msg) => {
-                if self.is_duplicate(&msg) {
-                    self.core.counters.incr("duplicate_drops");
-                    return WorkerStep::Retried;
-                }
-                self.stuck_retries = 0;
-                self.charge_dispatch();
-                match msg.op {
-                    CommitOp::Barrier { epoch } => {
-                        self.flushing_for = Some(epoch);
-                        // Re-enter immediately on the next step to flush.
-                        WorkerStep::Retried
-                    }
-                    CommitOp::Batch(inner) => self.apply_batch(inner),
-                    _ => self.apply(msg, 0, false),
-                }
+        // Fresh messages first — with the queue empty, whatever the node
+        // still has to send — then the retry backlog.
+        let Some(shared) = self.consumer.try_recv().ok().or_else(|| self.refill()) else {
+            return self.step_retry();
+        };
+        // Acknowledge: the window drops its record of every message this
+        // queue has handed over, this one included — which leaves the
+        // worker its only holder. Not when a publisher has the window
+        // (it may be waiting there for this worker to make room): then,
+        // as for a duplicated send, the message stays shared and the
+        // worker takes a copy.
+        let _ = self.core.window(self.node.index()).try_flush();
+        if self.is_duplicate(&shared) {
+            self.core.counters.incr("duplicate_drops");
+            return WorkerStep::Retried;
+        }
+        let msg = Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone());
+        self.stuck_retries = 0;
+        self.charge_dispatch();
+        match msg.op {
+            CommitOp::Barrier { epoch } => {
+                self.flushing_for = Some(epoch);
+                // Re-enter immediately on the next step to flush.
+                WorkerStep::Retried
             }
-            Err(TryRecvError::Empty) => match self.pull_publish_buffer() {
-                Some(step) => step,
-                None => self.step_retry(WorkerStep::Idle),
-            },
-            Err(TryRecvError::Disconnected) => match self.pull_publish_buffer() {
-                Some(step) => step,
-                None => self.step_retry(WorkerStep::Disconnected),
-            },
+            CommitOp::Batch(inner) => self.apply_batch(inner),
+            _ => self.apply(msg, 0, false),
         }
     }
 
-    /// The queue is empty: pull what accumulated in this node's publish
-    /// buffer below the flush threshold — one budget-bounded batch per
-    /// step when a refused flush left more. Queue-empty means every
-    /// earlier message was consumed, so buffered ops are the newest and
-    /// applying them directly preserves per-node FIFO order.
-    fn pull_publish_buffer(&mut self) -> Option<WorkerStep> {
-        let budget = self.core.config.commit_batch_size;
-        if budget <= 1 {
+    /// The queue is empty: the commit process is the node's flush timer.
+    /// Have the redelivery window send what it still owes the queue after
+    /// an outage and receive that; with nothing older waiting and the link
+    /// up, cut one bounded message from what accumulated in the publish
+    /// buffer below the threshold and take it directly. While the link is
+    /// down the buffer is left alone and keeps coalescing: nothing crosses.
+    ///
+    /// Under the buffer lock no flush is under way, so the queue and the
+    /// window's pending records are all that is older than the buffer:
+    /// taking from it then keeps the node's publish order. Neither lock is
+    /// waited for — a publisher can hold both while it waits for room in
+    /// this worker's queue (`RegionCore::flush_publish_buffer`); the
+    /// worker comes back on its next step.
+    fn refill(&mut self) -> Option<Arc<QueueMsg>> {
+        let node = self.node.index();
+        let mut buf = self.core.publish_bufs[node].try_lock()?;
+        let window = self.core.window(node);
+        let settled = window.try_flush()?;
+        if settled.delivered == 0 && buf.is_empty() {
+            return None; // the idle poll
+        }
+        if let Ok(shared) = self.consumer.try_recv() {
+            return Some(shared);
+        }
+        if settled.pending > 0 || window.inner().is_severed() {
             return None;
         }
-        let batch = self.core.publish_bufs[self.node.0 as usize].lock().take(budget);
-        if batch.is_empty() {
-            return None;
-        }
-        self.stuck_retries = 0;
-        self.charge_dispatch();
-        if batch.len() == 1 {
-            let msg = batch.into_iter().next().expect("len checked");
-            Some(self.apply(msg, 0, false))
-        } else {
-            self.core.counters.incr("batches_flushed");
-            self.core.counters.add("batched_ops", batch.len() as u64);
-            Some(self.apply_batch(batch))
-        }
+        self.core.cut_message(&mut buf).map(Arc::new)
     }
 
     /// Work the retry backlog with no fresh input. After one full cycle of
-    /// failures, report `empty_step` so the caller can sleep — the
-    /// prerequisite commit must come from another queue.
-    fn step_retry(&mut self, empty_step: WorkerStep) -> WorkerStep {
-        if self.retry.is_empty() {
-            return empty_step;
-        }
+    /// failures, report `Idle` so the caller can sleep — the prerequisite
+    /// commit must come from another queue.
+    fn step_retry(&mut self) -> WorkerStep {
         if self.stuck_retries >= self.retry.len() {
             self.stuck_retries = 0;
-            return empty_step;
+            return WorkerStep::Idle;
         }
-        let e = self.retry.pop_front().expect("checked non-empty");
+        let e = self.retry.pop_front().expect("stuck_retries < len");
         match self.apply(e.msg, e.attempts, e.backend_faulted) {
             WorkerStep::Retried => {
                 self.stuck_retries += 1;

@@ -46,9 +46,11 @@ pub struct PaconConfig {
     /// inline writebacks (one vectored write per data server + one size
     /// batch) number this many, then publishes the buffer as one batched
     /// queue message; no message carries more than this many of either
-    /// plane, so no commit RPC does. `1` disables batching — every op is
-    /// published directly, the paper prototype's behaviour. Barriers
-    /// always flush the buffer regardless of fill.
+    /// plane, so no commit RPC does. A flush threshold, not a mode: at
+    /// `1` every op reaches it, so each leaves as its own one-op message
+    /// — the paper prototype's behaviour — through the same buffer,
+    /// redelivery window and queue as a batch. Barriers always flush the
+    /// buffer regardless of fill.
     /// In use at 1 (fig01–fig12), 1–64 (`commit_batch`) and 32 (the repo
     /// benchmark).
     pub commit_batch_size: usize,
@@ -195,7 +197,7 @@ mod tests {
     #[test]
     fn batching_defaults_off_and_builders_set_it() {
         let c = PaconConfig::new("/app", Topology::new(1, 1), Credentials::new(1, 1));
-        assert_eq!(c.commit_batch_size, 1, "seed behaviour: direct publish");
+        assert_eq!(c.commit_batch_size, 1, "seed behaviour: one op per message");
         let c = c.with_commit_batch(32);
         assert_eq!(c.commit_batch_size, 32);
     }

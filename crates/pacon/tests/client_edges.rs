@@ -333,11 +333,12 @@ fn step_within_budget(
 }
 
 /// Group commit over a partitioned commit link: a flush the link refuses
-/// must not drop the batch, and the backlog it leaves — many budgets long
-/// — must not leave as one message once the link heals. Every op below is
+/// must not drop the batch — it waits in the node's redelivery window as
+/// the bounded message it was cut into — and the backlog must reach the
+/// queue in publish order once the link heals. Every op below is
 /// acknowledged (its cache write landed), so every one must reach the DFS,
-/// in publish order, in RPCs of at most `n` ops: through the threshold
-/// flush and the worker's empty-queue pull, and through a barrier's flush.
+/// in publish order, in RPCs of at most `n` ops: through the commit
+/// process's own empty-queue step, and through a barrier's flush.
 #[test]
 fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
     const N: usize = 4;
@@ -360,16 +361,19 @@ fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
             c.create(&format!("/app/d{i}/f"), &cred, 0o644).unwrap();
             c.write(&format!("/app/d{i}/f"), &cred, 0, format!("payload {i}").as_bytes()).unwrap();
         }
-        assert!(counters.get("publishes_buffered") > 0);
-        assert_eq!(region.core().publish_bufs[0].lock().len(), 30, "refused flushes lost nothing");
+        // Every fourth namespace op cut a message: M C W M C, then four
+        // times W M C W M C; the last write is still coalescing.
+        assert_eq!(counters.get("publishes_buffered"), 5);
+        assert_eq!(region.unacked_publishes(), 5, "refused flushes wait in the window");
+        assert_eq!(region.core().publish_bufs[0].lock().len(), 1);
+        let report = region.report();
+        assert_eq!((report.ops_enqueued, report.ops_completed), (30, 0), "nothing lost, nothing sent");
         region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
-        c.flush_publishes().unwrap();
 
         let mut w = region.take_worker(0);
         let batches = if heal_by_barrier {
-            // The barrier's flush empties the buffer into the queue before
-            // it posts its marker; only then does the worker start, so
-            // every message it meets was cut by that flush.
+            // The barrier's flush empties the buffer and has the window
+            // deliver the backlog before it posts its marker.
             std::thread::scope(|s| {
                 s.spawn(|| region.sync_barrier());
                 while !region.core().publish_bufs[0].lock().is_empty() {
@@ -378,14 +382,14 @@ fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
                 step_within_budget(&mut w, &dfs, N, |step| step == WorkerStep::BarrierReported)
             })
         } else {
-            // One publish past the heal: its threshold flush sends one
-            // bounded message, the worker pulls the rest.
+            // One publish past the heal delivers the backlog ahead of
+            // itself; the commit process flushes what is left below the
+            // threshold.
             c.create("/app/late", &cred, 0o644).unwrap();
-            assert_eq!(counters.get("batches_flushed"), 1);
             step_within_budget(&mut w, &dfs, N, |step| step == WorkerStep::Idle)
         };
         assert!(batches.len() >= 5, "20 namespace ops, {N} to an RPC: {batches:?}");
-        assert!(batches[..4].iter().all(|b| b[0] == N as u64), "backlog RPCs leave full");
+        assert!(batches[..5].iter().all(|b| b[0] == N as u64), "backlog RPCs leave full");
         assert_eq!(counters.get("resubmitted"), 0, "publish order survived the backlog");
 
         let raw = dfs.client();
@@ -396,6 +400,7 @@ fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
         let ops = if heal_by_barrier { 30 } else { 31 };
         let report = region.report();
         assert_eq!((report.ops_enqueued, report.ops_completed), (ops, ops));
+        assert_eq!(region.unacked_publishes(), 0);
     }
 }
 

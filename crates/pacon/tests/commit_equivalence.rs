@@ -8,6 +8,13 @@
 //! through the batched, coalescing publish buffer (random batch sizes and
 //! flush boundaries, barrier/rmdir interleavings, injected MDS faults) —
 //! the final DFS namespaces must be identical.
+//!
+//! The batch-1 runs are the uncoalesced reference although they take the
+//! same route as every other batch size (publish buffer → redelivery
+//! window → queue): at threshold 1 every push flushes, so on these
+//! single-threaded drivers no two ops ever meet in the buffer, and the
+//! worker still commits the resulting one-op messages through the
+//! single-op DFS entry points.
 
 use std::sync::Arc;
 

@@ -18,12 +18,13 @@
 //! WAL             per-node durable commit log (pacon CommitWal). Taken
 //!                 before the publish buffer so an append can be ordered
 //!                 ahead of the buffered send it covers.
-//! PUBLISH         per-node publish (group-commit) buffers. Held across
-//!                 the queue send and the barrier-epoch read, so it
-//!                 orders before BARRIER and QUEUE.
+//! PUBLISH         per-node publish buffers. Held across the barrier-epoch
+//!                 read and the publish into the node's redelivery
+//!                 window, so it orders before BARRIER, REDELIVERY and
+//!                 QUEUE.
 //! BARRIER         barrier-board state (epoch/reached counters).
-//! REDELIVERY      mq publisher-side redelivery buffer (unacked sends);
-//!                 held across the queue send it is redelivering.
+//! REDELIVERY      mq publisher-side redelivery window (unacked sends),
+//!                 one per node; held across the queue sends it delivers.
 //! QUEUE           mq PUSH/PULL queue state.
 //! ROUTE           memkv epoch router (ring membership + live-migration
 //!                 state); read-held across the shard ops it routes, so

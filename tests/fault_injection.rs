@@ -301,6 +301,193 @@ fn a_half_posted_barrier_leaves_a_stale_marker_not_a_dead_commit_process() {
 }
 
 // ---------------------------------------------------------------------------
+// One way out of a node: the same answers at every batch size
+// ---------------------------------------------------------------------------
+
+/// Run `probe` on a fresh one-node, two-client region in every shape the
+/// commit path ships in: batch 1 (fig01–fig12) and 32 (the benchmark
+/// workloads), volatile and durable. `threaded` launches the commit
+/// process as a thread (probes that block on a barrier); otherwise the
+/// probe steps it.
+fn for_each_commit_shape(
+    tag: &str,
+    threaded: bool,
+    probe: impl Fn(&Arc<PaconRegion>, &Arc<dfs::DfsCluster>, &Credentials, &str),
+) {
+    for batch in [1, 32] {
+        for durable in [false, true] {
+            let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+            let cred = Credentials::new(1, 1);
+            let mut config =
+                PaconConfig::new("/job", Topology::new(1, 2), cred).with_commit_batch(batch);
+            let wal_dir = durable.then(|| fresh_wal_dir(tag));
+            if let Some(dir) = &wal_dir {
+                config = config.with_durability(dir);
+            }
+            let region = if threaded {
+                PaconRegion::launch(config, &dfs)
+            } else {
+                PaconRegion::launch_paused(config, &dfs)
+            }
+            .unwrap();
+            probe(&region, &dfs, &cred, &format!("batch {batch}, durable {durable}"));
+            drop(region);
+            if let Some(dir) = wal_dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+}
+
+/// One create per index, alternating between the node's two clients.
+fn create_files(region: &Arc<PaconRegion>, cred: &Credentials, files: std::ops::Range<usize>) {
+    let clients = [region.client(ClientId(0)), region.client(ClientId(1))];
+    for i in files {
+        clients[i % 2].create(&format!("/job/f{i:03}"), cred, 0o644).unwrap();
+    }
+}
+
+/// A broker that crashes with four full batches inside it loses none of
+/// them: the node's window still holds every message and sends it again
+/// once the link is back — on the commit process's own empty-queue step,
+/// nobody calls `flush_publishes`.
+#[test]
+fn broker_crash_keeps_every_acked_create_at_every_batch_size() {
+    for_each_commit_shape("brokercrash", false, |region, dfs, cred, shape| {
+        create_files(region, cred, 0..128);
+        region.apply_fault(FaultEvent::CrashBroker(NodeId(0)));
+        let lost = region.core().counters.get("broker_lost_msgs");
+        assert!(lost == 4 || lost == 128, "{shape}: everything published was in the broker");
+        region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+        let mut w = region.take_worker(0);
+        drain(region, &mut w);
+        assert_eq!(dfs.client().readdir("/job", cred).unwrap().len(), 128, "{shape}");
+        assert_eq!(region.report().committed, 128, "{shape}: each exactly once");
+        assert_eq!(region.unacked_publishes(), 0, "{shape}");
+    });
+}
+
+/// A barrier op sees every commit acknowledged before it (Table I), also
+/// one that waited out a partition: the marker may not overtake it.
+#[test]
+fn a_barrier_after_a_heal_sees_the_acked_create_at_every_batch_size() {
+    for_each_commit_shape("healbarrier", true, |region, _dfs, cred, shape| {
+        let c = region.client(ClientId(0));
+        region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
+        c.create("/job/acked", cred, 0o644).unwrap();
+        assert!(matches!(c.readdir("/job", cred), Err(FsError::Backend(_))), "{shape}");
+        region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+        assert_eq!(c.readdir("/job", cred).unwrap(), ["acked"], "{shape}");
+        region.shutdown().unwrap();
+    });
+}
+
+/// What a partition held back drains once the link heals, with no barrier
+/// and no explicit flush to push it.
+#[test]
+fn the_region_drains_after_a_heal_without_a_flush_at_every_batch_size() {
+    for_each_commit_shape("healdrain", false, |region, dfs, cred, shape| {
+        region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
+        let mut w = region.take_worker(0);
+        // Below the threshold first (at batch 32 the window is still
+        // empty and all eight wait in the buffer), then past it.
+        for files in [0..8, 8..40] {
+            create_files(region, cred, files);
+            for _ in 0..4 {
+                assert_eq!(w.step(), WorkerStep::Idle, "{shape}: nothing crosses a partitioned link");
+            }
+        }
+        assert_eq!(region.report().ops_completed, 0, "{shape}");
+        region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+        drain(region, &mut w);
+        assert_eq!(dfs.client().readdir("/job", cred).unwrap().len(), 40, "{shape}");
+    });
+}
+
+/// Rollback drops what never reached the queue wherever it waits — the
+/// publish buffer or, refused by a partitioned link, the window — and
+/// counts it: the rolled-back create must not reach the DFS after the heal.
+#[test]
+fn rollback_under_a_partition_drops_the_create_at_every_batch_size() {
+    for_each_commit_shape("healrollback", true, |region, dfs, cred, shape| {
+        region.checkpoint("empty").unwrap();
+        region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
+        region.client(ClientId(0)).create("/job/undone", cred, 0o644).unwrap();
+        region.rollback("empty").unwrap();
+        assert_eq!(region.report().rollback_dropped_ops, 1, "{shape}");
+        assert!(region.core().drained(), "{shape}: the dropped op is accounted for");
+        region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+        region.shutdown().unwrap();
+        assert_eq!(dfs.client().stat("/job/undone", cred), Err(FsError::NotFound), "{shape}");
+    });
+}
+
+/// Scripted duplication follows the messages: two armed duplicates are
+/// sent twice and dropped by the commit process, whether a message is one
+/// op or a batch.
+#[test]
+fn armed_duplicates_are_dropped_by_the_worker_at_every_batch_size() {
+    for_each_commit_shape("duplicates", false, |region, dfs, cred, shape| {
+        region.apply_fault(FaultEvent::DuplicateCommitSends { node: NodeId(0), count: 2 });
+        create_files(region, cred, 0..64);
+        let mut w = region.take_worker(0);
+        drain(region, &mut w);
+        while w.step() != WorkerStep::Idle {}
+        assert_eq!(region.core().counters.get("duplicate_drops"), 2, "{shape}");
+        assert_eq!(region.report().committed, 64, "{shape}: each exactly once");
+        assert_eq!(dfs.client().readdir("/job", cred).unwrap().len(), 64, "{shape}");
+    });
+}
+
+/// Backpressure meets redelivery. A partition leaves more messages in the
+/// node's window than its commit queue holds; the first publish after the
+/// heal delivers them, and keeps the publish buffer and the window locked
+/// while it waits for room in the full queue. The commit process
+/// acknowledges every message it takes through that window and looks into
+/// that buffer when its queue runs empty: it must wait for neither, or the
+/// publisher waits for the commit process and the commit process for the
+/// publisher.
+#[test]
+fn a_healed_backlog_longer_than_the_commit_queue_drains_under_backpressure() {
+    // `COMMIT_QUEUE_CAPACITY` (crates/pacon/src/region.rs) and then some.
+    const BACKLOG: usize = (1 << 16) + 64;
+    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let config = PaconConfig::new("/job", Topology::new(1, 2), cred).with_commit_batch(1);
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let client = region.client(ClientId(0));
+    region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
+    for i in 0..BACKLOG {
+        client.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
+    }
+    assert_eq!(region.unacked_publishes(), BACKLOG);
+    region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let publisher = std::thread::spawn(move || client.create("/job/last", &cred, 0o644));
+    // Give the publish time to fill the queue and park, both locks held:
+    // the schedule that hangs a commit process that waits for either.
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let stepped = Arc::clone(&region);
+    std::thread::spawn(move || {
+        let mut w = stepped.take_worker(0);
+        // Not until drained only: the publisher has to get through first.
+        while stepped.report().committed < BACKLOG as u64 + 1 {
+            assert_ne!(w.step(), WorkerStep::Crashed);
+        }
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the commit process and a publisher wait for each other");
+    publisher.join().unwrap().unwrap();
+    assert!(region.core().drained());
+    region.flush_publishes().unwrap();
+    assert_eq!(region.unacked_publishes(), 0, "the next settle makes up a skipped acknowledgement");
+    assert_eq!(dfs.client().readdir("/job", &cred).unwrap().len(), BACKLOG + 1);
+}
+
+// ---------------------------------------------------------------------------
 // Crash-kill recovery harness (durable commit queue)
 // ---------------------------------------------------------------------------
 
