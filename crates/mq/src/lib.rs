@@ -9,8 +9,10 @@
 //! * [`queue::push_pull`] — a bounded multi-producer single-or-multi-
 //!   consumer pipeline where each message is delivered to exactly one
 //!   consumer (ZeroMQ PUSH/PULL). This carries the commit traffic.
-//! * [`redelivery::ReliablePublisher`] — a publisher-side window that
-//!   re-sends what a faulted link or broker dropped.
+//! * [`redelivery::RedeliveryWindow`] — a publisher-side window that
+//!   re-sends what a faulted link or broker dropped. A plain structure:
+//!   the queue's mutex is the only lock in this crate, the window lives
+//!   under its owner's.
 //!
 //! The queue exposes non-blocking receives so it can be driven by the
 //! discrete-event harness as well as by real threads.
@@ -21,4 +23,4 @@ pub mod queue;
 pub mod redelivery;
 
 pub use queue::{push_pull, Consumer, LinkView, Publisher, RecvError, SendFault, TryRecvError};
-pub use redelivery::{Disconnected, FlushOutcome, ReliablePublisher};
+pub use redelivery::{Disconnected, FlushOutcome, RedeliveryWindow};

@@ -5,7 +5,8 @@
 //! which numbers a broker crash wiped (the redelivery layer reconciles
 //! against both, see [`LinkView`]) and keep precise disconnect semantics:
 //! consumers drain everything that was sent before the last publisher
-//! dropped.
+//! dropped. The ring's mutex is the only lock in this crate: the
+//! redelivery window is a plain structure under its owner's lock.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -81,7 +82,7 @@ pub enum SendFault {
     Severed,
     /// Every consumer is gone for good.
     NoConsumers,
-    /// The queue is at capacity ([`Publisher::try_send_seq`] only).
+    /// The queue is at capacity ([`Publisher::send_seq`] without `wait`).
     Full,
 }
 
@@ -118,9 +119,9 @@ pub struct Publisher<T> {
 impl<T> Publisher<T> {
     /// Block until there is room, then enqueue. Returns `Err(msg)` when
     /// every consumer is gone or the broker link is severed (callers that
-    /// must survive a severed link wrap this in [`ReliablePublisher`]).
+    /// must survive a severed link send through a [`RedeliveryWindow`]).
     ///
-    /// [`ReliablePublisher`]: crate::redelivery::ReliablePublisher
+    /// [`RedeliveryWindow`]: crate::redelivery::RedeliveryWindow
     pub fn send(&self, msg: T) -> Result<(), T> {
         syncguard::enter_blocking("mq::Publisher::send");
         let mut st = self.shared.state.lock();
@@ -203,19 +204,13 @@ impl<T: Clone> Publisher<T> {
     /// Like [`send`](Self::send), but reports the FIFO sequence assigned
     /// to the message so the redelivery layer can later prove whether it
     /// was consumed or lost. Fails fast (never blocks) on a severed link.
-    pub fn send_seq(&self, msg: &T) -> Result<u64, SendFault> {
-        syncguard::enter_blocking("mq::Publisher::send_seq");
-        self.enqueue_seq(msg, true)
-    }
-
-    /// [`send_seq`](Self::send_seq) for a sender that must not wait — the
-    /// queue's own consumer redelivering into it: a queue at capacity is
-    /// `Err(SendFault::Full)`.
-    pub fn try_send_seq(&self, msg: &T) -> Result<u64, SendFault> {
-        self.enqueue_seq(msg, false)
-    }
-
-    fn enqueue_seq(&self, msg: &T, wait: bool) -> Result<u64, SendFault> {
+    /// `wait` says what a queue at capacity means: wait for room, or — for
+    /// a sender that must not wait, the queue's own consumer redelivering
+    /// into it — `Err(SendFault::Full)`.
+    pub fn send_seq(&self, msg: &T, wait: bool) -> Result<u64, SendFault> {
+        if wait {
+            syncguard::enter_blocking("mq::Publisher::send_seq");
+        }
         let mut st = self.shared.state.lock();
         loop {
             if st.severed {
@@ -358,11 +353,11 @@ mod tests {
     #[test]
     fn try_send_respects_capacity() {
         let (tx, rx) = push_pull::<u32>(2);
-        assert_eq!(tx.try_send_seq(&1), Ok(0));
-        assert_eq!(tx.try_send_seq(&2), Ok(1));
-        assert_eq!(tx.try_send_seq(&3), Err(SendFault::Full));
+        assert_eq!(tx.send_seq(&1, false), Ok(0));
+        assert_eq!(tx.send_seq(&2, false), Ok(1));
+        assert_eq!(tx.send_seq(&3, false), Err(SendFault::Full));
         assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(tx.try_send_seq(&3), Ok(2), "room again once the consumer popped");
+        assert_eq!(tx.send_seq(&3, false), Ok(2), "room again once the consumer popped");
     }
 
     #[test]
@@ -445,8 +440,8 @@ mod tests {
         assert_eq!(tx.sever(), 1, "one buffered message wiped");
         assert!(tx.is_severed());
         assert_eq!(tx.send(2), Err(2));
-        assert_eq!(tx.send_seq(&4), Err(SendFault::Severed));
-        assert_eq!(tx.try_send_seq(&4), Err(SendFault::Severed));
+        assert_eq!(tx.send_seq(&4, true), Err(SendFault::Severed));
+        assert_eq!(tx.send_seq(&4, false), Err(SendFault::Severed));
         // Consumers see an empty-but-connected queue while severed.
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         tx.heal();
@@ -459,15 +454,15 @@ mod tests {
     fn lossy_sever_records_exact_wipe_intervals() {
         let (tx, rx) = push_pull::<u32>(8);
         // seqs 0,1 consumed; seqs 2,3 wiped; seq 4 sent after heal.
-        assert_eq!(tx.send_seq(&10), Ok(0));
-        assert_eq!(tx.send_seq(&11), Ok(1));
+        assert_eq!(tx.send_seq(&10, true), Ok(0));
+        assert_eq!(tx.send_seq(&11, true), Ok(1));
         assert_eq!(rx.recv().unwrap(), 10);
         assert_eq!(rx.recv().unwrap(), 11);
-        assert_eq!(tx.send_seq(&12), Ok(2));
-        assert_eq!(tx.send_seq(&13), Ok(3));
+        assert_eq!(tx.send_seq(&12, true), Ok(2));
+        assert_eq!(tx.send_seq(&13, true), Ok(3));
         assert_eq!(tx.sever(), 2);
         tx.heal();
-        assert_eq!(tx.send_seq(&14), Ok(4));
+        assert_eq!(tx.send_seq(&14, true), Ok(4));
         let view = tx.link_view(0);
         assert_eq!(view.wipes, vec![(2, 4)]);
         assert!(!view.lost(0) && !view.lost(1), "consumed messages are not lost");
@@ -485,8 +480,8 @@ mod tests {
     fn armed_duplicates_deliver_twice_back_to_back() {
         let (tx, rx) = push_pull::<u32>(8);
         tx.arm_duplicates(1);
-        assert_eq!(tx.send_seq(&7), Ok(0));
-        assert_eq!(tx.send_seq(&8), Ok(2), "the duplicate consumed seq 1");
+        assert_eq!(tx.send_seq(&7, true), Ok(0));
+        assert_eq!(tx.send_seq(&8, true), Ok(2), "the duplicate consumed seq 1");
         assert_eq!(rx.recv().unwrap(), 7);
         assert_eq!(rx.recv().unwrap(), 7);
         assert_eq!(rx.recv().unwrap(), 8);

@@ -16,7 +16,6 @@
 use fsapi::{path as fspath, Credentials, FileKind, FsError, FsResult};
 use fsapi::FileSystem;
 
-use crate::commit::op::CommitOp;
 use crate::region::PaconRegion;
 
 /// Where checkpoints live on the DFS.
@@ -173,20 +172,11 @@ impl PaconRegion {
         self.core().cache_cluster.clear();
         self.core().forget_in_flight();
         // Ops that never reached a commit queue predate the rollback and
-        // must not survive it — drop them where they wait, in the publish
-        // buffers and (refused by a faulted link) in the redelivery
-        // windows, and, in durable mode, reset the commit logs so the next
+        // must not survive it — drop them where they wait, in the nodes'
+        // outboxes, and, in durable mode, reset the commit logs so the next
         // launch cannot resurrect rolled-back mutations.
-        let mut dropped = 0u64;
-        for (n, buf) in self.core().publish_bufs.iter().enumerate() {
-            dropped += buf.lock().take(usize::MAX).len() as u64;
-            for msg in self.core().window(n).drop_undelivered() {
-                dropped += match &msg.op {
-                    CommitOp::Batch(ops) => ops.len() as u64,
-                    _ => 1,
-                };
-            }
-        }
+        let nodes = self.core().config.topology.nodes as usize;
+        let dropped: u64 = (0..nodes).map(|n| self.core().outbox(n).drop_unsent()).sum();
         for _ in 0..dropped {
             self.core().note_completed();
         }

@@ -64,10 +64,6 @@ struct WriteMemo {
     held: Option<Held>,
 }
 
-/// Encoded-metadata header size (see `CachedMeta::encode`); counted
-/// against the small-file threshold together with the key (path) length.
-const META_HEADER: usize = 27;
-
 impl PaconClient {
     pub(crate) fn new(
         core: Arc<RegionCore>,
@@ -124,24 +120,6 @@ impl PaconClient {
         charge(Station::ClientCpu, self.profile().pacon_client_overhead);
     }
 
-    fn publish(&self, op: CommitOp) -> FsResult<()> {
-        self.publish_at(op, None, false, None)
-    }
-
-    /// [`Self::publish`] for ops admitted during a degraded window: the
-    /// envelope is tagged so the commit worker applies create-if-absent
-    /// semantics (the admission check could only see the backup view).
-    fn publish_degraded(&self, op: CommitOp) -> FsResult<()> {
-        self.publish_at(op, None, true, None)
-    }
-
-    /// Publish an op, optionally journaling a data `snapshot` alongside it
-    /// (inline writebacks: the WAL must carry the bytes because replay
-    /// rebuilds file content from the log, not from the cache).
-    fn publish_with_snapshot(&self, op: CommitOp, snapshot: Option<&[u8]>) -> FsResult<()> {
-        self.publish_at(op, snapshot, false, None)
-    }
-
     /// The queue envelope of one of this client's ops, stamped `ts` or now.
     fn envelope(&self, op: CommitOp, degraded: bool, ts: Option<u64>) -> QueueMsg {
         QueueMsg {
@@ -154,13 +132,14 @@ impl PaconClient {
         }
     }
 
-    /// Full publish entry point: journal the op, hand it to the node's
-    /// publish buffer, and flush one message into the node's redelivery
-    /// window when either commit plane of the buffer holds
-    /// `commit_batch_size` ops (`commit::publish` module docs) — at batch
-    /// size 1, on every op. Coalescing may settle the op entirely
+    /// Full publish entry point: journal the op, then hand it to the node's
+    /// outbox (`Outbox::publish`). Coalescing may settle the op entirely
     /// client-side (create×unlink annihilation, writeback collapse) —
-    /// those ops complete without ever touching the queue. `ts` carries a
+    /// those ops complete without ever touching the queue.
+    /// `snapshot` is journaled alongside an inline writeback (replay
+    /// rebuilds file content from the log, not from the cache). `degraded`
+    /// tags an op admitted against the backup view only: the commit worker
+    /// applies create-if-absent semantics to it. `ts` carries a
     /// pre-allocated publish timestamp — unlinks stamp themselves *before*
     /// marking the removal pending, so the pending-removal table and the
     /// queue envelope agree on the op's identity.
@@ -190,25 +169,9 @@ impl PaconClient {
             self.core.note_completed();
             return Err(e);
         }
-        let mut buf = self.core.publish_bufs[node].lock();
-        let outcome = buf.push(msg);
-        let flush = buf.fullest_plane() >= self.core.config.commit_batch_size;
-        drop(buf);
-        match outcome {
-            Buffered::Queued => {
-                if flush {
-                    charge(Station::ClientCpu, self.profile().queue_push);
-                    // `flush_publish_buffer` re-takes the lock; a racing
-                    // publisher may have flushed first, which is fine —
-                    // an empty buffer makes this a no-op. One message per
-                    // publish: what racing publishers left behind leaves
-                    // with the next flushes and the worker's empty-queue
-                    // pulls. A failure is the shutdown race: the op is
-                    // journaled (durable mode) and stays counted in
-                    // flight, the next launch replays it.
-                    self.core.flush_publish_buffer(node)?;
-                }
-            }
+        // (An error is the shutdown race: journaled, still in flight.)
+        match self.core.outbox(node).publish(&self.core, msg)? {
+            Buffered::Queued => {}
             Buffered::Cancelled { absorbed } => {
                 // The create (plus its trailing writebacks) and this
                 // unlink annihilated in the buffer: the file never reaches
@@ -534,30 +497,13 @@ impl PaconClient {
             FileKind::Dir => CommitOp::Mkdir { path: path.to_string(), mode },
             FileKind::File => CommitOp::Create { path: path.to_string(), mode },
         };
-        if degraded {
-            self.publish_degraded(op)?;
-        } else {
-            self.publish(op)?;
-        }
+        self.publish_at(op, None, degraded, None)?;
         self.core.counters.incr(match kind {
             FileKind::Dir => "mkdir",
             FileKind::File => "create",
         });
         eviction::maybe_evict(&self.core, &self.cache);
         Ok(())
-    }
-
-    /// Push a barrier marker into every node queue and wait for all
-    /// commit processes to reach it. Returns the guard; the caller
-    /// performs the dependent op, then completes it.
-    fn barrier(&self) -> FsResult<crate::commit::barrier::BarrierGuard<'_>> {
-        let guard = self.core.board.start_barrier();
-        let queue_push = self.profile().queue_push;
-        self.core.post_barrier_markers(guard.epoch(), self.id.0, || {
-            charge(Station::ClientCpu, queue_push)
-        })?;
-        guard.wait_workers();
-        Ok(guard)
     }
 
     /// Recursively remove a committed subtree on the DFS (rmdir support;
@@ -596,8 +542,11 @@ impl PaconClient {
         self.core.staging.lock().insert(path.to_string(), data);
     }
 
+    /// Would the record still be a small file? Its whole cache entry —
+    /// key (path), encoded header, inline data — counts against the
+    /// small-file threshold.
     fn inline_fits(&self, path: &str, inline_len: usize) -> bool {
-        META_HEADER + path.len() + inline_len <= self.core.config.small_file_threshold
+        CachedMeta::HEADER_LEN + path.len() + inline_len <= self.core.config.small_file_threshold
     }
 
     /// Unlink while the primary copy is unreachable: verify against the
@@ -906,7 +855,7 @@ impl FileSystem for PaconClient {
                     return Err(FsError::NotADirectory);
                 }
                 // Barrier commit (sync, Section III.E-2).
-                let guard = self.barrier()?;
+                let guard = self.core.barrier(self.id.0)?;
                 let epoch = guard.epoch();
                 self.core.removed_dirs.write().push((path.to_string(), epoch));
                 {
@@ -961,7 +910,7 @@ impl FileSystem for PaconClient {
                 self.check_perm(path, cred, ACCESS_R)?;
                 // Barrier, then list on the DFS — avoids a full cache
                 // table scan (Section III.D-1).
-                let guard = self.barrier()?;
+                let guard = self.core.barrier(self.id.0)?;
                 let res = self.dfs.readdir(path, cred);
                 guard.complete();
                 self.core.counters.incr("readdir");
@@ -992,7 +941,7 @@ impl FileSystem for PaconClient {
                 drop(merged);
                 self.check_perm(path, cred, ACCESS_R)?;
                 // Barrier, then list on the DFS, exactly as `readdir`...
-                let guard = self.barrier()?;
+                let guard = self.core.barrier(self.id.0)?;
                 let names = self.dfs.readdir(path, cred);
                 guard.complete();
                 self.core.counters.incr("readdir");
@@ -1123,10 +1072,8 @@ impl FileSystem for PaconClient {
                         // copy at commit time, so one queued writeback
                         // covers all earlier writes to this file.
                         if eviction::queue_writeback(&self.core, path) {
-                            self.publish_with_snapshot(
-                                CommitOp::WriteInline { path: path.to_string() },
-                                Some(&held.meta.inline),
-                            )?;
+                            let op = CommitOp::WriteInline { path: path.to_string() };
+                            self.publish_at(op, Some(&held.meta.inline), false, None)?;
                         } else {
                             self.core.counters.incr("writeback_coalesced");
                             if self.core.durable() {

@@ -30,11 +30,11 @@ struct BoardState {
 /// Region-wide barrier coordination.
 ///
 /// Two locks with very different spans: `slot` is *outermost* — it is held
-/// by the triggering client across the whole dependent operation (publish
+/// by the triggering client across the whole dependent operation (outbox
 /// flush, queue sends, cache invalidation, the DFS mutation itself) — while
 /// `state` is a short-lived leaf taken by clients and workers alike, often
-/// while the publish-buffer lock is already held (the epoch read in
-/// `flush_publish_buffer`). Hence the distinct lock levels.
+/// while an outbox lock is already held (the epoch read when the outbox
+/// cuts a batch). Hence the distinct lock levels.
 pub struct BarrierBoard {
     workers: usize,
     state: Mutex<BoardState>,

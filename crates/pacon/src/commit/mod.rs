@@ -1,8 +1,9 @@
 //! The commit module (Sections III.D-1 and III.E).
 //!
 //! Metadata updates run on the distributed cache first, then an
-//! *operation message* goes into the per-node commit queue. One commit
-//! process per node (the subscriber) replays messages against the DFS:
+//! *operation message* goes into the per-node commit queue, through the
+//! node's [`outbox`]. One commit process per node (the subscriber)
+//! replays messages against the DFS:
 //!
 //! * **Independent commit** — create/mkdir/rm and inline-data writebacks
 //!   carry no ordering constraint beyond the namespace conventions; a
@@ -16,6 +17,7 @@
 
 pub mod barrier;
 pub mod op;
+pub mod outbox;
 pub mod publish;
 pub mod wal;
 pub mod worker;

@@ -19,10 +19,9 @@
 //! each inner op independently — failed ops *disaggregate* into the
 //! single-op retry backlog, so a partial batch failure degrades to
 //! exactly the paper's independent-commit behaviour. When the queue runs
-//! empty the worker first lets its node's redelivery window send what a
-//! faulted link still owes the queue, and — with nothing older waiting —
-//! takes whatever is still sitting in the node's publish buffer, which
-//! gives quiesce/shutdown liveness without a flush timer.
+//! empty the worker asks its node's outbox (`Outbox::refill`) for what a
+//! faulted link still owes the queue or still coalesces below the flush
+//! threshold — quiesce/shutdown liveness without a flush timer.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -206,17 +205,18 @@ impl CommitWorker {
         }
 
         // Fresh messages first — with the queue empty, whatever the node
-        // still has to send — then the retry backlog.
-        let Some(shared) = self.consumer.try_recv().ok().or_else(|| self.refill()) else {
+        // still has to send — then the retry backlog. The outbox is only
+        // ever tried, never waited for (`commit::outbox` module docs).
+        let outbox = self.core.outbox(self.node.index());
+        let Some(shared) =
+            self.consumer.try_recv().ok().or_else(|| outbox.refill(&self.core, &self.consumer))
+        else {
             return self.step_retry();
         };
-        // Acknowledge: the window drops its record of every message this
-        // queue has handed over, this one included — which leaves the
-        // worker its only holder. Not when a publisher has the window
-        // (it may be waiting there for this worker to make room): then,
-        // as for a duplicated send, the message stays shared and the
-        // worker takes a copy.
-        let _ = self.core.window(self.node.index()).try_flush();
+        // Acknowledged, the message is the worker's alone. When a sender
+        // has the outbox and the acknowledgement is skipped, as for a
+        // duplicated send, it stays shared and the worker takes a copy.
+        outbox.acknowledge();
         if self.is_duplicate(&shared) {
             self.core.counters.incr("duplicate_drops");
             return WorkerStep::Retried;
@@ -233,36 +233,6 @@ impl CommitWorker {
             CommitOp::Batch(inner) => self.apply_batch(inner),
             _ => self.apply(msg, 0, false),
         }
-    }
-
-    /// The queue is empty: the commit process is the node's flush timer.
-    /// Have the redelivery window send what it still owes the queue after
-    /// an outage and receive that; with nothing older waiting and the link
-    /// up, cut one bounded message from what accumulated in the publish
-    /// buffer below the threshold and take it directly. While the link is
-    /// down the buffer is left alone and keeps coalescing: nothing crosses.
-    ///
-    /// Under the buffer lock no flush is under way, so the queue and the
-    /// window's pending records are all that is older than the buffer:
-    /// taking from it then keeps the node's publish order. Neither lock is
-    /// waited for — a publisher can hold both while it waits for room in
-    /// this worker's queue (`RegionCore::flush_publish_buffer`); the
-    /// worker comes back on its next step.
-    fn refill(&mut self) -> Option<Arc<QueueMsg>> {
-        let node = self.node.index();
-        let mut buf = self.core.publish_bufs[node].try_lock()?;
-        let window = self.core.window(node);
-        let settled = window.try_flush()?;
-        if settled.delivered == 0 && buf.is_empty() {
-            return None; // the idle poll
-        }
-        if let Ok(shared) = self.consumer.try_recv() {
-            return Some(shared);
-        }
-        if settled.pending > 0 || window.inner().is_severed() {
-            return None;
-        }
-        self.core.cut_message(&mut buf).map(Arc::new)
     }
 
     /// Work the retry backlog with no fresh input. After one full cycle of
@@ -286,13 +256,13 @@ impl CommitWorker {
         }
     }
 
-    /// Should a failed creation be discarded because its directory was
-    /// removed by a barrier commit at or after the op's epoch?
+    /// Should a failed op be discarded because a barrier commit it raced
+    /// removed its directory (stamp rule: `RegionCore::removed_dirs`)?
     fn under_removed_dir(&self, path: &str, op_epoch: u64) -> bool {
         let removed = self.core.removed_dirs.read();
         removed
             .iter()
-            .any(|(dir, epoch)| op_epoch <= *epoch && fspath::is_same_or_ancestor(dir, path))
+            .any(|(dir, epoch)| op_epoch < *epoch && fspath::is_same_or_ancestor(dir, path))
     }
 
     /// Commit one batched message: namespace ops go through a single

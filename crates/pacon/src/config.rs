@@ -48,9 +48,9 @@ pub struct PaconConfig {
     /// queue message; no message carries more than this many of either
     /// plane, so no commit RPC does. A flush threshold, not a mode: at
     /// `1` every op reaches it, so each leaves as its own one-op message
-    /// — the paper prototype's behaviour — through the same buffer,
-    /// redelivery window and queue as a batch. Barriers always flush the
-    /// buffer regardless of fill.
+    /// — the paper prototype's behaviour — through the same outbox
+    /// (`commit::outbox`: buffer, redelivery window) and queue as a batch.
+    /// Barriers always flush the buffer regardless of fill.
     /// In use at 1 (fig01–fig12), 1–64 (`commit_batch`) and 32 (the repo
     /// benchmark).
     pub commit_batch_size: usize,

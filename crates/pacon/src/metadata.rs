@@ -84,8 +84,12 @@ impl CachedMeta {
     const FLAG_LARGE: u8 = 4;
     const FLAG_DIR: u8 = 8;
 
+    /// Encoded bytes ahead of the inline data: flags (1), mode (2), uid
+    /// (4), gid (4), size (8), mtime (8).
+    pub const HEADER_LEN: usize = 27;
+
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28 + self.inline.len());
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + self.inline.len());
         let mut flags = 0u8;
         if self.committed {
             flags |= Self::FLAG_COMMITTED;
@@ -110,7 +114,7 @@ impl CachedMeta {
     }
 
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 27 {
+        if bytes.len() < Self::HEADER_LEN {
             return None;
         }
         let flags = bytes[0];
@@ -118,7 +122,7 @@ impl CachedMeta {
         let uid = u32::from_le_bytes(bytes[3..7].try_into().ok()?);
         let gid = u32::from_le_bytes(bytes[7..11].try_into().ok()?);
         let size = u64::from_le_bytes(bytes[11..19].try_into().ok()?);
-        let mtime = u64::from_le_bytes(bytes[19..27].try_into().ok()?);
+        let mtime = u64::from_le_bytes(bytes[19..Self::HEADER_LEN].try_into().ok()?);
         Some(Self {
             kind: if flags & Self::FLAG_DIR != 0 { FileKind::Dir } else { FileKind::File },
             perm: Perm::new(mode, uid, gid),
@@ -127,7 +131,7 @@ impl CachedMeta {
             committed: flags & Self::FLAG_COMMITTED != 0,
             removed: flags & Self::FLAG_REMOVED != 0,
             large: flags & Self::FLAG_LARGE != 0,
-            inline: bytes[27..].to_vec(),
+            inline: bytes[Self::HEADER_LEN..].to_vec(),
         })
     }
 }
@@ -184,6 +188,6 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated() {
-        assert_eq!(CachedMeta::decode(&[0; 26]), None);
+        assert_eq!(CachedMeta::decode(&[0; CachedMeta::HEADER_LEN - 1]), None);
     }
 }

@@ -14,14 +14,14 @@ use dfs::DfsCluster;
 use fsapi::{path as fspath, FsError, FsResult};
 use fsapi::FileSystem;
 use memkv::KvCluster;
-use mq::{push_pull, ReliablePublisher};
+use mq::push_pull;
 use simnet::{ClientId, Counters, NodeId};
 use syncguard::{level, Mutex, RwLock};
 
 use crate::client::PaconClient;
-use crate::commit::barrier::BarrierBoard;
+use crate::commit::barrier::{BarrierBoard, BarrierGuard};
 use crate::commit::op::{CommitOp, QueueMsg};
-use crate::commit::publish::PublishBuffer;
+use crate::commit::outbox::Outbox;
 use crate::commit::wal::{CommitWal, CrashPoint, CrashSwitch, WalEntry};
 use crate::commit::worker::{CommitWorker, WorkerStep};
 use crate::config::PaconConfig;
@@ -30,12 +30,6 @@ use crate::permission::RegionPermissions;
 /// Capacity of each per-node commit queue, in messages; a publisher
 /// blocks while its node's queue is full.
 const COMMIT_QUEUE_CAPACITY: usize = 1 << 16;
-
-/// Every consumer of a commit queue is gone: nothing sent now is ever
-/// delivered (the region was shut down or aborted).
-fn queue_closed<E>(_: E) -> FsError {
-    FsError::Backend("commit queue closed".into())
-}
 
 /// State shared by every client and commit process of one region.
 pub struct RegionCore {
@@ -47,8 +41,13 @@ pub struct RegionCore {
     pub cache_cluster: Arc<KvCluster>,
     /// Barrier rendezvous (one commit process per node).
     pub board: BarrierBoard,
-    /// Directories removed by barrier commits: `(path, epoch at removal)`.
-    /// Creations under them from earlier epochs are discarded.
+    /// Directories removed by barrier commits: `(path, e)`, `e` the
+    /// removing barrier's epoch. Ops are stamped at publish with the last
+    /// *completed* epoch, so a stamp `< e` was published before barrier `e`
+    /// completed and races the removal — rejected by the DFS under the
+    /// directory, it is discarded — while a stamp `>= e` belongs to a
+    /// directory created again under that name and retries like any op.
+    /// Only grows (rollback clears it).
     pub removed_dirs: RwLock<Vec<(String, u64)>>,
     /// Durable staging area for data whose target file is not yet created
     /// on the DFS (the paper's direct-I/O "cache files", Section III.D-2).
@@ -91,15 +90,10 @@ pub struct RegionCore {
     /// unlink. A *newer* committed file is a cross-queue race the retry
     /// backlog resolves.
     pub(crate) committed_births: Mutex<HashMap<String, u64>>,
-    /// One publish buffer per node: every op a client publishes coalesces
-    /// here until a flush cuts it into a queue message.
-    pub publish_bufs: Vec<Mutex<PublishBuffer>>,
-    /// One redelivery window per node, the only sender of commit messages
-    /// into the node's queue: what a flush cuts waits here until the
-    /// broker provably handed it to the commit process, and is sent again
-    /// after a link outage or a broker crash. The queue shares each
-    /// message with the window (`Arc`), it does not hold a copy.
-    windows: Vec<ReliablePublisher<Arc<QueueMsg>>>,
+    /// One outbox per node, the only sender into the node's commit queue:
+    /// every op published on the node coalesces there, is cut into a
+    /// message and waits until the broker provably handed it on.
+    outboxes: Vec<Outbox>,
     pub counters: Counters,
     /// Operations published to the commit queues (barrier markers not
     /// counted).
@@ -353,97 +347,27 @@ impl RegionCore {
         Ok(())
     }
 
-    /// Node `node`'s redelivery window. Call through this, not through
-    /// `windows[node]`: `tools-lint` resolves a call's receiver from a
-    /// return type, not from `Vec` indexing, and the window's locks must
-    /// stay in the static lock graph.
-    pub(crate) fn window(&self, node: usize) -> &ReliablePublisher<Arc<QueueMsg>> {
-        &self.windows[node]
+    /// Node `node`'s outbox. An accessor, not `outboxes[node]`: `tools-lint`
+    /// resolves a receiver from a return type, not from `Vec` indexing, and
+    /// the outbox lock must stay in the static lock graph.
+    pub fn outbox(&self, node: usize) -> &Outbox {
+        &self.outboxes[node]
     }
 
-    /// Envelope of what is never journaled or replayed: a batch wrapper,
-    /// a barrier marker.
-    fn unlogged(&self, op: CommitOp, client: u32, epoch: u64) -> QueueMsg {
-        QueueMsg { op, client, epoch, timestamp: self.now(), id: dfs::OpId::NONE, degraded: false }
-    }
-
-    /// Cut one message of at most `commit_batch_size` ops per plane from a
-    /// node's publish buffer — the whole buffer, unless racing publishers
-    /// piled up more: the op itself when it is alone, a batch otherwise.
-    /// `None` when the buffer is empty.
-    pub(crate) fn cut_message(&self, buf: &mut PublishBuffer) -> Option<QueueMsg> {
-        let mut batch = buf.take(self.config.commit_batch_size);
-        if batch.len() <= 1 {
-            return batch.pop();
+    /// Barrier commit up to the rendezvous (Section III.E-2): take the
+    /// slot, post the epoch's marker into every node's queue behind all
+    /// published there so far ([`Outbox::post_marker`]) and wait until
+    /// every commit process reached its marker. The caller performs the
+    /// dependent op, then completes the guard. A node that cannot take its
+    /// marker fails the barrier: the guard drops, and the markers already
+    /// posted are stale — the commit processes skip them.
+    pub(crate) fn barrier(&self, client: u32) -> FsResult<BarrierGuard<'_>> {
+        let guard = self.board.start_barrier();
+        for n in 0..self.outboxes.len() {
+            self.outbox(n).post_marker(self, guard.epoch(), client)?;
         }
-        self.counters.incr("batches_flushed");
-        self.counters.add("batched_ops", batch.len() as u64);
-        Some(self.unlogged(CommitOp::Batch(batch), u32::MAX, self.board.current_epoch()))
-    }
-
-    /// Cut one message from node `node`'s publish buffer and publish it
-    /// through the node's redelivery window; false when the buffer was
-    /// empty. The buffer lock is held across the send so concurrent
-    /// publishers on the node cannot reorder around the flush, and the
-    /// send waits while the queue is full. That is deadlock-free because
-    /// the commit process, the one thread that makes room, waits for
-    /// neither lock held here: it try-locks the buffer and the window
-    /// (`CommitWorker::refill`, its acknowledgement of a receive) and goes
-    /// on draining when one is taken.
-    ///
-    /// A send the link refuses (partitioned or severed) is not an error:
-    /// the ops are acknowledged and counted in flight, and the message
-    /// waits in the window until the next publish, barrier or step of the
-    /// commit process finds the link healed. With every consumer gone
-    /// nothing will ever deliver it: the publish fails and the message
-    /// stays counted in flight (a durable region replays it from its log
-    /// at the next launch).
-    pub(crate) fn flush_publish_buffer(&self, node: usize) -> FsResult<bool> {
-        let mut buf = self.publish_bufs[node].lock();
-        let Some(msg) = self.cut_message(&mut buf) else {
-            return Ok(false);
-        };
-        if self.window(node).publish(Arc::new(msg)).map_err(queue_closed)?.pending > 0 {
-            self.counters.incr("publishes_buffered");
-        }
-        Ok(true)
-    }
-
-    /// Post the `Barrier { epoch }` marker into every node's queue, each
-    /// behind everything published on that node so far: the publish
-    /// buffer is forced out first — ops still coalescing below the batch
-    /// threshold included — one bounded message after another, and the
-    /// window must have delivered all of it. `on_marker` runs once per
-    /// marker, before its send (the client's per-message CPU charge).
-    ///
-    /// Markers bypass the window: a barrier during an outage fails, it
-    /// does not silently queue. A link that refuses the marker, or still
-    /// owes the queue an older message, fails the barrier; the caller
-    /// drops its guard, and the markers already posted are stale — the
-    /// commit processes skip them.
-    pub(crate) fn post_barrier_markers(
-        &self,
-        epoch: u64,
-        client: u32,
-        on_marker: impl Fn(),
-    ) -> FsResult<()> {
-        for n in 0..self.windows.len() {
-            while self.flush_publish_buffer(n)? {}
-            on_marker();
-            let window = self.window(n);
-            let waiting = window.flush().map_err(queue_closed)?.pending;
-            if waiting > 0 {
-                return Err(FsError::Backend(format!(
-                    "commit link {n} is down: {waiting} messages undelivered"
-                )));
-            }
-            let marker = Arc::new(self.unlogged(CommitOp::Barrier { epoch }, client, epoch));
-            // permit_blocking: the barrier slot is held across the marker
-            // send by design — workers never take the slot, they only
-            // drain the queue, so a full queue always resolves.
-            syncguard::permit_blocking(|| window.inner().send(marker)).map_err(queue_closed)?;
-        }
-        Ok(())
+        guard.wait_workers();
+        Ok(guard)
     }
 }
 
@@ -535,7 +459,7 @@ impl PaconRegion {
         }
 
         // One commit queue per node; its sending end lives in the node's
-        // redelivery window, its receiving end in the node's worker.
+        // outbox, its receiving end in the node's worker.
         let (txs, rxs): (Vec<_>, Vec<_>) =
             (0..nodes).map(|_| push_pull::<Arc<QueueMsg>>(COMMIT_QUEUE_CAPACITY)).unzip();
 
@@ -566,10 +490,7 @@ impl PaconRegion {
                 "pacon.region.committed_births",
                 HashMap::new(),
             ),
-            publish_bufs: (0..nodes)
-                .map(|_| Mutex::new(level::PUBLISH, "pacon.region.publish_buf", PublishBuffer::new()))
-                .collect(),
-            windows: txs.into_iter().map(ReliablePublisher::new).collect(),
+            outboxes: txs.into_iter().enumerate().map(|(n, tx)| Outbox::new(n, tx)).collect(),
             counters: Counters::new(),
             enqueued: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -746,7 +667,7 @@ impl PaconRegion {
     /// cluster; commit-link events hit the node's queue.
     pub fn apply_fault(&self, ev: simnet::FaultEvent) {
         use simnet::FaultEvent as E;
-        let link = |n: NodeId| self.core.window(n.index()).inner();
+        let link = |n: NodeId| &self.core.outbox(n.index()).link;
         match ev {
             E::CrashCacheNode(n) => self.core.cache_cluster.crash(n),
             E::RestartCacheNode(n) => self.core.cache_cluster.restart(n),
@@ -787,20 +708,15 @@ impl PaconRegion {
         self.core.cache_cluster.migration_step(max_keys)
     }
 
-    /// Reconcile every node's redelivery window with its broker: resend
-    /// commit messages provably lost in a broker crash, deliver the ones
-    /// that waited for a healed link. Returns how many messages this call
-    /// delivered. A fault driver's shortcut — the next publish, barrier or
-    /// empty-queue step of the node's commit process does the same.
+    /// [`Outbox::settle`] on every node; returns how many messages this
+    /// call delivered.
     pub fn flush_publishes(&self) -> FsResult<usize> {
-        (0..self.core.windows.len())
-            .map(|n| self.core.window(n).flush().map(|out| out.delivered).map_err(queue_closed))
-            .sum()
+        (0..self.core.outboxes.len()).map(|n| self.core.outbox(n).settle()).sum()
     }
 
     /// Commit messages not yet provably consumed by their node's broker.
     pub fn unacked_publishes(&self) -> usize {
-        (0..self.core.windows.len()).map(|n| self.core.window(n).unacked()).sum()
+        (0..self.core.outboxes.len()).map(|n| self.core.outbox(n).unacked()).sum()
     }
 
     /// Run an empty barrier: returns once every operation published
@@ -809,10 +725,7 @@ impl PaconRegion {
     /// the region down. Fails, with the barrier abandoned, while a commit
     /// link cannot take its marker.
     pub fn sync_barrier(&self) -> FsResult<()> {
-        let guard = self.core.board.start_barrier();
-        self.core.post_barrier_markers(guard.epoch(), u32::MAX, || ())?;
-        guard.wait_workers();
-        guard.complete();
+        self.core.barrier(u32::MAX)?.complete();
         // Everything published before the barrier is now confirmed; a
         // drained durable region can shed its logs.
         // lint: allow(hold-across-blocking, WAL truncation must run inside the barrier: the held slot fences new ops)

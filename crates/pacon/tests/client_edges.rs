@@ -365,7 +365,7 @@ fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
         // times W M C W M C; the last write is still coalescing.
         assert_eq!(counters.get("publishes_buffered"), 5);
         assert_eq!(region.unacked_publishes(), 5, "refused flushes wait in the window");
-        assert_eq!(region.core().publish_bufs[0].lock().len(), 1);
+        assert_eq!(region.core().outbox(0).buffered(), 1);
         let report = region.report();
         assert_eq!((report.ops_enqueued, report.ops_completed), (30, 0), "nothing lost, nothing sent");
         region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
@@ -376,7 +376,7 @@ fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
             // deliver the backlog before it posts its marker.
             std::thread::scope(|s| {
                 s.spawn(|| region.sync_barrier());
-                while !region.core().publish_bufs[0].lock().is_empty() {
+                while region.core().outbox(0).buffered() > 0 {
                     std::thread::yield_now();
                 }
                 step_within_budget(&mut w, &dfs, N, |step| step == WorkerStep::BarrierReported)

@@ -169,6 +169,48 @@ fn creations_under_removed_dir_are_discarded() {
     assert_eq!(c.stat("/w/doomed/a", &cred), Err(FsError::NotFound));
 }
 
+/// Ops are stamped with the last *completed* epoch, so what is published
+/// after an `rmdir` returned carries that barrier's own epoch: it belongs
+/// to the directory created again under the old name, not to the removed
+/// one. A create whose commit process runs ahead of the new `mkdir`'s must
+/// wait for it like any child-before-parent, not be discarded as racing
+/// the removal.
+#[test]
+fn a_create_under_a_recreated_dir_is_not_discarded() {
+    let (dfs, region, cred) = setup(2);
+    let c0 = region.client(ClientId(0));
+    let c1 = region.client(ClientId(1));
+    c0.mkdir("/w/d", &cred, 0o755).unwrap();
+    let mut w0 = region.take_worker(0);
+    let mut w1 = region.take_worker(1);
+    // The rmdir's barrier needs both commit processes; step them here.
+    std::thread::scope(|s| {
+        let rm = s.spawn(|| c0.rmdir("/w/d", &cred));
+        while !rm.is_finished() {
+            w0.step();
+            w1.step();
+            std::thread::yield_now();
+        }
+        rm.join().expect("rmdir thread").unwrap();
+    });
+    assert_eq!(dfs.client().stat("/w/d", &cred), Err(FsError::NotFound));
+
+    // Same name again: the mkdir on node 0's queue, a file in it on node 1's.
+    c0.mkdir("/w/d", &cred, 0o755).unwrap();
+    c1.create("/w/d/f", &cred, 0o644).unwrap();
+    // Node 1 first: the parent is not on the DFS yet.
+    let log = drain(&mut w1);
+    assert!(log.contains(&WorkerStep::Retried), "{log:?}");
+    assert!(!log.contains(&WorkerStep::Discarded), "the create belongs to the new directory: {log:?}");
+    drain(&mut w0);
+    drain(&mut w1);
+
+    assert_eq!(region.core().counters.get("discarded_removed_dir"), 0);
+    assert!(region.core().drained());
+    assert!(c1.stat("/w/d/f", &cred).unwrap().is_file());
+    assert!(dfs.client().stat("/w/d/f", &cred).unwrap().is_file(), "acknowledged, so committed");
+}
+
 #[test]
 fn retry_budget_drops_unsatisfiable_ops() {
     let profile = Arc::new(LatencyProfile::zero());

@@ -8,23 +8,24 @@
 //!                 commit-worker step, so it sits outside everything the
 //!                 step can touch.
 //! REGION          barrier slot — serializes region-wide dependent
-//!                 operations (rmdir/readdir); held across publish-buffer
-//!                 flushes, marker sends and the dependent op itself.
+//!                 operations (rmdir/readdir); held across the outbox
+//!                 flushes and marker sends of its barrier and the
+//!                 dependent op itself.
 //! CLIENT_VIEW     pacon client merged-region map.
 //! CLIENT_MEMO     pacon client memos (parent existence, own last write);
 //!                 leaves — never held across a cache RPC.
 //! REGION_STATE    region-core maps: removed_dirs, staging,
 //!                 pending_writebacks, worker slots, thread registry.
 //! WAL             per-node durable commit log (pacon CommitWal). Taken
-//!                 before the publish buffer so an append can be ordered
-//!                 ahead of the buffered send it covers.
-//! PUBLISH         per-node publish buffers. Held across the barrier-epoch
-//!                 read and the publish into the node's redelivery
-//!                 window, so it orders before BARRIER, REDELIVERY and
-//!                 QUEUE.
+//!                 before the outbox so an append can be ordered ahead of
+//!                 the buffered send it covers.
+//! PUBLISH         per-node outbox (pacon commit::outbox): the publish
+//!                 buffer and the redelivery window of unacked sends, one
+//!                 lock. Held across the barrier-epoch read and the queue
+//!                 sends — waiting ones included — so it orders before
+//!                 BARRIER and QUEUE; the queue's consumer only ever
+//!                 try-locks it.
 //! BARRIER         barrier-board state (epoch/reached counters).
-//! REDELIVERY      mq publisher-side redelivery window (unacked sends),
-//!                 one per node; held across the queue sends it delivers.
 //! QUEUE           mq PUSH/PULL queue state.
 //! ROUTE           memkv epoch router (ring membership + live-migration
 //!                 state); read-held across the shard ops it routes, so
@@ -52,7 +53,6 @@ pub const REGION_STATE: u16 = 16;
 pub const WAL: u16 = 28;
 pub const PUBLISH: u16 = 30;
 pub const BARRIER: u16 = 40;
-pub const REDELIVERY: u16 = 45;
 pub const QUEUE: u16 = 50;
 pub const ROUTE: u16 = 58;
 pub const SHARD: u16 = 60;
@@ -75,7 +75,6 @@ pub const ALL: &[(&str, u16)] = &[
     ("WAL", WAL),
     ("PUBLISH", PUBLISH),
     ("BARRIER", BARRIER),
-    ("REDELIVERY", REDELIVERY),
     ("QUEUE", QUEUE),
     ("ROUTE", ROUTE),
     ("SHARD", SHARD),

@@ -439,14 +439,55 @@ fn armed_duplicates_are_dropped_by_the_worker_at_every_batch_size() {
     });
 }
 
+/// A barrier marker takes the node's window like every other message: one
+/// that dies with a crashing broker is sent again once the link is back —
+/// by the commit process's own empty-queue step — and the barrier op that
+/// posted it returns. Sent around the window it was lost for good, and the
+/// `readdir` with it.
+#[test]
+fn a_barrier_marker_lost_with_the_broker_is_sent_again_at_every_batch_size() {
+    use std::time::{Duration, Instant};
+    for_each_commit_shape("markerloss", false, |region, _dfs, cred, shape| {
+        region.client(ClientId(0)).create("/job/f", cred, 0o644).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (listing, cred2) = (Arc::clone(region), *cred);
+        std::thread::spawn(move || {
+            let _ = done_tx.send(listing.client(ClientId(1)).readdir("/job", &cred2));
+        });
+        // The barrier has posted once the window holds the create and the
+        // marker behind it; nobody consumes, so both sit in the broker.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while region.unacked_publishes() < 2 {
+            assert!(Instant::now() < deadline, "{shape}: the marker never entered the window");
+            std::thread::yield_now();
+        }
+        region.apply_fault(FaultEvent::CrashBroker(NodeId(0)));
+        assert_eq!(region.core().counters.get("broker_lost_msgs"), 2, "{shape}");
+        region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
+
+        // Resend on the empty queue, commit the create, take the marker,
+        // report: three steps, then the worker is blocked on the epoch.
+        let mut w = region.take_worker(0);
+        let steps: Vec<WorkerStep> = (0..8).map(|_| w.step()).collect();
+        assert!(steps.contains(&WorkerStep::BarrierReported), "{shape}: {steps:?}");
+        let names = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{shape}: the barrier lost its marker and never returned"));
+        assert_eq!(names.unwrap(), ["f"], "{shape}");
+        assert_eq!(region.core().counters.get("stale_barrier_markers"), 0, "{shape}");
+        drain(region, &mut w);
+        assert_eq!(region.report().committed, 1, "{shape}: the resent create applied once");
+    });
+}
+
 /// Backpressure meets redelivery. A partition leaves more messages in the
 /// node's window than its commit queue holds; the first publish after the
-/// heal delivers them, and keeps the publish buffer and the window locked
-/// while it waits for room in the full queue. The commit process
-/// acknowledges every message it takes through that window and looks into
-/// that buffer when its queue runs empty: it must wait for neither, or the
-/// publisher waits for the commit process and the commit process for the
-/// publisher.
+/// heal delivers them, and keeps the node's outbox — publish buffer and
+/// window, one lock — while it waits for room in the full queue. The
+/// commit process acknowledges every message it takes through that outbox
+/// and looks into it when its queue runs empty: it must never wait for it,
+/// or the publisher waits for the commit process and the commit process
+/// for the publisher.
 #[test]
 fn a_healed_backlog_longer_than_the_commit_queue_drains_under_backpressure() {
     // `COMMIT_QUEUE_CAPACITY` (crates/pacon/src/region.rs) and then some.
@@ -465,8 +506,8 @@ fn a_healed_backlog_longer_than_the_commit_queue_drains_under_backpressure() {
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let publisher = std::thread::spawn(move || client.create("/job/last", &cred, 0o644));
-    // Give the publish time to fill the queue and park, both locks held:
-    // the schedule that hangs a commit process that waits for either.
+    // Give the publish time to fill the queue and park, the outbox lock
+    // held: the schedule that hangs a commit process that waits for it.
     std::thread::sleep(std::time::Duration::from_millis(200));
     let stepped = Arc::clone(&region);
     std::thread::spawn(move || {

@@ -8,30 +8,26 @@ use std::path::{Path, PathBuf};
 
 use tools_lint::{analyze, collect_workspace, Rule};
 
-/// The 19 hold-while-acquiring edges observed at runtime by
+/// The 15 hold-while-acquiring edges observed at runtime by
 /// `SYNCGUARD_DOT=1 cargo test --features syncguard/check --test
 /// lock_hierarchy` (DESIGN.md §7). Update alongside DESIGN when the
 /// runtime graph legitimately changes.
 const RUNTIME_EDGES: &[(&str, &str)] = &[
     ("memkv.route", "memkv.shard"),
-    ("mq.redelivery", "mq.queue"),
     ("pacon.barrier.slot", "dfs.client.dentries"),
     ("pacon.barrier.slot", "dfs.namespace"),
     ("pacon.barrier.slot", "memkv.route"),
     ("pacon.barrier.slot", "memkv.shard"),
-    ("pacon.barrier.slot", "mq.queue"),
-    ("pacon.barrier.slot", "mq.redelivery"),
     ("pacon.barrier.slot", "pacon.barrier.state"),
     ("pacon.barrier.slot", "pacon.client.parent_memo"),
+    ("pacon.barrier.slot", "pacon.commit.outbox"),
     ("pacon.barrier.slot", "pacon.region.pending_writebacks"),
-    ("pacon.barrier.slot", "pacon.region.publish_buf"),
     ("pacon.barrier.slot", "pacon.region.removed_dirs"),
     ("pacon.barrier.slot", "pacon.region.staging"),
     ("pacon.barrier.slot", "simnet.counters"),
-    ("pacon.region.publish_buf", "mq.queue"),
-    ("pacon.region.publish_buf", "mq.redelivery"),
-    ("pacon.region.publish_buf", "pacon.barrier.state"),
-    ("pacon.region.publish_buf", "simnet.counters"),
+    ("pacon.commit.outbox", "mq.queue"),
+    ("pacon.commit.outbox", "pacon.barrier.state"),
+    ("pacon.commit.outbox", "simnet.counters"),
 ];
 
 fn repo_root() -> PathBuf {
