@@ -48,7 +48,7 @@ use simnet::{charge, LatencyProfile, NodeId, Station, Topology};
 use syncguard::{level, RwLock};
 
 use crate::ring::Ring;
-use crate::shard::{CasOutcome, KeyMoved, Shard, ShardStats, Value};
+use crate::shard::{CasOutcome, CondOutcome, CondWrite, KeyMoved, Shard, ShardStats, Value};
 
 /// A cache request that could not be served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,25 +170,41 @@ pub struct ReshardStats {
     pub forced_completes: u64,
 }
 
-/// Result of a partial (per-node-group fault-isolated) batched get: the
-/// results fetched from healthy node groups survive even when another
-/// group's node is down mid-batch.
+/// Result of a batched request, fault-isolated per node group: what the
+/// healthy node groups answered survives even when another group's node
+/// is down mid-batch.
 #[derive(Debug, Clone)]
-pub struct PartialMultiGet {
-    /// Per input key, in input order. `None` = miss *or* unfetched (the
-    /// key's index then appears under `failed`).
-    pub results: Vec<Option<(Value, u64)>>,
-    /// Key indices that could not be fetched, grouped by the down node
+pub struct Partial<T> {
+    /// Per input item, in input order. `None` = a miss (of a get) *or* no
+    /// answer (the item's index then appears under `failed`).
+    pub results: Vec<Option<T>>,
+    /// Item indices that could not be served, grouped by the down node
     /// that owned them. Empty = the batch completed in full.
     pub failed: Vec<(NodeId, Vec<usize>)>,
 }
 
-impl PartialMultiGet {
+impl<T> Partial<T> {
     /// Did every node group answer?
     pub fn is_complete(&self) -> bool {
         self.failed.is_empty()
     }
+
+    fn fail(&mut self, node: NodeId, i: usize) {
+        match self.failed.iter_mut().find(|(n, _)| *n == node) {
+            Some((_, idxs)) => idxs.push(i),
+            None => self.failed.push((node, vec![i])),
+        }
+    }
 }
+
+/// Item indices grouped by the shard node that owns them.
+type NodeGroups = Vec<(NodeId, Vec<usize>)>;
+
+/// [`KvClient::multi_gets`]: per key its value and CAS version.
+pub type PartialMultiGet = Partial<(Value, u64)>;
+
+/// [`KvClient::multi_write`]: per item what its shard did with it.
+pub type PartialMultiWrite = Partial<CondOutcome>;
 
 /// A distributed cache: one shard per provisioned node plus the epoch'd
 /// router over the current ring membership.
@@ -616,6 +632,8 @@ impl KvCluster {
             agg.deletes += st.deletes;
             agg.multi_gets += st.multi_gets;
             agg.multi_keys += st.multi_keys;
+            agg.multi_writes += st.multi_writes;
+            agg.multi_write_keys += st.multi_write_keys;
             agg.bytes_referenced += st.bytes_referenced;
             agg.scanned_keys += st.scanned_keys;
         }
@@ -738,14 +756,104 @@ impl KvClient {
     /// documented read amplification of a live reshard.
     pub fn multi_gets(&self, keys: &[&[u8]]) -> PartialMultiGet {
         let s = self.cluster.router.state.read();
-        let mut out: Vec<Option<(Value, u64)>> = vec![None; keys.len()];
-        // Group key indices by owning node, preserving first-seen order.
-        // Node counts are small (one per cluster node), so a linear scan
-        // beats a hash map here.
-        let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-        let mut migrating: Vec<(usize, NodeId, NodeId)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match self.cluster.decide(&s, key) {
+        let mut out = Partial { results: vec![None; keys.len()], failed: Vec::new() };
+        let (groups, migrating) = self.group_by_owner(&s, keys.iter().copied());
+        for (node, idxs) in &groups {
+            self.charge_hop(*node);
+            if !self.cluster.node_up(*node) {
+                idxs.iter().for_each(|&i| out.fail(*node, i));
+                continue;
+            }
+            let batch: Vec<&[u8]> = idxs.iter().map(|&i| keys[i]).collect();
+            let results = self.cluster.shard(*node).get_many(&batch);
+            // The payload is what came back.
+            let payload: usize = results.iter().flatten().map(|(v, _)| v.len()).sum();
+            self.charge_batch(*node, idxs.len(), payload);
+            for (&i, r) in idxs.iter().zip(results) {
+                out.results[i] = r;
+            }
+        }
+        for (i, old, new) in migrating {
+            match self.get_migrating(old, new, keys[i]) {
+                Ok(v) => out.results[i] = v,
+                Err(down) => out.fail(down, i),
+            }
+        }
+        out
+    }
+
+    /// Batched epoch-fenced conditional store, the write-side counterpart
+    /// of [`multi_gets`](Self::multi_gets): each item CASes a value over,
+    /// or deletes, the record at the version a `gets` returned
+    /// ([`CondWrite`]). One network hop and one batched shard service per
+    /// owning node, charged as a batched read is; within a node group the
+    /// items apply in input order under one shard lock, exactly as the
+    /// sequential [`cas`](Self::cas) / versioned [`delete`](Self::delete)
+    /// would. Outcomes are in input order.
+    ///
+    /// Fenced as a whole: one `seen_epoch` (observed before the reads
+    /// that produced the versions) covers every item, and a membership
+    /// change since rejects the batch with [`KvError::WrongEpoch`] before
+    /// any shard applies anything. Otherwise fault-isolated per node
+    /// group like `multi_gets`; keys in mid-migration ranges take the
+    /// single-key write route.
+    pub fn multi_write(
+        &self,
+        items: &[CondWrite<'_>],
+        seen_epoch: u64,
+    ) -> Result<PartialMultiWrite, KvError> {
+        let s = self.cluster.router.state.read();
+        let (groups, migrating) = self.group_by_owner(&s, items.iter().map(|w| w.key));
+        let current = self.cluster.router.epoch();
+        if seen_epoch != current {
+            // Every request travelled before the fence rejected it.
+            for (node, _) in &groups {
+                self.charge_hop(*node);
+            }
+            for &(i, ..) in &migrating {
+                self.charge_hop(self.write_target(&s, items[i].key));
+            }
+            return Err(KvError::WrongEpoch { seen: seen_epoch, current });
+        }
+        let mut out = Partial { results: vec![None; items.len()], failed: Vec::new() };
+        for (node, idxs) in &groups {
+            self.charge_hop(*node);
+            if !self.cluster.node_up(*node) {
+                idxs.iter().for_each(|&i| out.fail(*node, i));
+                continue;
+            }
+            let batch: Vec<CondWrite<'_>> = idxs.iter().map(|&i| items[i]).collect();
+            // The payload is what was sent.
+            let payload: usize = batch.iter().filter_map(|w| w.value).map(<[u8]>::len).sum();
+            self.charge_batch(*node, idxs.len(), payload);
+            for (&i, r) in idxs.iter().zip(self.cluster.shard(*node).write_many(&batch)) {
+                out.results[i] = Some(r);
+            }
+        }
+        for (i, ..) in migrating {
+            let w = items[i];
+            let n = self.write_target(&s, w.key);
+            match self.access(n, w.value.map_or(0, <[u8]>::len)) {
+                Ok(()) => out.results[i] = Some(self.cluster.shard(n).write_one(&w)),
+                Err(down) => out.fail(down, i),
+            }
+        }
+        Ok(out)
+    }
+
+    /// Group item indices by owning node under the route lock, in
+    /// first-seen order; mid-migration keys come back apart, with both
+    /// owners. Node counts are small (one per cluster node), so a linear
+    /// scan beats a hash map here.
+    fn group_by_owner<'k>(
+        &self,
+        s: &RouteState,
+        keys: impl Iterator<Item = &'k [u8]>,
+    ) -> (NodeGroups, Vec<(usize, NodeId, NodeId)>) {
+        let mut groups = NodeGroups::new();
+        let mut migrating = Vec::new();
+        for (i, key) in keys.enumerate() {
+            match self.cluster.decide(s, key) {
                 Target::Direct(node) => match groups.iter_mut().find(|(n, _)| *n == node) {
                     Some((_, idxs)) => idxs.push(i),
                     None => groups.push((node, vec![i])),
@@ -753,42 +861,19 @@ impl KvClient {
                 Target::Migrating { old, new } => migrating.push((i, old, new)),
             }
         }
-        let mut failed: Vec<(NodeId, Vec<usize>)> = Vec::new();
-        let mut fail = |node: NodeId, i: usize| match failed.iter_mut().find(|(n, _)| *n == node) {
-            Some((_, idxs)) => idxs.push(i),
-            None => failed.push((node, vec![i])),
-        };
+        (groups, migrating)
+    }
+
+    /// Shard service of one batched request of `items` keys moving
+    /// `payload` bytes: one request decode (`kv_op`), a marginal
+    /// `kv_multi_per_key` per extra key, the payload per KiB, and any
+    /// fault-plane slow-down.
+    fn charge_batch(&self, node: NodeId, items: usize, payload: usize) {
         let p = &self.cluster.profile;
-        for (node, idxs) in &groups {
-            self.charge_hop(*node);
-            let idx = self.cluster.node_index(*node);
-            if !self.cluster.up[idx].load(Ordering::Acquire) {
-                for &i in idxs {
-                    fail(*node, i);
-                }
-                continue;
-            }
-            let extra = self.cluster.slowdown_ns[idx].load(Ordering::Acquire);
-            let batch: Vec<&[u8]> = idxs.iter().map(|&i| keys[i]).collect();
-            let results = self.cluster.shard(*node).get_many(&batch);
-            // One request decode (`kv_op`) plus a marginal probe per
-            // extra key, plus the payload actually returned.
-            let payload: usize = results.iter().flatten().map(|(v, _)| v.len()).sum();
-            let payload_ns = (payload as u64).div_ceil(1024) * p.kv_payload_per_kib;
-            let service =
-                p.kv_op + (idxs.len() as u64 - 1) * p.kv_multi_per_key + payload_ns + extra;
-            charge(Station::KvShard(self.cluster.station_base + node.0), service);
-            for (&i, r) in idxs.iter().zip(results) {
-                out[i] = r;
-            }
-        }
-        for (i, old, new) in migrating {
-            match self.get_migrating(old, new, keys[i]) {
-                Ok(v) => out[i] = v,
-                Err(down) => fail(down, i),
-            }
-        }
-        PartialMultiGet { results: out, failed }
+        let extra = self.cluster.slowdown_ns[self.cluster.node_index(node)].load(Ordering::Acquire);
+        let payload_ns = (payload as u64).div_ceil(1024) * p.kv_payload_per_kib;
+        let service = p.kv_op + (items as u64 - 1) * p.kv_multi_per_key + payload_ns + extra;
+        charge(Station::KvShard(self.cluster.station_base + node.0), service);
     }
 
     /// Unconditional store; returns the new version.
@@ -988,6 +1073,89 @@ mod tests {
         client.set(b"k", b"v").unwrap();
         let got = client.multi_gets(&[b"k".as_ref()]);
         assert_eq!(&*got.results[0].clone().unwrap().0, b"v");
+    }
+
+    /// Keys `/mw/f0..n`, each with a value, and the versions they hold.
+    fn stored(client: &KvClient, n: usize) -> (Vec<String>, Vec<u64>) {
+        let keys: Vec<String> = (0..n).map(|i| format!("/mw/f{i:02}")).collect();
+        let versions = keys.iter().map(|k| client.set(k.as_bytes(), b"v0").unwrap()).collect();
+        (keys, versions)
+    }
+
+    #[test]
+    fn multi_write_charges_like_a_multi_get_per_node_group() {
+        let c = cluster(4);
+        let p = c.profile().clone();
+        let client = c.client(NodeId(0));
+        let (keys, versions) = stored(&client, 24);
+        let value = [7u8; 1500]; // two KiB of payload per CAS
+        // Every third item deletes, the rest CAS.
+        let items: Vec<CondWrite<'_>> = keys
+            .iter()
+            .zip(&versions)
+            .enumerate()
+            .map(|(i, (k, &version))| CondWrite {
+                key: k.as_bytes(),
+                version,
+                value: (i % 3 != 0).then_some(&value[..]),
+            })
+            .collect();
+        let (written, trace) = with_recording(|| client.multi_write(&items, c.ring_epoch()));
+        let written = written.unwrap();
+        assert!(written.is_complete());
+        for (w, got) in items.iter().zip(&written.results) {
+            match (w.value, got) {
+                (Some(_), Some(CondOutcome::Stored { .. }))
+                | (None, Some(CondOutcome::Deleted)) => {}
+                other => panic!("{other:?}"),
+            }
+        }
+        // Per owning node: one hop and `kv_op + (n − 1)·kv_multi_per_key +
+        // payload KiB` — the multi-get formula, payload as sent.
+        let mut hops = 0;
+        for node in c.nodes() {
+            let group: Vec<&CondWrite<'_>> =
+                items.iter().filter(|w| c.shard_node(w.key) == *node).collect();
+            if group.is_empty() {
+                continue;
+            }
+            hops += if *node == NodeId(0) { p.net_local } else { p.net_hop_remote };
+            let payload: u64 = group.iter().filter_map(|w| w.value).map(|v| v.len() as u64).sum();
+            let want = p.kv_op
+                + (group.len() as u64 - 1) * p.kv_multi_per_key
+                + payload.div_ceil(1024) * p.kv_payload_per_kib;
+            assert_eq!(trace.station_ns(Station::KvShard(node.0)), want, "{node:?}");
+        }
+        assert_eq!(trace.station_ns(Station::Network), hops);
+        let st = c.stats();
+        assert_eq!((st.multi_write_keys, st.cas_ok, st.deletes), (24, 16, 8));
+        assert!(st.multi_writes <= 4);
+    }
+
+    #[test]
+    fn multi_write_isolates_a_down_node_group() {
+        let c = cluster(4);
+        let client = c.client(NodeId(0));
+        let (keys, versions) = stored(&client, 40);
+        let victim = c.shard_node(keys[0].as_bytes());
+        c.crash(victim);
+        let items: Vec<CondWrite<'_>> = keys
+            .iter()
+            .zip(&versions)
+            .map(|(k, &version)| CondWrite { key: k.as_bytes(), version, value: Some(b"v1") })
+            .collect();
+        let written = client.multi_write(&items, c.ring_epoch()).unwrap();
+        assert_eq!(written.failed.len(), 1, "exactly one node group failed");
+        assert_eq!(written.failed[0].0, victim);
+        for (i, k) in keys.iter().enumerate() {
+            if c.shard_node(k.as_bytes()) == victim {
+                assert!(written.failed[0].1.contains(&i));
+                assert_eq!(written.results[i], None);
+            } else {
+                assert!(matches!(written.results[i], Some(CondOutcome::Stored { .. })));
+                assert_eq!(&*client.get(k.as_bytes()).unwrap().unwrap().0, b"v1");
+            }
+        }
     }
 
     #[test]
@@ -1263,6 +1431,71 @@ mod reshard_tests {
             client.cas(k, fresh_ver, b"landed", fresh_epoch),
             Ok(CasOutcome::Stored { .. })
         ));
+    }
+
+    #[test]
+    fn fenced_multi_write_applies_nothing() {
+        let c = cluster(3);
+        let client = c.client(NodeId(0));
+        let keys = fill(&client, 30);
+        let seen = c.ring_epoch();
+        let read: Vec<u64> =
+            keys.iter().map(|k| client.get(k.as_bytes()).unwrap().unwrap().1).collect();
+        let items: Vec<CondWrite<'_>> = keys
+            .iter()
+            .zip(&read)
+            .enumerate()
+            .map(|(i, (k, &version))| CondWrite {
+                key: k.as_bytes(),
+                version,
+                value: (i % 2 == 0).then_some(&b"stale-route"[..]),
+            })
+            .collect();
+        assert!(c.begin_leave(NodeId(2)));
+        drive_to_completion(&c);
+        match client.multi_write(&items, seen) {
+            Err(KvError::WrongEpoch { seen: s, current }) => assert!(s == seen && current > seen),
+            other => panic!("expected WrongEpoch, got {other:?}"),
+        }
+        for (i, k) in keys.iter().enumerate() {
+            let (v, version) = client.get(k.as_bytes()).unwrap().expect("nothing deleted");
+            assert_eq!((&*v, version), (format!("v{i}").as_bytes(), read[i]), "nothing stored");
+        }
+        // Versions survived the move: the same batch under a fresh epoch lands.
+        let written = client.multi_write(&items, c.ring_epoch()).unwrap();
+        assert!(written.results.iter().all(|r| matches!(
+            r,
+            Some(CondOutcome::Stored { .. } | CondOutcome::Deleted)
+        )));
+    }
+
+    #[test]
+    fn multi_write_routes_mid_migration_keys_one_by_one() {
+        let c = cluster(3);
+        let client = c.client(NodeId(0));
+        let keys = fill(&client, 150);
+        let read: Vec<u64> =
+            keys.iter().map(|k| client.get(k.as_bytes()).unwrap().unwrap().1).collect();
+        assert!(c.begin_leave(NodeId(2)));
+        c.migration_step(25); // some remapped keys moved, some not yet
+        let items: Vec<CondWrite<'_>> = keys
+            .iter()
+            .zip(&read)
+            .map(|(k, &version)| CondWrite { key: k.as_bytes(), version, value: Some(b"w") })
+            .collect();
+        let before = c.stats();
+        let written = client.multi_write(&items, c.ring_epoch()).unwrap();
+        let after = c.stats();
+        assert!(written.is_complete());
+        assert!(written.results.iter().all(|r| matches!(r, Some(CondOutcome::Stored { .. }))));
+        // Only the keys whose owner the leave does not change were batched.
+        let stable = c.members().len(); // the two survivors
+        assert!(after.multi_writes - before.multi_writes <= stable as u64);
+        assert!(after.multi_write_keys - before.multi_write_keys < keys.len() as u64);
+        drive_to_completion(&c);
+        for k in &keys {
+            assert_eq!(&*client.get(k.as_bytes()).unwrap().unwrap().0, b"w", "{k}");
+        }
     }
 
     #[test]

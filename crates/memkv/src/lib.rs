@@ -14,7 +14,9 @@
 //!   an `RwLock`,
 //! * [`cluster`] — the cluster facade plus the per-node client handle
 //!   that charges simulated network/service costs; batched `multi_gets`
-//!   pays one round trip per shard node per batch. Ring membership is
+//!   and its write-side counterpart `multi_write` (epoch-fenced
+//!   conditional stores and deletes) pay one round trip per shard node
+//!   per batch. Ring membership is
 //!   **live**: `begin_join`/`begin_leave` start an epoch'd migration
 //!   (driven by `migration_step`) that moves only remapped key ranges
 //!   while clients keep reading and writing, fenced by epoch-checked CAS.
@@ -32,8 +34,8 @@ pub mod ring;
 pub mod shard;
 
 pub use cluster::{
-    EpochRouter, KvClient, KvCluster, KvError, MigrationKind, NodeStatus, PartialMultiGet,
-    ReshardStats,
+    EpochRouter, KvClient, KvCluster, KvError, MigrationKind, NodeStatus, Partial,
+    PartialMultiGet, PartialMultiWrite, ReshardStats,
 };
 pub use ring::Ring;
-pub use shard::{CasOutcome, KeyMoved, Shard, ShardStats, Value};
+pub use shard::{CasOutcome, CondOutcome, CondWrite, KeyMoved, Shard, ShardStats, Value};

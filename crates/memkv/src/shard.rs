@@ -62,6 +62,28 @@ pub enum CasOutcome {
     NotFound,
 }
 
+/// One item of a batched conditional store ([`Shard::write_many`]): the
+/// version a `gets` returned for `key`, and `Some(value)` to CAS over
+/// it or `None` to delete the record only at that version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CondWrite<'a> {
+    pub key: &'a [u8],
+    pub version: u64,
+    pub value: Option<&'a [u8]>,
+}
+
+/// Outcome of one [`CondWrite`]: what [`Shard::cas`] reports for a CAS,
+/// with `Deleted` for a delete that removed the record (where
+/// [`Shard::delete`] reports `true`). A delete that removed nothing tells
+/// why: another version is there (`Conflict`) or none (`NotFound`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CondOutcome {
+    Stored { new_version: u64 },
+    Deleted,
+    Conflict { current_version: u64 },
+    NotFound,
+}
+
 #[derive(Debug)]
 struct Entry {
     value: Value,
@@ -81,6 +103,10 @@ pub struct ShardStats {
     pub multi_gets: u64,
     /// Keys looked up across all batched lookups.
     pub multi_keys: u64,
+    /// Batched conditional stores served ([`Shard::write_many`] calls).
+    pub multi_writes: u64,
+    /// Items across all batched conditional stores.
+    pub multi_write_keys: u64,
     /// Bytes handed out by reference (`Arc` clone) instead of copied —
     /// the zero-copy savings of the read path.
     pub bytes_referenced: u64,
@@ -112,6 +138,8 @@ struct Counters {
     deletes: AtomicU64,
     multi_gets: AtomicU64,
     multi_keys: AtomicU64,
+    multi_writes: AtomicU64,
+    multi_write_keys: AtomicU64,
     bytes_referenced: AtomicU64,
     scanned_keys: AtomicU64,
 }
@@ -128,6 +156,8 @@ impl Counters {
             deletes: ld(&self.deletes),
             multi_gets: ld(&self.multi_gets),
             multi_keys: ld(&self.multi_keys),
+            multi_writes: ld(&self.multi_writes),
+            multi_write_keys: ld(&self.multi_write_keys),
             bytes_referenced: ld(&self.bytes_referenced),
             scanned_keys: ld(&self.scanned_keys),
         }
@@ -265,10 +295,13 @@ impl Shard {
 
     /// Check-and-swap against the version obtained from [`Shard::get`].
     pub fn cas(&self, key: &[u8], expected_version: u64, value: &[u8]) -> CasOutcome {
-        let mut g = self.inner.write();
+        self.cas_locked(&mut self.inner.write(), key, expected_version, value)
+    }
+
+    fn cas_locked(&self, g: &mut Inner, key: &[u8], expected: u64, value: &[u8]) -> CasOutcome {
         match g.map.get(key).map(|e| e.version) {
             None => CasOutcome::NotFound,
-            Some(current) if current != expected_version => {
+            Some(current) if current != expected => {
                 self.stats.cas_conflicts.fetch_add(1, Ordering::Relaxed);
                 CasOutcome::Conflict { current_version: current }
             }
@@ -283,14 +316,49 @@ impl Shard {
     /// the version a [`Shard::get`] returned (check-and-delete: a store
     /// that landed since keeps its record). True if a record was removed.
     pub fn delete(&self, key: &[u8], expected_version: Option<u64>) -> bool {
-        let mut g = self.inner.write();
+        self.delete_locked(&mut self.inner.write(), key, expected_version) == CondOutcome::Deleted
+    }
+
+    fn delete_locked(&self, g: &mut Inner, key: &[u8], expected: Option<u64>) -> CondOutcome {
         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-        if let Some(expected) = expected_version {
-            if g.map.get(key).is_some_and(|e| e.version != expected) {
-                return false;
+        match g.map.get(key).map(|e| e.version) {
+            None => CondOutcome::NotFound,
+            Some(current) if expected.is_some_and(|v| v != current) => {
+                CondOutcome::Conflict { current_version: current }
+            }
+            Some(_) => {
+                g.remove(key);
+                CondOutcome::Deleted
             }
         }
-        g.remove(key).is_some()
+    }
+
+    /// Batched conditional store: one lock acquisition for the whole
+    /// batch, each item applied in input order exactly as the sequential
+    /// [`Shard::cas`] / versioned [`Shard::delete`] would (and counted as
+    /// they are). Outcomes are in input order.
+    pub fn write_many(&self, items: &[CondWrite<'_>]) -> Vec<CondOutcome> {
+        let mut g = self.inner.write();
+        self.stats.multi_writes.fetch_add(1, Ordering::Relaxed);
+        self.stats.multi_write_keys.fetch_add(items.len() as u64, Ordering::Relaxed);
+        items.iter().map(|w| self.write_locked(&mut g, w)).collect()
+    }
+
+    /// One [`CondWrite`] on its own: the single-key `cas` or versioned
+    /// `delete` it stands for, with the outcome a batch would report.
+    pub(crate) fn write_one(&self, w: &CondWrite<'_>) -> CondOutcome {
+        self.write_locked(&mut self.inner.write(), w)
+    }
+
+    fn write_locked(&self, g: &mut Inner, w: &CondWrite<'_>) -> CondOutcome {
+        let Some(value) = w.value else {
+            return self.delete_locked(g, w.key, Some(w.version));
+        };
+        match self.cas_locked(g, w.key, w.version, value) {
+            CasOutcome::Stored { new_version } => CondOutcome::Stored { new_version },
+            CasOutcome::Conflict { current_version } => CondOutcome::Conflict { current_version },
+            CasOutcome::NotFound => CondOutcome::NotFound,
+        }
     }
 
     /// Keys starting with `prefix`, in byte order (management extension
@@ -593,6 +661,38 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.multi_gets, 1);
         assert_eq!(st.multi_keys, 4);
+    }
+
+    #[test]
+    fn write_many_applies_in_order_and_tells_conflicts_from_absence() {
+        let s = Shard::new();
+        let a = s.set(b"a", b"1");
+        let b = s.set(b"b", b"2");
+        let items = [
+            CondWrite { key: b"a", version: a, value: Some(b"10") },
+            // The same key again at the version just replaced: conflicts.
+            CondWrite { key: b"a", version: a, value: Some(b"11") },
+            CondWrite { key: b"b", version: b, value: None },
+            CondWrite { key: b"b", version: b, value: None },
+            CondWrite { key: b"gone", version: 1, value: Some(b"x") },
+        ];
+        let got = s.write_many(&items);
+        let a2 = s.get(b"a").unwrap().1;
+        assert_eq!(
+            got,
+            [
+                CondOutcome::Stored { new_version: a2 },
+                CondOutcome::Conflict { current_version: a2 },
+                CondOutcome::Deleted,
+                CondOutcome::NotFound,
+                CondOutcome::NotFound,
+            ]
+        );
+        assert_eq!(&*s.get(b"a").unwrap().0, b"10");
+        assert_eq!(s.get(b"b"), None);
+        let st = s.stats();
+        assert_eq!((st.multi_writes, st.multi_write_keys), (1, 5));
+        assert_eq!((st.cas_ok, st.cas_conflicts, st.deletes), (1, 1, 2));
     }
 
     #[test]

@@ -1,17 +1,106 @@
-//! Read-path property tests: batched multi-get is byte-for-byte
-//! equivalent to sequential gets (including misses and under interleaved
-//! writers). Ordered queries (the lazily built key index) always answer
-//! what a brute-force filter/sort/min over the live map would.
+//! Batched-path property tests: multi-get is byte-for-byte equivalent to
+//! sequential gets (including misses and under interleaved writers), and
+//! its write-side counterpart, the batched conditional store, to
+//! sequential `cas` / versioned `delete`. Ordered queries (the lazily
+//! built key index) always answer what a brute-force filter/sort/min over
+//! the live map would.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use memkv::{KvCluster, Shard};
+use memkv::{CasOutcome, CondOutcome, CondWrite, KvCluster, Shard};
+use proptest::collection::vec;
 use proptest::prelude::*;
 use simnet::{LatencyProfile, NodeId, Topology};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each item of a batched conditional store has the outcome the
+    /// sequential `cas` / versioned `delete` would have had in its place
+    /// — stores, conflicts (also with an earlier item of the same batch),
+    /// `NotFound` — and the two clusters end up holding the same values
+    /// at the same versions. Between the reads that produced the versions
+    /// and the batch, other writers move records on or delete them.
+    #[test]
+    fn multi_write_equals_sequential_cas_and_delete(
+        present in vec((0u8..24, vec(any::<u8>(), 0..16)), 0..30),
+        items in vec((0u8..24, any::<bool>(), 0u64..3, vec(any::<u8>(), 0..16)), 1..40),
+        interleaved in vec((0u8..24, any::<bool>()), 0..10),
+        nodes in 1u32..6,
+    ) {
+        let key = |k: u8| vec![b'k', k];
+        let launch = || {
+            let cluster = KvCluster::new(Topology::new(nodes, 1), Arc::new(LatencyProfile::zero()));
+            let client = cluster.client(NodeId(0));
+            for (k, v) in &present {
+                client.set(&key(*k), v).unwrap();
+            }
+            (cluster, client)
+        };
+        let (batched_cluster, batched) = launch();
+        let (sequential_cluster, sequential) = launch();
+        // The version each writer read (or, `stale` > 0, an older one) ...
+        let read: Vec<u64> = items
+            .iter()
+            .map(|(k, _, stale, _)| {
+                batched.get(&key(*k)).unwrap().map_or(1, |(_, v)| v).saturating_sub(*stale)
+            })
+            .collect();
+        // ... then other writers get in between, on both clusters alike.
+        for (k, delete) in &interleaved {
+            for client in [&batched, &sequential] {
+                if *delete {
+                    client.delete(&key(*k), None).unwrap();
+                } else {
+                    client.set(&key(*k), b"moved on").unwrap();
+                }
+            }
+        }
+        let keys: Vec<Vec<u8>> = items.iter().map(|(k, ..)| key(*k)).collect();
+        let writes: Vec<CondWrite<'_>> = items
+            .iter()
+            .zip(&keys)
+            .zip(&read)
+            .map(|(((_, cas, _, value), key), &version)| CondWrite {
+                key,
+                version,
+                value: cas.then_some(value.as_slice()),
+            })
+            .collect();
+        let got = batched.multi_write(&writes, batched_cluster.ring_epoch()).unwrap();
+        prop_assert!(got.is_complete());
+        for (w, got) in writes.iter().zip(&got.results) {
+            let want = match w.value {
+                Some(value) => match sequential
+                    .cas(w.key, w.version, value, sequential_cluster.ring_epoch())
+                    .unwrap()
+                {
+                    CasOutcome::Stored { new_version } => CondOutcome::Stored { new_version },
+                    CasOutcome::Conflict { current_version } => {
+                        CondOutcome::Conflict { current_version }
+                    }
+                    CasOutcome::NotFound => CondOutcome::NotFound,
+                },
+                // A versioned delete only says whether it removed the
+                // record; a read beforehand tells the two misses apart.
+                None => match sequential.get(w.key).unwrap() {
+                    None => CondOutcome::NotFound,
+                    Some((_, current)) if current != w.version => {
+                        CondOutcome::Conflict { current_version: current }
+                    }
+                    Some(_) => {
+                        prop_assert!(sequential.delete(w.key, Some(w.version)).unwrap());
+                        CondOutcome::Deleted
+                    }
+                },
+            };
+            prop_assert_eq!(got, &Some(want), "item {:?}", w);
+        }
+        for k in 0..24 {
+            prop_assert_eq!(batched.get(&key(k)).unwrap(), sequential.get(&key(k)).unwrap());
+        }
+    }
 
     #[test]
     fn multi_get_equals_sequential_gets(

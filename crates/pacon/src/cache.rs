@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use fsapi::{FsError, FsResult};
-use memkv::{CasOutcome, KvClient, KvError};
+use memkv::{CasOutcome, CondOutcome, KvClient, KvError};
 
 use crate::degraded::Mode;
 use crate::metadata::CachedMeta;
@@ -314,6 +314,53 @@ impl MetaCache {
             }
         }
         panic!("cache CAS loop exceeded {MAX_CAS_ATTEMPTS} attempts on {path}");
+    }
+
+    /// Batched conditional store: per item, `Some(meta)` CASes the record
+    /// over the version a read returned, `None` deletes exactly that
+    /// version — one request per shard node (`memkv::KvClient::multi_write`),
+    /// fenced by the ring `epoch` read before those reads. Per item, in
+    /// input order: whether the batch *settled* it — stored, deleted, or
+    /// found the record gone (what a per-key update or versioned delete
+    /// would then also conclude). An unsettled item (another version is
+    /// there, the fence fired, its node is unreachable) is the caller's to
+    /// redo on the per-key path.
+    pub fn multi_write(
+        &self,
+        items: &[(&str, u64, Option<&CachedMeta>)],
+        epoch: u64,
+    ) -> Result<Vec<bool>, CacheError> {
+        let values: Vec<Option<Vec<u8>>> =
+            items.iter().map(|(_, _, meta)| meta.map(CachedMeta::encode)).collect();
+        let writes: Vec<memkv::CondWrite<'_>> = items
+            .iter()
+            .zip(&values)
+            .map(|(&(path, version, _), value)| memkv::CondWrite {
+                key: path.as_bytes(),
+                version,
+                value: value.as_deref(),
+            })
+            .collect();
+        // A fenced batch settles nothing: the caller's per-key retries
+        // read a fresh epoch. (Retrying inside `guarded` would re-send
+        // the same stale one.)
+        let written = self.guarded(|kv| match kv.multi_write(&writes, epoch) {
+            Err(KvError::WrongEpoch { .. }) => Ok(None),
+            other => other.map(Some),
+        })?;
+        let Some(written) = written else {
+            return Ok(vec![false; items.len()]);
+        };
+        Ok(written
+            .results
+            .into_iter()
+            .map(|r| {
+                matches!(
+                    r,
+                    Some(CondOutcome::Stored { .. } | CondOutcome::Deleted | CondOutcome::NotFound)
+                )
+            })
+            .collect())
     }
 
     /// Delete a record; true if one was removed. A cleanup that judged

@@ -193,6 +193,7 @@ impl PaconClient {
                         let _ = self.cache.delete(&path, Some(version));
                     }
                 }
+                // The cancelled creation's staged bytes go with it.
                 self.core.staging.lock().remove(path.as_str());
                 self.core.maybe_truncate_wals();
             }

@@ -36,6 +36,7 @@ use crate::cache::{CacheError, MetaCache};
 use crate::commit::op::{CommitOp, QueueMsg};
 use crate::commit::wal::CrashPoint;
 use crate::eviction;
+use crate::metadata::CachedMeta;
 use crate::region::RegionCore;
 
 /// Outcome of one `step()` call.
@@ -268,10 +269,13 @@ impl CommitWorker {
     /// Commit one batched message: namespace ops go through a single
     /// batched DFS RPC (in publish order), then the inline-data
     /// writebacks follow as one group on the data path
-    /// ([`Self::apply_writebacks`]). Writebacks read the *current*
-    /// primary copy at commit time, so settling them after the batch's
-    /// namespace ops cannot regress any data. Each op settles
-    /// independently; failures disaggregate into single-op retries.
+    /// ([`Self::apply_writebacks`]), then the cache records of every op
+    /// that applied are settled together ([`Self::after_success_batch`]).
+    /// Writebacks read the *current* primary copy at commit time, so
+    /// settling them after the batch's namespace ops cannot regress any
+    /// data. Each op settles independently; failures disaggregate into
+    /// single-op retries. An applied op counts as completed only once the
+    /// message's cache work has landed, so `drained()` implies it.
     fn apply_batch(&mut self, inner: Vec<QueueMsg>) -> WorkerStep {
         let cred = self.core.config.cred;
         let mut ns_msgs = Vec::with_capacity(inner.len());
@@ -288,11 +292,10 @@ impl CommitWorker {
             }
         }
 
-        let mut committed = 0u32;
-        let mut retried = 0u32;
-        let mut discarded = 0u32;
+        let (mut retried, mut discarded) = (0u32, 0u32);
+        let mut applied = Vec::with_capacity(ns_msgs.len() + wb_msgs.len());
         let mut tally = |step: WorkerStep| match step {
-            WorkerStep::Committed => committed += 1,
+            WorkerStep::Committed => {}
             WorkerStep::Retried => retried += 1,
             WorkerStep::Discarded => discarded += 1,
             other => unreachable!("settle yields commit/retry/discard, got {other:?}"),
@@ -308,7 +311,7 @@ impl CommitWorker {
                 return WorkerStep::Crashed;
             }
             for (msg, res) in ns_msgs.into_iter().zip(results) {
-                tally(self.settle(msg, 0, false, res));
+                tally(self.settle(msg, 0, false, res, Some(&mut applied)));
             }
         }
         if !wb_msgs.is_empty() {
@@ -319,11 +322,15 @@ impl CommitWorker {
                 return WorkerStep::Crashed;
             }
             for (msg, res) in wb_msgs.into_iter().zip(results) {
-                tally(self.settle(msg, 0, false, res));
+                tally(self.settle(msg, 0, false, res, Some(&mut applied)));
             }
         }
+        self.after_success_batch(&applied);
+        for _ in &applied {
+            self.core.note_completed();
+        }
         self.core.maybe_truncate_wals();
-        WorkerStep::Batch { committed, retried, discarded }
+        WorkerStep::Batch { committed: applied.len() as u32, retried, discarded }
     }
 
     /// Data-plane group commit: claim every writeback of the batch
@@ -382,7 +389,7 @@ impl CommitWorker {
         if self.core.crash.hit(CrashPoint::MidBatch) {
             return WorkerStep::Crashed;
         }
-        let step = self.settle(msg, attempts, backend_faulted, result);
+        let step = self.settle(msg, attempts, backend_faulted, result, None);
         self.core.maybe_truncate_wals();
         step
     }
@@ -429,13 +436,17 @@ impl CommitWorker {
             .unwrap_or(Err(FsError::Backend("empty batch reply".into())))
     }
 
-    /// Book the outcome of one single operation's commit attempt.
+    /// Book the outcome of one operation's commit attempt. With `applied`
+    /// given (the batched path), an op that applied is pushed there
+    /// instead of running its post-commit cache work and counting as
+    /// completed — the caller does both for the whole message at once.
     fn settle(
         &mut self,
         msg: QueueMsg,
         attempts: u32,
         backend_faulted: bool,
         result: FsResult<()>,
+        applied: Option<&mut Vec<QueueMsg>>,
     ) -> WorkerStep {
         match result {
             Ok(()) => {
@@ -449,11 +460,7 @@ impl CommitWorker {
                         self.core.clear_birth(path);
                     }
                 }
-                self.retire(&msg);
-                self.after_success(&msg);
-                self.core.note_completed();
-                self.core.counters.incr("committed");
-                WorkerStep::Committed
+                self.committed(msg, None, applied)
             }
             // A replayed creation that already failed with a transient
             // backend error may have applied server-side with its reply
@@ -462,12 +469,7 @@ impl CommitWorker {
             Err(FsError::AlreadyExists)
                 if backend_faulted && attempts > 0 && msg.op.is_creation() =>
             {
-                self.retire(&msg);
-                self.after_success(&msg);
-                self.core.note_completed();
-                self.core.counters.incr("committed");
-                self.core.counters.incr("idempotent_replays");
-                WorkerStep::Committed
+                self.committed(msg, Some("idempotent_replays"), applied)
             }
             // A duplicate admission: the path's committed file is *older*
             // than this creation and no acknowledged unlink separates
@@ -500,12 +502,7 @@ impl CommitWorker {
                     }
                 } =>
             {
-                self.retire(&msg);
-                self.after_success(&msg);
-                self.core.note_completed();
-                self.core.counters.incr("committed");
-                self.core.counters.incr("degraded_idempotent");
-                WorkerStep::Committed
+                self.committed(msg, Some("degraded_idempotent"), applied)
             }
             // Namespace-convention rejections (resubmit until the missing
             // prerequisite commit arrives — independent commit) and
@@ -517,19 +514,11 @@ impl CommitWorker {
                 | FsError::NotEmpty
                 | FsError::Backend(_)),
             ) => {
-                if let Some(path) = msg.op.path() {
-                    if self.under_removed_dir(path, msg.epoch) {
-                        self.retire(&msg);
-                        self.core.note_completed();
-                        self.core.counters.incr("discarded_removed_dir");
-                        return WorkerStep::Discarded;
-                    }
+                if msg.op.path().is_some_and(|path| self.under_removed_dir(path, msg.epoch)) {
+                    return self.discarded(&msg, "discarded_removed_dir");
                 }
                 if attempts + 1 >= self.core.config.max_commit_retries {
-                    self.retire(&msg);
-                    self.core.note_completed();
-                    self.core.counters.incr("dropped_retry_budget");
-                    return WorkerStep::Discarded;
+                    return self.discarded(&msg, "dropped_retry_budget");
                 }
                 self.core.counters.incr("resubmitted");
                 self.retry.push_back(RetryEntry {
@@ -539,15 +528,46 @@ impl CommitWorker {
                 });
                 WorkerStep::Retried
             }
-            Err(_) => {
-                // Permission or backend error: not retriable; count and
-                // surface through counters (the primary copy stays).
-                self.retire(&msg);
+            // Permission or backend error: not retriable; count and
+            // surface through counters (the primary copy stays).
+            Err(_) => self.discarded(&msg, "commit_errors"),
+        }
+    }
+
+    /// The op applied (or its outcome is in place): count it, and run its
+    /// post-commit cache work and complete it now — or leave both to the
+    /// batched path by pushing it to `applied`.
+    fn committed(
+        &mut self,
+        msg: QueueMsg,
+        also: Option<&'static str>,
+        applied: Option<&mut Vec<QueueMsg>>,
+    ) -> WorkerStep {
+        self.retire(&msg);
+        self.core.counters.incr("committed");
+        if let Some(counter) = also {
+            self.core.counters.incr(counter);
+        }
+        match applied {
+            Some(applied) => applied.push(msg),
+            None => {
+                self.after_success(&msg);
                 self.core.note_completed();
-                self.core.counters.incr("commit_errors");
-                WorkerStep::Discarded
             }
         }
+        WorkerStep::Committed
+    }
+
+    /// The op will never apply. A discarded creation's staged bytes go
+    /// with it: they were written to the incarnation it would have made.
+    fn discarded(&self, msg: &QueueMsg, counter: &'static str) -> WorkerStep {
+        self.retire(msg);
+        if let (true, Some(path)) = (msg.op.is_creation(), msg.op.path()) {
+            self.core.staging.lock().remove(path);
+        }
+        self.core.note_completed();
+        self.core.counters.incr(counter);
+        WorkerStep::Discarded
     }
 
     /// Release what an op holds until it settles for good (committed or
@@ -562,53 +582,143 @@ impl CommitWorker {
         }
     }
 
-    /// Post-commit bookkeeping on the primary copy.
-    fn after_success(&mut self, msg: &QueueMsg) {
-        let cred = self.core.config.cred;
+    /// Post-commit bookkeeping on the primary copy, one op at a time
+    /// (single-op messages and retries). Best-effort under faults: a
+    /// crashed shard's record is wiped anyway and rewarms from the DFS.
+    fn after_success(&self, msg: &QueueMsg) {
         match &msg.op {
             CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } => {
-                // Backup copy now exists: mark the cached record
-                // committed. Best-effort — a crashed shard's record is
-                // wiped anyway and rewarms as committed from the DFS.
-                let _ = self.cache.update::<()>(path, None, |m| {
-                    m.committed = true;
-                    Ok(())
-                });
-                // Write back any data staged while the file did not exist
-                // on the DFS yet (Section III.D-2).
-                let staged = self.core.staging.lock().remove(path.as_str());
-                if let Some(data) = staged {
-                    if self.dfs.write(path, &cred, 0, &data).is_ok() {
-                        self.core.counters.incr("staged_writebacks");
-                    } else {
-                        self.core.counters.incr("staged_writeback_errors");
-                    }
-                }
+                self.mark_committed(path, msg.timestamp);
+                self.flush_staged(path);
             }
-            CommitOp::Unlink { path } => {
-                // Deferred cache deletion: drop the record only if it is
-                // still the marked-removed version (a re-create must
-                // survive — also one that lands after this read, hence
-                // the versioned delete) and no *later* unlink of the same
-                // path is still queued — the removed-mark we would delete
-                // is that unlink's tombstone, and dropping it lets the
-                // read path resurrect the record from the not-yet-updated
-                // backup copy. Best-effort under faults, as above.
-                if !self.core.unlink_pending(path) {
-                    if let Ok(Some((meta, version))) = self.cache.get(path) {
-                        // A record marked stale is this very unlink's
-                        // degraded-mode leftover: it never got its
-                        // removed-mark, delete it all the same.
-                        if (meta.removed || self.core.is_stale_tombstone(path))
-                            && self.cache.delete(path, Some(version)).is_ok()
-                        {
-                            self.core.clear_stale_tombstone(path);
-                        }
-                    }
-                }
-                self.core.staging.lock().remove(path.as_str());
+            CommitOp::Unlink { path } if !self.core.unlink_pending(path) => {
+                self.drop_removed_record(path);
             }
-            CommitOp::WriteInline { .. } | CommitOp::Barrier { .. } | CommitOp::Batch(_) => {}
+            _ => {}
+        }
+    }
+
+    /// [`Self::after_success`] for every op of one message that applied:
+    /// the records the creations mark and the unlinks delete come from one
+    /// batched read and go back in one batched conditional write — per
+    /// shard node, one request each way instead of a read and a write per
+    /// op. The rules are the per-key ones ([`Self::marks`],
+    /// [`Self::drops`]); whatever the batch did not settle (another
+    /// version landed, the ring epoch moved, a node is unreachable) is
+    /// redone on the per-key path.
+    fn after_success_batch(&self, applied: &[QueueMsg]) {
+        // A creation marks its record; an unlink deletes its record
+        // unless a later unlink of the path is still queued.
+        let work: Vec<(&QueueMsg, &str)> = applied
+            .iter()
+            .filter_map(|msg| match &msg.op {
+                CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } => Some((msg, path)),
+                CommitOp::Unlink { path } if !self.core.unlink_pending(path) => Some((msg, path)),
+                _ => None,
+            })
+            .map(|(msg, path)| (msg, path.as_str()))
+            .collect();
+        // The epoch before the read: a membership change since fences the
+        // write. (Writebacks alone make both batches empty, and an empty
+        // batch sends no request.)
+        let epoch = self.cache.kv().cluster().ring_epoch();
+        let paths: Vec<&str> = work.iter().map(|&(_, path)| path).collect();
+        let reads = self.cache.multi_get(&paths).unwrap_or_else(|_| vec![None; paths.len()]);
+        // Per write: the `work` entry it settles, the version read, and
+        // the marked record — or `None`, the deletion.
+        let mut writes: Vec<(usize, u64, Option<CachedMeta>)> = Vec::new();
+        for (w, (&(msg, path), read)) in work.iter().zip(reads).enumerate() {
+            let Some((mut meta, version)) = read else { continue };
+            match msg.op {
+                CommitOp::Unlink { .. } if self.drops(path, &meta) => {
+                    writes.push((w, version, None));
+                }
+                CommitOp::Unlink { .. } => {}
+                _ if self.marks(path, msg.timestamp, &meta) => {
+                    meta.committed = true;
+                    writes.push((w, version, Some(meta)));
+                }
+                _ => {}
+            }
+        }
+        let items: Vec<(&str, u64, Option<&CachedMeta>)> =
+            writes.iter().map(|(w, version, meta)| (work[*w].1, *version, meta.as_ref())).collect();
+        let settled =
+            self.cache.multi_write(&items, epoch).unwrap_or_else(|_| vec![false; items.len()]);
+        for (&(w, ..), settled) in writes.iter().zip(settled) {
+            let (msg, path) = work[w];
+            match (&msg.op, settled) {
+                (CommitOp::Unlink { .. }, true) => self.core.clear_stale_tombstone(path),
+                (CommitOp::Unlink { .. }, false) => self.drop_removed_record(path),
+                (_, true) => {}
+                (_, false) => self.mark_committed(path, msg.timestamp),
+            }
+        }
+        for msg in applied {
+            if let CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } = &msg.op {
+                self.flush_staged(path);
+            }
+        }
+    }
+
+    /// The mark rule: does the creation stamped `ts` mark `path`'s record
+    /// committed? Not when it already says so (nothing to store), and not
+    /// when it is a *later* incarnation — a live record while an unlink
+    /// stamped after this creation is still queued: that unlink removed
+    /// this creation's file, and the record was created again over its
+    /// removed-mark. Marked, the re-created file would take its data
+    /// straight to the DFS copy the queued unlink is about to delete. A
+    /// removed record is this creation's own and is marked.
+    fn marks(&self, path: &str, ts: u64, meta: &CachedMeta) -> bool {
+        !meta.committed && (meta.removed || !self.core.unlink_pending_between(path, ts, u64::MAX))
+    }
+
+    /// The deletion rule of a committed unlink: the record goes if it is
+    /// still marked removed (a re-create must survive — also one that
+    /// lands after the read, hence the versioned delete), or marked stale
+    /// (this very unlink's degraded-mode leftover, which never got its
+    /// removed-mark). The caller has checked that no later unlink of the
+    /// path is queued: the removed-mark would be that unlink's tombstone,
+    /// and dropping it lets the read path resurrect the record from the
+    /// not-yet-updated backup copy.
+    fn drops(&self, path: &str, meta: &CachedMeta) -> bool {
+        meta.removed || self.core.is_stale_tombstone(path)
+    }
+
+    /// Per-key mark: the backup copy now exists. The rule is re-checked
+    /// on the record the CAS loop reads.
+    fn mark_committed(&self, path: &str, ts: u64) {
+        let _ = self.cache.update::<()>(path, None, |m| {
+            if self.marks(path, ts, m) {
+                m.committed = true;
+            }
+            Ok(())
+        });
+    }
+
+    /// Per-key deferred deletion of a committed unlink's record.
+    fn drop_removed_record(&self, path: &str) {
+        if let Ok(Some((meta, version))) = self.cache.get(path) {
+            if self.drops(path, &meta) && self.cache.delete(path, Some(version)).is_ok() {
+                self.core.clear_stale_tombstone(path);
+            }
+        }
+    }
+
+    /// Write back the data staged while the created file did not exist on
+    /// the DFS yet (Section III.D-2). Staged bytes belong to the creation
+    /// that will make their file: flushed when it commits, dropped when
+    /// it is discarded — never by an unlink, whose own incarnation's bytes
+    /// its creation already flushed (what is staged then is a later
+    /// incarnation's).
+    fn flush_staged(&self, path: &str) {
+        let staged = self.core.staging.lock().remove(path);
+        if let Some(data) = staged {
+            if self.dfs.write(path, &self.core.config.cred, 0, &data).is_ok() {
+                self.core.counters.incr("staged_writebacks");
+            } else {
+                self.core.counters.incr("staged_writeback_errors");
+            }
         }
     }
 }

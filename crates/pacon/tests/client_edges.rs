@@ -556,6 +556,62 @@ fn cache_round_trip_budget_per_op_class() {
     }
 }
 
+/// The commit process's cache budget per message. Counted, not timed: a
+/// 32-op message settles its records with one batched read and one batched
+/// conditional write per owning shard node — at most 2 × 8 shard visits on
+/// eight nodes — where a read and a write per op took 64. The same for the
+/// deferred record deletions of a 32-unlink message.
+#[test]
+fn worker_cache_budget_per_message() {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::default()));
+    let cred = Credentials::new(1, 1);
+    let region = PaconRegion::launch_paused(
+        PaconConfig::new("/app", Topology::new(8, 1), cred).with_commit_batch(32),
+        &dfs,
+    )
+    .unwrap();
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+    let cluster = &region.core().cache_cluster;
+    let paths: Vec<String> = (0..32).map(|i| format!("/app/f{i:02}")).collect();
+    let owners = paths
+        .iter()
+        .map(|p| cluster.shard_node(p.as_bytes()))
+        .collect::<std::collections::BTreeSet<_>>()
+        .len();
+
+    for (what, op) in [("creates", 0), ("unlinks", 1)] {
+        for p in &paths {
+            match op {
+                0 => c.create(p, &cred, 0o644).unwrap(),
+                _ => c.unlink(p, &cred).unwrap(),
+            }
+        }
+        let before = cluster.stats();
+        let (step, trace) = simnet::with_recording(|| w.step());
+        let after = cluster.stats();
+        assert_eq!(step, WorkerStep::Batch { committed: 32, retried: 0, discarded: 0 }, "{what}");
+        let visits = trace
+            .segs
+            .iter()
+            .filter(|s| matches!(s.station, simnet::Station::KvShard(_)))
+            .count();
+        assert!(visits <= 2 * owners, "{what}: {visits} shard visits, {owners} owning nodes");
+        assert_eq!(
+            (after.multi_gets - before.multi_gets, after.multi_writes - before.multi_writes),
+            (owners as u64, owners as u64),
+            "{what}: one batched read and one batched write per owning node"
+        );
+        assert_eq!(after.multi_write_keys - before.multi_write_keys, 32, "{what}");
+        assert!(region.core().drained());
+    }
+    // Every record was marked, then deleted.
+    assert!(cluster.is_empty());
+    for p in &paths {
+        assert_eq!(dfs.client().stat(p, &cred), Err(FsError::NotFound));
+    }
+}
+
 /// An update that changes nothing must not store: a write to a file that
 /// is already large only decides where the bytes go (one read), and its
 /// size update starts from that read (one CAS) — two round trips where

@@ -211,6 +211,36 @@ fn a_create_under_a_recreated_dir_is_not_discarded() {
     assert!(dfs.client().stat("/w/d/f", &cred).unwrap().is_file(), "acknowledged, so committed");
 }
 
+/// Regression (acknowledged large write lost): a path is created, unlinked
+/// and created again — the re-creation on another node — before the first
+/// creation commits. That commit must not mark the re-created record
+/// committed (the unlink queued behind it is about to remove the file it
+/// made), so a large write to the new file stages its bytes; and the
+/// unlink's commit must not wipe them — they belong to the re-creation,
+/// which flushes them to the DFS when it commits.
+#[test]
+fn a_large_write_to_a_recreated_file_survives_the_older_incarnations_commit() {
+    let (dfs, region, cred) = setup(2);
+    let c0 = region.client(ClientId(0));
+    let c1 = region.client(ClientId(1));
+    c0.create("/w/f", &cred, 0o644).unwrap();
+    c0.unlink("/w/f", &cred).unwrap();
+    c1.create("/w/f", &cred, 0o644).unwrap();
+    let mut w0 = region.take_worker(0);
+    let mut w1 = region.take_worker(1);
+    assert_eq!(w0.step(), WorkerStep::Committed, "the first creation commits");
+
+    let data = vec![7u8; 8192];
+    c1.write("/w/f", &cred, 0, &data).unwrap(); // past the small-file threshold
+    drain(&mut w0); // the unlink: removes the first incarnation's file
+    drain(&mut w1); // the re-creation
+    assert!(region.core().drained());
+    let held = |read: fsapi::FsResult<Vec<u8>>| read.map(|bytes| (bytes.len(), bytes == data));
+    assert_eq!(held(dfs.client().read("/w/f", &cred, 0, 8192)), Ok((8192, true)), "DFS copy");
+    assert_eq!(c1.stat("/w/f", &cred).unwrap().size, 8192);
+    assert_eq!(held(c1.read("/w/f", &cred, 0, 8192)), Ok((8192, true)), "Pacon read");
+}
+
 #[test]
 fn retry_budget_drops_unsatisfiable_ops() {
     let profile = Arc::new(LatencyProfile::zero());

@@ -75,9 +75,13 @@ pub struct LatencyProfile {
     /// Shard service time per KV operation (get/set/cas/delete).
     pub kv_op: u64,
     /// Marginal shard service time per *additional* key in a batched
-    /// multi-get. One request decode and one dispatch are paid via
-    /// `kv_op`; each extra key is a hash-table probe, so this sits well
-    /// below the standalone per-op demand.
+    /// request — a multi-get, and since the commit process settles a
+    /// message's cache records together, a batched conditional store
+    /// (`memkv::KvClient::multi_write`). One request decode and one
+    /// dispatch are paid via `kv_op`; each extra key is a hash-table
+    /// probe (plus, for a store, a version compare and an in-place
+    /// swap under the lock already held), so this sits well below the
+    /// standalone per-op demand.
     pub kv_multi_per_key: u64,
     /// Extra shard service time per KiB of payload (inline small files).
     pub kv_payload_per_kib: u64,
@@ -248,9 +252,10 @@ mod tests {
         assert!(visit(16 * 64) < 16 * visit(64));
         assert!((p.mds_batch_base + 16 * p.mds_stat) / 16 >= p.mds_stat);
         assert!(p.mds_batch_base + 16 * p.mds_stat < 16 * 2 * p.mds_stat);
-        // Batched multi-get amortizes below per-key gets: the marginal
-        // key undercuts the standalone op, and a batch of 32 beats 32
-        // singles even before saved network hops are counted.
+        // A batched request — multi-get or batched conditional store —
+        // amortizes below per-key ops: the marginal key undercuts the
+        // standalone op, and a batch of 32 beats 32 singles even before
+        // saved network hops are counted.
         assert!(p.kv_multi_per_key < p.kv_op);
         assert!(p.kv_op + 31 * p.kv_multi_per_key < 32 * p.kv_op);
         // A bulk-migrated key is cheaper than a client-driven set: no

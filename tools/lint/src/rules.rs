@@ -184,7 +184,8 @@ fn empty_call(toks: &[FlatTok], i: usize) -> Option<(&str, usize)> {
 /// ring-membership change surfaces as an error), so these names *are*
 /// the fault surface R8 watches; `get` is the per-key read R5 watches.
 const CACHE_SURFACE: &[&str] = &[
-    "get", "multi_get", "multi_gets", "put", "set", "add", "add_new", "cas", "update", "delete",
+    "get", "multi_get", "multi_gets", "put", "set", "add", "add_new", "cas", "multi_write",
+    "update", "delete",
 ];
 
 /// The receiver of a call on that surface — `cache.m(..)`, `kv.m(..)`,
