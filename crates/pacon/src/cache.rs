@@ -164,11 +164,11 @@ impl MetaCache {
         let Some(core) = &self.fault else {
             return false;
         };
-        if !core.is_stale_tombstone(path) {
+        if !core.in_flight().is_stale(path) {
             return false;
         }
         if self.delete(path, None).is_ok() {
-            core.clear_stale_tombstone(path);
+            core.in_flight().clear_stale(path);
         }
         true
     }
@@ -220,7 +220,7 @@ impl MetaCache {
         let ver = self.guarded(|kv| kv.set(path.as_bytes(), &bytes))?;
         // A fresh authoritative record supersedes any stale survivor.
         if let Some(core) = &self.fault {
-            core.clear_stale_tombstone(path);
+            core.in_flight().clear_stale(path);
         }
         Ok(ver)
     }
@@ -232,7 +232,7 @@ impl MetaCache {
         let added = self.guarded(|kv| kv.add(path.as_bytes(), &bytes))?;
         if added.is_some() {
             if let Some(core) = &self.fault {
-                core.clear_stale_tombstone(path);
+                core.in_flight().clear_stale(path);
             }
         }
         Ok(added.ok_or(FsError::AlreadyExists))

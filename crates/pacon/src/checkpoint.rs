@@ -166,11 +166,11 @@ impl PaconRegion {
         let mut stats = CheckpointStats::default();
         copy_tree(&fs, &src, &self.core().root, &cred, &mut stats)?;
         // Rebuild the primary copy: start empty; getattr misses reload
-        // from the DFS. The side tables go with it — what they say about
+        // from the DFS. The per-path table goes with it — what it says about
         // queued unlinks, writebacks and committed incarnations describes
         // the tree this rollback just replaced.
         self.core().cache_cluster.clear();
-        self.core().forget_in_flight();
+        self.core().in_flight().clear();
         // Ops that never reached a commit queue predate the rollback and
         // must not survive it — drop them where they wait, in the nodes'
         // outboxes, and, in durable mode, reset the commit logs so the next

@@ -155,12 +155,13 @@ impl PaconClient {
             CommitOp::Unlink { path } => Some(path.clone()),
             _ => None,
         };
-        let msg = self.envelope(op, degraded, ts);
-        let timestamp = msg.timestamp;
-        // Durable order: count the op in flight, journal it, then buffer.
-        // Enqueued-before-append is what makes truncation safe: `drained()`
+        // Count the op in flight, stamp it, journal it, then buffer.
+        // Enqueued-before-stamp is the stamp rule's (`note_enqueued`);
+        // enqueued-before-append is what makes truncation safe: `drained()`
         // under the WAL lock proves the log holds no unconfirmed op.
         self.core.note_enqueued();
+        let msg = self.envelope(op, degraded, ts);
+        let timestamp = msg.timestamp;
         let node = self.node.index();
         // Journal before the buffer sees the op: coalescing may settle it
         // client-side, but the log keeps the full history (a cancelled
@@ -183,8 +184,9 @@ impl PaconClient {
                 self.core.counters.add("coalesced_cancel", absorbed as u64 + 1);
                 let path = unlink_path.expect("only unlinks cancel");
                 // The unlink settled client-side: its pending-removal
-                // mark retires here, not in a commit worker.
-                self.core.note_unlink_retired(&path, timestamp);
+                // mark retires here, not in a commit worker, and the
+                // cancelled creation's staged bytes go with it.
+                self.core.in_flight().cancel_create(&path, timestamp);
                 // Best-effort: a record unreachable now died with the
                 // shard its removal mark was just written to.
                 // Versioned: a re-create landing after this read stays.
@@ -193,8 +195,6 @@ impl PaconClient {
                         let _ = self.cache.delete(&path, Some(version));
                     }
                 }
-                // The cancelled creation's staged bytes go with it.
-                self.core.staging.lock().remove(path.as_str());
                 self.core.maybe_truncate_wals();
             }
             Buffered::Collapsed => {
@@ -309,7 +309,7 @@ impl PaconClient {
         // the backup copy keeps the file. Resurrecting the record from
         // that stale view would drop the pending removal's tombstone and
         // let a second unlink of the same incarnation through.
-        if self.core.unlink_pending(path) {
+        if self.core.in_flight().unlink_pending(path) {
             return Err(FsError::NotFound);
         }
         let stat = self.dfs.stat(path, cred)?;
@@ -325,13 +325,19 @@ impl PaconClient {
             Ok(Some((meta, _))) => Ok(meta),
             Ok(None) => self.load_from_dfs(path, cred),
             Err(CacheError::Unavailable) => {
-                if self.core.unlink_pending(path) {
-                    return Err(FsError::NotFound);
-                }
-                self.core.counters.incr("degraded_reads");
-                Ok(CachedMeta::from_stat(&self.dfs.stat(path, cred)?))
+                self.degraded_stat(path, cred).map(|stat| CachedMeta::from_stat(&stat))
             }
         }
+    }
+
+    /// Degraded read: the committed backup view — where an acknowledged
+    /// unlink is not still queued (the backup would resurrect the file).
+    fn degraded_stat(&self, path: &str, cred: &Credentials) -> FsResult<FileStat> {
+        if self.core.in_flight().unlink_pending(path) {
+            return Err(FsError::NotFound);
+        }
+        self.core.counters.incr("degraded_reads");
+        self.dfs.stat(path, cred)
     }
 
     /// Batched cache fetch with read-path accounting: one cache round
@@ -380,8 +386,8 @@ impl PaconClient {
             }
             memo.held.take()
         }?;
-        (self.core.degraded.mode() == DegradedMode::Healthy && !self.core.is_stale_tombstone(path))
-            .then_some(held)
+        let healthy = self.core.degraded.mode() == DegradedMode::Healthy;
+        (healthy && !self.core.in_flight().is_stale(path)).then_some(held)
     }
 
     /// Fill the own-write memo with a record this client just stored.
@@ -526,11 +532,11 @@ impl PaconClient {
         self.dfs.rmdir(path, cred)
     }
 
-    /// Durable staging write (the paper's direct-I/O cache files): data
-    /// for files that do not yet exist on the DFS. `charged_len` is the
-    /// number of *new* bytes this call moves (incremental appends do not
-    /// re-pay for the whole buffer).
-    fn stage_data(&self, path: &str, data: Vec<u8>, charged_len: usize) {
+    /// Charge a durable staging write (the paper's direct-I/O cache files:
+    /// data for files that do not yet exist on the DFS) of `charged_len`
+    /// *new* bytes — incremental appends do not re-pay for the whole
+    /// buffer.
+    fn charge_staging(&self, path: &str, charged_len: usize) {
         let p = self.profile();
         charge(Station::Network, p.net_rtt_storage);
         let n_data = self.dfs.cluster().config().n_data as u64;
@@ -540,7 +546,6 @@ impl PaconClient {
         }
         let mib = (charged_len as u64).div_ceil(1 << 20).max(1);
         charge(Station::DataServer((h % n_data) as u32), mib * p.data_write_per_mib);
-        self.core.staging.lock().insert(path.to_string(), data);
     }
 
     /// Would the record still be a small file? Its whole cache entry —
@@ -559,27 +564,23 @@ impl PaconClient {
         self.core.counters.incr("degraded_writes");
         // The backup still holds a file whose removal is already queued:
         // from the client's point of view that file is gone.
-        if self.core.unlink_pending(path) {
+        if self.core.in_flight().unlink_pending(path) {
             return Err(FsError::NotFound);
         }
         let stat = self.dfs.stat(path, cred)?;
         if stat.kind == FileKind::Dir {
             return Err(FsError::IsADirectory);
         }
-        // Same slot release as the healthy path: writes after a
-        // re-creation must queue fresh writebacks.
-        self.core.pending_writebacks.lock().remove(path);
+        self.publish_unlink(path, true)
+    }
+
+    /// Note the acknowledged unlink in the per-path table, then publish it.
+    fn publish_unlink(&self, path: &str, degraded: bool) -> FsResult<()> {
         let ts = self.core.now();
-        self.core.note_unlink_pending(path, ts);
-        // The shard is unreachable, so the cached record (if one survives
-        // the outage) cannot be tombstoned now — mark it for lazy
-        // deletion instead of letting it resurface after the heal.
-        self.core.mark_stale_tombstone(path);
-        if let Err(e) =
-            self.publish_at(CommitOp::Unlink { path: path.to_string() }, None, true, Some(ts))
-        {
-            self.core.note_unlink_retired(path, ts);
-            self.core.clear_stale_tombstone(path);
+        self.core.in_flight().ack_unlink(path, ts, degraded);
+        let op = CommitOp::Unlink { path: path.to_string() };
+        if let Err(e) = self.publish_at(op, None, degraded, Some(ts)) {
+            self.core.in_flight().retract_unlink(path, ts, degraded);
             return Err(e);
         }
         self.core.counters.incr("unlink");
@@ -587,9 +588,10 @@ impl PaconClient {
     }
 
     /// Write while the primary copy is unreachable. Committed files take
-    /// the data straight to the backup copy; files not yet on the DFS
-    /// stage into the durable staging buffer (their queued create lands
-    /// first, and fsync/commit flushes the staged bytes).
+    /// the data straight to the backup copy; a file not on the DFS fails
+    /// `NotFound`, as in `degraded_unlink` — a queued creation looks like
+    /// a path that never existed, whose staged bytes would flush into the
+    /// next file created under its name.
     fn degraded_write(
         &self,
         path: &str,
@@ -598,7 +600,7 @@ impl PaconClient {
         data: &[u8],
     ) -> FsResult<usize> {
         self.core.counters.incr("degraded_writes");
-        if self.core.unlink_pending(path) {
+        if self.core.in_flight().unlink_pending(path) {
             // The backup copy still holds the file, but its removal is
             // already acknowledged — writing there would land bytes on a
             // doomed incarnation.
@@ -606,40 +608,25 @@ impl PaconClient {
         }
         let end = offset as usize + data.len();
         // lint: allow(commit-path, degraded mode: primary copy unreachable, data goes to the backup copy directly)
-        match self.dfs.write(path, cred, offset, data) {
-            Ok(_) => {
-                // If the path's own shard is still up (the window was
-                // opened by a different node's crash), keep the primary
-                // copy coherent too: a writeback already queued for this
-                // path reads the cache at commit time, and a stale inline
-                // record would clobber the bytes just written. One bare
-                // attempt: the retry envelope of a degraded region would
-                // fail fast, and a shard that is down has no record left
-                // to keep coherent.
-                let _ = MetaCache::new(self.cache.kv().clone()).update::<()>(path, None, |m| {
-                    if !m.large && !m.removed {
-                        if m.inline.len() < end {
-                            m.inline.resize(end, 0);
-                        }
-                        m.inline[offset as usize..end].copy_from_slice(data);
-                    }
-                    m.size = m.size.max(end as u64);
-                    Ok(())
-                });
-                Ok(data.len())
-            }
-            Err(FsError::NotFound) => {
-                // Creation still queued: stage like an uncommitted file.
-                let mut staging = self.core.staging.lock();
-                let buf = staging.entry(path.to_string()).or_default();
-                if buf.len() < end {
-                    buf.resize(end, 0);
+        self.dfs.write(path, cred, offset, data)?;
+        // If the path's own shard is still up (the window was opened by a
+        // different node's crash), keep the primary copy coherent too: a
+        // writeback already queued for this path reads the cache at commit
+        // time, and a stale inline record would clobber the bytes just
+        // written. One bare attempt: the retry envelope of a degraded
+        // region would fail fast, and a shard that is down has no record
+        // left to keep coherent.
+        let _ = MetaCache::new(self.cache.kv().clone()).update::<()>(path, None, |m| {
+            if !m.large && !m.removed {
+                if m.inline.len() < end {
+                    m.inline.resize(end, 0);
                 }
-                buf[offset as usize..end].copy_from_slice(data);
-                Ok(data.len())
+                m.inline[offset as usize..end].copy_from_slice(data);
             }
-            Err(e) => Err(e),
-        }
+            m.size = m.size.max(end as u64);
+            Ok(())
+        });
+        Ok(data.len())
     }
 }
 
@@ -683,14 +670,7 @@ impl FileSystem for PaconClient {
                     Ok(Some((meta, _))) if meta.removed => Err(FsError::NotFound),
                     Ok(Some((meta, _))) => Ok(meta.to_stat()),
                     Ok(None) => Ok(self.load_from_dfs(path, cred)?.to_stat()),
-                    Err(CacheError::Unavailable) => {
-                        if self.core.unlink_pending(path) {
-                            return Err(FsError::NotFound);
-                        }
-                        // Degraded read: the committed backup view.
-                        self.core.counters.incr("degraded_reads");
-                        self.dfs.stat(path, cred)
-                    }
+                    Err(CacheError::Unavailable) => self.degraded_stat(path, cred),
                 }
             }
             Route::Merged(i) => {
@@ -806,28 +786,7 @@ impl FileSystem for PaconClient {
                 if updated.is_none() {
                     return Err(FsError::NotFound);
                 }
-                // Release the writeback-coalescing slot: a WriteInline
-                // queued before this unlink must not absorb writes made
-                // after a re-creation (the worker would apply it ahead of
-                // the queued unlink+create and the data would be lost).
-                self.core.pending_writebacks.lock().remove(path);
-                // Mark the removal pending *before* publishing: once the
-                // worker can see the message it may settle it at any
-                // time, and retiring an unmarked unlink would leak the
-                // count.
-                let ts = self.core.now();
-                self.core.note_unlink_pending(path, ts);
-                if let Err(e) = self.publish_at(
-                    CommitOp::Unlink { path: path.to_string() },
-                    None,
-                    false,
-                    Some(ts),
-                ) {
-                    self.core.note_unlink_retired(path, ts);
-                    return Err(e);
-                }
-                self.core.counters.incr("unlink");
-                Ok(())
+                self.publish_unlink(path, false)
             }
             Route::Merged(_) => Err(FsError::PermissionDenied),
             // lint: allow(commit-path, Route::Redirect: paths outside the workspace bypass partial consistency entirely)
@@ -857,8 +816,6 @@ impl FileSystem for PaconClient {
                 }
                 // Barrier commit (sync, Section III.E-2).
                 let guard = self.core.barrier(self.id.0)?;
-                let epoch = guard.epoch();
-                self.core.removed_dirs.write().push((path.to_string(), epoch));
                 {
                     let mut memo = self.parent_memo.lock();
                     if memo.as_deref().map(|m| fspath::is_same_or_ancestor(path, m)).unwrap_or(false)
@@ -873,22 +830,13 @@ impl FileSystem for PaconClient {
                     if let Ok(k) = std::str::from_utf8(&key) {
                         if fspath::is_same_or_ancestor(path, k) {
                             // Best-effort: a crashed shard's records are
-                            // wiped anyway; removed_dirs epochs guard any
-                            // survivors from stale resurrection.
+                            // wiped anyway; the removed-directory entry
+                            // guards any survivors from stale resurrection.
                             let _ = self.cache.delete(k, None);
                         }
                     }
                 }
-                {
-                    let mut staging = self.core.staging.lock();
-                    staging.retain(|k, _| !fspath::is_same_or_ancestor(path, k));
-                }
-                {
-                    // Same rationale as unlink: re-creations after the
-                    // rmdir must queue fresh writebacks.
-                    let mut pending = self.core.pending_writebacks.lock();
-                    pending.retain(|k, _| !fspath::is_same_or_ancestor(path, k));
-                }
+                self.core.in_flight().remove_dir(path, guard.epoch(), self.core.drained());
                 // Backup copy: everything earlier is committed, so the
                 // DFS subtree is complete; remove it synchronously.
                 let res = self.remove_subtree_on_dfs(path, cred);
@@ -1072,7 +1020,7 @@ impl FileSystem for PaconClient {
                         // Coalesce: the worker reads the freshest primary
                         // copy at commit time, so one queued writeback
                         // covers all earlier writes to this file.
-                        if eviction::queue_writeback(&self.core, path) {
+                        if self.core.in_flight().queue_writeback(path) {
                             let op = CommitOp::WriteInline { path: path.to_string() };
                             self.publish_at(op, Some(&held.meta.inline), false, None)?;
                         } else {
@@ -1100,8 +1048,8 @@ impl FileSystem for PaconClient {
                             // lint: allow(commit-path, data plane: committed file contents write back directly, only metadata is queued)
                             self.dfs.write(path, cred, 0, &full)?;
                         } else {
-                            let n = full.len();
-                            self.stage_data(path, full, n);
+                            self.charge_staging(path, full.len());
+                            self.core.in_flight().stage(path, full);
                         }
                         Some(held)
                     }
@@ -1119,15 +1067,8 @@ impl FileSystem for PaconClient {
                                 Ok(())
                             })
                         } else {
-                            let mut staging = self.core.staging.lock();
-                            let buf = staging.entry(path.to_string()).or_default();
-                            if buf.len() < end {
-                                buf.resize(end, 0);
-                            }
-                            buf[offset as usize..end].copy_from_slice(data);
-                            let snapshot = buf.clone();
-                            drop(staging);
-                            self.stage_data(path, snapshot, data.len());
+                            self.core.in_flight().stage_at(path, offset as usize, data);
+                            self.charge_staging(path, data.len());
                             // Best-effort: the bytes are staged durably.
                             self.cache.update::<()>(path, Some(held), |m| {
                                 m.size = m.size.max(end as u64);
@@ -1175,11 +1116,7 @@ impl FileSystem for PaconClient {
                 if meta.committed {
                     self.dfs.read(path, cred, offset, len)
                 } else {
-                    let staging = self.core.staging.lock();
-                    let buf = staging.get(path).cloned().unwrap_or_default();
-                    let start = (offset as usize).min(buf.len());
-                    let end = (start + len).min(buf.len());
-                    Ok(buf[start..end].to_vec())
+                    Ok(self.core.in_flight().read_staged(path, offset as usize, len))
                 }
             }
             Route::Merged(i) => {
@@ -1224,8 +1161,8 @@ impl FileSystem for PaconClient {
                     // Small file not yet created on the DFS: direct-I/O
                     // staging ("cache files", Section III.D-2).
                     (false, false) => {
-                        let n = meta.inline.len();
-                        self.stage_data(path, meta.inline.clone(), n);
+                        self.charge_staging(path, meta.inline.len());
+                        self.core.in_flight().stage(path, meta.inline);
                         Ok(())
                     }
                     (true, true) => self.dfs.fsync(path, cred),

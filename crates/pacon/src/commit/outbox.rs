@@ -47,10 +47,13 @@ struct Outgoing {
 }
 
 impl Outgoing {
-    /// Cut one message of at most `commit_batch_size` ops per plane from
-    /// the buffer — the op itself when it is alone, a batch otherwise.
+    /// Cut the buffer into one message — the op itself when it is alone, a
+    /// batch otherwise. Every hold of the lock leaves the buffer below the
+    /// flush threshold ([`Outbox::publish`]), so no plane of it exceeds
+    /// `commit_batch_size`.
     fn cut(&mut self, core: &RegionCore) -> Option<QueueMsg> {
-        let mut batch = self.buf.take(core.config.commit_batch_size);
+        debug_assert!(self.buf.fullest_plane() <= core.config.commit_batch_size);
+        let mut batch = self.buf.take();
         if batch.len() <= 1 {
             return batch.pop();
         }
@@ -69,9 +72,9 @@ impl Outgoing {
         Ok(pending)
     }
 
-    /// Empty the buffer into the window.
+    /// Empty the buffer into the window: one message.
     fn force_out(&mut self, core: &RegionCore, link: &Link) -> FsResult<()> {
-        while let Some(msg) = self.cut(core) {
+        if let Some(msg) = self.cut(core) {
             self.deliver(core, link, msg)?;
         }
         Ok(())
@@ -95,8 +98,8 @@ impl Outbox {
 
     /// Buffer one journaled op. When that fills either commit plane to
     /// `commit_batch_size` (at 1, always) the buffer leaves as one message
-    /// — every hold of the lock leaves it below the threshold — charged to
-    /// the publishing client's CPU.
+    /// in the same hold — so every hold of the lock leaves it below the
+    /// threshold — charged to the publishing client's CPU.
     pub(crate) fn publish(&self, core: &RegionCore, msg: QueueMsg) -> FsResult<Buffered> {
         let mut out = self.out.lock();
         let outcome = out.buf.push(msg);
@@ -168,7 +171,7 @@ impl Outbox {
     /// refused or lost in the window. Returns the ops dropped.
     pub(crate) fn drop_unsent(&self) -> u64 {
         let mut out = self.out.lock();
-        let buffered = out.buf.take(usize::MAX).len() as u64;
+        let buffered = out.buf.take().len() as u64;
         let unsent = out.window.drop_undelivered(&self.link);
         let ops = |msg: &Arc<QueueMsg>| match &msg.op {
             CommitOp::Batch(ops) => ops.len() as u64,

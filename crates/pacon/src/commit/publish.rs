@@ -16,10 +16,12 @@
 //! size batch) into the same RPC, so the batch size budgets each plane
 //! separately: [`PublishBuffer::fullest_plane`] reaching it triggers the
 //! flush (the RPC of the plane that filled is full, the other rides
-//! along), and [`PublishBuffer::take`] never hands out more than the
-//! budget on either plane — a message carries at most `2·n − 1` ops and
-//! no commit RPC more than `n`, also when a barrier forces out what
-//! piled up behind a refusing link.
+//! along). The flush happens in the same hold of the node's outbox lock
+//! as the push that filled the plane, so the buffer never holds more than
+//! the budget on either plane and [`PublishBuffer::take`] takes all of it
+//! — a message carries at most `2·n − 1` ops and no commit RPC more than
+//! `n`. A refusing link does not change that: the cut message waits in
+//! the redelivery window, not in the buffer.
 //!
 //! While ops sit in the buffer they can still annihilate each other:
 //!
@@ -29,9 +31,9 @@
 //! * an incoming `WriteInline{p}` collapses into a buffered one when no
 //!   `Unlink`/`Create` for `p` intervenes (the commit process reads the
 //!   *current* primary copy at commit time, so one entry suffices). The
-//!   client-side `pending_writebacks` set already coalesces this case
-//!   before publish; the buffer-level rule is the backstop that keeps
-//!   the invariant local.
+//!   client-side writeback slot (`InFlight::queue_writeback`) already
+//!   coalesces this case before publish; the buffer-level rule is the
+//!   backstop that keeps the invariant local.
 //!
 //! Coalescing never crosses a flush boundary: a flushed message is final
 //! — it goes to the node's redelivery window, which delivers it in
@@ -110,29 +112,10 @@ impl PublishBuffer {
         Buffered::Queued
     }
 
-    /// Take, in publish order, the longest prefix that holds at most
-    /// `budget` ops of each plane — the whole buffer unless more piled up
-    /// than one flush takes (flushes stop while the link refuses).
-    pub fn take(&mut self, budget: usize) -> Vec<QueueMsg> {
-        if self.fullest_plane() <= budget {
-            self.data_ops = 0;
-            return std::mem::take(&mut self.ops);
-        }
-        let (mut ns, mut data) = (0, 0);
-        let end = self
-            .ops
-            .iter()
-            .position(|m| {
-                let plane = if is_data_plane(m) { &mut data } else { &mut ns };
-                if *plane == budget {
-                    return true;
-                }
-                *plane += 1;
-                false
-            })
-            .expect("a plane over budget holds an op past it");
-        self.data_ops -= data;
-        self.ops.drain(..end).collect()
+    /// Take every buffered op, in publish order.
+    pub fn take(&mut self) -> Vec<QueueMsg> {
+        self.data_ops = 0;
+        std::mem::take(&mut self.ops)
     }
 
     /// Annihilate the most recent buffered `Create{path}` together with
@@ -219,7 +202,7 @@ mod tests {
         b.push(wi("/f"));
         b.push(create("/g"));
         assert_eq!(b.push(unlink("/f")), Buffered::Cancelled { absorbed: 2 });
-        let rest = b.take(usize::MAX);
+        let rest = b.take();
         assert_eq!(rest.len(), 3);
         assert!(matches!(&rest[0].op, CommitOp::WriteInline { path } if path == "/f"));
         assert!(matches!(&rest[1].op, CommitOp::Unlink { path } if path == "/f"));
@@ -271,14 +254,14 @@ mod tests {
         b.push(mkdir("/d"));
         b.push(create("/d/a"));
         b.push(create("/d/b"));
-        let batch = b.take(usize::MAX);
+        let batch = b.take();
         assert!(b.is_empty());
         let paths: Vec<_> = batch.iter().map(|m| m.op.path().unwrap().to_string()).collect();
         assert_eq!(paths, ["/d", "/d/a", "/d/b"]);
     }
 
     #[test]
-    fn the_fuller_plane_sets_the_flush_and_the_take_stops_at_either_budget() {
+    fn the_fuller_plane_sets_the_flush() {
         let mut b = PublishBuffer::new();
         for p in ["/a", "/b", "/c"] {
             b.push(create(p));
@@ -286,12 +269,7 @@ mod tests {
         }
         b.push(unlink("/x"));
         assert_eq!((b.len(), b.fullest_plane()), (7, 4), "4 namespace ops, 3 writebacks");
-        // Budget 2: C W C W, then the third create would be one too many.
-        let head = b.take(2);
-        assert_eq!(head.len(), 4);
-        assert_eq!((b.len(), b.fullest_plane()), (3, 2));
-        // What is left fits: C W U leave together.
-        assert_eq!(b.take(2).len(), 3);
+        assert_eq!(b.take().len(), 7);
         assert!(b.is_empty());
         assert_eq!(b.fullest_plane(), 0);
     }
@@ -315,8 +293,7 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Step {
         Push(QueueMsg),
-        /// Take a bounded prefix.
-        Take { budget: usize },
+        Take,
     }
 
     fn step() -> impl Strategy<Value = Step> {
@@ -328,7 +305,7 @@ mod tests {
             4 => path.clone().prop_map(|p| Step::Push(wi(&p))),
             2 => path.prop_map(|p| Step::Push(unlink(&p))),
             1 => Just(Step::Push(mkdir("/w/d"))),
-            2 => (1usize..6).prop_map(|budget| Step::Take { budget }),
+            2 => Just(Step::Take),
         ]
     }
 
@@ -343,8 +320,7 @@ mod tests {
 
     proptest! {
         /// The O(1) plane count equals a recount after every `push`
-        /// outcome and bounded take; a bounded take is the longest
-        /// order-preserving prefix inside both budgets.
+        /// outcome and take; a take is the buffer in publish order.
         #[test]
         fn plane_counts_track_every_mutation(steps in proptest::collection::vec(step(), 1..80)) {
             let mut b = PublishBuffer::new();
@@ -354,17 +330,10 @@ mod tests {
                         msg.timestamp = i as u64;
                         b.push(msg);
                     }
-                    Step::Take { budget } => {
+                    Step::Take => {
                         let before = stamps(&b.ops);
-                        let taken = b.take(budget);
-                        let (ns, data) = planes(&taken);
-                        prop_assert!(ns <= budget && data <= budget);
-                        prop_assert_eq!(&before[..taken.len()], &stamps(&taken)[..]);
-                        prop_assert_eq!(&before[taken.len()..], &stamps(&b.ops)[..]);
-                        if let Some(next) = b.ops.first() {
-                            let plane = if is_data_plane(next) { data } else { ns };
-                            prop_assert_eq!(plane, budget, "the prefix stops only at a full plane");
-                        }
+                        prop_assert_eq!(before, stamps(&b.take()));
+                        prop_assert!(b.is_empty());
                     }
                 }
                 let (ns, data) = planes(&b.ops);

@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dfs::{BatchOp, DfsClient};
-use fsapi::{path as fspath, FsError, FsResult};
+use fsapi::{FsError, FsResult};
 use fsapi::FileSystem;
 use mq::Consumer;
 use simnet::{charge, NodeId, Station};
@@ -35,7 +35,6 @@ use simnet::{charge, NodeId, Station};
 use crate::cache::{CacheError, MetaCache};
 use crate::commit::op::{CommitOp, QueueMsg};
 use crate::commit::wal::CrashPoint;
-use crate::eviction;
 use crate::metadata::CachedMeta;
 use crate::region::RegionCore;
 
@@ -257,15 +256,6 @@ impl CommitWorker {
         }
     }
 
-    /// Should a failed op be discarded because a barrier commit it raced
-    /// removed its directory (stamp rule: `RegionCore::removed_dirs`)?
-    fn under_removed_dir(&self, path: &str, op_epoch: u64) -> bool {
-        let removed = self.core.removed_dirs.read();
-        removed
-            .iter()
-            .any(|(dir, epoch)| op_epoch < *epoch && fspath::is_same_or_ancestor(dir, path))
-    }
-
     /// Commit one batched message: namespace ops go through a single
     /// batched DFS RPC (in publish order), then the inline-data
     /// writebacks follow as one group on the data path
@@ -341,11 +331,7 @@ impl CommitWorker {
         let cred = self.core.config.cred;
         let paths: Vec<&str> =
             msgs.iter().map(|m| m.op.path().expect("writebacks have a path")).collect();
-        let claims: Vec<FsResult<Option<Vec<u8>>>> =
-            eviction::claim_writebacks(&self.core, &self.cache, &paths)
-                .into_iter()
-                .map(|claim| self.claimed(claim))
-                .collect();
+        let claims = self.claim_writebacks(&paths);
         let mut written = {
             let items: Vec<(&str, &[u8], dfs::OpId)> = claims
                 .iter()
@@ -367,19 +353,43 @@ impl CommitWorker {
             .collect()
     }
 
-    /// What a writeback claim means for its commit: bytes to write, or
-    /// nothing left to write (counted, settles as committed), or — cache
-    /// node unreachable — a retriable backend error. After the node
-    /// restarts the wiped record reads as gone and the writeback settles
-    /// as skipped.
-    fn claimed(&self, claim: Result<Option<Vec<u8>>, CacheError>) -> FsResult<Option<Vec<u8>>> {
-        match claim {
-            Ok(Some(bytes)) => Ok(Some(bytes)),
-            Ok(None) => {
+    /// The commit side of a queued inline writeback: the slot goes in
+    /// flight, then the record is read for what it owes the DFS.
+    fn claim_writeback(&self, path: &str) -> FsResult<Option<Vec<u8>>> {
+        self.core.in_flight().claim_writebacks(&[path]);
+        self.owed(self.cache.get(path))
+    }
+
+    /// [`Self::claim_writeback`] for a batch, one result per path in order.
+    /// The batched lookup also answers "miss" for an unreachable owner —
+    /// that would drop an acknowledged write as "record vanished" — so a
+    /// miss is confirmed by the single-key read, which tells the two apart.
+    fn claim_writebacks(&self, paths: &[&str]) -> Vec<FsResult<Option<Vec<u8>>>> {
+        self.core.in_flight().claim_writebacks(paths);
+        let Ok(hits) = self.cache.multi_get(paths) else {
+            return paths.iter().map(|_| self.owed(Err(CacheError::Unavailable))).collect();
+        };
+        let reread = |(hit, path): (Option<_>, &&str)| match hit {
+            Some(_) => Ok(hit),
+            None => self.cache.get(path),
+        };
+        hits.into_iter().zip(paths).map(reread).map(|read| self.owed(read)).collect()
+    }
+
+    /// What a claimed record owes the DFS: its inline bytes, or nothing (it
+    /// vanished, was removed or went large: counted, settles as committed),
+    /// or — node unreachable — a retriable error; restarted, it reads gone.
+    fn owed(
+        &self,
+        read: Result<Option<(CachedMeta, u64)>, CacheError>,
+    ) -> FsResult<Option<Vec<u8>>> {
+        let read = read.map_err(|_| FsError::Backend("cache node down".into()))?;
+        match read.filter(|(meta, _)| !meta.removed && !meta.large) {
+            Some((meta, _)) => Ok(Some(meta.inline)),
+            None => {
                 self.core.counters.incr("writeback_skipped");
                 Ok(None)
             }
-            Err(_) => Err(FsError::Backend("cache node down".into())),
         }
     }
 
@@ -405,8 +415,7 @@ impl CommitWorker {
         }
         match &msg.op {
             CommitOp::WriteInline { path } => {
-                let claim = eviction::claim_writeback(&self.core, &self.cache, path);
-                match self.claimed(claim)? {
+                match self.claim_writeback(path)? {
                     Some(bytes) if id.is_none() => {
                         self.dfs.write(path, &cred, 0, &bytes).map(|_| ())
                     }
@@ -449,19 +458,7 @@ impl CommitWorker {
         applied: Option<&mut Vec<QueueMsg>>,
     ) -> WorkerStep {
         match result {
-            Ok(()) => {
-                // Birth bookkeeping feeds the duplicate-admission check
-                // below: the path's committed incarnation is now the one
-                // this op made (or removed).
-                if let Some(path) = msg.op.path() {
-                    if msg.op.is_creation() {
-                        self.core.note_birth(path, msg.timestamp);
-                    } else if matches!(msg.op, CommitOp::Unlink { .. }) {
-                        self.core.clear_birth(path);
-                    }
-                }
-                self.committed(msg, None, applied)
-            }
+            Ok(()) => self.committed(msg, None, applied),
             // A replayed creation that already failed with a transient
             // backend error may have applied server-side with its reply
             // lost; the DFS entry it "conflicts" with is its own. Treat
@@ -490,16 +487,10 @@ impl CommitWorker {
             Err(FsError::AlreadyExists)
                 if msg.op.is_creation() && {
                     let p = msg.op.path().expect("creations have a path");
-                    match self.core.birth_of(p) {
-                        Some(b) => {
-                            b < msg.timestamp
-                                && !self.core.unlink_pending_between(p, b, msg.timestamp)
-                        }
-                        // No tracked birth: the blocking file never
-                        // committed through this region. Only a degraded
-                        // admission treats that as its own duplicate.
-                        None => msg.degraded,
-                    }
+                    // No tracked birth: the blocking file never committed
+                    // through this region. Only a degraded admission
+                    // treats that as its own duplicate.
+                    self.core.in_flight().birth_precedes(p, msg.timestamp).unwrap_or(msg.degraded)
                 } =>
             {
                 self.committed(msg, Some("degraded_idempotent"), applied)
@@ -514,7 +505,8 @@ impl CommitWorker {
                 | FsError::NotEmpty
                 | FsError::Backend(_)),
             ) => {
-                if msg.op.path().is_some_and(|path| self.under_removed_dir(path, msg.epoch)) {
+                let in_flight = self.core.in_flight();
+                if msg.op.path().is_some_and(|path| in_flight.under_removed_dir(path, msg.epoch)) {
                     return self.discarded(&msg, "discarded_removed_dir");
                 }
                 if attempts + 1 >= self.core.config.max_commit_retries {
@@ -534,16 +526,16 @@ impl CommitWorker {
         }
     }
 
-    /// The op applied (or its outcome is in place): count it, and run its
-    /// post-commit cache work and complete it now — or leave both to the
-    /// batched path by pushing it to `applied`.
+    /// The op applied (`also`: `None`) or its outcome is in place: count
+    /// it, and run its post-commit cache work and complete it now — or
+    /// leave both to the batched path by pushing it to `applied`.
     fn committed(
         &mut self,
         msg: QueueMsg,
         also: Option<&'static str>,
         applied: Option<&mut Vec<QueueMsg>>,
     ) -> WorkerStep {
-        self.retire(&msg);
+        self.retire(&msg, also.is_none());
         self.core.counters.incr("committed");
         if let Some(counter) = also {
             self.core.counters.incr(counter);
@@ -561,23 +553,27 @@ impl CommitWorker {
     /// The op will never apply. A discarded creation's staged bytes go
     /// with it: they were written to the incarnation it would have made.
     fn discarded(&self, msg: &QueueMsg, counter: &'static str) -> WorkerStep {
-        self.retire(msg);
+        self.retire(msg, false);
         if let (true, Some(path)) = (msg.op.is_creation(), msg.op.path()) {
-            self.core.staging.lock().remove(path);
+            self.core.in_flight().take_staged(&[path]);
         }
         self.core.note_completed();
         self.core.counters.incr(counter);
         WorkerStep::Discarded
     }
 
-    /// Release what an op holds until it settles for good (committed or
-    /// discarded): an unlink's pending-removal mark, a writeback's
-    /// eviction pin. Must run *before* `after_success` so the deferred
-    /// cache deletion sees the post-retirement count.
-    fn retire(&self, msg: &QueueMsg) {
+    /// Settle what an op holds in the per-path table for good: an unlink's
+    /// stamp, a writeback's slot, and — `applied`: the op itself changed
+    /// the DFS — the path's birth. Runs *before* `after_success`, whose
+    /// deferred cache deletion must see the post-retirement stamps.
+    fn retire(&self, msg: &QueueMsg, applied: bool) {
+        let in_flight = self.core.in_flight();
         match &msg.op {
-            CommitOp::Unlink { path } => self.core.note_unlink_retired(path, msg.timestamp),
-            CommitOp::WriteInline { path } => eviction::release_writeback(&self.core, path),
+            CommitOp::Unlink { path } => in_flight.settle_unlink(path, msg.timestamp, applied),
+            CommitOp::WriteInline { path } => in_flight.release_writeback(path),
+            CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } if applied => {
+                in_flight.note_birth(path, msg.timestamp)
+            }
             _ => {}
         }
     }
@@ -589,9 +585,9 @@ impl CommitWorker {
         match &msg.op {
             CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } => {
                 self.mark_committed(path, msg.timestamp);
-                self.flush_staged(path);
+                self.flush_staged(&[path]);
             }
-            CommitOp::Unlink { path } if !self.core.unlink_pending(path) => {
+            CommitOp::Unlink { path } if !self.core.in_flight().unlink_pending(path) => {
                 self.drop_removed_record(path);
             }
             _ => {}
@@ -602,18 +598,19 @@ impl CommitWorker {
     /// the records the creations mark and the unlinks delete come from one
     /// batched read and go back in one batched conditional write — per
     /// shard node, one request each way instead of a read and a write per
-    /// op. The rules are the per-key ones ([`Self::marks`],
-    /// [`Self::drops`]); whatever the batch did not settle (another
-    /// version landed, the ring epoch moved, a node is unreachable) is
-    /// redone on the per-key path.
+    /// op. The rules are the per-key ones ([`Self::marks`], its input read
+    /// for every creation in one hold, and [`Self::drops`]); whatever the
+    /// batch did not settle (another version landed, the ring epoch moved,
+    /// a node is unreachable) is redone on the per-key path.
     fn after_success_batch(&self, applied: &[QueueMsg]) {
+        let in_flight = self.core.in_flight();
         // A creation marks its record; an unlink deletes its record
         // unless a later unlink of the path is still queued.
         let work: Vec<(&QueueMsg, &str)> = applied
             .iter()
             .filter_map(|msg| match &msg.op {
                 CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } => Some((msg, path)),
-                CommitOp::Unlink { path } if !self.core.unlink_pending(path) => Some((msg, path)),
+                CommitOp::Unlink { path } if !in_flight.unlink_pending(path) => Some((msg, path)),
                 _ => None,
             })
             .map(|(msg, path)| (msg, path.as_str()))
@@ -624,17 +621,25 @@ impl CommitWorker {
         let epoch = self.cache.kv().cluster().ring_epoch();
         let paths: Vec<&str> = work.iter().map(|&(_, path)| path).collect();
         let reads = self.cache.multi_get(&paths).unwrap_or_else(|_| vec![None; paths.len()]);
+        // The mark rule's input for every creation, read after the records.
+        let creations: Vec<(&str, u64)> = work
+            .iter()
+            .filter(|(msg, _)| msg.op.is_creation())
+            .map(|&(msg, path)| (path, msg.timestamp))
+            .collect();
+        let mut unlinked_after = in_flight.unlinks_pending_after(&creations).into_iter();
         // Per write: the `work` entry it settles, the version read, and
         // the marked record — or `None`, the deletion.
         let mut writes: Vec<(usize, u64, Option<CachedMeta>)> = Vec::new();
         for (w, (&(msg, path), read)) in work.iter().zip(reads).enumerate() {
+            let later = msg.op.is_creation() && unlinked_after.next() == Some(true);
             let Some((mut meta, version)) = read else { continue };
             match msg.op {
                 CommitOp::Unlink { .. } if self.drops(path, &meta) => {
                     writes.push((w, version, None));
                 }
                 CommitOp::Unlink { .. } => {}
-                _ if self.marks(path, msg.timestamp, &meta) => {
+                _ if Self::marks(&meta, || later) => {
                     meta.committed = true;
                     writes.push((w, version, Some(meta)));
                 }
@@ -648,29 +653,27 @@ impl CommitWorker {
         for (&(w, ..), settled) in writes.iter().zip(settled) {
             let (msg, path) = work[w];
             match (&msg.op, settled) {
-                (CommitOp::Unlink { .. }, true) => self.core.clear_stale_tombstone(path),
+                (CommitOp::Unlink { .. }, true) => in_flight.clear_stale(path),
                 (CommitOp::Unlink { .. }, false) => self.drop_removed_record(path),
                 (_, true) => {}
                 (_, false) => self.mark_committed(path, msg.timestamp),
             }
         }
-        for msg in applied {
-            if let CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } = &msg.op {
-                self.flush_staged(path);
-            }
-        }
+        let created: Vec<&str> = creations.iter().map(|&(path, _)| path).collect();
+        self.flush_staged(&created);
     }
 
-    /// The mark rule: does the creation stamped `ts` mark `path`'s record
-    /// committed? Not when it already says so (nothing to store), and not
-    /// when it is a *later* incarnation — a live record while an unlink
-    /// stamped after this creation is still queued: that unlink removed
-    /// this creation's file, and the record was created again over its
-    /// removed-mark. Marked, the re-created file would take its data
-    /// straight to the DFS copy the queued unlink is about to delete. A
-    /// removed record is this creation's own and is marked.
-    fn marks(&self, path: &str, ts: u64, meta: &CachedMeta) -> bool {
-        !meta.committed && (meta.removed || !self.core.unlink_pending_between(path, ts, u64::MAX))
+    /// The mark rule: does a creation mark `meta` committed? Not when it
+    /// already says so (nothing to store), and not when it is a *later*
+    /// incarnation — a live record while an unlink stamped after this
+    /// creation is still queued (`unlinked_after`, asked only when it
+    /// matters): that unlink removed this creation's file, and the record
+    /// was created again over its removed-mark. Marked, the re-created
+    /// file would take its data straight to the DFS copy the queued
+    /// unlink is about to delete. A removed record is this creation's own
+    /// and is marked.
+    fn marks(meta: &CachedMeta, unlinked_after: impl FnOnce() -> bool) -> bool {
+        !meta.committed && (meta.removed || !unlinked_after())
     }
 
     /// The deletion rule of a committed unlink: the record goes if it is
@@ -682,14 +685,15 @@ impl CommitWorker {
     /// and dropping it lets the read path resurrect the record from the
     /// not-yet-updated backup copy.
     fn drops(&self, path: &str, meta: &CachedMeta) -> bool {
-        meta.removed || self.core.is_stale_tombstone(path)
+        meta.removed || self.core.in_flight().is_stale(path)
     }
 
     /// Per-key mark: the backup copy now exists. The rule is re-checked
     /// on the record the CAS loop reads.
     fn mark_committed(&self, path: &str, ts: u64) {
+        let unlinked_after = || self.core.in_flight().unlinks_pending_after(&[(path, ts)])[0];
         let _ = self.cache.update::<()>(path, None, |m| {
-            if self.marks(path, ts, m) {
+            if Self::marks(m, unlinked_after) {
                 m.committed = true;
             }
             Ok(())
@@ -700,20 +704,16 @@ impl CommitWorker {
     fn drop_removed_record(&self, path: &str) {
         if let Ok(Some((meta, version))) = self.cache.get(path) {
             if self.drops(path, &meta) && self.cache.delete(path, Some(version)).is_ok() {
-                self.core.clear_stale_tombstone(path);
+                self.core.in_flight().clear_stale(path);
             }
         }
     }
 
-    /// Write back the data staged while the created file did not exist on
-    /// the DFS yet (Section III.D-2). Staged bytes belong to the creation
-    /// that will make their file: flushed when it commits, dropped when
-    /// it is discarded — never by an unlink, whose own incarnation's bytes
-    /// its creation already flushed (what is staged then is a later
-    /// incarnation's).
-    fn flush_staged(&self, path: &str) {
-        let staged = self.core.staging.lock().remove(path);
-        if let Some(data) = staged {
+    /// Write back the bytes staged while the created files were not on the
+    /// DFS yet (Section III.D-2) — by their creation, never by an unlink:
+    /// what is staged then is a later incarnation's.
+    fn flush_staged(&self, created: &[&str]) {
+        for (path, data) in self.core.in_flight().take_staged(created) {
             if self.dfs.write(path, &self.core.config.cred, 0, &data).is_ok() {
                 self.core.counters.incr("staged_writebacks");
             } else {

@@ -7,11 +7,8 @@
 //! dampened — and evict the *committed* metadata of and under it.
 //! Uncommitted or removal-marked records are the only primary copy and
 //! are never evicted; neither is a committed record whose inline data
-//! still waits in the commit queue. That pin is the record's writeback
-//! slot (`RegionCore::pending_writebacks`), whose whole life cycle —
-//! [`queue_writeback`], [`claim_writeback`] / [`claim_writebacks`],
-//! [`release_writeback`] — lives here next to the eviction check that
-//! reads it.
+//! still waits in the commit queue: the path's writeback slot in the
+//! region's per-path table ([`crate::inflight`]) pins it.
 //!
 //! # The cursor is a position in key order
 //!
@@ -50,7 +47,6 @@
 //! wastes a scan and harms nothing.
 
 use crate::cache::{CacheError, MetaCache};
-use crate::metadata::CachedMeta;
 use crate::region::RegionCore;
 
 /// Check the threshold and evict one round-robin-selected top-level entry
@@ -119,18 +115,15 @@ fn evict_at_cursor(core: &RegionCore, cache: &MetaCache) -> usize {
     // Only the backup-copy-backed records may go, and of those not the
     // ones with a writeback slot: a committed record whose inline bytes
     // are still queued holds their only copy until `release_writeback`.
-    let victims: Vec<(&str, u64)> = {
-        let pinned = core.pending_writebacks.lock();
-        paths
-            .iter()
-            .zip(metas)
-            .filter_map(|(path, meta)| {
-                let (m, version) = meta?;
-                (m.committed && !m.removed && !pinned.contains_key(*path))
-                    .then_some((*path, version))
-            })
-            .collect()
-    };
+    let mut victims: Vec<(&str, u64)> = paths
+        .iter()
+        .zip(metas)
+        .filter_map(|(path, meta)| {
+            let (m, version) = meta?;
+            (m.committed && !m.removed).then_some((*path, version))
+        })
+        .collect();
+    core.in_flight().drop_pinned(&mut victims);
     let mut evicted = 0;
     for (path, version) in victims {
         // Only the version judged evictable: a write whose CAS landed
@@ -152,86 +145,12 @@ fn evict_at_cursor(core: &RegionCore, cache: &MetaCache) -> usize {
     evicted
 }
 
-/// An inline write to `path` landed in the cache: take its writeback
-/// slot. True when the caller must publish a `WriteInline` — no
-/// writeback is queued, or the queued one is already in flight and may
-/// have read the older record.
-pub(crate) fn queue_writeback(core: &RegionCore, path: &str) -> bool {
-    core.pending_writebacks.lock().insert(path.to_string(), false) != Some(false)
-}
-
-/// The commit side of a queued inline writeback: the bytes to write back
-/// for `path` — its freshest primary copy — or `None` when nothing needs
-/// writing (the record vanished, is marked removed, or went large). The
-/// slot flips to in-flight first, so a write that lands after this read
-/// queues a fresh writeback instead of being silently absorbed, and stays
-/// in place — still pinning the record against eviction — until
-/// [`release_writeback`] once the writeback has settled.
-pub(crate) fn claim_writeback(
-    core: &RegionCore,
-    cache: &MetaCache,
-    path: &str,
-) -> Result<Option<Vec<u8>>, CacheError> {
-    mark_in_flight(core, &[path]);
-    cache.get(path).map(writeback_payload)
-}
-
-/// [`claim_writeback`] for every writeback of one commit batch: all slots
-/// flip to in-flight, then the records come from one batched lookup. One
-/// result per path, in input order (a path may repeat).
-///
-/// The batched lookup answers "miss" for a key whose owner is unreachable
-/// — the read path's cue to fall back to the DFS copy. Here that answer
-/// would drop an acknowledged write as "record vanished", so every miss
-/// is confirmed by the single-key read, which tells absent (`Ok(None)`)
-/// from unreachable (`Err`).
-pub(crate) fn claim_writebacks(
-    core: &RegionCore,
-    cache: &MetaCache,
-    paths: &[&str],
-) -> Vec<Result<Option<Vec<u8>>, CacheError>> {
-    mark_in_flight(core, paths);
-    let Ok(hits) = cache.multi_get(paths) else {
-        return vec![Err(CacheError::Unavailable); paths.len()];
-    };
-    hits.into_iter()
-        .zip(paths)
-        .map(|(hit, path)| match hit {
-            Some(_) => Ok(writeback_payload(hit)),
-            None => cache.get(path).map(writeback_payload),
-        })
-        .collect()
-}
-
-fn mark_in_flight(core: &RegionCore, paths: &[&str]) {
-    let mut pending = core.pending_writebacks.lock();
-    for path in paths {
-        if let Some(in_flight) = pending.get_mut(*path) {
-            *in_flight = true;
-        }
-    }
-}
-
-/// The inline bytes a claimed record still owes the DFS, if any.
-fn writeback_payload(hit: Option<(CachedMeta, u64)>) -> Option<Vec<u8>> {
-    hit.filter(|(meta, _)| !meta.removed && !meta.large).map(|(meta, _)| meta.inline)
-}
-
-/// The writeback claimed for `path` settled (applied, skipped or
-/// dropped — not merely sent back to the retry backlog): unpin the
-/// record, unless a write re-queued in the meantime and owns the slot.
-pub(crate) fn release_writeback(core: &RegionCore, path: &str) {
-    let mut pending = core.pending_writebacks.lock();
-    if pending.get(path) == Some(&true) {
-        pending.remove(path);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::MetaCache;
     use crate::config::PaconConfig;
+    use crate::metadata::CachedMeta;
     use crate::region::PaconRegion;
     use fsapi::{Credentials, FileSystem};
     use simnet::{ClientId, LatencyProfile, Topology};

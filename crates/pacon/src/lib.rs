@@ -50,6 +50,7 @@ pub mod commit;
 pub mod config;
 pub mod degraded;
 pub mod eviction;
+pub mod inflight;
 pub mod metadata;
 pub mod permission;
 pub mod region;

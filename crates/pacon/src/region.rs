@@ -6,7 +6,6 @@
 //! permission table. Clients are handed out per process and share the
 //! region through an `Arc<RegionCore>`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use fsapi::FileSystem;
 use memkv::KvCluster;
 use mq::push_pull;
 use simnet::{ClientId, Counters, NodeId};
-use syncguard::{level, Mutex, RwLock};
+use syncguard::{level, Mutex};
 
 use crate::client::PaconClient;
 use crate::commit::barrier::{BarrierBoard, BarrierGuard};
@@ -25,6 +24,7 @@ use crate::commit::outbox::Outbox;
 use crate::commit::wal::{CommitWal, CrashPoint, CrashSwitch, WalEntry};
 use crate::commit::worker::{CommitWorker, WorkerStep};
 use crate::config::PaconConfig;
+use crate::inflight::InFlight;
 use crate::permission::RegionPermissions;
 
 /// Capacity of each per-node commit queue, in messages; a publisher
@@ -41,55 +41,10 @@ pub struct RegionCore {
     pub cache_cluster: Arc<KvCluster>,
     /// Barrier rendezvous (one commit process per node).
     pub board: BarrierBoard,
-    /// Directories removed by barrier commits: `(path, e)`, `e` the
-    /// removing barrier's epoch. Ops are stamped at publish with the last
-    /// *completed* epoch, so a stamp `< e` was published before barrier `e`
-    /// completed and races the removal — rejected by the DFS under the
-    /// directory, it is discarded — while a stamp `>= e` belongs to a
-    /// directory created again under that name and retries like any op.
-    /// Only grows (rollback clears it).
-    pub removed_dirs: RwLock<Vec<(String, u64)>>,
-    /// Durable staging area for data whose target file is not yet created
-    /// on the DFS (the paper's direct-I/O "cache files", Section III.D-2).
-    pub staging: Mutex<HashMap<String, Vec<u8>>>,
-    /// Paths with an inline-data writeback already queued. Since the
-    /// commit process reads the *current* primary copy at commit time,
-    /// one queued writeback covers every earlier write to the file —
-    /// repeated small-file writes coalesce instead of flooding the queue.
-    /// The value is `true` while a commit process is reading the record
-    /// for that writeback (`eviction::claim_writeback`): a write arriving
-    /// then must queue a fresh one, but the entry still pins the record
-    /// against eviction — until the read, the cache holds the only copy
-    /// of the bytes.
-    pub pending_writebacks: Mutex<HashMap<String, bool>>,
-    /// Acknowledged-but-uncommitted unlinks per path, by publish
-    /// timestamp (a multiset: each published `CommitOp::Unlink` holds one
-    /// entry until it settles). Three consumers: the commit worker defers
-    /// the cache-record deletion while a *newer* unlink is still pending
-    /// (deleting would drop that unlink's removed-mark), the read path
-    /// refuses to resurrect the record from the DFS backup (which still
-    /// holds the file until the pending unlink commits), and the
-    /// duplicate-admission check uses the timestamps to tell a legitimate
-    /// re-creation (an unlink acknowledged between the blocking file's
-    /// birth and the creation) from a duplicate.
-    pub(crate) pending_removals: Mutex<HashMap<String, Vec<u64>>>,
-    /// Paths whose cache record may be a stale survivor of a
-    /// degraded-mode unlink: the removal was acknowledged against the
-    /// backup view while the record's shard was unreachable, so a record
-    /// that outlives the outage still reads `removed = false`. Hits on
-    /// marked paths are deleted instead of served (lazy cleanup in
-    /// `MetaCache::try_get` plus the commit worker's settle).
-    pub(crate) stale_tombstones: Mutex<std::collections::HashSet<String>>,
-    /// Logical timestamp of the last *committed* creation per live path
-    /// (cleared when an unlink commits). Lets the commit worker tell a
-    /// duplicate admission from a genuine ordering conflict when a
-    /// creation hits `AlreadyExists`: a committed file *older* than the
-    /// failing creation means the path was already acknowledged-created
-    /// when this op was admitted (the admission check saw a cold or
-    /// unreachable cache) — retrying would resurrect it after a later
-    /// unlink. A *newer* committed file is a cross-queue race the retry
-    /// backlog resolves.
-    pub(crate) committed_births: Mutex<HashMap<String, u64>>,
+    /// What the region remembers about each path between acknowledgement
+    /// and commit, with the epoch stamp rule ([`crate::inflight`]). Behind
+    /// an accessor, so `tools-lint` keeps its lock edges.
+    in_flight: InFlight,
     /// One outbox per node, the only sender into the node's commit queue:
     /// every op published on the node coalesces there, is cut into a
     /// message and waits until the broker provably handed it on.
@@ -118,9 +73,6 @@ pub struct RegionCore {
     pub incarnation: u64,
     /// Region-wide mutation sequence (low bits of `write_id`).
     write_seq: AtomicU64,
-    /// Durable mode: latest namespace generation per path, so writeback
-    /// identities can be ordered against re-creations during replay.
-    pub(crate) generations: Mutex<HashMap<String, u64>>,
     /// Virtual-ns clock of the fault plane. Backoff "sleeps" and the
     /// chaos driver advance it; degraded windows are measured on it.
     /// Distinct from `clock`, whose ticks are per-event identities.
@@ -130,21 +82,6 @@ pub struct RegionCore {
 }
 
 impl RegionCore {
-    /// Forget every per-path record of work in flight, as a fresh launch
-    /// over the same DFS state would hold none: checkpoint rollback has
-    /// just dropped the ops and replaced the incarnations they describe.
-    /// Every per-path side table of the region is cleared here, so a new
-    /// one belongs in this list.
-    pub(crate) fn forget_in_flight(&self) {
-        self.removed_dirs.write().clear();
-        self.staging.lock().clear();
-        self.pending_writebacks.lock().clear();
-        self.pending_removals.lock().clear();
-        self.stale_tombstones.lock().clear();
-        self.committed_births.lock().clear();
-        self.generations.lock().clear();
-    }
-
     /// Monotonic logical timestamp.
     pub fn now(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
@@ -166,17 +103,25 @@ impl RegionCore {
         fspath::is_same_or_ancestor(&self.root, path)
     }
 
+    /// Count an op in flight — *before* its envelope reads the epoch stamp:
+    /// an op holding a stamp below a released epoch is then counted, and
+    /// `drained()` says so (the stamp rule, [`crate::inflight`]).
     pub fn note_enqueued(&self) {
         self.enqueued.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn note_completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.completed.fetch_add(1, Ordering::Release);
     }
 
-    /// True when every published operation has been handled.
+    /// True when every published operation has been handled. Completions
+    /// are read first (`Acquire`, pairing with `note_completed`'s
+    /// `Release`, so every op they count is seen enqueued too): an op still
+    /// in flight then always leaves the enqueued count above them, however
+    /// many others start and finish between the two reads.
     pub fn drained(&self) -> bool {
-        self.enqueued.load(Ordering::Acquire) == self.completed.load(Ordering::Acquire)
+        let completed = self.completed.load(Ordering::Acquire);
+        self.enqueued.load(Ordering::Acquire) == completed
     }
 
     /// Whether this region journals its commit queue.
@@ -184,76 +129,9 @@ impl RegionCore {
         !self.wals.is_empty()
     }
 
-    /// An unlink for `path`, publish-stamped `ts`, was acknowledged and
-    /// is about to be (or has just been) published.
-    pub(crate) fn note_unlink_pending(&self, path: &str, ts: u64) {
-        self.pending_removals.lock().entry(path.to_string()).or_default().push(ts);
-    }
-
-    /// The published unlink stamped `ts` settled (committed, discarded or
-    /// dropped) — or its publish failed and the pending mark rolls back.
-    pub(crate) fn note_unlink_retired(&self, path: &str, ts: u64) {
-        let mut pending = self.pending_removals.lock();
-        if let Some(v) = pending.get_mut(path) {
-            if let Some(i) = v.iter().position(|&t| t == ts) {
-                v.swap_remove(i);
-            }
-            if v.is_empty() {
-                pending.remove(path);
-            }
-        }
-    }
-
-    /// Does `path` have an acknowledged unlink still in the commit queue?
-    /// While it does, the DFS backup may still hold the file, but program
-    /// order says it is gone — reads must not resurrect it.
-    pub(crate) fn unlink_pending(&self, path: &str) -> bool {
-        self.pending_removals.lock().contains_key(path)
-    }
-
-    /// Is an unlink with publish timestamp strictly inside
-    /// `(after, before)` still pending for `path`? Distinguishes a
-    /// legitimate re-creation (its predecessor's removal is acknowledged
-    /// but not yet committed — the creation must wait for it) from a
-    /// duplicate admission (no removal separates it from the committed
-    /// file it collides with).
-    pub(crate) fn unlink_pending_between(&self, path: &str, after: u64, before: u64) -> bool {
-        self.pending_removals
-            .lock()
-            .get(path)
-            .is_some_and(|v| v.iter().any(|&t| after < t && t < before))
-    }
-
-    /// A degraded-mode unlink was acknowledged while `path`'s shard was
-    /// unreachable: any surviving cache record is a stale incarnation.
-    pub(crate) fn mark_stale_tombstone(&self, path: &str) {
-        self.stale_tombstones.lock().insert(path.to_string());
-    }
-
-    /// The stale record was deleted (or a fresh authoritative record was
-    /// written): hits on `path` are trustworthy again.
-    pub(crate) fn clear_stale_tombstone(&self, path: &str) {
-        self.stale_tombstones.lock().remove(path);
-    }
-
-    pub(crate) fn is_stale_tombstone(&self, path: &str) -> bool {
-        self.stale_tombstones.lock().contains(path)
-    }
-
-    /// A creation for `path` committed on the DFS at logical time `ts`.
-    pub(crate) fn note_birth(&self, path: &str, ts: u64) {
-        self.committed_births.lock().insert(path.to_string(), ts);
-    }
-
-    /// An unlink for `path` committed: the recorded birth is gone.
-    pub(crate) fn clear_birth(&self, path: &str) {
-        self.committed_births.lock().remove(path);
-    }
-
-    /// Logical timestamp of `path`'s last committed creation, if a
-    /// creation committed through this region and no unlink has since.
-    pub(crate) fn birth_of(&self, path: &str) -> Option<u64> {
-        self.committed_births.lock().get(path).copied()
+    /// The per-path table ([`crate::inflight`]).
+    pub fn in_flight(&self) -> &InFlight {
+        &self.in_flight
     }
 
     /// Allocate the replay identity for an op about to be published.
@@ -272,12 +150,10 @@ impl RegionCore {
             CommitOp::Mkdir { path, .. }
             | CommitOp::Create { path, .. }
             | CommitOp::Unlink { path } => {
-                self.generations.lock().insert(path.clone(), write_id);
+                self.in_flight().new_generation(path, write_id);
                 write_id
             }
-            CommitOp::WriteInline { path } => {
-                self.generations.lock().get(path).copied().unwrap_or(0)
-            }
+            CommitOp::WriteInline { path } => self.in_flight().generation(path),
             CommitOp::Barrier { .. } | CommitOp::Batch(_) => 0,
         };
         dfs::OpId { write_id, generation }
@@ -468,28 +344,7 @@ impl PaconRegion {
             perms,
             cache_cluster,
             board: BarrierBoard::new(nodes),
-            removed_dirs: RwLock::new(level::REGION_STATE, "pacon.region.removed_dirs", Vec::new()),
-            staging: Mutex::new(level::REGION_STATE, "pacon.region.staging", HashMap::new()),
-            pending_writebacks: Mutex::new(
-                level::REGION_STATE,
-                "pacon.region.pending_writebacks",
-                HashMap::new(),
-            ),
-            pending_removals: Mutex::new(
-                level::REGION_STATE,
-                "pacon.region.pending_removals",
-                HashMap::new(),
-            ),
-            stale_tombstones: Mutex::new(
-                level::REGION_STATE,
-                "pacon.region.stale_tombstones",
-                std::collections::HashSet::new(),
-            ),
-            committed_births: Mutex::new(
-                level::REGION_STATE,
-                "pacon.region.committed_births",
-                HashMap::new(),
-            ),
+            in_flight: InFlight::default(),
             outboxes: txs.into_iter().enumerate().map(|(n, tx)| Outbox::new(n, tx)).collect(),
             counters: Counters::new(),
             enqueued: AtomicU64::new(0),
@@ -504,11 +359,6 @@ impl PaconRegion {
             crash: CrashSwitch::new(),
             incarnation,
             write_seq: AtomicU64::new(0),
-            generations: Mutex::new(
-                level::REGION_STATE,
-                "pacon.region.generations",
-                HashMap::new(),
-            ),
             sim_ns: AtomicU64::new(0),
             degraded: crate::degraded::DegradedState::new(),
             config,
@@ -527,9 +377,8 @@ impl PaconRegion {
             // carry those files' creation generations, not 0: seed the
             // in-memory generation map from the cluster's records before
             // any client publishes.
-            let seeded = dfs.replay_generations_under(&core.root);
-            if !seeded.is_empty() {
-                core.generations.lock().extend(seeded);
+            for (path, generation) in dfs.replay_generations_under(&core.root) {
+                core.in_flight().new_generation(&path, generation);
             }
             // Every earlier incarnation's log was just replayed (or found
             // empty) and reset, so the identities those logs could replay

@@ -238,7 +238,7 @@ impl PaconRegion {
             read_rtts_saved: core.counters.get("read_rtts_saved"),
             read_bytes_not_copied: kv.bytes_referenced,
             barrier_epoch: core.board.current_epoch(),
-            staged_files: core.staging.lock().len(),
+            staged_files: core.in_flight().counts().staged,
             evicted: core.counters.get("evicted"),
             wal_appended: core.counters.get("wal_appended"),
             wal_fsyncs: core.counters.get("wal_fsyncs"),

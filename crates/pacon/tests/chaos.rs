@@ -853,6 +853,38 @@ fn own_write_memo_does_not_bypass_a_stale_tombstone() {
     assert_eq!(clients[2].stat("/w/f", &cred), Err(fsapi::FsError::NotFound));
 }
 
+/// Regression (acknowledged bytes landing in an unrelated file): a write,
+/// while its path's shard is down, to a path that never existed. Nothing
+/// this side of the outage tells that path from one whose creation is
+/// still queued, and staging the bytes for it acknowledged them — then
+/// flushed them into the next file created under that name, whose primary
+/// copy reads empty. Refused like a degraded unlink of such a path.
+#[test]
+fn a_degraded_write_to_a_path_that_never_existed_fails_not_found() {
+    let cred = Credentials::new(1, 1);
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let region =
+        PaconRegion::launch_paused(PaconConfig::new("/w", Topology::new(NODES, 1), cred), &dfs)
+            .unwrap();
+    let c = region.client(ClientId(0));
+    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
+    let core = region.core();
+    let owner = core.cache_cluster.shard_node(b"/w/ghost");
+    region.apply_fault(FaultEvent::CrashCacheNode(owner));
+    assert_eq!(c.write("/w/ghost", &cred, 0, b"phantom"), Err(fsapi::FsError::NotFound));
+    assert_eq!(region.report().staged_files, 0);
+
+    region.apply_fault(FaultEvent::RestartCacheNode(owner));
+    while core.degraded.mode() != DegradedMode::Healthy {
+        core.advance(10_000_000); // past the probe interval
+        let _ = c.stat("/w", &cred);
+    }
+    c.create("/w/ghost", &cred, 0o644).unwrap();
+    drain(&region, &mut workers);
+    assert_eq!(dfs.client().read("/w/ghost", &cred, 0, 64).unwrap(), b"");
+    assert_eq!(c.read("/w/ghost", &cred, 0, 64).unwrap(), b"");
+}
+
 // ---- fixed seeds: the CI chaos job runs exactly these three ----------
 
 #[test]

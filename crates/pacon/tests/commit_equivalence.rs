@@ -25,6 +25,15 @@ use pacon::{PaconConfig, PaconRegion};
 use proptest::prelude::*;
 use simnet::{ClientId, LatencyProfile, Topology};
 
+/// A drained region owes nothing per path: every writeback slot released,
+/// every pending-unlink stamp retired, every staged byte flushed or
+/// dropped. (Births, generations and stale marks outlive their ops.)
+fn assert_quiescent(region: &PaconRegion) {
+    assert!(region.core().drained());
+    let c = region.core().in_flight().counts();
+    assert_eq!((c.writebacks, c.unlinks, c.staged), (0, 0, 0), "{c:?}");
+}
+
 /// A generated workload step over a small path universe.
 #[derive(Debug, Clone)]
 enum Step {
@@ -111,6 +120,7 @@ proptest! {
             prop_assert!(spins < 100_000, "commit did not converge");
             let _ = progress;
         }
+        assert_quiescent(&region);
 
         // Final namespaces must be identical.
         let got = dfs.snapshot();
@@ -361,6 +371,7 @@ fn run_writebacks(steps: &[WStep], batch: usize) -> WOutcome {
             spins += 1;
             assert!(spins < 100_000, "commit did not converge");
         }
+        assert_quiescent(&region);
     };
     for (d, client) in clients.iter().enumerate() {
         client.mkdir(&format!("/w/d{d}"), &cred, 0o755).unwrap();
@@ -564,6 +575,7 @@ fn remembered_records_commit_like_a_plain_dfs_at_every_worker_position() {
                     while !region.core().drained() {
                         w.step();
                     }
+                    assert_quiescent(&region);
                     let at =
                         format!("batch={batch} to_idle={to_idle} worker_after={worker_after:#b}");
                     assert_eq!(acks, want_acks, "acknowledgements, {at}");

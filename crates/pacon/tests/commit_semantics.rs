@@ -1,7 +1,7 @@
 //! Deterministic commit-module semantics, driving the commit workers by
-//! hand (no threads): out-of-order independent commit with resubmission,
-//! the barrier protocol, and discarding of creations under removed
-//! directories.
+//! hand (no threads, but for one bound checked on a threaded region):
+//! out-of-order independent commit with resubmission, the barrier
+//! protocol, and discarding of creations under removed directories.
 
 use std::sync::Arc;
 
@@ -209,6 +209,30 @@ fn a_create_under_a_recreated_dir_is_not_discarded() {
     assert!(region.core().drained());
     assert!(c1.stat("/w/d/f", &cred).unwrap().is_file());
     assert!(dfs.client().stat("/w/d/f", &cred).unwrap().is_file(), "acknowledged, so committed");
+}
+
+/// The removed-directory list is bounded: an `rmdir` that finds the region
+/// drained drops the entries of earlier removals (no op in flight can carry
+/// a stamp they would reject), so a long-lived region that keeps removing
+/// directories holds one entry, not one per `rmdir` ever run. Threaded
+/// commit processes, as in production.
+#[test]
+fn the_removed_directory_list_stays_bounded_across_a_thousand_rmdirs() {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let region =
+        PaconRegion::launch(PaconConfig::new("/w", Topology::new(2, 1), cred), &dfs).unwrap();
+    let c = region.client(ClientId(0));
+    for i in 0..1_000 {
+        c.mkdir("/w/d", &cred, 0o755).unwrap();
+        c.create(&format!("/w/d/f{i}"), &cred, 0o644).unwrap();
+        region.quiesce();
+        c.rmdir("/w/d", &cred).unwrap();
+        assert!(region.core().in_flight().counts().removed_dirs <= 1, "rmdir #{i}");
+    }
+    region.shutdown().unwrap();
+    assert_eq!(region.core().counters.get("discarded_removed_dir"), 0);
+    assert_eq!(dfs.client().stat("/w/d", &cred), Err(FsError::NotFound));
 }
 
 /// Regression (acknowledged large write lost): a path is created, unlinked

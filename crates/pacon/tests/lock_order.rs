@@ -12,15 +12,18 @@
 //! assert syncguard reports the cycle with both acquisition sites, which
 //! is the diagnostic a developer would get if the hierarchy regressed.
 //!
-//! The second test is a budget, counted and not timed: how often one step
-//! of the commit path takes the node's outbox lock and the queue's. The
-//! outbox is the one lock between an acknowledged op and its queue; a
+//! The other two tests are budgets, counted and not timed. How often one
+//! step of the commit path takes the node's outbox lock and the queue's:
+//! the outbox is the one lock between an acknowledged op and its queue; a
 //! second one on that path (there was a `mq.redelivery` class once) shows
-//! up here as a count, not as a percent of host throughput.
+//! up here as a count, not as a percent of host throughput. And how often
+//! each op class takes the region's own locks (`pacon.region.*`): one
+//! per-path table behind one lock, at most one hold per transition.
 //!
 //! Run with `cargo test -p pacon --features syncguard/check`; without the
-//! feature both tests are no-ops (passthrough mode records nothing).
+//! feature every test is a no-op (passthrough mode records nothing).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fsapi::{Credentials, FileSystem};
@@ -29,8 +32,11 @@ use pacon::{PaconConfig, PaconRegion};
 use simnet::{ClientId, LatencyProfile, Topology};
 use syncguard::level;
 
-/// `(pacon.commit.outbox, mq.queue)` acquisitions `f` made. Only this
-/// test's region constructs either class in this binary.
+/// syncguard counts acquisitions per class, process-wide: the tests of
+/// this binary take turns, so no count sees another test's locks.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// `(pacon.commit.outbox, mq.queue)` acquisitions `f` made.
 fn locks_taken(f: impl FnOnce()) -> (u64, u64) {
     let snapshot = || {
         let report = syncguard::report();
@@ -51,6 +57,7 @@ fn lock_budget_per_commit_step() {
         eprintln!("syncguard/check disabled; skipping lock budget test");
         return;
     }
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let cred = Credentials::new(1, 1);
     let config = PaconConfig::new("/w", Topology::new(1, 1), cred).with_commit_batch(1);
@@ -75,17 +82,111 @@ fn lock_budget_per_commit_step() {
     assert!(!report.classes.iter().any(|c| c.name == "mq.redelivery"), "the window has no lock");
 }
 
+/// `pacon.region.*` acquisitions `f` made.
+fn region_locks(f: impl FnOnce()) -> u64 {
+    let snapshot = || {
+        let report = syncguard::report();
+        let region = report.classes.iter().filter(|c| c.name.starts_with("pacon.region."));
+        region.map(|c| c.acquisitions).sum::<u64>()
+    };
+    let before = snapshot();
+    f();
+    snapshot() - before
+}
+
+/// Region-lock acquisitions per op class on one node at batch 32,
+/// volatile. The parent of the one-table change took 1, 2, 1, 30, 3, 4,
+/// 95 and 4 (seven tables, one lock each; durable mode one more per
+/// create, write and unlink): the stale check of every cache hit, `put`
+/// and `add_new` now reads an atomic count, an unlink and an `rmdir` are
+/// one hold each, and a commit message reads the mark rule's and the
+/// staged bytes' inputs in one hold each, not one per op.
+#[test]
+fn lock_budget_per_op_class() {
+    if !syncguard::check_enabled() {
+        eprintln!("syncguard/check disabled; skipping region lock budget test");
+        return;
+    }
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let config = PaconConfig::new("/w", Topology::new(1, 1), cred).with_commit_batch(32);
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+    let drain = |w: &mut pacon::commit::CommitWorker| {
+        while !region.core().drained() {
+            w.step();
+        }
+    };
+    c.mkdir("/w/d", &cred, 0o755).unwrap();
+    let paths: Vec<String> = (0..30).map(|i| format!("/w/g{i}")).collect();
+    for p in &paths {
+        c.create(p, &cred, 0o644).unwrap();
+    }
+    drain(&mut w);
+
+    let create = region_locks(|| c.create("/w/f", &cred, 0o644).unwrap());
+    let write = region_locks(|| assert_eq!(c.write("/w/f", &cred, 0, b"x"), Ok(1)));
+    drain(&mut w);
+    let stat = region_locks(|| assert!(c.stat("/w/f", &cred).unwrap().is_file()));
+    let stat_many = region_locks(|| assert!(c.stat_many(&paths, &cred).iter().all(Result::is_ok)));
+    let unlink = region_locks(|| c.unlink("/w/f", &cred).unwrap());
+    drain(&mut w);
+    // The barrier needs the commit process: step it on a second thread,
+    // over an empty pipeline (a marker takes no region lock).
+    let done = AtomicBool::new(false);
+    let rmdir = std::thread::scope(|s| {
+        let stepper = s.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                w.step();
+                std::thread::yield_now();
+            }
+        });
+        let n = region_locks(|| c.rmdir("/w/d", &cred).unwrap());
+        done.store(true, Ordering::Release);
+        stepper.join().unwrap();
+        n
+    });
+    // One message of 31 creates and a writeback of the first, cut by the
+    // commit process's own empty-queue step.
+    for i in 0..31 {
+        c.create(&format!("/w/h{i}"), &cred, 0o644).unwrap();
+    }
+    c.write("/w/h0", &cred, 0, b"y").unwrap();
+    let message = region_locks(|| {
+        assert_eq!(w.step(), WorkerStep::Batch { committed: 32, retried: 0, discarded: 0 })
+    });
+    c.unlink("/w/h1", &cred).unwrap();
+    let unlink_message = region_locks(|| assert_eq!(w.step(), WorkerStep::Committed));
+    assert!(region.core().drained());
+
+    let got = [create, write, stat, stat_many, unlink, rmdir, message, unlink_message];
+    // create, inline write, stat hit, stat_many(30), unlink, rmdir, one
+    // 31-create + 1-write message, one unlink message
+    assert_eq!(got, [0, 1, 0, 0, 1, 1, 35, 2]);
+    let report = syncguard::report();
+    let classes = report.classes.iter().filter(|c| c.name.starts_with("pacon.region."));
+    // Besides the worker and thread registries, one class holds region
+    // state on these paths.
+    let registry = ["pacon.region.worker_slots", "pacon.region.threads"];
+    let state: Vec<&str> =
+        classes.map(|c| c.name.as_str()).filter(|n| !registry.contains(n)).collect();
+    assert_eq!(state, ["pacon.region.paths"]);
+}
+
 #[test]
 fn region_barrier_inversion_is_reported_as_cycle() {
     if !syncguard::check_enabled() {
         eprintln!("syncguard/check disabled; skipping inversion test");
         return;
     }
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
 
     // Same class names and levels as pacon::region / pacon::commit::barrier.
     let region = std::sync::Arc::new(syncguard::Mutex::new(
         level::REGION_STATE,
-        "pacon.region.staging",
+        "pacon.region.paths",
         (),
     ));
     let barrier = std::sync::Arc::new(syncguard::Mutex::new(
@@ -127,7 +228,7 @@ fn region_barrier_inversion_is_reported_as_cycle() {
         .cycles
         .iter()
         .find(|c| {
-            c.classes.iter().any(|n| n == "pacon.region.staging")
+            c.classes.iter().any(|n| n == "pacon.region.paths")
                 && c.classes.iter().any(|n| n == "pacon.barrier.state")
         })
         .unwrap_or_else(|| {
@@ -146,7 +247,7 @@ fn region_barrier_inversion_is_reported_as_cycle() {
     // REGION_STATE (16) was acquired.
     assert!(
         report.level_violations.iter().any(|v| {
-            v.held == "pacon.barrier.state" && v.acquired == "pacon.region.staging"
+            v.held == "pacon.barrier.state" && v.acquired == "pacon.region.paths"
         }),
         "no level violation recorded: {:?}",
         report.level_violations

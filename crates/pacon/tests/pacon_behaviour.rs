@@ -312,7 +312,7 @@ fn fsync_stages_uncommitted_small_files() {
     c.write("/app/f", &cred, 0, b"durable?").unwrap();
     c.fsync("/app/f", &cred).unwrap();
     // Either already committed (fast worker) or staged durably.
-    let staged = region.core().staging.lock().contains_key("/app/f");
+    let staged = region.core().in_flight().counts().staged == 1;
     let committed = region
         .core()
         .counters

@@ -14,8 +14,8 @@
 //! CLIENT_VIEW     pacon client merged-region map.
 //! CLIENT_MEMO     pacon client memos (parent existence, own last write);
 //!                 leaves — never held across a cache RPC.
-//! REGION_STATE    region-core maps: removed_dirs, staging,
-//!                 pending_writebacks, worker slots, thread registry.
+//! REGION_STATE    region-core state: the per-path table, the eviction
+//!                 cursor, worker slots, thread registry.
 //! WAL             per-node durable commit log (pacon CommitWal). Taken
 //!                 before the outbox so an append can be ordered ahead of
 //!                 the buffered send it covers.

@@ -330,12 +330,24 @@ fn for_each_commit_shape(
                 PaconRegion::launch_paused(config, &dfs)
             }
             .unwrap();
-            probe(&region, &dfs, &cred, &format!("batch {batch}, durable {durable}"));
+            let shape = format!("batch {batch}, durable {durable}");
+            probe(&region, &dfs, &cred, &shape);
+            assert_quiescent(&region, &shape);
             drop(region);
             if let Some(dir) = wal_dir {
                 let _ = std::fs::remove_dir_all(dir);
             }
         }
+    }
+}
+
+/// A drained region owes nothing per path: every writeback slot released,
+/// every pending-unlink stamp retired, every staged byte flushed or
+/// dropped. (Births, generations and stale marks outlive their ops.)
+fn assert_quiescent(region: &PaconRegion, shape: &str) {
+    if region.core().drained() {
+        let c = region.core().in_flight().counts();
+        assert_eq!((c.writebacks, c.unlinks, c.staged), (0, 0, 0), "{shape}: {c:?}");
     }
 }
 
@@ -884,7 +896,7 @@ fn outage_inside_a_size_group_retries_only_the_struck_writebacks() {
     for i in 0..6 {
         assert_eq!(fs.read(&format!("/job/f{i}"), &cred, 0, 64).unwrap(), group_payload(i));
     }
-    assert!(region.core().pending_writebacks.lock().is_empty(), "every slot released");
+    assert_eq!(region.core().in_flight().counts().writebacks, 0, "every slot released");
 }
 
 /// A cache node that is down while a group is claimed: its records are
@@ -940,7 +952,7 @@ fn cache_node_down_during_the_group_claim_retries_instead_of_skipping() {
         let want = if on_victim[i] { Vec::new() } else { group_payload(i) };
         assert_eq!(fs.read(p, &cred, 0, 64).unwrap(), want, "{p}");
     }
-    assert!(region.core().pending_writebacks.lock().is_empty());
+    assert_eq!(region.core().in_flight().counts().writebacks, 0);
 }
 
 /// `CrashPoint::MidBatch` firing inside a writeback group: the group's

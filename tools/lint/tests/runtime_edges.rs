@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use tools_lint::{analyze, collect_workspace, Rule};
 
-/// The 15 hold-while-acquiring edges observed at runtime by
+/// The 13 hold-while-acquiring edges observed at runtime by
 /// `SYNCGUARD_DOT=1 cargo test --features syncguard/check --test
 /// lock_hierarchy` (DESIGN.md §7). Update alongside DESIGN when the
 /// runtime graph legitimately changes.
@@ -21,9 +21,7 @@ const RUNTIME_EDGES: &[(&str, &str)] = &[
     ("pacon.barrier.slot", "pacon.barrier.state"),
     ("pacon.barrier.slot", "pacon.client.parent_memo"),
     ("pacon.barrier.slot", "pacon.commit.outbox"),
-    ("pacon.barrier.slot", "pacon.region.pending_writebacks"),
-    ("pacon.barrier.slot", "pacon.region.removed_dirs"),
-    ("pacon.barrier.slot", "pacon.region.staging"),
+    ("pacon.barrier.slot", "pacon.region.paths"),
     ("pacon.barrier.slot", "simnet.counters"),
     ("pacon.commit.outbox", "mq.queue"),
     ("pacon.commit.outbox", "pacon.barrier.state"),
