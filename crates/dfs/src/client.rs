@@ -98,6 +98,11 @@ impl DentryCache {
         }
     }
 
+    fn clear(&mut self) {
+        self.map.clear();
+        self.lru.clear();
+    }
+
     fn len(&self) -> usize {
         self.map.len()
     }
@@ -362,6 +367,12 @@ impl DfsClient {
             }
         }
         results.into_iter().map(|r| r.expect("every item settled above")).collect()
+    }
+
+    /// Drop every cached dentry: the tree they name was replaced through
+    /// another client (a checkpoint rollback deletes and recreates it).
+    pub fn forget_dentries(&self) {
+        self.dentries.lock().clear();
     }
 
     /// Number of dentries currently cached (diagnostics).

@@ -296,6 +296,20 @@ impl<T> Consumer<T> {
             Err(TryRecvError::Empty)
         }
     }
+
+    /// Non-blocking receive of the head only if `accept` takes it: a head
+    /// the predicate refuses stays at the head for the next receive.
+    /// `None` when the queue is empty or the head was refused.
+    pub fn try_recv_if(&self, accept: impl FnOnce(&T) -> bool) -> Option<T> {
+        let mut st = self.shared.state.lock();
+        if !accept(st.buf.front()?) {
+            return None;
+        }
+        let msg = st.buf.pop_front()?;
+        st.received += 1;
+        self.shared.not_full.notify_one();
+        Some(msg)
+    }
 }
 
 impl<T> Clone for Consumer<T> {
@@ -331,6 +345,18 @@ mod tests {
             assert_eq!(rx.recv().unwrap(), i);
         }
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    }
+
+    #[test]
+    fn try_recv_if_leaves_a_refused_head_in_place() {
+        let (tx, rx) = push_pull::<u32>(4);
+        assert_eq!(rx.try_recv_if(|_| true), None, "empty");
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.try_recv_if(|&v| v == 2), None, "head refused");
+        assert_eq!(rx.try_recv_if(|&v| v == 1), Some(1));
+        assert_eq!(tx.link_view(0).received, 1, "an accepted head counts as received");
+        assert_eq!(rx.try_recv(), Ok(2));
     }
 
     #[test]

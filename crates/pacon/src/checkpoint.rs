@@ -171,6 +171,8 @@ impl PaconRegion {
         // the tree this rollback just replaced.
         self.core().cache_cluster.clear();
         self.core().in_flight().clear();
+        // The node mounts' dentries name the inodes this rollback deleted.
+        self.forget_mount_dentries();
         // Ops that never reached a commit queue predate the rollback and
         // must not survive it — drop them where they wait, in the nodes'
         // outboxes, and, in durable mode, reset the commit logs so the next

@@ -40,7 +40,9 @@ struct Merged {
 pub struct PaconClient {
     core: Arc<RegionCore>,
     cache: MetaCache,
-    dfs: DfsClient,
+    /// The node's DFS mount, shared with the node's other clients and its
+    /// commit process.
+    dfs: Arc<DfsClient>,
     merged: RwLock<Vec<Merged>>,
     id: ClientId,
     node: NodeId,
@@ -68,7 +70,7 @@ impl PaconClient {
     pub(crate) fn new(
         core: Arc<RegionCore>,
         kv: memkv::KvClient,
-        dfs: DfsClient,
+        dfs: Arc<DfsClient>,
         id: ClientId,
         node: NodeId,
     ) -> Self {

@@ -19,9 +19,11 @@
 //! along). The flush happens in the same hold of the node's outbox lock
 //! as the push that filled the plane, so the buffer never holds more than
 //! the budget on either plane and [`PublishBuffer::take`] takes all of it
-//! — a message carries at most `2·n − 1` ops and no commit RPC more than
-//! `n`. A refusing link does not change that: the cut message waits in
-//! the redelivery window, not in the buffer.
+//! — a message carries at most `2·n − 1` ops, no more than `n` of either
+//! plane. A refusing link does not change that: the cut message waits in
+//! the redelivery window, not in the buffer. The commit process takes up
+//! to `n` queued messages as one run (`commit::worker`), so no commit RPC
+//! carries more than `n²` ops per plane.
 //!
 //! While ops sit in the buffer they can still annihilate each other:
 //!
@@ -37,7 +39,10 @@
 //!
 //! Coalescing never crosses a flush boundary: a flushed message is final
 //! — it goes to the node's redelivery window, which delivers it in
-//! publish order now or, when the link refuses, once the link heals.
+//! publish order now or, when the link refuses, once the link heals. A
+//! run can therefore carry a creation and the unlink that removed it in
+//! two of its messages; the commit process settles such a path by its
+//! last op.
 
 use crate::commit::op::{CommitOp, QueueMsg};
 

@@ -13,17 +13,22 @@
 //! completes (Section III.E-2).
 //!
 //! Group commit: a [`CommitOp::Batch`] message carries many operations
-//! from the node's publish buffer. The worker pays the dispatch cost
-//! once per message, commits the namespace ops through a single batched
-//! DFS RPC (one namespace-lock acquisition server-side), and settles
+//! from the node's publish buffer, and a step takes a *run* of messages:
+//! behind the first, whatever the queue already holds, up to
+//! `commit_batch_size` messages and never past a barrier marker (at 1, a
+//! run is one message). The worker pays the dispatch cost and the
+//! duplicate check once per message, commits the run's namespace ops
+//! through a single batched DFS RPC (one request base, one namespace-lock
+//! acquisition server-side) and its writebacks as one group, and settles
 //! each inner op independently — failed ops *disaggregate* into the
 //! single-op retry backlog, so a partial batch failure degrades to
 //! exactly the paper's independent-commit behaviour. When the queue runs
 //! empty the worker asks its node's outbox (`Outbox::refill`) for what a
 //! faulted link still owes the queue or still coalesces below the flush
-//! threshold — quiesce/shutdown liveness without a flush timer.
+//! threshold — quiesce/shutdown liveness without a flush timer; that cut
+//! is taken alone, a run holds only what the broker already held.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use dfs::{BatchOp, DfsClient};
@@ -43,8 +48,9 @@ use crate::region::RegionCore;
 pub enum WorkerStep {
     /// One operation applied to the DFS.
     Committed,
-    /// One batched message handled; per-op outcomes tallied. Retried ops
-    /// were disaggregated into the single-op retry backlog.
+    /// One batched message, or a run of messages, handled; per-op
+    /// outcomes tallied. Retried ops were disaggregated into the single-op
+    /// retry backlog.
     Batch { committed: u32, retried: u32, discarded: u32 },
     /// One operation failed a namespace check and went (back) to the
     /// retry backlog.
@@ -88,7 +94,7 @@ struct RetryEntry {
 pub struct CommitWorker {
     node: NodeId,
     consumer: Consumer<Arc<QueueMsg>>,
-    dfs: DfsClient,
+    dfs: Arc<DfsClient>,
     cache: MetaCache,
     core: Arc<RegionCore>,
     /// Ops awaiting resubmission.
@@ -110,7 +116,7 @@ impl CommitWorker {
     pub fn new(
         node: NodeId,
         consumer: Consumer<Arc<QueueMsg>>,
-        dfs: DfsClient,
+        dfs: Arc<DfsClient>,
         core: Arc<RegionCore>,
     ) -> Self {
         let cache = MetaCache::new(core.cache_cluster.client(node));
@@ -149,9 +155,10 @@ impl CommitWorker {
         self.node
     }
 
-    /// This commit process's DFS client: its `counters` tell the commit
-    /// RPCs apart (`batch_rpcs` namespace batches, `small_batch_rpcs`
-    /// writeback groups).
+    /// This node's DFS mount, shared with the node's clients: its
+    /// `counters` are the whole node's, but only a commit process sends
+    /// commit RPCs, so `batch_rpcs` (namespace batches) and
+    /// `small_batch_rpcs` (writeback groups) count this worker's alone.
     pub fn dfs(&self) -> &DfsClient {
         &self.dfs
     }
@@ -208,22 +215,50 @@ impl CommitWorker {
         // still has to send — then the retry backlog. The outbox is only
         // ever tried, never waited for (`commit::outbox` module docs).
         let outbox = self.core.outbox(self.node.index());
-        let Some(shared) =
+        let Some(first) =
             self.consumer.try_recv().ok().or_else(|| outbox.refill(&self.core, &self.consumer))
         else {
             return self.step_retry();
         };
-        // Acknowledged, the message is the worker's alone. When a sender
+        // The run: behind the first message, whatever the queue already
+        // holds, up to `commit_batch_size` messages and never a marker —
+        // that stays at the head for the next step.
+        let is_marker = |m: &Arc<QueueMsg>| matches!(m.op, CommitOp::Barrier { .. });
+        let mut run = vec![first];
+        if !is_marker(&run[0]) {
+            while run.len() < self.core.config.commit_batch_size {
+                match self.consumer.try_recv_if(|m| !is_marker(m)) {
+                    Some(next) => run.push(next),
+                    None => break,
+                }
+            }
+        }
+        // Acknowledged, the messages are the worker's alone. When a sender
         // has the outbox and the acknowledgement is skipped, as for a
-        // duplicated send, it stays shared and the worker takes a copy.
+        // duplicated send, they stay shared and the worker takes copies.
         outbox.acknowledge();
-        if self.is_duplicate(&shared) {
-            self.core.counters.incr("duplicate_drops");
+        let mut msgs = Vec::with_capacity(run.len());
+        for shared in run {
+            if self.is_duplicate(&shared) {
+                self.core.counters.incr("duplicate_drops");
+                continue;
+            }
+            msgs.push(Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone()));
+            self.charge_dispatch();
+        }
+        if msgs.is_empty() {
             return WorkerStep::Retried;
         }
-        let msg = Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone());
         self.stuck_retries = 0;
-        self.charge_dispatch();
+        if msgs.len() > 1 {
+            // Several messages: their ops, in queue order, as one batch.
+            let ops = msgs.into_iter().flat_map(|msg| match msg.op {
+                CommitOp::Batch(inner) => inner,
+                _ => vec![msg],
+            });
+            return self.apply_batch(ops.collect());
+        }
+        let msg = msgs.pop().expect("one message");
         match msg.op {
             CommitOp::Barrier { epoch } => {
                 self.flushing_for = Some(epoch);
@@ -256,16 +291,16 @@ impl CommitWorker {
         }
     }
 
-    /// Commit one batched message: namespace ops go through a single
-    /// batched DFS RPC (in publish order), then the inline-data
-    /// writebacks follow as one group on the data path
+    /// Commit one batched message, or a run's ops: namespace ops go
+    /// through a single batched DFS RPC (in queue order), then the
+    /// inline-data writebacks follow as one group on the data path
     /// ([`Self::apply_writebacks`]), then the cache records of every op
     /// that applied are settled together ([`Self::after_success_batch`]).
     /// Writebacks read the *current* primary copy at commit time, so
     /// settling them after the batch's namespace ops cannot regress any
     /// data. Each op settles independently; failures disaggregate into
     /// single-op retries. An applied op counts as completed only once the
-    /// message's cache work has landed, so `drained()` implies it.
+    /// batch's cache work has landed, so `drained()` implies it.
     fn apply_batch(&mut self, inner: Vec<QueueMsg>) -> WorkerStep {
         let cred = self.core.config.cred;
         let mut ns_msgs = Vec::with_capacity(inner.len());
@@ -602,19 +637,38 @@ impl CommitWorker {
     /// for every creation in one hold, and [`Self::drops`]); whatever the
     /// batch did not settle (another version landed, the ring epoch moved,
     /// a node is unreachable) is redone on the per-key path.
+    ///
+    /// One write per key: of the ops on one path, the last that applied
+    /// decides. A run of messages can carry a creation, the unlink that
+    /// removed it and a re-creation; all three read the same record.
     fn after_success_batch(&self, applied: &[QueueMsg]) {
         let in_flight = self.core.in_flight();
+        fn ns_path(msg: &QueueMsg) -> Option<&str> {
+            msg.op.path().filter(|_| !matches!(msg.op, CommitOp::WriteInline { .. }))
+        }
+        let mut last: HashMap<&str, usize> = HashMap::with_capacity(applied.len());
+        for (i, msg) in applied.iter().enumerate() {
+            if let Some(path) = ns_path(msg) {
+                last.insert(path, i);
+            }
+        }
         // A creation marks its record; an unlink deletes its record
-        // unless a later unlink of the path is still queued.
-        let work: Vec<(&QueueMsg, &str)> = applied
-            .iter()
-            .filter_map(|msg| match &msg.op {
-                CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } => Some((msg, path)),
-                CommitOp::Unlink { path } if !in_flight.unlink_pending(path) => Some((msg, path)),
-                _ => None,
-            })
-            .map(|(msg, path)| (msg, path.as_str()))
-            .collect();
+        // unless a later unlink of the path is still queued. A creation
+        // an unlink of this batch already removed leaves its staged bytes
+        // to go with the file, as that unlink would have deleted them.
+        let mut work: Vec<(&QueueMsg, &str)> = Vec::with_capacity(last.len());
+        let mut removed: Vec<&str> = Vec::new();
+        for (i, msg) in applied.iter().enumerate() {
+            let Some(path) = ns_path(msg) else { continue };
+            let decider = last[path];
+            if decider != i {
+                if msg.op.is_creation() && matches!(applied[decider].op, CommitOp::Unlink { .. }) {
+                    removed.push(path);
+                }
+            } else if msg.op.is_creation() || !in_flight.unlink_pending(path) {
+                work.push((msg, path));
+            }
+        }
         // The epoch before the read: a membership change since fences the
         // write. (Writebacks alone make both batches empty, and an empty
         // batch sends no request.)
@@ -661,6 +715,7 @@ impl CommitWorker {
         }
         let created: Vec<&str> = creations.iter().map(|&(path, _)| path).collect();
         self.flush_staged(&created);
+        in_flight.take_staged(&removed);
     }
 
     /// The mark rule: does a creation mark `meta` committed? Not when it

@@ -41,14 +41,17 @@ pub struct PaconConfig {
     /// (`None` = never evict; Section III.F assumes pressure is rare).
     /// Paper tunable.
     pub eviction_threshold: Option<usize>,
-    /// Group commit: ops per commit RPC per plane. A node buffers
-    /// operations until its namespace ops (one `Mds::apply_batch`) or its
-    /// inline writebacks (one vectored write per data server + one size
-    /// batch) number this many, then publishes the buffer as one batched
-    /// queue message; no message carries more than this many of either
-    /// plane, so no commit RPC does. A flush threshold, not a mode: at
-    /// `1` every op reaches it, so each leaves as its own one-op message
-    /// — the paper prototype's behaviour — through the same outbox
+    /// Group commit: ops per message per plane at the publisher, messages
+    /// per run at the commit process. A node buffers operations until its
+    /// namespace ops (one `Mds::apply_batch`) or its inline writebacks
+    /// (one vectored write per data server + one size batch) number this
+    /// many, then publishes the buffer as one batched queue message; no
+    /// message carries more than this many of either plane. The commit
+    /// process takes up to this many already-queued messages as one run
+    /// and commits their ops together, so no commit RPC carries more than
+    /// its square per plane. A flush threshold, not a mode: at `1` every
+    /// op reaches it, so each leaves as its own one-op message and commits
+    /// alone — the paper prototype's behaviour — through the same outbox
     /// (`commit::outbox`: buffer, redelivery window) and queue as a batch.
     /// Barriers always flush the buffer regardless of fill.
     /// In use at 1 (fig01–fig12), 1–64 (`commit_batch`) and 32 (the repo
@@ -161,8 +164,8 @@ impl PaconConfig {
         self
     }
 
-    /// Builder-style: enable group commit with up to `n` ops per commit
-    /// RPC per plane.
+    /// Builder-style: enable group commit with up to `n` ops per message
+    /// per plane and `n` messages per commit run.
     pub fn with_commit_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "batch size must be at least 1");
         self.commit_batch_size = n;

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dfs::DfsCluster;
+use dfs::{DfsClient, DfsCluster};
 use fsapi::{path as fspath, FsError, FsResult};
 use fsapi::FileSystem;
 use memkv::KvCluster;
@@ -260,6 +260,10 @@ pub struct RegionHandle {
 pub struct PaconRegion {
     core: Arc<RegionCore>,
     dfs: Arc<DfsCluster>,
+    /// One DFS mount per node, shared by the node's clients and its commit
+    /// process — one dentry cache per node, as a node-level BeeGFS client
+    /// keeps (`DfsConfig::dentry_cache_capacity` sizes a node's cache).
+    mounts: Vec<Arc<DfsClient>>,
     /// Workers not yet claimed by a thread or the DES driver.
     worker_slots: Mutex<Vec<Option<CommitWorker>>>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -387,14 +391,19 @@ impl PaconRegion {
             core.counters.add("replay_pruned", pruned as u64);
         }
 
+        let mounts: Vec<Arc<DfsClient>> = (0..nodes).map(|_| Arc::new(dfs.client())).collect();
         let workers = (0u32..)
             .zip(rxs)
-            .map(|(n, rx)| Some(CommitWorker::new(NodeId(n), rx, dfs.client(), Arc::clone(&core))))
+            .zip(&mounts)
+            .map(|((n, rx), mount)| {
+                Some(CommitWorker::new(NodeId(n), rx, Arc::clone(mount), Arc::clone(&core)))
+            })
             .collect();
 
         Ok(Arc::new(Self {
             core,
             dfs: Arc::clone(dfs),
+            mounts,
             worker_slots: Mutex::new(level::REGION_STATE, "pacon.region.worker_slots", workers),
             threads: Mutex::new(level::REGION_STATE, "pacon.region.threads", Vec::new()),
             stop: Arc::new(AtomicBool::new(false)),
@@ -453,7 +462,7 @@ impl PaconRegion {
         PaconClient::new(
             Arc::clone(&self.core),
             self.core.cache_cluster.client(node),
-            self.dfs.client(),
+            Arc::clone(&self.mounts[node.index()]),
             id,
             node,
         )
@@ -467,6 +476,14 @@ impl PaconRegion {
     /// The DFS this region commits to.
     pub fn dfs(&self) -> &Arc<DfsCluster> {
         &self.dfs
+    }
+
+    /// Every node's DFS mount forgets its dentries: the tree they name
+    /// was replaced behind them (checkpoint rollback).
+    pub(crate) fn forget_mount_dentries(&self) {
+        for mount in &self.mounts {
+            mount.forget_dentries();
+        }
     }
 
     /// Read-only handle for merging into another application's view.

@@ -303,10 +303,11 @@ fn commit_rpcs(dfs: &DfsCluster) -> [u64; 4] {
     ["batch", "batch_ops", "size_batch", "size_batch_ops"].map(|c| dfs.mds_counter(c))
 }
 
-/// Step `w` until `done`, one queue message (or buffer pull) per step, and
-/// hold every batch to the occupancy budget: at most one RPC per plane
-/// and at most `n` ops in it. Returns per batch message `[namespace ops,
-/// data ops]` as the MDS counted them.
+/// Step `w` until `done`, one run of queued messages (or buffer pull) per
+/// step, and hold every step to the occupancy budget: at most one RPC per
+/// plane, carrying at most `n` messages of at most `n` ops each on that
+/// plane — `n²` ops. Returns per batch step `[namespace ops, data ops]` as
+/// the MDS counted them.
 fn step_within_budget(
     w: &mut CommitWorker,
     dfs: &DfsCluster,
@@ -320,8 +321,9 @@ fn step_within_budget(
         let now = commit_rpcs(dfs);
         let [ns_rpcs, ns_ops, data_rpcs, data_ops] = std::array::from_fn(|i| now[i] - seen[i]);
         seen = now;
-        assert!(ns_rpcs <= 1 && data_rpcs <= 1, "{step:?}: one RPC per plane per message");
-        assert!(ns_ops <= n as u64 && data_ops <= n as u64, "{step:?}: {ns_ops}/{data_ops} > {n}");
+        let most = (n * n) as u64;
+        assert!(ns_rpcs <= 1 && data_rpcs <= 1, "{step:?}: one RPC per plane per step");
+        assert!(ns_ops <= most && data_ops <= most, "{step:?}: {ns_ops}/{data_ops} > {n}²");
         if matches!(step, WorkerStep::Batch { .. }) {
             batches.push([ns_ops, data_ops]);
         }
@@ -337,7 +339,7 @@ fn step_within_budget(
 /// the bounded message it was cut into — and the backlog must reach the
 /// queue in publish order once the link heals. Every op below is
 /// acknowledged (its cache write landed), so every one must reach the DFS,
-/// in publish order, in RPCs of at most `n` ops: through the commit
+/// in publish order, in RPCs of at most `n` messages: through the commit
 /// process's own empty-queue step, and through a barrier's flush.
 #[test]
 fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
@@ -388,8 +390,9 @@ fn group_commit_keeps_acked_ops_across_a_partitioned_link() {
             c.create("/app/late", &cred, 0o644).unwrap();
             step_within_budget(&mut w, &dfs, N, |step| step == WorkerStep::Idle)
         };
-        assert!(batches.len() >= 5, "20 namespace ops, {N} to an RPC: {batches:?}");
-        assert!(batches[..5].iter().all(|b| b[0] == N as u64), "backlog RPCs leave full");
+        // The five full messages leave as runs of at most N: 4·N + N ops.
+        let backlog: Vec<u64> = batches.iter().take(2).map(|b| b[0]).collect();
+        assert_eq!(backlog, [(N * N) as u64, N as u64], "backlog runs: {batches:?}");
         assert_eq!(counters.get("resubmitted"), 0, "publish order survived the backlog");
 
         let raw = dfs.client();
@@ -724,19 +727,79 @@ fn memo_does_not_survive_eviction_and_reload() {
 // Commit RPC occupancy
 // ---------------------------------------------------------------------------
 
+/// A run, counted: one step takes what the queue already holds, up to
+/// `n` messages, and stops before a barrier marker, which the next step
+/// consumes; it never pulls the publish buffer in behind a queued message,
+/// and with the queue empty it takes the buffer's cut alone. One node at
+/// `n` = 4, each full message 4 creates and 2 writebacks.
+#[test]
+fn a_run_takes_what_is_queued_up_to_a_marker() {
+    const N: usize = 4;
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let region = PaconRegion::launch_paused(
+        PaconConfig::new("/app", Topology::new(1, 1), cred).with_commit_batch(N),
+        &dfs,
+    )
+    .unwrap();
+    let c = region.client(ClientId(0));
+    let full_message = |m: usize| {
+        for f in 0..N {
+            let path = format!("/app/m{m}-{f}");
+            c.create(&path, &cred, 0o644).unwrap();
+            if f % 2 == 0 {
+                c.write(&path, &cred, 0, b"bytes").unwrap();
+            }
+        }
+    };
+    (0..3).for_each(full_message);
+    let mut w = region.take_worker(0);
+    let mut step = |want: WorkerStep| {
+        let before = commit_rpcs(&dfs);
+        assert_eq!(w.step(), want);
+        let after = commit_rpcs(&dfs);
+        std::array::from_fn::<u64, 4, _>(|i| after[i] - before[i])
+    };
+    let batch = |committed| WorkerStep::Batch { committed, retried: 0, discarded: 0 };
+
+    std::thread::scope(|s| {
+        let barrier = s.spawn(|| region.sync_barrier());
+        // Three messages, then the marker.
+        while region.unacked_publishes() < 4 {
+            std::thread::yield_now();
+        }
+        full_message(3);
+        c.create("/app/rest-0", &cred, 0o644).unwrap();
+        c.create("/app/rest-1", &cred, 0o644).unwrap();
+        assert_eq!(region.core().outbox(0).buffered(), 2);
+
+        // `[namespace RPCs, ops in them, size batches, ops in them]`.
+        assert_eq!(step(batch(18)), [1, 12, 1, 6], "three messages, one RPC per plane");
+        assert_eq!(step(WorkerStep::Retried), [0; 4], "the marker");
+        assert_eq!(step(WorkerStep::BarrierReported), [0; 4]);
+        barrier.join().unwrap().unwrap();
+    });
+    assert_eq!(step(batch(6)), [1, 4, 1, 2], "the message behind the marker, not the buffer");
+    assert_eq!(step(batch(2)), [1, 2, 0, 0], "the empty queue's cut, alone");
+    assert_eq!(step(WorkerStep::Idle), [0; 4]);
+    assert!(region.core().drained());
+}
+
 /// The budget per publish mix. Counted, not timed: `commit_batch_size` is
-/// ops per commit RPC *per plane*, so a threshold flush ships exactly `n`
-/// ops on the plane that filled and no RPC of either plane carries more.
-/// One node, one client, `8 × n` files:
+/// ops per message *per plane* at the publisher, so a threshold flush
+/// ships exactly `n` ops on the plane that filled, and messages per run at
+/// the commit process, so no RPC of either plane carries more than `n²`.
+/// One node, one client, `8 × n` files, all published before the commit
+/// process steps:
 ///
-/// * creates only — `n` creates per message, as under the old one-budget
-///   rule;
+/// * creates only — `n` creates per message, 8 messages: one run;
 /// * create + write, 1 : 1 — messages alternate `n` creates + `n − 1`
-///   writebacks and `n − 1` + `n`: 9 RPCs per plane where the one-budget
-///   rule (`n/2` + `n/2` per message) needed 16;
+///   writebacks and `n − 1` + `n`, 8 of them: one run, then the buffer's
+///   rest (under the per-message rule, 9 RPCs per plane);
 /// * create + write + unlink of an older file, 2 : 1 — the namespace plane
 ///   fills, the data plane rides along half full (`n` + `n/2` per
-///   message): 16 RPCs per plane instead of 24.
+///   message), 16 of them: `⌈16 / n⌉` runs (one message at a time, 16
+///   RPCs per plane).
 #[test]
 fn commit_rpc_occupancy_budget_per_publish_mix() {
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -746,9 +809,13 @@ fn commit_rpc_occupancy_budget_per_publish_mix() {
         CreateWriteUnlink,
     }
     for n in [8usize, 32] {
-        for (mix, want_rpcs) in
-            [(Mix::Creates, [8, 0]), (Mix::CreateWrite, [9, 9]), (Mix::CreateWriteUnlink, [16, 16])]
+        // Threshold flushes, and the cut of what is left below them.
+        for (mix, messages, rest) in
+            [(Mix::Creates, 8usize, 0), (Mix::CreateWrite, 8, 1), (Mix::CreateWriteUnlink, 16, 0)]
         {
+            let runs = messages.div_ceil(n);
+            let want_rpcs = [runs + rest, if mix == Mix::Creates { 0 } else { runs + rest }];
+            let want_rpcs = want_rpcs.map(|r| r as u64);
             let what = format!("{mix:?} at batch {n}");
             // Only a data-server visit costs anything, and costs one: the
             // demand recorded at the data servers is the number of visits.
@@ -793,9 +860,16 @@ fn commit_rpc_occupancy_budget_per_publish_mix() {
             let (batches, trace) = simnet::with_recording(|| {
                 step_within_budget(&mut w, &dfs, n, |step| step == WorkerStep::Idle)
             });
-            assert!(threshold >= 8, "{what}: {threshold} threshold flushes");
-            for b in &batches[..threshold] {
-                assert_eq!(b[0].max(b[1]), n as u64, "{what}: a threshold flush fills an RPC");
+            assert_eq!(threshold, messages, "{what}: threshold flushes");
+            // A run of threshold flushes carries `n` of them, or all left.
+            let per_message = match mix {
+                Mix::Creates => n,
+                Mix::CreateWrite => 2 * n - 1,
+                Mix::CreateWriteUnlink => n + n / 2,
+            };
+            for (r, b) in batches[..runs].iter().enumerate() {
+                let k = n.min(messages - r * n);
+                assert_eq!(b[0] + b[1], (k * per_message) as u64, "{what}: run {r} of {k}");
             }
 
             let now = commit_rpcs(&dfs);

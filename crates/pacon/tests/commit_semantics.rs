@@ -265,6 +265,76 @@ fn a_large_write_to_a_recreated_file_survives_the_older_incarnations_commit() {
     assert_eq!(held(c1.read("/w/f", &cred, 0, 8192)), Ok((8192, true)), "Pacon read");
 }
 
+/// A run of queued messages can carry a creation, the unlink that removed
+/// it and a re-creation (the publish buffer cancels such a pair only
+/// within one message): three ops on one path meet in one cache settle.
+/// The last op on the path decides, in one conditional write per key — no
+/// version conflict is left for the per-key fallback. The re-creation's
+/// staged bytes reach its file; without a re-creation, the first
+/// incarnation's staged bytes go with the file the unlink removed.
+#[test]
+fn a_run_settles_a_path_by_its_last_op() {
+    const N: usize = 3;
+    for recreate in [true, false] {
+        let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let cred = Credentials::new(1, 1);
+        let config = PaconConfig::new("/w", Topology::new(1, 1), cred).with_commit_batch(N);
+        let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+        let c = region.client(ClientId(0));
+        let data = vec![7u8; 8192]; // past the small-file threshold: staged
+        // Each op on `/w/f` leads a message `N − 1` other creations fill.
+        let message = |m: usize, first: &dyn Fn()| {
+            first();
+            for i in 0..N - 1 {
+                c.create(&format!("/w/m{m}-{i}"), &cred, 0o644).unwrap();
+            }
+        };
+        message(0, &|| {
+            c.create("/w/f", &cred, 0o644).unwrap();
+            if !recreate {
+                c.write("/w/f", &cred, 0, &data).unwrap();
+            }
+        });
+        message(1, &|| c.unlink("/w/f", &cred).unwrap());
+        message(2, &|| {
+            if recreate {
+                c.create("/w/f", &cred, 0o644).unwrap();
+                c.write("/w/f", &cred, 0, &data).unwrap();
+            } else {
+                c.create("/w/g", &cred, 0o644).unwrap();
+            }
+        });
+        assert_eq!(region.core().outbox(0).buffered(), 0, "three queued messages");
+
+        let cache = &region.core().cache_cluster;
+        let before = cache.stats();
+        let mut w = region.take_worker(0);
+        let run = WorkerStep::Batch { committed: 3 * N as u32, retried: 0, discarded: 0 };
+        assert_eq!(w.step(), run, "recreate={recreate}: one run");
+        let after = cache.stats();
+        // Seven paths; without the re-creation `/w/g` is an eighth.
+        let keys = if recreate { 7 } else { 8 };
+        assert_eq!(after.multi_write_keys - before.multi_write_keys, keys, "recreate={recreate}");
+        assert_eq!(after.cas_conflicts - before.cas_conflicts, 0, "recreate={recreate}");
+        assert_eq!(w.step(), WorkerStep::Idle);
+        assert!(region.core().drained());
+        assert_eq!(region.core().counters.get("resubmitted"), 0);
+        assert_eq!(region.core().in_flight().counts().staged, 0);
+
+        if recreate {
+            let held = |read: fsapi::FsResult<Vec<u8>>| read.map(|b| (b.len(), b == data));
+            assert_eq!(held(dfs.client().read("/w/f", &cred, 0, 8192)), Ok((8192, true)));
+            assert_eq!(held(c.read("/w/f", &cred, 0, 8192)), Ok((8192, true)), "Pacon read");
+            let cache = pacon::cache::MetaCache::new(cache.client(simnet::NodeId(0)));
+            let (meta, _) = cache.get("/w/f").unwrap().unwrap();
+            assert!(meta.committed, "the re-creation's record is committed");
+        } else {
+            assert_eq!(dfs.client().stat("/w/f", &cred), Err(FsError::NotFound));
+            assert_eq!(c.stat("/w/f", &cred), Err(FsError::NotFound));
+        }
+    }
+}
+
 #[test]
 fn retry_budget_drops_unsatisfiable_ops() {
     let profile = Arc::new(LatencyProfile::zero());

@@ -13,7 +13,8 @@
 //! is the diagnostic a developer would get if the hierarchy regressed.
 //!
 //! The other two tests are budgets, counted and not timed. How often one
-//! step of the commit path takes the node's outbox lock and the queue's:
+//! step of the commit path — one message, or one run of queued messages —
+//! takes the node's outbox lock and the queue's:
 //! the outbox is the one lock between an acknowledged op and its queue; a
 //! second one on that path (there was a `mq.redelivery` class once) shows
 //! up here as a count, not as a percent of host throughput. And how often
@@ -77,6 +78,24 @@ fn lock_budget_per_commit_step() {
     // against the link's state.
     assert_eq!(locks_taken(|| assert_eq!(w.step(), WorkerStep::Committed)), (1, 2));
     assert_eq!(locks_taken(|| assert_eq!(w.step(), WorkerStep::Idle)), (1, 1));
+
+    // A run of k queued messages at batch 4: k pops, one look at an empty
+    // head unless the run is full, and one acknowledgement for the run.
+    const N: usize = 4;
+    let config = PaconConfig::new("/r", Topology::new(1, 1), cred).with_commit_batch(N);
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+    for k in 1..=N {
+        for i in 0..k * N {
+            c.create(&format!("/r/k{k}-{i}"), &cred, 0o644).unwrap();
+        }
+        let committed = (k * N) as u32;
+        let run = locks_taken(|| {
+            assert_eq!(w.step(), WorkerStep::Batch { committed, retried: 0, discarded: 0 })
+        });
+        assert_eq!(run, (1, k as u64 + 1 + (k < N) as u64), "a run of {k}");
+    }
 
     let report = syncguard::report();
     assert!(!report.classes.iter().any(|c| c.name == "mq.redelivery"), "the window has no lock");

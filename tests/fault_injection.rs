@@ -779,10 +779,10 @@ fn pre_truncate_crash_replays_the_full_log_as_noops() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
-/// Deterministic mid-batch kill: the DFS applied a whole batched RPC but
-/// the node died before settling it. Recovery replays the full log; the
-/// applied prefix no-ops, the unapplied suffix commits, nothing is lost
-/// or duplicated.
+/// Deterministic mid-batch kill: the DFS applied a whole batched RPC — a
+/// run of both queued messages — but the node died before settling it.
+/// Recovery replays the full log; what applied no-ops, nothing is lost or
+/// duplicated.
 #[test]
 fn mid_batch_crash_keeps_every_acked_op() {
     let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
@@ -795,7 +795,8 @@ fn mid_batch_crash_keeps_every_acked_op() {
     let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
     region.core().crash.arm(CrashPoint::MidBatch, 1);
     let c = region.client(ClientId(0));
-    // Two full batches of 4; the first one's RPC lands, then the node dies.
+    // Two full messages of 4, taken as one run: its RPC lands, then the
+    // node dies.
     for i in 0..8 {
         c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
     }
@@ -804,8 +805,8 @@ fn mid_batch_crash_keeps_every_acked_op() {
     assert_eq!(w.step(), WorkerStep::Crashed, "a dead node stays dead");
     assert_eq!(
         dfs.client().readdir("/job", &cred).unwrap().len(),
-        4,
-        "the first batch applied server-side"
+        8,
+        "the run applied server-side"
     );
     let old = region.report();
     assert_eq!(old.committed, 0, "nothing settled");
@@ -820,7 +821,7 @@ fn mid_batch_crash_keeps_every_acked_op() {
     assert_eq!(rep.wal_replayed, 8);
     assert_eq!(rep.recovery_applied, 8);
     assert_eq!(rep.recovery_skipped, 0);
-    assert_eq!(dfs.mds_counter("replay_noop"), 4, "the applied batch must no-op");
+    assert_eq!(dfs.mds_counter("replay_noop"), 8, "the applied run must no-op");
     let mut names = dfs.client().readdir("/job", &cred).unwrap();
     names.sort();
     assert_eq!(names, (0..8).map(|i| format!("f{i}")).collect::<Vec<_>>());

@@ -69,6 +69,31 @@ fn checkpoint_copies_data_and_rollback_restores_it() {
     region.shutdown().unwrap();
 }
 
+/// Regression: a client that outlives a rollback must read the restored
+/// tree. Its reads load through its node's DFS mount, whose dentries for
+/// `/job` and `/job/data` name the inodes the second rollback deleted —
+/// unless the rollback makes every mount forget them.
+#[test]
+fn a_client_from_before_a_rollback_reads_the_restored_files() {
+    let dfs = dfs();
+    let cred = Credentials::new(1, 1);
+    let region =
+        PaconRegion::launch(PaconConfig::new("/job", Topology::new(1, 1), cred), &dfs).unwrap();
+    let c = region.client(ClientId(0));
+    c.mkdir("/job/data", &cred, 0o755).unwrap();
+    c.create("/job/data/f1", &cred, 0o644).unwrap();
+    c.write("/job/data/f1", &cred, 0, b"payload-1").unwrap();
+    region.checkpoint("v1").unwrap();
+    region.rollback("v1").unwrap();
+    // A miss: loaded from the DFS, walking `/job/data` into the mount.
+    assert_eq!(c.read("/job/data/f1", &cred, 0, 64).unwrap(), b"payload-1");
+    c.write("/job/data/f1", &cred, 0, b"OVERWRITE").unwrap();
+    region.quiesce();
+    region.rollback("v1").unwrap();
+    assert_eq!(c.read("/job/data/f1", &cred, 0, 64).unwrap(), b"payload-1");
+    region.shutdown().unwrap();
+}
+
 #[test]
 fn rollback_to_missing_checkpoint_is_safe() {
     let dfs = dfs();
