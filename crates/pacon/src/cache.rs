@@ -17,6 +17,7 @@
 //! by a rate-limited recovery probe ([`crate::degraded`]). A bare handle
 //! ([`MetaCache::new`]) makes exactly one attempt.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use fsapi::{FsError, FsResult};
@@ -177,6 +178,14 @@ impl MetaCache {
     /// trip per shard node instead of one per path. Results are in input
     /// order; a missing (or undecodable) record yields `None`.
     ///
+    /// A path named more than once is fetched once: the request carries
+    /// each distinct key once, in first-seen order, so an owning node is
+    /// charged for the distinct keys and hits only. Decode, stale check and
+    /// salvage below also run once per distinct path, and every position
+    /// naming the path gets that outcome. The stale check must: it deletes
+    /// the record and clears the mark, so a second check of the same path
+    /// would pass and hand back the dead record already fetched.
+    ///
     /// Fault-isolated per node group: a node crashing mid-batch does not
     /// discard the results already fetched from healthy groups
     /// (`memkv::PartialMultiGet`). Keys owned by a down node are salvaged
@@ -184,32 +193,47 @@ impl MetaCache {
     /// unreachable are reported as misses — the caller's per-path DFS
     /// fallback *is* the degraded read, counted here.
     pub fn multi_get(&self, paths: &[&str]) -> Result<Vec<Option<(CachedMeta, u64)>>, CacheError> {
-        let keys: Vec<&[u8]> = paths.iter().map(|p| p.as_bytes()).collect();
+        // `slot[i]`: the index of `paths[i]` among the distinct paths.
+        let mut first: HashMap<&str, usize> = HashMap::with_capacity(paths.len());
+        let mut distinct: Vec<&str> = Vec::with_capacity(paths.len());
+        let slot: Vec<usize> = paths
+            .iter()
+            .map(|&p| {
+                *first.entry(p).or_insert_with(|| {
+                    distinct.push(p);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        let keys: Vec<&[u8]> = distinct.iter().map(|p| p.as_bytes()).collect();
         let partial = self.guarded(|kv| Ok(kv.multi_gets(&keys)))?;
-        let mut failed = vec![false; paths.len()];
+        let mut failed = vec![false; distinct.len()];
         for (_, idxs) in &partial.failed {
             for &i in idxs {
                 failed[i] = true;
             }
         }
-        let mut out = Vec::with_capacity(paths.len());
-        for (i, (r, path)) in partial.results.into_iter().zip(paths).enumerate() {
+        let mut hits = Vec::with_capacity(distinct.len());
+        for (i, (r, path)) in partial.results.into_iter().zip(distinct).enumerate() {
             if failed[i] {
                 match self.get(path) {
-                    Ok(hit) => out.push(hit),
+                    Ok(hit) => hits.push(hit),
                     Err(CacheError::Unavailable) => {
                         if let Some(core) = &self.fault {
                             core.counters.incr("degraded_reads");
                         }
-                        out.push(None);
+                        hits.push(None);
                     }
                 }
                 continue;
             }
             let hit = r.and_then(|(bytes, ver)| CachedMeta::decode(&bytes).map(|m| (m, ver)));
-            out.push(if hit.is_some() && self.purge_if_stale(path) { None } else { hit });
+            hits.push(if hit.is_some() && self.purge_if_stale(path) { None } else { hit });
         }
-        Ok(out)
+        if hits.len() == paths.len() {
+            return Ok(hits); // no path repeated: `slot` is the identity
+        }
+        Ok(slot.into_iter().map(|d| hits[d].clone()).collect())
     }
 
     /// Unconditional store (used when loading DFS entries into the cache;

@@ -14,6 +14,7 @@
 //! DFS untouched (weak consistency, Section III.A); merged regions are
 //! read-only (Section III.D-4).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dfs::DfsClient;
@@ -745,13 +746,18 @@ impl FileSystem for PaconClient {
                 return out;
             }
         };
+        // A path named more than once loads once; every copy gets its result.
+        let mut loaded: HashMap<&str, FsResult<FileStat>> = HashMap::new();
         for (&i, meta) in lookup.iter().zip(metas) {
             out[i] = match meta {
                 Some((m, _)) if m.removed => Err(FsError::NotFound),
                 Some((m, _)) => Ok(m.to_stat()),
                 // Miss: sync DFS load that also populates the cache
                 // (getattr-miss path) — an unavoidable per-path trip.
-                None => self.load_from_dfs(&paths[i], cred).map(|m| m.to_stat()),
+                None => loaded
+                    .entry(paths[i].as_str())
+                    .or_insert_with(|| self.load_from_dfs(&paths[i], cred).map(|m| m.to_stat()))
+                    .clone(),
             };
         }
         out

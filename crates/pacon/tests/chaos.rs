@@ -814,13 +814,7 @@ fn own_write_memo_does_not_bypass_a_stale_tombstone() {
     let core = region.core();
     let owner = core.cache_cluster.shard_node(b"/w/f");
     let bystander = (0..NODES).map(NodeId).find(|n| *n != owner).unwrap();
-    let key_on = |node: NodeId| {
-        (0..)
-            .map(|i| format!("/w/probe{i}"))
-            .find(|k| core.cache_cluster.shard_node(k.as_bytes()) == node)
-            .unwrap()
-    };
-    let (dark_key, lit_key) = (key_on(bystander), key_on(owner));
+    let (dark_key, lit_key) = (probe_key_on(&region, bystander), probe_key_on(&region, owner));
     // Recover without a restart: probes that land on the healthy shard.
     let recover = || {
         while core.degraded.mode() != DegradedMode::Healthy {
@@ -851,6 +845,41 @@ fn own_write_memo_does_not_bypass_a_stale_tombstone() {
     drain(&region, &mut workers);
     assert_eq!(dfs.client().stat("/w/f", &cred), Err(fsapi::FsError::NotFound));
     assert_eq!(clients[2].stat("/w/f", &cred), Err(fsapi::FsError::NotFound));
+}
+
+/// A path (never created) whose record would live on `node`.
+fn probe_key_on(region: &PaconRegion, node: NodeId) -> String {
+    (0..)
+        .map(|i| format!("/w/probe{i}"))
+        .find(|k| region.core().cache_cluster.shard_node(k.as_bytes()) == node)
+        .unwrap()
+}
+
+/// Regression (acknowledged unlink undone in the read path): the stale
+/// tombstone of (e), read by a batch that names the path twice. The stale
+/// check ran per position — the first copy deleted the record and cleared
+/// the mark, and the second copy handed back the dead file it had already
+/// fetched. A batch checks each distinct path once.
+#[test]
+fn a_repeated_path_in_a_batch_does_not_resurrect_a_stale_record() {
+    let (_dfs, region, clients, _workers, cred) = region_with_fresh_memo(b"live");
+    let core = region.core();
+    let owner = core.cache_cluster.shard_node(b"/w/f");
+    let bystander = (0..NODES).map(NodeId).find(|n| *n != owner).unwrap();
+    let (dark_key, lit_key) = (probe_key_on(&region, bystander), probe_key_on(&region, owner));
+    region.apply_fault(FaultEvent::CrashCacheNode(bystander));
+    let _ = clients[1].stat(&dark_key, &cred); // burns the retry budget
+    assert_eq!(core.degraded.mode(), DegradedMode::Degraded);
+    clients[1].unlink("/w/f", &cred).unwrap();
+    while core.degraded.mode() != DegradedMode::Healthy {
+        core.advance(10_000_000); // past the probe interval
+        let _ = clients[2].stat(&lit_key, &cred);
+    }
+
+    let twice = ["/w/f".to_string(), "/w/f".to_string()];
+    let gone = Err(fsapi::FsError::NotFound);
+    assert_eq!(clients[2].stat_many(&twice, &cred), [gone.clone(), gone.clone()]);
+    assert_eq!(clients[2].stat("/w/f", &cred), gone);
 }
 
 /// Regression (acknowledged bytes landing in an unrelated file): a write,

@@ -10,7 +10,7 @@ use dfs::DfsCluster;
 use fsapi::{Credentials, FileSystem, FsError, MountTable, Perm};
 use pacon::commit::worker::{CommitWorker, WorkerStep};
 use pacon::{PaconConfig, PaconRegion, RegionPermissions};
-use simnet::{ClientId, FaultEvent, LatencyProfile, NodeId, Topology};
+use simnet::{ClientId, FaultEvent, LatencyProfile, NodeId, Station, Topology};
 
 fn setup() -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
     let profile = Arc::new(LatencyProfile::zero());
@@ -189,7 +189,8 @@ fn hierarchical_permission_ablation_is_functionally_equivalent() {
 /// trait defaults (`stat` per path, `readdir` + `stat` per entry) answer
 /// on the same process. A `MountTable` forwards the per-path calls only,
 /// so a client mounted at `/` *is* the trait defaults. Each fixture runs
-/// twice so both sides see every miss first (a miss loads the record).
+/// twice so both sides see every miss first (a miss loads the record),
+/// and the `stat_many` list names every kind of path more than once.
 #[test]
 fn batched_reads_match_the_per_path_trait_defaults() {
     let owner = Credentials::new(1, 1);
@@ -243,7 +244,7 @@ fn batched_reads_match_the_per_path_trait_defaults() {
         batched.unlink("/b/gone", &cred).unwrap();
         batched.unlink("/b/cold-gone", &cred).unwrap();
 
-        let paths: Vec<String> = [
+        let kinds = [
             "/b",             // region root
             "/b/hit",         // cached, uncommitted
             "/b/d",           // cached directory
@@ -256,9 +257,15 @@ fn batched_reads_match_the_per_path_trait_defaults() {
             "/a/absent",      // merged region, nowhere
             "/outside/file",  // redirected
             "/outside/absent",
-        ]
-        .map(String::from)
-        .to_vec();
+        ];
+        // Every kind again in reverse order, then each twice in a row: the
+        // batch names every one of them four times, some copies adjacent.
+        let paths: Vec<String> = kinds
+            .iter()
+            .chain(kinds.iter().rev())
+            .chain(kinds.iter().flat_map(|p| [p, p]))
+            .map(|p| p.to_string())
+            .collect();
         let (first, second): (&dyn FileSystem, &dyn FileSystem) =
             if batched_first { (&batched, &per_path) } else { (&per_path, &batched) };
         let got = first.stat_many(&paths, &cred);
@@ -270,6 +277,10 @@ fn batched_reads_match_the_per_path_trait_defaults() {
             [Err(FsError::NotFound), Err(FsError::NotFound), Err(FsError::PermissionDenied)]
         );
         assert_eq!(got[8].as_ref().map(|st| st.size), Ok(6));
+        for (i, p) in paths.iter().enumerate() {
+            let once = kinds.iter().position(|k| k == p).unwrap();
+            assert_eq!(got[i], got[once], "copy {i} of {p}");
+        }
 
         // Listings need live commit processes (readdir is a barrier op).
         region.start_worker_threads();
@@ -613,6 +624,89 @@ fn worker_cache_budget_per_message() {
     for p in &paths {
         assert_eq!(dfs.client().stat(p, &cred), Err(FsError::NotFound));
     }
+}
+
+/// The batched read's budget. Counted, not timed: a `stat_many` of 64
+/// positions over 16 distinct cached paths probes the shards 16 times, and
+/// each owning node is charged `kv_op + (distinct − 1)·kv_multi_per_key +
+/// payload of the distinct hits`. A batch that names every path once — a
+/// plain `stat_many`, a `readdir_plus` — is charged for all its positions.
+#[test]
+fn batched_read_budget_per_distinct_path() {
+    let p = LatencyProfile::default();
+    let dfs = DfsCluster::with_default_config(Arc::new(p.clone()));
+    let cred = Credentials::new(1, 1);
+    let region =
+        PaconRegion::launch_paused(PaconConfig::new("/app", Topology::new(4, 1), cred), &dfs)
+            .unwrap();
+    let c = region.client(ClientId(0));
+    let cluster = &region.core().cache_cluster;
+    c.mkdir("/app/d", &cred, 0o755).unwrap();
+    let distinct: Vec<String> = (0..16).map(|i| format!("/app/d/f{i:02}")).collect();
+    for path in &distinct {
+        c.create(path, &cred, 0o644).unwrap();
+    }
+    region.start_worker_threads();
+    region.quiesce();
+
+    // Per node, what one batched read of `keys` (each named once) costs it.
+    let reader = cluster.client(NodeId(0));
+    let value_len = |key: &str| reader.get(key.as_bytes()).unwrap().unwrap().0.len() as u64;
+    let demand = |keys: &[String]| -> Vec<u64> {
+        let per_node = |node: NodeId| {
+            let group: Vec<&String> =
+                keys.iter().filter(|k| cluster.shard_node(k.as_bytes()) == node).collect();
+            let payload: u64 = group.iter().map(|k| value_len(k)).sum();
+            match group.len() as u64 {
+                0 => 0,
+                n => {
+                    p.kv_op
+                        + (n - 1) * p.kv_multi_per_key
+                        + payload.div_ceil(1024) * p.kv_payload_per_kib
+                }
+            }
+        };
+        cluster.nodes().iter().map(|&node| per_node(node)).collect()
+    };
+    let charged = |trace: &simnet::CostTrace| -> Vec<u64> {
+        cluster.nodes().iter().map(|n| trace.station_ns(Station::KvShard(n.0))).collect()
+    };
+    let want = demand(&distinct);
+    assert_eq!(want.iter().filter(|&&ns| ns > 0).count(), 4, "every node owns some path");
+
+    // 64 positions, each distinct path four times, the copies interleaved.
+    let repeated: Vec<String> = (0..64).map(|j| distinct[j * 5 % 16].clone()).collect();
+    let before = cluster.stats();
+    let (got, trace) = simnet::with_recording(|| c.stat_many(&repeated, &cred));
+    let after = cluster.stats();
+    assert!(got.iter().all(|r| r.as_ref().is_ok_and(|st| st.is_file())));
+    assert_eq!(after.gets - before.gets, 16, "one shard probe per distinct path");
+    assert_eq!(after.multi_gets - before.multi_gets, 4, "one request per owning node");
+    assert_eq!(charged(&trace), want, "stat_many with repeats");
+
+    let (_, trace) = simnet::with_recording(|| c.stat_many(&distinct, &cred));
+    assert_eq!(charged(&trace), want, "stat_many without repeats");
+    let (listed, trace) = simnet::with_recording(|| c.readdir_plus("/app/d", &cred));
+    assert_eq!(listed.unwrap().len(), 16);
+    assert_eq!(charged(&trace), want, "readdir_plus");
+    region.shutdown().unwrap();
+}
+
+/// A path only the DFS holds, named three times in one `stat_many`: one
+/// MDS lookup and one cache store, and every copy answers the same.
+#[test]
+fn a_repeated_missing_path_loads_once() {
+    let (dfs, region, cred) = paused(Topology::new(2, 2));
+    dfs.client().create("/app/cold", &cred, 0o644).unwrap();
+    let c = region.client(ClientId(0));
+    let paths = vec!["/app/cold".to_string(); 3];
+    let lookups = dfs.mds_counter("lookup_stat");
+    let mut got = Vec::new();
+    let (gets, sets, ..) = round_trips(&region, || got = c.stat_many(&paths, &cred));
+    assert_eq!(dfs.mds_counter("lookup_stat") - lookups, 1, "MDS lookup_stat");
+    assert_eq!((gets, sets), (1, 1), "(shard probes, cache stores)");
+    assert!(got[0].as_ref().is_ok_and(|st| st.is_file()));
+    assert_eq!(got, [got[0].clone(), got[0].clone(), got[0].clone()]);
 }
 
 /// An update that changes nothing must not store: a write to a file that
