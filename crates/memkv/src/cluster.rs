@@ -11,8 +11,9 @@
 //!
 //! Ring membership is a dynamic subset of the provisioned nodes:
 //! [`KvCluster::begin_join`] / [`KvCluster::begin_leave`] start an epoch'd
-//! migration that moves only the key ranges whose consistent-hash
-//! ownership changes, driven forward in bounded batches by
+//! migration that moves only the keys whose rendezvous owner changes
+//! (those the joiner wins, or those the leaver held), driven forward in
+//! bounded batches by
 //! [`KvCluster::migration_step`]. Clients keep reading and writing
 //! throughout:
 //!
@@ -54,7 +55,7 @@ use crate::shard::{CasOutcome, CondOutcome, CondWrite, KeyMoved, Shard, ShardSta
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvError {
     /// The shard owning the key is crashed. The ring deliberately keeps
-    /// the dead node's points — re-hashing elsewhere would silently serve
+    /// it a member — re-hashing elsewhere would silently serve
     /// stale/missing data — so callers must retry or degrade.
     NodeDown(NodeId),
     /// An epoch-fenced operation carried a routing epoch older than the
@@ -324,15 +325,15 @@ impl KvCluster {
     /// Crash `node`: its shard state is wiped immediately (volatile
     /// cache memory dies with the process — data *and* moved-out markers)
     /// and every request routed to it surfaces [`KvError::NodeDown`]
-    /// until [`restart`](Self::restart). The ring keeps the node's
-    /// points, so no key silently re-hashes to a surviving shard. Bumps
+    /// until [`restart`](Self::restart). The ring keeps it a member, so
+    /// no key silently re-hashes to a surviving shard. Bumps
     /// the ring epoch.
     ///
     /// A crash while a migration is in flight resolves it
     /// deterministically: a join **aborts** (joiner wiped, markers
     /// dropped, old ring restored), a leave **force-completes**
     /// (authority flips to the target ring; the unmoved remainder
-    /// degrades to cache misses). Moved или unmoved, no key can be served
+    /// degrades to cache misses). Moved or unmoved, no key can be served
     /// stale afterwards — at most it misses and reloads.
     pub fn crash(&self, node: NodeId) {
         let mut guard = self.router.state.write();
@@ -1159,7 +1160,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_surfaces_node_down_and_keeps_ring_points() {
+    fn crash_surfaces_node_down_and_keeps_the_node_a_member() {
         let c = cluster(4);
         let client = c.client(NodeId(0));
         // Find keys owned by two different nodes.

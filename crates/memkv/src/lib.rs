@@ -6,8 +6,9 @@
 //! Memcached's CAS (check-and-swap) for lock-free concurrent updates
 //! (Section III.D-3). This crate is that substrate:
 //!
-//! * [`ring`] — a consistent-hash ring with virtual nodes mapping keys to
-//!   shard nodes,
+//! * [`ring`] — rendezvous (highest-random-weight) hashing mapping keys
+//!   to shard nodes: balanced by key, and a membership change moves only
+//!   the keys a joiner wins or a leaver held,
 //! * [`shard`] — one in-memory shard: versioned `Arc<[u8]>` entries, CAS,
 //!   byte accounting and no eviction of its own (the cache is Pacon's
 //!   primary copy; `pacon::eviction` decides what may go); reads share
@@ -18,8 +19,8 @@
 //!   conditional stores and deletes) pay one round trip per shard node
 //!   per batch. Ring membership is
 //!   **live**: `begin_join`/`begin_leave` start an epoch'd migration
-//!   (driven by `migration_step`) that moves only remapped key ranges
-//!   while clients keep reading and writing, fenced by epoch-checked CAS.
+//!   (driven by `migration_step`) that moves only remapped keys while
+//!   clients keep reading and writing, fenced by epoch-checked CAS.
 //!
 //! Two small extensions beyond memcached's wire surface exist because
 //! Pacon's design needs them: prefix enumeration (for consistent-region

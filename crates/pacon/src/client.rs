@@ -738,10 +738,9 @@ impl FileSystem for PaconClient {
             Ok(m) => m,
             Err(CacheError::Unavailable) => {
                 // Degraded: the whole batch falls through to per-path
-                // stats on the backup copy.
-                self.core.counters.add("degraded_reads", keys.len() as u64);
+                // degraded reads, exactly as `stat` would make them.
                 for &i in &lookup {
-                    out[i] = self.dfs.stat(&paths[i], cred);
+                    out[i] = self.degraded_stat(&paths[i], cred);
                 }
                 return out;
             }

@@ -882,6 +882,32 @@ fn a_repeated_path_in_a_batch_does_not_resurrect_a_stale_record() {
     assert_eq!(clients[2].stat("/w/f", &cred), gone);
 }
 
+/// Regression (acknowledged unlink undone in the read path): a batch read
+/// while the owner is down skipped the queued-unlink check a single stat
+/// makes, and the backup copy — which still holds the file — answered it.
+#[test]
+fn a_degraded_batch_read_does_not_resurrect_a_queued_unlink() {
+    let cred = Credentials::new(1, 1);
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let region =
+        PaconRegion::launch_paused(PaconConfig::new("/w", Topology::new(NODES, 1), cred), &dfs)
+            .unwrap();
+    let c = region.client(ClientId(0));
+    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
+    let core = region.core();
+    c.create("/w/f", &cred, 0o644).unwrap();
+    drain(&region, &mut workers);
+    c.unlink("/w/f", &cred).unwrap();
+    region.apply_fault(FaultEvent::CrashCacheNode(core.cache_cluster.shard_node(b"/w/f")));
+
+    let gone = Err(fsapi::FsError::NotFound);
+    assert_eq!(c.stat("/w/f", &cred), gone);
+    let degraded_before = core.counters.get("degraded_reads");
+    assert_eq!(c.stat_many(&["/w/f".to_string()], &cred), [gone]);
+    assert_eq!(core.counters.get("degraded_reads"), degraded_before, "the backup was read");
+    assert_eq!(dfs.client().stat("/w/f", &cred).map(|s| s.kind), Ok(FileKind::File));
+}
+
 /// Regression (acknowledged bytes landing in an unrelated file): a write,
 /// while its path's shard is down, to a path that never existed. Nothing
 /// this side of the outage tells that path from one whose creation is
