@@ -1,26 +1,25 @@
-//! Event-engine scale benchmark: timer wheel vs reference heap.
+//! Event-engine scale benchmark: radix heap vs reference binary heap.
 //!
 //! The paper targets metadata storms from clusters with millions of
 //! client processes; the reproduction's ceiling is how many closed-loop
-//! virtual clients the discrete-event engine can carry. Three sections:
+//! virtual clients the discrete-event engine can carry. Both sweeps
+//! start at 168, the repo benchmark's own population (160 clients plus
+//! 8 commit processes). Three sections:
 //!
-//! **Scheduler churn** isolates the data structure the rework replaced:
-//! `n` concurrent timers pop and re-arm at calibrated think/service
-//! offsets ([`qsim::sched_bench::churn`]) with no process dispatch in
-//! the loop. Best-of-3 wall times for the timer wheel vs the original
-//! `BinaryHeap`, with a dispatch-order checksum cross-check. This is
-//! where the order-of-magnitude target applies: the wheel's amortized
-//! O(1) vs the heap's O(log n) over a DRAM-resident heap array shows
-//! fully at 10^6 timers (best-of-3 measures ~9-12x run to run; the
-//! asserted floor of 7.5x leaves noise margin). At 10^5 the heap's
-//! 2.4 MB array still half-fits in cache, capping the measured gap at
-//! ~4.5-6x.
+//! **Scheduler churn** isolates the scheduler: `n` concurrent timers pop
+//! and re-arm at calibrated think/service offsets
+//! ([`qsim::sched_bench::churn`]) with no process dispatch in the loop.
+//! Best-of-3 wall times for the radix heap vs the original `BinaryHeap`,
+//! with a dispatch-order checksum cross-check. The radix heap's cost per
+//! event is flat across the sweep, while the binary heap's sift chains
+//! over a DRAM-resident array grow with `n`, so the gap widens from a few
+//! times at 10^2..10^4 timers to an order of magnitude at 10^6.
 //!
 //! **Engine sweep** runs the full closed-loop engine across
-//! {10^3..10^6} clients and measures end-to-end event throughput and
+//! {168, 10^3..10^6} clients and measures end-to-end event throughput and
 //! peak RSS for both configurations:
 //!
-//! * **wheel** — the timer-wheel scheduler driving a dense,
+//! * **radix** — the radix-heap scheduler driving a dense,
 //!   monomorphized process table ([`qsim::Simulation::run_procs`]);
 //! * **heap** — the original `BinaryHeap` scheduler driving `Box<dyn
 //!   Process>` clients (the pre-rework engine, kept in qsim as the
@@ -122,7 +121,7 @@ struct EnginePoint {
     run: RunResult,
 }
 
-fn run_wheel(n: usize, steps: u64) -> EnginePoint {
+fn run_radix(n: usize, steps: u64) -> EnginePoint {
     let mut procs: Vec<SynthClient> =
         (0..n).map(|i| SynthClient::new(i as u64, steps)).collect();
     let t0 = Instant::now();
@@ -158,7 +157,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 
 struct ChurnPoint {
     timers: usize,
-    wheel_events_per_sec: f64,
+    radix_events_per_sec: f64,
     heap_events_per_sec: f64,
     speedup: f64,
 }
@@ -169,22 +168,22 @@ fn churn_sweep(sweep: &[usize], events: u64) -> Vec<ChurnPoint> {
     use qsim::sched_bench::{churn, EngineKind};
     let mut points = Vec::new();
     for &n in sweep {
-        let mut wheel_best = f64::MAX;
+        let mut radix_best = f64::MAX;
         let mut heap_best = f64::MAX;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let wsum = churn(EngineKind::Wheel, n as u32, events, 7);
-            wheel_best = wheel_best.min(t0.elapsed().as_secs_f64());
+            let rsum = churn(EngineKind::Radix, n as u32, events, 7);
+            radix_best = radix_best.min(t0.elapsed().as_secs_f64());
             let t1 = Instant::now();
             let hsum = churn(EngineKind::Heap, n as u32, events, 7);
             heap_best = heap_best.min(t1.elapsed().as_secs_f64());
-            assert_eq!(wsum, hsum, "schedulers dispatched different orders at n={n}");
+            assert_eq!(rsum, hsum, "schedulers dispatched different orders at n={n}");
         }
         points.push(ChurnPoint {
             timers: n,
-            wheel_events_per_sec: events as f64 / wheel_best,
+            radix_events_per_sec: events as f64 / radix_best,
             heap_events_per_sec: events as f64 / heap_best,
-            speedup: heap_best / wheel_best,
+            speedup: heap_best / radix_best,
         });
     }
     points
@@ -194,21 +193,23 @@ fn main() {
     let max_clients = env_u64("QSIM_SCALE_MAX_CLIENTS", 1_000_000) as usize;
     let event_budget = env_u64("QSIM_SCALE_EVENTS", 4_000_000);
 
-    let sweep: Vec<usize> =
-        [1_000usize, 10_000, 100_000, 1_000_000].into_iter().filter(|&n| n <= max_clients).collect();
-    assert!(!sweep.is_empty(), "QSIM_SCALE_MAX_CLIENTS must allow at least 1000 clients");
+    let sweep: Vec<usize> = [168usize, 1_000, 10_000, 100_000, 1_000_000]
+        .into_iter()
+        .filter(|&n| n <= max_clients)
+        .collect();
+    assert!(!sweep.is_empty(), "QSIM_SCALE_MAX_CLIENTS must allow at least 168 clients");
 
-    // ---- Raw scheduler churn: the replaced data structure in isolation ----
+    // ---- Raw scheduler churn: the data structure in isolation ----
     let churn_points = churn_sweep(&sweep, event_budget);
     print_table(
         "Scheduler churn: pop + re-arm, no dispatch (best of 3)",
-        &["timers", "wheel ev/s", "heap ev/s", "speedup"].map(String::from),
+        &["timers", "radix ev/s", "heap ev/s", "speedup"].map(String::from),
         &churn_points
             .iter()
             .map(|p| {
                 vec![
                     p.timers.to_string(),
-                    fmt_ops(p.wheel_events_per_sec),
+                    fmt_ops(p.radix_events_per_sec),
                     fmt_ops(p.heap_events_per_sec),
                     format!("{:.1}x", p.speedup),
                 ]
@@ -216,27 +217,22 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     for p in &churn_points {
-        // Acceptance: the wheel's O(1) scheduling must beat the heap's
-        // O(log n) by an order of magnitude once the heap array outgrows
-        // the LLC (10^6 timers; best-of-3 measures 9.3-11.6x run to run
-        // on a shared machine, so the asserted floor leaves noise
-        // margin). At 10^5 the heap is still partially cache-resident,
-        // so the gap — and the floor — is lower (measured 4.5-6.3x).
-        if p.timers >= 1_000_000 {
-            assert!(
-                p.speedup >= 7.5,
-                "acceptance: wheel must deliver >= 7.5x scheduler throughput at {} timers, got {:.1}x",
-                p.timers,
-                p.speedup
-            );
-        } else if p.timers >= 100_000 {
-            assert!(
-                p.speedup >= 3.5,
-                "acceptance: wheel must deliver >= 3.5x scheduler throughput at {} timers, got {:.1}x",
-                p.timers,
-                p.speedup
-            );
-        }
+        // Acceptance floors, each well under what best-of-3 measures on
+        // a shared 2-core machine so noise does not trip them: the radix
+        // heap beats the binary heap at every population, the benchmark's
+        // 168 included, and by an order of magnitude once the binary
+        // heap's array outgrows the last-level cache (10^6 timers).
+        let floor = match p.timers {
+            t if t >= 1_000_000 => 7.5,
+            t if t >= 100_000 => 3.5,
+            _ => 1.5,
+        };
+        assert!(
+            p.speedup >= floor,
+            "acceptance: radix heap must deliver >= {floor}x scheduler throughput at {} timers, got {:.1}x",
+            p.timers,
+            p.speedup
+        );
     }
 
     let mut rows = Vec::new();
@@ -246,32 +242,32 @@ fn main() {
         // so each point times the scheduler at its population, not a
         // larger workload.
         let steps = (event_budget / n as u64).max(4);
-        let wheel = run_wheel(n, steps);
+        let radix = run_radix(n, steps);
         let heap = run_heap(n, steps);
 
         // Same workload, same dispatch order: the engines must agree on
         // everything virtual-time.
-        assert_eq!(wheel.run.events_dispatched, heap.run.events_dispatched, "n={n}");
-        assert_eq!(wheel.run.makespan_ns, heap.run.makespan_ns, "n={n}");
-        assert_eq!(wheel.run.measured_ops, heap.run.measured_ops, "n={n}");
+        assert_eq!(radix.run.events_dispatched, heap.run.events_dispatched, "n={n}");
+        assert_eq!(radix.run.makespan_ns, heap.run.makespan_ns, "n={n}");
+        assert_eq!(radix.run.measured_ops, heap.run.measured_ops, "n={n}");
 
-        let speedup = wheel.events_per_sec / heap.events_per_sec;
+        let speedup = radix.events_per_sec / heap.events_per_sec;
         rows.push(vec![
             n.to_string(),
-            wheel.events.to_string(),
-            fmt_ops(wheel.events_per_sec),
+            radix.events.to_string(),
+            fmt_ops(radix.events_per_sec),
             fmt_ops(heap.events_per_sec),
             format!("{speedup:.1}x"),
-            format!("{:.1}", wheel.wall_ms),
+            format!("{:.1}", radix.wall_ms),
             format!("{:.1}", heap.wall_ms),
-            format!("{}", wheel.peak_rss_kb / 1024),
+            format!("{}", radix.peak_rss_kb / 1024),
         ]);
-        series.push((n, steps, wheel, heap, speedup));
+        series.push((n, steps, radix, heap, speedup));
     }
 
     print_table(
-        "Engine scale: timer wheel (dense) vs binary heap (boxed)",
-        &["clients", "events", "wheel ev/s", "heap ev/s", "speedup", "wheel ms", "heap ms", "rss MiB"]
+        "Engine scale: radix heap (dense) vs binary heap (boxed)",
+        &["clients", "events", "radix ev/s", "heap ev/s", "speedup", "radix ms", "heap ms", "rss MiB"]
             .map(String::from),
         &rows,
     );
@@ -279,7 +275,7 @@ fn main() {
     for (n, _, _, _, speedup) in &series {
         // End-to-end the engines share the cost of executing the clients
         // themselves, so the bar is lower than the scheduler-level one
-        // (measured 2-3x here).
+        // (measured 2.6-4.8x at 10^5-10^6 clients on a 2-core machine).
         if *n >= 100_000 {
             assert!(
                 *speedup >= 1.5,
@@ -332,10 +328,10 @@ fn main() {
     json.push_str("  \"scheduler_churn\": [\n");
     for (i, p) in churn_points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"timers\": {}, \"wheel_events_per_sec\": {:.0}, \
+            "    {{ \"timers\": {}, \"radix_events_per_sec\": {:.0}, \
              \"heap_events_per_sec\": {:.0}, \"speedup\": {:.2} }}{}\n",
             p.timers,
-            p.wheel_events_per_sec,
+            p.radix_events_per_sec,
             p.heap_events_per_sec,
             p.speedup,
             if i + 1 < churn_points.len() { "," } else { "" }
@@ -343,18 +339,18 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str("  \"series\": [\n");
-    for (i, (n, steps, wheel, heap, speedup)) in series.iter().enumerate() {
+    for (i, (n, steps, radix, heap, speedup)) in series.iter().enumerate() {
         json.push_str(&format!(
             "    {{ \"clients\": {n}, \"steps_per_client\": {steps}, \"events\": {}, \
-             \"wheel_events_per_sec\": {:.0}, \"heap_events_per_sec\": {:.0}, \
-             \"wheel_wall_ms\": {:.1}, \"heap_wall_ms\": {:.1}, \
+             \"radix_events_per_sec\": {:.0}, \"heap_events_per_sec\": {:.0}, \
+             \"radix_wall_ms\": {:.1}, \"heap_wall_ms\": {:.1}, \
              \"speedup\": {speedup:.2}, \"peak_rss_kb\": {} }}{}\n",
-            wheel.events,
-            wheel.events_per_sec,
+            radix.events,
+            radix.events_per_sec,
             heap.events_per_sec,
-            wheel.wall_ms,
+            radix.wall_ms,
             heap.wall_ms,
-            wheel.peak_rss_kb,
+            radix.peak_rss_kb,
             if i + 1 < series.len() { "," } else { "" }
         ));
     }

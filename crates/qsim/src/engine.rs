@@ -19,14 +19,14 @@
 //! engine keeps running background processes until each returns `Idle`
 //! (so commit queues drain completely), then stops.
 //!
-//! **Event scheduling** is a bucketed hierarchical timer wheel with a
-//! slab event arena and a calendar fallback ([`crate::wheel`]): pushes
-//! and pops are amortized `O(1)` and allocation-free on the hot path,
-//! which is what makes 10^5–10^6 closed-loop clients tractable. The
-//! original `BinaryHeap` scheduler survives as the trace-equivalence
-//! oracle ([`crate::heap`]). Both
-//! schedulers implement the same total `(time, push-seq)` dispatch
-//! order, so runs are bit-for-bit deterministic and scheduler-agnostic.
+//! **Event scheduling** is a monotone radix heap ([`crate::radix`]): 64
+//! buckets indexed by the highest bit in which an event's time differs
+//! from the last refill. Pending events are 16-byte nodes appended to and
+//! streamed out of those buckets, allocation-free once the buckets reach
+//! their high-water mark. The original `BinaryHeap` scheduler survives as the
+//! trace-equivalence oracle ([`crate::heap`]). Both schedulers implement
+//! the same total `(time, push order)` dispatch order, so runs are
+//! bit-for-bit deterministic and scheduler-agnostic.
 //!
 //! **Dispatch** is monomorphized: [`Simulation::run_procs`] drives a
 //! dense table of any concrete [`Process`] type with static dispatch
@@ -185,9 +185,10 @@ pub(crate) enum EventKind {
     SegDone,
 }
 
-/// An event scheduler: a priority queue over `(time, push-seq)` with
-/// FIFO tie-break at equal times. The timer wheel is the default; the
-/// original binary heap is the equivalence oracle.
+/// An event scheduler: a priority queue over `(time, push order)` with
+/// FIFO tie-break at equal times. The radix heap runs the engine; the
+/// original binary heap is the equivalence oracle. The engine never
+/// pushes an event earlier than the last one popped.
 pub(crate) trait Scheduler {
     fn push(&mut self, time: u64, pid: u32, kind: EventKind);
     fn pop(&mut self) -> Option<(u64, u32, EventKind)>;
@@ -324,7 +325,7 @@ impl Simulation {
     /// dispatch — the allocation-free fast path for homogeneous
     /// populations (`Box<dyn Process>` slices also satisfy `P`).
     pub fn run_procs<P: Process>(&self, procs: &mut [P]) -> RunResult {
-        let mut sched = crate::wheel::TimerWheel::with_capacity(procs.len() + 16);
+        let mut sched = crate::radix::RadixHeap::new();
         self.run_core(&mut sched, procs)
     }
 
@@ -364,11 +365,13 @@ impl Simulation {
         let mut events: u64 = 0;
 
         while let Some((time, pid, kind)) = sched.pop() {
-            events += 1;
-            if time > self.opts.max_time || events > self.opts.max_events {
+            // The event that trips a hard stop is not dispatched, so it
+            // is not counted either.
+            if time > self.opts.max_time || events >= self.opts.max_events {
                 last_time = last_time.max(time.min(self.opts.max_time));
                 break;
             }
+            events += 1;
             last_time = time;
             let pid = pid as usize;
             if done[pid] {
@@ -672,8 +675,32 @@ mod tests {
             record_latency: false,
         })
         .run(&mut procs);
-        assert!(res.drained_ns <= 10_000);
-        assert!(res.ops_per_process[0] <= 101);
+        // Ready at 0, then a SegDone and a Ready at every 100 ns up to
+        // 10 000: 201 events and 100 ops. The SegDone at 10 100 trips the
+        // stop and is not dispatched.
+        assert_eq!(res.drained_ns, 10_000);
+        assert_eq!(res.ops_per_process[0], 100);
+        assert_eq!(res.events_dispatched, 201);
+    }
+
+    #[test]
+    fn max_events_stops_after_exactly_that_many() {
+        struct Forever;
+        impl Process for Forever {
+            fn next(&mut self, _now: u64) -> Step {
+                Step::Work { trace: mk_trace(&[(Station::Network, 100)]), ops: 1, class: 0 }
+            }
+        }
+        let mut procs: Vec<Box<dyn Process>> = vec![Box::new(Forever)];
+        let res = Simulation::with_options(RunOptions {
+            max_time: u64::MAX,
+            max_events: 7,
+            record_latency: false,
+        })
+        .run(&mut procs);
+        // Ready at 0, then SegDone + Ready at 100, 200 and 300.
+        assert_eq!(res.events_dispatched, 7);
+        assert_eq!(res.ops_per_process[0], 3);
     }
 
     #[test]

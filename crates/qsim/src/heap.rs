@@ -1,12 +1,12 @@
 //! The original `BinaryHeap` event scheduler, kept as the reference
 //! oracle.
 //!
-//! This is a verbatim port of the engine's pre-timer-wheel scheduler: a
-//! min-heap over `(time, seq)` with a monotone push sequence number as
-//! the FIFO tie-breaker. It exists for two reasons: the
-//! trace-equivalence proptest (`tests/wheel_equivalence.rs`) uses it as
-//! the oracle the timer wheel must match event-for-event, and the
-//! `qsim_scale` bench measures the wheel's throughput gain against it.
+//! This is the engine's original scheduler: a min-heap over
+//! `(time, seq)` with a monotone push sequence number as the FIFO
+//! tie-breaker. It makes no assumption about push times, so it is the
+//! oracle the radix heap must match event-for-event
+//! (`tests/scheduler_equivalence.rs`), and the baseline the `qsim_scale`
+//! bench measures the radix heap's throughput against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -13,17 +13,17 @@
 //! The engine is validated against an exact Mean-Value-Analysis solver
 //! ([`mva`]) and the asymptotic operational bounds of closed networks.
 //!
-//! Event scheduling uses a hierarchical timer wheel with an arena-backed
-//! event slab ([`wheel`]); the original binary-heap scheduler is kept
-//! ([`heap`]) as the trace-equivalence oracle and benchmark baseline.
+//! Event scheduling uses a monotone radix heap ([`radix`]); the original
+//! binary-heap scheduler is kept ([`heap`]) as the trace-equivalence
+//! oracle and benchmark baseline.
 
 #![forbid(unsafe_code)]
 
 pub mod engine;
 pub(crate) mod heap;
 pub mod mva;
+pub(crate) mod radix;
 pub mod sched_bench;
-pub(crate) mod wheel;
 
 pub use engine::{Process, RunOptions, RunResult, Simulation, Step};
 pub use mva::{mva_multiclass, mva_throughput, ClassResult, ClassSpec, MvaResult};

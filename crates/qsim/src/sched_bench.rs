@@ -6,7 +6,7 @@
 //! the earliest and re-arms it at a quantized offset drawn from the
 //! calibrated think/service-time range (5–80 µs). This isolates pure
 //! push/pop scheduling cost — no process dispatch, no client state — so
-//! it measures exactly the data structure the timer wheel replaced.
+//! it measures exactly the data structure the engine schedules with.
 //!
 //! Wall-clock timing is the *caller's* job: `qsim` is a deterministic
 //! sim crate and bans `std::time` (lint rule R3). The returned checksum
@@ -15,26 +15,26 @@
 
 use crate::engine::{EventKind, Scheduler};
 use crate::heap::HeapScheduler;
-use crate::wheel::TimerWheel;
+use crate::radix::RadixHeap;
 
 /// Which scheduler implementation to churn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The hierarchical timer wheel (the engine default).
-    Wheel,
+    /// The monotone radix heap (the engine's scheduler).
+    Radix,
     /// The original `BinaryHeap` scheduler (the baseline).
     Heap,
 }
 
 /// Quantized re-arm offsets, matching the calibrated profiles' think and
-/// service times (all within or near the wheel's wide level 0).
+/// service times.
 const QUANT: [u64; 8] = [5_000, 10_000, 20_000, 20_000, 20_000, 40_000, 40_000, 80_000];
 
 /// Run `events` pop/re-arm rounds over `n` concurrent timers and return
 /// an order-sensitive checksum of the dispatch sequence.
 pub fn churn(kind: EngineKind, n: u32, events: u64, seed: u64) -> u64 {
     match kind {
-        EngineKind::Wheel => run(TimerWheel::with_capacity(n as usize + 1), n, events, seed),
+        EngineKind::Radix => run(RadixHeap::new(), n, events, seed),
         EngineKind::Heap => run(HeapScheduler::new(), n, events, seed),
     }
 }
@@ -66,11 +66,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wheel_and_heap_churn_identically() {
-        for n in [1u32, 7, 1_000] {
-            let w = churn(EngineKind::Wheel, n, 10_000, 42);
+    fn radix_and_heap_churn_identically() {
+        for n in [1u32, 7, 168, 1_000] {
+            let r = churn(EngineKind::Radix, n, 10_000, 42);
             let h = churn(EngineKind::Heap, n, 10_000, 42);
-            assert_eq!(w, h, "dispatch order diverges at n={n}");
+            assert_eq!(r, h, "dispatch order diverges at n={n}");
         }
     }
 }

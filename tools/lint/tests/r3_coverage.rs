@@ -1,6 +1,6 @@
 //! R3 (wall-clock ban) coverage of the event-engine hot path.
 //!
-//! The timer wheel, the raw scheduler churn bench and the latency
+//! The radix-heap scheduler, the raw scheduler churn bench and the latency
 //! histograms are the code most tempted to reach for `Instant::now()` —
 //! the first two because they exist to be timed, the histograms because
 //! they talk about latency. All three live in deterministic sim crates
@@ -16,7 +16,7 @@ use tools_lint::{analyze, Rule};
 
 /// The hot-path files under the wall-clock ban, repo-relative.
 const COVERED: &[&str] = &[
-    "crates/qsim/src/wheel.rs",
+    "crates/qsim/src/radix.rs",
     "crates/qsim/src/sched_bench.rs",
     "crates/qsim/src/engine.rs",
     "crates/simnet/src/stats.rs",
