@@ -1,7 +1,8 @@
 //! Durable commit queue: the per-node write-ahead log.
 //!
 //! In durable mode every committable operation is journaled here —
-//! framed by the `lsmkv` WAL (length + CRC32, torn-tail tolerant) —
+//! framed by the `lsmkv` WAL (length + CRC32, torn-tail tolerant, written
+//! into zero-filled space so a group fsync flushes data blocks only) —
 //! *before* the client's mutation is acknowledged locally. The record
 //! carries the op's `(path, write_id, generation)` replay identity, so
 //! the log can be replayed idempotently after a crash, any number of
@@ -132,10 +133,10 @@ pub struct CommitWal {
 }
 
 impl CommitWal {
-    /// Crash-safe open: truncates any torn/corrupt tail and returns the
-    /// surviving entries for replay. Records whose payload fails to
-    /// decode end the replay (they can only arise from a frame-level
-    /// collision, which the CRC makes astronomically unlikely).
+    /// Crash-safe open: truncates any torn/corrupt tail (a clean zero tail
+    /// stays) and returns the surviving entries for replay. Records whose
+    /// payload fails to decode end the replay (they can only arise from a
+    /// frame-level collision, which the CRC makes astronomically unlikely).
     pub fn open(path: &Path, fsync_batch: usize) -> FsResult<(Self, Vec<WalEntry>)> {
         let (wal, records) = Wal::open_recovered(path, false).map_err(lsm_err)?;
         let mut entries = Vec::with_capacity(records.len());
@@ -183,7 +184,7 @@ impl CommitWal {
         if !drained() {
             return Ok(false);
         }
-        // lint: allow(hold-across-blocking, truncate reopens and syncs the log under the same terminal WAL mutex)
+        // lint: allow(hold-across-blocking, truncate cuts and syncs the log under the same terminal WAL mutex)
         g.wal.reset().map_err(lsm_err)?;
         g.unsynced = 0;
         Ok(true)
@@ -192,7 +193,7 @@ impl CommitWal {
     /// Unconditional truncate (recovery finished; checkpoint rollback).
     pub fn reset(&self) -> FsResult<()> {
         let mut g = self.inner.lock();
-        // lint: allow(hold-across-blocking, reset reopens and syncs the log under the same terminal WAL mutex)
+        // lint: allow(hold-across-blocking, reset cuts and syncs the log under the same terminal WAL mutex)
         g.wal.reset().map_err(lsm_err)?;
         g.unsynced = 0;
         Ok(())

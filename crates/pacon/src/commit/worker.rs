@@ -590,7 +590,7 @@ impl CommitWorker {
     fn discarded(&self, msg: &QueueMsg, counter: &'static str) -> WorkerStep {
         self.retire(msg, false);
         if let (true, Some(path)) = (msg.op.is_creation(), msg.op.path()) {
-            self.core.in_flight().take_staged(&[path]);
+            self.core.in_flight().take_staged(&[(path, msg.timestamp)]);
         }
         self.core.note_completed();
         self.core.counters.incr(counter);
@@ -620,7 +620,7 @@ impl CommitWorker {
         match &msg.op {
             CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } => {
                 self.mark_committed(path, msg.timestamp);
-                self.flush_staged(&[path]);
+                self.flush_staged(&[(path, msg.timestamp)]);
             }
             CommitOp::Unlink { path } if !self.core.in_flight().unlink_pending(path) => {
                 self.drop_removed_record(path);
@@ -657,13 +657,13 @@ impl CommitWorker {
         // an unlink of this batch already removed leaves its staged bytes
         // to go with the file, as that unlink would have deleted them.
         let mut work: Vec<(&QueueMsg, &str)> = Vec::with_capacity(last.len());
-        let mut removed: Vec<&str> = Vec::new();
+        let mut removed: Vec<(&str, u64)> = Vec::new();
         for (i, msg) in applied.iter().enumerate() {
             let Some(path) = ns_path(msg) else { continue };
             let decider = last[path];
             if decider != i {
                 if msg.op.is_creation() && matches!(applied[decider].op, CommitOp::Unlink { .. }) {
-                    removed.push(path);
+                    removed.push((path, msg.timestamp));
                 }
             } else if msg.op.is_creation() || !in_flight.unlink_pending(path) {
                 work.push((msg, path));
@@ -713,8 +713,7 @@ impl CommitWorker {
                 (_, false) => self.mark_committed(path, msg.timestamp),
             }
         }
-        let created: Vec<&str> = creations.iter().map(|&(path, _)| path).collect();
-        self.flush_staged(&created);
+        self.flush_staged(&creations);
         in_flight.take_staged(&removed);
     }
 
@@ -765,9 +764,10 @@ impl CommitWorker {
     }
 
     /// Write back the bytes staged while the created files were not on the
-    /// DFS yet (Section III.D-2) — by their creation, never by an unlink:
+    /// DFS yet (Section III.D-2) — by the creation that owns them (stamped
+    /// `ts` in `(path, ts)`), never by an unlink or an older creation:
     /// what is staged then is a later incarnation's.
-    fn flush_staged(&self, created: &[&str]) {
+    fn flush_staged(&self, created: &[(&str, u64)]) {
         for (path, data) in self.core.in_flight().take_staged(created) {
             if self.dfs.write(path, &self.core.config.cred, 0, &data).is_ok() {
                 self.core.counters.incr("staged_writebacks");

@@ -10,11 +10,11 @@
 //! | `release_writeback` | writeback settled | in flight → none |
 //! | `ack_unlink` | unlink acknowledged | slot → none, + stamp (+ stale mark, degraded) |
 //! | `retract_unlink` | its publish failed | − stamp (− stale mark) |
-//! | `cancel_create` | unlink annihilated a buffered create | − stamp, − staged bytes |
+//! | `cancel_create` | unlink annihilated a buffered create | − stamp, − its staged bytes |
 //! | `settle_unlink` | unlink settled | − stamp (− birth, committed) |
 //! | `note_birth` | creation committed | birth = its stamp |
 //! | `stage` / `stage_at` | data for a file not on the DFS yet | + staged bytes |
-//! | `take_staged` | creation committed or discarded | − staged bytes |
+//! | `take_staged` | creation committed or discarded | − its staged bytes |
 //! | `remove_dir` | rmdir, inside its barrier | − slots and staged bytes under it |
 //! | `new_generation` | durable create / mkdir / unlink published | generation = its write id |
 //! | `clear_stale` | stale record deleted, or fresh one stored | − stale mark |
@@ -25,6 +25,15 @@
 //! box for its generation, under which what is pending hangs. Stale marks
 //! are also counted outside the lock: with none set, the stale check of
 //! every cache hit, `put` and `add_new` takes no lock.
+//!
+//! **Staged bytes and their creation.** A path's incarnations are
+//! separated by unlinks: a creation is acknowledged only over a removed
+//! record, so the unlink that removed it was acknowledged first. Bytes are
+//! staged under the newest unlink pending at the time (0: none) and belong
+//! to the first creation stamped after it — never to an older creation
+//! still queued, whose file that unlink is about to remove. An unlink
+//! acknowledged since the bytes were staged ended their incarnation, and
+//! the next staging replaces them.
 //!
 //! **Removed directories.** `rmdir` inside barrier `e` records `(dir, e)`.
 //! Ops are stamped at publish with the last *completed* epoch, so a stamp
@@ -68,13 +77,20 @@ struct Rare {
 struct Pending {
     /// Stamps of acknowledged, unsettled unlinks (a multiset).
     unlinks: Vec<u64>,
-    /// Bytes of a file not yet on the DFS (Section III.D-2's "cache
-    /// files"), owned by the creation that will make it.
-    staged: Option<Vec<u8>>,
+    staged: Option<Box<Staged>>,
     writeback: Writeback,
     /// Unlinked while its shard was unreachable: a record that outlived
     /// the outage is a dead incarnation's.
     stale: bool,
+}
+
+/// Bytes of a file not yet on the DFS (Section III.D-2's "cache files"),
+/// owned by the creation that will make it: the first one stamped after
+/// `after`, the newest unlink pending when they were staged (module docs).
+#[derive(Debug)]
+struct Staged {
+    after: u64,
+    bytes: Vec<u8>,
 }
 
 /// What a path with nothing pending reads as.
@@ -90,6 +106,22 @@ impl Pending {
         if let Some(i) = self.unlinks.iter().position(|&t| t == ts) {
             self.unlinks.swap_remove(i);
         }
+    }
+
+    /// The staged bytes of the live incarnation, empty if none are (also
+    /// when the staged ones are an unlinked incarnation's).
+    fn staged_live(&mut self) -> &mut Vec<u8> {
+        let after = self.unlinks.iter().copied().max().unwrap_or(0);
+        if self.staged.as_ref().is_some_and(|s| after > s.after) {
+            self.staged = None;
+        }
+        &mut self.staged.get_or_insert_with(|| Box::new(Staged { after, bytes: Vec::new() })).bytes
+    }
+
+    /// The staged bytes, if a creation stamped `ts` (or one an unlink
+    /// stamped `ts` cancelled) owns them.
+    fn take_owned(&mut self, ts: u64) -> Option<Vec<u8>> {
+        Some(self.staged.take_if(|s| s.after < ts)?.bytes)
     }
 }
 
@@ -284,11 +316,12 @@ impl InFlight {
         });
     }
 
-    /// The unlink stamped `ts` settled in the publish buffer.
+    /// The unlink stamped `ts` settled in the publish buffer, and with it
+    /// the creation it cancelled and that creation's staged bytes.
     pub(crate) fn cancel_create(&self, path: &str, ts: u64) {
         self.table.lock().edit_pending(path, |r| {
             r.drop_stamp(ts);
-            r.staged = None;
+            r.take_owned(ts);
         });
     }
 
@@ -356,12 +389,12 @@ impl InFlight {
 
     /// `data` is the whole content.
     pub(crate) fn stage(&self, path: &str, data: Vec<u8>) {
-        self.table.lock().edit(path, |s| s.pending().staged = Some(data));
+        self.table.lock().edit(path, |s| *s.pending().staged_live() = data);
     }
 
     pub(crate) fn stage_at(&self, path: &str, offset: usize, data: &[u8]) {
         self.table.lock().edit(path, |s| {
-            let buf = s.pending().staged.get_or_insert_with(Vec::new);
+            let buf = s.pending().staged_live();
             let end = offset + data.len();
             if buf.len() < end {
                 buf.resize(end, 0);
@@ -372,20 +405,22 @@ impl InFlight {
 
     pub(crate) fn read_staged(&self, path: &str, offset: usize, len: usize) -> Vec<u8> {
         let t = self.table.lock();
-        let buf = t.pending(path).staged.as_deref().unwrap_or(&[]);
+        let buf = t.pending(path).staged.as_deref().map_or(&[][..], |s| &s.bytes);
         let start = offset.min(buf.len());
         buf[start..(start + len).min(buf.len())].to_vec()
     }
 
-    /// The staged bytes of those of `paths` that have some, in one hold
-    /// (none for no paths).
-    pub(crate) fn take_staged<'a>(&self, paths: &[&'a str]) -> Vec<(&'a str, Vec<u8>)> {
-        if paths.is_empty() {
+    /// Per `(path, ts)`: the staged bytes of `path` if the creation stamped
+    /// `ts` owns them, in one hold (none for no items).
+    pub(crate) fn take_staged<'a>(&self, items: &[(&'a str, u64)]) -> Vec<(&'a str, Vec<u8>)> {
+        if items.is_empty() {
             return Vec::new();
         }
         let mut t = self.table.lock();
-        let mut take = |path: &'a str| Some((path, t.edit_pending(path, |r| r.staged.take())??));
-        paths.iter().filter_map(|&path| take(path)).collect()
+        let mut take = |(path, ts): (&'a str, u64)| {
+            Some((path, t.edit_pending(path, |r| r.take_owned(ts))??))
+        };
+        items.iter().filter_map(|&item| take(item)).collect()
     }
 
     /// `dir` joins the removed list — alone if the region is `drained`.
@@ -432,6 +467,7 @@ mod tests {
     fn an_idle_committed_path_costs_a_32_byte_bucket_and_a_durable_one_16_bytes_more() {
         assert_eq!(std::mem::size_of::<(Box<str>, PathState)>(), 32);
         assert_eq!(std::mem::size_of::<Rare>(), 16);
+        assert_eq!(std::mem::size_of::<Pending>(), 40);
     }
 
     #[test]
@@ -477,8 +513,26 @@ mod tests {
         assert_eq!(t.read_staged("/w/f", 1, 10), b"bcd");
         assert_eq!(t.read_staged("/w/g", 0, 10), b"");
         t.stage("/w/g", Vec::new());
-        let taken = t.take_staged(&["/w/f", "/w/x", "/w/g"]);
+        let taken = t.take_staged(&[("/w/f", 1), ("/w/x", 1), ("/w/g", 1)]);
         assert_eq!(taken, [("/w/f", b"abcd".to_vec()), ("/w/g", vec![])]);
+        assert_eq!(t.counts(), InFlightCounts::default());
+    }
+
+    /// Created at 1, unlinked at 2 and created again at 3: bytes staged
+    /// after the unlink are the re-creation's, and the unlink ends the
+    /// first incarnation's bytes.
+    #[test]
+    fn staged_bytes_belong_to_the_creation_after_the_newest_unlink() {
+        let t = InFlight::default();
+        t.stage("/w/f", b"old".to_vec());
+        t.ack_unlink("/w/f", 2, false);
+        t.stage_at("/w/f", 0, b"new");
+        assert_eq!(t.read_staged("/w/f", 0, 10), b"new", "the unlinked incarnation's bytes go");
+        assert!(t.take_staged(&[("/w/f", 1)]).is_empty(), "the older creation owns nothing");
+        t.cancel_create("/w/f", 2);
+        assert_eq!(t.counts().staged, 1, "nor does the creation the unlink cancels");
+        t.stage_at("/w/f", 3, b"+");
+        assert_eq!(t.take_staged(&[("/w/f", 3)]), [("/w/f", b"new+".to_vec())]);
         assert_eq!(t.counts(), InFlightCounts::default());
     }
 

@@ -265,6 +265,52 @@ fn a_large_write_to_a_recreated_file_survives_the_older_incarnations_commit() {
     assert_eq!(held(c1.read("/w/f", &cred, 0, 8192)), Ok((8192, true)), "Pacon read");
 }
 
+/// Regression (acknowledged large write lost): node 0 creates and unlinks
+/// a path, node 1 creates it again and writes past the small-file
+/// threshold, all before node 0's creation commits. The staged bytes are
+/// the re-creation's: the older creation must neither flush them into the
+/// file its unlink removes (one message per step) nor drop them as its own
+/// when the unlink removes it in the same run (two messages per step).
+#[test]
+fn a_large_write_to_a_recreated_file_survives_the_older_incarnation_in_the_queue() {
+    for batch in [1, 2] {
+        let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let cred = Credentials::new(1, 1);
+        let config = PaconConfig::new("/w", Topology::new(2, 1), cred).with_commit_batch(batch);
+        let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+        let c0 = region.client(ClientId(0));
+        let c1 = region.client(ClientId(1));
+        // At batch 2 a filler closes each message, so that the unlink
+        // does not cancel the creation in the publish buffer.
+        let fill = |c: &pacon::PaconClient, name: &str| {
+            if batch > 1 {
+                c.create(&format!("/w/{name}"), &cred, 0o644).unwrap();
+            }
+        };
+        c0.create("/w/f", &cred, 0o644).unwrap();
+        fill(&c0, "a");
+        c0.unlink("/w/f", &cred).unwrap();
+        fill(&c0, "b");
+        c1.create("/w/f", &cred, 0o644).unwrap();
+        fill(&c1, "c");
+        let data = vec![7u8; 8192]; // past the small-file threshold: staged
+        c1.write("/w/f", &cred, 0, &data).unwrap();
+        assert_eq!(region.core().in_flight().counts().staged, 1, "batch {batch}");
+
+        let mut w0 = region.take_worker(0);
+        let mut w1 = region.take_worker(1);
+        drain(&mut w0);
+        drain(&mut w1);
+        assert!(region.core().drained(), "batch {batch}");
+        assert_eq!(region.core().in_flight().counts().staged, 0, "batch {batch}");
+        let held = |read: fsapi::FsResult<Vec<u8>>| read.map(|b| (b.len(), b == data));
+        let dfs_copy = held(dfs.client().read("/w/f", &cred, 0, 8192));
+        assert_eq!(dfs_copy, Ok((8192, true)), "batch {batch}: DFS copy");
+        assert_eq!(c1.stat("/w/f", &cred).unwrap().size, 8192, "batch {batch}");
+        assert_eq!(held(c1.read("/w/f", &cred, 0, 8192)), Ok((8192, true)), "batch {batch}");
+    }
+}
+
 /// A run of queued messages can carry a creation, the unlink that removed
 /// it and a re-creation (the publish buffer cancels such a pair only
 /// within one message): three ops on one path meet in one cache settle.
