@@ -17,12 +17,15 @@
 //! behind the first, whatever the queue already holds, up to
 //! `commit_batch_size` messages and never past a barrier marker (at 1, a
 //! run is one message). The worker pays the dispatch cost and the
-//! duplicate check once per message, commits the run's namespace ops
-//! through a single batched DFS RPC (one request base, one namespace-lock
-//! acquisition server-side) and its writebacks as one group, and settles
-//! each inner op independently — failed ops *disaggregate* into the
-//! single-op retry backlog, so a partial batch failure degrades to
-//! exactly the paper's independent-commit behaviour. When the queue runs
+//! duplicate check once per message and commits the run's ops on one
+//! route: its namespace ops through a single batched DFS RPC (one request
+//! base, one namespace-lock acquisition server-side), its writebacks as
+//! one group, then one cache settle, each op settling independently — a
+//! failed op goes to the retry backlog alone, so a partial batch failure
+//! degrades to exactly the paper's independent-commit behaviour. A retry
+//! is a run of one. So is a lone message, the only kind a cut of a single
+//! op makes; a run of one differs in its request forms alone (the
+//! single-op RPCs, cheaper for one op: DESIGN §5.1). When the queue runs
 //! empty the worker asks its node's outbox (`Outbox::refill`) for what a
 //! faulted link still owes the queue or still coalesces below the flush
 //! threshold — quiesce/shutdown liveness without a flush timer; that cut
@@ -46,16 +49,15 @@ use crate::region::RegionCore;
 /// Outcome of one `step()` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerStep {
-    /// One operation applied to the DFS.
+    /// A run of one op (a lone message or a retry) applied to the DFS.
     Committed,
-    /// One batched message, or a run of messages, handled; per-op
-    /// outcomes tallied. Retried ops were disaggregated into the single-op
-    /// retry backlog.
+    /// A run of two or more ops handled; per-op outcomes tallied. Each
+    /// retried op went to the retry backlog alone.
     Batch { committed: u32, retried: u32, discarded: u32 },
-    /// One operation failed a namespace check and went (back) to the
+    /// A run of one op failed a namespace check and went (back) to the
     /// retry backlog.
     Retried,
-    /// One operation was discarded (removed directory, or retry budget
+    /// A run of one op was discarded (removed directory, or retry budget
     /// exhausted).
     Discarded,
     /// A barrier marker was consumed and the board notified; the worker
@@ -80,15 +82,22 @@ pub enum WorkerStep {
 /// small window suffices.
 const SEEN_WINDOW: usize = 64;
 
-/// One op awaiting resubmission.
+/// One op of a run: fresh from the queue, or awaiting resubmission.
 struct RetryEntry {
     msg: QueueMsg,
+    /// Failed attempts so far; 0 for a fresh op.
     attempts: u32,
     /// A previous attempt failed with a transient backend error. The op
     /// may have applied server-side with the reply lost, so a later
     /// `AlreadyExists` on a creation is idempotent success, not a
     /// conflict to retry.
     backend_faulted: bool,
+}
+
+impl RetryEntry {
+    fn fresh(msg: QueueMsg) -> Self {
+        Self { msg, attempts: 0, backend_faulted: false }
+    }
 }
 
 pub struct CommitWorker {
@@ -199,7 +208,7 @@ impl CommitWorker {
         if let Some(epoch) = self.flushing_for {
             if !self.core.board.is_released(epoch) {
                 if let Some(e) = self.retry.pop_front() {
-                    return self.apply(e.msg, e.attempts, e.backend_faulted);
+                    return self.commit(vec![e]);
                 }
             }
             self.flushing_for = None;
@@ -250,24 +259,18 @@ impl CommitWorker {
             return WorkerStep::Retried;
         }
         self.stuck_retries = 0;
-        if msgs.len() > 1 {
-            // Several messages: their ops, in queue order, as one batch.
-            let ops = msgs.into_iter().flat_map(|msg| match msg.op {
-                CommitOp::Batch(inner) => inner,
-                _ => vec![msg],
-            });
-            return self.apply_batch(ops.collect());
+        // A marker is alone: a run stops before one.
+        if let CommitOp::Barrier { epoch } = msgs[0].op {
+            self.flushing_for = Some(epoch);
+            // Re-enter immediately on the next step to flush.
+            return WorkerStep::Retried;
         }
-        let msg = msgs.pop().expect("one message");
-        match msg.op {
-            CommitOp::Barrier { epoch } => {
-                self.flushing_for = Some(epoch);
-                // Re-enter immediately on the next step to flush.
-                WorkerStep::Retried
-            }
-            CommitOp::Batch(inner) => self.apply_batch(inner),
-            _ => self.apply(msg, 0, false),
-        }
+        // The run's ops in queue order, a batched message's in its place.
+        let run = msgs.into_iter().flat_map(|msg| match msg.op {
+            CommitOp::Batch(inner) => inner,
+            _ => vec![msg],
+        });
+        self.commit(run.map(RetryEntry::fresh).collect())
     }
 
     /// Work the retry backlog with no fresh input. After one full cycle of
@@ -279,7 +282,7 @@ impl CommitWorker {
             return WorkerStep::Idle;
         }
         let e = self.retry.pop_front().expect("stuck_retries < len");
-        match self.apply(e.msg, e.attempts, e.backend_faulted) {
+        match self.commit(vec![e]) {
             WorkerStep::Retried => {
                 self.stuck_retries += 1;
                 WorkerStep::Retried
@@ -291,34 +294,27 @@ impl CommitWorker {
         }
     }
 
-    /// Commit one batched message, or a run's ops: namespace ops go
-    /// through a single batched DFS RPC (in queue order), then the
-    /// inline-data writebacks follow as one group on the data path
-    /// ([`Self::apply_writebacks`]), then the cache records of every op
-    /// that applied are settled together ([`Self::after_success_batch`]).
+    /// Commit a run of ops (Fig. 5): the namespace ops through one DFS
+    /// request in queue order, then the inline-data writebacks as one group
+    /// on the data path ([`Self::apply_writebacks`]), then the cache records
+    /// of every op that applied, settled together ([`Self::settle_records`]).
     /// Writebacks read the *current* primary copy at commit time, so
-    /// settling them after the batch's namespace ops cannot regress any
-    /// data. Each op settles independently; failures disaggregate into
-    /// single-op retries. An applied op counts as completed only once the
-    /// batch's cache work has landed, so `drained()` implies it.
-    fn apply_batch(&mut self, inner: Vec<QueueMsg>) -> WorkerStep {
-        let cred = self.core.config.cred;
-        let mut ns_msgs = Vec::with_capacity(inner.len());
-        let mut ops: Vec<BatchOp> = Vec::with_capacity(inner.len());
-        let mut wb_msgs = Vec::new();
-        for msg in inner {
-            match msg.op.namespace_op() {
-                Some(op) => {
-                    ops.push(op);
-                    ns_msgs.push(msg);
-                }
-                None if matches!(msg.op, CommitOp::WriteInline { .. }) => wb_msgs.push(msg),
-                None => unreachable!("markers and batches are never batched"),
-            }
-        }
-
+    /// settling them after the run's namespace ops cannot regress any data.
+    /// Each op settles independently; a failed one goes to the retry
+    /// backlog alone. An applied op counts as completed only once the run's
+    /// cache work has landed, so `drained()` implies it.
+    ///
+    /// `solo` — a run of one op: a lone message or a retry — picks only the
+    /// request forms, never the protocol: a standalone namespace RPC, `get`
+    /// and `write` for a writeback, a per-key settle, and the op's own
+    /// outcome instead of a tally. Only a cut of two or more ops is a
+    /// [`CommitOp::Batch`], so no message that was batched takes them.
+    fn commit(&mut self, run: Vec<RetryEntry>) -> WorkerStep {
+        let solo = run.len() == 1;
+        let (wb, ns): (Vec<_>, Vec<_>) =
+            run.into_iter().partition(|e| matches!(e.msg.op, CommitOp::WriteInline { .. }));
         let (mut retried, mut discarded) = (0u32, 0u32);
-        let mut applied = Vec::with_capacity(ns_msgs.len() + wb_msgs.len());
+        let mut applied = Vec::with_capacity(ns.len() + wb.len());
         let mut tally = |step: WorkerStep| match step {
             WorkerStep::Committed => {}
             WorkerStep::Retried => retried += 1,
@@ -326,58 +322,93 @@ impl CommitWorker {
             other => unreachable!("settle yields commit/retry/discard, got {other:?}"),
         };
 
-        if !ns_msgs.is_empty() {
-            // A volatile region's ids are all `OpId::NONE`: unidentified.
-            let ids: Vec<dfs::OpId> = ns_msgs.iter().map(|m| m.id).collect();
-            let results = self.dfs.apply_batch_idempotent(&ops, &ids, &cred);
-            // Crash window: the DFS applied the batch but nothing has
+        for (plane, writebacks) in [(ns, false), (wb, true)] {
+            if plane.is_empty() {
+                continue;
+            }
+            let results = if writebacks {
+                self.apply_writebacks(&plane, solo)
+            } else {
+                self.apply_namespace(&plane, solo)
+            };
+            // Crash window: the DFS applied the plane but nothing has
             // settled. Recovery must re-drive these ops idempotently.
             if self.core.crash.hit(CrashPoint::MidBatch) {
                 return WorkerStep::Crashed;
             }
-            for (msg, res) in ns_msgs.into_iter().zip(results) {
-                tally(self.settle(msg, 0, false, res, Some(&mut applied)));
+            for (entry, res) in plane.into_iter().zip(results) {
+                tally(self.settle(entry, res, &mut applied));
             }
         }
-        if !wb_msgs.is_empty() {
-            let results = self.apply_writebacks(&wb_msgs);
-            // Same window on the data plane: the group's bytes and sizes
-            // are on the DFS, none of its writebacks has settled.
-            if self.core.crash.hit(CrashPoint::MidBatch) {
-                return WorkerStep::Crashed;
-            }
-            for (msg, res) in wb_msgs.into_iter().zip(results) {
-                tally(self.settle(msg, 0, false, res, Some(&mut applied)));
-            }
-        }
-        self.after_success_batch(&applied);
+        self.settle_records(&applied, solo);
         for _ in &applied {
             self.core.note_completed();
         }
         self.core.maybe_truncate_wals();
-        WorkerStep::Batch { committed: applied.len() as u32, retried, discarded }
+        let committed = applied.len() as u32;
+        match (solo, committed, retried) {
+            (false, ..) => WorkerStep::Batch { committed, retried, discarded },
+            (true, 1, _) => WorkerStep::Committed,
+            (true, _, 1) => WorkerStep::Retried,
+            (true, ..) => WorkerStep::Discarded,
+        }
     }
 
-    /// Data-plane group commit: claim every writeback of the batch
-    /// together (one batched cache read), then hand the ones that still
-    /// owe bytes to the DFS as one vectored write per data server and one
-    /// size-update request. One result per message, in order.
-    fn apply_writebacks(&mut self, msgs: &[QueueMsg]) -> Vec<FsResult<()>> {
+    /// The run's namespace ops on the DFS, one result per op in order: one
+    /// batched request, or a lone unidentified op's own RPC. Ops carrying a
+    /// replay identity (durable mode) always go through the idempotent
+    /// entry point, so a post-crash replay of an applied op is a no-op.
+    fn apply_namespace(&self, plane: &[RetryEntry], solo: bool) -> Vec<FsResult<()>> {
+        let cred = self.core.config.cred;
+        let ops: Vec<BatchOp> = plane
+            .iter()
+            .map(|e| e.msg.op.namespace_op().expect("markers and batches are never committed"))
+            .collect();
+        if solo && plane[0].msg.id.is_none() {
+            return vec![match &ops[0] {
+                BatchOp::Mkdir { path, mode } => self.dfs.mkdir(path, &cred, *mode),
+                BatchOp::Create { path, mode } => self.dfs.create(path, &cred, *mode),
+                BatchOp::Unlink { path } => self.dfs.unlink(path, &cred),
+            }];
+        }
+        // A volatile region's ids are all `OpId::NONE`: unidentified.
+        let ids: Vec<dfs::OpId> = plane.iter().map(|e| e.msg.id).collect();
+        self.dfs.apply_batch_idempotent(&ops, &ids, &cred)
+    }
+
+    /// Data-plane group commit: claim every writeback of the run together,
+    /// then hand the ones that still owe bytes to the DFS as one vectored
+    /// write per data server and one size-update request — a run of one
+    /// as a plain (or, identified, idempotent) `write`. One result per
+    /// writeback, in order.
+    fn apply_writebacks(&mut self, plane: &[RetryEntry], solo: bool) -> Vec<FsResult<()>> {
         let cred = self.core.config.cred;
         let paths: Vec<&str> =
-            msgs.iter().map(|m| m.op.path().expect("writebacks have a path")).collect();
-        let claims = self.claim_writebacks(&paths);
+            plane.iter().map(|e| e.msg.op.path().expect("writebacks have a path")).collect();
+        let claims = self.claim_writebacks(&paths, solo);
         let mut written = {
             let items: Vec<(&str, &[u8], dfs::OpId)> = claims
                 .iter()
                 .zip(&paths)
-                .zip(msgs)
-                .filter_map(|((claim, path), msg)| match claim {
-                    Ok(Some(bytes)) => Some((*path, &bytes[..], msg.id)),
+                .zip(plane)
+                .filter_map(|((claim, path), e)| match claim {
+                    Ok(Some(bytes)) => Some((*path, &bytes[..], e.msg.id)),
                     _ => None,
                 })
                 .collect();
-            self.dfs.write_small_batch(&items, &cred).into_iter()
+            let write = |(path, bytes, id): (&str, &[u8], dfs::OpId)| {
+                if id.is_none() {
+                    self.dfs.write(path, &cred, 0, bytes)
+                } else {
+                    self.dfs.write_idempotent(path, &cred, bytes, id)
+                }
+            };
+            let sent: Vec<_> = if solo {
+                items.into_iter().map(write).collect()
+            } else {
+                self.dfs.write_small_batch(&items, &cred)
+            };
+            sent.into_iter()
         };
         claims
             .into_iter()
@@ -388,20 +419,17 @@ impl CommitWorker {
             .collect()
     }
 
-    /// The commit side of a queued inline writeback: the slot goes in
-    /// flight, then the record is read for what it owes the DFS.
-    fn claim_writeback(&self, path: &str) -> FsResult<Option<Vec<u8>>> {
-        self.core.in_flight().claim_writebacks(&[path]);
-        self.owed(self.cache.get(path))
-    }
-
-    /// [`Self::claim_writeback`] for a batch, one result per path in order.
-    /// The batched lookup also answers "miss" for an unreachable owner —
-    /// that would drop an acknowledged write as "record vanished" — so a
-    /// miss is confirmed by the single-key read, which tells the two apart.
-    fn claim_writebacks(&self, paths: &[&str]) -> Vec<FsResult<Option<Vec<u8>>>> {
+    /// The commit side of queued inline writebacks: the slots go in flight,
+    /// then the records are read for what they owe the DFS, one result per
+    /// path in order. The batched lookup also answers "miss" for an
+    /// unreachable owner — that would drop an acknowledged write as "record
+    /// vanished" — so a miss is confirmed by the single-key read, which
+    /// tells the two apart. A run of one skips the batched lookup: its path
+    /// goes straight to the single-key read.
+    fn claim_writebacks(&self, paths: &[&str], solo: bool) -> Vec<FsResult<Option<Vec<u8>>>> {
         self.core.in_flight().claim_writebacks(paths);
-        let Ok(hits) = self.cache.multi_get(paths) else {
+        let hits = if solo { Ok(vec![None]) } else { self.cache.multi_get(paths) };
+        let Ok(hits) = hits else {
             return paths.iter().map(|_| self.owed(Err(CacheError::Unavailable))).collect();
         };
         let reread = |(hit, path): (Option<_>, &&str)| match hit {
@@ -428,70 +456,16 @@ impl CommitWorker {
         }
     }
 
-    fn apply(&mut self, msg: QueueMsg, attempts: u32, backend_faulted: bool) -> WorkerStep {
-        let result = self.execute(&msg);
-        // Same window as the batched path: applied on the DFS, unsettled.
-        if self.core.crash.hit(CrashPoint::MidBatch) {
-            return WorkerStep::Crashed;
-        }
-        let step = self.settle(msg, attempts, backend_faulted, result, None);
-        self.core.maybe_truncate_wals();
-        step
-    }
-
-    /// Run one single operation against the DFS. Ops carrying a replay
-    /// identity (durable mode) go through the idempotent MDS entry point
-    /// so a post-crash replay of an already-applied op is a no-op.
-    fn execute(&mut self, msg: &QueueMsg) -> FsResult<()> {
-        let cred = self.core.config.cred;
-        let id = msg.id;
-        if let Some(op) = msg.op.namespace_op() {
-            return self.apply_ns(op, id);
-        }
-        match &msg.op {
-            CommitOp::WriteInline { path } => {
-                match self.claim_writeback(path)? {
-                    Some(bytes) if id.is_none() => {
-                        self.dfs.write(path, &cred, 0, &bytes).map(|_| ())
-                    }
-                    Some(bytes) => {
-                        self.dfs.write_idempotent(path, &cred, &bytes, id).map(|_| ())
-                    }
-                    None => Ok(()),
-                }
-            }
-            _ => unreachable!("barriers and batches handled in step()"),
-        }
-    }
-
-    /// One namespace op on the DFS, identified when durable.
-    fn apply_ns(&self, op: BatchOp, id: dfs::OpId) -> FsResult<()> {
-        let cred = self.core.config.cred;
-        if id.is_none() {
-            return match op {
-                BatchOp::Mkdir { path, mode } => self.dfs.mkdir(&path, &cred, mode),
-                BatchOp::Create { path, mode } => self.dfs.create(&path, &cred, mode),
-                BatchOp::Unlink { path } => self.dfs.unlink(&path, &cred),
-            };
-        }
-        self.dfs
-            .apply_batch_idempotent(&[op], &[id], &cred)
-            .pop()
-            .unwrap_or(Err(FsError::Backend("empty batch reply".into())))
-    }
-
-    /// Book the outcome of one operation's commit attempt. With `applied`
-    /// given (the batched path), an op that applied is pushed there
-    /// instead of running its post-commit cache work and counting as
-    /// completed — the caller does both for the whole message at once.
+    /// Book the outcome of one op's commit attempt. An op that applied, or
+    /// whose outcome is in place, is pushed to `applied`: the caller runs
+    /// the run's post-commit cache work and completes it.
     fn settle(
         &mut self,
-        msg: QueueMsg,
-        attempts: u32,
-        backend_faulted: bool,
+        entry: RetryEntry,
         result: FsResult<()>,
-        applied: Option<&mut Vec<QueueMsg>>,
+        applied: &mut Vec<QueueMsg>,
     ) -> WorkerStep {
+        let RetryEntry { msg, attempts, backend_faulted } = entry;
         match result {
             Ok(()) => self.committed(msg, None, applied),
             // A replayed creation that already failed with a transient
@@ -562,26 +536,19 @@ impl CommitWorker {
     }
 
     /// The op applied (`also`: `None`) or its outcome is in place: count
-    /// it, and run its post-commit cache work and complete it now — or
-    /// leave both to the batched path by pushing it to `applied`.
+    /// it and leave its post-commit cache work and completion to the run.
     fn committed(
         &mut self,
         msg: QueueMsg,
         also: Option<&'static str>,
-        applied: Option<&mut Vec<QueueMsg>>,
+        applied: &mut Vec<QueueMsg>,
     ) -> WorkerStep {
         self.retire(&msg, also.is_none());
         self.core.counters.incr("committed");
         if let Some(counter) = also {
             self.core.counters.incr(counter);
         }
-        match applied {
-            Some(applied) => applied.push(msg),
-            None => {
-                self.after_success(&msg);
-                self.core.note_completed();
-            }
-        }
+        applied.push(msg);
         WorkerStep::Committed
     }
 
@@ -599,7 +566,7 @@ impl CommitWorker {
 
     /// Settle what an op holds in the per-path table for good: an unlink's
     /// stamp, a writeback's slot, and — `applied`: the op itself changed
-    /// the DFS — the path's birth. Runs *before* `after_success`, whose
+    /// the DFS — the path's birth. Runs *before* `settle_records`, whose
     /// deferred cache deletion must see the post-retirement stamps.
     fn retire(&self, msg: &QueueMsg, applied: bool) {
         let in_flight = self.core.in_flight();
@@ -613,35 +580,22 @@ impl CommitWorker {
         }
     }
 
-    /// Post-commit bookkeeping on the primary copy, one op at a time
-    /// (single-op messages and retries). Best-effort under faults: a
-    /// crashed shard's record is wiped anyway and rewarms from the DFS.
-    fn after_success(&self, msg: &QueueMsg) {
-        match &msg.op {
-            CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } => {
-                self.mark_committed(path, msg.timestamp);
-                self.flush_staged(&[(path, msg.timestamp)]);
-            }
-            CommitOp::Unlink { path } if !self.core.in_flight().unlink_pending(path) => {
-                self.drop_removed_record(path);
-            }
-            _ => {}
-        }
-    }
-
-    /// [`Self::after_success`] for every op of one message that applied:
-    /// the records the creations mark and the unlinks delete come from one
-    /// batched read and go back in one batched conditional write — per
-    /// shard node, one request each way instead of a read and a write per
-    /// op. The rules are the per-key ones ([`Self::marks`], its input read
-    /// for every creation in one hold, and [`Self::drops`]); whatever the
-    /// batch did not settle (another version landed, the ring epoch moved,
-    /// a node is unreachable) is redone on the per-key path.
+    /// Post-commit bookkeeping on the primary copy for every op of a run
+    /// that applied: the records the creations mark and the unlinks delete
+    /// come from one batched read and go back in one batched conditional
+    /// write — per shard node, one request each way instead of a read and
+    /// a write per op. The rules are the per-key ones ([`Self::marks`], its
+    /// input read for every creation in one hold, and [`Self::drops`]);
+    /// whatever the batch did not settle (another version landed, the ring
+    /// epoch moved, a node is unreachable) is redone per key, and a run of
+    /// one (`solo`) settles per key from the start. Best-effort under
+    /// faults: a crashed shard's record is wiped anyway and rewarms from
+    /// the DFS.
     ///
     /// One write per key: of the ops on one path, the last that applied
     /// decides. A run of messages can carry a creation, the unlink that
     /// removed it and a re-creation; all three read the same record.
-    fn after_success_batch(&self, applied: &[QueueMsg]) {
+    fn settle_records(&self, applied: &[QueueMsg], solo: bool) {
         let in_flight = self.core.in_flight();
         fn ns_path(msg: &QueueMsg) -> Option<&str> {
             msg.op.path().filter(|_| !matches!(msg.op, CommitOp::WriteInline { .. }))
@@ -654,7 +608,7 @@ impl CommitWorker {
         }
         // A creation marks its record; an unlink deletes its record
         // unless a later unlink of the path is still queued. A creation
-        // an unlink of this batch already removed leaves its staged bytes
+        // an unlink of this run already removed leaves its staged bytes
         // to go with the file, as that unlink would have deleted them.
         let mut work: Vec<(&QueueMsg, &str)> = Vec::with_capacity(last.len());
         let mut removed: Vec<(&str, u64)> = Vec::new();
@@ -669,6 +623,31 @@ impl CommitWorker {
                 work.push((msg, path));
             }
         }
+        let creations: Vec<(&str, u64)> = work
+            .iter()
+            .filter(|(msg, _)| msg.op.is_creation())
+            .map(|&(msg, path)| (path, msg.timestamp))
+            .collect();
+        let per_key = if solo { work } else { self.write_records(&work, &creations) };
+        for (msg, path) in per_key {
+            match msg.op {
+                CommitOp::Unlink { .. } => self.drop_removed_record(path),
+                _ => self.mark_committed(path, msg.timestamp),
+            }
+        }
+        self.flush_staged(&creations);
+        in_flight.take_staged(&removed);
+    }
+
+    /// The batched half of [`Self::settle_records`]: one read and one
+    /// conditional write per shard node for `work`; returns the entries
+    /// it did not settle.
+    fn write_records<'a>(
+        &self,
+        work: &[(&'a QueueMsg, &'a str)],
+        creations: &[(&str, u64)],
+    ) -> Vec<(&'a QueueMsg, &'a str)> {
+        let in_flight = self.core.in_flight();
         // The epoch before the read: a membership change since fences the
         // write. (Writebacks alone make both batches empty, and an empty
         // batch sends no request.)
@@ -676,12 +655,7 @@ impl CommitWorker {
         let paths: Vec<&str> = work.iter().map(|&(_, path)| path).collect();
         let reads = self.cache.multi_get(&paths).unwrap_or_else(|_| vec![None; paths.len()]);
         // The mark rule's input for every creation, read after the records.
-        let creations: Vec<(&str, u64)> = work
-            .iter()
-            .filter(|(msg, _)| msg.op.is_creation())
-            .map(|&(msg, path)| (path, msg.timestamp))
-            .collect();
-        let mut unlinked_after = in_flight.unlinks_pending_after(&creations).into_iter();
+        let mut unlinked_after = in_flight.unlinks_pending_after(creations).into_iter();
         // Per write: the `work` entry it settles, the version read, and
         // the marked record — or `None`, the deletion.
         let mut writes: Vec<(usize, u64, Option<CachedMeta>)> = Vec::new();
@@ -704,17 +678,15 @@ impl CommitWorker {
             writes.iter().map(|(w, version, meta)| (work[*w].1, *version, meta.as_ref())).collect();
         let settled =
             self.cache.multi_write(&items, epoch).unwrap_or_else(|_| vec![false; items.len()]);
+        let mut unsettled = Vec::new();
         for (&(w, ..), settled) in writes.iter().zip(settled) {
-            let (msg, path) = work[w];
-            match (&msg.op, settled) {
-                (CommitOp::Unlink { .. }, true) => in_flight.clear_stale(path),
-                (CommitOp::Unlink { .. }, false) => self.drop_removed_record(path),
+            match (&work[w].0.op, settled) {
+                (CommitOp::Unlink { .. }, true) => in_flight.clear_stale(work[w].1),
                 (_, true) => {}
-                (_, false) => self.mark_committed(path, msg.timestamp),
+                (_, false) => unsettled.push(work[w]),
             }
         }
-        self.flush_staged(&creations);
-        in_flight.take_staged(&removed);
+        unsettled
     }
 
     /// The mark rule: does a creation mark `meta` committed? Not when it

@@ -310,6 +310,52 @@ fn batched_reads_match_the_per_path_trait_defaults() {
 /// What the MDS saw of the commit traffic: `[namespace batch RPCs, ops in
 /// them, size-batch RPCs, ops in them]` (a size batch is the MDS half of
 /// one `write_small_batch` group).
+/// A run of one op — here the op the empty-queue step cuts alone — commits
+/// in the single-op request forms, which cost the MDS less for one op than
+/// a batch of one (DESIGN §5.1): a volatile create or unlink is the MDS's
+/// own `create` / `unlink`, a durable one a `batch` of one op (the
+/// idempotent entry point), and a lone writeback is a `write`, whose size
+/// update is a `set_size`, not a `size_batch`.
+#[test]
+fn a_run_of_one_commits_in_the_single_op_forms() {
+    let names = ["create", "unlink", "batch", "batch_ops", "set_size", "size_batch"];
+    for durable in [false, true] {
+        let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let cred = Credentials::new(1, 1);
+        let config = PaconConfig::new("/app", Topology::new(1, 1), cred).with_commit_batch(32);
+        let wal_dir =
+            std::env::temp_dir().join(format!("pacon-edges-solo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let config = if durable { config.with_durability(&wal_dir) } else { config };
+        let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+        let c = region.client(ClientId(0));
+        let mut w = region.take_worker(0);
+        let mut commit = |what: &str, op: &dyn Fn()| -> [u64; 6] {
+            op();
+            let before = names.map(|n| dfs.mds_counter(n));
+            assert_eq!(w.step(), WorkerStep::Committed, "{what}, durable {durable}");
+            let after = names.map(|n| dfs.mds_counter(n));
+            std::array::from_fn(|i| after[i] - before[i])
+        };
+        let namespace = |[create, unlink]: [u64; 2]| {
+            if durable {
+                [0, 0, 1, 1, 0, 0]
+            } else {
+                [create, unlink, 0, 0, 0, 0]
+            }
+        };
+        let create = commit("create", &|| c.create("/app/f", &cred, 0o644).unwrap());
+        assert_eq!(create, namespace([1, 0]), "create, durable {durable}");
+        let write = commit("write", &|| assert_eq!(c.write("/app/f", &cred, 0, b"x"), Ok(1)));
+        assert_eq!(write, [0, 0, 0, 0, 1, 0], "write, durable {durable}");
+        let unlink = commit("unlink", &|| c.unlink("/app/f", &cred).unwrap());
+        assert_eq!(unlink, namespace([0, 1]), "unlink, durable {durable}");
+        assert!(region.core().drained());
+        drop(region);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
+}
+
 fn commit_rpcs(dfs: &DfsCluster) -> [u64; 4] {
     ["batch", "batch_ops", "size_batch", "size_batch_ops"].map(|c| dfs.mds_counter(c))
 }
@@ -617,6 +663,23 @@ fn worker_cache_budget_per_message() {
             "{what}: one batched read and one batched write per owning node"
         );
         assert_eq!(after.multi_write_keys - before.multi_write_keys, 32, "{what}");
+        assert!(region.core().drained());
+    }
+    // A create and an unlink, each cut alone by the empty-queue step: a run
+    // of one settles per key, one read and one CAS or versioned delete.
+    for (what, op) in [("lone create", 0), ("lone unlink", 1)] {
+        match op {
+            0 => c.create("/app/lone", &cred, 0o644).unwrap(),
+            _ => c.unlink("/app/lone", &cred).unwrap(),
+        }
+        let before = cluster.stats();
+        assert_eq!(w.step(), WorkerStep::Committed, "{what}");
+        let after = cluster.stats();
+        let single = [after.gets - before.gets, after.cas_ok - before.cas_ok];
+        let deletes = after.deletes - before.deletes;
+        let batched =
+            [after.multi_gets - before.multi_gets, after.multi_writes - before.multi_writes];
+        assert_eq!((single, deletes, batched), ([1, 1 - op], op, [0, 0]), "{what}");
         assert!(region.core().drained());
     }
     // Every record was marked, then deleted.

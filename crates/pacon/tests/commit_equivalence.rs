@@ -13,8 +13,8 @@
 //! same route as every other batch size (publish buffer → redelivery
 //! window → queue): at threshold 1 every push flushes, so on these
 //! single-threaded drivers no two ops ever meet in the buffer, and the
-//! worker still commits the resulting one-op messages through the
-//! single-op DFS entry points.
+//! worker still commits the resulting one-op messages as runs of one,
+//! through the single-op DFS entry points.
 
 use std::sync::Arc;
 
