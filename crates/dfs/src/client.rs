@@ -9,7 +9,7 @@
 //! quantifies in Figures 2 and 9 and that Pacon's batch permission
 //! management avoids.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use fsapi::types::ACCESS_X;
@@ -34,60 +34,96 @@ struct Dentry {
     kind: FileKind,
 }
 
-/// Bounded LRU map from normalized path to [`Dentry`].
+/// End of a recency list (no node).
+const NIL: usize = usize::MAX;
+
+/// One cached entry, linked into the recency list by slab index.
+struct Node {
+    key: Arc<str>,
+    dentry: Dentry,
+    /// Next more recently used node.
+    newer: usize,
+    /// Next less recently used node.
+    older: usize,
+}
+
+/// Bounded LRU map from normalized path to [`Dentry`]: a slab of nodes
+/// threaded on one recency list, every operation O(1) (`remove_subtree`
+/// scans). A hit or an insert makes its entry the most recent; a full
+/// cache evicts the least recent, so entries leave in the order of their
+/// last use.
 struct DentryCache {
-    map: HashMap<String, (Dentry, u64)>,
-    lru: BTreeMap<u64, String>,
-    tick: u64,
+    /// Path → slot in `nodes`; the key is the node's own.
+    map: HashMap<Arc<str>, usize>,
+    /// Dense: every slot is linked and mapped.
+    nodes: Vec<Node>,
+    /// Most recently used node.
+    newest: usize,
+    /// Least recently used node (the next victim).
+    oldest: usize,
     capacity: usize,
 }
 
 impl DentryCache {
     fn new(capacity: usize) -> Self {
-        Self { map: HashMap::new(), lru: BTreeMap::new(), tick: 0, capacity }
+        Self { map: HashMap::new(), nodes: Vec::new(), newest: NIL, oldest: NIL, capacity }
     }
 
     fn get(&mut self, path: &str) -> Option<Dentry> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(path) {
-            Some((dentry, t)) => {
-                let old = *t;
-                *t = tick;
-                let key = self.lru.remove(&old).expect("dentry lru out of sync");
-                self.lru.insert(tick, key);
-                Some(*dentry)
-            }
-            None => None,
-        }
+        let i = *self.map.get(path)?;
+        self.touch(i);
+        Some(self.nodes[i].dentry)
     }
 
-    fn insert(&mut self, path: String, dentry: Dentry) {
+    fn insert(&mut self, path: &str, dentry: Dentry) {
         if self.capacity == 0 {
             return;
         }
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((_, old)) = self.map.insert(path.clone(), (dentry, tick)) {
-            self.lru.remove(&old);
+        if let Some(&i) = self.map.get(path) {
+            self.nodes[i].dentry = dentry;
+            self.touch(i);
+            return;
         }
-        self.lru.insert(tick, path);
-        while self.map.len() > self.capacity {
-            let (&t, _) = self.lru.iter().next().expect("lru empty while over capacity");
-            let victim = self.lru.remove(&t).expect("tick came from this lru");
-            self.map.remove(&victim);
-        }
+        let key: Arc<str> = Arc::from(path);
+        let node = Node { key: Arc::clone(&key), dentry, newer: NIL, older: NIL };
+        let i = if self.nodes.len() < self.capacity {
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        } else {
+            // Full: the least recent entry leaves and lends its slot.
+            let victim = self.oldest;
+            self.unlink(victim);
+            let old = std::mem::replace(&mut self.nodes[victim], node);
+            self.map.remove(&old.key);
+            victim
+        };
+        self.map.insert(key, i);
+        self.push_newest(i);
     }
 
     fn remove(&mut self, path: &str) {
-        if let Some((_, t)) = self.map.remove(path) {
-            self.lru.remove(&t);
+        let Some(i) = self.map.remove(path) else { return };
+        self.unlink(i);
+        self.nodes.swap_remove(i);
+        if i < self.nodes.len() {
+            // The last node moved into slot `i`: repoint its neighbours
+            // and its map entry.
+            let Node { newer, older, .. } = self.nodes[i];
+            match newer {
+                NIL => self.newest = i,
+                n => self.nodes[n].older = i,
+            }
+            match older {
+                NIL => self.oldest = i,
+                o => self.nodes[o].newer = i,
+            }
+            *self.map.get_mut(&self.nodes[i].key).expect("every node is mapped") = i;
         }
     }
 
     /// Remove `path` and everything cached beneath it.
     fn remove_subtree(&mut self, path: &str) {
-        let victims: Vec<String> = self
+        let victims: Vec<Arc<str>> = self
             .map
             .keys()
             .filter(|k| fspath::is_same_or_ancestor(path, k))
@@ -100,11 +136,45 @@ impl DentryCache {
 
     fn clear(&mut self) {
         self.map.clear();
-        self.lru.clear();
+        self.nodes.clear();
+        self.newest = NIL;
+        self.oldest = NIL;
     }
 
     fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// Make node `i` the most recent.
+    fn touch(&mut self, i: usize) {
+        if self.newest != i {
+            self.unlink(i);
+            self.push_newest(i);
+        }
+    }
+
+    /// Take node `i` off the recency list.
+    fn unlink(&mut self, i: usize) {
+        let Node { newer, older, .. } = self.nodes[i];
+        match newer {
+            NIL => self.newest = older,
+            n => self.nodes[n].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.nodes[o].newer = newer,
+        }
+    }
+
+    /// Put the unlinked node `i` at the recent end of the list.
+    fn push_newest(&mut self, i: usize) {
+        self.nodes[i].newer = NIL;
+        self.nodes[i].older = self.newest;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.nodes[n].newer = i,
+        }
+        self.newest = i;
     }
 }
 
@@ -183,7 +253,7 @@ impl DfsClient {
                     let ino = mds.lookup(cur.ino, comp, cred)?;
                     let (perm, kind) = self.cluster.peek_meta(ino)?;
                     let dentry = Dentry { ino, perm, kind };
-                    self.dentries.lock().insert(prefix.clone(), dentry);
+                    self.dentries.lock().insert(&prefix, dentry);
                     dentry
                 }
             };
@@ -209,10 +279,9 @@ impl DfsClient {
         let (parent, name) = self.resolve_parent(path, cred)?;
         self.charge_rtt();
         let ino = self.cluster.mds_for(parent).create(parent, name, kind, mode, cred)?;
-        self.dentries.lock().insert(
-            path.to_string(),
-            Dentry { ino, perm: Perm::new(mode, cred.uid, cred.gid), kind },
-        );
+        self.dentries
+            .lock()
+            .insert(path, Dentry { ino, perm: Perm::new(mode, cred.uid, cred.gid), kind });
         Ok(())
     }
 
@@ -245,12 +314,11 @@ impl DfsClient {
                 match op {
                     BatchOp::Mkdir { path, mode } => {
                         let perm = Perm::new(*mode, cred.uid, cred.gid);
-                        dentries.insert(path.clone(), Dentry { ino, perm, kind: FileKind::Dir });
+                        dentries.insert(path, Dentry { ino, perm, kind: FileKind::Dir });
                     }
                     BatchOp::Create { path, mode } => {
                         let perm = Perm::new(*mode, cred.uid, cred.gid);
-                        dentries
-                            .insert(path.clone(), Dentry { ino, perm, kind: FileKind::File });
+                        dentries.insert(path, Dentry { ino, perm, kind: FileKind::File });
                     }
                     BatchOp::Unlink { path } => {
                         dentries.remove(path);
@@ -406,9 +474,7 @@ impl FileSystem for DfsClient {
         let (parent, name) = self.resolve_parent(path, cred)?;
         self.charge_rtt();
         let (ino, stat) = self.cluster.mds_for(parent).lookup_stat(parent, name, cred)?;
-        self.dentries
-            .lock()
-            .insert(path.to_string(), Dentry { ino, perm: stat.perm, kind: stat.kind });
+        self.dentries.lock().insert(path, Dentry { ino, perm: stat.perm, kind: stat.kind });
         Ok(stat)
     }
 
@@ -486,5 +552,137 @@ impl FileSystem for DfsClient {
         let _ = self.resolve(path, cred)?;
         self.charge_rtt();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    impl DentryCache {
+        /// Cached paths, least recently used first.
+        fn by_recency(&self) -> Vec<String> {
+            let mut out = Vec::with_capacity(self.nodes.len());
+            let mut i = self.oldest;
+            while i != NIL {
+                out.push(self.nodes[i].key.to_string());
+                i = self.nodes[i].newer;
+            }
+            out
+        }
+    }
+
+    /// The plain recency list the cache must agree with: least recently
+    /// used first, a full list drops its front.
+    struct Reference {
+        entries: Vec<(String, Ino)>,
+        capacity: usize,
+    }
+
+    impl Reference {
+        fn position(&self, path: &str) -> Option<usize> {
+            self.entries.iter().position(|(p, _)| p == path)
+        }
+
+        fn get(&mut self, path: &str) -> Option<Ino> {
+            let entry = self.entries.remove(self.position(path)?);
+            let ino = entry.1;
+            self.entries.push(entry);
+            Some(ino)
+        }
+
+        fn insert(&mut self, path: &str, ino: Ino) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.remove(path);
+            self.entries.push((path.to_string(), ino));
+            while self.entries.len() > self.capacity {
+                self.entries.remove(0);
+            }
+        }
+
+        fn remove(&mut self, path: &str) {
+            if let Some(i) = self.position(path) {
+                self.entries.remove(i);
+            }
+        }
+
+        fn remove_subtree(&mut self, path: &str) {
+            self.entries.retain(|(p, _)| !fspath::is_same_or_ancestor(path, p));
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Get(usize),
+        Insert(usize, u64),
+        Remove(usize),
+        RemoveSubtree(usize),
+        Clear,
+    }
+
+    /// More paths than the largest capacity, some nested under others.
+    const PATHS: [&str; 14] = [
+        "/a", "/a/b", "/a/b/c", "/a/b/d", "/a/c", "/ab", "/ab/c", "/b", "/b/a", "/b/b", "/c",
+        "/c/a", "/d", "/e",
+    ];
+
+    fn op() -> impl Strategy<Value = Op> {
+        let path = 0..PATHS.len();
+        prop_oneof![
+            6 => path.clone().prop_map(Op::Get),
+            6 => (path.clone(), 2..100u64).prop_map(|(p, ino)| Op::Insert(p, ino)),
+            2 => path.clone().prop_map(Op::Remove),
+            1 => path.prop_map(Op::RemoveSubtree),
+            1 => Just(Op::Clear),
+        ]
+    }
+
+    fn dentry(ino: u64) -> Dentry {
+        Dentry { ino: Ino(ino), perm: Perm::new(0o755, 1, 1), kind: FileKind::Dir }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn dentry_lru_matches_a_recency_list(ops in proptest::collection::vec(op(), 1..200)) {
+            for capacity in [0, 1, 8] {
+                let mut cache = DentryCache::new(capacity);
+                let mut reference = Reference { entries: Vec::new(), capacity };
+                for op in &ops {
+                    match *op {
+                        Op::Get(p) => prop_assert_eq!(
+                            cache.get(PATHS[p]).map(|d| d.ino),
+                            reference.get(PATHS[p]),
+                            "hit at {:?}, capacity {}", op, capacity
+                        ),
+                        Op::Insert(p, ino) => {
+                            cache.insert(PATHS[p], dentry(ino));
+                            reference.insert(PATHS[p], Ino(ino));
+                        }
+                        Op::Remove(p) => {
+                            cache.remove(PATHS[p]);
+                            reference.remove(PATHS[p]);
+                        }
+                        Op::RemoveSubtree(p) => {
+                            cache.remove_subtree(PATHS[p]);
+                            reference.remove_subtree(PATHS[p]);
+                        }
+                        Op::Clear => {
+                            cache.clear();
+                            reference.entries.clear();
+                        }
+                    }
+                    // Same members in the same order: every eviction took
+                    // the reference's victim.
+                    let want: Vec<String> =
+                        reference.entries.iter().map(|(p, _)| p.clone()).collect();
+                    prop_assert_eq!(cache.by_recency(), want, "after {:?}, capacity {}", op, capacity);
+                    prop_assert_eq!(cache.len(), reference.entries.len());
+                }
+            }
+        }
     }
 }

@@ -260,12 +260,12 @@ impl Mds {
                 let (parent, name) = Self::resolve_parent_locked(&ns, op.path(), cred)?;
                 let ino = match op {
                     BatchOp::Mkdir { mode, .. } => {
-                        ns.create_child(parent, &name, FileKind::Dir, *mode, cred)?
+                        ns.create_child(parent, name, FileKind::Dir, *mode, cred)?
                     }
                     BatchOp::Create { mode, .. } => {
-                        ns.create_child(parent, &name, FileKind::File, *mode, cred)?
+                        ns.create_child(parent, name, FileKind::File, *mode, cred)?
                     }
-                    BatchOp::Unlink { .. } => ns.unlink_child(parent, &name, cred)?,
+                    BatchOp::Unlink { .. } => ns.unlink_child(parent, name, cred)?,
                 };
                 // Record before the reply can be lost: a replay after a
                 // lost reply must see the identity and no-op.
@@ -281,11 +281,11 @@ impl Mds {
     /// Resolve `path`'s parent directory component by component inside
     /// an already-held namespace lock (X-permission checks included via
     /// `Namespace::lookup`).
-    fn resolve_parent_locked(
+    fn resolve_parent_locked<'p>(
         ns: &Namespace,
-        path: &str,
+        path: &'p str,
         cred: &Credentials,
-    ) -> FsResult<(Ino, String)> {
+    ) -> FsResult<(Ino, &'p str)> {
         let parent = fspath::parent(path)
             .ok_or_else(|| FsError::InvalidPath(format!("no parent: {path}")))?;
         let name = fspath::basename(path)
@@ -294,7 +294,7 @@ impl Mds {
         for comp in fspath::components(parent) {
             cur = ns.lookup(cur, comp, cred)?;
         }
-        Ok((cur, name.to_string()))
+        Ok((cur, name))
     }
 
     /// Remove an empty directory.

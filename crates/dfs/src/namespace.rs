@@ -3,8 +3,14 @@
 //! Pure data structure: inode table + directory trees, with POSIX-style
 //! checks (existence, kind, emptiness, permission) but no cost accounting
 //! — the [`crate::mds`] front end charges service time per request.
+//!
+//! Inodes live in a slab indexed by their number. Numbers are handed out
+//! in sequence and never reused: removing an inode leaves an empty slot,
+//! so a stale number (a chunk owner, a replay record) can never name a
+//! newer file.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use fsapi::types::{ACCESS_R, ACCESS_W, ACCESS_X};
 use fsapi::{Credentials, FileKind, FileStat, FsError, FsResult, Perm};
@@ -15,7 +21,15 @@ pub struct Ino(pub u64);
 
 impl Ino {
     pub const ROOT: Ino = Ino(1);
+
+    /// Slab index of this inode (`None` if it cannot be one).
+    fn slot(self) -> Option<usize> {
+        usize::try_from(self.0).ok()
+    }
 }
+
+/// Children of a directory by name, sorted (`readdir` lists them in order).
+type Children = BTreeMap<String, Ino>;
 
 #[derive(Debug, Clone)]
 pub struct Inode {
@@ -23,32 +37,40 @@ pub struct Inode {
     pub perm: Perm,
     pub size: u64,
     pub mtime: u64,
-    /// Directory children (empty for files).
-    pub children: BTreeMap<String, Ino>,
+    /// Directory children; `None` exactly when `kind` is a file.
+    children: Option<Box<Children>>,
+}
+
+impl Inode {
+    fn new(kind: FileKind, perm: Perm, mtime: u64) -> Self {
+        let children = (kind == FileKind::Dir).then(Box::default);
+        Self { kind, perm, size: 0, mtime, children }
+    }
+
+    /// The children of a directory; `NotADirectory` for a file.
+    fn dir(&self) -> FsResult<&Children> {
+        self.children.as_deref().ok_or(FsError::NotADirectory)
+    }
+
+    fn dir_mut(&mut self) -> FsResult<&mut Children> {
+        self.children.as_deref_mut().ok_or(FsError::NotADirectory)
+    }
 }
 
 /// The namespace: inode table rooted at `/`.
 pub struct Namespace {
-    inodes: HashMap<Ino, Inode>,
-    next_ino: u64,
+    /// Slot `n` holds inode `n`; slot 0 is never used, removed inodes
+    /// leave `None`.
+    inodes: Vec<Option<Inode>>,
+    live: usize,
     clock: u64,
 }
 
 impl Namespace {
     /// Fresh namespace whose root is owned by root with `root_mode`.
     pub fn new(root_mode: u16) -> Self {
-        let mut inodes = HashMap::new();
-        inodes.insert(
-            Ino::ROOT,
-            Inode {
-                kind: FileKind::Dir,
-                perm: Perm::new(root_mode, 0, 0),
-                size: 0,
-                mtime: 0,
-                children: BTreeMap::new(),
-            },
-        );
-        Self { inodes, next_ino: 2, clock: 1 }
+        let root = Inode::new(FileKind::Dir, Perm::new(root_mode, 0, 0), 0);
+        Self { inodes: vec![None, Some(root)], live: 1, clock: 1 }
     }
 
     fn tick(&mut self) -> u64 {
@@ -57,24 +79,56 @@ impl Namespace {
     }
 
     pub fn get(&self, ino: Ino) -> FsResult<&Inode> {
-        self.inodes.get(&ino).ok_or(FsError::NotFound)
+        ino.slot()
+            .and_then(|i| self.inodes.get(i))
+            .and_then(Option::as_ref)
+            .ok_or(FsError::NotFound)
     }
 
     fn get_mut(&mut self, ino: Ino) -> FsResult<&mut Inode> {
-        self.inodes.get_mut(&ino).ok_or(FsError::NotFound)
+        ino.slot()
+            .and_then(|i| self.inodes.get_mut(i))
+            .and_then(Option::as_mut)
+            .ok_or(FsError::NotFound)
+    }
+
+    /// Empty `ino`'s slot for good (its number is never handed out again).
+    fn free(&mut self, ino: Ino) {
+        if let Some(slot) = ino.slot().and_then(|i| self.inodes.get_mut(i)) {
+            if slot.take().is_some() {
+                self.live -= 1;
+            }
+        }
+    }
+
+    /// A directory whose entries the caller may change, after the kind
+    /// and write + search permission checks.
+    fn writable_dir(&mut self, parent: Ino, cred: &Credentials) -> FsResult<&mut Inode> {
+        let dir = self.get_mut(parent)?;
+        dir.dir()?;
+        if !dir.perm.allows(cred, ACCESS_W | ACCESS_X) {
+            return Err(FsError::PermissionDenied);
+        }
+        Ok(dir)
+    }
+
+    /// Remove the entry `name` from `parent` and stamp the directory.
+    fn detach(&mut self, parent: Ino, name: &str, mtime: u64) -> FsResult<()> {
+        let dir = self.get_mut(parent)?;
+        dir.dir_mut()?.remove(name);
+        dir.mtime = mtime;
+        Ok(())
     }
 
     /// Look up one child by name, enforcing search (x) permission on the
     /// parent directory — the per-component check real path traversal pays.
     pub fn lookup(&self, parent: Ino, name: &str, cred: &Credentials) -> FsResult<Ino> {
         let dir = self.get(parent)?;
-        if dir.kind != FileKind::Dir {
-            return Err(FsError::NotADirectory);
-        }
+        let children = dir.dir()?;
         if !dir.perm.allows(cred, ACCESS_X) {
             return Err(FsError::PermissionDenied);
         }
-        dir.children.get(name).copied().ok_or(FsError::NotFound)
+        children.get(name).copied().ok_or(FsError::NotFound)
     }
 
     /// Attributes of an inode (no permission needed beyond having resolved
@@ -86,11 +140,7 @@ impl Namespace {
             perm: inode.perm,
             size: inode.size,
             mtime: inode.mtime,
-            nlink: if inode.kind == FileKind::Dir {
-                inode.children.len() as u64 + 2
-            } else {
-                1
-            },
+            nlink: inode.children.as_ref().map_or(1, |c| c.len() as u64 + 2),
         })
     }
 
@@ -107,31 +157,15 @@ impl Namespace {
             return Err(FsError::InvalidPath(name.to_string()));
         }
         let mtime = self.tick();
-        let dir = self.get(parent)?;
-        if dir.kind != FileKind::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        if !dir.perm.allows(cred, ACCESS_W | ACCESS_X) {
-            return Err(FsError::PermissionDenied);
-        }
-        if dir.children.contains_key(name) {
-            return Err(FsError::AlreadyExists);
-        }
-        let ino = Ino(self.next_ino);
-        self.next_ino += 1;
-        self.inodes.insert(
-            ino,
-            Inode {
-                kind,
-                perm: Perm::new(mode, cred.uid, cred.gid),
-                size: 0,
-                mtime,
-                children: BTreeMap::new(),
-            },
-        );
-        let dir = self.get_mut(parent).expect("parent vanished mid-create");
-        dir.children.insert(name.to_string(), ino);
+        let ino = Ino(self.inodes.len() as u64);
+        let dir = self.writable_dir(parent, cred)?;
+        match dir.dir_mut()?.entry(name.to_string()) {
+            Entry::Occupied(_) => return Err(FsError::AlreadyExists),
+            Entry::Vacant(slot) => slot.insert(ino),
+        };
         dir.mtime = mtime;
+        self.inodes.push(Some(Inode::new(kind, Perm::new(mode, cred.uid, cred.gid), mtime)));
+        self.live += 1;
         Ok(ino)
     }
 
@@ -139,59 +173,34 @@ impl Namespace {
     /// path can reclaim its chunks.
     pub fn unlink_child(&mut self, parent: Ino, name: &str, cred: &Credentials) -> FsResult<Ino> {
         let mtime = self.tick();
-        let dir = self.get(parent)?;
-        if dir.kind != FileKind::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        if !dir.perm.allows(cred, ACCESS_W | ACCESS_X) {
-            return Err(FsError::PermissionDenied);
-        }
-        let &ino = dir.children.get(name).ok_or(FsError::NotFound)?;
+        let &ino = self.writable_dir(parent, cred)?.dir()?.get(name).ok_or(FsError::NotFound)?;
         if self.get(ino)?.kind != FileKind::File {
             return Err(FsError::IsADirectory);
         }
-        self.inodes.remove(&ino);
-        let dir = self.get_mut(parent)?;
-        dir.children.remove(name);
-        dir.mtime = mtime;
+        self.free(ino);
+        self.detach(parent, name, mtime)?;
         Ok(ino)
     }
 
     /// Remove an *empty* directory child (POSIX rmdir).
     pub fn rmdir_child(&mut self, parent: Ino, name: &str, cred: &Credentials) -> FsResult<()> {
         let mtime = self.tick();
-        let dir = self.get(parent)?;
-        if dir.kind != FileKind::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        if !dir.perm.allows(cred, ACCESS_W | ACCESS_X) {
-            return Err(FsError::PermissionDenied);
-        }
-        let &ino = dir.children.get(name).ok_or(FsError::NotFound)?;
-        let target = self.get(ino)?;
-        if target.kind != FileKind::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        if !target.children.is_empty() {
+        let &ino = self.writable_dir(parent, cred)?.dir()?.get(name).ok_or(FsError::NotFound)?;
+        if !self.get(ino)?.dir()?.is_empty() {
             return Err(FsError::NotEmpty);
         }
-        self.inodes.remove(&ino);
-        let dir = self.get_mut(parent)?;
-        dir.children.remove(name);
-        dir.mtime = mtime;
-        Ok(())
+        self.free(ino);
+        self.detach(parent, name, mtime)
     }
 
     /// Names in a directory (requires read permission).
     pub fn readdir(&self, ino: Ino, cred: &Credentials) -> FsResult<Vec<String>> {
         let dir = self.get(ino)?;
-        if dir.kind != FileKind::Dir {
-            return Err(FsError::NotADirectory);
-        }
+        let children = dir.dir()?;
         if !dir.perm.allows(cred, ACCESS_R) {
             return Err(FsError::PermissionDenied);
         }
-        Ok(dir.children.keys().cloned().collect())
+        Ok(children.keys().cloned().collect())
     }
 
     /// Update file size after a data write (requires write permission).
@@ -223,21 +232,18 @@ impl Namespace {
 
     /// Number of live inodes (diagnostics / leak tests).
     pub fn inode_count(&self) -> usize {
-        self.inodes.len()
+        self.live
     }
 
     /// Sorted `(path, kind, size)` listing of the whole tree — test and
     /// checkpoint helper, never part of the charged fast path.
     pub fn snapshot(&self) -> Vec<(String, FileKind, u64)> {
-        let mut out = Vec::with_capacity(self.inodes.len());
+        let mut out = Vec::with_capacity(self.live);
         let mut stack: Vec<(Ino, String)> = vec![(Ino::ROOT, "/".to_string())];
         while let Some((ino, path)) = stack.pop() {
-            let inode = match self.inodes.get(&ino) {
-                Some(i) => i,
-                None => continue,
-            };
+            let Ok(inode) = self.get(ino) else { continue };
             out.push((path.clone(), inode.kind, inode.size));
-            for (name, child) in &inode.children {
+            for (name, child) in inode.children.iter().flat_map(|c| c.iter()) {
                 stack.push((*child, fsapi::path::join(&path, name)));
             }
         }
@@ -255,6 +261,12 @@ mod tests {
     }
     fn cred() -> Credentials {
         Credentials::new(100, 100)
+    }
+
+    #[test]
+    fn a_slab_slot_costs_40_bytes() {
+        // A file carries no child map; a directory's sits behind a box.
+        assert_eq!(std::mem::size_of::<Option<Inode>>(), 40);
     }
 
     #[test]

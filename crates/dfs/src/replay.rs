@@ -72,15 +72,34 @@ impl OpId {
     }
 }
 
+/// What the seen-cache remembers of one path.
+#[derive(Debug)]
+struct PathIds {
+    /// Latest namespace generation applied to the path (0: none).
+    latest_gen: u64,
+    /// `(write_id, inode the mutation produced/removed)` of every applied
+    /// identified mutation, sorted by `write_id`.
+    applied: Vec<(u64, Ino)>,
+}
+
+impl PathIds {
+    fn ino_of(&self, write_id: u64) -> Option<Ino> {
+        self.applied
+            .binary_search_by_key(&write_id, |&(w, _)| w)
+            .ok()
+            .map(|i| self.applied[i].1)
+    }
+}
+
 /// Server-side memory of applied identified mutations. Shared by every
 /// MDS of a cluster (like the namespace itself), so it survives region
-/// restarts — which is exactly when it matters.
+/// restarts — which is exactly when it matters. One record per path
+/// holds both its identities and its latest generation.
 #[derive(Debug, Default)]
 pub struct SeenCache {
-    /// `(path, write_id)` → inode the mutation produced/removed.
-    seen: HashMap<(String, u64), Ino>,
-    /// Latest namespace generation applied per path.
-    latest_gen: HashMap<String, u64>,
+    paths: HashMap<Box<str>, PathIds>,
+    /// Identities over every path (`len`).
+    identities: usize,
 }
 
 impl SeenCache {
@@ -92,18 +111,27 @@ impl SeenCache {
 
     /// The inode recorded for an already-applied mutation, if any.
     pub fn hit(&self, path: &str, write_id: u64) -> Option<Ino> {
-        self.seen.get(&(path.to_string(), write_id)).copied()
+        self.paths.get(path)?.ino_of(write_id)
     }
 
     /// Record an applied identified mutation. For namespace ops the
     /// identity's `generation` is its own `write_id`, which becomes the
     /// path's latest generation.
     pub fn record(&mut self, path: &str, id: OpId, ino: Ino) {
-        self.seen.insert((path.to_string(), id.write_id), ino);
-        let g = self.latest_gen.entry(path.to_string()).or_insert(0);
-        if id.generation > *g {
-            *g = id.generation;
+        let Some(ids) = self.paths.get_mut(path) else {
+            let ids = PathIds { latest_gen: id.generation, applied: vec![(id.write_id, ino)] };
+            self.paths.insert(Box::from(path), ids);
+            self.identities += 1;
+            return;
+        };
+        match ids.applied.binary_search_by_key(&id.write_id, |&(w, _)| w) {
+            Ok(i) => ids.applied[i].1 = ino,
+            Err(i) => {
+                ids.applied.insert(i, (id.write_id, ino));
+                self.identities += 1;
+            }
         }
+        ids.latest_gen = ids.latest_gen.max(id.generation);
     }
 
     /// Whether replaying an identified data writeback would be stale:
@@ -117,11 +145,10 @@ impl SeenCache {
     /// applied — skipping it on a generation comparison would silently
     /// drop an acknowledged write during normal durable operation.
     pub fn data_replay_is_stale(&self, path: &str, id: &OpId) -> bool {
-        if self.seen.contains_key(&(path.to_string(), id.write_id)) {
-            return true;
-        }
-        id.generation != 0
-            && self.latest_gen.get(path).is_some_and(|g| *g > id.generation)
+        self.paths.get(path).is_some_and(|ids| {
+            ids.ino_of(id.write_id).is_some()
+                || (id.generation != 0 && ids.latest_gen > id.generation)
+        })
     }
 
     /// Latest recorded namespace generation of every path under `root`
@@ -129,45 +156,52 @@ impl SeenCache {
     /// so writebacks to files created by earlier incarnations carry the
     /// correct generation instead of 0).
     pub fn generations_under(&self, root: &str) -> Vec<(String, u64)> {
-        self.latest_gen
+        self.paths
             .iter()
-            .filter(|(path, _)| fspath::is_same_or_ancestor(root, path))
-            .map(|(path, gen)| (path.clone(), *gen))
+            .filter(|(path, ids)| ids.latest_gen != 0 && fspath::is_same_or_ancestor(root, path))
+            .map(|(path, ids)| (path.to_string(), ids.latest_gen))
             .collect()
     }
 
     /// Evict identities under `root` whose write was allocated by an
-    /// incarnation `< below_incarnation`. Only call this once those
-    /// identities are provably unreplayable — i.e. after the commit logs
-    /// that could carry them have been truncated; `below_incarnation =
-    /// u64::MAX` prunes everything recorded under `root`. Returns the
-    /// number of identities removed.
+    /// incarnation `< below_incarnation`, and latest generations under
+    /// `root` allocated that early. Only call this once those identities
+    /// are provably unreplayable — i.e. after the commit logs that could
+    /// carry them have been truncated; `below_incarnation = u64::MAX`
+    /// prunes everything recorded under `root`. Returns the number of
+    /// identities removed.
     pub fn prune_under(&mut self, root: &str, below_incarnation: u64) -> usize {
-        let before = self.seen.len();
-        self.seen.retain(|(path, write_id), _| {
-            !fspath::is_same_or_ancestor(root, path)
-                || OpId::incarnation_of(*write_id) >= below_incarnation
+        let before = self.identities;
+        let old = |write_id: u64| OpId::incarnation_of(write_id) < below_incarnation;
+        self.paths.retain(|path, ids| {
+            if !fspath::is_same_or_ancestor(root, path) {
+                return true;
+            }
+            let had = ids.applied.len();
+            ids.applied.retain(|&(w, _)| !old(w));
+            self.identities -= had - ids.applied.len();
+            if old(ids.latest_gen) {
+                ids.latest_gen = 0;
+            }
+            ids.latest_gen != 0 || !ids.applied.is_empty()
         });
-        self.latest_gen.retain(|path, gen| {
-            !fspath::is_same_or_ancestor(root, path)
-                || OpId::incarnation_of(*gen) >= below_incarnation
-        });
-        before - self.seen.len()
+        before - self.identities
     }
 
     /// Number of remembered identities (diagnostics).
     pub fn len(&self) -> usize {
-        self.seen.len()
+        self.identities
     }
 
     pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
+        self.identities == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn replay_hits_after_record() {
@@ -239,6 +273,33 @@ mod tests {
     }
 
     #[test]
+    fn a_generation_zero_writeback_records_no_generation() {
+        let mut c = SeenCache::default();
+        c.record("/f", OpId { write_id: 9, generation: 0 }, Ino(1));
+        assert_eq!(c.len(), 1);
+        assert!(c.generations_under("/").is_empty());
+    }
+
+    #[test]
+    fn identities_and_generations_prune_independently() {
+        let mut c = SeenCache::default();
+        let (old, new) = (OpId::pack_write_id(1, 7), OpId::pack_write_id(2, 1));
+        // An old write against a newer generation, and a new write against
+        // an older one.
+        c.record("/a/f", OpId { write_id: old, generation: new }, Ino(1));
+        c.record("/a/g", OpId { write_id: new, generation: old }, Ino(2));
+        assert_eq!(c.prune_under("/a", 2), 1);
+        assert_eq!(c.len(), 1);
+        // /a/f lost its identity but keeps its generation ...
+        assert!(c.hit("/a/f", old).is_none());
+        assert_eq!(c.generations_under("/a"), vec![("/a/f".to_string(), new)]);
+        assert!(c.data_replay_is_stale("/a/f", &OpId { write_id: old + 1, generation: old }));
+        // ... and /a/g the reverse.
+        assert_eq!(c.hit("/a/g", new), Some(Ino(2)));
+        assert!(!c.data_replay_is_stale("/a/g", &OpId { write_id: new + 1, generation: 1 }));
+    }
+
+    #[test]
     fn write_id_packing_guards_overflow() {
         let id = OpId::pack_write_id(3, 41);
         assert_eq!(OpId::incarnation_of(id), 3);
@@ -247,5 +308,131 @@ mod tests {
             .is_err());
         assert!(std::panic::catch_unwind(|| OpId::pack_write_id(1, 1 << OpId::SEQ_BITS))
             .is_err());
+    }
+
+    /// The seen-cache as two maps, one keyed by identity and one by path,
+    /// as it was first written. A generation-0 writeback creates a zero
+    /// latest generation here, which `generations_under` reported; the
+    /// cache stores none, so the comparison leaves zeros out.
+    #[derive(Default)]
+    struct TwoMaps {
+        seen: HashMap<(String, u64), Ino>,
+        latest_gen: HashMap<String, u64>,
+    }
+
+    impl TwoMaps {
+        fn record(&mut self, path: &str, id: OpId, ino: Ino) {
+            self.seen.insert((path.to_string(), id.write_id), ino);
+            let g = self.latest_gen.entry(path.to_string()).or_insert(0);
+            *g = (*g).max(id.generation);
+        }
+
+        fn data_replay_is_stale(&self, path: &str, id: &OpId) -> bool {
+            self.seen.contains_key(&(path.to_string(), id.write_id))
+                || (id.generation != 0
+                    && self.latest_gen.get(path).is_some_and(|g| *g > id.generation))
+        }
+
+        fn prune_under(&mut self, root: &str, below: u64) -> usize {
+            let before = self.seen.len();
+            self.seen.retain(|(path, w), _| {
+                !fspath::is_same_or_ancestor(root, path) || OpId::incarnation_of(*w) >= below
+            });
+            self.latest_gen.retain(|path, g| {
+                !fspath::is_same_or_ancestor(root, path) || OpId::incarnation_of(*g) >= below
+            });
+            before - self.seen.len()
+        }
+
+        fn generations_under(&self, root: &str) -> Vec<(String, u64)> {
+            let mut out: Vec<(String, u64)> = self
+                .latest_gen
+                .iter()
+                .filter(|(p, g)| **g != 0 && fspath::is_same_or_ancestor(root, p))
+                .map(|(p, g)| (p.clone(), *g))
+                .collect();
+            out.sort();
+            out
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Record(usize, u64, u64, u64),
+        Hit(usize, u64),
+        Stale(usize, u64, u64),
+        Generations(usize),
+        Prune(usize, u64),
+    }
+
+    const PATHS: [&str; 5] = ["/a", "/a/f", "/a/g", "/ab", "/b/h"];
+    const ROOTS: [&str; 4] = ["/", "/a", "/a/f", "/b"];
+
+    /// A write id from a small space (incarnations 0..4, sequences 0..6),
+    /// so that ops collide on identities and generations.
+    fn write_id() -> impl Strategy<Value = u64> {
+        (0..4u64, 0..6u64).prop_map(|(inc, seq)| OpId::pack_write_id(inc, seq))
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let path = 0..PATHS.len();
+        prop_oneof![
+            // The generation is 0, the write's own id, or another one.
+            4 => (path.clone(), write_id(), write_id(), 0..3u64)
+                .prop_map(|(p, w, g, pick)| Op::Record(p, w, g, pick)),
+            3 => (path.clone(), write_id()).prop_map(|(p, w)| Op::Hit(p, w)),
+            3 => (path, write_id(), (0..3u64, write_id())).prop_map(|(p, w, (pick, g))| {
+                Op::Stale(p, w, if pick == 0 { 0 } else { g })
+            }),
+            1 => (0..ROOTS.len()).prop_map(Op::Generations),
+            1 => (0..ROOTS.len(), 0..5u64).prop_map(|(r, below)| {
+                Op::Prune(r, if below == 4 { u64::MAX } else { below })
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn seen_cache_matches_the_two_map_reference(ops in proptest::collection::vec(op(), 1..150)) {
+            let mut cache = SeenCache::default();
+            let mut reference = TwoMaps::default();
+            for op in &ops {
+                match *op {
+                    Op::Record(p, write_id, other, pick) => {
+                        let generation = [0, write_id, other][pick as usize];
+                        let id = OpId { write_id, generation };
+                        let ino = Ino(write_id ^ 5);
+                        cache.record(PATHS[p], id, ino);
+                        reference.record(PATHS[p], id, ino);
+                    }
+                    Op::Hit(p, w) => prop_assert_eq!(
+                        cache.hit(PATHS[p], w),
+                        reference.seen.get(&(PATHS[p].to_string(), w)).copied(),
+                        "at {:?}", op
+                    ),
+                    Op::Stale(p, write_id, generation) => {
+                        let id = OpId { write_id, generation };
+                        prop_assert_eq!(
+                            cache.data_replay_is_stale(PATHS[p], &id),
+                            reference.data_replay_is_stale(PATHS[p], &id),
+                            "at {:?}", op
+                        );
+                    }
+                    Op::Generations(r) => {
+                        let mut got = cache.generations_under(ROOTS[r]);
+                        got.sort();
+                        prop_assert_eq!(got, reference.generations_under(ROOTS[r]), "at {:?}", op);
+                    }
+                    Op::Prune(r, below) => prop_assert_eq!(
+                        cache.prune_under(ROOTS[r], below),
+                        reference.prune_under(ROOTS[r], below),
+                        "at {:?}", op
+                    ),
+                }
+                prop_assert_eq!(cache.len(), reference.seen.len(), "after {:?}", op);
+                prop_assert_eq!(cache.is_empty(), reference.seen.is_empty());
+            }
+        }
     }
 }

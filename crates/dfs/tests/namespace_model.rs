@@ -1,11 +1,14 @@
 //! Model-based property test of the DFS namespace: random op sequences
 //! through the full client/MDS stack must match a naive path->kind map
-//! that re-implements the POSIX rules directly.
+//! that re-implements the POSIX rules directly. Along the way, every
+//! created entry gets an inode number never handed out before (numbers
+//! are not reused after `unlink` / `rmdir`), and the live inode count is
+//! the model's entry count plus the root.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use dfs::DfsCluster;
+use dfs::{DfsCluster, Ino};
 use fsapi::{path as fspath, Credentials, FileKind, FileSystem, FsError};
 use proptest::prelude::*;
 use simnet::LatencyProfile;
@@ -123,6 +126,13 @@ impl Model {
     }
 }
 
+/// The inode a path resolves to, looked up on the MDS directly.
+fn ino_of(cluster: &DfsCluster, path: &str, cred: &Credentials) -> Ino {
+    fspath::components(path).fold(Ino::ROOT, |dir, name| {
+        cluster.mds_for(dir).lookup(dir, name, cred).expect("a created path resolves")
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
@@ -131,6 +141,7 @@ proptest! {
         let fs = cluster.client();
         let cred = Credentials::new(1, 1);
         let mut model = Model::default();
+        let mut numbers = HashSet::from([Ino::ROOT]);
 
         for op in &ops {
             let (got, want): (Result<(), FsError>, Result<(), FsError>) = match op {
@@ -165,6 +176,11 @@ proptest! {
                 ),
                 other => prop_assert!(false, "outcome mismatch for {op:?}: {other:?}"),
             }
+            if let (Op::Mkdir(i) | Op::Create(i), Ok(())) = (op, &got) {
+                let ino = ino_of(&cluster, &path_of(*i), &cred);
+                prop_assert!(numbers.insert(ino), "{:?} reused inode {:?}", op, ino);
+            }
+            prop_assert_eq!(cluster.inode_count(), model.entries.len() + 1, "after {:?}", op);
         }
 
         // Final tree agrees (paths + kinds).
