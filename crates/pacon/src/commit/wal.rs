@@ -5,9 +5,11 @@
 //! into zero-filled space so a group fsync flushes data blocks only) —
 //! *before* the client's mutation is acknowledged locally. The record
 //! carries the op's `(path, write_id, generation)` replay identity, so
-//! the log can be replayed idempotently after a crash, any number of
-//! times. Once every enqueued op has been confirmed against the DFS the
-//! log is truncated.
+//! after a crash the next launch can commit the surviving entries again,
+//! idempotently and any number of times: they re-enter the node worker's
+//! commit route as ops published and not yet committed
+//! (`region::recover`). Once every enqueued op has been confirmed against
+//! the DFS the log is truncated; after a recovery, once, at its end.
 //!
 //! Record mapping onto the lsmkv frame: `seq` = `write_id`, `key` =
 //! the op's path, `value` = the payload below.

@@ -30,7 +30,14 @@
 //! faulted link still owes the queue or still coalesces below the flush
 //! threshold — quiesce/shutdown liveness without a flush timer; that cut
 //! is taken alone, a run holds only what the broker already held.
+//!
+//! Recovery is a commit ([`CommitWorker::recover`]): at launch, the worker
+//! commits its node's surviving log entries on the same route. A recovered
+//! op takes its writeback bytes from the log and settles no cache records;
+//! its creation that meets its path, or unlink that misses it, is in place;
+//! any other error but a missing prerequisite fails the launch.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -42,7 +49,7 @@ use simnet::{charge, NodeId, Station};
 
 use crate::cache::{CacheError, MetaCache};
 use crate::commit::op::{CommitOp, QueueMsg};
-use crate::commit::wal::CrashPoint;
+use crate::commit::wal::{CrashPoint, WalEntry};
 use crate::metadata::CachedMeta;
 use crate::region::RegionCore;
 
@@ -82,7 +89,8 @@ pub enum WorkerStep {
 /// small window suffices.
 const SEEN_WINDOW: usize = 64;
 
-/// One op of a run: fresh from the queue, or awaiting resubmission.
+/// One op of a run: fresh from the queue or the commit log, or awaiting
+/// resubmission.
 struct RetryEntry {
     msg: QueueMsg,
     /// Failed attempts so far; 0 for a fresh op.
@@ -92,11 +100,14 @@ struct RetryEntry {
     /// `AlreadyExists` on a creation is idempotent success, not a
     /// conflict to retry.
     backend_faulted: bool,
+    /// Recovered from the previous incarnation's commit log: the bytes
+    /// its record carries (a writeback's snapshot; empty otherwise).
+    recovered: Option<Vec<u8>>,
 }
 
 impl RetryEntry {
     fn fresh(msg: QueueMsg) -> Self {
-        Self { msg, attempts: 0, backend_faulted: false }
+        Self { msg, attempts: 0, backend_faulted: false, recovered: None }
     }
 }
 
@@ -119,6 +130,8 @@ pub struct CommitWorker {
     /// `(client, timestamp)` of the most recent messages, for dropping
     /// duplicated deliveries (lossy-link fault plane).
     seen: VecDeque<(u32, u64)>,
+    /// The error that ends a recovery ([`Self::recover`]).
+    failed: Option<FsError>,
 }
 
 impl CommitWorker {
@@ -140,6 +153,7 @@ impl CommitWorker {
             flushing_for: None,
             stuck_retries: 0,
             seen: VecDeque::new(),
+            failed: None,
         }
     }
 
@@ -294,6 +308,56 @@ impl CommitWorker {
         }
     }
 
+    /// One recovery turn (DESIGN §5.3) on `log`, the rest of this node's
+    /// commit log: commit a run of up to `room` of its next `2 * room`
+    /// entries or, with none free to go, retry the backlog's head. The run
+    /// keeps the log's order per path: it leaves at the log's head every op
+    /// of a path whose earlier op waits or was left, and a namespace op of a
+    /// path it holds (writebacks go last). `Err`: an error no wait resolves.
+    pub(crate) fn recover(&mut self, log: &mut VecDeque<WalEntry>, room: usize) -> FsResult<()> {
+        let take: Vec<bool> = {
+            // Per path met: is the run open to its next op? Not once an op of
+            // it waits or was left, and only to writebacks once it holds one.
+            let mut paths: HashMap<&str, bool> =
+                self.retry.iter().filter_map(|e| Some((e.msg.op.path()?, false))).collect();
+            let mut taken = 0;
+            let scan = log.iter().take(room.saturating_mul(2)).map_while(|e| {
+                if taken == room {
+                    return None;
+                }
+                let path = e.msg.op.path().expect("logged ops have a path");
+                let writeback = matches!(e.msg.op, CommitOp::WriteInline { .. });
+                let go = match paths.entry(path) {
+                    Entry::Vacant(slot) => *slot.insert(true),
+                    Entry::Occupied(mut slot) => {
+                        *slot.get_mut() &= writeback;
+                        *slot.get()
+                    }
+                };
+                taken += go as usize;
+                Some(go)
+            });
+            scan.collect()
+        };
+        let (mut run, mut held) = (Vec::new(), Vec::new());
+        for (WalEntry { msg, snapshot }, go) in log.drain(..take.len()).zip(take) {
+            if go {
+                let recovered = Some(snapshot.unwrap_or_default());
+                run.push(RetryEntry { recovered, ..RetryEntry::fresh(msg) });
+            } else {
+                held.push(WalEntry { msg, snapshot });
+            }
+        }
+        held.into_iter().rev().for_each(|entry| log.push_front(entry));
+        if run.is_empty() {
+            run.extend(self.retry.pop_front());
+        }
+        if !run.is_empty() {
+            self.commit(run);
+        }
+        self.failed.take().map_or(Ok(()), Err)
+    }
+
     /// Commit a run of ops (Fig. 5): the namespace ops through one DFS
     /// request in queue order, then the inline-data writebacks as one group
     /// on the data path ([`Self::apply_writebacks`]), then the cache records
@@ -311,6 +375,8 @@ impl CommitWorker {
     /// [`CommitOp::Batch`], so no message that was batched takes them.
     fn commit(&mut self, run: Vec<RetryEntry>) -> WorkerStep {
         let solo = run.len() == 1;
+        // A run is recovered whole or not at all (a retry is a run of one).
+        let recovered = run[0].recovered.is_some();
         let (wb, ns): (Vec<_>, Vec<_>) =
             run.into_iter().partition(|e| matches!(e.msg.op, CommitOp::WriteInline { .. }));
         let (mut retried, mut discarded) = (0u32, 0u32);
@@ -340,7 +406,10 @@ impl CommitWorker {
                 tally(self.settle(entry, res, &mut applied));
             }
         }
-        self.settle_records(&applied, solo);
+        // A recovered run's records died with the old incarnation's cache.
+        if !recovered {
+            self.settle_records(&applied, solo);
+        }
         for _ in &applied {
             self.core.note_completed();
         }
@@ -385,7 +454,13 @@ impl CommitWorker {
         let cred = self.core.config.cred;
         let paths: Vec<&str> =
             plane.iter().map(|e| e.msg.op.path().expect("writebacks have a path")).collect();
-        let claims = self.claim_writebacks(&paths, solo);
+        // A recovered writeback owes the bytes its log record holds: the
+        // cache that acknowledged it died with the old incarnation.
+        let claims = if plane[0].recovered.is_some() {
+            plane.iter().map(|e| Ok(e.recovered.clone())).collect()
+        } else {
+            self.claim_writebacks(&paths, solo)
+        };
         let mut written = {
             let items: Vec<(&str, &[u8], dfs::OpId)> = claims
                 .iter()
@@ -465,9 +540,24 @@ impl CommitWorker {
         result: FsResult<()>,
         applied: &mut Vec<QueueMsg>,
     ) -> WorkerStep {
-        let RetryEntry { msg, attempts, backend_faulted } = entry;
+        let RetryEntry { msg, attempts, backend_faulted, recovered } = entry;
+        let unlink = matches!(msg.op, CommitOp::Unlink { .. });
         match result {
             Ok(()) => self.committed(msg, None, applied),
+            // Recovered (DESIGN §5.3), a creation that meets its path or an
+            // unlink that misses its file is in place: no earlier op of its
+            // log is left to change the path (`recover`). Any other error but
+            // a missing prerequisite fails the launch: the log holds its only copy.
+            Err(FsError::AlreadyExists) if recovered.is_some() && msg.op.is_creation() => {
+                self.committed(msg, Some("recovery_exists"), applied)
+            }
+            Err(FsError::NotFound) if recovered.is_some() && unlink => {
+                self.committed(msg, Some("recovery_gone"), applied)
+            }
+            Err(e) if recovered.is_some() && e != FsError::NotFound => {
+                self.failed.get_or_insert(e);
+                WorkerStep::Retried
+            }
             // A replayed creation that already failed with a transient
             // backend error may have applied server-side with its reply
             // lost; the DFS entry it "conflicts" with is its own. Treat
@@ -526,6 +616,7 @@ impl CommitWorker {
                     msg,
                     attempts: attempts + 1,
                     backend_faulted: backend_faulted || matches!(e, FsError::Backend(_)),
+                    recovered,
                 });
                 WorkerStep::Retried
             }

@@ -6,6 +6,7 @@
 //! permission table. Clients are handed out per process and share the
 //! region through an `Arc<RegionCore>`.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -368,13 +369,18 @@ impl PaconRegion {
             config,
         });
 
-        // Replay surviving commit-log entries from the previous
-        // incarnation before any new work is accepted, then truncate.
-        let total_recovered: usize = recovered.iter().map(|v| v.len()).sum();
-        if total_recovered > 0 {
-            core.counters.add("wal_replayed", total_recovered as u64);
-            replay_wal_entries(&core, &setup, recovered)?;
-            core.reset_wals()?;
+        let mounts: Vec<Arc<DfsClient>> = (0..nodes).map(|_| Arc::new(dfs.client())).collect();
+        let mut workers: Vec<CommitWorker> = (0u32..)
+            .zip(rxs)
+            .zip(&mounts)
+            .map(|((n, rx), mount)| {
+                CommitWorker::new(NodeId(n), rx, Arc::clone(mount), Arc::clone(&core))
+            })
+            .collect();
+        // The previous incarnation's logged ops commit before any new work
+        // is accepted.
+        if recovered.iter().any(|log| !log.is_empty()) {
+            recover(&core, &mut workers, recovered)?;
         }
         if core.durable() {
             // Writebacks to files created by earlier incarnations must
@@ -391,15 +397,7 @@ impl PaconRegion {
             core.counters.add("replay_pruned", pruned as u64);
         }
 
-        let mounts: Vec<Arc<DfsClient>> = (0..nodes).map(|_| Arc::new(dfs.client())).collect();
-        let workers = (0u32..)
-            .zip(rxs)
-            .zip(&mounts)
-            .map(|((n, rx), mount)| {
-                Some(CommitWorker::new(NodeId(n), rx, Arc::clone(mount), Arc::clone(&core)))
-            })
-            .collect();
-
+        let workers = workers.into_iter().map(Some).collect();
         Ok(Arc::new(Self {
             core,
             dfs: Arc::clone(dfs),
@@ -649,141 +647,48 @@ fn bump_incarnation(wal_dir: &std::path::Path) -> FsResult<u64> {
     Ok(next)
 }
 
-/// Replay recovered commit-log entries against the DFS, preserving
-/// per-node order and interleaving nodes round-robin. An entry whose
-/// parent is not yet present waits for the other queues; when no queue
-/// can make progress **one** stuck head is dropped (preferring one whose
-/// prerequisite was lost before it became durable) and the round-robin
-/// resumes — an entry blocked only on an entry deeper in another queue
-/// survives to apply once its prerequisite surfaces. All applies are
-/// idempotent — a crash *during* this replay (see `recovery_crash_after`)
-/// just means the next launch replays the same log again, and the
-/// seen-cache no-ops the prefix that already landed.
-fn replay_wal_entries(
+/// Recovery (DESIGN §5.3): every node's surviving log entries re-enter
+/// the commit route as what they were, ops published and not yet
+/// committed. The nodes take turns; in each, a node's worker commits a run
+/// of its log (up to `commit_batch_size` entries, in log order per path)
+/// or, with none free to go, retries an entry that waits in its backlog
+/// for a prerequisite in another log. Then the logs are truncated, once.
+/// Every apply is idempotent, so a crash during recovery
+/// (`recovery_crash_after`: runs are cut so that exactly that many ops
+/// have applied) only means the next launch replays the same logs and the
+/// seen-cache no-ops the prefix that landed. An error no wait resolves
+/// fails the launch the same way.
+fn recover(
     core: &RegionCore,
-    fs: &dfs::DfsClient,
-    per_node: Vec<Vec<WalEntry>>,
+    workers: &mut [CommitWorker],
+    logs: Vec<Vec<WalEntry>>,
 ) -> FsResult<()> {
-    let cred = core.config.cred;
-    let mut queues: Vec<std::collections::VecDeque<WalEntry>> =
-        per_node.into_iter().map(Into::into).collect();
+    let total = logs.iter().map(Vec::len).sum::<usize>() as u64;
+    core.counters.add("wal_replayed", total);
+    // The births and unlink stamps the route records order before every
+    // new op.
+    let newest = logs.iter().flatten().map(|e| e.msg.timestamp).max().unwrap_or(0);
+    core.clock.fetch_max(newest, Ordering::Relaxed);
+    // One op more than the logs hold, completed after the last run: the
+    // route's `maybe_truncate_wals` never finds the region drained.
+    core.enqueued.fetch_add(total + 1, Ordering::Relaxed);
+    let applied = || core.counters.get("committed");
+    let batch = core.config.commit_batch_size as u64;
     let crash_after = core.config.recovery_crash_after;
-    let mut applied = 0u64;
-    loop {
-        let mut progress = false;
-        let mut remaining = false;
-        for q in queues.iter_mut() {
-            while let Some(entry) = q.front() {
-                if !replay_one(core, fs, entry, &cred)? {
-                    remaining = true;
-                    break;
-                }
-                q.pop_front();
-                progress = true;
-                applied += 1;
-                core.counters.incr("recovery_applied");
-                if crash_after == Some(applied) {
-                    return Err(FsError::Backend("crash-kill: recovery interrupted".into()));
-                }
+    let mut logs: Vec<VecDeque<WalEntry>> = logs.into_iter().map(Into::into).collect();
+    while logs.iter().any(|log| !log.is_empty()) || workers.iter().any(|w| !w.backlog_empty()) {
+        for (worker, log) in workers.iter_mut().zip(&mut logs) {
+            let room = crash_after.map_or(batch, |n| n.saturating_sub(applied()).clamp(1, batch));
+            worker.recover(log, room as usize)?;
+            if crash_after.is_some_and(|n| n == applied()) {
+                return Err(FsError::Backend("crash-kill: recovery interrupted".into()));
             }
         }
-        if !remaining {
-            return Ok(());
-        }
-        if !progress && drop_one_stuck_head(&mut queues) {
-            core.counters.incr("recovery_skipped");
-        }
     }
-}
-
-/// Pick one stuck queue head to abandon when replay cannot make
-/// progress. A head is only truly unrecoverable when the path it waits
-/// for (its parent for creations, the file itself for writebacks) is not
-/// created by *any* entry still queued — prefer dropping such a head.
-/// Heads whose prerequisite is merely deeper in another queue get
-/// another round once the blocker is gone. Falls back to the first
-/// non-empty queue so that (impossible-in-practice) cyclic waits still
-/// terminate.
-fn drop_one_stuck_head(queues: &mut [std::collections::VecDeque<WalEntry>]) -> bool {
-    let pending_creations: std::collections::HashSet<&str> = queues
-        .iter()
-        .flat_map(|q| q.iter())
-        .filter_map(|e| match &e.msg.op {
-            CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } => Some(path.as_str()),
-            _ => None,
-        })
-        .collect();
-    let victim = queues
-        .iter()
-        .position(|q| {
-            q.front().is_some_and(|e| match replay_waits_for(&e.msg.op) {
-                Some(need) => !pending_creations.contains(need),
-                None => true,
-            })
-        })
-        .or_else(|| queues.iter().position(|q| !q.is_empty()));
-    match victim {
-        Some(i) => queues[i].pop_front().is_some(),
-        None => false,
-    }
-}
-
-/// The path a blocked replay entry is waiting to appear: the parent
-/// directory for namespace creations, the file itself for data
-/// writebacks. `None` for ops that never block in [`replay_one`].
-fn replay_waits_for(op: &CommitOp) -> Option<&str> {
-    match op {
-        CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } => fspath::parent(path),
-        CommitOp::WriteInline { path } => Some(path),
-        CommitOp::Unlink { .. } | CommitOp::Barrier { .. } | CommitOp::Batch(_) => None,
-    }
-}
-
-/// Apply one recovered entry. `Ok(true)` = handled (applied, no-oped or
-/// harmlessly moot), `Ok(false)` = blocked on an entry from another
-/// node's queue.
-fn replay_one(
-    core: &RegionCore,
-    fs: &dfs::DfsClient,
-    entry: &WalEntry,
-    cred: &fsapi::Credentials,
-) -> FsResult<bool> {
-    let msg = &entry.msg;
-    if let Some(op) = msg.op.namespace_op() {
-        let applied = fs
-            .apply_batch_idempotent(&[op], &[msg.id], cred)
-            .pop()
-            .unwrap_or(Err(FsError::Backend("empty batch result".into())));
-        return match applied {
-            Ok(()) => Ok(true),
-            // The entry exists (created outside the log's view): the
-            // intent is satisfied.
-            Err(FsError::AlreadyExists) if msg.op.is_creation() => {
-                core.counters.incr("recovery_exists");
-                Ok(true)
-            }
-            Err(FsError::NotFound) if msg.op.is_creation() => Ok(false),
-            // Unlink of something already gone — removal is satisfied.
-            Err(FsError::NotFound) => {
-                core.counters.incr("recovery_gone");
-                Ok(true)
-            }
-            Err(e) => Err(e),
-        };
-    }
-    match &msg.op {
-        CommitOp::WriteInline { path } => {
-            let data = entry.snapshot.as_deref().unwrap_or(&[]);
-            match fs.write_idempotent(path, cred, data, msg.id) {
-                Ok(_) => Ok(true),
-                Err(FsError::NotFound) => Ok(false),
-                Err(e) => Err(e),
-            }
-        }
-        // Barriers and batch wrappers are never logged; namespace ops
-        // returned above.
-        _ => Ok(true),
-    }
+    core.note_completed();
+    core.counters.add("recovery_applied", applied());
+    core.counters.add("recovery_skipped", total - applied());
+    core.reset_wals()
 }
 
 impl Drop for PaconRegion {
@@ -920,46 +825,138 @@ mod tests {
         }
     }
 
-    /// Regression (review): a stalled replay round must only abandon the
-    /// head whose prerequisite is truly lost. Here q0's `create /app/a/f`
-    /// is blocked on `mkdir /app/a` sitting *behind* the unrecoverable
-    /// `mkdir /lost/x` in q1 — the old all-heads drop lost the create.
+    /// Recover `logs` (one per node) through the region's own workers.
+    fn recover_logs(region: &PaconRegion, logs: Vec<Vec<WalEntry>>) {
+        let mut workers: Vec<_> = (0..logs.len()).map(|n| region.take_worker(n)).collect();
+        recover(region.core(), &mut workers, logs).unwrap();
+        assert!(region.core().drained(), "every recovered op completed");
+    }
+
+    fn mkdir(path: &str) -> WalEntry {
+        plain_entry(CommitOp::Mkdir { path: path.into(), mode: 0o755 })
+    }
+
+    fn create(path: &str) -> WalEntry {
+        plain_entry(CommitOp::Create { path: path.into(), mode: 0o644 })
+    }
+
+    /// Regression: recovery must only abandon the entry whose
+    /// prerequisite is truly lost. Here node 0's `create /app/a/f` waits
+    /// on `mkdir /app/a` sitting *behind* the unrecoverable `mkdir
+    /// /lost/x` in node 1's log.
     #[test]
     fn stalled_replay_drops_only_unrecoverable_heads() {
         let (dfs, region) = launch("/app");
-        let fs = dfs.client();
+        let q0 = vec![create("/app/a/f")];
+        let q1 = vec![mkdir("/lost/x"), mkdir("/app/a")];
+        recover_logs(&region, vec![q0, q1]);
         let core = region.core();
-        let q0 = vec![plain_entry(CommitOp::Create { path: "/app/a/f".into(), mode: 0o644 })];
-        let q1 = vec![
-            plain_entry(CommitOp::Mkdir { path: "/lost/x".into(), mode: 0o755 }),
-            plain_entry(CommitOp::Mkdir { path: "/app/a".into(), mode: 0o755 }),
-        ];
-        replay_wal_entries(core, &fs, vec![q0, q1]).unwrap();
         let cred = Credentials::new(1, 1);
-        assert!(fs.stat("/app/a/f", &cred).unwrap().is_file(), "recoverable op was dropped");
+        let landed = dfs.client().stat("/app/a/f", &cred).unwrap().is_file();
+        assert!(landed, "recoverable op was dropped");
         assert_eq!(core.counters.get("recovery_skipped"), 1, "only /lost/x is unrecoverable");
         assert_eq!(core.counters.get("recovery_applied"), 2);
+        assert_eq!(core.counters.get("dropped_retry_budget"), 1);
     }
 
     #[test]
     fn stalled_replay_with_cyclic_waits_still_terminates() {
-        let (dfs, region) = launch("/app");
-        let fs = dfs.client();
+        let (_dfs, region) = launch("/app");
+        // Each log's head waits on a creation behind the other's head. The
+        // heads wait in their backlogs while the mkdirs land: nothing is
+        // sacrificed.
+        let q0 = vec![create("/app/x/f"), mkdir("/app/y")];
+        let q1 = vec![create("/app/y/g"), mkdir("/app/x")];
+        recover_logs(&region, vec![q0, q1]);
         let core = region.core();
-        // Each head waits on a creation queued behind the other's head.
-        let q0 = vec![
-            plain_entry(CommitOp::Create { path: "/app/x/f".into(), mode: 0o644 }),
-            plain_entry(CommitOp::Mkdir { path: "/app/y".into(), mode: 0o755 }),
-        ];
-        let q1 = vec![
-            plain_entry(CommitOp::Create { path: "/app/y/g".into(), mode: 0o644 }),
-            plain_entry(CommitOp::Mkdir { path: "/app/x".into(), mode: 0o755 }),
-        ];
-        replay_wal_entries(core, &fs, vec![q0, q1]).unwrap();
-        // One head had to be sacrificed to break the cycle; everything
-        // else must land.
-        assert_eq!(core.counters.get("recovery_skipped"), 1);
-        assert_eq!(core.counters.get("recovery_applied"), 3);
+        assert_eq!(core.counters.get("recovery_skipped"), 0);
+        assert_eq!(core.counters.get("recovery_applied"), 4);
+    }
+
+    /// A batched run holds a create whose parent's mkdir sits in the other
+    /// node's log: the create goes to its worker's backlog alone, the rest
+    /// of the run lands, and the create follows its parent.
+    #[test]
+    fn a_batched_run_waits_out_a_parent_in_the_other_log() {
+        let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let config = PaconConfig::new("/app", Topology::new(2, 2), Credentials::new(1, 1))
+            .with_commit_batch(16);
+        let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+        let q0 = vec![create("/app/f0"), create("/app/d/f"), create("/app/f1")];
+        let q1 = vec![create("/app/g0"), mkdir("/app/d")];
+        recover_logs(&region, vec![q0, q1]);
+        let core = region.core();
+        assert_eq!(core.counters.get("recovery_applied"), 5);
+        assert_eq!(core.counters.get("recovery_skipped"), 0);
+        assert!(core.counters.get("resubmitted") >= 1);
+        let cred = Credentials::new(1, 1);
+        assert!(dfs.client().stat("/app/d/f", &cred).unwrap().is_file());
+    }
+
+    /// A logged create whose path already exists (made outside the log, or
+    /// a degraded duplicate admission) has its intent in place at once: the
+    /// unlink behind it in the same log removes the file, and the create
+    /// must not land after it.
+    #[test]
+    fn a_recovered_create_that_meets_its_path_settles_before_the_unlink_behind_it() {
+        let cred = Credentials::new(1, 1);
+        for (batch, degraded) in [(1, false), (1, true), (16, false), (16, true)] {
+            let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+            let config =
+                PaconConfig::new("/app", Topology::new(2, 2), cred).with_commit_batch(batch);
+            let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+            dfs.client().create("/app/f", &cred, 0o644).unwrap();
+            let mut dup = create("/app/f");
+            dup.msg.degraded = degraded;
+            let unlink = plain_entry(CommitOp::Unlink { path: "/app/f".into() });
+            recover_logs(&region, vec![vec![dup, unlink], vec![]]);
+            let counters = &region.core().counters;
+            let case = format!("batch {batch}, degraded {degraded}");
+            assert_eq!(dfs.client().stat("/app/f", &cred).err(), Some(FsError::NotFound), "{case}");
+            assert_eq!(counters.get("recovery_exists"), 1, "{case}");
+            assert_eq!(counters.get("recovery_applied"), 2, "{case}");
+            assert_eq!(counters.get("resubmitted"), 0, "{case}");
+        }
+    }
+
+    /// A run never lets an op overtake an earlier op of its path that it
+    /// passed over: the writeback logged after a re-creation lands in the
+    /// re-created file, not in the one the unlink before it removes.
+    #[test]
+    fn a_writeback_behind_a_recreation_lands_in_the_new_file() {
+        let cred = Credentials::new(1, 1);
+        for batch in [1, 16, usize::MAX] {
+            let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+            let config =
+                PaconConfig::new("/app", Topology::new(2, 2), cred).with_commit_batch(batch);
+            let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+            let unlink = plain_entry(CommitOp::Unlink { path: "/app/f".into() });
+            let mut write = plain_entry(CommitOp::WriteInline { path: "/app/f".into() });
+            write.snapshot = Some(b"new".to_vec());
+            let log = vec![create("/app/f"), unlink, create("/app/f"), write];
+            recover_logs(&region, vec![log, vec![]]);
+            let read = dfs.client().read("/app/f", &cred, 0, 16);
+            assert_eq!(read.as_deref(), Ok(&b"new"[..]), "batch {batch}");
+        }
+    }
+
+    /// A DFS outage during recovery fails it: the log record is the op's
+    /// only copy, so the op is neither retried to its budget and shed nor
+    /// counted as a commit error, and the caller keeps the log.
+    #[test]
+    fn a_dfs_error_fails_recovery_instead_of_shedding_the_op() {
+        let (dfs, region) = launch("/app");
+        let retries = region.core().config.max_commit_retries as u64;
+        dfs.inject_mds_failures(0, retries + 1);
+        let mut workers: Vec<_> = (0..2).map(|n| region.take_worker(n)).collect();
+        let logs = vec![vec![create("/app/f")], vec![mkdir("/app/d")]];
+        let err = recover(region.core(), &mut workers, logs).unwrap_err();
+        assert!(matches!(err, FsError::Backend(_)), "{err:?}");
+        let counters = &region.core().counters;
+        for shed in ["dropped_retry_budget", "commit_errors", "recovery_skipped", "committed"] {
+            assert_eq!(counters.get(shed), 0, "{shed}");
+        }
+        assert_eq!(counters.get("resubmitted"), 0, "no retry of an outage");
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct RegionReport {
     pub ops_enqueued: u64,
     /// Operations fully handled (committed + discarded + dropped).
     pub ops_completed: u64,
-    /// Commits applied to the DFS.
+    /// Commits applied to the DFS (recovered ops included).
     pub committed: u64,
     /// Commits resubmitted at least once (independent-commit retries).
     pub resubmitted: u64,
@@ -70,7 +70,8 @@ pub struct RegionReport {
     pub wal_replayed: u64,
     /// Recovered ops applied (including already-applied no-ops).
     pub recovery_applied: u64,
-    /// Recovered ops dropped as unsatisfiable (prerequisite never logged).
+    /// Recovered ops dropped as unsatisfiable: the retry budget ran out on
+    /// a prerequisite that was never logged.
     pub recovery_skipped: u64,
     /// Buffered-but-unpublished ops discarded by checkpoint rollback.
     pub rollback_dropped_ops: u64,

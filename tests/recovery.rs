@@ -13,7 +13,7 @@ use std::sync::Arc;
 use fsapi::{Credentials, FileSystem, FsError};
 use pacon::commit::CrashSwitch;
 use pacon::{PaconConfig, PaconRegion};
-use simnet::{ClientId, LatencyProfile, Topology};
+use simnet::{ClientId, FaultEvent, LatencyProfile, Topology};
 
 fn dfs() -> Arc<dfs::DfsCluster> {
     dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()))
@@ -328,6 +328,217 @@ fn crash_during_recovery_replays_idempotently() {
     let mut names = dfs.client().readdir("/job", &cred).unwrap();
     names.sort();
     assert_eq!(names, (0..6).map(|i| format!("f{i}")).collect::<Vec<_>>());
+}
+
+/// Launch paused on `config`, publish what `log` does, and die with all
+/// of it still in the commit logs; returns the relaunched region.
+fn crash_and_relaunch(
+    config: &PaconConfig,
+    dfs: &Arc<dfs::DfsCluster>,
+    log: impl FnOnce(&Arc<PaconRegion>),
+) -> Arc<PaconRegion> {
+    let region = PaconRegion::launch_paused(config.clone(), dfs).unwrap();
+    log(&region);
+    region.abort();
+    drop(region);
+    PaconRegion::launch_paused(config.clone(), dfs).unwrap()
+}
+
+/// The two outcome rules of recovery: a logged create whose path was
+/// since created directly on the DFS, and a logged unlink whose file was
+/// since removed directly, each find their intent in place. Neither is
+/// skipped.
+#[test]
+fn recovered_ops_whose_outcome_is_in_place_are_not_skipped() {
+    let dfs = dfs();
+    let cred = Credentials::new(1, 1);
+    let wal_dir = fresh_wal_dir("in-place");
+    let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
+        .with_commit_batch(16)
+        .with_durability(&wal_dir);
+
+    // Incarnation 1 commits the file the logged unlink will name.
+    let region = PaconRegion::launch(config.clone(), &dfs).unwrap();
+    region.client(ClientId(0)).create("/job/old", &cred, 0o644).unwrap();
+    region.shutdown().unwrap();
+    drop(region);
+
+    // Incarnation 2 logs a create and the unlink; behind the log's back,
+    // both outcomes land directly on the DFS.
+    let region = crash_and_relaunch(&config, &dfs, |region| {
+        let c = region.client(ClientId(0));
+        c.create("/job/new", &cred, 0o644).unwrap();
+        c.unlink("/job/old", &cred).unwrap();
+        let fs = dfs.client();
+        fs.create("/job/new", &cred, 0o644).unwrap();
+        fs.unlink("/job/old", &cred).unwrap();
+    });
+    let r = region.report();
+    assert_eq!(r.wal_replayed, 2);
+    assert_eq!(r.recovery_applied, 2);
+    assert_eq!(r.recovery_skipped, 0);
+    let counters = &region.core().counters;
+    assert_eq!(counters.get("recovery_exists"), 1, "the logged create found its file");
+    assert_eq!(counters.get("recovery_gone"), 1, "the logged unlink found its file gone");
+    assert!(dfs.client().stat("/job/new", &cred).unwrap().is_file());
+    assert!(matches!(dfs.client().stat("/job/old", &cred), Err(FsError::NotFound)));
+    drop(region);
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+/// Recovery truncates the logs once, after the last recovered op. A crash
+/// right after that op (`recovery_crash_after` = the log's length) leaves
+/// every log as it was, and the next launch replays it whole.
+#[test]
+fn recovery_truncates_each_log_once_and_only_at_its_end() {
+    const NODES: u32 = 2;
+    const PER_NODE: usize = 3;
+    let dfs = dfs();
+    let cred = Credentials::new(1, 1);
+    let wal_dir = fresh_wal_dir("one-truncation");
+    let config =
+        PaconConfig::new("/job", Topology::new(NODES, 1), cred).with_durability(&wal_dir);
+    let log_creates = |config: &PaconConfig, tag: &str| {
+        let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
+        for n in 0..NODES {
+            let c = region.client(ClientId(n));
+            for i in 0..PER_NODE {
+                c.create(&format!("/job/{tag}-{n}-{i}"), &cred, 0o644).unwrap();
+            }
+        }
+        region.abort();
+    };
+    let total = NODES as u64 * PER_NODE as u64;
+
+    log_creates(&config, "a");
+    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
+    let r = region.report();
+    assert_eq!((r.wal_replayed, r.recovery_applied), (total, total));
+    assert_eq!(r.wal_truncations, NODES as u64, "one truncation per log");
+    drop(region);
+
+    log_creates(&config, "b");
+    let mut interrupted = config.clone();
+    interrupted.recovery_crash_after = Some(total);
+    let err = match PaconRegion::launch_paused(interrupted, &dfs) {
+        Ok(_) => panic!("interrupted recovery must fail the launch"),
+        Err(e) => e,
+    };
+    assert!(CrashSwitch::is_crash_error(&err), "unexpected launch error: {err}");
+    assert_eq!(dfs.client().readdir("/job", &cred).unwrap().len(), 2 * total as usize);
+    let noops = dfs.mds_counter("replay_noop");
+
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let r = region.report();
+    assert_eq!(r.wal_replayed, total, "the interrupted recovery truncated no log");
+    assert_eq!(r.recovery_applied, total);
+    assert!(dfs.mds_counter("replay_noop") - noops >= total, "the whole log replays as no-ops");
+    assert_eq!(r.wal_truncations, NODES as u64);
+    drop(region);
+    let _ = std::fs::remove_dir_all(&wal_dir);
+}
+
+/// A log keeps its order for the ops on one path. A create that waits for
+/// its parent's mkdir in the other node's log, and the unlink of the same
+/// file behind it: the unlink must not count as done while the file is
+/// not there yet, or the create lands after it and resurrects the file.
+#[test]
+fn an_unlink_behind_a_waiting_create_still_removes_the_file() {
+    let cred = Credentials::new(1, 1);
+    for batch in [1, 16] {
+        let dfs = dfs();
+        let wal_dir = fresh_wal_dir("waiting-create");
+        let config = PaconConfig::new("/job", Topology::new(2, 1), cred)
+            .with_commit_batch(batch)
+            .with_durability(&wal_dir);
+        let region = crash_and_relaunch(&config, &dfs, |region| {
+            region.client(ClientId(1)).mkdir("/job/d", &cred, 0o755).unwrap();
+            let c = region.client(ClientId(0));
+            c.create("/job/d/f", &cred, 0o644).unwrap();
+            c.unlink("/job/d/f", &cred).unwrap();
+        });
+        let r = region.report();
+        assert_eq!((r.wal_replayed, r.recovery_applied), (3, 3), "batch {batch}");
+        assert_eq!(region.core().counters.get("recovery_gone"), 0, "batch {batch}");
+        let got = dfs.client().stat("/job/d/f", &cred);
+        assert!(matches!(got, Err(FsError::NotFound)), "batch {batch}: {got:?}");
+        drop(region);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
+}
+
+/// A logged create whose path then appeared outside the log, and the
+/// logged unlink of that path behind it: the file must be gone after
+/// recovery. The create has its intent in place at once; it must not
+/// wait and land after the unlink. Also with the create admitted while
+/// its cache shard was down (a degraded admission, logged as such).
+#[test]
+fn a_logged_unlink_removes_a_file_its_logged_create_found_in_place() {
+    let cred = Credentials::new(1, 1);
+    for degraded in [false, true] {
+        let dfs = dfs();
+        let wal_dir = fresh_wal_dir("found-in-place");
+        let config =
+            PaconConfig::new("/job", Topology::new(2, 1), cred).with_durability(&wal_dir);
+        let region = crash_and_relaunch(&config, &dfs, |region| {
+            if degraded {
+                let owner = region.core().cache_cluster.shard_node(b"/job/f");
+                region.apply_fault(FaultEvent::CrashCacheNode(owner));
+            }
+            let c = region.client(ClientId(0));
+            c.create("/job/f", &cred, 0o644).unwrap();
+            assert_eq!(region.core().counters.get("degraded_writes") > 0, degraded);
+            dfs.client().create("/job/f", &cred, 0o644).unwrap();
+            c.unlink("/job/f", &cred).unwrap();
+        });
+        let counters = &region.core().counters;
+        let r = region.report();
+        assert_eq!((r.wal_replayed, r.recovery_applied), (2, 2), "degraded {degraded}");
+        assert_eq!(counters.get("recovery_exists"), 1, "degraded {degraded}");
+        let got = dfs.client().stat("/job/f", &cred);
+        assert!(matches!(got, Err(FsError::NotFound)), "degraded {degraded}: {got:?}");
+        drop(region);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
+}
+
+/// A DFS error during recovery fails the launch and loses nothing: the
+/// logs stay as they were, and the next launch replays them. Here the
+/// first recovered create applies but its reply is lost.
+#[test]
+fn a_dfs_error_during_recovery_fails_the_launch_and_keeps_the_logs() {
+    const FILES: u64 = 4;
+    let dfs = dfs();
+    let cred = Credentials::new(1, 1);
+    let wal_dir = fresh_wal_dir("dfs-error");
+    let config = PaconConfig::new("/job", Topology::new(2, 1), cred)
+        .with_commit_batch(16)
+        .with_durability(&wal_dir);
+    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
+    for i in 0..FILES {
+        region.client(ClientId(i as u32 % 2)).create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
+    }
+    region.abort();
+    drop(region);
+
+    dfs.inject_mds_reply_loss(0, 1);
+    let err = match PaconRegion::launch_paused(config.clone(), &dfs) {
+        Ok(_) => panic!("a recovery that met a DFS error must fail the launch"),
+        Err(e) => e,
+    };
+    assert!(matches!(err, FsError::Backend(_)), "unexpected launch error: {err:?}");
+    assert!(!CrashSwitch::is_crash_error(&err));
+    assert_eq!(dfs.mds_counter("injected_reply_losses"), 1);
+
+    let noops = dfs.mds_counter("replay_noop");
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let r = region.report();
+    assert_eq!(r.wal_replayed, FILES, "the failed launch truncated no log");
+    assert_eq!((r.recovery_applied, r.recovery_skipped), (FILES, 0));
+    assert!(dfs.mds_counter("replay_noop") > noops, "the op that applied replays as a no-op");
+    assert_eq!(dfs.client().readdir("/job", &cred).unwrap().len(), FILES as usize);
+    drop(region);
+    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// Checkpoint rollback with ops buffered but never published: the
