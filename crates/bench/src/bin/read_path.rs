@@ -13,8 +13,10 @@
 //! (`kv_multi_per_key`), so the KvShard bottleneck — and with it read
 //! throughput — scales with the batch fill.
 //!
-//! Commit workers run threaded (`PaconRegion::launch`): the measured
-//! phases are read-only, and `readdir_plus` barriers need live workers.
+//! The region runs paused (`PaconRegion::launch_paused`): the measured
+//! phases are read-only, setup drains through `quiesce`, and each
+//! `readdir_plus` barrier drives the commit processes itself, inside its
+//! own job on the virtual clock — so the run is deterministic.
 //!
 //! Emits `BENCH_read_path.json` at the repository root with both series
 //! and the headline batched-vs-unbatched read speedup.
@@ -64,7 +66,7 @@ fn run_series(
         Err(e) => panic!("setup mkdir /app: {e}"),
     }
     let cfg = PaconConfig::new("/app", topo, CRED).with_commit_batch(32);
-    let region = PaconRegion::launch(cfg, &dfs).expect("pacon launch");
+    let region = PaconRegion::launch_paused(cfg, &dfs).expect("pacon launch");
     let client = |c: ClientId| -> Box<dyn FileSystem> {
         let direct = Box::new(region.client(c));
         if batched {

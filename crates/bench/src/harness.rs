@@ -158,13 +158,13 @@ impl TestBed {
         }
     }
 
-    /// Claim every Pacon commit worker (empty for other backends). Call
-    /// once per test bed.
-    pub fn take_workers(&self) -> Vec<PaconWorkerProc> {
+    /// A DES process per Pacon commit worker, stepping it in its region's
+    /// slot (empty for other backends).
+    pub fn worker_procs(&self) -> Vec<PaconWorkerProc> {
         self.regions
             .iter()
             .flat_map(|r| {
-                (0..self.nodes_per_app as usize).map(move |n| PaconWorkerProc::new(r.take_worker(n)))
+                (0..self.nodes_per_app as usize).map(move |n| PaconWorkerProc::new(r, n))
             })
             .collect()
     }
@@ -210,18 +210,17 @@ pub struct PhaseResult {
 }
 
 /// The long-lived commit processes of a Pacon test bed. Cloneable:
-/// [`PaconWorkerProc`] shares the underlying worker, so each phase can
-/// attach fresh process handles to the same commit state.
+/// a [`PaconWorkerProc`] steps the worker in its region's slot, so each
+/// phase can attach fresh process handles to the same commit state.
 #[derive(Clone, Default)]
 pub struct WorkerPool {
     workers: Vec<PaconWorkerProc>,
 }
 
 impl WorkerPool {
-    /// Claim every commit worker of the bed (once per bed; empty pool for
-    /// BeeGFS/IndexFS).
+    /// Every commit process of the bed (empty pool for BeeGFS/IndexFS).
     pub fn claim(bed: &TestBed) -> Self {
-        Self { workers: bed.take_workers() }
+        Self { workers: bed.worker_procs() }
     }
 
     pub fn is_empty(&self) -> bool {

@@ -6,17 +6,20 @@
 //! 1. the triggering client calls [`BarrierBoard::start_barrier`], which
 //!    takes the exclusive barrier slot and yields the new epoch number;
 //! 2. the client pushes a `Barrier { epoch }` marker into every node's
-//!    queue and waits via [`BarrierGuard::wait_workers`];
+//!    queue and drives the commit processes itself until
+//!    [`BarrierBoard::all_reached`] (`RegionCore::barrier`);
 //! 3. each commit process drains everything ahead of its marker, then
 //!    reports [`BarrierBoard::worker_reached`] and stalls;
 //! 4. once all workers reached, the client performs the dependent
 //!    operation synchronously and calls [`BarrierGuard::complete`], which
-//!    advances the epoch and releases the workers.
+//!    advances the epoch; a stalled worker resumes at its next step, once
+//!    [`BarrierBoard::is_released`] says so.
 //!
-//! Both blocking waits (threaded mode) and non-blocking polls (the
-//! discrete-event harness) are provided.
+//! The board only answers polls: nobody ever sleeps on it, so the same
+//! protocol runs on threads and inside the single-threaded discrete-event
+//! engine.
 
-use syncguard::{level, Condvar, Mutex, MutexGuard};
+use syncguard::{level, Mutex, MutexGuard};
 
 struct BoardState {
     /// Completed epoch: all ops with `epoch <= current` are committed.
@@ -38,7 +41,6 @@ struct BoardState {
 pub struct BarrierBoard {
     workers: usize,
     state: Mutex<BoardState>,
-    cv: Condvar,
     /// Serializes dependent operations.
     slot: Mutex<()>,
 }
@@ -54,7 +56,6 @@ impl BarrierBoard {
                 "pacon.barrier.state",
                 BoardState { current: 0, active: None, reached: 0 },
             ),
-            cv: Condvar::new(),
             slot: Mutex::new(level::REGION, "pacon.barrier.slot", ()),
         }
     }
@@ -94,7 +95,6 @@ impl BarrierBoard {
         );
         st.reached += 1;
         assert!(st.reached <= self.workers, "more reports than workers");
-        self.cv.notify_all();
         true
     }
 
@@ -104,28 +104,12 @@ impl BarrierBoard {
         self.state.lock().current >= epoch
     }
 
-    /// Blocking worker wait for the epoch to advance past `epoch - 1`.
-    pub fn wait_released(&self, epoch: u64) {
-        let mut st = self.state.lock();
-        while st.current < epoch {
-            self.cv.wait(&mut st);
-        }
-    }
-
-    fn wait_all_reached(&self, epoch: u64) {
-        let mut st = self.state.lock();
-        while st.active == Some(epoch) && st.reached < self.workers {
-            self.cv.wait(&mut st);
-        }
-    }
-
     /// Non-blocking: how many workers reached the active barrier?
     pub fn reached_count(&self) -> usize {
         self.state.lock().reached
     }
 
-    /// Non-blocking variant for the DES driver: true once all workers
-    /// reached `epoch`.
+    /// True once all workers reached `epoch`.
     pub fn all_reached(&self, epoch: u64) -> bool {
         let st = self.state.lock();
         st.active == Some(epoch) && st.reached >= self.workers
@@ -137,7 +121,6 @@ impl BarrierBoard {
         st.active = None;
         st.current = epoch;
         st.reached = 0;
-        self.cv.notify_all();
     }
 }
 
@@ -152,11 +135,6 @@ pub struct BarrierGuard<'b> {
 impl BarrierGuard<'_> {
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Block until every commit process has drained up to the marker.
-    pub fn wait_workers(&self) {
-        self.board.wait_all_reached(self.epoch);
     }
 
     /// Dependent operation done: advance the epoch and release workers.
@@ -188,7 +166,7 @@ mod tests {
         let g = b.start_barrier();
         assert_eq!(g.epoch(), 1);
         b.worker_reached(1);
-        g.wait_workers();
+        assert!(b.all_reached(1));
         g.complete();
         assert_eq!(b.current_epoch(), 1);
         assert!(b.is_released(1));
@@ -217,10 +195,14 @@ mod tests {
             let b = Arc::clone(&b);
             handles.push(std::thread::spawn(move || {
                 b.worker_reached(epoch);
-                b.wait_released(epoch);
+                while !b.is_released(epoch) {
+                    std::thread::yield_now();
+                }
             }));
         }
-        g.wait_workers();
+        while !b.all_reached(epoch) {
+            std::thread::yield_now();
+        }
         assert_eq!(b.reached_count(), 3);
         g.complete();
         for h in handles {
@@ -239,12 +221,16 @@ mod tests {
             let g2 = b2.start_barrier();
             assert_eq!(g2.epoch(), 2);
             b2.worker_reached(2);
-            g2.wait_workers();
+            while !b2.all_reached(2) {
+                std::thread::yield_now();
+            }
             g2.complete();
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         b.worker_reached(g1.epoch());
-        g1.wait_workers();
+        while !b.all_reached(g1.epoch()) {
+            std::thread::yield_now();
+        }
         g1.complete();
         t.join().unwrap();
         assert_eq!(b.current_epoch(), 2);

@@ -1,8 +1,10 @@
 //! The per-node commit process (the queue subscriber of Fig. 5).
 //!
-//! `step()` is non-blocking and handles exactly one unit of work, so the
-//! same worker can be driven by a dedicated thread (real deployments,
-//! threaded tests) or by the discrete-event harness in virtual time.
+//! `step()` is non-blocking and handles exactly one unit of work, so one
+//! way of stepping serves every runtime: `RegionCore::pump` steps the
+//! worker in its node's slot for a barrier's caller, for `quiesce` and
+//! for a launched region's driver thread, and the discrete-event harness
+//! steps the same slot in virtual time.
 //!
 //! Independent commit: operations the DFS rejects for a namespace-
 //! convention reason (parent not created yet, pending removal) go to a
@@ -76,7 +78,7 @@ pub enum WorkerStep {
     Idle,
     /// Never reported: the sending end of a worker's queue lives in the
     /// region core the worker itself keeps alive, so the queue cannot
-    /// close under it — commit threads stop on the region's stop flags.
+    /// close under it — the region's driver stops on its stop flag.
     /// Kept for the drivers that match on it.
     Disconnected,
     /// The crash switch tripped: the node is dead. Unsettled work stays

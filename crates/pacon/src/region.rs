@@ -5,10 +5,17 @@
 //! commit queues and commit processes, the barrier board, and the batch
 //! permission table. Clients are handed out per process and share the
 //! region through an `Arc<RegionCore>`.
+//!
+//! Each node's commit process lives in a slot in the core, stepped by
+//! [`RegionCore::pump`] for a barrier op awaiting its drain, for
+//! [`PaconRegion::quiesce`] and on [`PaconRegion::launch`]'s one driver
+//! thread; the DES steps one slot per process. A worker taken with
+//! [`PaconRegion::take_worker`] is stepped by its taker alone.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use dfs::{DfsClient, DfsCluster};
 use fsapi::{path as fspath, FsError, FsResult};
@@ -80,6 +87,10 @@ pub struct RegionCore {
     sim_ns: AtomicU64,
     /// Degraded-mode state machine (Healthy → Degraded → Rewarming).
     pub degraded: crate::degraded::DegradedState,
+    /// One commit process per node, in its slot; empty once taken
+    /// ([`PaconRegion::take_worker`]) or after the region stopped. A
+    /// worker holds the core, so `PaconRegion`'s drop empties the slots.
+    workers: Vec<Mutex<Option<CommitWorker>>>,
 }
 
 impl RegionCore {
@@ -233,18 +244,66 @@ impl RegionCore {
 
     /// Barrier commit up to the rendezvous (Section III.E-2): take the
     /// slot, post the epoch's marker into every node's queue behind all
-    /// published there so far ([`Outbox::post_marker`]) and wait until
-    /// every commit process reached its marker. The caller performs the
-    /// dependent op, then completes the guard. A node that cannot take its
-    /// marker fails the barrier: the guard drops, and the markers already
-    /// posted are stale — the commit processes skip them.
+    /// published there so far ([`Outbox::post_marker`]) and pump the commit
+    /// processes until every one reached its marker — under the DES, a
+    /// drain charged to the barrier op's own job (DESIGN §5). The caller
+    /// performs the dependent op, then completes the guard. A node that
+    /// cannot take its marker fails the barrier: the guard drops, and the
+    /// markers already posted are stale — the commit processes skip them.
     pub(crate) fn barrier(&self, client: u32) -> FsResult<BarrierGuard<'_>> {
         let guard = self.board.start_barrier();
         for n in 0..self.outboxes.len() {
             self.outbox(n).post_marker(self, guard.epoch(), client)?;
         }
-        guard.wait_workers();
+        while !self.board.all_reached(guard.epoch()) {
+            if !self.pump() {
+                std::thread::yield_now();
+            }
+        }
         Ok(guard)
+    }
+
+    /// Step node `n`'s commit process once. `None` when the region no
+    /// longer holds it (taken, or the region stopped) or someone else is
+    /// stepping it; else the step and whether the worker's retry backlog
+    /// is empty after it.
+    pub fn step_worker(&self, n: usize) -> Option<(WorkerStep, bool)> {
+        let worker = &self.workers[n];
+        let mut slot = worker.try_lock()?;
+        let worker = slot.as_mut()?;
+        // permit_blocking: a step may fsync (WAL truncation) under its slot,
+        // which only `take_worker` and teardown wait for, holding nothing,
+        // and under a pumping barrier's slot, held across the truncation on
+        // purpose to fence new ops, as in `PaconRegion::sync_barrier`.
+        let step = syncguard::permit_blocking(|| worker.step());
+        Some((step, worker.backlog_empty()))
+    }
+
+    /// Step every commit process the region holds once ([`Self::step_worker`]);
+    /// true when any of them did work.
+    pub fn pump(&self) -> bool {
+        let mut worked = false;
+        for n in 0..self.workers.len() {
+            worked |= self.step_worker(n).is_some_and(|(step, _)| {
+                !matches!(
+                    step,
+                    WorkerStep::Blocked(_)
+                        | WorkerStep::Idle
+                        | WorkerStep::Disconnected
+                        | WorkerStep::Crashed
+                )
+            });
+        }
+        worked
+    }
+
+    /// Empty every worker slot: the workers, and the queue ends and
+    /// commits they hold, are dropped.
+    fn release_workers(&self) {
+        for worker in &self.workers {
+            let released = worker.lock().take();
+            drop(released);
+        }
     }
 }
 
@@ -265,28 +324,36 @@ pub struct PaconRegion {
     /// process — one dentry cache per node, as a node-level BeeGFS client
     /// keeps (`DfsConfig::dentry_cache_capacity` sizes a node's cache).
     mounts: Vec<Arc<DfsClient>>,
-    /// Workers not yet claimed by a thread or the DES driver.
-    worker_slots: Mutex<Vec<Option<CommitWorker>>>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The commit driver thread of a launched region.
+    driver: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Tells the driver to stop once a pump finds nothing to do.
     stop: Arc<AtomicBool>,
-    /// Crash simulation: workers bail out immediately, dropping pending
-    /// commits (see [`PaconRegion::abort`]).
-    hard_stop: Arc<AtomicBool>,
 }
 
 impl PaconRegion {
-    /// Initialize the region and start one commit-process thread per
-    /// node. The workspace directory (and its ancestors) are created on
-    /// the DFS if missing.
+    /// Initialize the region and start its commit driver: one thread
+    /// pumping the commit processes, asleep 100 µs whenever a pump finds
+    /// nothing to do. Barrier ops drain by themselves; the driver makes
+    /// sure that a publisher waiting on a full commit queue has a
+    /// consumer. The workspace directory (and its ancestors) are created
+    /// on the DFS if missing.
     pub fn launch(config: PaconConfig, dfs: &Arc<DfsCluster>) -> FsResult<Arc<Self>> {
         let region = Self::launch_paused(config, dfs)?;
-        region.start_worker_threads();
+        let (core, stop) = (Arc::clone(&region.core), Arc::clone(&region.stop));
+        *region.driver.lock() = Some(std::thread::spawn(move || loop {
+            if !core.pump() {
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        }));
         Ok(region)
     }
 
-    /// As [`PaconRegion::launch`] but without spawning worker threads —
-    /// the discrete-event harness claims the workers via
-    /// [`PaconRegion::take_worker`] and drives them in virtual time.
+    /// As [`PaconRegion::launch`] but with no driver thread: a commit
+    /// process waits in its slot until a barrier op, `quiesce` or the DES
+    /// steps it, or someone takes it ([`PaconRegion::take_worker`]).
     pub fn launch_paused(config: PaconConfig, dfs: &Arc<DfsCluster>) -> FsResult<Arc<Self>> {
         let root = fspath::normalize(&config.workspace)?;
         if root == "/" {
@@ -366,6 +433,9 @@ impl PaconRegion {
             write_seq: AtomicU64::new(0),
             sim_ns: AtomicU64::new(0),
             degraded: crate::degraded::DegradedState::new(),
+            workers: (0..nodes)
+                .map(|_| Mutex::new(level::COMMIT_WORKER, "pacon.commit.worker", None))
+                .collect(),
             config,
         });
 
@@ -397,60 +467,31 @@ impl PaconRegion {
             core.counters.add("replay_pruned", pruned as u64);
         }
 
-        let workers = workers.into_iter().map(Some).collect();
+        // No error past this point: the workers hold the core, and only
+        // the region's drop breaks that cycle.
+        for (slot, worker) in core.workers.iter().zip(workers) {
+            *slot.lock() = Some(worker);
+        }
         Ok(Arc::new(Self {
             core,
             dfs: Arc::clone(dfs),
             mounts,
-            worker_slots: Mutex::new(level::REGION_STATE, "pacon.region.worker_slots", workers),
-            threads: Mutex::new(level::REGION_STATE, "pacon.region.threads", Vec::new()),
+            driver: Mutex::new(level::REGION_STATE, "pacon.region.driver", None),
             stop: Arc::new(AtomicBool::new(false)),
-            hard_stop: Arc::new(AtomicBool::new(false)),
         }))
     }
 
-    /// Spawn one thread per remaining worker slot.
-    pub fn start_worker_threads(&self) {
-        // Collect the handles locally so `worker_slots` and `threads`
-        // (same lock level) are never held together.
-        let mut spawned = Vec::new();
-        let mut slots = self.worker_slots.lock();
-        for slot in slots.iter_mut() {
-            if let Some(mut worker) = slot.take() {
-                let stop = Arc::clone(&self.stop);
-                let hard_stop = Arc::clone(&self.hard_stop);
-                let core = Arc::clone(&self.core);
-                spawned.push(std::thread::spawn(move || loop {
-                    if hard_stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    match worker.step() {
-                        WorkerStep::Committed
-                        | WorkerStep::Batch { .. }
-                        | WorkerStep::Retried
-                        | WorkerStep::Discarded
-                        | WorkerStep::BarrierReported => {}
-                        WorkerStep::Blocked(epoch) => core.board.wait_released(epoch),
-                        WorkerStep::Idle => {
-                            if stop.load(Ordering::Acquire) && worker.backlog_empty() {
-                                break;
-                            }
-                            std::thread::sleep(std::time::Duration::from_micros(100));
-                        }
-                        WorkerStep::Disconnected | WorkerStep::Crashed => break,
-                    }
-                }));
-            }
-        }
-        drop(slots);
-        self.threads.lock().extend(spawned);
+    /// Stop the commit driver once it finds nothing to do, and wait for it.
+    fn join_driver(&self) -> std::thread::Result<()> {
+        self.stop.store(true, Ordering::Release);
+        let driver = self.driver.lock().take();
+        driver.map_or(Ok(()), std::thread::JoinHandle::join)
     }
 
-    /// Claim node `n`'s commit worker for external (DES) driving.
+    /// Claim node `n`'s commit worker: it leaves its slot, and from then on
+    /// only the caller steps it.
     pub fn take_worker(&self, n: usize) -> CommitWorker {
-        self.worker_slots.lock()[n]
-            .take()
-            .expect("worker already claimed or thread-started")
+        self.core.workers[n].lock().take().expect("worker already claimed")
     }
 
     /// A client for process `id` (determines its node and cache shard
@@ -493,37 +534,30 @@ impl PaconRegion {
         }
     }
 
-    /// Block until every published operation has been committed
-    /// (threaded mode only).
+    /// Block until every published operation has been committed, pumping
+    /// the commit processes meanwhile. Workers that were taken must be
+    /// stepped by their takers.
     pub fn quiesce(&self) {
         while !self.core.drained() {
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            if !self.core.pump() {
+                std::thread::yield_now();
+            }
         }
     }
 
     /// Simulate a crash: stop the commit processes immediately, dropping
     /// everything still queued. Uncommitted primary-copy state is lost,
     /// exactly the failure Section III.G's checkpoint/rollback recovers
-    /// from.
+    /// from. The slots are emptied, so nobody pumps any further.
     pub fn abort(&self) {
-        self.hard_stop.store(true, Ordering::Release);
-        let mut threads = self.threads.lock();
-        for t in threads.drain(..) {
-            // lint: allow(hold-across-blocking, abort joins commit threads under `threads`; joined threads never take it)
-            let _ = t.join();
-        }
+        self.core.release_workers();
+        let _ = self.join_driver();
     }
 
-    /// Drain the queues and stop the commit threads.
+    /// Drain the queues and stop the commit driver.
     pub fn shutdown(&self) -> FsResult<()> {
         self.quiesce();
-        self.stop.store(true, Ordering::Release);
-        let mut threads = self.threads.lock();
-        for t in threads.drain(..) {
-            // lint: allow(hold-across-blocking, shutdown joins commit threads under `threads`; joined threads never take it)
-            t.join().map_err(|_| FsError::Backend("commit thread panicked".into()))?;
-        }
-        Ok(())
+        self.join_driver().map_err(|_| FsError::Backend("commit driver panicked".into()))
     }
 
     /// Apply one scripted fault event to the region's subsystems — the
@@ -693,12 +727,8 @@ fn recover(
 
 impl Drop for PaconRegion {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        let mut threads = self.threads.lock();
-        for t in threads.drain(..) {
-            // lint: allow(hold-across-blocking, shutdown joins commit threads under `threads`; joined threads never take it)
-            let _ = t.join();
-        }
+        let _ = self.join_driver();
+        self.core.release_workers();
     }
 }
 

@@ -282,8 +282,6 @@ fn batched_reads_match_the_per_path_trait_defaults() {
             assert_eq!(got[i], got[once], "copy {i} of {p}");
         }
 
-        // Listings need live commit processes (readdir is a barrier op).
-        region.start_worker_threads();
         region.quiesce();
         raw.create("/b/d/cold", &cred, 0o644).unwrap();
         batched.create("/b/d/late", &cred, 0o644).unwrap();
@@ -709,7 +707,6 @@ fn batched_read_budget_per_distinct_path() {
     for path in &distinct {
         c.create(path, &cred, 0o644).unwrap();
     }
-    region.start_worker_threads();
     region.quiesce();
 
     // Per node, what one batched read of `keys` (each named once) costs it.

@@ -186,9 +186,9 @@ fn lock_budget_per_op_class() {
     assert_eq!(got, [0, 1, 0, 0, 1, 1, 35, 2]);
     let report = syncguard::report();
     let classes = report.classes.iter().filter(|c| c.name.starts_with("pacon.region."));
-    // Besides the worker and thread registries, one class holds region
-    // state on these paths.
-    let registry = ["pacon.region.worker_slots", "pacon.region.threads"];
+    // Besides the driver thread's handle, one class holds region state
+    // on these paths.
+    let registry = ["pacon.region.driver"];
     let state: Vec<&str> =
         classes.map(|c| c.name.as_str()).filter(|n| !registry.contains(n)).collect();
     assert_eq!(state, ["pacon.region.paths"]);

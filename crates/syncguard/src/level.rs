@@ -4,18 +4,19 @@
 //! every lock it already holds. The tiers, from outermost to innermost:
 //!
 //! ```text
-//! SIM_DRIVER      DES worker-process mutex (workloads): wraps a whole
-//!                 commit-worker step, so it sits outside everything the
-//!                 step can touch.
 //! REGION          barrier slot — serializes region-wide dependent
 //!                 operations (rmdir/readdir); held across the outbox
-//!                 flushes and marker sends of its barrier and the
-//!                 dependent op itself.
+//!                 flushes and marker sends of its barrier, the drain its
+//!                 caller drives, and the dependent op itself.
+//! COMMIT_WORKER   a commit process's slot (pacon commit worker): held
+//!                 across one whole step, so it sits outside everything
+//!                 the step can touch; a barrier's caller steps it under
+//!                 the barrier slot, always by try-lock.
 //! CLIENT_VIEW     pacon client merged-region map.
 //! CLIENT_MEMO     pacon client memos (parent existence, own last write);
 //!                 leaves — never held across a cache RPC.
-//! REGION_STATE    region-core state: the per-path table, the eviction
-//!                 cursor, worker slots, thread registry.
+//! REGION_STATE    region state: the per-path table, the eviction
+//!                 cursor, the commit driver's thread handle.
 //! WAL             per-node durable commit log (pacon CommitWal). Taken
 //!                 before the outbox so an append can be ordered ahead of
 //!                 the buffered send it covers.
@@ -45,8 +46,8 @@
 //! renumbering. `tools/lint` enforces that locks are only constructed
 //! through syncguard, so every lock site declares its tier.
 
-pub const SIM_DRIVER: u16 = 5;
 pub const REGION: u16 = 10;
+pub const COMMIT_WORKER: u16 = 11;
 pub const CLIENT_VIEW: u16 = 12;
 pub const CLIENT_MEMO: u16 = 14;
 pub const REGION_STATE: u16 = 16;
@@ -67,8 +68,8 @@ pub const STATS: u16 = 90;
 /// tokens against, so the declared hierarchy has exactly one source of
 /// truth. Keep in sync with the constants above (checked by test).
 pub const ALL: &[(&str, u16)] = &[
-    ("SIM_DRIVER", SIM_DRIVER),
     ("REGION", REGION),
+    ("COMMIT_WORKER", COMMIT_WORKER),
     ("CLIENT_VIEW", CLIENT_VIEW),
     ("CLIENT_MEMO", CLIENT_MEMO),
     ("REGION_STATE", REGION_STATE),

@@ -5,11 +5,17 @@
 //! every [`qsim::Process::next`] call it executes one *functional*
 //! operation under `simnet::with_recording` and returns the recorded
 //! trace, which the engine replays against the contended stations in
-//! virtual time. Pacon's commit processes are background DES processes
-//! wrapping [`pacon::commit::worker::CommitWorker`].
+//! virtual time. Pacon's commit processes are background DES processes,
+//! each stepping its node's [`pacon::commit::worker::CommitWorker`] in the
+//! region's slot. A barrier op (rmdir, readdir) steps them too, inside
+//! its own job: the drain it waits for is charged to it.
+
+use std::sync::Arc;
 
 use fsapi::{Credentials, FileSystem};
-use pacon::commit::worker::{CommitWorker, WorkerStep};
+use pacon::commit::worker::WorkerStep;
+use pacon::region::RegionCore;
+use pacon::PaconRegion;
 use qsim::{Process, RunResult, Simulation, Step};
 use simnet::with_recording;
 
@@ -50,34 +56,32 @@ impl Process for FsOpClient {
 /// Poll interval for an idle commit process, in virtual ns.
 const WORKER_IDLE_POLL_NS: u64 = 20_000;
 
-/// Background DES process driving one Pacon commit worker.
+/// Background DES process stepping node `n`'s Pacon commit worker.
 ///
-/// The worker lives behind an `Arc<Mutex>` so the same commit process can
+/// The worker stays in the region's slot, so the same commit process can
 /// be re-attached to several consecutive simulation runs (multi-phase
 /// experiments keep one long-lived commit process per node, like the real
-/// deployment).
+/// deployment) and a barrier op can step it too.
 #[derive(Clone)]
 pub struct PaconWorkerProc {
-    worker: std::sync::Arc<syncguard::Mutex<CommitWorker>>,
+    core: Arc<RegionCore>,
+    node: usize,
 }
 
 impl PaconWorkerProc {
-    pub fn new(worker: CommitWorker) -> Self {
-        Self {
-            worker: std::sync::Arc::new(syncguard::Mutex::new(
-                syncguard::level::SIM_DRIVER,
-                "workloads.worker",
-                worker,
-            )),
-        }
+    pub fn new(region: &PaconRegion, node: usize) -> Self {
+        Self { core: Arc::clone(region.core()), node }
     }
 }
 
 impl Process for PaconWorkerProc {
     fn next(&mut self, _now: u64) -> Step {
-        let mut worker = self.worker.lock();
-        // lint: allow(hold-across-blocking, per-worker mutex, uncontended during a step; fsync depth is simulated work)
-        let (step, mut trace) = with_recording(|| worker.step());
+        let (stepped, mut trace) = with_recording(|| self.core.step_worker(self.node));
+        // A worker the region no longer holds makes no progress here:
+        // park it like a crashed one.
+        let Some((step, backlog_empty)) = stepped else {
+            return Step::Idle { ns: WORKER_IDLE_POLL_NS };
+        };
         // Guarantee virtual-time progress even under a zero-cost profile;
         // otherwise a retry loop could spin at one instant forever.
         if trace.is_empty() {
@@ -99,7 +103,7 @@ impl Process for PaconWorkerProc {
             // idle worker so the engine can drain the rest of the run.
             WorkerStep::Crashed => Step::Idle { ns: WORKER_IDLE_POLL_NS },
             WorkerStep::Blocked(_) | WorkerStep::Idle | WorkerStep::Disconnected => {
-                if worker.backlog_empty() {
+                if backlog_empty {
                     Step::Idle { ns: WORKER_IDLE_POLL_NS }
                 } else {
                     // Backlog waits on a commit from another queue: stay
@@ -195,7 +199,7 @@ mod tests {
             })
             .collect();
         let background: Vec<PaconWorkerProc> =
-            (0..topo.nodes as usize).map(|n| PaconWorkerProc::new(region.take_worker(n))).collect();
+            (0..topo.nodes as usize).map(|n| PaconWorkerProc::new(&region, n)).collect();
 
         let res = run_closed_loop(clients, background);
         let total = (topo.total_clients() * per_client) as u64;
@@ -224,6 +228,100 @@ mod tests {
         let _ = &mut procs;
     }
 
+    /// Table I on the virtual clock: a DES client's `readdir` is a barrier
+    /// op, so it lists every create another client's ops published before
+    /// it ran — the commit processes drain inside the readdir's own job.
+    #[test]
+    fn a_des_readdir_lists_every_create_published_before_it() {
+        use std::cell::{Cell, RefCell};
+        use std::rc::Rc;
+
+        /// A client whose executed ops are counted where the lister sees
+        /// them.
+        struct Counted(FsOpClient, Rc<Cell<u32>>);
+        impl Process for Counted {
+            fn next(&mut self, now: u64) -> Step {
+                let step = self.0.next(now);
+                if matches!(step, Step::Work { .. }) {
+                    self.1.set(self.1.get() + 1);
+                }
+                step
+            }
+        }
+        /// How many creates had run, and what the listing held.
+        type Listing = Rc<RefCell<Option<(u32, Vec<String>)>>>;
+        /// Stats the workspace `stats` times, then lists it once, noting
+        /// how many creates the other client had run by then.
+        struct Lister {
+            client: pacon::PaconClient,
+            stats: u32,
+            creates: Rc<Cell<u32>>,
+            listed: Listing,
+        }
+        impl Process for Lister {
+            fn next(&mut self, _now: u64) -> Step {
+                let cred = Credentials::new(1, 1);
+                let trace = if self.stats > 0 {
+                    self.stats -= 1;
+                    with_recording(|| self.client.stat("/app", &cred).map(|_| ())).1
+                } else if self.listed.borrow().is_none() {
+                    let before = self.creates.get();
+                    let (names, trace) = with_recording(|| self.client.readdir("/app", &cred));
+                    *self.listed.borrow_mut() = Some((before, names.unwrap()));
+                    trace
+                } else {
+                    return Step::Done;
+                };
+                Step::Work { trace, ops: 1, class: 0 }
+            }
+        }
+
+        let profile = Arc::new(LatencyProfile::default());
+        let dfs = DfsCluster::with_default_config(profile);
+        let cred = Credentials::new(1, 1);
+        let topo = Topology::new(2, 1);
+        let region =
+            PaconRegion::launch_paused(PaconConfig::new("/app", topo, cred), &dfs).unwrap();
+        let creates = 60u32;
+        let stats = 20u32;
+        let created = Rc::new(Cell::new(0));
+        let listed = Rc::new(RefCell::new(None));
+        let mut procs: Vec<Box<dyn Process>> = vec![
+            Box::new(Counted(
+                FsOpClient::new(
+                    Box::new(region.client(ClientId(0))),
+                    cred,
+                    crate::mdtest::create_phase("/app", 0, creates),
+                ),
+                Rc::clone(&created),
+            )),
+            Box::new(Lister {
+                client: region.client(ClientId(1)),
+                stats,
+                creates: Rc::clone(&created),
+                listed: Rc::clone(&listed),
+            }),
+        ];
+        procs.extend(
+            (0..topo.nodes as usize)
+                .map(|n| Box::new(PaconWorkerProc::new(&region, n)) as Box<dyn Process>),
+        );
+        let res = Simulation::new().run(&mut procs);
+
+        let (before, mut names) = listed.borrow_mut().take().expect("the lister listed");
+        assert!(0 < before && before < creates, "the readdir ran mid-stream: {before}");
+        let mut want: Vec<String> = crate::mdtest::created_files("/app", 0, before)
+            .into_iter()
+            .map(|p| p.trim_start_matches("/app/").to_string())
+            .collect();
+        names.sort();
+        want.sort();
+        assert_eq!(names, want, "the listing holds exactly the creates published before it");
+        assert_eq!(res.measured_ops, (creates + stats + 1) as u64);
+        assert!(region.core().drained(), "every create committed");
+        assert_eq!(dfs.client().readdir("/app", &cred).unwrap().len(), creates as usize);
+    }
+
     #[test]
     fn pacon_region_with_des_workers_end_state_matches() {
         // Out-of-order cross-node commits converge under DES scheduling.
@@ -248,7 +346,7 @@ mod tests {
             FsOpClient::new(Box::new(region.client(ClientId(2))), cred, c2),
         ];
         let background: Vec<PaconWorkerProc> =
-            (0..3).map(|n| PaconWorkerProc::new(region.take_worker(n))).collect();
+            (0..3).map(|n| PaconWorkerProc::new(&region, n)).collect();
         let res = run_closed_loop(clients, background);
         assert_eq!(res.measured_ops, 3);
         let mut names = dfs.client().readdir("/app/d", &cred).unwrap();

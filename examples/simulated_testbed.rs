@@ -56,7 +56,7 @@ fn main() {
         })
         .collect();
     for n in 0..topo.nodes as usize {
-        procs.push(Box::new(PaconWorkerProc::new(region.take_worker(n))));
+        procs.push(Box::new(PaconWorkerProc::new(&region, n)));
     }
     let pac = qsim::Simulation::new().run(&mut procs);
     println!(

@@ -9,6 +9,7 @@
 //!     --des                                   drive through the
 //!                                             discrete-event testbed and
 //!                                             report virtual throughput
+//!                                             (barrier ops included)
 //! pacon-repro trace-example                   print a sample trace
 //! ```
 //!
@@ -76,23 +77,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
 fn replay(args: Args) -> Result<(), String> {
     let text = std::fs::read_to_string(&args.trace_path)
         .map_err(|e| format!("read {}: {e}", args.trace_path))?;
-    let mut parsed = trace::parse_trace(&text).map_err(|e| e.to_string())?;
-    if args.des && args.backend == "pacon" {
-        // rmdir/readdir are synchronous barrier operations: they block on
-        // the commit processes, which the single-threaded discrete-event
-        // driver cannot interleave. Strip them with a warning.
-        let before = parsed.len();
-        parsed.retain(|(_, op)| {
-            !matches!(op, workloads::FsOp::Rmdir(_) | workloads::FsOp::Readdir(_))
-        });
-        let dropped = before - parsed.len();
-        if dropped > 0 {
-            eprintln!(
-                "warning: dropped {dropped} barrier op(s) (rmdir/readdir) — not supported \
-                 for pacon under --des"
-            );
-        }
-    }
+    let parsed = trace::parse_trace(&text).map_err(|e| e.to_string())?;
     let total_ops = parsed.len();
     let lists = trace::per_client(parsed);
     let needed = lists.len() as u32;
@@ -138,8 +123,7 @@ fn replay(args: Args) -> Result<(), String> {
             }
             .map_err(|e| e.to_string())?;
             if args.des {
-                workers =
-                    (0..topo.nodes as usize).map(|n| PaconWorkerProc::new(r.take_worker(n))).collect();
+                workers = (0..topo.nodes as usize).map(|n| PaconWorkerProc::new(&r, n)).collect();
             }
             region = Some(r);
         }
@@ -169,10 +153,12 @@ fn replay(args: Args) -> Result<(), String> {
             res.ops_per_sec(),
             res.makespan_ns as f64 / 1e6
         );
-        if res.background_ops > 0 {
+        // Counted by the region: a barrier op drives part of the drain
+        // inside its own job, not on the background processes.
+        if let Some(r) = &region {
             println!(
                 "commit processes applied {} ops; drained by {:.3} ms virtual",
-                res.background_ops,
+                r.report().committed,
                 res.drained_ns as f64 / 1e6
             );
         }

@@ -306,12 +306,10 @@ fn a_half_posted_barrier_leaves_a_stale_marker_not_a_dead_commit_process() {
 
 /// Run `probe` on a fresh one-node, two-client region in every shape the
 /// commit path ships in: batch 1 (fig01–fig12) and 32 (the benchmark
-/// workloads), volatile and durable. `threaded` launches the commit
-/// process as a thread (probes that block on a barrier); otherwise the
-/// probe steps it.
+/// workloads), volatile and durable. The region is paused: the probe
+/// steps the commit process, or a barrier op drives it.
 fn for_each_commit_shape(
     tag: &str,
-    threaded: bool,
     probe: impl Fn(&Arc<PaconRegion>, &Arc<dfs::DfsCluster>, &Credentials, &str),
 ) {
     for batch in [1, 32] {
@@ -324,12 +322,7 @@ fn for_each_commit_shape(
             if let Some(dir) = &wal_dir {
                 config = config.with_durability(dir);
             }
-            let region = if threaded {
-                PaconRegion::launch(config, &dfs)
-            } else {
-                PaconRegion::launch_paused(config, &dfs)
-            }
-            .unwrap();
+            let region = PaconRegion::launch_paused(config, &dfs).unwrap();
             let shape = format!("batch {batch}, durable {durable}");
             probe(&region, &dfs, &cred, &shape);
             assert_quiescent(&region, &shape);
@@ -365,7 +358,7 @@ fn create_files(region: &Arc<PaconRegion>, cred: &Credentials, files: std::ops::
 /// nobody calls `flush_publishes`.
 #[test]
 fn broker_crash_keeps_every_acked_create_at_every_batch_size() {
-    for_each_commit_shape("brokercrash", false, |region, dfs, cred, shape| {
+    for_each_commit_shape("brokercrash", |region, dfs, cred, shape| {
         create_files(region, cred, 0..128);
         region.apply_fault(FaultEvent::CrashBroker(NodeId(0)));
         let lost = region.core().counters.get("broker_lost_msgs");
@@ -383,7 +376,7 @@ fn broker_crash_keeps_every_acked_create_at_every_batch_size() {
 /// one that waited out a partition: the marker may not overtake it.
 #[test]
 fn a_barrier_after_a_heal_sees_the_acked_create_at_every_batch_size() {
-    for_each_commit_shape("healbarrier", true, |region, _dfs, cred, shape| {
+    for_each_commit_shape("healbarrier", |region, _dfs, cred, shape| {
         let c = region.client(ClientId(0));
         region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
         c.create("/job/acked", cred, 0o644).unwrap();
@@ -398,7 +391,7 @@ fn a_barrier_after_a_heal_sees_the_acked_create_at_every_batch_size() {
 /// and no explicit flush to push it.
 #[test]
 fn the_region_drains_after_a_heal_without_a_flush_at_every_batch_size() {
-    for_each_commit_shape("healdrain", false, |region, dfs, cred, shape| {
+    for_each_commit_shape("healdrain", |region, dfs, cred, shape| {
         region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
         let mut w = region.take_worker(0);
         // Below the threshold first (at batch 32 the window is still
@@ -421,7 +414,7 @@ fn the_region_drains_after_a_heal_without_a_flush_at_every_batch_size() {
 /// counts it: the rolled-back create must not reach the DFS after the heal.
 #[test]
 fn rollback_under_a_partition_drops_the_create_at_every_batch_size() {
-    for_each_commit_shape("healrollback", true, |region, dfs, cred, shape| {
+    for_each_commit_shape("healrollback", |region, dfs, cred, shape| {
         region.checkpoint("empty").unwrap();
         region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
         region.client(ClientId(0)).create("/job/undone", cred, 0o644).unwrap();
@@ -439,7 +432,7 @@ fn rollback_under_a_partition_drops_the_create_at_every_batch_size() {
 /// op or a batch.
 #[test]
 fn armed_duplicates_are_dropped_by_the_worker_at_every_batch_size() {
-    for_each_commit_shape("duplicates", false, |region, dfs, cred, shape| {
+    for_each_commit_shape("duplicates", |region, dfs, cred, shape| {
         region.apply_fault(FaultEvent::DuplicateCommitSends { node: NodeId(0), count: 2 });
         create_files(region, cred, 0..64);
         let mut w = region.take_worker(0);
@@ -459,8 +452,11 @@ fn armed_duplicates_are_dropped_by_the_worker_at_every_batch_size() {
 #[test]
 fn a_barrier_marker_lost_with_the_broker_is_sent_again_at_every_batch_size() {
     use std::time::{Duration, Instant};
-    for_each_commit_shape("markerloss", false, |region, _dfs, cred, shape| {
+    for_each_commit_shape("markerloss", |region, _dfs, cred, shape| {
         region.client(ClientId(0)).create("/job/f", cred, 0o644).unwrap();
+        // Taken before the barrier starts: a barrier drives the workers the
+        // region holds, and would drain the broker before the crash.
+        let mut w = region.take_worker(0);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let (listing, cred2) = (Arc::clone(region), *cred);
         std::thread::spawn(move || {
@@ -479,7 +475,6 @@ fn a_barrier_marker_lost_with_the_broker_is_sent_again_at_every_batch_size() {
 
         // Resend on the empty queue, commit the create, take the marker,
         // report: three steps, then the worker is blocked on the epoch.
-        let mut w = region.take_worker(0);
         let steps: Vec<WorkerStep> = (0..8).map(|_| w.step()).collect();
         assert!(steps.contains(&WorkerStep::BarrierReported), "{shape}: {steps:?}");
         let names = done_rx

@@ -1,6 +1,7 @@
 //! Whole-stack lock-hierarchy audit.
 //!
-//! Drives a threaded Pacon region (real commit-process threads, real
+//! Drives a launched Pacon region (its commit driver thread, client
+//! threads whose barrier ops step the commit processes too, real
 //! queues), a DFS cluster, an in-memory KV cluster and the IndexFS
 //! client through a representative metadata workload, then asserts the
 //! syncguard report is clean: no lock-order cycles, no level-hierarchy

@@ -617,6 +617,7 @@ impl Walker<'_> {
                             {
                                 let acq_mode = match seg.as_str() {
                                     "lock" => Some(AcqMode::Lock),
+                                    "try_lock" => Some(AcqMode::TryLock),
                                     "read" => Some(AcqMode::Read),
                                     "write" => Some(AcqMode::Write),
                                     _ => None,
@@ -683,7 +684,7 @@ impl Walker<'_> {
         // A chain that *ends* on an acquisition and sits on the RHS of a
         // `let` binds the guard to that variable (scope-lived).
         if let Some(a) = last_acq {
-            if matches!(links.last(), Some(Link::Method(m)) if m == "lock" || m == "read" || m == "write")
+            if matches!(links.last(), Some(Link::Method(m)) if ["lock", "try_lock", "read", "write"].contains(&m.as_str()))
             {
                 self.facts.acqs[a].guard_var = pending_let.take();
             }

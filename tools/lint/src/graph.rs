@@ -51,8 +51,10 @@ pub fn build(ws: &Workspace, allows: &dyn Fn(&str, usize, &str) -> bool) -> Grap
                     };
                     let class = ws.decls[d].class.clone();
                     let site = Site { file: f.file.clone(), line: acq.line };
-                    for l in &live {
-                        add_edge(&mut edges, &l.class, &class, &l.site, &site, Vec::new());
+                    if acq.mode.waits() {
+                        for l in &live {
+                            add_edge(&mut edges, &l.class, &class, &l.site, &site, Vec::new());
+                        }
                     }
                     live.push(Live {
                         class,

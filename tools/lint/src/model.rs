@@ -194,6 +194,10 @@ pub struct Call {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcqMode {
     Lock,
+    /// `.try_lock()`: never waits, so no edge leads into it, but its
+    /// guard is live like any other and the locks taken under it are
+    /// edges out of it.
+    TryLock,
     Read,
     Write,
 }
@@ -201,13 +205,18 @@ pub enum AcqMode {
 impl AcqMode {
     pub fn kind(self) -> LockKind {
         match self {
-            AcqMode::Lock => LockKind::Mutex,
+            AcqMode::Lock | AcqMode::TryLock => LockKind::Mutex,
             AcqMode::Read | AcqMode::Write => LockKind::RwLock,
         }
     }
+
+    /// Does taking the lock this way wait for its holder?
+    pub fn waits(self) -> bool {
+        self != AcqMode::TryLock
+    }
 }
 
-/// A `.lock()` / `.read()` / `.write()` acquisition site.
+/// A `.lock()` / `.try_lock()` / `.read()` / `.write()` acquisition site.
 #[derive(Debug, Clone)]
 pub struct Acq {
     /// Lookup key for the lock declaration: the last field link before

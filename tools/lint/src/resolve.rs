@@ -327,6 +327,8 @@ impl Workspace {
             let mut direct_classes: Vec<String> = Vec::new();
             for acq in &f.acqs {
                 match self.resolve_acq(f, &acq.recv_key, acq.mode) {
+                    // A try-lock is no edge from the caller's guards.
+                    Some(_) if !acq.mode.waits() => {}
                     Some(d) => {
                         let decl = &self.decls[d];
                         let site = Site { file: f.file.clone(), line: acq.line };

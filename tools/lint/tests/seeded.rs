@@ -1,5 +1,5 @@
 //! Seeded-violation fixtures: one deliberately broken source per rule
-//! R1–R7 plus a two-lock inversion, fed through the full `analyze`
+//! R1–R7 plus a two-lock inversion and a try-lock, fed through the full `analyze`
 //! pipeline under virtual repo paths. Each test asserts the rule fires
 //! at the seeded line — and, for the inversion, that the finding
 //! carries BOTH sites (acquire site + holder site via `related`).
@@ -160,6 +160,17 @@ fn clean_ordered_fixture_is_silent_but_edged() {
         .expect("edge recorded");
     assert_eq!(e.from_site.line, 20);
     assert_eq!(e.to_site.line, 21);
+}
+
+#[test]
+fn a_try_lock_takes_no_edge_in_but_its_guard_is_held() {
+    let a = run(&[("crates/pacon/src/fix_try.rs", "try_lock_held.rs")]);
+    assert!(a.findings.is_empty(), "{:?}", a.findings);
+    let edges: Vec<(&str, &str)> =
+        a.graph.edges.iter().map(|e| (e.from.as_str(), e.to.as_str())).collect();
+    assert_eq!(edges, [("fix.outer", "fix.inner"), ("fix.slot", "fix.inner")]);
+    let e = &a.graph.edges[1];
+    assert_eq!((e.from_site.line, e.to_site.line), (23, 24));
 }
 
 #[test]
