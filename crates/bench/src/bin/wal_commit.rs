@@ -9,7 +9,11 @@
 //!    through one client in volatile mode, durable mode with fsync per
 //!    append (`wal_fsync_batch = 1`), and durable mode with group fsync
 //!    (`wal_fsync_batch = 32`), and compare wall-clock publish
-//!    throughput.
+//!    throughput. The last series spreads the same storm round-robin over
+//!    eight nodes, one client each: the region's one log syncs at a
+//!    node's 32nd unsynced append, for every node at once, so it must
+//!    sync at most a quarter as often as the one-node series (exact
+//!    counts, not timings).
 //!
 //! 2. **Recovery time** — how long does a relaunch spend replaying a
 //!    full log? We kill the fsync-batched region with everything still
@@ -27,14 +31,16 @@ use pacon_bench::*;
 use simnet::{ClientId, LatencyProfile, Topology};
 
 /// One storm = `items` creates, each followed by an inline write (two
-/// journaled ops per file in durable mode). Returns elapsed seconds plus
-/// a per-op wall-clock latency histogram (create+write measured as one
-/// publish, so the histogram has `items` samples).
-fn storm(region: &Arc<PaconRegion>, items: u32) -> (f64, simnet::LatencyHistogram) {
-    let c = region.client(ClientId(0));
+/// journaled ops per file in durable mode), the files dealt round-robin
+/// to one client per node. Returns elapsed seconds plus a per-op
+/// wall-clock latency histogram (create+write measured as one publish, so
+/// the histogram has `items` samples).
+fn storm(region: &Arc<PaconRegion>, items: u32, nodes: u32) -> (f64, simnet::LatencyHistogram) {
+    let clients: Vec<_> = (0..nodes).map(|n| region.client(ClientId(n))).collect();
     let mut hist = simnet::LatencyHistogram::new();
     let started = Instant::now();
     for i in 0..items {
+        let c = &clients[(i % nodes) as usize];
         let op_started = Instant::now();
         let path = format!("/app/f{i}");
         c.create(&path, &CRED, 0o644).expect("create");
@@ -74,7 +80,7 @@ fn main() {
     // -- volatile baseline ------------------------------------------------
     let dfs = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
     let region = base(&dfs, PaconConfig::new("/app", topo, CRED));
-    let (secs, hist) = storm(&region, items);
+    let (secs, hist) = storm(&region, items, 1);
     let volatile_ops = total_ops as f64 / secs;
     series.push(("volatile".into(), volatile_ops, 0, hist));
     drop(region);
@@ -88,7 +94,7 @@ fn main() {
             .with_durability(&wal_dir_strict)
             .with_wal_fsync_batch(1),
     );
-    let (secs, hist) = storm(&region, items);
+    let (secs, hist) = storm(&region, items, 1);
     let strict_ops = total_ops as f64 / secs;
     series.push(("durable fsync=1".into(), strict_ops, region.report().wal_fsyncs, hist));
     drop(region);
@@ -100,10 +106,27 @@ fn main() {
         .with_durability(&wal_dir)
         .with_wal_fsync_batch(32);
     let region = base(&dfs, config.clone());
-    let (secs, hist) = storm(&region, items);
+    let (secs, hist) = storm(&region, items, 1);
     let batched_ops = total_ops as f64 / secs;
     let batched_fsyncs = region.report().wal_fsyncs;
     series.push(("durable fsync=32".into(), batched_ops, batched_fsyncs, hist));
+
+    // -- durable, group fsync, the same storm over eight nodes ----------
+    const NODES: u32 = 8;
+    let wal_dir_nodes = fresh_wal_dir("nodes");
+    let dfs_nodes = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
+    let spread = base(
+        &dfs_nodes,
+        PaconConfig::new("/app", Topology::new(NODES, 1), CRED)
+            .with_durability(&wal_dir_nodes)
+            .with_wal_fsync_batch(32),
+    );
+    let (secs, hist) = storm(&spread, items, NODES);
+    let nodes_fsyncs = spread.report().wal_fsyncs;
+    let label = format!("durable fsync=32, {NODES} nodes");
+    series.push((label, total_ops as f64 / secs, nodes_fsyncs, hist));
+    drop(spread);
+    let _ = std::fs::remove_dir_all(&wal_dir_nodes);
 
     // -- recovery: kill with the full log buffered, time the relaunch ----
     region.abort();
@@ -139,7 +162,7 @@ fn main() {
         ]);
     }
     print_table(
-        "Durable commit queue: publish throughput (wall clock, 1 client)",
+        "Durable commit queue: publish throughput (wall clock, 1 client per node)",
         &["config", "publish ops/s", "overhead", "fsyncs", "p50", "p99", "p999"]
             .map(String::from),
         &rows,
@@ -163,6 +186,13 @@ fn main() {
     assert!(
         batched_fsyncs < total_ops / 8,
         "acceptance: group fsync must amortize syncs ({batched_fsyncs} for {total_ops} appends)"
+    );
+    // One sync covers every node: the same ops over eight nodes sync at
+    // most a quarter as often as over one.
+    assert!(
+        4 * nodes_fsyncs <= batched_fsyncs,
+        "acceptance: one log's group fsync must cover every node \
+         ({nodes_fsyncs} syncs over {NODES} nodes, {batched_fsyncs} over one)"
     );
 
     // Hand-rolled JSON (no serde in the workspace).

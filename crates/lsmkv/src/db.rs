@@ -136,12 +136,11 @@ impl Db {
         let wal_path = dir.join("wal.log");
         // Recovery-aware open: truncates any torn/corrupt tail before
         // appending, so post-recovery writes stay replayable.
-        let (wal, records) = Wal::open_recovered(&wal_path, opts.sync_wal)?;
         let mut mem = Memtable::new();
-        for rec in records {
+        let wal = Wal::open_recovered(&wal_path, opts.sync_wal, |rec| {
             max_seq = max_seq.max(rec.seq);
             mem.insert(&rec.key, rec.seq, rec.value.as_deref());
-        }
+        })?;
 
         let stats = Stats {
             sstables_l0: l0.len(),

@@ -29,7 +29,7 @@
 //! (standard LevelDB behaviour for a crashed tail).
 
 use std::fs::{File, OpenOptions};
-use std::io::Read;
+use std::io::{BufRead, BufReader, Read};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
@@ -210,38 +210,33 @@ impl Wal {
     /// records written after a surviving tail would be unreachable on the
     /// next replay.
     pub fn replay_prefix(path: &Path) -> LsmResult<(Vec<WalRecord>, u64)> {
-        let mut data = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
+        let file = match File::open(path) {
+            Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
             Err(e) => return Err(e.into()),
-        }
-        let (records, valid) = replay_frames(&data)?;
-        Ok((records, valid as u64))
+        };
+        let mut records = Vec::new();
+        let (valid, _) = replay_frames(&file, |rec| records.push(rec))?;
+        Ok((records, valid))
     }
 
     /// Crash-safe open, creating the file if it is missing: replay the
-    /// valid prefix and return an append handle positioned right after the
-    /// last intact record together with the replayed records. A tail of
+    /// valid prefix, handing each intact record to `each` in log order, and
+    /// return an append handle positioned right after the last one. A tail of
     /// zeros stays (it is space the log already owns); a torn or corrupt
     /// tail is truncated away and the truncation synced, so appends never
     /// land behind bytes the next replay would stop at.
-    pub fn open_recovered(path: &Path, sync: bool) -> LsmResult<(Self, Vec<WalRecord>)> {
-        let mut file =
+    pub fn open_recovered(path: &Path, sync: bool, each: impl FnMut(WalRecord)) -> LsmResult<Self> {
+        let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        let mut data = Vec::new();
-        file.read_to_end(&mut data)?;
-        let (records, valid) = replay_frames(&data)?;
-        let mut end = data.len() as u64;
-        if data[valid..].iter().any(|&b| b != 0) {
-            file.set_len(valid as u64)?;
+        let (valid, zero_tail) = replay_frames(&file, each)?;
+        let mut end = file.metadata()?.len();
+        if !zero_tail {
+            file.set_len(valid)?;
             file.sync_data()?;
-            end = valid as u64;
+            end = valid;
         }
-        let wal = Self { file, buf: Vec::new(), pos: valid as u64, end, sync };
-        Ok((wal, records))
+        Ok(Self { file, buf: Vec::new(), pos: valid, end, sync })
     }
 }
 
@@ -253,35 +248,55 @@ impl Drop for Wal {
     }
 }
 
-/// The intact records at the start of `data`, and the length they span.
-fn replay_frames(data: &[u8]) -> LsmResult<(Vec<WalRecord>, usize)> {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos + HEADER <= data.len() {
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4-byte slice")) as usize;
-        if len == 0 {
-            break; // the zeroed space: end of the log
+/// Hand the intact records at the start of `file` to `each`; returns the
+/// length they span and whether only zeros follow them. The file is read
+/// through a small buffer, one frame at a time, never whole.
+fn replay_frames(file: &File, mut each: impl FnMut(WalRecord)) -> LsmResult<(u64, bool)> {
+    let size = file.metadata()?.len();
+    let mut r = BufReader::new(file);
+    let (mut pos, mut payload) = (0u64, Vec::new());
+    loop {
+        let mut header = [0u8; HEADER];
+        let rest = size - pos;
+        let got = rest.min(HEADER as u64) as usize;
+        r.read_exact(&mut header[..got])?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice")) as u64;
+        // The zeroed space (a zero length), a partial header or a torn frame.
+        if got < HEADER || len == 0 || len > rest - HEADER as u64 {
+            let zeros = header.iter().all(|&b| b == 0) && only_zeros(r)?;
+            return Ok((pos, zeros));
         }
-        let crc = u32::from_le_bytes(data[pos + 4..pos + HEADER].try_into().expect("4-byte slice"));
-        let start = pos + HEADER;
-        if len > data.len() - start {
-            break; // torn tail
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("4-byte slice"));
+        payload.resize(len as usize, 0);
+        r.read_exact(&mut payload)?;
+        if crc32(&payload) != crc {
+            return Ok((pos, false)); // corrupt tail
         }
-        let payload = &data[start..start + len];
-        if crc32(payload) != crc {
-            break; // corrupt tail
-        }
-        match parse_payload(payload) {
-            Some(rec) => records.push(rec),
+        match parse_payload(&payload) {
+            Some(rec) => each(rec),
             None => {
                 return Err(LsmError::Corrupt(format!(
                     "wal record at offset {pos} has valid crc but bad framing"
                 )))
             }
         }
-        pos = start + len;
+        pos += HEADER as u64 + len;
     }
-    Ok((records, pos))
+}
+
+/// Whether `r` holds nothing but zeros to its end.
+fn only_zeros(mut r: impl BufRead) -> LsmResult<bool> {
+    loop {
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(true);
+        }
+        if buf.iter().any(|&b| b != 0) {
+            return Ok(false);
+        }
+        let n = buf.len();
+        r.consume(n);
+    }
 }
 
 fn parse_payload(p: &[u8]) -> Option<WalRecord> {
@@ -325,7 +340,13 @@ mod tests {
     }
 
     fn open(path: &Path) -> Wal {
-        Wal::open_recovered(path, false).unwrap().0
+        open_with_records(path).0
+    }
+
+    fn open_with_records(path: &Path) -> (Wal, Vec<WalRecord>) {
+        let mut records = Vec::new();
+        let wal = Wal::open_recovered(path, false, |rec| records.push(rec)).unwrap();
+        (wal, records)
     }
 
     /// Overwrite `bytes` at `offset` of the file, as a crash mid-write
@@ -412,7 +433,7 @@ mod tests {
         assert!(valid < CHUNK);
         drop(w);
         // Reopening keeps the clean tail and appends right after frame 2.
-        let (mut w, recs) = Wal::open_recovered(&path, false).unwrap();
+        let (mut w, recs) = open_with_records(&path);
         assert_eq!(recs.len(), 2);
         assert_eq!(len(&path), CHUNK, "a zero tail is not truncated");
         w.append(3, b"c", Some(b"vc")).unwrap();
@@ -487,7 +508,7 @@ mod tests {
         assert!(recs.is_empty());
         assert_eq!(valid, 0);
         // Recovery truncates the garbage entirely.
-        let (mut w, recs) = Wal::open_recovered(&path, false).unwrap();
+        let (mut w, recs) = open_with_records(&path);
         assert!(recs.is_empty());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         w.append(1, b"a", Some(b"va")).unwrap();
@@ -514,7 +535,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&[200, 0, 0, 0, 1, 2, 3, 4, 9, 9]).unwrap();
         }
-        let (mut w, recs) = Wal::open_recovered(&path, false).unwrap();
+        let (mut w, recs) = open_with_records(&path);
         assert_eq!(recs.len(), 1, "valid prefix survives recovery");
         w.append(2, b"b", Some(b"vb")).unwrap();
         w.sync().unwrap();
@@ -542,13 +563,13 @@ mod tests {
         let (_, end) = Wal::replay_prefix(&path).unwrap();
         // Frame 2's header and its first five payload bytes.
         write_at(&path, end, &[20, 0, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF, 2, 0, 0, 0, 0]);
-        let (mut w, recs) = Wal::open_recovered(&path, false).unwrap();
+        let (mut w, recs) = open_with_records(&path);
         assert_eq!(recs.len(), 1);
         assert_eq!(len(&path), end, "the torn frame is truncated away");
         w.append(3, b"c", Some(b"vc")).unwrap();
         w.sync().unwrap();
         drop(w);
-        let (_, recs) = Wal::open_recovered(&path, false).unwrap();
+        let (_, recs) = open_with_records(&path);
         assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 3]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -571,7 +592,7 @@ mod tests {
         data[last] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
 
-        let (mut w, recs) = Wal::open_recovered(&path, false).unwrap();
+        let (mut w, recs) = open_with_records(&path);
         assert_eq!(recs.len(), 1, "replay stops cleanly before the corrupt record");
         w.append(3, b"c", Some(b"vc")).unwrap();
         w.sync().unwrap();
@@ -621,7 +642,7 @@ mod tests {
         w.append(401, b"y", None).unwrap();
         w.sync().unwrap();
         drop(w);
-        let (_, recs) = Wal::open_recovered(&path, false).unwrap();
+        let (_, recs) = open_with_records(&path);
         assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![400, 401]);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -175,7 +175,7 @@ impl PaconRegion {
         self.forget_mount_dentries();
         // Ops that never reached a commit queue predate the rollback and
         // must not survive it — drop them where they wait, in the nodes'
-        // outboxes, and, in durable mode, reset the commit logs so the next
+        // outboxes, and, in durable mode, reset the commit log so the next
         // launch cannot resurrect rolled-back mutations.
         let nodes = self.core().config.topology.nodes as usize;
         let dropped: u64 = (0..nodes).map(|n| self.core().outbox(n).drop_unsent()).sum();
@@ -183,7 +183,7 @@ impl PaconRegion {
             self.core().note_completed();
         }
         self.core().counters.add("rollback_dropped_ops", dropped);
-        self.core().reset_wals()?;
+        self.core().reset_wal()?;
         self.core().counters.incr("rollbacks");
         Ok(stats)
     }

@@ -198,14 +198,14 @@ impl PaconClient {
                         let _ = self.cache.delete(&path, Some(version));
                     }
                 }
-                self.core.maybe_truncate_wals();
+                self.core.maybe_truncate_wal();
             }
             Buffered::Collapsed => {
                 // Duplicate writeback absorbed by the buffered one, which
                 // reads the current primary copy at commit time anyway.
                 self.core.note_completed();
                 self.core.counters.incr("coalesced_collapse");
-                self.core.maybe_truncate_wals();
+                self.core.maybe_truncate_wal();
             }
         }
         Ok(())

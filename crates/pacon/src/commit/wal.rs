@@ -1,4 +1,4 @@
-//! Durable commit queue: the per-node write-ahead log.
+//! Durable commit queue: the region's write-ahead log, one for every node.
 //!
 //! In durable mode every committable operation is journaled here —
 //! framed by the `lsmkv` WAL (length + CRC32, torn-tail tolerant, written
@@ -6,10 +6,10 @@
 //! *before* the client's mutation is acknowledged locally. The record
 //! carries the op's `(path, write_id, generation)` replay identity, so
 //! after a crash the next launch can commit the surviving entries again,
-//! idempotently and any number of times: they re-enter the node worker's
-//! commit route as ops published and not yet committed
-//! (`region::recover`). Once every enqueued op has been confirmed against
-//! the DFS the log is truncated; after a recovery, once, at its end.
+//! idempotently and any number of times: they re-enter one worker's commit
+//! route in append order, which is publish order (`region::recover`). Once
+//! every enqueued op has been confirmed against the DFS the log is
+//! truncated; after a recovery, once, at its end.
 //!
 //! Record mapping onto the lsmkv frame: `seq` = `write_id`, `key` =
 //! the op's path, `value` = the payload below.
@@ -25,11 +25,12 @@
 //! u32 snap_len | snapshot bytes   (tag 3: full inline content)
 //! ```
 //!
-//! Fsyncs are batched: the log syncs every `wal_fsync_batch` appends
-//! (`1` = strict per-op durability). Inline-data writebacks append one
-//! record per *client write* carrying a full content snapshot — the last
-//! snapshot for a path is exactly the acknowledged content at crash
-//! time, even when the queue coalesced the writebacks themselves.
+//! Fsyncs are batched per node: a node's `wal_fsync_batch`-th unsynced
+//! append syncs the log for every node (`1` = strict per-op durability).
+//! Inline-data writebacks append one record per *client write* carrying a
+//! full content snapshot — the last snapshot for a path is exactly the
+//! acknowledged content at crash time, even when the queue coalesced the
+//! writebacks themselves.
 //!
 //! This module also hosts the [`CrashSwitch`] used by the crash-kill
 //! test harness: a lock-free trigger that deterministically "kills" the
@@ -85,9 +86,10 @@ fn encode_value(msg: &QueueMsg, snapshot: Option<&[u8]>) -> FsResult<Vec<u8>> {
     Ok(v)
 }
 
-fn decode_record(rec: &WalRecord) -> Option<WalEntry> {
-    let path = String::from_utf8(rec.key.clone()).ok()?;
-    let v = rec.value.as_deref()?;
+/// By value: the record's key becomes the entry's path without a copy.
+fn decode_record(rec: WalRecord) -> Option<WalEntry> {
+    let path = String::from_utf8(rec.key).ok()?;
+    let mut v = rec.value?;
     if v.len() < 2 + 2 + 8 + 8 + 4 + 8 + 4 {
         return None;
     }
@@ -106,7 +108,7 @@ fn decode_record(rec: &WalRecord) -> Option<WalEntry> {
         TAG_MKDIR => (CommitOp::Mkdir { path, mode }, None),
         TAG_CREATE => (CommitOp::Create { path, mode }, None),
         TAG_UNLINK => (CommitOp::Unlink { path }, None),
-        TAG_WRITE => (CommitOp::WriteInline { path }, Some(v[36..].to_vec())),
+        TAG_WRITE => (CommitOp::WriteInline { path }, Some(v.split_off(36))),
         _ => return None,
     };
     Some(WalEntry {
@@ -124,12 +126,12 @@ fn decode_record(rec: &WalRecord) -> Option<WalEntry> {
 
 struct WalInner {
     wal: Wal,
-    /// Appends since the last fsync.
-    unsynced: usize,
+    /// Appends since the last fsync, per publisher (grown as they appear).
+    unsynced: Vec<usize>,
     fsync_batch: usize,
 }
 
-/// One node's durable commit log.
+/// A region's durable commit log, shared by its publishers (one per node).
 pub struct CommitWal {
     inner: Mutex<WalInner>,
 }
@@ -140,37 +142,49 @@ impl CommitWal {
     /// payload fails to decode end the replay (they can only arise from a
     /// frame-level collision, which the CRC makes astronomically unlikely).
     pub fn open(path: &Path, fsync_batch: usize) -> FsResult<(Self, Vec<WalEntry>)> {
-        let (wal, records) = Wal::open_recovered(path, false).map_err(lsm_err)?;
-        let mut entries = Vec::with_capacity(records.len());
-        for rec in &records {
-            match decode_record(rec) {
-                Some(e) => entries.push(e),
-                None => break,
-            }
-        }
+        let (mut entries, mut intact) = (Vec::new(), true);
+        let wal = Wal::open_recovered(path, false, |rec| match decode_record(rec) {
+            Some(e) if intact => entries.push(e),
+            _ => intact = false,
+        })
+        .map_err(lsm_err)?;
         let this = Self {
             inner: Mutex::new(
                 level::WAL,
                 "pacon.commit.wal",
-                WalInner { wal, unsynced: 0, fsync_batch: fsync_batch.max(1) },
+                WalInner { wal, unsynced: Vec::new(), fsync_batch: fsync_batch.max(1) },
             ),
         };
         Ok((this, entries))
     }
 
-    /// Append one op record; returns whether this append fsynced the log
-    /// (for the region's `wal_fsyncs` counter).
+    /// [`Self::append_from`] as publisher 0: a log with one publisher.
     pub fn append(&self, msg: &QueueMsg, snapshot: Option<&[u8]>) -> FsResult<bool> {
+        self.append_from(0, msg, snapshot)
+    }
+
+    /// Append one op record for `publisher` (a node); returns whether this
+    /// append fsynced the log (for the region's `wal_fsyncs` counter): the
+    /// publisher's `fsync_batch`-th unsynced append syncs, for every one.
+    pub fn append_from(
+        &self,
+        publisher: usize,
+        msg: &QueueMsg,
+        snapshot: Option<&[u8]>,
+    ) -> FsResult<bool> {
         let value = encode_value(msg, snapshot)?;
         let path = msg.op.path().ok_or_else(|| FsError::Backend("commit wal: pathless op".into()))?;
         let mut g = self.inner.lock();
         // lint: allow(hold-across-blocking, durability ordering: the op must hit the log before publish; WAL mutex is terminal)
         g.wal.append(msg.id.write_id, path.as_bytes(), Some(&value)).map_err(lsm_err)?;
-        g.unsynced += 1;
-        if g.unsynced >= g.fsync_batch {
+        if g.unsynced.len() <= publisher {
+            g.unsynced.resize(publisher + 1, 0);
+        }
+        g.unsynced[publisher] += 1;
+        if g.unsynced[publisher] >= g.fsync_batch {
             // lint: allow(hold-across-blocking, batched fsync under the WAL mutex; no lock is taken past it)
             g.wal.sync().map_err(lsm_err)?;
-            g.unsynced = 0;
+            g.unsynced.fill(0);
             return Ok(true);
         }
         Ok(false)
@@ -188,7 +202,7 @@ impl CommitWal {
         }
         // lint: allow(hold-across-blocking, truncate cuts and syncs the log under the same terminal WAL mutex)
         g.wal.reset().map_err(lsm_err)?;
-        g.unsynced = 0;
+        g.unsynced.fill(0);
         Ok(true)
     }
 
@@ -197,7 +211,7 @@ impl CommitWal {
         let mut g = self.inner.lock();
         // lint: allow(hold-across-blocking, reset cuts and syncs the log under the same terminal WAL mutex)
         g.wal.reset().map_err(lsm_err)?;
-        g.unsynced = 0;
+        g.unsynced.fill(0);
         Ok(())
     }
 }
@@ -356,6 +370,55 @@ mod tests {
             }
         }
         assert_eq!(syncs, 2, "7 appends at batch 3 = syncs after #3 and #6");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn create(i: u64) -> QueueMsg {
+        msg(CommitOp::Create { path: format!("/f{i}"), mode: 0o644 }, i + 1, i + 1)
+    }
+
+    #[test]
+    fn a_publishers_batch_th_unsynced_append_syncs_for_every_publisher() {
+        let dir = tmpdir("shared-fsync");
+        let (w, _) = CommitWal::open(&dir.join("r.wal"), 4).unwrap();
+        // Publishers 0 and 1 reach 3 unsynced appends each, 2 reaches 1.
+        for i in 0..6 {
+            assert!(!w.append_from(i as usize % 2, &create(i), None).unwrap());
+        }
+        assert!(!w.append_from(2, &create(6), None).unwrap());
+        assert!(w.append_from(1, &create(7), None).unwrap(), "publisher 1's 4th append syncs");
+        // The sync reset every count: three more from each do not sync.
+        for i in 8..17 {
+            assert!(!w.append_from(i as usize % 3, &create(i), None).unwrap(), "append {i}");
+        }
+        assert!(w.append_from(0, &create(17), None).unwrap(), "publisher 0's 4th since the sync");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn at_batch_one_every_append_syncs() {
+        let dir = tmpdir("shared-strict");
+        let (w, _) = CommitWal::open(&dir.join("r.wal"), 1).unwrap();
+        for i in 0..6 {
+            assert!(w.append_from(i as usize % 3, &create(i), None).unwrap(), "append {i}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_publishers_entries_replay_in_append_order() {
+        let dir = tmpdir("shared-order");
+        let path = dir.join("r.wal");
+        let order = [2, 0, 1, 1, 0, 2, 2];
+        {
+            let (w, _) = CommitWal::open(&path, 4).unwrap();
+            for (i, &publisher) in (0..).zip(&order) {
+                w.append_from(publisher, &create(i), None).unwrap();
+            }
+        }
+        let (_, entries) = CommitWal::open(&path, 4).unwrap();
+        let ids: Vec<u64> = entries.iter().map(|e| e.msg.id.write_id).collect();
+        assert_eq!(ids, (1..=order.len() as u64).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).ok();
     }
 

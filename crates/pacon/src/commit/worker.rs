@@ -310,7 +310,7 @@ impl CommitWorker {
         }
     }
 
-    /// One recovery turn (DESIGN §5.3) on `log`, the rest of this node's
+    /// One recovery turn (DESIGN §5.3) on `log`, the rest of the region's
     /// commit log: commit a run of up to `room` of its next `2 * room`
     /// entries or, with none free to go, retry the backlog's head. The run
     /// keeps the log's order per path: it leaves at the log's head every op
@@ -415,7 +415,7 @@ impl CommitWorker {
         for _ in &applied {
             self.core.note_completed();
         }
-        self.core.maybe_truncate_wals();
+        self.core.maybe_truncate_wal();
         let committed = applied.len() as u32;
         match (solo, committed, retried) {
             (false, ..) => WorkerStep::Batch { committed, retried, discarded },

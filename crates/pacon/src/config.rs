@@ -75,19 +75,20 @@ pub struct PaconConfig {
     /// at 0 (single-application figures) and `app × nodes_per_app` (fig08).
     pub station_base: u32,
     /// Durable commit queue: when set, every commit op is journaled into
-    /// a per-node write-ahead log in this directory (next to the region's
+    /// the region's write-ahead log in this directory (next to its
     /// incarnation counter) before the mutation is acknowledged locally,
-    /// and the logs replay idempotently on the next launch. The directory
+    /// and the log replays idempotently on the next launch. The directory
     /// must outlive the process for recovery to mean anything. `None` =
     /// volatile, the paper's prototype. Deployment setting (a path).
     pub wal_dir: Option<std::path::PathBuf>,
-    /// Group fsync: sync the log to disk every `n` appends instead of on
-    /// every append. `1` = fsync per op (strict durability); larger
-    /// values trade the tail of the crash window for throughput. In use
-    /// at 1 and 32 (`wal_commit`) and 32 (the repo benchmark).
+    /// Group fsync, per node: a node's `n`-th append since the log last
+    /// synced syncs it for every node, so no node holds more than `n - 1`
+    /// acknowledged, unsynced appends. `1` = fsync per op (strict
+    /// durability). In use at 1 and 32 (`wal_commit`) and 32 (the repo
+    /// benchmark).
     pub wal_fsync_batch: usize,
     /// Test knob: fail the launch-time WAL replay after this many
-    /// recovered ops have applied, *before* the logs are truncated — the
+    /// recovered ops have applied, *before* the log is truncated — the
     /// crash-during-recovery (double-replay) scenario. A field because it
     /// must arm before `launch` builds the core and its `CrashSwitch`.
     pub recovery_crash_after: Option<u64>,
@@ -115,13 +116,13 @@ impl PaconConfig {
     }
 
     /// Builder-style: enable the durable commit queue, journaling into
-    /// per-node write-ahead logs under `wal_dir`.
+    /// the region's write-ahead log under `wal_dir`.
     pub fn with_durability(mut self, wal_dir: impl Into<std::path::PathBuf>) -> Self {
         self.wal_dir = Some(wal_dir.into());
         self
     }
 
-    /// Builder-style: fsync the commit log every `n` appends.
+    /// Builder-style: set [`Self::wal_fsync_batch`].
     pub fn with_wal_fsync_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "fsync batch must be at least 1");
         self.wal_fsync_batch = n;

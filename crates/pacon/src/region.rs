@@ -69,10 +69,9 @@ pub struct RegionCore {
     /// position in key order, see [`crate::eviction`]. Locked only to read
     /// or replace it, never across a cache query.
     pub(crate) evict_cursor: Mutex<Vec<u8>>,
-    /// Durable commit logs, one per node. Empty in volatile mode — the
-    /// cheap `wals.is_empty()` check is the durability switch on every
-    /// hot path.
-    pub wals: Vec<CommitWal>,
+    /// The durable commit log, shared by every node. `None` in volatile
+    /// mode — the durability switch on every hot path.
+    wal: Option<CommitWal>,
     /// Deterministic kill trigger for the crash-recovery harness. Never
     /// armed in production; two relaxed atomic loads when idle.
     pub crash: CrashSwitch,
@@ -138,7 +137,7 @@ impl RegionCore {
 
     /// Whether this region journals its commit queue.
     pub fn durable(&self) -> bool {
-        !self.wals.is_empty()
+        self.wal.is_some()
     }
 
     /// The per-path table ([`crate::inflight`]).
@@ -150,7 +149,7 @@ impl RegionCore {
     /// Creations/unlinks start a new namespace generation for their path;
     /// writebacks inherit the current one. `OpId::NONE` in volatile mode.
     pub(crate) fn op_identity(&self, op: &CommitOp) -> dfs::OpId {
-        if self.wals.is_empty() {
+        if self.wal.is_none() {
             return dfs::OpId::NONE;
         }
         let seq = self.write_seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -171,9 +170,9 @@ impl RegionCore {
         dfs::OpId { write_id, generation }
     }
 
-    /// Append an identified op to its node's commit log (durable mode;
-    /// no-op otherwise). Hosts the harness's two client-side crash
-    /// points. Callers must `note_enqueued` *before* appending: that
+    /// Append an identified op published on `node` to the commit log
+    /// (durable mode; no-op otherwise). Hosts the harness's two client-side
+    /// crash points. Callers must `note_enqueued` *before* appending: that
     /// ordering is what makes `drained()` under the WAL lock prove the
     /// log holds no unconfirmed op (see [`CommitWal::truncate_if`]).
     pub(crate) fn wal_append(
@@ -182,13 +181,13 @@ impl RegionCore {
         msg: &QueueMsg,
         snapshot: Option<&[u8]>,
     ) -> FsResult<()> {
-        let Some(wal) = self.wals.get(node) else {
+        let Some(wal) = &self.wal else {
             return Ok(());
         };
         if self.crash.hit(CrashPoint::PreAppend) {
             return Err(CrashSwitch::error(CrashPoint::PreAppend));
         }
-        let synced = wal.append(msg, snapshot)?;
+        let synced = wal.append_from(node, msg, snapshot)?;
         self.counters.incr("wal_appended");
         if synced {
             self.counters.incr("wal_fsyncs");
@@ -199,36 +198,35 @@ impl RegionCore {
         Ok(())
     }
 
-    /// Truncate every node's commit log if the region is fully drained —
-    /// called after completions; two atomic loads when there is still
-    /// work in flight. Hosts the post-apply/pre-truncate crash point.
-    /// Returns whether every log was truncated by this pass (and is thus
-    /// provably empty), which is when replay identities become prunable.
-    pub fn maybe_truncate_wals(&self) -> bool {
-        if self.wals.is_empty() || !self.drained() {
+    /// Truncate the commit log if the region is fully drained — called
+    /// after completions; two atomic loads when there is still work in
+    /// flight. Hosts the post-apply/pre-truncate crash point. Returns
+    /// whether this pass truncated the log (which is thus provably empty),
+    /// which is when replay identities become prunable.
+    pub fn maybe_truncate_wal(&self) -> bool {
+        let Some(wal) = &self.wal else {
+            return false;
+        };
+        if !self.drained() || self.crash.hit(CrashPoint::PreTruncate) {
             return false;
         }
-        if self.crash.hit(CrashPoint::PreTruncate) {
-            return false;
-        }
-        let mut all_truncated = true;
-        for wal in &self.wals {
-            match wal.truncate_if(|| self.drained()) {
-                Ok(true) => self.counters.incr("wal_truncations"),
-                Ok(false) => all_truncated = false,
-                Err(_) => {
-                    self.counters.incr("wal_errors");
-                    all_truncated = false;
-                }
+        match wal.truncate_if(|| self.drained()) {
+            Ok(true) => {
+                self.counters.incr("wal_truncations");
+                true
+            }
+            Ok(false) => false,
+            Err(_) => {
+                self.counters.incr("wal_errors");
+                false
             }
         }
-        all_truncated
     }
 
-    /// Unconditionally truncate every commit log (end of a successful
+    /// Unconditionally truncate the commit log (end of a successful
     /// recovery; checkpoint rollback).
-    pub(crate) fn reset_wals(&self) -> FsResult<()> {
-        for wal in &self.wals {
+    pub(crate) fn reset_wal(&self) -> FsResult<()> {
+        if let Some(wal) = &self.wal {
             wal.reset()?;
             self.counters.incr("wal_truncations");
         }
@@ -387,23 +385,15 @@ impl PaconRegion {
             KvCluster::with_options(config.topology, Arc::clone(dfs.profile()), config.station_base);
         let nodes = config.topology.nodes as usize;
 
-        // Durable mode: bump the incarnation, open every node's commit
-        // log crash-safely, and collect surviving entries for replay.
-        let mut wals = Vec::new();
-        let mut recovered: Vec<Vec<WalEntry>> = Vec::new();
-        let mut incarnation = 0u64;
+        // Durable mode: bump the incarnation, open the region's commit log
+        // crash-safely, and collect surviving entries for replay.
+        let (mut wal, mut recovered, mut incarnation) = (None, Vec::new(), 0u64);
         if let Some(wal_dir) = &config.wal_dir {
             std::fs::create_dir_all(wal_dir)
                 .map_err(|e| FsError::Backend(format!("wal dir {}: {e}", wal_dir.display())))?;
             incarnation = bump_incarnation(wal_dir)?;
-            for n in 0..nodes {
-                let (wal, entries) = CommitWal::open(
-                    &wal_dir.join(format!("node{n}.wal")),
-                    config.wal_fsync_batch,
-                )?;
-                wals.push(wal);
-                recovered.push(entries);
-            }
+            let opened = CommitWal::open(&wal_dir.join("region.wal"), config.wal_fsync_batch)?;
+            (wal, recovered) = (Some(opened.0), opened.1);
         }
 
         // One commit queue per node; its sending end lives in the node's
@@ -427,7 +417,7 @@ impl PaconRegion {
                 "pacon.region.evict_cursor",
                 Vec::new(),
             ),
-            wals,
+            wal,
             crash: CrashSwitch::new(),
             incarnation,
             write_seq: AtomicU64::new(0),
@@ -448,9 +438,10 @@ impl PaconRegion {
             })
             .collect();
         // The previous incarnation's logged ops commit before any new work
-        // is accepted.
-        if recovered.iter().any(|log| !log.is_empty()) {
-            recover(&core, &mut workers, recovered)?;
+        // is accepted, through node 0's worker: every mount reaches the same
+        // DFS.
+        if !recovered.is_empty() {
+            recover(&core, &mut workers[0], recovered)?;
         }
         if core.durable() {
             // Writebacks to files created by earlier incarnations must
@@ -460,9 +451,9 @@ impl PaconRegion {
             for (path, generation) in dfs.replay_generations_under(&core.root) {
                 core.in_flight().new_generation(&path, generation);
             }
-            // Every earlier incarnation's log was just replayed (or found
-            // empty) and reset, so the identities those logs could replay
-            // are confirmed-and-gone: shed them from the seen-cache.
+            // The earlier incarnations' log was just replayed (or found
+            // empty) and reset, so the identities it could replay are
+            // confirmed-and-gone: shed them from the seen-cache.
             let pruned = dfs.prune_replay_identities(&core.root, core.incarnation);
             core.counters.add("replay_pruned", pruned as u64);
         }
@@ -625,10 +616,10 @@ impl PaconRegion {
     pub fn sync_barrier(&self) -> FsResult<()> {
         self.core.barrier(u32::MAX)?.complete();
         // Everything published before the barrier is now confirmed; a
-        // drained durable region can shed its logs.
+        // drained durable region can shed its log.
         // lint: allow(hold-across-blocking, WAL truncation must run inside the barrier: the held slot fences new ops)
-        if self.core.maybe_truncate_wals() {
-            // Every log is empty and the barrier fences new publishes, so
+        if self.core.maybe_truncate_wal() {
+            // The log is empty and the barrier fences new publishes, so
             // no identity recorded under this root can ever replay: shed
             // them all (bounds seen-cache growth in long-lived regions).
             let pruned = self.dfs.prune_replay_identities(&self.core.root, u64::MAX);
@@ -681,48 +672,41 @@ fn bump_incarnation(wal_dir: &std::path::Path) -> FsResult<u64> {
     Ok(next)
 }
 
-/// Recovery (DESIGN §5.3): every node's surviving log entries re-enter
-/// the commit route as what they were, ops published and not yet
-/// committed. The nodes take turns; in each, a node's worker commits a run
-/// of its log (up to `commit_batch_size` entries, in log order per path)
-/// or, with none free to go, retries an entry that waits in its backlog
-/// for a prerequisite in another log. Then the logs are truncated, once.
-/// Every apply is idempotent, so a crash during recovery
-/// (`recovery_crash_after`: runs are cut so that exactly that many ops
-/// have applied) only means the next launch replays the same logs and the
-/// seen-cache no-ops the prefix that landed. An error no wait resolves
-/// fails the launch the same way.
-fn recover(
-    core: &RegionCore,
-    workers: &mut [CommitWorker],
-    logs: Vec<Vec<WalEntry>>,
-) -> FsResult<()> {
-    let total = logs.iter().map(Vec::len).sum::<usize>() as u64;
+/// Recovery (DESIGN §5.3): the log's surviving entries re-enter one
+/// worker's commit route as ops published and not yet committed, in
+/// append order, which is publish order across every node: runs of up to
+/// `commit_batch_size` entries, in log order per path, or, with none free
+/// to go, a retry of an entry waiting in the backlog for a prerequisite.
+/// Then the log is truncated, once. Every apply is idempotent, so a crash
+/// during recovery (`recovery_crash_after`: runs are cut so that exactly
+/// that many ops have applied) only means the next launch replays the
+/// same log and the seen-cache no-ops the prefix that landed. An error no
+/// wait resolves fails the launch the same way.
+fn recover(core: &RegionCore, worker: &mut CommitWorker, log: Vec<WalEntry>) -> FsResult<()> {
+    let total = log.len() as u64;
     core.counters.add("wal_replayed", total);
     // The births and unlink stamps the route records order before every
     // new op.
-    let newest = logs.iter().flatten().map(|e| e.msg.timestamp).max().unwrap_or(0);
+    let newest = log.iter().map(|e| e.msg.timestamp).max().unwrap_or(0);
     core.clock.fetch_max(newest, Ordering::Relaxed);
-    // One op more than the logs hold, completed after the last run: the
-    // route's `maybe_truncate_wals` never finds the region drained.
+    // One op more than the log holds, completed after the last run: the
+    // route's `maybe_truncate_wal` never finds the region drained.
     core.enqueued.fetch_add(total + 1, Ordering::Relaxed);
     let applied = || core.counters.get("committed");
     let batch = core.config.commit_batch_size as u64;
     let crash_after = core.config.recovery_crash_after;
-    let mut logs: Vec<VecDeque<WalEntry>> = logs.into_iter().map(Into::into).collect();
-    while logs.iter().any(|log| !log.is_empty()) || workers.iter().any(|w| !w.backlog_empty()) {
-        for (worker, log) in workers.iter_mut().zip(&mut logs) {
-            let room = crash_after.map_or(batch, |n| n.saturating_sub(applied()).clamp(1, batch));
-            worker.recover(log, room as usize)?;
-            if crash_after.is_some_and(|n| n == applied()) {
-                return Err(FsError::Backend("crash-kill: recovery interrupted".into()));
-            }
+    let mut log = VecDeque::from(log);
+    while !log.is_empty() || !worker.backlog_empty() {
+        let room = crash_after.map_or(batch, |n| n.saturating_sub(applied()).clamp(1, batch));
+        worker.recover(&mut log, room as usize)?;
+        if crash_after.is_some_and(|n| n == applied()) {
+            return Err(FsError::Backend("crash-kill: recovery interrupted".into()));
         }
     }
     core.note_completed();
     core.counters.add("recovery_applied", applied());
     core.counters.add("recovery_skipped", total - applied());
-    core.reset_wals()
+    core.reset_wal()
 }
 
 impl Drop for PaconRegion {
@@ -855,10 +839,9 @@ mod tests {
         }
     }
 
-    /// Recover `logs` (one per node) through the region's own workers.
-    fn recover_logs(region: &PaconRegion, logs: Vec<Vec<WalEntry>>) {
-        let mut workers: Vec<_> = (0..logs.len()).map(|n| region.take_worker(n)).collect();
-        recover(region.core(), &mut workers, logs).unwrap();
+    /// Recover `log` through the region's own node-0 worker, as a launch does.
+    fn recover_log(region: &PaconRegion, log: Vec<WalEntry>) {
+        recover(region.core(), &mut region.take_worker(0), log).unwrap();
         assert!(region.core().drained(), "every recovered op completed");
     }
 
@@ -871,15 +854,12 @@ mod tests {
     }
 
     /// Regression: recovery must only abandon the entry whose
-    /// prerequisite is truly lost. Here node 0's `create /app/a/f` waits
-    /// on `mkdir /app/a` sitting *behind* the unrecoverable `mkdir
-    /// /lost/x` in node 1's log.
+    /// prerequisite is truly lost. Here `create /app/a/f` waits on
+    /// `mkdir /app/a`, logged *behind* the unrecoverable `mkdir /lost/x`.
     #[test]
     fn stalled_replay_drops_only_unrecoverable_heads() {
         let (dfs, region) = launch("/app");
-        let q0 = vec![create("/app/a/f")];
-        let q1 = vec![mkdir("/lost/x"), mkdir("/app/a")];
-        recover_logs(&region, vec![q0, q1]);
+        recover_log(&region, vec![create("/app/a/f"), mkdir("/lost/x"), mkdir("/app/a")]);
         let core = region.core();
         let cred = Credentials::new(1, 1);
         let landed = dfs.client().stat("/app/a/f", &cred).unwrap().is_file();
@@ -892,29 +872,33 @@ mod tests {
     #[test]
     fn stalled_replay_with_cyclic_waits_still_terminates() {
         let (_dfs, region) = launch("/app");
-        // Each log's head waits on a creation behind the other's head. The
-        // heads wait in their backlogs while the mkdirs land: nothing is
-        // sacrificed.
-        let q0 = vec![create("/app/x/f"), mkdir("/app/y")];
-        let q1 = vec![create("/app/y/g"), mkdir("/app/x")];
-        recover_logs(&region, vec![q0, q1]);
+        // Each create waits on a mkdir logged behind both, in the other
+        // order. The creates wait in the backlog while the mkdirs land:
+        // nothing is sacrificed.
+        let log = vec![create("/app/x/f"), create("/app/y/g"), mkdir("/app/y"), mkdir("/app/x")];
+        recover_log(&region, log);
         let core = region.core();
         assert_eq!(core.counters.get("recovery_skipped"), 0);
         assert_eq!(core.counters.get("recovery_applied"), 4);
     }
 
-    /// A batched run holds a create whose parent's mkdir sits in the other
-    /// node's log: the create goes to its worker's backlog alone, the rest
-    /// of the run lands, and the create follows its parent.
+    /// A batched run holds a create whose parent's mkdir is logged behind
+    /// it: the create goes to the worker's backlog alone, the rest of the
+    /// run lands, and the create follows its parent.
     #[test]
-    fn a_batched_run_waits_out_a_parent_in_the_other_log() {
+    fn a_batched_run_waits_out_a_parent_logged_behind_it() {
         let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
         let config = PaconConfig::new("/app", Topology::new(2, 2), Credentials::new(1, 1))
             .with_commit_batch(16);
         let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-        let q0 = vec![create("/app/f0"), create("/app/d/f"), create("/app/f1")];
-        let q1 = vec![create("/app/g0"), mkdir("/app/d")];
-        recover_logs(&region, vec![q0, q1]);
+        let log = vec![
+            create("/app/f0"),
+            create("/app/d/f"),
+            create("/app/f1"),
+            create("/app/g0"),
+            mkdir("/app/d"),
+        ];
+        recover_log(&region, log);
         let core = region.core();
         assert_eq!(core.counters.get("recovery_applied"), 5);
         assert_eq!(core.counters.get("recovery_skipped"), 0);
@@ -939,7 +923,7 @@ mod tests {
             let mut dup = create("/app/f");
             dup.msg.degraded = degraded;
             let unlink = plain_entry(CommitOp::Unlink { path: "/app/f".into() });
-            recover_logs(&region, vec![vec![dup, unlink], vec![]]);
+            recover_log(&region, vec![dup, unlink]);
             let counters = &region.core().counters;
             let case = format!("batch {batch}, degraded {degraded}");
             assert_eq!(dfs.client().stat("/app/f", &cred).err(), Some(FsError::NotFound), "{case}");
@@ -964,7 +948,7 @@ mod tests {
             let mut write = plain_entry(CommitOp::WriteInline { path: "/app/f".into() });
             write.snapshot = Some(b"new".to_vec());
             let log = vec![create("/app/f"), unlink, create("/app/f"), write];
-            recover_logs(&region, vec![log, vec![]]);
+            recover_log(&region, log);
             let read = dfs.client().read("/app/f", &cred, 0, 16);
             assert_eq!(read.as_deref(), Ok(&b"new"[..]), "batch {batch}");
         }
@@ -978,9 +962,8 @@ mod tests {
         let (dfs, region) = launch("/app");
         let retries = region.core().config.max_commit_retries as u64;
         dfs.inject_mds_failures(0, retries + 1);
-        let mut workers: Vec<_> = (0..2).map(|n| region.take_worker(n)).collect();
-        let logs = vec![vec![create("/app/f")], vec![mkdir("/app/d")]];
-        let err = recover(region.core(), &mut workers, logs).unwrap_err();
+        let log = vec![create("/app/f"), mkdir("/app/d")];
+        let err = recover(region.core(), &mut region.take_worker(0), log).unwrap_err();
         assert!(matches!(err, FsError::Backend(_)), "{err:?}");
         let counters = &region.core().counters;
         for shed in ["dropped_retry_budget", "commit_errors", "recovery_skipped", "committed"] {

@@ -60,13 +60,13 @@ pub struct RegionReport {
     pub staged_files: usize,
     /// Records evicted by the space-management policy.
     pub evicted: u64,
-    /// Durable commit queue: ops journaled into the per-node WALs.
+    /// Durable commit queue: ops journaled into the region's WAL.
     pub wal_appended: u64,
-    /// fsync calls the logs actually issued (≤ appends under group fsync).
+    /// fsync calls the log actually issued (≤ appends under group fsync).
     pub wal_fsyncs: u64,
     /// Log truncations after the in-flight window drained.
     pub wal_truncations: u64,
-    /// Ops read back from the WALs at launch (this incarnation).
+    /// Ops read back from the WAL at launch (this incarnation).
     pub wal_replayed: u64,
     /// Recovered ops applied (including already-applied no-ops).
     pub recovery_applied: u64,

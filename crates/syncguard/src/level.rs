@@ -17,7 +17,7 @@
 //!                 leaves — never held across a cache RPC.
 //! REGION_STATE    region state: the per-path table, the eviction
 //!                 cursor, the commit driver's thread handle.
-//! WAL             per-node durable commit log (pacon CommitWal). Taken
+//! WAL             the region's durable commit log (pacon CommitWal). Taken
 //!                 before the outbox so an append can be ordered ahead of
 //!                 the buffered send it covers.
 //! PUBLISH         per-node outbox (pacon commit::outbox): the publish

@@ -188,13 +188,13 @@ fn durable_region_recovers_buffered_ops_after_crash() {
             "recovered content must match the last acknowledged write"
         );
     }
-    // The logs were reset after replay, so every replay identity from
+    // The log was reset after replay, so every replay identity from
     // incarnation 1 is confirmed-and-gone: the launch pruned them.
     assert_eq!(dfs.seen_len(), 0, "seen-cache must not leak across recoveries");
     assert!(region.report().replay_pruned > 0);
     drop(region);
 
-    // Recovery truncated the logs: a third launch has nothing to replay.
+    // Recovery truncated the log: a third launch has nothing to replay.
     let region = PaconRegion::launch_paused(config, &dfs).unwrap();
     assert_eq!(region.report().wal_replayed, 0);
 }
@@ -386,9 +386,9 @@ fn recovered_ops_whose_outcome_is_in_place_are_not_skipped() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
-/// Recovery truncates the logs once, after the last recovered op. A crash
+/// Recovery truncates the log once, after the last recovered op. A crash
 /// right after that op (`recovery_crash_after` = the log's length) leaves
-/// every log as it was, and the next launch replays it whole.
+/// the log as it was, and the next launch replays it whole.
 #[test]
 fn recovery_truncates_each_log_once_and_only_at_its_end() {
     const NODES: u32 = 2;
@@ -414,7 +414,7 @@ fn recovery_truncates_each_log_once_and_only_at_its_end() {
     let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
     let r = region.report();
     assert_eq!((r.wal_replayed, r.recovery_applied), (total, total));
-    assert_eq!(r.wal_truncations, NODES as u64, "one truncation per log");
+    assert_eq!(r.wal_truncations, 1, "one truncation of the one log");
     drop(region);
 
     log_creates(&config, "b");
@@ -433,15 +433,15 @@ fn recovery_truncates_each_log_once_and_only_at_its_end() {
     assert_eq!(r.wal_replayed, total, "the interrupted recovery truncated no log");
     assert_eq!(r.recovery_applied, total);
     assert!(dfs.mds_counter("replay_noop") - noops >= total, "the whole log replays as no-ops");
-    assert_eq!(r.wal_truncations, NODES as u64);
+    assert_eq!(r.wal_truncations, 1);
     drop(region);
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
-/// A log keeps its order for the ops on one path. A create that waits for
-/// its parent's mkdir in the other node's log, and the unlink of the same
-/// file behind it: the unlink must not count as done while the file is
-/// not there yet, or the create lands after it and resurrects the file.
+/// The log keeps publish order across nodes: a mkdir on node 1, then a
+/// create in it and the unlink of that file on node 0. The unlink must not
+/// count as done while the file is not there yet, or the create lands
+/// after it and resurrects the file.
 #[test]
 fn an_unlink_behind_a_waiting_create_still_removes_the_file() {
     let cred = Credentials::new(1, 1);
@@ -465,6 +465,56 @@ fn an_unlink_behind_a_waiting_create_still_removes_the_file() {
         drop(region);
         let _ = std::fs::remove_dir_all(&wal_dir);
     }
+}
+
+/// One log orders the nodes' ops as they were published: a file created
+/// on node 1 and then unlinked on node 0 replays as that create, then that
+/// unlink, and stays gone.
+#[test]
+fn a_file_created_on_one_node_and_unlinked_on_another_stays_gone() {
+    let cred = Credentials::new(1, 1);
+    for batch in [1, 16] {
+        let dfs = dfs();
+        let wal_dir = fresh_wal_dir("cross-node");
+        let config = PaconConfig::new("/job", Topology::new(2, 1), cred)
+            .with_commit_batch(batch)
+            .with_durability(&wal_dir);
+        let region = crash_and_relaunch(&config, &dfs, |region| {
+            region.client(ClientId(1)).create("/job/f", &cred, 0o644).unwrap();
+            region.client(ClientId(0)).unlink("/job/f", &cred).unwrap();
+        });
+        let r = region.report();
+        assert_eq!((r.wal_replayed, r.recovery_applied), (2, 2), "batch {batch}");
+        assert_eq!(region.core().counters.get("recovery_gone"), 0, "batch {batch}");
+        let got = dfs.client().stat("/job/f", &cred);
+        assert!(matches!(got, Err(FsError::NotFound)), "batch {batch}: {got:?}");
+        drop(region);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+    }
+}
+
+/// Group fsync counts per node, and one sync covers every node: four
+/// nodes each publishing their 4th create round-robin at batch 4 sync the
+/// log once, at the first node to reach its 4th.
+#[test]
+fn one_group_fsync_makes_every_nodes_appends_durable() {
+    const NODES: u32 = 4;
+    let dfs = dfs();
+    let cred = Credentials::new(1, 1);
+    let wal_dir = fresh_wal_dir("shared-fsync");
+    let config = PaconConfig::new("/job", Topology::new(NODES, 1), cred)
+        .with_wal_fsync_batch(4)
+        .with_durability(&wal_dir);
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    for i in 0..4 {
+        for n in 0..NODES {
+            region.client(ClientId(n)).create(&format!("/job/f{n}-{i}"), &cred, 0o644).unwrap();
+        }
+    }
+    let r = region.report();
+    assert_eq!((r.wal_appended, r.wal_fsyncs), (16, 1));
+    drop(region);
+    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// A logged create whose path then appeared outside the log, and the
