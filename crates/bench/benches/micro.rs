@@ -1,11 +1,10 @@
 //! Criterion microbenchmarks of the functional layer (wall-clock cost of
 //! the real data structures, independent of the virtual-time model).
 //!
-//! These are the hot paths of the reproduction: the LSM store behind
-//! IndexFS, the cache shard behind Pacon's distributed cache, path
-//! handling, the namespace tree behind the MDS, the full Pacon client op
-//! path (with a zero-latency profile and running commit threads), and
-//! the discrete-event engine itself.
+//! These are the hot paths of the reproduction: the cache shard behind
+//! Pacon's distributed cache, path handling, the namespace tree behind
+//! the MDS, the full Pacon client op path (with a zero-latency profile
+//! and running commit threads), and the discrete-event engine itself.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,30 +12,6 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fsapi::{Credentials, FileSystem};
 use simnet::{ClientId, LatencyProfile, Topology};
-
-fn bench_lsmkv(c: &mut Criterion) {
-    let dir = std::env::temp_dir().join(format!("lsm-bench-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let db = lsmkv::Db::open(&dir, lsmkv::Options::default()).unwrap();
-    let mut g = c.benchmark_group("lsmkv");
-    g.measurement_time(Duration::from_millis(800)).warm_up_time(Duration::from_millis(200));
-    let mut i = 0u64;
-    g.bench_function("put", |b| {
-        b.iter(|| {
-            i += 1;
-            db.put(&i.to_be_bytes(), b"metadata-record-value").unwrap();
-        })
-    });
-    g.bench_function("get_hit", |b| {
-        b.iter(|| db.get(&1u64.to_be_bytes()).unwrap())
-    });
-    g.bench_function("get_miss", |b| {
-        b.iter(|| db.get(b"not-there").unwrap())
-    });
-    g.finish();
-    drop(db);
-    std::fs::remove_dir_all(&dir).ok();
-}
 
 fn bench_memkv(c: &mut Criterion) {
     let shard = memkv::Shard::new();
@@ -157,5 +132,5 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_lsmkv, bench_memkv, bench_paths, bench_dfs, bench_pacon, bench_engine);
+criterion_group!(benches, bench_memkv, bench_paths, bench_dfs, bench_pacon, bench_engine);
 criterion_main!(benches);

@@ -69,8 +69,7 @@ fn main() {
 
     // IndexFS bulk (BatchFS/DeltaFS approximation).
     {
-        let cluster = indexfs::IndexFsCluster::with_default_config(topo, Arc::clone(&profile))
-            .unwrap();
+        let cluster = indexfs::IndexFsCluster::with_default_config(topo, Arc::clone(&profile));
         cluster.client(NodeId(0)).mkdir("/app", &CRED, 0o777).unwrap();
         let mut procs: Vec<Box<dyn Process>> = topo
             .clients()

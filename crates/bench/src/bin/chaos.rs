@@ -27,7 +27,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fsapi::FileSystem;
-use pacon::commit::worker::{CommitWorker, WorkerStep};
 use pacon::{DegradedMode, PaconClient, PaconConfig, PaconRegion};
 use pacon_bench::*;
 use simnet::{ClientId, FaultEvent, FaultPlan, LatencyProfile, NodeId, Topology};
@@ -45,22 +44,10 @@ fn tfile(i: usize) -> String {
     format!("/app/t{}/f{}", (i / 4) % 4, i % 4)
 }
 
-/// Step every worker once; returns true if any made progress.
-fn step_all(workers: &mut [CommitWorker]) -> bool {
-    let mut progress = false;
-    for w in workers.iter_mut() {
-        match w.step() {
-            WorkerStep::Idle | WorkerStep::Disconnected | WorkerStep::Blocked(_) => {}
-            _ => progress = true,
-        }
-    }
-    progress
-}
-
-fn drain(region: &Arc<PaconRegion>, workers: &mut [CommitWorker]) {
+fn drain(region: &Arc<PaconRegion>) {
     let mut spins = 0u32;
     while !region.core().drained() {
-        step_all(workers);
+        region.core().pump();
         spins += 1;
         assert!(spins < 2_000_000, "commit pipeline did not converge");
     }
@@ -88,13 +75,11 @@ impl Phase {
 /// Drive `items` ticks of the mixed workload. Each tick advances the
 /// virtual clock one step, applies due fault events, issues one metadata
 /// op (3:1 stat : churn) and steps every commit worker once.
-#[allow(clippy::too_many_arguments)]
 fn run_phase(
     label: &'static str,
     items: u32,
     region: &Arc<PaconRegion>,
     clients: &[PaconClient],
-    workers: &mut [CommitWorker],
     plan: &FaultPlan,
 ) -> Phase {
     let core = region.core();
@@ -131,7 +116,7 @@ fn run_phase(
             }
         }
         hist.record(op_started.elapsed().as_nanos() as u64);
-        step_all(workers);
+        core.pump();
     }
     let wall_secs = started.elapsed().as_secs_f64();
     Phase {
@@ -160,7 +145,6 @@ fn main() {
     config.max_commit_retries = 200;
     let region = PaconRegion::launch_paused(config, &dfs).expect("pacon launch");
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
     let core = region.core();
 
     // Stable universe: committed before measurement, stat'd throughout.
@@ -171,14 +155,14 @@ fn main() {
     for i in 0..16 {
         clients[i % 3].create(&sfile(i), &CRED, 0o644).expect("create stable");
     }
-    drain(&region, &mut workers);
+    drain(&region);
 
     // Warm the process (allocator, caches) before the baseline phase.
     let empty = FaultPlan::empty();
-    run_phase("warmup", items / 4, &region, &clients, &mut workers, &empty);
+    run_phase("warmup", items / 4, &region, &clients, &empty);
 
     // -- phase 1: healthy baseline ---------------------------------------
-    let pre = run_phase("pre-fault", items, &region, &clients, &mut workers, &empty);
+    let pre = run_phase("pre-fault", items, &region, &clients, &empty);
 
     // -- phase 2: scripted fault window ----------------------------------
     // Crash cache node 1 and node 2's broker early in the window; both
@@ -195,7 +179,7 @@ fn main() {
         // the probe + rewarm land in the measured recovery step below.
         (t0 + window * 97 / 100, FaultEvent::RestartCacheNode(NodeId(1))),
     ]);
-    let fault = run_phase("fault window", items, &region, &clients, &mut workers, &plan);
+    let fault = run_phase("fault window", items, &region, &clients, &plan);
     assert_eq!(plan.remaining(), 0, "fault script fully applied");
 
     // Recovery: let the probe close the degraded window, then flush the
@@ -208,18 +192,18 @@ fn main() {
         for i in 0..16 {
             clients[i % 3].stat(&sfile(i), &CRED).expect("recovery stat");
         }
-        step_all(&mut workers);
+        core.pump();
         guard += 1;
         assert!(guard < 64, "region never recovered to Healthy");
     }
     region.flush_publishes().expect("flush");
-    drain(&region, &mut workers);
+    drain(&region);
     // Each commit process acknowledges what it takes: once the queues are
     // drained every window is provably consumed.
     assert_eq!(region.unacked_publishes(), 0, "redelivery window not empty after drain");
 
     // -- phase 3: post-recovery ------------------------------------------
-    let post = run_phase("post-recovery", items, &region, &clients, &mut workers, &empty);
+    let post = run_phase("post-recovery", items, &region, &clients, &empty);
 
     // The fault plane must actually have been exercised...
     assert!(fault.rpc_retries > 0, "no RPC retries despite a cache crash");
@@ -238,8 +222,8 @@ fn main() {
         if post_best >= 0.9 * pre_best {
             break;
         }
-        let p = run_phase("pre-fault", items, &region, &clients, &mut workers, &empty);
-        let q = run_phase("post-recovery", items, &region, &clients, &mut workers, &empty);
+        let p = run_phase("pre-fault", items, &region, &clients, &empty);
+        let q = run_phase("post-recovery", items, &region, &clients, &empty);
         pre_best = pre_best.max(p.ops_per_sec());
         post_best = post_best.max(q.ops_per_sec());
     }

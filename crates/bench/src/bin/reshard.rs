@@ -26,7 +26,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fsapi::FileSystem;
-use pacon::commit::worker::{CommitWorker, WorkerStep};
 use pacon::{PaconClient, PaconConfig, PaconRegion};
 use pacon_bench::*;
 use simnet::{ClientId, FaultEvent, FaultPlan, LatencyProfile, NodeId, Topology};
@@ -45,22 +44,10 @@ fn tfile(i: usize) -> String {
     format!("/app/t{}/f{}", (i / 4) % 4, i % 4)
 }
 
-/// Step every worker once; returns true if any made progress.
-fn step_all(workers: &mut [CommitWorker]) -> bool {
-    let mut progress = false;
-    for w in workers.iter_mut() {
-        match w.step() {
-            WorkerStep::Idle | WorkerStep::Disconnected | WorkerStep::Blocked(_) => {}
-            _ => progress = true,
-        }
-    }
-    progress
-}
-
-fn drain(region: &Arc<PaconRegion>, workers: &mut [CommitWorker]) {
+fn drain(region: &Arc<PaconRegion>) {
     let mut spins = 0u32;
     while !region.core().drained() {
-        step_all(workers);
+        region.core().pump();
         spins += 1;
         assert!(spins < 2_000_000, "commit pipeline did not converge");
     }
@@ -91,7 +78,6 @@ fn run_phase(
     items: u32,
     region: &Arc<PaconRegion>,
     clients: &[PaconClient],
-    workers: &mut [CommitWorker],
     plan: &FaultPlan,
 ) -> Phase {
     let core = region.core();
@@ -129,7 +115,7 @@ fn run_phase(
             }
         }
         hist.record(op_started.elapsed().as_nanos() as u64);
-        step_all(workers);
+        core.pump();
     }
     let wall_secs = started.elapsed().as_secs_f64();
     Phase {
@@ -154,7 +140,6 @@ fn main() {
     let config = PaconConfig::new("/app", Topology::new(NODES, 1), CRED);
     let region = PaconRegion::launch_paused(config, &dfs).expect("pacon launch");
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
     let core = region.core();
 
     // Stable universe: committed before measurement, stat'd throughout.
@@ -165,14 +150,14 @@ fn main() {
     for i in 0..16 {
         clients[i % 3].create(&sfile(i), &CRED, 0o644).expect("create stable");
     }
-    drain(&region, &mut workers);
+    drain(&region);
 
     // Warm the process (allocator, caches) before the baseline phase.
     let empty = FaultPlan::empty();
-    run_phase("warmup", items / 4, &region, &clients, &mut workers, &empty);
+    run_phase("warmup", items / 4, &region, &clients, &empty);
 
     // -- phase 1: quiescent baseline -------------------------------------
-    let pre = run_phase("quiescent", items, &region, &clients, &mut workers, &empty);
+    let pre = run_phase("quiescent", items, &region, &clients, &empty);
 
     // -- phase 2: live reshard -------------------------------------------
     // Two full elasticity cycles inside the window: node 2 leaves and
@@ -186,7 +171,7 @@ fn main() {
         (t0 + window * 5 / 10, FaultEvent::LeaveNode(NodeId(1))),
         (t0 + window * 7 / 10, FaultEvent::JoinNode(NodeId(1))),
     ]);
-    let reshard = run_phase("live reshard", items, &region, &clients, &mut workers, &plan);
+    let reshard = run_phase("live reshard", items, &region, &clients, &plan);
     assert_eq!(plan.remaining(), 0, "reshard script fully applied");
 
     // Run any tail of the final join to completion before re-measuring.
@@ -196,10 +181,10 @@ fn main() {
         spins += 1;
         assert!(spins < 100_000, "migration never converged after the window");
     }
-    drain(&region, &mut workers);
+    drain(&region);
 
     // -- phase 3: post-reshard -------------------------------------------
-    let post = run_phase("post-reshard", items, &region, &clients, &mut workers, &empty);
+    let post = run_phase("post-reshard", items, &region, &clients, &empty);
 
     // The window must actually have resharded...
     let stats = core.cache_cluster.reshard_stats();
@@ -216,8 +201,8 @@ fn main() {
         if post_best >= 0.9 * pre_best {
             break;
         }
-        let p = run_phase("quiescent", items, &region, &clients, &mut workers, &empty);
-        let q = run_phase("post-reshard", items, &region, &clients, &mut workers, &empty);
+        let p = run_phase("quiescent", items, &region, &clients, &empty);
+        let q = run_phase("post-reshard", items, &region, &clients, &empty);
         pre_best = pre_best.max(p.ops_per_sec());
         post_best = post_best.max(q.ops_per_sec());
     }

@@ -83,8 +83,7 @@ impl TestBed {
         match kind {
             Backend::BeeGfs => {}
             Backend::IndexFs => {
-                let cluster = IndexFsCluster::with_default_config(topo, Arc::clone(&profile))
-                    .expect("indexfs deploy");
+                let cluster = IndexFsCluster::with_default_config(topo, Arc::clone(&profile));
                 // Mirror the working directories inside IndexFS's own
                 // namespace (it manages metadata itself).
                 let c = cluster.client(NodeId(0));

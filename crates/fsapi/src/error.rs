@@ -24,7 +24,7 @@ pub enum FsError {
     InvalidArgument(String),
     /// The operation is not supported by this backend.
     Unsupported(&'static str),
-    /// Backend-internal failure (I/O error in the LSM, lost shard, ...).
+    /// Backend-internal failure (lost shard, malformed record, ...).
     Backend(String),
     /// A CAS update lost too many races and gave up (bounded retry).
     Conflict,

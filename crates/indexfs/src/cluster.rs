@@ -1,11 +1,10 @@
 //! Cluster assembly: one server per client node, directory-hash
 //! partitioning, and the global directory-id allocator.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fsapi::{FsResult, Perm};
+use fsapi::Perm;
 use simnet::{LatencyProfile, NodeId, Topology};
 
 use crate::client::IndexFsClient;
@@ -21,14 +20,11 @@ pub struct IndexFsConfig {
     pub lease_capacity: usize,
     /// Mode bits of `/`.
     pub root_mode: u16,
-    /// Where the per-server LSM directories live (`None` = a fresh temp
-    /// directory, removed when the cluster drops).
-    pub storage_dir: Option<PathBuf>,
 }
 
 impl Default for IndexFsConfig {
     fn default() -> Self {
-        Self { lease_capacity: 1024, root_mode: 0o777, storage_dir: None }
+        Self { lease_capacity: 1024, root_mode: 0o777 }
     }
 }
 
@@ -39,8 +35,6 @@ pub struct IndexFsCluster {
     config: IndexFsConfig,
     next_dir_id: AtomicU64,
     root_perm: Perm,
-    storage_root: PathBuf,
-    owns_storage: bool,
 }
 
 fn mix64(mut x: u64) -> u64 {
@@ -57,43 +51,21 @@ impl IndexFsCluster {
         topology: Topology,
         profile: Arc<LatencyProfile>,
         config: IndexFsConfig,
-    ) -> FsResult<Arc<Self>> {
-        static CLUSTER_SEQ: AtomicU64 = AtomicU64::new(0);
-        let (storage_root, owns_storage) = match &config.storage_dir {
-            Some(d) => (d.clone(), false),
-            None => {
-                let seq = CLUSTER_SEQ.fetch_add(1, Ordering::Relaxed);
-                (
-                    std::env::temp_dir()
-                        .join(format!("indexfs-{}-{}", std::process::id(), seq)),
-                    true,
-                )
-            }
-        };
-        let mut servers = Vec::with_capacity(topology.nodes as usize);
-        for node in topology.node_ids() {
-            let dir = storage_root.join(format!("srv{}", node.0));
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| fsapi::FsError::Backend(format!("mkdir storage: {e}")))?;
-            servers.push(Server::new(node.0, &dir, Arc::clone(&profile))?);
-        }
+    ) -> Arc<Self> {
+        let servers =
+            topology.node_ids().map(|node| Server::new(node.0, Arc::clone(&profile))).collect();
         let root_perm = Perm::new(config.root_mode, 0, 0);
-        Ok(Arc::new(Self {
+        Arc::new(Self {
             servers,
             profile,
             config,
             next_dir_id: AtomicU64::new(ROOT_DIR_ID + 1),
             root_perm,
-            storage_root,
-            owns_storage,
-        }))
+        })
     }
 
     /// Convenience constructor with default config.
-    pub fn with_default_config(
-        topology: Topology,
-        profile: Arc<LatencyProfile>,
-    ) -> FsResult<Arc<Self>> {
+    pub fn with_default_config(topology: Topology, profile: Arc<LatencyProfile>) -> Arc<Self> {
         Self::new(topology, profile, IndexFsConfig::default())
     }
 
@@ -157,14 +129,6 @@ impl IndexFsCluster {
     }
 }
 
-impl Drop for IndexFsCluster {
-    fn drop(&mut self) {
-        if self.owns_storage {
-            std::fs::remove_dir_all(&self.storage_root).ok();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,8 +138,7 @@ mod tests {
         let c = IndexFsCluster::with_default_config(
             Topology::new(8, 1),
             Arc::new(LatencyProfile::zero()),
-        )
-        .unwrap();
+        );
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
             let id = c.alloc_dir_id();
@@ -189,26 +152,10 @@ mod tests {
         let c = IndexFsCluster::with_default_config(
             Topology::new(2, 1),
             Arc::new(LatencyProfile::zero()),
-        )
-        .unwrap();
+        );
         let mut ids = std::collections::HashSet::new();
         for _ in 0..1000 {
             assert!(ids.insert(c.alloc_dir_id()));
         }
-    }
-
-    #[test]
-    fn temp_storage_cleaned_on_drop() {
-        let path;
-        {
-            let c = IndexFsCluster::with_default_config(
-                Topology::new(1, 1),
-                Arc::new(LatencyProfile::zero()),
-            )
-            .unwrap();
-            path = c.storage_root.clone();
-            assert!(path.exists());
-        }
-        assert!(!path.exists(), "temp storage must be removed with the cluster");
     }
 }

@@ -7,12 +7,14 @@
 //! deploys it co-located with the client nodes, with the LevelDB tables
 //! stored *on BeeGFS* — which is why its per-record insert cost
 //! (`idx_put` in the latency profile) is the most expensive KV path in
-//! the reproduction.
+//! the reproduction. LevelDB is modelled by those `idx_*` service
+//! demands, as `dfs` models BeeGFS; the records themselves live in one
+//! in-memory ordered table per server.
 //!
 //! Components:
 //!
 //! * [`codec`] — the binary record format for metadata values,
-//! * [`server`] — one per-node metadata server over an [`lsmkv::Db`],
+//! * [`server`] — one per-node metadata server over an ordered table,
 //! * [`lease`] — the client-side lookup cache,
 //! * [`client`] + [`cluster`] — the [`fsapi::FileSystem`] front end with
 //!   directory-hash partitioning and optional bulk insertion

@@ -12,7 +12,6 @@ fn cluster(nodes: u32) -> Arc<IndexFsCluster> {
         Topology::new(nodes, 4),
         Arc::new(LatencyProfile::default()),
     )
-    .unwrap()
 }
 
 fn cred() -> Credentials {

@@ -1,14 +1,12 @@
-//! Error type for the LSM store.
+//! Error type for the write-ahead log.
 
 use std::fmt;
 
 #[derive(Debug)]
 pub enum LsmError {
     Io(std::io::Error),
-    /// A WAL or SSTable record failed its checksum or framing checks.
+    /// A WAL record failed its framing checks.
     Corrupt(String),
-    /// Caller misuse (unsorted bulk batch, key too large, ...).
-    InvalidArgument(String),
 }
 
 impl fmt::Display for LsmError {
@@ -16,7 +14,6 @@ impl fmt::Display for LsmError {
         match self {
             LsmError::Io(e) => write!(f, "io error: {e}"),
             LsmError::Corrupt(m) => write!(f, "corruption: {m}"),
-            LsmError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
         }
     }
 }

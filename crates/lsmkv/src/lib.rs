@@ -1,47 +1,32 @@
-//! `lsmkv` — a LevelDB-like embedded log-structured merge-tree store.
+//! `lsmkv` — the write-ahead log frame behind Pacon's durable commit queue.
 //!
-//! IndexFS (the paper's baseline, [Ren et al., SC'14]) keeps file-system
-//! metadata in LevelDB tables; this crate is that substrate, built from
-//! scratch: a write-ahead log, an in-memory memtable, immutable sorted
-//! table files (SSTables) with sparse indexes and bloom filters, merge
-//! iterators, and a two-level (L0/L1) compaction scheme.
+//! [`wal::Wal`] appends records as frames (payload length + CRC32) into
+//! file space it has already filled with zeros, so a group `sync_data`
+//! flushes data blocks only; replay stops at the first zero header, torn
+//! frame or corrupt record, and reopening truncates a torn tail away.
+//! `pacon::commit::wal::CommitWal` journals every acknowledged op into it.
 //!
-//! Design notes:
-//!
-//! * **Sequence numbers** order all mutations; tombstones shadow older
-//!   puts across levels, so compaction and crash-recovery duplicates are
-//!   harmless (newest sequence wins).
-//! * **Manifest-free**: the level and age of each SSTable are encoded in
-//!   its file name (`NNNNNNNN_Lk.sst`); recovery scans the directory and
-//!   replays the WAL. A crash between "write new compacted file" and
-//!   "delete inputs" leaves duplicates that the sequence rule resolves.
-//! * **Foreground maintenance**: memtable flushes and compactions run on
-//!   the calling thread, keeping behaviour deterministic for tests and for
-//!   the discrete-event harness.
-//! * **Bulk ingestion** ([`Db::ingest_sorted`]) builds an SSTable directly
-//!   from a sorted batch, bypassing the WAL and memtable — the mechanism
-//!   behind IndexFS/BatchFS bulk insertion that the paper discusses.
+//! The crate keeps the name it had as IndexFS's LevelDB-like store: the
+//! benchmark's frozen `Cargo.lock` records the package graph by name.
 //!
 //! ```
-//! # use lsmkv::{Db, Options};
+//! # use lsmkv::wal::Wal;
 //! let dir = std::env::temp_dir().join(format!("lsmkv-doc-{}", std::process::id()));
-//! let db = Db::open(&dir, Options::small()).unwrap();
-//! db.put(b"k1", b"v1").unwrap();
-//! assert_eq!(db.get(b"k1").unwrap().as_deref(), Some(&b"v1"[..]));
-//! db.delete(b"k1").unwrap();
-//! assert_eq!(db.get(b"k1").unwrap(), None);
-//! # drop(db); std::fs::remove_dir_all(&dir).ok();
+//! std::fs::create_dir_all(&dir).unwrap();
+//! let path = dir.join("commit.wal");
+//! let mut wal = Wal::open_recovered(&path, false, |_| {}).unwrap();
+//! wal.append(1, b"/w/f", Some(b"create")).unwrap();
+//! wal.sync().unwrap();
+//! drop(wal);
+//! let mut seqs = Vec::new();
+//! Wal::open_recovered(&path, false, |rec| seqs.push(rec.seq)).unwrap();
+//! assert_eq!(seqs, [1]);
+//! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod bloom;
-pub mod db;
 pub mod error;
-pub mod iterator;
-pub mod memtable;
-pub mod sstable;
 pub mod wal;
 
-pub use db::{Db, Options, Stats};
 pub use error::{LsmError, LsmResult};

@@ -1,7 +1,6 @@
 //! Write-ahead log.
 //!
-//! Every mutation is appended as one framed record before it reaches the
-//! memtable. Frame layout (little endian):
+//! Every record is appended as one frame. Frame layout (little endian):
 //!
 //! ```text
 //! u32 payload_len | u32 crc32(payload) | payload
@@ -185,9 +184,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncate the log (after its contents were flushed into an SSTable,
-    /// or confirmed elsewhere) and sync the truncation: once this returns,
-    /// no crash brings the dropped records back.
+    /// Truncate the log (once its contents are confirmed elsewhere) and
+    /// sync the truncation: once this returns, no crash brings the dropped
+    /// records back.
     pub fn reset(&mut self) -> LsmResult<()> {
         self.buf.clear();
         self.file.set_len(0)?;
@@ -195,29 +194,6 @@ impl Wal {
         self.pos = 0;
         self.end = 0;
         Ok(())
-    }
-
-    /// Replay all intact records from a log file. Missing file = empty.
-    /// A torn/corrupt tail ends replay silently; corruption *before* valid
-    /// data is reported.
-    pub fn replay(path: &Path) -> LsmResult<Vec<WalRecord>> {
-        Ok(Self::replay_prefix(path)?.0)
-    }
-
-    /// Replay all intact records and also return the byte length of the
-    /// valid prefix — the offset at which the zero tail or the torn/corrupt
-    /// tail (if any) begins. Appending may only resume at that offset:
-    /// records written after a surviving tail would be unreachable on the
-    /// next replay.
-    pub fn replay_prefix(path: &Path) -> LsmResult<(Vec<WalRecord>, u64)> {
-        let file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(e.into()),
-        };
-        let mut records = Vec::new();
-        let (valid, _) = replay_frames(&file, |rec| records.push(rec))?;
-        Ok((records, valid))
     }
 
     /// Crash-safe open, creating the file if it is missing: replay the
@@ -349,6 +325,25 @@ mod tests {
         (wal, records)
     }
 
+    /// Every intact record of a log file (missing file = empty). A
+    /// torn/corrupt tail ends replay silently.
+    fn replay(path: &Path) -> LsmResult<Vec<WalRecord>> {
+        Ok(replay_prefix(path)?.0)
+    }
+
+    /// Every intact record, and the byte length of the valid prefix: the
+    /// offset at which the zero tail or the torn/corrupt tail begins.
+    fn replay_prefix(path: &Path) -> LsmResult<(Vec<WalRecord>, u64)> {
+        let file = match File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+            Err(e) => return Err(e.into()),
+        };
+        let mut records = Vec::new();
+        let (valid, _) = replay_frames(&file, |rec| records.push(rec))?;
+        Ok((records, valid))
+    }
+
     /// Overwrite `bytes` at `offset` of the file, as a crash mid-write
     /// would leave them.
     fn write_at(path: &Path, offset: u64, bytes: &[u8]) {
@@ -404,7 +399,7 @@ mod tests {
             w.append(3, b"c", Some(&[])).unwrap();
             w.flush().unwrap();
         }
-        let recs = Wal::replay(&path).unwrap();
+        let recs = replay(&path).unwrap();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0], WalRecord { seq: 1, key: b"a".to_vec(), value: Some(b"va".to_vec()) });
         assert_eq!(recs[1].value, None);
@@ -415,7 +410,7 @@ mod tests {
     #[test]
     fn missing_file_replays_empty() {
         let dir = tmpdir("missing");
-        assert!(Wal::replay(&dir.join("nope.log")).unwrap().is_empty());
+        assert!(replay(&dir.join("nope.log")).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -428,7 +423,7 @@ mod tests {
         w.append(2, b"b", None).unwrap();
         w.sync().unwrap();
         assert_eq!(len(&path), CHUNK, "frames go into zeroed space");
-        let (recs, valid) = Wal::replay_prefix(&path).unwrap();
+        let (recs, valid) = replay_prefix(&path).unwrap();
         assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2]);
         assert!(valid < CHUNK);
         drop(w);
@@ -438,7 +433,7 @@ mod tests {
         assert_eq!(len(&path), CHUNK, "a zero tail is not truncated");
         w.append(3, b"c", Some(b"vc")).unwrap();
         w.sync().unwrap();
-        let recs = Wal::replay(&path).unwrap();
+        let recs = replay(&path).unwrap();
         assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2, 3]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -453,9 +448,9 @@ mod tests {
             w.flush().unwrap();
         }
         // Garbage that looks like the start of a record, after the log.
-        let (_, end) = Wal::replay_prefix(&path).unwrap();
+        let (_, end) = replay_prefix(&path).unwrap();
         write_at(&path, end, &[200, 0, 0, 0, 1, 2, 3, 4, 9, 9]);
-        let recs = Wal::replay(&path).unwrap();
+        let recs = replay(&path).unwrap();
         assert_eq!(recs.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -471,12 +466,12 @@ mod tests {
             w.flush().unwrap();
         }
         // Flip the last byte of the second record's payload.
-        let (_, end) = Wal::replay_prefix(&path).unwrap();
+        let (_, end) = replay_prefix(&path).unwrap();
         let mut data = std::fs::read(&path).unwrap();
         let last = end as usize - 1;
         data[last] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
-        let recs = Wal::replay(&path).unwrap();
+        let recs = replay(&path).unwrap();
         assert_eq!(recs.len(), 1, "replay must stop at the corrupt record");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -491,9 +486,9 @@ mod tests {
             w.sync().unwrap();
         }
         // A crash mid-header: fewer than 8 bytes of frame landed.
-        let (_, end) = Wal::replay_prefix(&path).unwrap();
+        let (_, end) = replay_prefix(&path).unwrap();
         write_at(&path, end, &[7, 0, 0]);
-        let (recs, valid) = Wal::replay_prefix(&path).unwrap();
+        let (recs, valid) = replay_prefix(&path).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(valid, end);
         std::fs::remove_dir_all(&dir).ok();
@@ -504,7 +499,7 @@ mod tests {
         let dir = tmpdir("garbage");
         let path = dir.join("wal.log");
         std::fs::write(&path, [0xAB; 37]).unwrap();
-        let (recs, valid) = Wal::replay_prefix(&path).unwrap();
+        let (recs, valid) = replay_prefix(&path).unwrap();
         assert!(recs.is_empty());
         assert_eq!(valid, 0);
         // Recovery truncates the garbage entirely.
@@ -513,7 +508,7 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         w.append(1, b"a", Some(b"va")).unwrap();
         w.sync().unwrap();
-        assert_eq!(Wal::replay(&path).unwrap().len(), 1);
+        assert_eq!(replay(&path).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -539,7 +534,7 @@ mod tests {
         assert_eq!(recs.len(), 1, "valid prefix survives recovery");
         w.append(2, b"b", Some(b"vb")).unwrap();
         w.sync().unwrap();
-        let recs = Wal::replay(&path).unwrap();
+        let recs = replay(&path).unwrap();
         assert_eq!(
             recs.iter().map(|r| r.seq).collect::<Vec<_>>(),
             vec![1, 2],
@@ -560,7 +555,7 @@ mod tests {
             w.append(1, b"a", Some(b"va")).unwrap();
             w.sync().unwrap();
         }
-        let (_, end) = Wal::replay_prefix(&path).unwrap();
+        let (_, end) = replay_prefix(&path).unwrap();
         // Frame 2's header and its first five payload bytes.
         write_at(&path, end, &[20, 0, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF, 2, 0, 0, 0, 0]);
         let (mut w, recs) = open_with_records(&path);
@@ -586,7 +581,7 @@ mod tests {
             w.sync().unwrap();
         }
         // Corrupt the second record's payload; its framing stays intact.
-        let (_, end) = Wal::replay_prefix(&path).unwrap();
+        let (_, end) = replay_prefix(&path).unwrap();
         let mut data = std::fs::read(&path).unwrap();
         let last = end as usize - 1;
         data[last] ^= 0xFF;
@@ -596,7 +591,7 @@ mod tests {
         assert_eq!(recs.len(), 1, "replay stops cleanly before the corrupt record");
         w.append(3, b"c", Some(b"vc")).unwrap();
         w.sync().unwrap();
-        let recs = Wal::replay(&path).unwrap();
+        let recs = replay(&path).unwrap();
         assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 3]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -610,7 +605,7 @@ mod tests {
         w.reset().unwrap();
         w.append(2, b"b", Some(b"vb")).unwrap();
         w.flush().unwrap();
-        let recs = Wal::replay(&path).unwrap();
+        let recs = replay(&path).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].seq, 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -634,7 +629,7 @@ mod tests {
         w.append(301, b"big", Some(&big)).unwrap();
         w.sync().unwrap();
         assert_eq!(len(&path), 3 * CHUNK, "zeros up to the chunk past the frame's end");
-        assert_eq!(Wal::replay(&path).unwrap().len(), 301);
+        assert_eq!(replay(&path).unwrap().len(), 301);
 
         w.reset().unwrap();
         assert_eq!(len(&path), 0);

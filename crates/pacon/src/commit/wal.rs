@@ -194,7 +194,8 @@ impl CommitWal {
     /// Callers guarantee every append happens after its op is counted as
     /// enqueued, so `drained() == true` under this lock implies every
     /// logged op has been confirmed — none of the wiped records is still
-    /// needed. Returns whether the log was truncated.
+    /// needed. Returns whether the log was truncated. `|| true` truncates
+    /// unconditionally (recovery finished; checkpoint rollback).
     pub fn truncate_if(&self, drained: impl Fn() -> bool) -> FsResult<bool> {
         let mut g = self.inner.lock();
         if !drained() {
@@ -204,15 +205,6 @@ impl CommitWal {
         g.wal.reset().map_err(lsm_err)?;
         g.unsynced.fill(0);
         Ok(true)
-    }
-
-    /// Unconditional truncate (recovery finished; checkpoint rollback).
-    pub fn reset(&self) -> FsResult<()> {
-        let mut g = self.inner.lock();
-        // lint: allow(hold-across-blocking, reset cuts and syncs the log under the same terminal WAL mutex)
-        g.wal.reset().map_err(lsm_err)?;
-        g.unsynced.fill(0);
-        Ok(())
     }
 }
 

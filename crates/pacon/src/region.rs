@@ -227,7 +227,7 @@ impl RegionCore {
     /// recovery; checkpoint rollback).
     pub(crate) fn reset_wal(&self) -> FsResult<()> {
         if let Some(wal) = &self.wal {
-            wal.reset()?;
+            wal.truncate_if(|| true)?;
             self.counters.incr("wal_truncations");
         }
         Ok(())

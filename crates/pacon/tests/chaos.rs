@@ -25,7 +25,6 @@ use std::sync::Arc;
 
 use dfs::DfsCluster;
 use fsapi::{Credentials, FileKind, FileSystem, FsResult};
-use pacon::commit::worker::{CommitWorker, WorkerStep};
 use pacon::{DegradedMode, PaconConfig, PaconRegion};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -86,23 +85,11 @@ impl Drop for TraceOnPanic<'_> {
     }
 }
 
-/// Step every worker once; returns true if any made progress.
-fn step_all(workers: &mut [CommitWorker]) -> bool {
-    let mut progress = false;
-    for w in workers.iter_mut() {
-        match w.step() {
-            WorkerStep::Idle | WorkerStep::Disconnected | WorkerStep::Blocked(_) => {}
-            _ => progress = true,
-        }
-    }
-    progress
-}
-
-/// Drive the workers until every enqueued op has settled.
-fn drain(region: &Arc<PaconRegion>, workers: &mut [CommitWorker]) {
+/// Step the region's commit processes until every enqueued op has settled.
+fn drain(region: &Arc<PaconRegion>) {
     let mut spins = 0u32;
     while !region.core().drained() {
-        step_all(workers);
+        region.core().pump();
         spins += 1;
         assert!(spins < 500_000, "commit pipeline did not converge");
     }
@@ -138,7 +125,6 @@ fn recover(
     region: &Arc<PaconRegion>,
     clients: &[pacon::PaconClient],
     cred: &Credentials,
-    workers: &mut [CommitWorker],
 ) {
     let core = region.core();
     let mut guard = 0;
@@ -147,7 +133,7 @@ fn recover(
         let p = sfile(guard % 12);
         let st = clients[guard % clients.len()].stat(&p, cred);
         assert!(st.is_ok(), "stable path {p} unreadable during recovery: {st:?}");
-        step_all(workers);
+        core.pump();
         guard += 1;
         assert!(guard < 64, "region never recovered to Healthy");
     }
@@ -191,7 +177,6 @@ fn cache_storm(seed: u64, pressure: bool) -> u64 {
     config.max_commit_retries = 200;
     let region = PaconRegion::launch_paused(config, &dfs).unwrap();
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
     let core = region.core();
 
     // Phase 0: build and fully commit the stable universe.
@@ -204,7 +189,7 @@ fn cache_storm(seed: u64, pressure: bool) -> u64 {
         clients[(i / 3) % 3].create(&sfile(i), &cred, 0o644).unwrap();
         acked.push(Acked::Create(sfile(i)));
     }
-    drain(&region, &mut workers);
+    drain(&region);
 
     let plan = FaultPlan::storm(seed, NODES, STORM_START, STORM_END, STORM_ROUNDS);
     let _trace = TraceOnPanic { plan: &plan, name: format!("cache-storm-{seed}.trace") };
@@ -274,13 +259,13 @@ fn cache_storm(seed: u64, pressure: bool) -> u64 {
         let backup = oracle_check.stat(&p, &cred).expect("stable path on backup");
         assert_eq!(st.unwrap().kind, backup.kind, "degraded read of {p} staler than backup");
 
-        step_all(&mut workers);
+        core.pump();
     }
     assert_eq!(plan.remaining(), 0, "storm events all applied");
 
     // Phase 2: recovery. Heal is already scripted; re-warm the cache,
     // flush the redelivery windows, drain the queues.
-    recover(&region, &clients, &cred, &mut workers);
+    recover(&region, &clients, &cred);
     if pressure {
         // One op per tick never fills a batch: an idle commit process
         // takes each from the publish buffer first. A full batch per node
@@ -295,12 +280,12 @@ fn cache_storm(seed: u64, pressure: bool) -> u64 {
         }
     }
     region.flush_publishes().unwrap();
-    drain(&region, &mut workers);
+    drain(&region);
     for p in leftovers {
         clients[0].unlink(&p, &cred).unwrap();
         acked.push(Acked::Unlink(p));
     }
-    drain(&region, &mut workers);
+    drain(&region);
     // A commit process acknowledges what it takes: with the queues
     // drained, every window is provably consumed.
     assert_eq!(region.unacked_publishes(), 0, "redelivery window not empty after drain");
@@ -401,7 +386,6 @@ fn link_storm_with_writes(seed: u64, batch: usize) -> FsResult<()> {
         .with_durability(&wal_dir);
     let region = PaconRegion::launch_paused(config, &dfs)?;
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
     let core = region.core();
 
     let mut acked: Vec<Acked> = Vec::new();
@@ -413,7 +397,7 @@ fn link_storm_with_writes(seed: u64, batch: usize) -> FsResult<()> {
         clients[(i / 3) % 3].create(&sfile(i), &cred, 0o644)?;
         acked.push(Acked::Create(sfile(i)));
     }
-    drain(&region, &mut workers);
+    drain(&region);
 
     let plan = link_plan(seed);
     let _trace = TraceOnPanic { plan: &plan, name: format!("link-storm-{seed}.trace") };
@@ -449,13 +433,13 @@ fn link_storm_with_writes(seed: u64, batch: usize) -> FsResult<()> {
                 }
             }
         }
-        step_all(&mut workers);
+        core.pump();
     }
     assert_eq!(plan.remaining(), 0, "storm events all applied");
 
     // Links are healed. No explicit flush: each commit process has its
     // node's window redeliver whenever its queue runs empty.
-    drain(&region, &mut workers);
+    drain(&region);
     assert_eq!(region.unacked_publishes(), 0, "redelivery window not empty after drain");
 
     let oracle = oracle_dfs(&profile, &cred, &acked);
@@ -527,7 +511,6 @@ fn reshard_storm(seed: u64) {
     config.max_commit_retries = 200;
     let region = PaconRegion::launch_paused(config, &dfs).unwrap();
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
     let core = region.core();
 
     let mut acked: Vec<Acked> = Vec::new();
@@ -539,7 +522,7 @@ fn reshard_storm(seed: u64) {
         clients[(i / 3) % 3].create(&sfile(i), &cred, 0o644).unwrap();
         acked.push(Acked::Create(sfile(i)));
     }
-    drain(&region, &mut workers);
+    drain(&region);
 
     let plan = reshard_plan(seed);
     let _trace = TraceOnPanic { plan: &plan, name: format!("reshard-storm-{seed}.trace") };
@@ -590,7 +573,7 @@ fn reshard_storm(seed: u64) {
         let backup = oracle_check.stat(&p, &cred).expect("stable path on backup");
         assert_eq!(st.unwrap().kind, backup.kind, "reshard read of {p} staler than backup");
 
-        step_all(&mut workers);
+        core.pump();
     }
     assert_eq!(plan.remaining(), 0, "storm events all applied");
 
@@ -610,9 +593,9 @@ fn reshard_storm(seed: u64) {
     }
     assert!(core.cache_cluster.ring_epoch() >= last_epoch, "teardown regressed the epoch");
 
-    recover(&region, &clients, &cred, &mut workers);
+    recover(&region, &clients, &cred);
     region.flush_publishes().unwrap();
-    drain(&region, &mut workers);
+    drain(&region);
     assert_eq!(region.unacked_publishes(), 0, "redelivery window not empty after drain");
 
     let oracle = oracle_dfs(&profile, &cred, &acked);
@@ -641,7 +624,6 @@ fn multi_stat_survives_mid_batch_cache_crash() {
     let config = PaconConfig::new("/w", Topology::new(NODES, 1), cred);
     let region = PaconRegion::launch_paused(config, &dfs).unwrap();
     let client = region.client(ClientId(0));
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
     let core = region.core();
 
     for d in 0..4 {
@@ -651,7 +633,7 @@ fn multi_stat_survives_mid_batch_cache_crash() {
     for p in &paths {
         client.create(p, &cred, 0o644).unwrap();
     }
-    drain(&region, &mut workers);
+    drain(&region);
     // Warm the cache so the batch is cache-resident, then crash one
     // owner mid-universe.
     for p in &paths {
@@ -687,25 +669,24 @@ fn multi_stat_survives_mid_batch_cache_crash() {
 /// record the shard holds: same bytes, same version, same ring epoch.
 fn region_with_fresh_memo(
     before: &[u8],
-) -> (Arc<DfsCluster>, Arc<PaconRegion>, Vec<pacon::PaconClient>, Vec<CommitWorker>, Credentials) {
+) -> (Arc<DfsCluster>, Arc<PaconRegion>, Vec<pacon::PaconClient>, Credentials) {
     let cred = Credentials::new(1, 1);
     let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let region =
         PaconRegion::launch_paused(PaconConfig::new("/w", Topology::new(NODES, 1), cred), &dfs)
             .unwrap();
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
     clients[0].create("/w/f", &cred, 0o644).unwrap();
-    drain(&region, &mut workers);
+    drain(&region);
     clients[0].write("/w/f", &cred, 0, before).unwrap();
-    drain(&region, &mut workers);
+    drain(&region);
     // The memo is live: one more write is a single CAS, no read.
     let stats = region.core().cache_cluster.stats();
     clients[0].write("/w/f", &cred, 0, before).unwrap();
     let after = region.core().cache_cluster.stats();
     assert_eq!((after.gets - stats.gets, after.cas_ok - stats.cas_ok), (0, 1));
-    drain(&region, &mut workers);
-    (dfs, region, clients, workers, cred)
+    drain(&region);
+    (dfs, region, clients, cred)
 }
 
 /// (b) The owning cache node crashes, restarts cold, and a stat reloads
@@ -715,7 +696,7 @@ fn region_with_fresh_memo(
 #[test]
 fn own_write_memo_is_fenced_by_a_cache_node_crash_and_restart() {
     for reload in [true, false] {
-        let (dfs, region, clients, mut workers, cred) = region_with_fresh_memo(b"first-payload");
+        let (dfs, region, clients, cred) = region_with_fresh_memo(b"first-payload");
         let core = region.core();
         let owner = core.cache_cluster.shard_node(b"/w/f");
         region.apply_fault(FaultEvent::CrashCacheNode(owner));
@@ -730,7 +711,7 @@ fn own_write_memo_is_fenced_by_a_cache_node_crash_and_restart() {
         // The record in the cache is the DFS-loaded one (data on the
         // DFS), not the remembered inline copy.
         assert_eq!(clients[2].stat("/w/f", &cred).unwrap().size, 13);
-        drain(&region, &mut workers);
+        drain(&region);
         assert_eq!(dfs.client().read("/w/f", &cred, 0, 64).unwrap(), b"2ndst-payload");
         assert_eq!(clients[0].read("/w/f", &cred, 0, 64).unwrap(), b"2ndst-payload");
     }
@@ -741,7 +722,7 @@ fn own_write_memo_is_fenced_by_a_cache_node_crash_and_restart() {
 /// recovery the next write starts from a read again.
 #[test]
 fn own_write_memo_is_dropped_by_a_degraded_window() {
-    let (dfs, region, clients, mut workers, cred) = region_with_fresh_memo(b"first-payload");
+    let (dfs, region, clients, cred) = region_with_fresh_memo(b"first-payload");
     let core = region.core();
     let owner = core.cache_cluster.shard_node(b"/w/f");
     region.apply_fault(FaultEvent::CrashCacheNode(owner));
@@ -757,7 +738,7 @@ fn own_write_memo_is_dropped_by_a_degraded_window() {
     clients[0].write("/w/f", &cred, 0, b"lit").unwrap();
     let after = core.cache_cluster.stats();
     assert!(after.gets > before.gets, "no remembered copy survived the outage");
-    drain(&region, &mut workers);
+    drain(&region);
     assert_eq!(dfs.client().read("/w/f", &cred, 0, 64).unwrap(), b"litkt-payload");
     assert_eq!(clients[0].read("/w/f", &cred, 0, 64).unwrap(), b"litkt-payload");
 }
@@ -770,7 +751,7 @@ fn own_write_memo_is_dropped_by_a_degraded_window() {
 /// on the record's current home.
 #[test]
 fn own_write_memo_is_fenced_by_a_live_reshard() {
-    let (dfs, region, clients, mut workers, cred) = region_with_fresh_memo(b"0000000000");
+    let (dfs, region, clients, cred) = region_with_fresh_memo(b"0000000000");
     let core = region.core();
     let cluster = &core.cache_cluster;
     let old_owner = cluster.shard_node(b"/w/f");
@@ -796,7 +777,7 @@ fn own_write_memo_is_fenced_by_a_live_reshard() {
     assert_eq!((after.gets - before.gets, after.cas_ok - before.cas_ok), (0, 1));
 
     assert_eq!(clients[1].read("/w/f", &cred, 0, 64).unwrap(), b"1100220033");
-    drain(&region, &mut workers);
+    drain(&region);
     assert_eq!(dfs.client().read("/w/f", &cred, 0, 64).unwrap(), b"1100220033");
     assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
 }
@@ -810,7 +791,7 @@ fn own_write_memo_is_fenced_by_a_live_reshard() {
 /// mark: `NotFound`, as before.
 #[test]
 fn own_write_memo_does_not_bypass_a_stale_tombstone() {
-    let (dfs, region, clients, mut workers, cred) = region_with_fresh_memo(b"live");
+    let (dfs, region, clients, cred) = region_with_fresh_memo(b"live");
     let core = region.core();
     let owner = core.cache_cluster.shard_node(b"/w/f");
     let bystander = (0..NODES).map(NodeId).find(|n| *n != owner).unwrap();
@@ -842,7 +823,7 @@ fn own_write_memo_does_not_bypass_a_stale_tombstone() {
     assert_eq!(clients[0].write("/w/f", &cred, 0, b"dead"), Err(fsapi::FsError::NotFound));
     let after = core.cache_cluster.stats();
     assert_eq!(after.cas_ok, before.cas_ok, "nothing was stored on the dead incarnation");
-    drain(&region, &mut workers);
+    drain(&region);
     assert_eq!(dfs.client().stat("/w/f", &cred), Err(fsapi::FsError::NotFound));
     assert_eq!(clients[2].stat("/w/f", &cred), Err(fsapi::FsError::NotFound));
 }
@@ -862,7 +843,7 @@ fn probe_key_on(region: &PaconRegion, node: NodeId) -> String {
 /// fetched. A batch checks each distinct path once.
 #[test]
 fn a_repeated_path_in_a_batch_does_not_resurrect_a_stale_record() {
-    let (_dfs, region, clients, _workers, cred) = region_with_fresh_memo(b"live");
+    let (_dfs, region, clients, cred) = region_with_fresh_memo(b"live");
     let core = region.core();
     let owner = core.cache_cluster.shard_node(b"/w/f");
     let bystander = (0..NODES).map(NodeId).find(|n| *n != owner).unwrap();
@@ -893,10 +874,9 @@ fn a_degraded_batch_read_does_not_resurrect_a_queued_unlink() {
         PaconRegion::launch_paused(PaconConfig::new("/w", Topology::new(NODES, 1), cred), &dfs)
             .unwrap();
     let c = region.client(ClientId(0));
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
     let core = region.core();
     c.create("/w/f", &cred, 0o644).unwrap();
-    drain(&region, &mut workers);
+    drain(&region);
     c.unlink("/w/f", &cred).unwrap();
     region.apply_fault(FaultEvent::CrashCacheNode(core.cache_cluster.shard_node(b"/w/f")));
 
@@ -922,7 +902,6 @@ fn a_degraded_write_to_a_path_that_never_existed_fails_not_found() {
         PaconRegion::launch_paused(PaconConfig::new("/w", Topology::new(NODES, 1), cred), &dfs)
             .unwrap();
     let c = region.client(ClientId(0));
-    let mut workers: Vec<_> = (0..NODES as usize).map(|n| region.take_worker(n)).collect();
     let core = region.core();
     let owner = core.cache_cluster.shard_node(b"/w/ghost");
     region.apply_fault(FaultEvent::CrashCacheNode(owner));
@@ -935,7 +914,7 @@ fn a_degraded_write_to_a_path_that_never_existed_fails_not_found() {
         let _ = c.stat("/w", &cred);
     }
     c.create("/w/ghost", &cred, 0o644).unwrap();
-    drain(&region, &mut workers);
+    drain(&region);
     assert_eq!(dfs.client().read("/w/ghost", &cred, 0, 64).unwrap(), b"");
     assert_eq!(c.read("/w/ghost", &cred, 0, 64).unwrap(), b"");
 }

@@ -35,7 +35,7 @@
 //! FS_CLIENT       per-client fs caches: dfs dentry cache, indexfs bulk
 //!                 buffer.
 //! FS_CLIENT_LEASE indexfs lease cache (locked under the bulk buffer).
-//! BACKEND         dfs namespace, data-server chunks, lsmkv database.
+//! BACKEND         dfs namespace, data-server chunks, indexfs server tables.
 //! BACKEND_META    dfs seen-cache (idempotent-replay identities); taken
 //!                 per-op while the namespace lock is held.
 //! STATS           simnet counters — innermost; safe to touch while

@@ -6,9 +6,10 @@
 //!
 //! * [`pacon`] — the paper's contribution (partial consistency),
 //! * [`dfs`] — the BeeGFS-like underlying DFS,
-//! * [`indexfs`] — the IndexFS baseline over [`lsmkv`],
+//! * [`indexfs`] — the IndexFS baseline,
 //! * [`memkv`] / [`mq`] — the memcached-like cache and the ZeroMQ-like
 //!   commit queue,
+//! * [`lsmkv`] — the write-ahead log frame of Pacon's durable commit queue,
 //! * [`qsim`] / [`simnet`] — the discrete-event testbed model,
 //! * [`workloads`] — mdtest / memaslap / MADbench2 drivers,
 //! * [`fsapi`] — the shared file-system interface.

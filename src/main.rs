@@ -107,8 +107,7 @@ fn replay(args: Args) -> Result<(), String> {
     match args.backend.as_str() {
         "beegfs" => mk_setup_dirs(&dfs.client()),
         "indexfs" => {
-            let c = indexfs::IndexFsCluster::with_default_config(topo, Arc::clone(&profile))
-                .map_err(|e| e.to_string())?;
+            let c = indexfs::IndexFsCluster::with_default_config(topo, Arc::clone(&profile));
             mk_setup_dirs(&c.client(NodeId(0)));
             indexfs_cluster = Some(c);
         }

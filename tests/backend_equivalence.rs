@@ -68,8 +68,7 @@ fn all_backends_converge_to_the_same_namespace() {
     let idx = indexfs::IndexFsCluster::with_default_config(
         Topology::new(4, 2),
         Arc::clone(&profile),
-    )
-    .unwrap();
+    );
     let fs = idx.client(NodeId(0));
     fs.mkdir("/w", &cred, 0o777).unwrap();
     let (_, _) = workloads::ops::exec_all(&fs, &cred, &ops);

@@ -61,8 +61,7 @@ fn indexfs_full_stack() {
     let cluster = indexfs::IndexFsCluster::with_default_config(
         Topology::new(2, 2),
         Arc::new(LatencyProfile::zero()),
-    )
-    .unwrap();
+    );
     let cred = Credentials::new(1, 1);
     cluster.client(NodeId(0)).mkdir("/w", &cred, 0o777).unwrap();
     run_phases(|c| Box::new(cluster.client(NodeId(c % 2))), &cred);

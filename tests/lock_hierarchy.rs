@@ -76,8 +76,7 @@ fn threaded_workload_has_clean_lock_report() {
     let ifs = indexfs::IndexFsCluster::with_default_config(
         Topology::new(2, 2),
         Arc::new(LatencyProfile::zero()),
-    )
-    .unwrap();
+    );
     let cl = ifs.client(simnet::NodeId(0));
     cl.mkdir("/bulk", &cred, 0o755).unwrap();
     cl.bulk_begin();
