@@ -182,6 +182,9 @@ pub struct Partial<T> {
     /// Item indices that could not be served, grouped by the down node
     /// that owned them. Empty = the batch completed in full.
     pub failed: Vec<(NodeId, Vec<usize>)>,
+    /// Node requests sent: one per owning node group, plus one per
+    /// mid-migration key.
+    pub requests: usize,
 }
 
 impl<T> Partial<T> {
@@ -730,18 +733,21 @@ impl KvClient {
         }
     }
 
-    /// `gets`: value and CAS version.
-    pub fn get(&self, key: &[u8]) -> Result<Option<(Value, u64)>, KvError> {
-        let s = self.cluster.router.state.read();
-        match self.cluster.decide(&s, key) {
+    /// The single-key `gets` under route state `s`: hop + `kv_op`, no
+    /// payload term, counted as a shard `gets`.
+    fn get_at(&self, s: &RouteState, key: &[u8]) -> Result<Option<(Value, u64)>, NodeId> {
+        match self.cluster.decide(s, key) {
             Target::Direct(n) => {
-                self.access(n, 0).map_err(KvError::NodeDown)?;
+                self.access(n, 0)?;
                 Ok(self.cluster.shard(n).get(key))
             }
-            Target::Migrating { old, new } => {
-                self.get_migrating(old, new, key).map_err(KvError::NodeDown)
-            }
+            Target::Migrating { old, new } => self.get_migrating(old, new, key),
         }
+    }
+
+    /// `gets`: value and CAS version.
+    pub fn get(&self, key: &[u8]) -> Result<Option<(Value, u64)>, KvError> {
+        self.get_at(&self.cluster.router.state.read(), key).map_err(KvError::NodeDown)
     }
 
     /// Batched `gets`: group keys by owning shard node and pay **one**
@@ -752,13 +758,14 @@ impl KvClient {
     /// Fault-isolated per node group: every healthy group's results are
     /// returned even when another group's node is down mid-batch — the
     /// unfetched keys are reported per down node instead of poisoning
-    /// the whole batch. Keys in mid-migration ranges are routed
-    /// individually (new owner first, old-owner fallback) — the
-    /// documented read amplification of a live reshard.
+    /// the whole batch. A key in a mid-migration range is read on its
+    /// own, by the single-key form — the documented read amplification
+    /// of a live reshard.
     pub fn multi_gets(&self, keys: &[&[u8]]) -> PartialMultiGet {
         let s = self.cluster.router.state.read();
-        let mut out = Partial { results: vec![None; keys.len()], failed: Vec::new() };
         let (groups, migrating) = self.group_by_owner(&s, keys.iter().copied());
+        let requests = groups.len() + migrating.len();
+        let mut out = Partial { results: vec![None; keys.len()], failed: Vec::new(), requests };
         for (node, idxs) in &groups {
             self.charge_hop(*node);
             if !self.cluster.node_up(*node) {
@@ -774,8 +781,8 @@ impl KvClient {
                 out.results[i] = r;
             }
         }
-        for (i, old, new) in migrating {
-            match self.get_migrating(old, new, keys[i]) {
+        for (i, _, _) in migrating {
+            match self.get_at(&s, keys[i]) {
                 Ok(v) => out.results[i] = v,
                 Err(down) => out.fail(down, i),
             }
@@ -816,7 +823,8 @@ impl KvClient {
             }
             return Err(KvError::WrongEpoch { seen: seen_epoch, current });
         }
-        let mut out = Partial { results: vec![None; items.len()], failed: Vec::new() };
+        let requests = groups.len() + migrating.len();
+        let mut out = Partial { results: vec![None; items.len()], failed: Vec::new(), requests };
         for (node, idxs) in &groups {
             self.charge_hop(*node);
             if !self.cluster.node_up(*node) {

@@ -50,6 +50,9 @@ pub struct Held {
     pub epoch: u64,
 }
 
+/// Per path, its record and CAS version (`None`: a miss).
+type Records = Vec<Option<(CachedMeta, u64)>>;
+
 /// Per-client handle onto the region's distributed metadata cache.
 #[derive(Clone)]
 pub struct MetaCache {
@@ -145,15 +148,22 @@ impl MetaCache {
         }
     }
 
-    /// Fetch a record and its CAS version.
+    /// Fetch a record and its CAS version: the one-path request, a
+    /// single-key `gets` whose down owner is retried inside the guard.
     pub fn get(&self, path: &str) -> Result<Option<(CachedMeta, u64)>, CacheError> {
-        let hit = self
-            .guarded(|kv| kv.get(path.as_bytes()))?
-            .and_then(|(bytes, ver)| CachedMeta::decode(&bytes).map(|m| (m, ver)));
+        let raw = self.guarded(|kv: &KvClient| kv.get(path.as_bytes()))?;
+        Ok(self.decode(path, raw))
+    }
+
+    /// What a read returned for `path`, decoded: a miss for an
+    /// undecodable record, and for one that survived a degraded-mode
+    /// unlink ([`Self::purge_if_stale`]).
+    fn decode(&self, path: &str, raw: Option<(memkv::Value, u64)>) -> Option<(CachedMeta, u64)> {
+        let hit = raw.and_then(|(bytes, ver)| CachedMeta::decode(&bytes).map(|m| (m, ver)));
         if hit.is_some() && self.purge_if_stale(path) {
-            return Ok(None);
+            return None;
         }
-        Ok(hit)
+        hit
     }
 
     /// Lazy cleanup behind a degraded-mode unlink: the removal committed
@@ -176,7 +186,8 @@ impl MetaCache {
 
     /// Batched fetch: one multi-get against the KV cluster — one round
     /// trip per shard node instead of one per path. Results are in input
-    /// order; a missing (or undecodable) record yields `None`.
+    /// order, with the node requests the multi-get sent; a missing (or
+    /// undecodable) record yields `None`.
     ///
     /// A path named more than once is fetched once: the request carries
     /// each distinct key once, in first-seen order, so an owning node is
@@ -189,10 +200,10 @@ impl MetaCache {
     /// Fault-isolated per node group: a node crashing mid-batch does not
     /// discard the results already fetched from healthy groups
     /// (`memkv::PartialMultiGet`). Keys owned by a down node are salvaged
-    /// per-key through the guarded retry envelope; keys that stay
+    /// through the one-path request ([`Self::get`]); keys that stay
     /// unreachable are reported as misses — the caller's per-path DFS
     /// fallback *is* the degraded read, counted here.
-    pub fn multi_get(&self, paths: &[&str]) -> Result<Vec<Option<(CachedMeta, u64)>>, CacheError> {
+    pub fn multi_get(&self, paths: &[&str]) -> Result<(Records, usize), CacheError> {
         // `slot[i]`: the index of `paths[i]` among the distinct paths.
         let mut first: HashMap<&str, usize> = HashMap::with_capacity(paths.len());
         let mut distinct: Vec<&str> = Vec::with_capacity(paths.len());
@@ -206,34 +217,21 @@ impl MetaCache {
             })
             .collect();
         let keys: Vec<&[u8]> = distinct.iter().map(|p| p.as_bytes()).collect();
-        let partial = self.guarded(|kv| Ok(kv.multi_gets(&keys)))?;
-        let mut failed = vec![false; distinct.len()];
-        for (_, idxs) in &partial.failed {
-            for &i in idxs {
-                failed[i] = true;
-            }
-        }
-        let mut hits = Vec::with_capacity(distinct.len());
-        for (i, (r, path)) in partial.results.into_iter().zip(distinct).enumerate() {
-            if failed[i] {
-                match self.get(path) {
-                    Ok(hit) => hits.push(hit),
-                    Err(CacheError::Unavailable) => {
-                        if let Some(core) = &self.fault {
-                            core.counters.incr("degraded_reads");
-                        }
-                        hits.push(None);
-                    }
+        let partial = self.guarded(|kv: &KvClient| Ok(kv.multi_gets(&keys)))?;
+        let mut hits: Vec<_> =
+            partial.results.into_iter().zip(&distinct).map(|(r, p)| self.decode(p, r)).collect();
+        for &i in partial.failed.iter().flat_map(|(_, idxs)| idxs) {
+            hits[i] = self.get(distinct[i]).unwrap_or_else(|CacheError::Unavailable| {
+                if let Some(core) = &self.fault {
+                    core.counters.incr("degraded_reads");
                 }
-                continue;
-            }
-            let hit = r.and_then(|(bytes, ver)| CachedMeta::decode(&bytes).map(|m| (m, ver)));
-            hits.push(if hit.is_some() && self.purge_if_stale(path) { None } else { hit });
+                None
+            });
         }
         if hits.len() == paths.len() {
-            return Ok(hits); // no path repeated: `slot` is the identity
+            return Ok((hits, partial.requests)); // no path repeated: `slot` is the identity
         }
-        Ok(slot.into_iter().map(|d| hits[d].clone()).collect())
+        Ok((slot.into_iter().map(|d| hits[d].clone()).collect(), partial.requests))
     }
 
     /// Unconditional store (used when loading DFS entries into the cache;
@@ -241,7 +239,7 @@ impl MetaCache {
     /// DFS-derived truth).
     pub fn put(&self, path: &str, meta: &CachedMeta) -> Result<u64, CacheError> {
         let bytes = meta.encode();
-        let ver = self.guarded(|kv| kv.set(path.as_bytes(), &bytes))?;
+        let ver = self.guarded(|kv: &KvClient| kv.set(path.as_bytes(), &bytes))?;
         // A fresh authoritative record supersedes any stale survivor.
         if let Some(core) = &self.fault {
             core.in_flight().clear_stale(path);
@@ -253,7 +251,7 @@ impl MetaCache {
     /// error = the path is already cached.
     pub fn add_new(&self, path: &str, meta: &CachedMeta) -> Result<FsResult<u64>, CacheError> {
         let bytes = meta.encode();
-        let added = self.guarded(|kv| kv.add(path.as_bytes(), &bytes))?;
+        let added = self.guarded(|kv: &KvClient| kv.add(path.as_bytes(), &bytes))?;
         if added.is_some() {
             if let Some(core) = &self.fault {
                 core.in_flight().clear_stale(path);
@@ -313,7 +311,7 @@ impl MetaCache {
                 return Ok(Ok(Some(cur)));
             }
             let bytes = cur.meta.encode();
-            let outcome = self.guarded(|kv| {
+            let outcome = self.guarded(|kv: &KvClient| {
                 match kv.cas(path.as_bytes(), cur.version, &bytes, cur.epoch) {
                     // Stale routing view: surface as a version conflict so
                     // this loop re-reads value, version *and* epoch.
@@ -368,7 +366,7 @@ impl MetaCache {
         // A fenced batch settles nothing: the caller's per-key retries
         // read a fresh epoch. (Retrying inside `guarded` would re-send
         // the same stale one.)
-        let written = self.guarded(|kv| match kv.multi_write(&writes, epoch) {
+        let written = self.guarded(|kv: &KvClient| match kv.multi_write(&writes, epoch) {
             Err(KvError::WrongEpoch { .. }) => Ok(None),
             other => other.map(Some),
         })?;
@@ -392,7 +390,7 @@ impl MetaCache {
     /// delete then removes exactly that record and nothing stored since (a
     /// re-create, a write) — `false`, as for a record already gone.
     pub fn delete(&self, path: &str, expected: Option<u64>) -> Result<bool, CacheError> {
-        self.guarded(|kv| kv.delete(path.as_bytes(), expected))
+        self.guarded(|kv: &KvClient| kv.delete(path.as_bytes(), expected))
     }
 
     /// The underlying KV client (for cost-sensitive callers that need the
@@ -434,7 +432,7 @@ mod tests {
         c.add_new("/w/a", &meta()).unwrap().unwrap();
         c.add_new("/w/b", &meta()).unwrap().unwrap();
         let paths = ["/w/a", "/w/missing", "/w/b"];
-        let batched = c.multi_get(&paths).unwrap();
+        let (batched, _) = c.multi_get(&paths).unwrap();
         for (p, got) in paths.iter().zip(&batched) {
             assert_eq!(got, &c.get(p).unwrap());
         }

@@ -101,7 +101,7 @@ impl PaconClient {
         // accesses after the merge do not each pay a remote miss.
         let mut paths: Vec<&str> = vec![handle.root.as_str()];
         paths.extend(handle.perms.special.iter().map(|(p, _)| p.as_str()));
-        let _ = self.batched_get_on(&cache, &paths);
+        let _ = self.fetch(&cache, &paths);
         self.merged.write().push(Merged { handle, cache });
     }
 
@@ -226,7 +226,7 @@ impl PaconClient {
             // the permission bits themselves still come from the region
             // table so the ablation changes cost, not semantics.
             if !ancs.is_empty() {
-                let _ = self.batched_get(&ancs);
+                let _ = self.fetch(&self.cache, &ancs);
             }
             for anc in ancs {
                 if !self.core.perms.check(anc, cred, ACCESS_X) {
@@ -262,51 +262,18 @@ impl PaconClient {
         if self.parent_memo.lock().as_deref() == Some(parent) {
             return Ok(());
         }
-        let cached = match self.cache.get(parent) {
-            Ok(c) => c,
-            Err(CacheError::Unavailable) => {
-                // Degraded: verify against the backup copy only.
-                self.core.counters.incr("degraded_reads");
-                let stat = self.dfs.stat(parent, cred)?;
-                if stat.kind != FileKind::Dir {
-                    return Err(FsError::NotADirectory);
-                }
-                *self.parent_memo.lock() = Some(parent.to_string());
-                return Ok(());
-            }
-        };
-        match cached {
-            Some((meta, _)) if meta.removed => Err(FsError::NotFound),
-            Some((meta, _)) if meta.kind != FileKind::Dir => Err(FsError::NotADirectory),
-            Some(_) => {
-                *self.parent_memo.lock() = Some(parent.to_string());
-                Ok(())
-            }
-            None => {
-                // Sync check on the DFS; cache the result on success.
-                let stat = self.dfs.stat(parent, cred)?;
-                if stat.kind != FileKind::Dir {
-                    return Err(FsError::NotADirectory);
-                }
-                self.warm_cache(parent, &CachedMeta::from_stat(&stat));
-                *self.parent_memo.lock() = Some(parent.to_string());
-                Ok(())
-            }
+        let meta = self.get_or_load(parent, cred)?;
+        if meta.kind != FileKind::Dir {
+            return Err(FsError::NotADirectory);
         }
-    }
-
-    /// Best-effort cache populate from a DFS-loaded record; counts the
-    /// key as rewarmed while the region is recovering from an outage.
-    fn warm_cache(&self, path: &str, meta: &CachedMeta) {
-        if self.cache.put(path, meta).is_ok()
-            && self.core.degraded.mode() == DegradedMode::Rewarming
-        {
-            self.core.counters.incr("rewarm_keys");
-        }
+        *self.parent_memo.lock() = Some(parent.to_string());
+        Ok(())
     }
 
     /// Load an uncached in-region entry from the DFS into the cache
-    /// (getattr-miss path, Section III.D-1).
+    /// (getattr-miss path, Section III.D-1). The populate is best-effort;
+    /// it counts the key as rewarmed while the region recovers from an
+    /// outage.
     fn load_from_dfs(&self, path: &str, cred: &Credentials) -> FsResult<CachedMeta> {
         // An acknowledged unlink may still sit in the commit queue while
         // the backup copy keeps the file. Resurrecting the record from
@@ -315,22 +282,21 @@ impl PaconClient {
         if self.core.in_flight().unlink_pending(path) {
             return Err(FsError::NotFound);
         }
-        let stat = self.dfs.stat(path, cred)?;
-        let meta = CachedMeta::from_stat(&stat);
-        self.warm_cache(path, &meta);
+        let meta = CachedMeta::from_stat(&self.dfs.stat(path, cred)?);
+        if self.cache.put(path, &meta).is_ok()
+            && self.core.degraded.mode() == DegradedMode::Rewarming
+        {
+            self.core.counters.incr("rewarm_keys");
+        }
         Ok(meta)
     }
 
-    /// Get the cached record, falling back to a sync DFS load. While
-    /// degraded, reads are served straight from the backup copy.
+    /// [`Self::lookup`] of one own-region path, for the ops that need
+    /// the record: a removed one reads as gone.
     fn get_or_load(&self, path: &str, cred: &Credentials) -> FsResult<CachedMeta> {
-        match self.cache.get(path) {
-            Ok(Some((meta, _))) => Ok(meta),
-            Ok(None) => self.load_from_dfs(path, cred),
-            Err(CacheError::Unavailable) => {
-                self.degraded_stat(path, cred).map(|stat| CachedMeta::from_stat(&stat))
-            }
-        }
+        let mut found = Err(FsError::NotFound);
+        self.lookup(None, &[path], cred, true, |_, f| found = f);
+        found.and_then(Found::meta)
     }
 
     /// Degraded read: the committed backup view — where an acknowledged
@@ -343,34 +309,124 @@ impl PaconClient {
         self.dfs.stat(path, cred)
     }
 
-    /// Batched cache fetch with read-path accounting: one cache round
-    /// trip per shard node instead of one per path.
-    fn batched_get_on(
+    /// One batched read of `cache` with the read-path accounting: one
+    /// round trip per shard node instead of one per path.
+    fn fetch(
         &self,
         cache: &MetaCache,
         paths: &[&str],
     ) -> Result<Vec<Option<(CachedMeta, u64)>>, CacheError> {
-        if paths.is_empty() {
-            return Ok(Vec::new());
-        }
-        let cluster = cache.kv().cluster();
-        let mut nodes: Vec<NodeId> = Vec::new();
-        for p in paths {
-            // lint: allow(stale-owner, accounting only — the grouping feeds read_rtts_saved; the authoritative per-key routing happens inside multi_get under the cluster's route lock)
-            let n = cluster.shard_node(p.as_bytes());
-            if !nodes.contains(&n) {
-                nodes.push(n);
-            }
-        }
         self.core.counters.incr("batched_reads");
         self.core.counters.add("batched_read_keys", paths.len() as u64);
-        self.core.counters.add("read_rtts_saved", (paths.len() - nodes.len()) as u64);
-        cache.multi_get(paths)
+        let (hits, requests) = cache.multi_get(paths)?;
+        self.core.counters.add("read_rtts_saved", paths.len().saturating_sub(requests) as u64);
+        Ok(hits)
     }
 
-    /// [`Self::batched_get_on`] against this client's own region cache.
-    fn batched_get(&self, paths: &[&str]) -> Result<Vec<Option<(CachedMeta, u64)>>, CacheError> {
-        self.batched_get_on(&self.cache, paths)
+    /// The getattr rule (Section III.D-1) for `paths` of one region, each
+    /// answered by input index: the cached record; on a miss the DFS copy,
+    /// loaded into the own cache, or read past a merged region's `foreign`
+    /// cache, which is never written (Section III.D-4); while that cache is
+    /// unavailable, the backup copy. `solo` (a single-path op) picks only
+    /// the request form, the single-key `gets`; otherwise one batched read,
+    /// in which a path named more than once loads once.
+    fn lookup(
+        &self,
+        foreign: Option<&MetaCache>,
+        paths: &[&str],
+        cred: &Credentials,
+        solo: bool,
+        mut answer: impl FnMut(usize, FsResult<Found>),
+    ) {
+        if paths.is_empty() {
+            return;
+        }
+        let cache = foreign.unwrap_or(&self.cache);
+        let load = |path| match foreign {
+            Some(_) => self.dfs.stat(path, cred).map(Found::Backup),
+            None => self.load_from_dfs(path, cred).map(Found::Meta),
+        };
+        let fetched = if solo {
+            cache.get(paths[0]).map(|hit| {
+                answer(0, hit.map_or_else(|| load(paths[0]), |(meta, _)| Ok(Found::Meta(meta))))
+            })
+        } else {
+            self.fetch(cache, paths).map(|hits| {
+                let mut loaded: HashMap<&str, FsResult<Found>> = HashMap::new();
+                for (i, hit) in hits.into_iter().enumerate() {
+                    let found = match hit {
+                        Some((meta, _)) => Ok(Found::Meta(meta)),
+                        None => loaded.entry(paths[i]).or_insert_with(|| load(paths[i])).clone(),
+                    };
+                    answer(i, found);
+                }
+            })
+        };
+        if fetched.is_err() {
+            for (i, &path) in paths.iter().enumerate() {
+                let backup = match foreign {
+                    Some(_) => self.dfs.stat(path, cred),
+                    None => self.degraded_stat(path, cred),
+                };
+                answer(i, backup.map(Found::Backup));
+            }
+        }
+    }
+
+    /// Where getattr reads `path`, its permission checked: `Ok(None)` in
+    /// the own region, `Ok(Some(r))` in merged region `r`; `Err` holds
+    /// the answer itself (a denial, or a redirected path's DFS stat).
+    fn stat_route(
+        &self,
+        path: &str,
+        cred: &Credentials,
+    ) -> Result<Option<usize>, FsResult<FileStat>> {
+        match self.route(path) {
+            Route::Own => {
+                if path == self.core.root {
+                    return Ok(None);
+                }
+                let parent = self.parent_of(path).map_err(Err)?;
+                self.check_perm(parent, cred, ACCESS_X).map(|()| None).map_err(Err)
+            }
+            Route::Merged(r) => {
+                let merged = self.merged.read();
+                let m = &merged[r].handle;
+                let searchable = |p| m.perms.check(p, cred, ACCESS_X);
+                if path == m.root || fspath::parent(path).is_some_and(searchable) {
+                    return Ok(Some(r));
+                }
+                Err(Err(FsError::PermissionDenied))
+            }
+            Route::Redirect => Err(self.dfs.stat(path, cred)),
+        }
+    }
+
+    /// Where `path` lives: the own region, a merged one, or neither. The
+    /// view lock is held while routing only, never across the op.
+    fn route(&self, path: &str) -> Route {
+        if self.core.contains(path) {
+            return Route::Own;
+        }
+        let merged = self.merged.read();
+        match merged.iter().position(|m| fspath::is_same_or_ancestor(&m.handle.root, path)) {
+            Some(i) => Route::Merged(i),
+            None => Route::Redirect,
+        }
+    }
+
+    /// Merged region `i`'s cache, if `cred` may read `path` there.
+    fn readable(&self, i: usize, path: &str, cred: &Credentials) -> FsResult<MetaCache> {
+        let merged = self.merged.read();
+        if !merged[i].handle.perms.check(path, cred, ACCESS_R) {
+            return Err(FsError::PermissionDenied);
+        }
+        Ok(merged[i].cache.clone())
+    }
+
+    /// Merged region `r`'s cache, or `None` for the own region.
+    fn foreign(&self, r: Option<usize>) -> Option<MetaCache> {
+        r.map(|r| self.merged.read()[r].cache.clone())
     }
 
     /// Take the own-write memo's record for `path`, if it may stand in for
@@ -635,12 +691,8 @@ impl PaconClient {
 
 impl FileSystem for PaconClient {
     fn mkdir(&self, path: &str, cred: &Credentials, mode: u16) -> FsResult<()> {
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
-            Route::Own => {
-                drop(merged);
-                self.create_kind(path, cred, mode, FileKind::Dir)
-            }
+        match self.route(path) {
+            Route::Own => self.create_kind(path, cred, mode, FileKind::Dir),
             Route::Merged(_) => Err(FsError::PermissionDenied), // read-only
             // lint: allow(commit-path, Route::Redirect: paths outside the workspace bypass partial consistency entirely)
             Route::Redirect => self.dfs.mkdir(path, cred, mode),
@@ -648,12 +700,8 @@ impl FileSystem for PaconClient {
     }
 
     fn create(&self, path: &str, cred: &Credentials, mode: u16) -> FsResult<()> {
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
-            Route::Own => {
-                drop(merged);
-                self.create_kind(path, cred, mode, FileKind::File)
-            }
+        match self.route(path) {
+            Route::Own => self.create_kind(path, cred, mode, FileKind::File),
             Route::Merged(_) => Err(FsError::PermissionDenied),
             // lint: allow(commit-path, Route::Redirect: paths outside the workspace bypass partial consistency entirely)
             Route::Redirect => self.dfs.create(path, cred, mode),
@@ -662,112 +710,46 @@ impl FileSystem for PaconClient {
 
     fn stat(&self, path: &str, cred: &Credentials) -> FsResult<FileStat> {
         self.charge_overhead();
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
-            Route::Own => {
-                drop(merged);
-                if path != self.core.root {
-                    self.check_perm(self.parent_of(path)?, cred, ACCESS_X)?;
-                }
-                match self.cache.get(path) {
-                    Ok(Some((meta, _))) if meta.removed => Err(FsError::NotFound),
-                    Ok(Some((meta, _))) => Ok(meta.to_stat()),
-                    Ok(None) => Ok(self.load_from_dfs(path, cred)?.to_stat()),
-                    Err(CacheError::Unavailable) => self.degraded_stat(path, cred),
-                }
-            }
-            Route::Merged(i) => {
-                let m = &merged[i];
-                if path != m.handle.root {
-                    let parent = fspath::parent(path)
-                        .ok_or_else(|| FsError::InvalidPath(path.to_string()))?;
-                    if !m.handle.perms.check(parent, cred, ACCESS_X) {
-                        return Err(FsError::PermissionDenied);
-                    }
-                }
-                match m.cache.get(path) {
-                    Ok(Some((meta, _))) if meta.removed => Err(FsError::NotFound),
-                    Ok(Some((meta, _))) => Ok(meta.to_stat()),
-                    // Read-only: a miss — or a foreign shard that is down
-                    // — falls back to the DFS without populating the
-                    // foreign cache.
-                    Ok(None) | Err(CacheError::Unavailable) => self.dfs.stat(path, cred),
-                }
-            }
-            Route::Redirect => self.dfs.stat(path, cred),
-        }
+        let r = match self.stat_route(path, cred) {
+            Ok(r) => r,
+            Err(answer) => return answer,
+        };
+        let mut stat = Err(FsError::NotFound);
+        self.lookup(self.foreign(r).as_ref(), &[path], cred, true, |_, f| {
+            stat = f.and_then(Found::stat)
+        });
+        stat
     }
 
     fn stat_many(&self, paths: &[String], cred: &Credentials) -> Vec<FsResult<FileStat>> {
         self.charge_overhead();
-        let mut own: Vec<usize> = Vec::new();
-        let mut other: Vec<usize> = Vec::new();
-        {
-            let merged = self.merged.read();
-            for (i, p) in paths.iter().enumerate() {
-                match route(&self.core, &merged, p) {
-                    Route::Own => own.push(i),
-                    // Merged and redirected paths keep their per-path
-                    // handling; batching targets the own-region cache.
-                    Route::Merged(_) | Route::Redirect => other.push(i),
-                }
+        let mut out = Vec::with_capacity(paths.len());
+        // Per region that reads some of the paths (`None`: the own one),
+        // their indices: one lookup each.
+        let mut reads: Vec<(Option<usize>, Vec<usize>)> = Vec::new();
+        for (i, path) in paths.iter().enumerate() {
+            out.push(Err(FsError::NotFound));
+            match self.stat_route(path, cred) {
+                Ok(r) => match reads.iter_mut().find(|(to, _)| *to == r) {
+                    Some((_, idxs)) => idxs.push(i),
+                    None => reads.push((r, vec![i])),
+                },
+                Err(answer) => out[i] = answer,
             }
         }
-        let mut out: Vec<FsResult<FileStat>> =
-            (0..paths.len()).map(|_| Err(FsError::NotFound)).collect();
-        for i in other {
-            out[i] = self.stat(&paths[i], cred);
-        }
-        // Permission checks are local table matches; do them up front,
-        // then fetch every remaining record in one batched call.
-        let mut lookup: Vec<usize> = Vec::new();
-        for &i in &own {
-            let p = paths[i].as_str();
-            let allowed = if p == self.core.root {
-                Ok(())
-            } else {
-                self.parent_of(p).and_then(|par| self.check_perm(par, cred, ACCESS_X))
-            };
-            match allowed {
-                Ok(()) => lookup.push(i),
-                Err(e) => out[i] = Err(e),
-            }
-        }
-        let keys: Vec<&str> = lookup.iter().map(|&i| paths[i].as_str()).collect();
-        let metas = match self.batched_get(&keys) {
-            Ok(m) => m,
-            Err(CacheError::Unavailable) => {
-                // Degraded: the whole batch falls through to per-path
-                // degraded reads, exactly as `stat` would make them.
-                for &i in &lookup {
-                    out[i] = self.degraded_stat(&paths[i], cred);
-                }
-                return out;
-            }
-        };
-        // A path named more than once loads once; every copy gets its result.
-        let mut loaded: HashMap<&str, FsResult<FileStat>> = HashMap::new();
-        for (&i, meta) in lookup.iter().zip(metas) {
-            out[i] = match meta {
-                Some((m, _)) if m.removed => Err(FsError::NotFound),
-                Some((m, _)) => Ok(m.to_stat()),
-                // Miss: sync DFS load that also populates the cache
-                // (getattr-miss path) — an unavoidable per-path trip.
-                None => loaded
-                    .entry(paths[i].as_str())
-                    .or_insert_with(|| self.load_from_dfs(&paths[i], cred).map(|m| m.to_stat()))
-                    .clone(),
-            };
+        for (r, idxs) in reads {
+            let keys: Vec<&str> = idxs.iter().map(|&i| paths[i].as_str()).collect();
+            self.lookup(self.foreign(r).as_ref(), &keys, cred, false, |j, f| {
+                out[idxs[j]] = f.and_then(Found::stat)
+            });
         }
         out
     }
 
     fn unlink(&self, path: &str, cred: &Credentials) -> FsResult<()> {
         self.charge_overhead();
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
+        match self.route(path) {
             Route::Own => {
-                drop(merged);
                 self.check_perm(self.parent_of(path)?, cred, ACCESS_W | ACCESS_X)?;
                 // The record this describes is going away: spend the memo
                 // without using it. An unlink rarely follows its file's
@@ -803,10 +785,8 @@ impl FileSystem for PaconClient {
 
     fn rmdir(&self, path: &str, cred: &Credentials) -> FsResult<()> {
         self.charge_overhead();
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
+        match self.route(path) {
             Route::Own => {
-                drop(merged);
                 if path == self.core.root {
                     return Err(FsError::InvalidArgument(
                         "cannot remove the consistent region's workspace root".into(),
@@ -815,9 +795,6 @@ impl FileSystem for PaconClient {
                 self.check_perm(self.parent_of(path)?, cred, ACCESS_W | ACCESS_X)?;
                 // Existence/kind check (cache first, DFS on miss).
                 let meta = self.get_or_load(path, cred)?;
-                if meta.removed {
-                    return Err(FsError::NotFound);
-                }
                 if meta.kind != FileKind::Dir {
                     return Err(FsError::NotADirectory);
                 }
@@ -859,10 +836,8 @@ impl FileSystem for PaconClient {
 
     fn readdir(&self, path: &str, cred: &Credentials) -> FsResult<Vec<String>> {
         self.charge_overhead();
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
+        match self.route(path) {
             Route::Own => {
-                drop(merged);
                 self.check_perm(path, cred, ACCESS_R)?;
                 // Barrier, then list on the DFS — avoids a full cache
                 // table scan (Section III.D-1).
@@ -873,10 +848,7 @@ impl FileSystem for PaconClient {
                 res
             }
             Route::Merged(i) => {
-                let m = &merged[i];
-                if !m.handle.perms.check(path, cred, ACCESS_R) {
-                    return Err(FsError::PermissionDenied);
-                }
+                self.readable(i, path, cred)?;
                 // Read-only merged access cannot trigger a foreign
                 // barrier; serve the committed view from the DFS.
                 self.dfs.readdir(path, cred)
@@ -891,87 +863,39 @@ impl FileSystem for PaconClient {
         cred: &Credentials,
     ) -> FsResult<Vec<(String, FileStat)>> {
         self.charge_overhead();
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
+        let (names, foreign) = match self.route(path) {
             Route::Own => {
-                drop(merged);
                 self.check_perm(path, cred, ACCESS_R)?;
                 // Barrier, then list on the DFS, exactly as `readdir`...
                 let guard = self.core.barrier(self.id.0)?;
                 let names = self.dfs.readdir(path, cred);
                 guard.complete();
                 self.core.counters.incr("readdir");
-                let names = names?;
-                // ...then fetch all child metadata in one batched call
-                // instead of a stat round trip per entry.
-                let children: Vec<String> =
-                    names.iter().map(|n| fspath::join(path, n.as_str())).collect();
-                let keys: Vec<&str> = children.iter().map(|p| p.as_str()).collect();
-                let metas = match self.batched_get(&keys) {
-                    Ok(m) => m,
-                    Err(CacheError::Unavailable) => {
-                        // Degraded: treat every child as a miss; the
-                        // per-entry fallback below stats the backup copy.
-                        self.core.counters.add("degraded_reads", keys.len() as u64);
-                        vec![None; keys.len()]
-                    }
-                };
-                let mut out = Vec::with_capacity(names.len());
-                for ((name, child), meta) in names.into_iter().zip(&children).zip(metas) {
-                    match meta {
-                        Some((m, _)) if m.removed => {}
-                        Some((m, _)) => out.push((name, m.to_stat())),
-                        // Miss: the DFS load warms the cache for
-                        // subsequent readers.
-                        None => match self.load_from_dfs(child, cred) {
-                            Ok(m) => out.push((name, m.to_stat())),
-                            Err(FsError::NotFound) => {}
-                            Err(e) => return Err(e),
-                        },
-                    }
-                }
-                Ok(out)
+                (names?, None)
             }
             Route::Merged(i) => {
-                let m = &merged[i];
-                if !m.handle.perms.check(path, cred, ACCESS_R) {
-                    return Err(FsError::PermissionDenied);
-                }
-                let names = self.dfs.readdir(path, cred)?;
-                let children: Vec<String> =
-                    names.iter().map(|n| fspath::join(path, n.as_str())).collect();
-                let keys: Vec<&str> = children.iter().map(|p| p.as_str()).collect();
-                // A faulted foreign cache degrades to all-misses: every
-                // entry below falls back to the DFS.
-                let metas = self
-                    .batched_get_on(&m.cache, &keys)
-                    .unwrap_or_else(|_| vec![None; keys.len()]);
-                let mut out = Vec::with_capacity(names.len());
-                for ((name, child), meta) in names.into_iter().zip(&children).zip(metas) {
-                    match meta {
-                        Some((mm, _)) if mm.removed => {}
-                        Some((mm, _)) => out.push((name, mm.to_stat())),
-                        // Read-only: DFS fallback without populating the
-                        // foreign cache.
-                        None => match self.dfs.stat(child, cred) {
-                            Ok(st) => out.push((name, st)),
-                            Err(FsError::NotFound) => {}
-                            Err(e) => return Err(e),
-                        },
-                    }
-                }
-                Ok(out)
+                let cache = self.readable(i, path, cred)?;
+                (self.dfs.readdir(path, cred)?, Some(cache))
             }
-            Route::Redirect => self.dfs.readdir_plus(path, cred),
-        }
+            Route::Redirect => return self.dfs.readdir_plus(path, cred),
+        };
+        // ...then every child's record in one batched read; a removed or
+        // vanished child drops out.
+        let children: Vec<String> = names.iter().map(|n| fspath::join(path, n.as_str())).collect();
+        let keys: Vec<&str> = children.iter().map(String::as_str).collect();
+        let mut stats: Vec<FsResult<FileStat>> =
+            (0..keys.len()).map(|_| Err(FsError::NotFound)).collect();
+        self.lookup(foreign.as_ref(), &keys, cred, false, |i, f| {
+            stats[i] = f.and_then(Found::stat)
+        });
+        let listed = names.into_iter().zip(stats).filter(|(_, st)| st != &Err(FsError::NotFound));
+        listed.map(|(name, st)| st.map(|st| (name, st))).collect()
     }
 
     fn write(&self, path: &str, cred: &Credentials, offset: u64, data: &[u8]) -> FsResult<usize> {
         self.charge_overhead();
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
+        match self.route(path) {
             Route::Own => {
-                drop(merged);
                 self.check_perm(path, cred, ACCESS_W)?;
                 enum Outcome {
                     Inline,
@@ -1103,15 +1027,10 @@ impl FileSystem for PaconClient {
 
     fn read(&self, path: &str, cred: &Credentials, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         self.charge_overhead();
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
+        match self.route(path) {
             Route::Own => {
-                drop(merged);
                 self.check_perm(path, cred, ACCESS_R)?;
                 let meta = self.get_or_load(path, cred)?;
-                if meta.removed {
-                    return Err(FsError::NotFound);
-                }
                 if meta.kind == FileKind::Dir {
                     return Err(FsError::IsADirectory);
                 }
@@ -1127,12 +1046,11 @@ impl FileSystem for PaconClient {
                 }
             }
             Route::Merged(i) => {
-                let m = &merged[i];
-                if !m.handle.perms.check(path, cred, ACCESS_R) {
-                    return Err(FsError::PermissionDenied);
-                }
-                match m.cache.get(path) {
-                    Ok(Some((meta, _))) if !meta.large && !meta.removed => {
+                let cache = self.readable(i, path, cred)?;
+                let mut found = Err(FsError::NotFound);
+                self.lookup(Some(&cache), &[path], cred, true, |_, f| found = f);
+                match found {
+                    Ok(Found::Meta(meta)) if !meta.large && !meta.removed => {
                         let start = (offset as usize).min(meta.inline.len());
                         let end = (start + len).min(meta.inline.len());
                         Ok(meta.inline[start..end].to_vec())
@@ -1146,14 +1064,9 @@ impl FileSystem for PaconClient {
 
     fn fsync(&self, path: &str, cred: &Credentials) -> FsResult<()> {
         self.charge_overhead();
-        let merged = self.merged.read();
-        match route(&self.core, &merged, path) {
+        match self.route(path) {
             Route::Own => {
-                drop(merged);
                 let meta = self.get_or_load(path, cred)?;
-                if meta.removed {
-                    return Err(FsError::NotFound);
-                }
                 if meta.kind == FileKind::Dir {
                     return Ok(());
                 }
@@ -1184,6 +1097,36 @@ impl FileSystem for PaconClient {
     }
 }
 
+/// What the read route found for a path.
+#[derive(Clone)]
+enum Found {
+    /// The cached record, or the one a miss loaded into the cache.
+    Meta(CachedMeta),
+    /// The DFS copy's stat, read past the cache: the own cache is
+    /// unavailable, or a merged region's cache has no record.
+    Backup(FileStat),
+}
+
+impl Found {
+    /// The record; a removed one reads as gone, and a backup stat stands
+    /// in as a committed record.
+    fn meta(self) -> FsResult<CachedMeta> {
+        match self {
+            Found::Meta(meta) if meta.removed => Err(FsError::NotFound),
+            Found::Meta(meta) => Ok(meta),
+            Found::Backup(stat) => Ok(CachedMeta::from_stat(&stat)),
+        }
+    }
+
+    /// Getattr's answer.
+    fn stat(self) -> FsResult<FileStat> {
+        match self {
+            Found::Backup(stat) => Ok(stat),
+            found => found.meta().map(|meta| meta.to_stat()),
+        }
+    }
+}
+
 /// Route for an incoming path.
 enum Route {
     /// Inside this client's own region.
@@ -1192,18 +1135,4 @@ enum Route {
     Merged(usize),
     /// Outside every known region: redirect to the DFS.
     Redirect,
-}
-
-/// Route a path against the own region and the merged handles without
-/// cloning anything.
-fn route(core: &RegionCore, merged: &[Merged], path: &str) -> Route {
-    if core.contains(path) {
-        return Route::Own;
-    }
-    for (i, m) in merged.iter().enumerate() {
-        if fspath::is_same_or_ancestor(&m.handle.root, path) {
-            return Route::Merged(i);
-        }
-    }
-    Route::Redirect
 }

@@ -505,7 +505,8 @@ impl CommitWorker {
     /// goes straight to the single-key read.
     fn claim_writebacks(&self, paths: &[&str], solo: bool) -> Vec<FsResult<Option<Vec<u8>>>> {
         self.core.in_flight().claim_writebacks(paths);
-        let hits = if solo { Ok(vec![None]) } else { self.cache.multi_get(paths) };
+        let hits =
+            if solo { Ok(vec![None]) } else { self.cache.multi_get(paths).map(|(hits, _)| hits) };
         let Ok(hits) = hits else {
             return paths.iter().map(|_| self.owed(Err(CacheError::Unavailable))).collect();
         };
@@ -746,7 +747,7 @@ impl CommitWorker {
         // batch sends no request.)
         let epoch = self.cache.kv().cluster().ring_epoch();
         let paths: Vec<&str> = work.iter().map(|&(_, path)| path).collect();
-        let reads = self.cache.multi_get(&paths).unwrap_or_else(|_| vec![None; paths.len()]);
+        let reads = self.cache.multi_get(&paths).map_or_else(|_| vec![None; paths.len()], |r| r.0);
         // The mark rule's input for every creation, read after the records.
         let mut unlinked_after = in_flight.unlinks_pending_after(creations).into_iter();
         // Per write: the `work` entry it settles, the version read, and

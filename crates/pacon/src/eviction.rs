@@ -109,7 +109,7 @@ fn evict_at_cursor(core: &RegionCore, cache: &MetaCache) -> usize {
     // per key. A cache that cannot answer ends the round where it stands:
     // nothing can be judged evictable, and the next write over the
     // threshold tries again.
-    let Ok(metas) = cache.multi_get(&paths) else {
+    let Ok((metas, _)) = cache.multi_get(&paths) else {
         return 0;
     };
     // Only the backup-copy-backed records may go, and of those not the

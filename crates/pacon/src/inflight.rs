@@ -146,6 +146,10 @@ impl PathState {
         self.rare.as_deref_mut()?.pending.as_deref_mut()
     }
 
+    fn staged(&self) -> bool {
+        self.rare.as_deref().and_then(|r| r.pending.as_deref()).is_some_and(|p| p.staged.is_some())
+    }
+
     /// Drop what emptied; true when nothing is left.
     fn tidy(&mut self) -> bool {
         if let Some(r) = self.rare.as_deref_mut() {
@@ -170,6 +174,9 @@ impl PathState {
 struct Table {
     paths: HashMap<Box<str>, PathState>,
     removed_dirs: Vec<(String, u64)>,
+    /// Paths with staged bytes, kept as `edit`, `remove_dir` and `clear`
+    /// change them: the region report reads it without a pass.
+    staged: usize,
 }
 
 impl Table {
@@ -178,12 +185,15 @@ impl Table {
         let Some(state) = self.paths.get_mut(path) else {
             let mut state = PathState::default();
             let out = f(&mut state);
+            self.staged += state.staged() as usize;
             if !state.tidy() {
                 self.paths.insert(path.into(), state);
             }
             return out;
         };
+        let before = state.staged();
         let out = f(state);
+        self.staged = self.staged + state.staged() as usize - before as usize;
         if state.tidy() {
             self.paths.remove(path);
         }
@@ -243,7 +253,13 @@ impl InFlight {
             c.unlinks += p.unlinks.len();
             c.staged += p.staged.is_some() as usize;
         }
+        debug_assert_eq!(c.staged, t.staged, "the running count of staged paths drifted");
         c
+    }
+
+    /// Paths with staged bytes: [`InFlightCounts::staged`] without the pass.
+    pub(crate) fn staged_files(&self) -> usize {
+        self.table.lock().staged
     }
 
     /// Rollback dropped the ops and replaced the incarnations the table
@@ -252,6 +268,7 @@ impl InFlight {
         let mut t = self.table.lock();
         t.paths.clear();
         t.removed_dirs.clear();
+        t.staged = 0;
         self.stale.store(0, Ordering::Release);
     }
 
@@ -425,7 +442,8 @@ impl InFlight {
 
     /// `dir` joins the removed list — alone if the region is `drained`.
     pub(crate) fn remove_dir(&self, dir: &str, epoch: u64, drained: bool) {
-        let mut t = self.table.lock();
+        let mut guard = self.table.lock();
+        let t = &mut *guard;
         if drained {
             t.removed_dirs.clear();
         }
@@ -434,7 +452,7 @@ impl InFlight {
             let under = fspath::is_same_or_ancestor(dir, path);
             if let Some(r) = s.pending_mut().filter(|_| under) {
                 r.writeback = Writeback::None;
-                r.staged = None;
+                t.staged -= r.staged.take().is_some() as usize;
             }
             !s.tidy()
         });

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use dfs::DfsCluster;
 use fsapi::{Credentials, FileSystem, FsError, MountTable, Perm};
 use pacon::commit::worker::{CommitWorker, WorkerStep};
-use pacon::{PaconConfig, PaconRegion, RegionPermissions};
+use pacon::{DegradedMode, PaconConfig, PaconRegion, RegionPermissions};
 use simnet::{ClientId, FaultEvent, LatencyProfile, NodeId, Station, Topology};
 
 fn setup() -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
@@ -190,12 +190,15 @@ fn hierarchical_permission_ablation_is_functionally_equivalent() {
 /// on the same process. A `MountTable` forwards the per-path calls only,
 /// so a client mounted at `/` *is* the trait defaults. Each fixture runs
 /// twice so both sides see every miss first (a miss loads the record),
-/// and the `stat_many` list names every kind of path more than once.
+/// and the `stat_many` list names every kind of path more than once. A
+/// third pass reads with one cache node down and the region degraded,
+/// then again once it is back, with a record a degraded unlink marked
+/// stale still on its healthy shard: `stat` answers every position too.
 #[test]
 fn batched_reads_match_the_per_path_trait_defaults() {
     let owner = Credentials::new(1, 1);
     let cred = Credentials::new(2, 2);
-    for batched_first in [true, false] {
+    for (batched_first, degraded) in [(true, false), (false, false), (true, true)] {
         let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
         let raw = dfs.client();
 
@@ -243,6 +246,25 @@ fn batched_reads_match_the_per_path_trait_defaults() {
         batched.create("/b/gone", &cred, 0o644).unwrap();
         batched.unlink("/b/gone", &cred).unwrap();
         batched.unlink("/b/cold-gone", &cred).unwrap();
+        // "/b/stale": cached, then unlinked while another cache node is
+        // down — against the backup, which marks the record stale.
+        let dark = degraded.then(|| {
+            raw.create("/b/stale", &cred, 0o644).unwrap();
+            batched.stat("/b/stale", &cred).unwrap();
+            let cluster = &region.core().cache_cluster;
+            let lit = cluster.shard_node(b"/b/stale");
+            let dark = cluster.nodes().iter().copied().find(|&n| n != lit).unwrap();
+            region.apply_fault(FaultEvent::CrashCacheNode(dark));
+            let dark_key = (0..)
+                .map(|i| format!("/b/probe{i}"))
+                .find(|k| cluster.shard_node(k.as_bytes()) == dark)
+                .unwrap();
+            // Burns the retry budget.
+            assert_eq!(batched.stat(&dark_key, &cred), Err(FsError::NotFound));
+            assert_eq!(region.core().degraded.mode(), DegradedMode::Degraded);
+            batched.unlink("/b/stale", &cred).unwrap();
+            dark
+        });
 
         let kinds = [
             "/b",             // region root
@@ -257,6 +279,7 @@ fn batched_reads_match_the_per_path_trait_defaults() {
             "/a/absent",      // merged region, nowhere
             "/outside/file",  // redirected
             "/outside/absent",
+            "/b/stale",       // degraded pass: marked stale
         ];
         // Every kind again in reverse order, then each twice in a row: the
         // batch names every one of them four times, some copies adjacent.
@@ -268,8 +291,27 @@ fn batched_reads_match_the_per_path_trait_defaults() {
             .collect();
         let (first, second): (&dyn FileSystem, &dyn FileSystem) =
             if batched_first { (&batched, &per_path) } else { (&per_path, &batched) };
-        let got = first.stat_many(&paths, &cred);
-        assert_eq!(got, second.stat_many(&paths, &cred), "stat_many");
+        let check = |when: &str| {
+            let got = first.stat_many(&paths, &cred);
+            assert_eq!(got, second.stat_many(&paths, &cred), "stat_many {when}");
+            for (i, p) in paths.iter().enumerate() {
+                let once = kinds.iter().position(|k| k == p).unwrap();
+                assert_eq!(got[i], got[once], "copy {i} of {p} {when}");
+                assert_eq!(batched.stat(p, &cred), got[i], "stat of {p} {when}");
+            }
+            assert_eq!(got[kinds.len() - 1], Err(FsError::NotFound), "{when}");
+            got
+        };
+        let got = check("");
+        if let Some(dark) = dark {
+            region.apply_fault(FaultEvent::RestartCacheNode(dark));
+            region.core().advance(10_000_000); // past the probe interval
+            batched.stat("/b", &cred).unwrap();
+            assert_ne!(region.core().degraded.mode(), DegradedMode::Degraded);
+            check("after the outage");
+            foreign.shutdown().unwrap();
+            continue;
+        }
         assert_eq!(got[1].as_ref().map(|st| st.size), Ok(6));
         assert!(got[3].as_ref().is_ok_and(|st| st.is_file()));
         assert_eq!(
@@ -277,10 +319,6 @@ fn batched_reads_match_the_per_path_trait_defaults() {
             [Err(FsError::NotFound), Err(FsError::NotFound), Err(FsError::PermissionDenied)]
         );
         assert_eq!(got[8].as_ref().map(|st| st.size), Ok(6));
-        for (i, p) in paths.iter().enumerate() {
-            let once = kinds.iter().position(|k| k == p).unwrap();
-            assert_eq!(got[i], got[once], "copy {i} of {p}");
-        }
 
         region.quiesce();
         raw.create("/b/d/cold", &cred, 0o644).unwrap();
@@ -749,6 +787,18 @@ fn batched_read_budget_per_distinct_path() {
     let (listed, trace) = simnet::with_recording(|| c.readdir_plus("/app/d", &cred));
     assert_eq!(listed.unwrap().len(), 16);
     assert_eq!(charged(&trace), want, "readdir_plus");
+
+    // A single `stat` takes the single-key form: one shard `gets`, no
+    // batched request, and its owner charged `kv_op` with no payload term.
+    let before = cluster.stats();
+    let (got, trace) = simnet::with_recording(|| c.stat(&distinct[0], &cred));
+    let after = cluster.stats();
+    assert!(got.is_ok_and(|st| st.is_file()));
+    assert_eq!((after.gets - before.gets, after.multi_gets - before.multi_gets), (1, 0));
+    let owner = cluster.shard_node(distinct[0].as_bytes());
+    let solo: Vec<u64> =
+        cluster.nodes().iter().map(|&n| if n == owner { p.kv_op } else { 0 }).collect();
+    assert_eq!(charged(&trace), solo, "stat");
     region.shutdown().unwrap();
 }
 
@@ -767,6 +817,44 @@ fn a_repeated_missing_path_loads_once() {
     assert_eq!((gets, sets), (1, 1), "(shard probes, cache stores)");
     assert!(got[0].as_ref().is_ok_and(|st| st.is_file()));
     assert_eq!(got, [got[0].clone(), got[0].clone(), got[0].clone()]);
+}
+
+/// A listing while the region's cache is dark reads each child's backup
+/// copy once, counted as one degraded read per child, and lists what the
+/// healthy cache listed. The probe is the batched read's own: the
+/// children's backup reads do not write the cache, so the listing leaves
+/// the region degraded.
+#[test]
+fn a_degraded_readdir_plus_reads_each_child_from_the_backup() {
+    let (_dfs, region, cred) = setup();
+    let c = region.client(ClientId(0));
+    c.mkdir("/app/d", &cred, 0o755).unwrap();
+    for name in ["a", "b", "c"] {
+        c.create(&format!("/app/d/{name}"), &cred, 0o644).unwrap();
+    }
+    c.write("/app/d/b", &cred, 0, b"bytes").unwrap();
+    let mut healthy = c.readdir_plus("/app/d", &cred).unwrap();
+    assert_eq!(healthy.len(), 3);
+
+    let cluster = &region.core().cache_cluster;
+    let dark = cluster.nodes()[0];
+    region.apply_fault(FaultEvent::CrashCacheNode(dark));
+    let dark_key =
+        (0..).map(|i| format!("/app/probe{i}")).find(|k| cluster.shard_node(k.as_bytes()) == dark);
+    // Burns the retry budget.
+    assert_eq!(c.stat(&dark_key.unwrap(), &cred), Err(FsError::NotFound));
+    assert_eq!(region.core().degraded.mode(), DegradedMode::Degraded);
+    let before = region.core().counters.get("degraded_reads");
+    let mut listed = c.readdir_plus("/app/d", &cred).unwrap();
+    assert_eq!(region.core().counters.get("degraded_reads") - before, 3);
+    let key = |l: &Vec<(String, fsapi::FileStat)>| -> Vec<(String, u64, bool)> {
+        l.iter().map(|(n, st)| (n.clone(), st.size, st.is_file())).collect()
+    };
+    listed.sort_by(|x, y| x.0.cmp(&y.0));
+    healthy.sort_by(|x, y| x.0.cmp(&y.0));
+    assert_eq!(key(&listed), key(&healthy));
+    assert_eq!(region.core().degraded.mode(), DegradedMode::Degraded);
+    region.shutdown().unwrap();
 }
 
 /// An update that changes nothing must not store: a write to a file that

@@ -515,6 +515,9 @@ impl Walker<'_> {
                     i += 1;
                 }
                 TokenTree::Punct(p) => {
+                    if p.as_char() == '|' {
+                        self.closure_params(trees, i + 1);
+                    }
                     if p.as_char() == ';' {
                         self.facts.events.push(Event::Stmt);
                         pending_let = None;
@@ -526,6 +529,39 @@ impl Walker<'_> {
                 }
                 TokenTree::Literal(_) => i += 1,
             }
+        }
+    }
+
+    /// Typed closure parameters (`|kv: &KvClient| kv.get(key)`, read
+    /// from `trees[i]`, just past a `|`) join the function's parameters,
+    /// so calls on them resolve by type as calls on a declared parameter
+    /// do. A declared parameter of the same name keeps its type.
+    fn closure_params(&mut self, trees: &[TokenTree], mut i: usize) {
+        let punct = |j: usize, c: char| {
+            matches!(trees.get(j), Some(TokenTree::Punct(p)) if p.as_char() == c)
+        };
+        while let Some(TokenTree::Ident(name)) = trees.get(i) {
+            if !punct(i + 1, ':') || punct(i + 2, ':') {
+                return;
+            }
+            // The type runs to the next top-level `,` or the closing `|`.
+            let (start, mut end, mut depth) = (i + 2, i + 2, 0i32);
+            while end < trees.len() && !(depth == 0 && (punct(end, ',') || punct(end, '|'))) {
+                if punct(end, '<') {
+                    depth += 1;
+                } else if punct(end, '>') && !punct(end.wrapping_sub(1), '-') {
+                    depth -= 1;
+                }
+                end += 1;
+            }
+            let known = self.facts.params.iter().any(|(n, _)| n.as_deref() == Some(name.as_str()));
+            if let Some(ty) = syn::simplify_type(&trees[start..end]).filter(|_| !known) {
+                self.facts.params.push((Some(name.as_str().to_string()), ty));
+            }
+            if !punct(end, ',') {
+                return;
+            }
+            i = end + 1;
         }
     }
 

@@ -174,6 +174,25 @@ fn a_try_lock_takes_no_edge_in_but_its_guard_is_held() {
 }
 
 #[test]
+fn a_typed_closure_parameter_resolves_the_calls_made_on_it() {
+    let a = run(&[("crates/pacon/src/fix_closure.rs", "closure_param.rs")]);
+    assert!(a.findings.is_empty(), "{:?}", a.findings);
+    // `self.cache.get()` under the slot reaches `fix.route` only through
+    // `|kv: &Store| kv.get()`.
+    let e = a
+        .graph
+        .edges
+        .iter()
+        .find(|e| e.from == "fix.slot" && e.to == "fix.route")
+        .expect("edge through the closure");
+    assert_eq!((e.from_site.line, e.to_site.line), (45, 13));
+    // Untyped, the parameter resolves to nothing and the edge is lost.
+    let untyped = fixture("closure_param.rs").replace("|kv: &Store|", "|kv|");
+    let b = analyze(&[("crates/pacon/src/fix_closure.rs".to_string(), untyped)]).unwrap();
+    assert!(b.graph.edges.is_empty(), "{:?}", b.graph.edges);
+}
+
+#[test]
 fn allow_markers_are_counted_and_held_to_an_exact_budget() {
     // The R9 fixture carries one deliberate `lint: allow(stale-owner)`.
     let a = run(&[("crates/pacon/src/fix_r9.rs", "r9_stale_owner.rs")]);
