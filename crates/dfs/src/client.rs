@@ -20,7 +20,7 @@ use syncguard::{level, Mutex};
 
 use crate::cluster::DfsCluster;
 use crate::datasrv::{ChunkWrite, DataServer, CHUNK_SIZE};
-use crate::mds::BatchOp;
+use crate::mds::{BatchOp, OpResult};
 use crate::namespace::Ino;
 use crate::replay::OpId;
 
@@ -275,19 +275,45 @@ impl DfsClient {
         cred: &Credentials,
         mode: u16,
         kind: FileKind,
-    ) -> FsResult<()> {
+    ) -> OpResult {
         let (parent, name) = self.resolve_parent(path, cred)?;
         self.charge_rtt();
         let ino = self.cluster.mds_for(parent).create(parent, name, kind, mode, cred)?;
         self.dentries
             .lock()
             .insert(path, Dentry { ino, perm: Perm::new(mode, cred.uid, cred.gid), kind });
-        Ok(())
+        Ok(ino)
+    }
+
+    /// Unlink a file; returns the inode it removed.
+    fn remove_file(&self, path: &str, cred: &Credentials) -> FsResult<Ino> {
+        let (parent, name) = self.resolve_parent(path, cred)?;
+        self.charge_rtt();
+        let ino = self.cluster.mds_for(parent).unlink(parent, name, cred)?;
+        self.dentries.lock().remove(path);
+        // Chunk reclamation happens server-side in a real DFS; it is not a
+        // client-visible cost.
+        self.cluster.drop_file(ino);
+        Ok(ino)
+    }
+
+    /// One namespace update as its own RPC (`mkdir`, `create` or
+    /// `unlink`), cheaper for a single op than a batch of one: returns the
+    /// inode the op made or removed, or — a creation refused over a taken
+    /// name — the inode holding it.
+    pub fn apply(&self, op: &BatchOp, cred: &Credentials) -> OpResult {
+        match op {
+            BatchOp::Mkdir { path, mode } => self.create_kind(path, cred, *mode, FileKind::Dir),
+            BatchOp::Create { path, mode } => self.create_kind(path, cred, *mode, FileKind::File),
+            BatchOp::Unlink { path } => Ok(self.remove_file(path, cred)?),
+        }
     }
 
     /// Apply a batch of namespace updates in one RPC (group commit): a
     /// single storage round trip and a single MDS request carrying every
-    /// op. Results come back per op in input order; the dentry cache is
+    /// op. Results come back per op in input order, each the inode the op
+    /// made or removed (a creation refused over a taken name: the inode
+    /// holding it at that point of the batch); the dentry cache is
     /// maintained for each op that succeeded. Batches route to one MDS
     /// (root-sharded), matching the single-MDS testbed the paper runs.
     /// `ids` are the per-op replay identities of a durable commit
@@ -298,7 +324,7 @@ impl DfsClient {
         ops: &[BatchOp],
         ids: &[OpId],
         cred: &Credentials,
-    ) -> Vec<FsResult<()>> {
+    ) -> Vec<OpResult> {
         if ops.is_empty() {
             return Vec::new();
         }
@@ -325,7 +351,7 @@ impl DfsClient {
                         self.cluster.drop_file(ino);
                     }
                 }
-                Ok(())
+                Ok(ino)
             })
             .collect()
     }
@@ -456,11 +482,11 @@ impl DfsClient {
 
 impl FileSystem for DfsClient {
     fn mkdir(&self, path: &str, cred: &Credentials, mode: u16) -> FsResult<()> {
-        self.create_kind(path, cred, mode, FileKind::Dir)
+        self.create_kind(path, cred, mode, FileKind::Dir).map(drop).map_err(|e| e.error)
     }
 
     fn create(&self, path: &str, cred: &Credentials, mode: u16) -> FsResult<()> {
-        self.create_kind(path, cred, mode, FileKind::File)
+        self.create_kind(path, cred, mode, FileKind::File).map(drop).map_err(|e| e.error)
     }
 
     fn stat(&self, path: &str, cred: &Credentials) -> FsResult<FileStat> {
@@ -479,14 +505,7 @@ impl FileSystem for DfsClient {
     }
 
     fn unlink(&self, path: &str, cred: &Credentials) -> FsResult<()> {
-        let (parent, name) = self.resolve_parent(path, cred)?;
-        self.charge_rtt();
-        let ino = self.cluster.mds_for(parent).unlink(parent, name, cred)?;
-        self.dentries.lock().remove(path);
-        // Chunk reclamation happens server-side in a real DFS; it is not a
-        // client-visible cost.
-        self.cluster.drop_file(ino);
-        Ok(())
+        self.remove_file(path, cred).map(drop)
     }
 
     fn rmdir(&self, path: &str, cred: &Credentials) -> FsResult<()> {

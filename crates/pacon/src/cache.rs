@@ -81,6 +81,19 @@ impl MetaCache {
     /// Degraded. Degraded path: fail fast unless the recovery probe is
     /// due; a successful probe starts Rewarming.
     fn guarded<T>(&self, f: impl Fn(&KvClient) -> Result<T, KvError>) -> Result<T, CacheError> {
+        self.guarded_whole(f, |_| true)
+    }
+
+    /// [`Self::guarded`] for a request several nodes answer in parts: a
+    /// recovery probe succeeds only if `whole` says every node answered.
+    /// A partial answer is returned as it is and starts no rewarming — the
+    /// salvage of its missing part would retry a node still down and
+    /// enter degraded mode again.
+    fn guarded_whole<T>(
+        &self,
+        f: impl Fn(&KvClient) -> Result<T, KvError>,
+        whole: impl Fn(&T) -> bool,
+    ) -> Result<T, CacheError> {
         let Some(core) = &self.fault else {
             return f(&self.kv).map_err(|_| CacheError::Unavailable);
         };
@@ -92,6 +105,7 @@ impl MetaCache {
             }
             core.counters.incr("recovery_probes");
             return match f(&self.kv) {
+                Ok(v) if !whole(&v) => Ok(v),
                 Ok(v) => {
                     core.degraded.begin_rewarm();
                     core.degraded.note_success(core.sim_ns());
@@ -217,7 +231,10 @@ impl MetaCache {
             })
             .collect();
         let keys: Vec<&[u8]> = distinct.iter().map(|p| p.as_bytes()).collect();
-        let partial = self.guarded(|kv: &KvClient| Ok(kv.multi_gets(&keys)))?;
+        let partial = self.guarded_whole(
+            |kv: &KvClient| Ok(kv.multi_gets(&keys)),
+            |p: &memkv::PartialMultiGet| p.failed.is_empty(),
+        )?;
         let mut hits: Vec<_> =
             partial.results.into_iter().zip(&distinct).map(|(r, p)| self.decode(p, r)).collect();
         for &i in partial.failed.iter().flat_map(|(_, idxs)| idxs) {
@@ -366,10 +383,13 @@ impl MetaCache {
         // A fenced batch settles nothing: the caller's per-key retries
         // read a fresh epoch. (Retrying inside `guarded` would re-send
         // the same stale one.)
-        let written = self.guarded(|kv: &KvClient| match kv.multi_write(&writes, epoch) {
-            Err(KvError::WrongEpoch { .. }) => Ok(None),
-            other => other.map(Some),
-        })?;
+        let written = self.guarded_whole(
+            |kv: &KvClient| match kv.multi_write(&writes, epoch) {
+                Err(KvError::WrongEpoch { .. }) => Ok(None),
+                other => other.map(Some),
+            },
+            |w: &Option<memkv::PartialMultiWrite>| w.as_ref().is_some_and(|p| p.failed.is_empty()),
+        )?;
         let Some(written) = written else {
             return Ok(vec![false; items.len()]);
         };

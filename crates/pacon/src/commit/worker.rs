@@ -43,7 +43,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use dfs::{BatchOp, DfsClient};
+use dfs::{BatchOp, DfsClient, Ino};
 use fsapi::{FsError, FsResult};
 use fsapi::FileSystem;
 use mq::Consumer;
@@ -394,18 +394,24 @@ impl CommitWorker {
             if plane.is_empty() {
                 continue;
             }
-            let results = if writebacks {
-                self.apply_writebacks(&plane, solo)
+            // Per op, beside its outcome: the inode a namespace op made,
+            // removed or was refused by (a writeback's: none).
+            let results: Vec<(FsResult<()>, Option<Ino>)> = if writebacks {
+                self.apply_writebacks(&plane, solo).into_iter().map(|r| (r, None)).collect()
             } else {
-                self.apply_namespace(&plane, solo)
+                let split = |r: dfs::OpResult| match r {
+                    Ok(ino) => (Ok(()), Some(ino)),
+                    Err(e) => (Err(e.error), e.holder),
+                };
+                self.apply_namespace(&plane, solo).into_iter().map(split).collect()
             };
             // Crash window: the DFS applied the plane but nothing has
             // settled. Recovery must re-drive these ops idempotently.
             if self.core.crash.hit(CrashPoint::MidBatch) {
                 return WorkerStep::Crashed;
             }
-            for (entry, res) in plane.into_iter().zip(results) {
-                tally(self.settle(entry, res, &mut applied));
+            for (entry, (res, ino)) in plane.into_iter().zip(results) {
+                tally(self.settle(entry, res, ino, &mut applied));
             }
         }
         // A recovered run's records died with the old incarnation's cache.
@@ -429,18 +435,14 @@ impl CommitWorker {
     /// batched request, or a lone unidentified op's own RPC. Ops carrying a
     /// replay identity (durable mode) always go through the idempotent
     /// entry point, so a post-crash replay of an applied op is a no-op.
-    fn apply_namespace(&self, plane: &[RetryEntry], solo: bool) -> Vec<FsResult<()>> {
+    fn apply_namespace(&self, plane: &[RetryEntry], solo: bool) -> Vec<dfs::OpResult> {
         let cred = self.core.config.cred;
         let ops: Vec<BatchOp> = plane
             .iter()
             .map(|e| e.msg.op.namespace_op().expect("markers and batches are never committed"))
             .collect();
         if solo && plane[0].msg.id.is_none() {
-            return vec![match &ops[0] {
-                BatchOp::Mkdir { path, mode } => self.dfs.mkdir(path, &cred, *mode),
-                BatchOp::Create { path, mode } => self.dfs.create(path, &cred, *mode),
-                BatchOp::Unlink { path } => self.dfs.unlink(path, &cred),
-            }];
+            return vec![self.dfs.apply(&ops[0], &cred)];
         }
         // A volatile region's ids are all `OpId::NONE`: unidentified.
         let ids: Vec<dfs::OpId> = plane.iter().map(|e| e.msg.id).collect();
@@ -534,28 +536,31 @@ impl CommitWorker {
         }
     }
 
-    /// Book the outcome of one op's commit attempt. An op that applied, or
-    /// whose outcome is in place, is pushed to `applied`: the caller runs
-    /// the run's post-commit cache work and completes it.
+    /// Book the outcome of one op's commit attempt. `ino` is the inode a
+    /// namespace op made or removed, or — a creation refused over a taken
+    /// name — the one holding it when the DFS refused it. An op that
+    /// applied, or whose outcome is in place, is pushed to `applied`: the
+    /// caller runs the run's post-commit cache work and completes it.
     fn settle(
         &mut self,
         entry: RetryEntry,
         result: FsResult<()>,
+        ino: Option<Ino>,
         applied: &mut Vec<QueueMsg>,
     ) -> WorkerStep {
         let RetryEntry { msg, attempts, backend_faulted, recovered } = entry;
         let unlink = matches!(msg.op, CommitOp::Unlink { .. });
         match result {
-            Ok(()) => self.committed(msg, None, applied),
+            Ok(()) => self.committed(msg, ino, None, applied),
             // Recovered (DESIGN §5.3), a creation that meets its path or an
             // unlink that misses its file is in place: no earlier op of its
             // log is left to change the path (`recover`). Any other error but
             // a missing prerequisite fails the launch: the log holds its only copy.
             Err(FsError::AlreadyExists) if recovered.is_some() && msg.op.is_creation() => {
-                self.committed(msg, Some("recovery_exists"), applied)
+                self.committed(msg, None, Some("recovery_exists"), applied)
             }
             Err(FsError::NotFound) if recovered.is_some() && unlink => {
-                self.committed(msg, Some("recovery_gone"), applied)
+                self.committed(msg, None, Some("recovery_gone"), applied)
             }
             Err(e) if recovered.is_some() && e != FsError::NotFound => {
                 self.failed.get_or_insert(e);
@@ -568,7 +573,7 @@ impl CommitWorker {
             Err(FsError::AlreadyExists)
                 if backend_faulted && attempts > 0 && msg.op.is_creation() =>
             {
-                self.committed(msg, Some("idempotent_replays"), applied)
+                self.committed(msg, None, Some("idempotent_replays"), applied)
             }
             // A duplicate admission: the path's committed file is *older*
             // than this creation and no acknowledged unlink separates
@@ -587,15 +592,9 @@ impl CommitWorker {
             // race — the blocking file will be removed by an acknowledged
             // unlink).
             Err(FsError::AlreadyExists)
-                if msg.op.is_creation() && {
-                    let p = msg.op.path().expect("creations have a path");
-                    // No tracked birth: the blocking file never committed
-                    // through this region. Only a degraded admission
-                    // treats that as its own duplicate.
-                    self.core.in_flight().birth_precedes(p, msg.timestamp).unwrap_or(msg.degraded)
-                } =>
+                if msg.op.is_creation() && self.is_duplicate_admission(&msg, ino) =>
             {
-                self.committed(msg, Some("degraded_idempotent"), applied)
+                self.committed(msg, None, Some("degraded_idempotent"), applied)
             }
             // Namespace-convention rejections (resubmit until the missing
             // prerequisite commit arrives — independent commit) and
@@ -629,15 +628,30 @@ impl CommitWorker {
         }
     }
 
-    /// The op applied (`also`: `None`) or its outcome is in place: count
-    /// it and leave its post-commit cache work and completion to the run.
+    /// The birth rule (DESIGN §10.4) for a creation that met
+    /// `AlreadyExists`, judged on `holder`, the file the DFS refused it
+    /// over — not on what the path names later in the run, nor on the
+    /// node's dentry cache, whose entry may name an incarnation another
+    /// node has since unlinked. No tracked birth: the holder never
+    /// committed through this region, and only a degraded admission takes
+    /// it for its own duplicate.
+    fn is_duplicate_admission(&self, msg: &QueueMsg, holder: Option<Ino>) -> bool {
+        let path = msg.op.path().expect("creations have a path");
+        let birth = holder.and_then(|h| self.core.in_flight().birth_precedes(path, h, msg.timestamp));
+        birth.unwrap_or(msg.degraded)
+    }
+
+    /// The op applied (`also`: `None`; `ino`: the inode it made or
+    /// removed) or its outcome is in place: count it and leave its
+    /// post-commit cache work and completion to the run.
     fn committed(
         &mut self,
         msg: QueueMsg,
+        ino: Option<Ino>,
         also: Option<&'static str>,
         applied: &mut Vec<QueueMsg>,
     ) -> WorkerStep {
-        self.retire(&msg, also.is_none());
+        self.retire(&msg, ino);
         self.core.counters.incr("committed");
         if let Some(counter) = also {
             self.core.counters.incr(counter);
@@ -649,7 +663,7 @@ impl CommitWorker {
     /// The op will never apply. A discarded creation's staged bytes go
     /// with it: they were written to the incarnation it would have made.
     fn discarded(&self, msg: &QueueMsg, counter: &'static str) -> WorkerStep {
-        self.retire(msg, false);
+        self.retire(msg, None);
         if let (true, Some(path)) = (msg.op.is_creation(), msg.op.path()) {
             self.core.in_flight().take_staged(&[(path, msg.timestamp)]);
         }
@@ -659,16 +673,19 @@ impl CommitWorker {
     }
 
     /// Settle what an op holds in the per-path table for good: an unlink's
-    /// stamp, a writeback's slot, and — `applied`: the op itself changed
-    /// the DFS — the path's birth. Runs *before* `settle_records`, whose
-    /// deferred cache deletion must see the post-retirement stamps.
-    fn retire(&self, msg: &QueueMsg, applied: bool) {
+    /// stamp, a writeback's slot, and — `ino`: the op itself changed the
+    /// DFS — the birth of the inode a creation made or an unlink removed.
+    /// Runs *before* `settle_records`, whose deferred cache deletion must
+    /// see the post-retirement stamps.
+    fn retire(&self, msg: &QueueMsg, ino: Option<Ino>) {
         let in_flight = self.core.in_flight();
         match &msg.op {
-            CommitOp::Unlink { path } => in_flight.settle_unlink(path, msg.timestamp, applied),
+            CommitOp::Unlink { path } => in_flight.settle_unlink(path, msg.timestamp, ino),
             CommitOp::WriteInline { path } => in_flight.release_writeback(path),
-            CommitOp::Mkdir { path, .. } | CommitOp::Create { path, .. } if applied => {
-                in_flight.note_birth(path, msg.timestamp)
+            CommitOp::Mkdir { .. } | CommitOp::Create { .. } => {
+                if let Some(ino) = ino {
+                    in_flight.note_birth(ino, msg.timestamp)
+                }
             }
             _ => {}
         }

@@ -1,7 +1,8 @@
 //! What the region remembers about a path between "acknowledged" and
 //! "committed" (Section III.D–E): one record per path, in one table behind
-//! one lock (`pacon.region.paths`). The record's fields are private; the
-//! methods of [`InFlight`] are the protocol's transitions, one each:
+//! one lock (`pacon.region.paths`), beside the committed creations' births
+//! by DFS inode. The record's fields are private; the methods of
+//! [`InFlight`] are the protocol's transitions, one each:
 //!
 //! | transition | by | the record |
 //! |---|---|---|
@@ -11,8 +12,8 @@
 //! | `ack_unlink` | unlink acknowledged | slot → none, + stamp (+ stale mark, degraded) |
 //! | `retract_unlink` | its publish failed | − stamp (− stale mark) |
 //! | `cancel_create` | unlink annihilated a buffered create | − stamp, − its staged bytes |
-//! | `settle_unlink` | unlink settled | − stamp (− birth, committed) |
-//! | `note_birth` | creation committed | birth = its stamp |
+//! | `settle_unlink` | unlink settled | − stamp (− its inode's birth, committed) |
+//! | `note_birth` | creation committed | its inode's birth = its stamp (no record) |
 //! | `stage` / `stage_at` | data for a file not on the DFS yet | + staged bytes |
 //! | `take_staged` | creation committed or discarded | − its staged bytes |
 //! | `remove_dir` | rmdir, inside its barrier | − slots and staged bytes under it |
@@ -20,11 +21,13 @@
 //! | `clear_stale` | stale record deleted, or fresh one stored | − stale mark |
 //! | `clear` | checkpoint rollback | everything goes |
 //!
-//! A record goes when its last field empties. Only the birth is inline, so
-//! a committed, idle path costs a 32 B bucket; a durable one adds a 16 B
-//! box for its generation, under which what is pending hangs. Stale marks
-//! are also counted outside the lock: with none set, the stale check of
-//! every cache hit, `put` and `add_new` takes no lock.
+//! A record goes when its last field empties, so a volatile region's
+//! committed, idle path costs nothing: its birth is 8 B in a column
+//! indexed by the inode the creation made, cleared when an unlink of that
+//! inode commits, and a drained region holds no record. A durable path keeps its generation inline in a 32 B bucket,
+//! under which what is pending hangs. Stale marks are also counted
+//! outside the lock: with none set, the stale check of every cache hit,
+//! `put` and `add_new` takes no lock.
 //!
 //! **Staged bytes and their creation.** A path's incarnations are
 //! separated by unlinks: a creation is acknowledged only over a removed
@@ -47,6 +50,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use dfs::Ino;
 use fsapi::path as fspath;
 use syncguard::{level, Mutex};
 
@@ -60,16 +64,6 @@ enum Writeback {
     None,
     Queued,
     InFlight,
-}
-
-/// What a path holds only in durable mode (its generation) or while
-/// something is pending for it. 16 B: a durable, idle path's box is the
-/// smallest heap chunk.
-#[derive(Debug, Default)]
-struct Rare {
-    /// Write id of the path's last namespace op (0: none).
-    generation: u64,
-    pending: Option<Box<Pending>>,
 }
 
 /// The fields almost no path has at any moment.
@@ -125,54 +119,98 @@ impl Pending {
     }
 }
 
+/// What a path holds in durable mode (its generation) or while something
+/// is pending for it.
 #[derive(Debug, Default)]
 struct PathState {
-    /// Stamp of the last creation committed through this region, until an
-    /// unlink commits (0: none; stamps start at 1).
-    birth: u64,
-    rare: Option<Box<Rare>>,
+    /// Write id of the path's last namespace op (0: none).
+    generation: u64,
+    pending: Option<Box<Pending>>,
 }
 
 impl PathState {
-    fn rare(&mut self) -> &mut Rare {
-        self.rare.get_or_insert_with(Box::default)
-    }
-
     fn pending(&mut self) -> &mut Pending {
-        self.rare().pending.get_or_insert_with(Box::default)
-    }
-
-    fn pending_mut(&mut self) -> Option<&mut Pending> {
-        self.rare.as_deref_mut()?.pending.as_deref_mut()
+        self.pending.get_or_insert_with(Box::default)
     }
 
     fn staged(&self) -> bool {
-        self.rare.as_deref().and_then(|r| r.pending.as_deref()).is_some_and(|p| p.staged.is_some())
+        self.pending.as_deref().is_some_and(|p| p.staged.is_some())
     }
 
     /// Drop what emptied; true when nothing is left.
     fn tidy(&mut self) -> bool {
-        if let Some(r) = self.rare.as_deref_mut() {
-            if let Some(p) = r.pending.as_deref() {
-                if p.unlinks.is_empty()
-                    && p.staged.is_none()
-                    && p.writeback == Writeback::None
-                    && !p.stale
-                {
-                    r.pending = None;
-                }
-            }
-            if r.generation == 0 && r.pending.is_none() {
-                self.rare = None;
+        if let Some(p) = self.pending.as_deref() {
+            if p.unlinks.is_empty() && p.staged.is_none() && p.writeback == Writeback::None && !p.stale
+            {
+                self.pending = None;
             }
         }
-        self.birth == 0 && self.rare.is_none()
+        self.generation == 0 && self.pending.is_none()
+    }
+}
+
+/// Stamps per page of [`Births`]: 32 KiB.
+const BIRTH_PAGE: usize = 4096;
+
+/// The stamp of each creation committed through this region, by the DFS
+/// inode it made (0: none; stamps start at 1), until an unlink of the file
+/// commits. The column holds a zeroed page per 4096 inode numbers that
+/// have a stamp and never moves what it holds; a page goes when its last
+/// stamp does, and only the page list (24 B per page) grows by doubling.
+#[derive(Default)]
+struct Births {
+    pages: Vec<Option<BirthPage>>,
+}
+
+struct BirthPage {
+    /// Nonzero stamps in `stamps`.
+    live: u32,
+    stamps: Box<[u64]>,
+}
+
+/// `ino`'s page and its slot in the page.
+fn birth_slot(ino: Ino) -> (usize, usize) {
+    let i = ino.0 as usize;
+    (i / BIRTH_PAGE, i % BIRTH_PAGE)
+}
+
+impl Births {
+    fn get(&self, ino: Ino) -> u64 {
+        let (page, slot) = birth_slot(ino);
+        self.pages.get(page).and_then(Option::as_ref).map_or(0, |p| p.stamps[slot])
+    }
+
+    fn set(&mut self, ino: Ino, ts: u64) {
+        let (page, slot) = birth_slot(ino);
+        if self.pages.len() <= page {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let p = self.pages[page].get_or_insert_with(|| BirthPage {
+            live: 0,
+            stamps: vec![0; BIRTH_PAGE].into_boxed_slice(),
+        });
+        p.live += (p.stamps[slot] == 0) as u32;
+        p.stamps[slot] = ts;
+    }
+
+    /// `ino` was unlinked: no file reads its stamp again (inode numbers
+    /// are never reused).
+    fn remove(&mut self, ino: Ino) {
+        let (page, slot) = birth_slot(ino);
+        let Some(entry) = self.pages.get_mut(page) else { return };
+        let Some(p) = entry.as_mut().filter(|p| p.stamps[slot] != 0) else { return };
+        p.stamps[slot] = 0;
+        p.live -= 1;
+        if p.live == 0 {
+            *entry = None;
+        }
     }
 }
 
 #[derive(Default)]
 struct Table {
     paths: HashMap<Box<str>, PathState>,
+    births: Births,
     removed_dirs: Vec<(String, u64)>,
     /// Paths with staged bytes, kept as `edit`, `remove_dir` and `clear`
     /// change them: the region report reads it without a pass.
@@ -202,13 +240,12 @@ impl Table {
 
     /// `f` on what is pending for `path`, if anything is.
     fn edit_pending<R>(&mut self, path: &str, f: impl FnOnce(&mut Pending) -> R) -> Option<R> {
-        self.paths.get(path)?.rare.as_ref()?.pending.as_ref()?;
-        self.edit(path, |s| s.pending_mut().map(f))
+        self.paths.get(path)?.pending.as_ref()?;
+        self.edit(path, |s| s.pending.as_deref_mut().map(f))
     }
 
     fn pending(&self, path: &str) -> &Pending {
-        let rare = self.paths.get(path).and_then(|s| s.rare.as_deref());
-        rare.and_then(|r| r.pending.as_deref()).unwrap_or(&NONE)
+        self.paths.get(path).and_then(|s| s.pending.as_deref()).unwrap_or(&NONE)
     }
 }
 
@@ -248,7 +285,7 @@ impl InFlight {
         let t = self.table.lock();
         let mut c = InFlightCounts { paths: t.paths.len(), ..InFlightCounts::default() };
         c.removed_dirs = t.removed_dirs.len();
-        for p in t.paths.values().filter_map(|s| s.rare.as_deref()?.pending.as_deref()) {
+        for p in t.paths.values().filter_map(|s| s.pending.as_deref()) {
             c.writebacks += (p.writeback != Writeback::None) as usize;
             c.unlinks += p.unlinks.len();
             c.staged += p.staged.is_some() as usize;
@@ -265,10 +302,7 @@ impl InFlight {
     /// Rollback dropped the ops and replaced the incarnations the table
     /// describes: forget it all, as a fresh launch would know nothing.
     pub(crate) fn clear(&self) {
-        let mut t = self.table.lock();
-        t.paths.clear();
-        t.removed_dirs.clear();
-        t.staged = 0;
+        *self.table.lock() = Table::default();
         self.stale.store(0, Ordering::Release);
     }
 
@@ -342,16 +376,14 @@ impl InFlight {
         });
     }
 
-    /// Committed, discarded or dropped by a commit process.
-    pub(crate) fn settle_unlink(&self, path: &str, ts: u64, committed: bool) {
-        self.table.lock().edit(path, |s| {
-            if committed {
-                s.birth = 0;
-            }
-            if let Some(r) = s.pending_mut() {
-                r.drop_stamp(ts);
-            }
-        });
+    /// Committed (`removed`: the inode it unlinked), discarded or dropped
+    /// by a commit process.
+    pub(crate) fn settle_unlink(&self, path: &str, ts: u64, removed: Option<Ino>) {
+        let mut t = self.table.lock();
+        if let Some(ino) = removed {
+            t.births.remove(ino);
+        }
+        t.edit_pending(path, |r| r.drop_stamp(ts));
     }
 
     /// Then the DFS copy may still hold the file, but program order says
@@ -371,17 +403,18 @@ impl InFlight {
         items.iter().map(after).collect()
     }
 
-    pub(crate) fn note_birth(&self, path: &str, ts: u64) {
-        // Nearly always a new record: one hash, where `edit` takes two.
-        self.table.lock().paths.entry(path.into()).or_default().birth = ts;
+    /// The creation stamped `ts` made `ino`.
+    pub(crate) fn note_birth(&self, ino: Ino, ts: u64) {
+        self.table.lock().births.set(ino, ts);
     }
 
-    /// Duplicate admission (DESIGN §10.4) of a creation stamped `ts` that
-    /// hit `AlreadyExists`: `None` without a recorded birth, else whether
-    /// the birth is older with no acknowledged unlink stamped in between.
-    pub(crate) fn birth_precedes(&self, path: &str, ts: u64) -> Option<bool> {
+    /// Duplicate admission (DESIGN §10.4) of a creation of `path` stamped
+    /// `ts` that hit `AlreadyExists`, `blocker` the file the path names:
+    /// `None` without a recorded birth of it, else whether the birth is
+    /// older with no acknowledged unlink of `path` stamped in between.
+    pub(crate) fn birth_precedes(&self, path: &str, blocker: Ino, ts: u64) -> Option<bool> {
         let t = self.table.lock();
-        let b = t.paths.get(path).map_or(0, |s| s.birth);
+        let b = t.births.get(blocker);
         let between = t.pending(path).unlinks.iter().any(|&u| b < u && u < ts);
         (b != 0).then_some(b < ts && !between)
     }
@@ -450,7 +483,7 @@ impl InFlight {
         t.removed_dirs.push((dir.to_string(), epoch));
         t.paths.retain(|path, s| {
             let under = fspath::is_same_or_ancestor(dir, path);
-            if let Some(r) = s.pending_mut().filter(|_| under) {
+            if let Some(r) = s.pending.as_deref_mut().filter(|_| under) {
                 r.writeback = Writeback::None;
                 t.staged -= r.staged.take().is_some() as usize;
             }
@@ -467,13 +500,13 @@ impl InFlight {
 
     /// Also how a launch seeds those earlier incarnations left on the DFS.
     pub(crate) fn new_generation(&self, path: &str, write_id: u64) {
-        self.table.lock().edit(path, |s| s.rare().generation = write_id);
+        self.table.lock().edit(path, |s| s.generation = write_id);
     }
 
     /// What a writeback of `path` inherits (0: none recorded).
     pub(crate) fn generation(&self, path: &str) -> u64 {
         let t = self.table.lock();
-        t.paths.get(path).and_then(|s| s.rare.as_deref()).map_or(0, |r| r.generation)
+        t.paths.get(path).map_or(0, |s| s.generation)
     }
 }
 
@@ -482,9 +515,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn an_idle_committed_path_costs_a_32_byte_bucket_and_a_durable_one_16_bytes_more() {
+    fn an_idle_committed_path_keeps_no_record_a_durable_one_a_32_byte_bucket() {
         assert_eq!(std::mem::size_of::<(Box<str>, PathState)>(), 32);
-        assert_eq!(std::mem::size_of::<Rare>(), 16);
         assert_eq!(std::mem::size_of::<Pending>(), 40);
     }
 
@@ -493,19 +525,60 @@ mod tests {
         let t = InFlight::default();
         assert!(t.queue_writeback("/w/f"));
         assert!(!t.queue_writeback("/w/f"), "queued: later writes coalesce");
-        t.note_birth("/w/f", 3);
+        t.note_birth(Ino(9), 3);
         t.claim_writebacks(&["/w/f"]);
         assert!(t.queue_writeback("/w/f"), "in flight: a fresh writeback is due");
         t.claim_writebacks(&["/w/f"]);
         t.release_writeback("/w/f");
-        assert_eq!(t.counts(), InFlightCounts { paths: 1, ..InFlightCounts::default() });
+        assert_eq!(t.counts(), InFlightCounts::default(), "a birth keeps no record");
         t.ack_unlink("/w/f", 5, false);
         assert!(t.unlink_pending("/w/f"));
-        assert_eq!(t.birth_precedes("/w/f", 7), Some(false), "an unlink lies in between");
-        assert_eq!(t.birth_precedes("/w/f", 4), Some(true));
-        t.settle_unlink("/w/f", 5, true);
+        assert_eq!(t.birth_precedes("/w/f", Ino(9), 7), Some(false), "an unlink lies in between");
+        assert_eq!(t.birth_precedes("/w/f", Ino(9), 4), Some(true));
+        t.settle_unlink("/w/f", 5, None);
         assert_eq!(t.counts(), InFlightCounts::default());
-        assert_eq!(t.birth_precedes("/w/f", 7), None);
+        assert_eq!(t.birth_precedes("/w/f", Ino(9), 7), Some(true), "nothing in between now");
+        assert_eq!(t.birth_precedes("/w/f", Ino(10), 7), None, "the re-created file's");
+        t.ack_unlink("/w/f", 8, false);
+        t.settle_unlink("/w/f", 8, Some(Ino(9)));
+        assert_eq!(t.birth_precedes("/w/f", Ino(9), 9), None, "a committed unlink takes the birth");
+    }
+
+    #[test]
+    fn births_are_read_back_by_inode_across_pages() {
+        let t = InFlight::default();
+        let far = Ino(3 * BIRTH_PAGE as u64 + 5);
+        t.note_birth(Ino(2), 4);
+        t.note_birth(far, 6);
+        assert_eq!(t.birth_precedes("/w/f", Ino(2), 5), Some(true));
+        assert_eq!(t.birth_precedes("/w/g", far, 5), Some(false));
+        assert_eq!(t.birth_precedes("/w/g", Ino(far.0 - 1), 5), None);
+        assert_eq!(t.birth_precedes("/w/g", Ino(BIRTH_PAGE as u64), 5), None, "an absent page");
+        assert_eq!(t.table.lock().births.pages.iter().flatten().count(), 2);
+        t.clear();
+        assert_eq!(t.birth_precedes("/w/f", Ino(2), 5), None);
+    }
+
+    /// Create-and-unlink churn keeps the column bounded: a page goes once
+    /// every inode stamped on it has been unlinked.
+    #[test]
+    fn a_birth_page_goes_with_its_last_stamp() {
+        let t = InFlight::default();
+        let pages = || t.table.lock().births.pages.iter().flatten().count();
+        for i in 0..3 * BIRTH_PAGE as u64 {
+            t.note_birth(Ino(i + 1), i + 1);
+            if i >= 2 {
+                t.settle_unlink("/w/f", 0, Some(Ino(i - 1)));
+            }
+        }
+        assert_eq!(pages(), 2, "only the pages of the last two inodes are left");
+        t.settle_unlink("/w/f", 0, Some(Ino(1)));
+        t.settle_unlink("/w/f", 0, Some(Ino(9)));
+        assert_eq!(pages(), 2, "an unlink of a cleared inode changes nothing");
+        t.settle_unlink("/w/f", 0, Some(Ino(3 * BIRTH_PAGE as u64 - 1)));
+        t.settle_unlink("/w/f", 0, Some(Ino(3 * BIRTH_PAGE as u64)));
+        assert_eq!(pages(), 0);
+        assert_eq!(t.counts(), InFlightCounts::default());
     }
 
     #[test]
@@ -518,7 +591,7 @@ mod tests {
         assert_eq!(t.stale.load(Ordering::Acquire), 1, "one mark per path");
         t.retract_unlink("/w/f", 2, true);
         assert!(!t.is_stale("/w/f"));
-        t.settle_unlink("/w/f", 1, true);
+        t.settle_unlink("/w/f", 1, None);
         assert_eq!(t.counts(), InFlightCounts::default());
         assert_eq!(t.stale.load(Ordering::Acquire), 0);
     }

@@ -857,6 +857,46 @@ fn a_degraded_readdir_plus_reads_each_child_from_the_backup() {
     region.shutdown().unwrap();
 }
 
+/// A recovery probe succeeds only if every node it asked answered. One
+/// probe interval into a degraded window, a `stat_many` over a down node
+/// and a lit one gets a partial answer: it must start no rewarming, so it
+/// neither burns a retry budget on the down node nor enters degraded mode
+/// again — just as a single `stat` of the down node's path does.
+#[test]
+fn a_partial_batched_read_is_no_successful_recovery_probe() {
+    for batched in [false, true] {
+        let (_dfs, region, cred) = paused(Topology::new(2, 2));
+        let c = region.client(ClientId(0));
+        let cluster = &region.core().cache_cluster;
+        let dark = cluster.nodes()[0];
+        let owned_by = |lit: bool| {
+            (0..).map(|i| format!("/app/p{i}")).find(|k| (cluster.shard_node(k.as_bytes()) == dark) != lit)
+        };
+        let (dark_path, lit_path) = (owned_by(false).unwrap(), owned_by(true).unwrap());
+        region.apply_fault(FaultEvent::CrashCacheNode(dark));
+        // Burns the retry budget.
+        assert_eq!(c.stat(&dark_path, &cred), Err(FsError::NotFound));
+        assert_eq!(region.core().degraded.mode(), DegradedMode::Degraded);
+
+        region.core().advance(pacon::RetryPolicy::DEFAULT.deadline_ns);
+        let count = |name: &str| region.core().counters.get(name);
+        let before = (count("recovery_probes"), count("degraded_entered"), count("rpc_retries"));
+        if batched {
+            let stats = c.stat_many(&[dark_path.clone(), lit_path.clone()], &cred);
+            assert!(stats.iter().all(|st| st == &Err(FsError::NotFound)), "{stats:?}");
+        } else {
+            assert_eq!(c.stat(&dark_path, &cred), Err(FsError::NotFound));
+        }
+        let after = (count("recovery_probes"), count("degraded_entered"), count("rpc_retries"));
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+            (1, 0, 0),
+            "batched={batched}: (recovery_probes, degraded_entered, rpc_retries)"
+        );
+        assert_eq!(region.core().degraded.mode(), DegradedMode::Degraded, "batched={batched}");
+    }
+}
+
 /// An update that changes nothing must not store: a write to a file that
 /// is already large only decides where the bytes go (one read), and its
 /// size update starts from that read (one CAS) — two round trips where

@@ -9,7 +9,7 @@ use dfs::DfsCluster;
 use fsapi::{Credentials, FileSystem, FsError};
 use pacon::commit::worker::{CommitWorker, WorkerStep};
 use pacon::{PaconConfig, PaconRegion};
-use simnet::{ClientId, LatencyProfile, Topology};
+use simnet::{ClientId, FaultEvent, LatencyProfile, Topology};
 
 fn setup(nodes: u32) -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
     let profile = Arc::new(LatencyProfile::zero());
@@ -418,4 +418,174 @@ fn commit_marks_cached_records_committed() {
     let stat = c2.stat("/w/f", &cred).unwrap();
     assert!(stat.is_file());
     assert_eq!(core.counters.get("committed"), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Duplicate admission: a creation that meets `AlreadyExists` at commit
+// ---------------------------------------------------------------------------
+
+/// A paused region on `nodes` nodes whose commit processes give up on an
+/// op after five attempts, so a creation that can never apply drains.
+fn short_budget(nodes: u32) -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let mut config = PaconConfig::new("/w", Topology::new(nodes, 1), cred);
+    config.max_commit_retries = 5;
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    (dfs, region, cred)
+}
+
+/// The shard owning `path` crashes and restarts cold: every record it
+/// held is gone, so the next creation of `path` is admitted over nothing.
+fn wipe_owner(region: &PaconRegion, path: &str) {
+    let owner = region.core().cache_cluster.shard_node(path.as_bytes());
+    region.apply_fault(FaultEvent::CrashCacheNode(owner));
+    region.apply_fault(FaultEvent::RestartCacheNode(owner));
+}
+
+fn counter(region: &PaconRegion, name: &str) -> u64 {
+    region.core().counters.get(name)
+}
+
+/// A committed file is created again after its shard restarted cold: the
+/// admission check saw no record, and at commit the DFS file is older than
+/// the creation with no unlink between them — the creation's outcome is in
+/// place, and it settles without touching the retry backlog.
+#[test]
+fn a_creation_admitted_over_a_cold_shard_settles_as_its_own_duplicate() {
+    let (dfs, region, cred) = short_budget(1);
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+    c.create("/w/f", &cred, 0o644).unwrap();
+    drain(&mut w);
+    wipe_owner(&region, "/w/f");
+    c.create("/w/f", &cred, 0o644).unwrap();
+    assert_eq!(w.step(), WorkerStep::Committed);
+    assert!(region.core().drained());
+    assert_eq!(counter(&region, "degraded_idempotent"), 1);
+    assert_eq!(counter(&region, "resubmitted"), 0);
+    assert_eq!(counter(&region, "dropped_retry_budget"), 0);
+    assert!(dfs.client().stat("/w/f", &cred).unwrap().is_file());
+}
+
+/// A creation queued on node 0 is blocked by a file node 1 committed from a
+/// *later* creation (admitted over a cold shard). The blocking file is
+/// newer, so this creation is no duplicate of it: it goes to the retry
+/// backlog every time, never settles as in place, and the budget ends it.
+#[test]
+fn a_creation_blocked_by_a_newer_committed_file_is_retried() {
+    let (dfs, region, cred) = short_budget(2);
+    let (c0, c1) = (region.client(ClientId(0)), region.client(ClientId(1)));
+    let (mut w0, mut w1) = (region.take_worker(0), region.take_worker(1));
+    c0.create("/w/f", &cred, 0o644).unwrap();
+    wipe_owner(&region, "/w/f");
+    c1.create("/w/f", &cred, 0o644).unwrap();
+    drain(&mut w1);
+    assert_eq!(counter(&region, "committed"), 1);
+
+    assert_eq!(w0.step(), WorkerStep::Retried);
+    drain(&mut w0);
+    assert!(region.core().drained());
+    assert_eq!(counter(&region, "degraded_idempotent"), 0);
+    assert_eq!(counter(&region, "resubmitted"), 4);
+    assert_eq!(counter(&region, "dropped_retry_budget"), 1);
+    assert!(dfs.client().stat("/w/f", &cred).unwrap().is_file());
+}
+
+/// Node 0's DFS mount still caches the dentry of the file node 0 committed
+/// first, an incarnation node 1 has since unlinked and replaced. Judged by
+/// that dentry, node 0's next creation would meet an older file with no
+/// pending unlink in between and pass as a duplicate; judged by the file
+/// the path names now — node 1's, created after it — it is retried.
+#[test]
+fn the_duplicate_verdict_reads_the_current_incarnation_not_a_cached_dentry() {
+    let (_dfs, region, cred) = short_budget(2);
+    let (c0, c1) = (region.client(ClientId(0)), region.client(ClientId(1)));
+    let (mut w0, mut w1) = (region.take_worker(0), region.take_worker(1));
+    c0.create("/w/f", &cred, 0o644).unwrap();
+    drain(&mut w0); // node 0's mount caches the first incarnation's dentry
+    c1.unlink("/w/f", &cred).unwrap();
+    c0.create("/w/f", &cred, 0o644).unwrap(); // over the removed-mark
+    wipe_owner(&region, "/w/f");
+    c1.create("/w/f", &cred, 0o644).unwrap(); // admitted over the cold shard
+    drain(&mut w1); // the unlink, then the newest incarnation
+    assert_eq!(counter(&region, "committed"), 3);
+
+    assert_eq!(w0.step(), WorkerStep::Retried);
+    drain(&mut w0);
+    assert_eq!(counter(&region, "degraded_idempotent"), 0);
+    assert_eq!(counter(&region, "dropped_retry_budget"), 1);
+}
+
+/// One run holds a duplicate creation of a committed file (admitted over
+/// a cold shard), an unlink of that file and a fresh creation of the path,
+/// in that order. The duplicate is judged by the file the DFS refused it
+/// over — older than it, no unlink between — not by the newer file the run
+/// leaves at the path: it settles in place. Retried instead, it would
+/// create the path again once a later unlink commits, and the file would
+/// come back although program order removed it.
+#[test]
+fn a_duplicate_is_judged_by_the_file_that_refused_it_not_by_what_its_run_leaves() {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let config = PaconConfig::new("/w", Topology::new(1, 1), cred).with_commit_batch(2);
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+    c.create("/w/f", &cred, 0o644).unwrap();
+    drain(&mut w);
+    wipe_owner(&region, "/w/f");
+    // Two full messages: [create f, create g] and [unlink f, create f].
+    c.create("/w/f", &cred, 0o644).unwrap();
+    c.create("/w/g", &cred, 0o644).unwrap();
+    c.unlink("/w/f", &cred).unwrap();
+    c.create("/w/f", &cred, 0o644).unwrap();
+    assert_eq!(w.step(), WorkerStep::Batch { committed: 4, retried: 0, discarded: 0 });
+    assert_eq!(counter(&region, "degraded_idempotent"), 1);
+
+    c.unlink("/w/f", &cred).unwrap();
+    drain(&mut w);
+    assert!(region.core().drained());
+    assert_eq!(counter(&region, "resubmitted"), 0);
+    assert_eq!(dfs.client().stat("/w/f", &cred), Err(FsError::NotFound));
+    assert_eq!(c.stat("/w/f", &cred), Err(FsError::NotFound));
+}
+
+/// Once its ops commit, a volatile region keeps no per-path record: a
+/// committed creation's birth is kept by the inode it made, not by its
+/// path, so the table drains to nothing — one op per message and in group
+/// commit alike.
+#[test]
+fn a_drained_volatile_region_keeps_no_path_record() {
+    for batch in [1, 8] {
+        let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let cred = Credentials::new(1, 1);
+        let config = PaconConfig::new("/w", Topology::new(2, 1), cred).with_commit_batch(batch);
+        let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+        let clients = [region.client(ClientId(0)), region.client(ClientId(1))];
+        clients[0].mkdir("/w/d", &cred, 0o755).unwrap();
+        for i in 0..200 {
+            clients[i % 2].create(&format!("/w/d/f{i}"), &cred, 0o644).unwrap();
+        }
+        clients[0].write("/w/d/f0", &cred, 0, b"inline").unwrap();
+        clients[1].unlink("/w/d/f1", &cred).unwrap();
+        assert!(region.core().in_flight().counts().paths > 0, "batch {batch}: pending ops");
+
+        let mut workers = [region.take_worker(0), region.take_worker(1)];
+        for _ in 0..10_000 {
+            if region.core().drained() {
+                break;
+            }
+            workers.iter_mut().for_each(|w| {
+                w.step();
+            });
+        }
+        assert!(region.core().drained(), "batch {batch}");
+        assert_eq!(region.core().counters.get("committed"), 203, "batch {batch}");
+        assert_eq!(
+            region.core().in_flight().counts(),
+            pacon::inflight::InFlightCounts::default(),
+            "batch {batch}"
+        );
+    }
 }

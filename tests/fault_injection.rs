@@ -336,7 +336,7 @@ fn for_each_commit_shape(
 
 /// A drained region owes nothing per path: every writeback slot released,
 /// every pending-unlink stamp retired, every staged byte flushed or
-/// dropped. (Births, generations and stale marks outlive their ops.)
+/// dropped. (Generations and stale marks outlive their ops.)
 fn assert_quiescent(region: &PaconRegion, shape: &str) {
     if region.core().drained() {
         let c = region.core().in_flight().counts();

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use syn::{Comment, Delimiter, Item, ItemFn, ItemRec, TokenTree};
+use syn::{Comment, Delimiter, Item, ItemFn, ItemRec, Spacing, TokenTree};
 
 use crate::model::{Acq, AcqMode, Base, Call, Event, FnFacts, Link, LockDecl, LockKind, Site};
 
@@ -426,6 +426,8 @@ impl Walker<'_> {
         // `if let`/`while let`, whose scrutinee temporaries live on).
         let mut pending_cond = false;
         let mut pending_let: Option<String> = None;
+        // The next brace opens a `match` body.
+        let mut pending_match = false;
         while i < trees.len() {
             match &trees[i] {
                 TokenTree::Ident(id) => {
@@ -457,6 +459,10 @@ impl Walker<'_> {
                             {
                                 pending_cond = true;
                             }
+                            i += 1;
+                        }
+                        "match" => {
+                            pending_match = true;
                             i += 1;
                         }
                         "if" => {
@@ -494,7 +500,11 @@ impl Walker<'_> {
                                 pending_cond = false;
                                 self.facts.events.push(Event::Stmt);
                             }
-                            if pending_loop {
+                            if std::mem::take(&mut pending_match) {
+                                self.facts.events.push(Event::Open);
+                                self.walk_arms(&g.stream().trees);
+                                self.facts.events.push(Event::Close);
+                            } else if pending_loop {
                                 pending_loop = false;
                                 let spin = std::mem::take(&mut pending_spin);
                                 self.facts.events.push(Event::LoopOpen);
@@ -524,11 +534,47 @@ impl Walker<'_> {
                         pending_loop = false;
                         pending_spin = false;
                         pending_cond = false;
+                        pending_match = false;
                     }
                     i += 1;
                 }
                 TokenTree::Literal(_) => i += 1,
             }
+        }
+    }
+
+    /// A `match` body: each arm's body is a scope of its own, braced or
+    /// not — its temporaries and a `drop` in it end with the arm. An arm
+    /// runs from its `=>` to the next top-level `,` (or the next arm's
+    /// `=>`, after a block body that needs no comma).
+    fn walk_arms(&mut self, trees: &[TokenTree]) {
+        let punct = |j: usize, c: char| {
+            matches!(trees.get(j), Some(TokenTree::Punct(p)) if p.as_char() == c)
+        };
+        let (mut start, mut in_arm) = (0, false);
+        let mut i = 0;
+        while i < trees.len() {
+            let arrow = matches!(&trees[i], TokenTree::Punct(p)
+                if p.as_char() == '=' && p.spacing() == Spacing::Joint)
+                && punct(i + 1, '>');
+            if arrow || (in_arm && punct(i, ',')) {
+                self.walk(&trees[start..i]);
+                if in_arm {
+                    self.facts.events.push(Event::Close);
+                }
+                if arrow {
+                    self.facts.events.push(Event::Open);
+                }
+                in_arm = arrow;
+                i += if arrow { 2 } else { 1 };
+                start = i;
+            } else {
+                i += 1;
+            }
+        }
+        self.walk(&trees[start..]);
+        if in_arm {
+            self.facts.events.push(Event::Close);
         }
     }
 

@@ -19,6 +19,16 @@ struct Live {
     /// depth whose next statement boundary kills it (temporaries).
     depth: usize,
     stmt_lived: bool,
+    /// Released by a `drop` in a scope nested inside its own: held again
+    /// once the scope at this depth closes (the drop ran on one path only,
+    /// say one match arm, and the paths beside it still hold the guard).
+    dropped: Option<usize>,
+}
+
+impl Live {
+    fn held(&self) -> bool {
+        self.dropped.is_none()
+    }
 }
 
 pub struct GraphOut {
@@ -40,10 +50,23 @@ pub fn build(ws: &Workspace, allows: &dyn Fn(&str, usize, &str) -> bool) -> Grap
                 Event::Open | Event::LoopOpen => depth += 1,
                 Event::Close | Event::LoopClose => {
                     live.retain(|l| l.depth < depth);
+                    for l in &mut live {
+                        if l.dropped.is_some_and(|d| d >= depth) {
+                            l.dropped = None;
+                        }
+                    }
                     depth = depth.saturating_sub(1);
                 }
                 Event::Stmt => live.retain(|l| !(l.stmt_lived && l.depth == depth)),
-                Event::Drop(v) => live.retain(|l| l.var.as_deref() != Some(v.as_str())),
+                Event::Drop(v) => {
+                    // Dropped in its own scope, it is gone for good.
+                    live.retain(|l| !(l.var.as_deref() == Some(v.as_str()) && l.depth == depth));
+                    for l in &mut live {
+                        if l.var.as_deref() == Some(v.as_str()) && l.held() {
+                            l.dropped = Some(depth);
+                        }
+                    }
+                }
                 Event::Acq(a) => {
                     let acq = &f.acqs[*a];
                     let Some(d) = ws.resolve_acq(f, &acq.recv_key, acq.mode) else {
@@ -52,7 +75,7 @@ pub fn build(ws: &Workspace, allows: &dyn Fn(&str, usize, &str) -> bool) -> Grap
                     let class = ws.decls[d].class.clone();
                     let site = Site { file: f.file.clone(), line: acq.line };
                     if acq.mode.waits() {
-                        for l in &live {
+                        for l in live.iter().filter(|l| l.held()) {
                             add_edge(&mut edges, &l.class, &class, &l.site, &site, Vec::new());
                         }
                     }
@@ -62,6 +85,7 @@ pub fn build(ws: &Workspace, allows: &dyn Fn(&str, usize, &str) -> bool) -> Grap
                         var: acq.guard_var.clone(),
                         depth,
                         stmt_lived: acq.guard_var.is_none(),
+                        dropped: None,
                     });
                 }
                 Event::Call(c) => {
@@ -73,13 +97,14 @@ pub fn build(ws: &Workspace, allows: &dyn Fn(&str, usize, &str) -> bool) -> Grap
                         for (class, (site, chain)) in &ws.trans_acq[callee] {
                             let mut via = vec![format!("{}:{}", call.name, call.line)];
                             via.extend(chain.iter().cloned());
-                            for l in &live {
+                            for l in live.iter().filter(|l| l.held()) {
                                 add_edge(&mut edges, &l.class, class, &l.site, site, via.clone());
                             }
                         }
                     }
                     // R6: blocking while holding a guard.
-                    if !live.is_empty() && !call.in_permit && !r6_lines.contains(&call.line) {
+                    let holder = live.iter().rev().find(|l| l.held());
+                    if let Some(holder) = holder.filter(|_| !call.in_permit && !r6_lines.contains(&call.line)) {
                         let blocking: Option<(Site, Vec<String>, String)> = if res.external {
                             is_blocking_primitive(call).then(|| {
                                 (
@@ -100,7 +125,6 @@ pub fn build(ws: &Workspace, allows: &dyn Fn(&str, usize, &str) -> bool) -> Grap
                         };
                         if let Some((bsite, via, label)) = blocking {
                             if !allows(&f.file, call.line, Rule::R6HoldAcrossBlocking.slug()) {
-                                let holder = &live[live.len() - 1];
                                 let via_s = if via.is_empty() {
                                     String::new()
                                 } else {
@@ -130,7 +154,7 @@ pub fn build(ws: &Workspace, allows: &dyn Fn(&str, usize, &str) -> bool) -> Grap
                                 continue;
                             }
                             let site = Site { file: f.file.clone(), line: call.line };
-                            for l in &live {
+                            for l in live.iter().filter(|l| l.held()) {
                                 add_edge(&mut edges, &l.class, class, &l.site, &site, Vec::new());
                             }
                             live.push(Live {
@@ -139,6 +163,7 @@ pub fn build(ws: &Workspace, allows: &dyn Fn(&str, usize, &str) -> bool) -> Grap
                                 var: None,
                                 depth,
                                 stmt_lived: false,
+                                dropped: None,
                             });
                         }
                     }

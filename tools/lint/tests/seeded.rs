@@ -208,3 +208,30 @@ fn allow_markers_are_counted_and_held_to_an_exact_budget() {
     assert_eq!(check("2 stale-owner"), vec![("stale-owner".to_string(), 1, 2)]);
     assert_eq!(check("1 stale-owner\n3 commit-path"), vec![("commit-path".to_string(), 0, 3)]);
 }
+
+#[test]
+fn a_drop_in_one_match_arm_releases_the_guard_in_that_arm_only() {
+    let a = run(&[("crates/pacon/src/fix_drop.rs", "drop_in_arm.rs")]);
+    assert!(a.findings.is_empty(), "{:?}", a.findings);
+    let edges: Vec<(&str, &str)> =
+        a.graph.edges.iter().map(|e| (e.from.as_str(), e.to.as_str())).collect();
+    assert_eq!(edges, [("fix.outer", "fix.late")], "the arm after the drop still holds it");
+    assert_eq!((a.graph.edges[0].from_site.line, a.graph.edges[0].to_site.line), (23, 29));
+    // Dropped in its own scope, before the match, the guard is gone for
+    // good: neither arm takes an edge.
+    let early = fixture("drop_in_arm.rs").replace(
+        "        match release {\n            true => {\n                drop(held);",
+        "        drop(held);\n        match release {\n            true => {",
+    );
+    let b = analyze(&[("crates/pacon/src/fix_drop.rs".to_string(), early)]).unwrap();
+    assert!(b.graph.edges.is_empty(), "{:?}", b.graph.edges);
+    // An unbraced arm is a scope as well: its drop ends with the arm.
+    let unbraced = fixture("drop_in_arm.rs").replace(
+        "            true => {\n                drop(held);\n                *self.early.lock()\n            }\n",
+        "            true => drop(held),\n",
+    );
+    let c = analyze(&[("crates/pacon/src/fix_drop.rs".to_string(), unbraced)]).unwrap();
+    let edges: Vec<(&str, &str, usize)> =
+        c.graph.edges.iter().map(|e| (e.from.as_str(), e.to.as_str(), e.to_site.line)).collect();
+    assert_eq!(edges, [("fix.outer", "fix.late", 26)], "the arm after the drop still holds it");
+}
