@@ -4,12 +4,12 @@
 //! live region while a seeded workload keeps issuing metadata ops, all
 //! in virtual time on a single driver thread.
 //!
-//! Properties checked against an unfaulted oracle (the acked ops applied
-//! in program order to a plain DFS):
+//! Properties checked:
 //!
 //! * **No acknowledged update is lost.** After the storm clears, the
 //!   redelivery windows flush and the queues drain, the faulted region's
-//!   backup namespace is identical to the oracle's.
+//!   backup copy is the program-order reference of the acked ops
+//!   (`workloads::history`).
 //! * **Degraded reads are never stale.** Every stat issued mid-storm on
 //!   a fully committed path succeeds — served from the cache or, in
 //!   degraded mode, from the DFS backup — and agrees with the backup.
@@ -29,7 +29,11 @@ use pacon::{DegradedMode, PaconConfig, PaconRegion};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use simnet::{ClientId, FaultEvent, FaultPlan, LatencyProfile, NodeId, Topology};
+use workloads::history::{drain, History};
+use workloads::FsOp;
 
+/// Rounds a region's commit pipeline gets to settle after a storm or outage.
+const DRAIN_ROUNDS: u32 = 500_000;
 const NODES: u32 = 3;
 /// Virtual ns the driver advances per workload iteration.
 const STEP_NS: u64 = 400_000;
@@ -54,15 +58,6 @@ fn tfile(i: usize) -> String {
     format!("/w/t{}/f{}", (i / 3) % 4, i % 3)
 }
 
-/// One acked (Ok-returning) workload op, replayed onto the oracle.
-#[derive(Debug, Clone)]
-enum Acked {
-    Mkdir(String),
-    Create(String),
-    Unlink(String),
-    Write(String, Vec<u8>),
-}
-
 /// Writes the applied fault trace to `target/chaos/` when the test
 /// panics, so a failed storm can be replayed from its artifact.
 struct TraceOnPanic<'a> {
@@ -83,39 +78,6 @@ impl Drop for TraceOnPanic<'_> {
             }
         }
     }
-}
-
-/// Step the region's commit processes until every enqueued op has settled.
-fn drain(region: &Arc<PaconRegion>) {
-    let mut spins = 0u32;
-    while !region.core().drained() {
-        region.core().pump();
-        spins += 1;
-        assert!(spins < 500_000, "commit pipeline did not converge");
-    }
-}
-
-/// Replay the acked ops in program order onto a fresh, unfaulted DFS and
-/// return it. Re-acks of an already-satisfied op (the documented
-/// degraded-mode duplicate-detection gap) are absorbed exactly like the
-/// region's idempotent commit path absorbs them: apply-and-ignore.
-fn oracle_dfs(
-    profile: &Arc<LatencyProfile>,
-    cred: &Credentials,
-    acked: &[Acked],
-) -> Arc<DfsCluster> {
-    let dfs = DfsCluster::with_default_config(Arc::clone(profile));
-    let fs = dfs.client();
-    fs.mkdir("/w", cred, 0o777).unwrap();
-    for op in acked {
-        let _ = match op {
-            Acked::Mkdir(p) => fs.mkdir(p, cred, 0o755),
-            Acked::Create(p) => fs.create(p, cred, 0o644),
-            Acked::Unlink(p) => fs.unlink(p, cred),
-            Acked::Write(p, data) => fs.write(p, cred, 0, data).map(|_| ()),
-        };
-    }
-    dfs
 }
 
 /// After the storm has cleared, pull the degraded-mode state machine
@@ -139,22 +101,40 @@ fn recover(
     }
 }
 
-/// Assert the faulted region's backup namespace (and the contents of the
-/// stable file slots) match the oracle's.
-fn assert_matches_oracle(dfs: &Arc<DfsCluster>, oracle: &Arc<DfsCluster>, cred: &Credentials) {
-    let got = dfs.snapshot();
-    let want = oracle.snapshot();
-    assert_eq!(got, want, "faulted namespace diverged from the oracle");
-    let got_fs = dfs.client();
-    let want_fs = oracle.client();
-    for i in 0..12 {
-        let p = sfile(i);
-        assert_eq!(
-            got_fs.read(&p, cred, 0, 4096).ok(),
-            want_fs.read(&p, cred, 0, 4096).ok(),
-            "contents of {p} diverged from the oracle"
-        );
+/// Build and fully commit the stable universe; returns its history.
+fn commit_stable_universe(
+    region: &PaconRegion,
+    clients: &[pacon::PaconClient],
+    cred: &Credentials,
+) -> FsResult<History> {
+    let mut history = History::new("/w");
+    for d in 0..4 {
+        history.issue(&clients[d % 3], cred, FsOp::Mkdir(sdir(d), 0o755))?;
     }
+    for i in 0..12 {
+        history.issue(&clients[(i / 3) % 3], cred, FsOp::Create(sfile(i), 0o644))?;
+    }
+    drain(region, DRAIN_ROUNDS);
+    Ok(history)
+}
+
+/// Advance the virtual clock one tick and apply the fault events due by
+/// then; the ring epoch must not regress through any of them.
+fn tick(region: &PaconRegion, plan: &FaultPlan, last_epoch: &mut u64) {
+    let core = region.core();
+    core.advance(STEP_NS);
+    for ev in plan.advance_to(core.sim_ns()) {
+        region.apply_fault(ev);
+    }
+    let epoch = core.cache_cluster.ring_epoch();
+    assert!(epoch >= *last_epoch, "ring epoch regressed: {last_epoch} -> {epoch}");
+    *last_epoch = epoch;
+}
+
+/// Every directory and file slot of both universes.
+fn universe() -> Vec<String> {
+    let dirs = (0..4).flat_map(|d| [sdir(d), tdir(d)]);
+    dirs.chain((0..12).flat_map(|i| [sfile(i), tfile(i)])).collect()
 }
 
 /// Scenario A: the full storm (cache crashes included) over a namespace
@@ -165,9 +145,8 @@ fn assert_matches_oracle(dfs: &Arc<DfsCluster>, oracle: &Arc<DfsCluster>, cred: 
 /// create×unlink cleanup happen while a shard is down. Returns how many
 /// duplicated deliveries the commit processes dropped.
 fn cache_storm(seed: u64, pressure: bool) -> u64 {
-    let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
-    let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let mut config = PaconConfig::new("/w", Topology::new(NODES, 1), cred);
     if pressure {
         config = config.with_commit_batch(8).with_eviction_threshold(512);
@@ -179,22 +158,12 @@ fn cache_storm(seed: u64, pressure: bool) -> u64 {
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
     let core = region.core();
 
-    // Phase 0: build and fully commit the stable universe.
-    let mut acked: Vec<Acked> = Vec::new();
-    for d in 0..4 {
-        clients[d % 3].mkdir(&sdir(d), &cred, 0o755).unwrap();
-        acked.push(Acked::Mkdir(sdir(d)));
-    }
-    for i in 0..12 {
-        clients[(i / 3) % 3].create(&sfile(i), &cred, 0o644).unwrap();
-        acked.push(Acked::Create(sfile(i)));
-    }
-    drain(&region);
+    let mut history = commit_stable_universe(&region, &clients, &cred).unwrap();
 
     let plan = FaultPlan::storm(seed, NODES, STORM_START, STORM_END, STORM_ROUNDS);
     let _trace = TraceOnPanic { plan: &plan, name: format!("cache-storm-{seed}.trace") };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
-    let oracle_check = dfs.client();
+    let backup_copy = dfs.client();
 
     // Phase 1: the storm. One namespace op and one stable stat per tick.
     let mut last_epoch = core.cache_cluster.ring_epoch();
@@ -203,50 +172,34 @@ fn cache_storm(seed: u64, pressure: bool) -> u64 {
     let mut leftovers: Vec<String> = Vec::new();
     let mut triples = 0usize;
     while core.sim_ns() < STORM_END + STEP_NS {
-        core.advance(STEP_NS);
-        for ev in plan.advance_to(core.sim_ns()) {
-            region.apply_fault(ev);
-        }
-        // Ring-epoch monotonicity holds through every fault event.
-        let epoch = core.cache_cluster.ring_epoch();
-        assert!(epoch >= last_epoch, "ring epoch regressed: {last_epoch} -> {epoch}");
-        last_epoch = epoch;
+        tick(&region, &plan, &mut last_epoch);
 
         match rng.gen_range(0u32..if pressure { 12 } else { 9 }) {
             9.. => {
                 // A fresh name per triple, all three ops inside one tick:
-                // they meet in the publish buffer. The write's bytes die
-                // with the file, so the oracle needs only the namespace.
+                // they meet in the publish buffer.
                 let p = format!("/w/s{}/x{triples}", triples % 4);
                 let c = &clients[triples % 3];
                 triples += 1;
-                if c.create(&p, &cred, 0o644).is_ok() {
-                    acked.push(Acked::Create(p.clone()));
-                    let _ = c.write(&p, &cred, 0, b"short-lived");
-                    if c.unlink(&p, &cred).is_ok() {
-                        acked.push(Acked::Unlink(p));
-                    } else {
+                if history.issue(c, &cred, FsOp::Create(p.clone(), 0o644)).is_ok() {
+                    let data = b"short-lived".to_vec();
+                    let _ = history.issue(c, &cred, FsOp::Write { path: p.clone(), offset: 0, data });
+                    if history.issue(c, &cred, FsOp::Unlink(p.clone())).is_err() {
                         leftovers.push(p);
                     }
                 }
             }
             0..=1 => {
                 let d = rng.gen_range(0usize..4);
-                if clients[d % 3].mkdir(&tdir(d), &cred, 0o755).is_ok() {
-                    acked.push(Acked::Mkdir(tdir(d)));
-                }
+                let _ = history.issue(&clients[d % 3], &cred, FsOp::Mkdir(tdir(d), 0o755));
             }
             2..=5 => {
                 let i = rng.gen_range(0usize..12);
-                if clients[(i / 3) % 3].create(&tfile(i), &cred, 0o644).is_ok() {
-                    acked.push(Acked::Create(tfile(i)));
-                }
+                let _ = history.issue(&clients[(i / 3) % 3], &cred, FsOp::Create(tfile(i), 0o644));
             }
             _ => {
                 let i = rng.gen_range(0usize..12);
-                if clients[(i / 3) % 3].unlink(&tfile(i), &cred).is_ok() {
-                    acked.push(Acked::Unlink(tfile(i)));
-                }
+                let _ = history.issue(&clients[(i / 3) % 3], &cred, FsOp::Unlink(tfile(i)));
             }
         }
 
@@ -256,7 +209,7 @@ fn cache_storm(seed: u64, pressure: bool) -> u64 {
         let p = sfile(rng.gen_range(0usize..12));
         let st = clients[rng.gen_range(0usize..3)].stat(&p, &cred);
         assert!(st.is_ok(), "stable path {p} unreadable mid-storm: {st:?}");
-        let backup = oracle_check.stat(&p, &cred).expect("stable path on backup");
+        let backup = backup_copy.stat(&p, &cred).expect("stable path on backup");
         assert_eq!(st.unwrap().kind, backup.kind, "degraded read of {p} staler than backup");
 
         core.pump();
@@ -274,25 +227,22 @@ fn cache_storm(seed: u64, pressure: bool) -> u64 {
         for (n, c) in clients.iter().enumerate() {
             for i in 0..8 {
                 let p = format!("/w/s{n}/burst{i}");
-                c.create(&p, &cred, 0o644).unwrap();
-                acked.push(Acked::Create(p));
+                history.issue(c, &cred, FsOp::Create(p, 0o644)).unwrap();
             }
         }
     }
     region.flush_publishes().unwrap();
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     for p in leftovers {
-        clients[0].unlink(&p, &cred).unwrap();
-        acked.push(Acked::Unlink(p));
+        history.issue(&clients[0], &cred, FsOp::Unlink(p)).unwrap();
     }
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     // A commit process acknowledges what it takes: with the queues
     // drained, every window is provably consumed.
     assert_eq!(region.unacked_publishes(), 0, "redelivery window not empty after drain");
 
-    // No acknowledged update lost: backup namespace == oracle namespace.
-    let oracle = oracle_dfs(&profile, &cred, &acked);
-    assert_matches_oracle(&dfs, &oracle, &cred);
+    // No acknowledged update lost: the backup copy is the reference's.
+    history.assert_backup_matches(&dfs, &cred, &universe());
 
     // Steady state: reads are cache-served again.
     assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
@@ -375,11 +325,10 @@ fn link_plan(seed: u64) -> FaultPlan {
 /// figures run, 32 as the benchmark workloads do. Acked writes must
 /// survive lost broker buffers via publisher-side redelivery, and
 /// duplicated deliveries must be absorbed; final file contents must match
-/// the oracle byte-for-byte.
+/// the reference byte-for-byte.
 fn link_storm_with_writes(seed: u64, batch: usize) -> FsResult<()> {
-    let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
-    let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let wal_dir = fresh_wal_dir("link");
     let config = PaconConfig::new("/w", Topology::new(NODES, 1), cred)
         .with_commit_batch(batch)
@@ -388,16 +337,7 @@ fn link_storm_with_writes(seed: u64, batch: usize) -> FsResult<()> {
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
     let core = region.core();
 
-    let mut acked: Vec<Acked> = Vec::new();
-    for d in 0..4 {
-        clients[d % 3].mkdir(&sdir(d), &cred, 0o755)?;
-        acked.push(Acked::Mkdir(sdir(d)));
-    }
-    for i in 0..12 {
-        clients[(i / 3) % 3].create(&sfile(i), &cred, 0o644)?;
-        acked.push(Acked::Create(sfile(i)));
-    }
-    drain(&region);
+    let mut history = commit_stable_universe(&region, &clients, &cred)?;
 
     let plan = link_plan(seed);
     let _trace = TraceOnPanic { plan: &plan, name: format!("link-storm-{seed}.trace") };
@@ -405,32 +345,20 @@ fn link_storm_with_writes(seed: u64, batch: usize) -> FsResult<()> {
 
     let mut last_epoch = core.cache_cluster.ring_epoch();
     while core.sim_ns() < STORM_END + STEP_NS {
-        core.advance(STEP_NS);
-        for ev in plan.advance_to(core.sim_ns()) {
-            region.apply_fault(ev);
-        }
-        let epoch = core.cache_cluster.ring_epoch();
-        assert!(epoch >= last_epoch, "ring epoch regressed: {last_epoch} -> {epoch}");
-        last_epoch = epoch;
+        tick(&region, &plan, &mut last_epoch);
         let i = rng.gen_range(0usize..12);
         let c = &clients[(i / 3) % 3];
         match rng.gen_range(0u32..8) {
             0..=4 => {
                 let b = rng.gen_range(0u32..256) as u8;
                 let data = vec![b; (b as usize % 24) + 1];
-                if c.write(&sfile(i), &cred, 0, &data).is_ok() {
-                    acked.push(Acked::Write(sfile(i), data));
-                }
+                let _ = history.issue(c, &cred, FsOp::Write { path: sfile(i), offset: 0, data });
             }
             5 => {
-                if c.unlink(&sfile(i), &cred).is_ok() {
-                    acked.push(Acked::Unlink(sfile(i)));
-                }
+                let _ = history.issue(c, &cred, FsOp::Unlink(sfile(i)));
             }
             _ => {
-                if c.create(&sfile(i), &cred, 0o644).is_ok() {
-                    acked.push(Acked::Create(sfile(i)));
-                }
+                let _ = history.issue(c, &cred, FsOp::Create(sfile(i), 0o644));
             }
         }
         core.pump();
@@ -439,11 +367,10 @@ fn link_storm_with_writes(seed: u64, batch: usize) -> FsResult<()> {
 
     // Links are healed. No explicit flush: each commit process has its
     // node's window redeliver whenever its queue runs empty.
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     assert_eq!(region.unacked_publishes(), 0, "redelivery window not empty after drain");
 
-    let oracle = oracle_dfs(&profile, &cred, &acked);
-    assert_matches_oracle(&dfs, &oracle, &cred);
+    history.assert_backup_matches(&dfs, &cred, &universe());
 
     // The cache never went down, so degraded mode never opened.
     assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
@@ -504,40 +431,24 @@ fn reshard_plan(seed: u64) -> FaultPlan {
 /// monotonic tick over tick, and the region must end Healthy with the
 /// reshard counters showing real work.
 fn reshard_storm(seed: u64) {
-    let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
-    let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let mut config = PaconConfig::new("/w", Topology::new(NODES, 1), cred);
     config.max_commit_retries = 200;
     let region = PaconRegion::launch_paused(config, &dfs).unwrap();
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
     let core = region.core();
 
-    let mut acked: Vec<Acked> = Vec::new();
-    for d in 0..4 {
-        clients[d % 3].mkdir(&sdir(d), &cred, 0o755).unwrap();
-        acked.push(Acked::Mkdir(sdir(d)));
-    }
-    for i in 0..12 {
-        clients[(i / 3) % 3].create(&sfile(i), &cred, 0o644).unwrap();
-        acked.push(Acked::Create(sfile(i)));
-    }
-    drain(&region);
+    let mut history = commit_stable_universe(&region, &clients, &cred).unwrap();
 
     let plan = reshard_plan(seed);
     let _trace = TraceOnPanic { plan: &plan, name: format!("reshard-storm-{seed}.trace") };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x2545f4914f6cdd1d);
-    let oracle_check = dfs.client();
+    let backup_copy = dfs.client();
 
     let mut last_epoch = core.cache_cluster.ring_epoch();
     while core.sim_ns() < STORM_END + STEP_NS {
-        core.advance(STEP_NS);
-        for ev in plan.advance_to(core.sim_ns()) {
-            region.apply_fault(ev);
-        }
-        let epoch = core.cache_cluster.ring_epoch();
-        assert!(epoch >= last_epoch, "ring epoch regressed: {last_epoch} -> {epoch}");
-        last_epoch = epoch;
+        tick(&region, &plan, &mut last_epoch);
 
         // Background transfer: a bounded batch of keys per tick.
         region.pump_reshard(rng.gen_range(1usize..8));
@@ -545,21 +456,15 @@ fn reshard_storm(seed: u64) {
         match rng.gen_range(0u32..9) {
             0..=1 => {
                 let d = rng.gen_range(0usize..4);
-                if clients[d % 3].mkdir(&tdir(d), &cred, 0o755).is_ok() {
-                    acked.push(Acked::Mkdir(tdir(d)));
-                }
+                let _ = history.issue(&clients[d % 3], &cred, FsOp::Mkdir(tdir(d), 0o755));
             }
             2..=5 => {
                 let i = rng.gen_range(0usize..12);
-                if clients[(i / 3) % 3].create(&tfile(i), &cred, 0o644).is_ok() {
-                    acked.push(Acked::Create(tfile(i)));
-                }
+                let _ = history.issue(&clients[(i / 3) % 3], &cred, FsOp::Create(tfile(i), 0o644));
             }
             _ => {
                 let i = rng.gen_range(0usize..12);
-                if clients[(i / 3) % 3].unlink(&tfile(i), &cred).is_ok() {
-                    acked.push(Acked::Unlink(tfile(i)));
-                }
+                let _ = history.issue(&clients[(i / 3) % 3], &cred, FsOp::Unlink(tfile(i)));
             }
         }
 
@@ -570,7 +475,7 @@ fn reshard_storm(seed: u64) {
         let p = sfile(rng.gen_range(0usize..12));
         let st = clients[rng.gen_range(0usize..3)].stat(&p, &cred);
         assert!(st.is_ok(), "stable path {p} unreadable mid-reshard: {st:?}");
-        let backup = oracle_check.stat(&p, &cred).expect("stable path on backup");
+        let backup = backup_copy.stat(&p, &cred).expect("stable path on backup");
         assert_eq!(st.unwrap().kind, backup.kind, "reshard read of {p} staler than backup");
 
         core.pump();
@@ -595,11 +500,10 @@ fn reshard_storm(seed: u64) {
 
     recover(&region, &clients, &cred);
     region.flush_publishes().unwrap();
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     assert_eq!(region.unacked_publishes(), 0, "redelivery window not empty after drain");
 
-    let oracle = oracle_dfs(&profile, &cred, &acked);
-    assert_matches_oracle(&dfs, &oracle, &cred);
+    history.assert_backup_matches(&dfs, &cred, &universe());
     assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
 
     // The storm is not vacuous: every plan schedules at least one
@@ -618,9 +522,8 @@ fn reshard_storm(seed: u64) {
 /// batch still returns Ok.
 #[test]
 fn multi_stat_survives_mid_batch_cache_crash() {
-    let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
-    let dfs = DfsCluster::with_default_config(Arc::clone(&profile));
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let config = PaconConfig::new("/w", Topology::new(NODES, 1), cred);
     let region = PaconRegion::launch_paused(config, &dfs).unwrap();
     let client = region.client(ClientId(0));
@@ -633,7 +536,7 @@ fn multi_stat_survives_mid_batch_cache_crash() {
     for p in &paths {
         client.create(p, &cred, 0o644).unwrap();
     }
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     // Warm the cache so the batch is cache-resident, then crash one
     // owner mid-universe.
     for p in &paths {
@@ -677,15 +580,15 @@ fn region_with_fresh_memo(
             .unwrap();
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
     clients[0].create("/w/f", &cred, 0o644).unwrap();
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     clients[0].write("/w/f", &cred, 0, before).unwrap();
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     // The memo is live: one more write is a single CAS, no read.
     let stats = region.core().cache_cluster.stats();
     clients[0].write("/w/f", &cred, 0, before).unwrap();
     let after = region.core().cache_cluster.stats();
     assert_eq!((after.gets - stats.gets, after.cas_ok - stats.cas_ok), (0, 1));
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     (dfs, region, clients, cred)
 }
 
@@ -711,7 +614,7 @@ fn own_write_memo_is_fenced_by_a_cache_node_crash_and_restart() {
         // The record in the cache is the DFS-loaded one (data on the
         // DFS), not the remembered inline copy.
         assert_eq!(clients[2].stat("/w/f", &cred).unwrap().size, 13);
-        drain(&region);
+        drain(&region, DRAIN_ROUNDS);
         assert_eq!(dfs.client().read("/w/f", &cred, 0, 64).unwrap(), b"2ndst-payload");
         assert_eq!(clients[0].read("/w/f", &cred, 0, 64).unwrap(), b"2ndst-payload");
     }
@@ -738,7 +641,7 @@ fn own_write_memo_is_dropped_by_a_degraded_window() {
     clients[0].write("/w/f", &cred, 0, b"lit").unwrap();
     let after = core.cache_cluster.stats();
     assert!(after.gets > before.gets, "no remembered copy survived the outage");
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     assert_eq!(dfs.client().read("/w/f", &cred, 0, 64).unwrap(), b"litkt-payload");
     assert_eq!(clients[0].read("/w/f", &cred, 0, 64).unwrap(), b"litkt-payload");
 }
@@ -777,7 +680,7 @@ fn own_write_memo_is_fenced_by_a_live_reshard() {
     assert_eq!((after.gets - before.gets, after.cas_ok - before.cas_ok), (0, 1));
 
     assert_eq!(clients[1].read("/w/f", &cred, 0, 64).unwrap(), b"1100220033");
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     assert_eq!(dfs.client().read("/w/f", &cred, 0, 64).unwrap(), b"1100220033");
     assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
 }
@@ -823,7 +726,7 @@ fn own_write_memo_does_not_bypass_a_stale_tombstone() {
     assert_eq!(clients[0].write("/w/f", &cred, 0, b"dead"), Err(fsapi::FsError::NotFound));
     let after = core.cache_cluster.stats();
     assert_eq!(after.cas_ok, before.cas_ok, "nothing was stored on the dead incarnation");
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     assert_eq!(dfs.client().stat("/w/f", &cred), Err(fsapi::FsError::NotFound));
     assert_eq!(clients[2].stat("/w/f", &cred), Err(fsapi::FsError::NotFound));
 }
@@ -876,7 +779,7 @@ fn a_degraded_batch_read_does_not_resurrect_a_queued_unlink() {
     let c = region.client(ClientId(0));
     let core = region.core();
     c.create("/w/f", &cred, 0o644).unwrap();
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     c.unlink("/w/f", &cred).unwrap();
     region.apply_fault(FaultEvent::CrashCacheNode(core.cache_cluster.shard_node(b"/w/f")));
 
@@ -914,7 +817,7 @@ fn a_degraded_write_to_a_path_that_never_existed_fails_not_found() {
         let _ = c.stat("/w", &cred);
     }
     c.create("/w/ghost", &cred, 0o644).unwrap();
-    drain(&region);
+    drain(&region, DRAIN_ROUNDS);
     assert_eq!(dfs.client().read("/w/ghost", &cred, 0, 64).unwrap(), b"");
     assert_eq!(c.read("/w/ghost", &cred, 0, 64).unwrap(), b"");
 }

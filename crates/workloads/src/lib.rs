@@ -18,10 +18,14 @@
 //!   operation under a cost recorder and hands the trace to the engine;
 //!   Pacon's commit processes run as background DES processes;
 //! * [`threaded`] — a small real-thread driver used by smoke tests.
+//!
+//! [`history`] is the program-order reference the equivalence tests
+//! check a region against.
 
 #![forbid(unsafe_code)]
 
 pub mod driver;
+pub mod history;
 pub mod madbench;
 pub mod mdtest;
 pub mod memaslap;

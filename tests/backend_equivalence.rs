@@ -8,6 +8,7 @@ use std::sync::Arc;
 use fsapi::{Credentials, FileSystem, FsError};
 use pacon::{PaconConfig, PaconRegion};
 use simnet::{ClientId, LatencyProfile, NodeId, Topology};
+use workloads::history::{observe, History};
 use workloads::ops::FsOp;
 
 fn workload() -> Vec<FsOp> {
@@ -29,40 +30,47 @@ fn workload() -> Vec<FsOp> {
     ops
 }
 
-/// The observable state we compare: sorted (path, kind, size) for the
-/// whole universe of paths the workload touches.
-fn observe(fs: &dyn FileSystem, cred: &Credentials) -> Vec<(String, String, u64)> {
-    let mut out = Vec::new();
+/// Every path the workload touches.
+fn universe() -> Vec<String> {
     let mut paths = vec!["/w/a".to_string(), "/w/a/b".to_string(), "/w/c".to_string()];
     for i in 0..10 {
         paths.push(format!("/w/a/f{i}"));
         paths.push(format!("/w/a/b/g{i}"));
     }
     paths.push("/w/c/notes".to_string());
-    for p in paths {
-        match fs.stat(&p, cred) {
-            Ok(st) => out.push((p, format!("{:?}", st.kind), st.size)),
-            Err(FsError::NotFound) => {}
-            Err(e) => panic!("unexpected error on {p}: {e}"),
-        }
-    }
-    out.sort();
-    out
+    paths
 }
 
 #[test]
 fn all_backends_converge_to_the_same_namespace() {
     let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
-    let ops = workload();
+    let universe = universe();
 
-    // Native DFS (reference).
-    let ref_dfs = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
-    let fs = ref_dfs.client();
-    fs.mkdir("/w", &cred, 0o777).unwrap();
-    let (_, _) = workloads::ops::exec_all(&fs, &cred, &ops);
-    let want = observe(&fs, &cred);
-    assert!(!want.is_empty());
+    // Pacon, answering every op as a native DFS does: application view
+    // immediately, DFS view after quiesce, both against the reference.
+    let dfs = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
+    let region = PaconRegion::launch(
+        PaconConfig::new("/w", Topology::new(2, 2), cred),
+        &dfs,
+    )
+    .unwrap();
+    let client = region.client(ClientId(0));
+    let mut history = History::new("/w");
+    for op in workload() {
+        let _ = history.issue(&client, &cred, op);
+    }
+    history.assert_answers_match(&cred);
+    let want = observe(&history.reference(&cred).client(), &cred, &universe);
+    assert!(want.iter().any(|(_, seen)| seen.is_ok()));
+    assert!(
+        want.iter().all(|(_, seen)| matches!(seen, Ok(_) | Err(FsError::NotFound))),
+        "{want:?}"
+    );
+    assert_eq!(observe(&client, &cred, &universe), want, "Pacon application view diverged");
+    region.quiesce();
+    history.assert_backup_matches(&dfs, &cred, &universe);
+    region.shutdown().unwrap();
 
     // IndexFS.
     let idx = indexfs::IndexFsCluster::with_default_config(
@@ -71,35 +79,14 @@ fn all_backends_converge_to_the_same_namespace() {
     );
     let fs = idx.client(NodeId(0));
     fs.mkdir("/w", &cred, 0o777).unwrap();
-    let (_, _) = workloads::ops::exec_all(&fs, &cred, &ops);
-    assert_eq!(observe(&fs, &cred), want, "IndexFS view diverged");
-
-    // Pacon: application view immediately, DFS view after quiesce.
-    let dfs = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
-    let region = PaconRegion::launch(
-        PaconConfig::new("/w", Topology::new(2, 2), cred),
-        &dfs,
-    )
-    .unwrap();
-    let client = region.client(ClientId(0));
-    let (_, _) = workloads::ops::exec_all(&client, &cred, &ops);
-    assert_eq!(observe(&client, &cred), want, "Pacon application view diverged");
-    region.quiesce();
-    let raw = dfs.client();
-    assert_eq!(observe(&raw, &cred), want, "Pacon backup copy diverged");
-    region.shutdown().unwrap();
+    let (_, _) = workloads::ops::exec_all(&fs, &cred, &workload());
+    assert_eq!(observe(&fs, &cred, &universe), want, "IndexFS view diverged");
 }
 
 #[test]
 fn pacon_view_matches_reference_during_mixed_multi_client_run() {
-    let profile = Arc::new(LatencyProfile::zero());
     let cred = Credentials::new(1, 1);
-
-    let ref_dfs = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
-    let rfs = ref_dfs.client();
-    rfs.mkdir("/w", &cred, 0o777).unwrap();
-
-    let dfs = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
+    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let region = PaconRegion::launch(
         PaconConfig::new("/w", Topology::new(3, 1), cred),
         &dfs,
@@ -107,28 +94,28 @@ fn pacon_view_matches_reference_during_mixed_multi_client_run() {
     .unwrap();
     let clients: Vec<_> = (0..3).map(|i| region.client(ClientId(i))).collect();
 
-    // Interleave ops across three clients; mirror on the reference.
+    // Interleave ops across three clients.
+    let mut history = History::new("/w");
     for round in 0..20 {
         let c = &clients[round % 3];
         let dir = format!("/w/d{}", round % 4);
         let file = format!("{dir}/r{round}");
-        let _ = c.mkdir(&dir, &cred, 0o755);
-        let _ = rfs.mkdir(&dir, &cred, 0o755);
-        c.create(&file, &cred, 0o644).unwrap();
-        rfs.create(&file, &cred, 0o644).unwrap();
+        let _ = history.issue(c, &cred, FsOp::Mkdir(dir, 0o755));
+        history.issue(c, &cred, FsOp::Create(file.clone(), 0o644)).unwrap();
         if round % 5 == 4 {
-            c.unlink(&file, &cred).unwrap();
-            rfs.unlink(&file, &cred).unwrap();
+            history.issue(c, &cred, FsOp::Unlink(file)).unwrap();
         }
     }
+    history.assert_answers_match(&cred);
 
     // Every client's strongly consistent view agrees with the reference.
-    for round in 0..20 {
-        let file = format!("/w/d{}/r{round}", round % 4);
-        let want = rfs.stat(&file, &cred).is_ok();
-        for c in &clients {
-            assert_eq!(c.stat(&file, &cred).is_ok(), want, "divergence at {file}");
-        }
+    let universe: Vec<String> = (0..4)
+        .map(|d| format!("/w/d{d}"))
+        .chain((0..20).map(|round| format!("/w/d{}/r{round}", round % 4)))
+        .collect();
+    let want = observe(&history.reference(&cred).client(), &cred, &universe);
+    for c in &clients {
+        assert_eq!(observe(c, &cred, &universe), want);
     }
     region.shutdown().unwrap();
 }

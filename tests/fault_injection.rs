@@ -26,6 +26,11 @@ use pacon::commit::worker::WorkerStep;
 use pacon::{PaconConfig, PaconRegion};
 use proptest::prelude::*;
 use simnet::{ClientId, FaultEvent, LatencyProfile, NodeId, Topology};
+use workloads::history::{drain, History};
+use workloads::FsOp;
+
+/// Rounds a small faulted pipeline gets to settle (crash-kill schedules: 50 000).
+const DRAIN_ROUNDS: u32 = 10_000;
 
 #[test]
 fn transient_mds_outage_is_absorbed_by_resubmission() {
@@ -93,6 +98,11 @@ fn persistent_outage_exhausts_the_retry_budget() {
     region.shutdown().unwrap();
 }
 
+/// Step node 0's commit process once, in its slot.
+fn step(region: &PaconRegion) -> WorkerStep {
+    region.core().step_worker(0).expect("the commit process is in its slot").0
+}
+
 /// MDS outage striking mid-batch: the failed ops disaggregate into the
 /// single-op retry backlog, the rest of the batch commits, and nothing is
 /// lost or duplicated. Every counter reconciles with the op count.
@@ -115,21 +125,16 @@ fn mid_batch_outage_disaggregates_into_single_op_retries() {
     // fails its first 3 ops (per-request fault consumption).
     dfs.inject_mds_failures(0, 3);
 
-    let mut w = region.take_worker(0);
+    let (first, backlog_empty) = region.core().step_worker(0).unwrap();
     assert_eq!(
-        w.step(),
+        first,
         WorkerStep::Batch { committed: 5, retried: 3, discarded: 0 },
         "partial batch failure must settle per-op"
     );
-    assert!(!w.backlog_empty(), "failed ops sit in the single-op retry backlog");
+    assert!(!backlog_empty, "failed ops sit in the single-op retry backlog");
 
     // Drain: the disaggregated retries go through the plain single-op path.
-    let mut spins = 0;
-    while !region.core().drained() {
-        w.step();
-        spins += 1;
-        assert!(spins < 10_000, "retries never converged");
-    }
+    assert!(drain(&region, DRAIN_ROUNDS));
 
     // No lost ops, no duplicates.
     let mut names = dfs.client().readdir("/job", &cred).unwrap();
@@ -178,11 +183,10 @@ fn replayed_create_after_lost_reply_is_idempotent_success() {
     // The create applies on the MDS but its reply is lost.
     dfs.inject_mds_reply_loss(0, 1);
 
-    let mut w = region.take_worker(0);
-    assert_eq!(w.step(), WorkerStep::Retried, "lost reply surfaces as a backend fault");
+    assert_eq!(step(&region), WorkerStep::Retried, "lost reply surfaces as a backend fault");
     assert!(dfs.client().stat("/job/once", &cred).unwrap().is_file(), "op applied server-side");
     assert_eq!(
-        w.step(),
+        step(&region),
         WorkerStep::Committed,
         "replay must recognize its own entry instead of retrying"
     );
@@ -215,9 +219,8 @@ fn lost_reply_mid_batch_replays_idempotently() {
     // First op of the batch applies but its reply is lost.
     dfs.inject_mds_reply_loss(0, 1);
 
-    let mut w = region.take_worker(0);
-    assert_eq!(w.step(), WorkerStep::Batch { committed: 3, retried: 1, discarded: 0 });
-    assert_eq!(w.step(), WorkerStep::Committed, "disaggregated replay is idempotent");
+    assert_eq!(step(&region), WorkerStep::Batch { committed: 3, retried: 1, discarded: 0 });
+    assert_eq!(step(&region), WorkerStep::Committed, "disaggregated replay is idempotent");
 
     let report = region.report();
     assert_eq!(report.committed, 4);
@@ -364,8 +367,7 @@ fn broker_crash_keeps_every_acked_create_at_every_batch_size() {
         let lost = region.core().counters.get("broker_lost_msgs");
         assert!(lost == 4 || lost == 128, "{shape}: everything published was in the broker");
         region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
-        let mut w = region.take_worker(0);
-        drain(region, &mut w);
+        assert!(drain(region, DRAIN_ROUNDS), "{shape}");
         assert_eq!(dfs.client().readdir("/job", cred).unwrap().len(), 128, "{shape}");
         assert_eq!(region.report().committed, 128, "{shape}: each exactly once");
         assert_eq!(region.unacked_publishes(), 0, "{shape}");
@@ -393,18 +395,17 @@ fn a_barrier_after_a_heal_sees_the_acked_create_at_every_batch_size() {
 fn the_region_drains_after_a_heal_without_a_flush_at_every_batch_size() {
     for_each_commit_shape("healdrain", |region, dfs, cred, shape| {
         region.apply_fault(FaultEvent::PartitionCommitLink(NodeId(0)));
-        let mut w = region.take_worker(0);
         // Below the threshold first (at batch 32 the window is still
         // empty and all eight wait in the buffer), then past it.
         for files in [0..8, 8..40] {
             create_files(region, cred, files);
             for _ in 0..4 {
-                assert_eq!(w.step(), WorkerStep::Idle, "{shape}: nothing crosses a partitioned link");
+                assert_eq!(step(region), WorkerStep::Idle, "{shape}: nothing crosses a partitioned link");
             }
         }
         assert_eq!(region.report().ops_completed, 0, "{shape}");
         region.apply_fault(FaultEvent::HealCommitLink(NodeId(0)));
-        drain(region, &mut w);
+        assert!(drain(region, DRAIN_ROUNDS), "{shape}");
         assert_eq!(dfs.client().readdir("/job", cred).unwrap().len(), 40, "{shape}");
     });
 }
@@ -435,9 +436,8 @@ fn armed_duplicates_are_dropped_by_the_worker_at_every_batch_size() {
     for_each_commit_shape("duplicates", |region, dfs, cred, shape| {
         region.apply_fault(FaultEvent::DuplicateCommitSends { node: NodeId(0), count: 2 });
         create_files(region, cred, 0..64);
-        let mut w = region.take_worker(0);
-        drain(region, &mut w);
-        while w.step() != WorkerStep::Idle {}
+        assert!(drain(region, DRAIN_ROUNDS), "{shape}");
+        while step(region) != WorkerStep::Idle {}
         assert_eq!(region.core().counters.get("duplicate_drops"), 2, "{shape}");
         assert_eq!(region.report().committed, 64, "{shape}: each exactly once");
         assert_eq!(dfs.client().readdir("/job", cred).unwrap().len(), 64, "{shape}");
@@ -482,7 +482,12 @@ fn a_barrier_marker_lost_with_the_broker_is_sent_again_at_every_batch_size() {
             .unwrap_or_else(|_| panic!("{shape}: the barrier lost its marker and never returned"));
         assert_eq!(names.unwrap(), ["f"], "{shape}");
         assert_eq!(region.core().counters.get("stale_barrier_markers"), 0, "{shape}");
-        drain(region, &mut w);
+        let mut spins = 0;
+        while !region.core().drained() {
+            assert_ne!(w.step(), WorkerStep::Crashed, "{shape}");
+            spins += 1;
+            assert!(spins < 10_000, "{shape}: commit never converged");
+        }
         assert_eq!(region.report().committed, 1, "{shape}: the resent create applied once");
     });
 }
@@ -551,68 +556,37 @@ fn fresh_wal_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Generated workload step over the 4-dir × 3-file universe of
-/// `commit_equivalence`, plus deterministic-payload writes.
-#[derive(Debug, Clone)]
-enum KStep {
-    Mkdir(usize),
-    Create(usize),
-    Unlink(usize),
-    Write(usize, u8),
-}
-
 fn dir_path(d: usize) -> String {
     format!("/w/d{}", d % 4)
 }
 fn file_path(i: usize) -> String {
     format!("/w/d{}/f{}", (i / 3) % 4, i % 3)
 }
-fn payload(b: u8) -> Vec<u8> {
-    vec![b; (b as usize % 24) + 1]
-}
 
-fn kstep_strategy() -> impl Strategy<Value = KStep> {
+/// Ops over the 4-dir × 3-file universe of `commit_equivalence`, plus
+/// deterministic-payload writes.
+fn kill_op_strategy() -> impl Strategy<Value = FsOp> {
     prop_oneof![
-        2 => (0usize..4).prop_map(KStep::Mkdir),
-        4 => (0usize..12).prop_map(KStep::Create),
-        2 => (0usize..12).prop_map(KStep::Unlink),
-        3 => ((0usize..12), any::<u8>()).prop_map(|(i, b)| KStep::Write(i, b)),
+        2 => (0usize..4).prop_map(|d| FsOp::Mkdir(dir_path(d), 0o755)),
+        4 => (0usize..12).prop_map(|i| FsOp::Create(file_path(i), 0o644)),
+        2 => (0usize..12).prop_map(|i| FsOp::Unlink(file_path(i))),
+        3 => ((0usize..12), any::<u8>()).prop_map(|(i, b)| FsOp::Write {
+            path: file_path(i),
+            offset: 0,
+            data: vec![b; (b as usize % 24) + 1],
+        }),
     ]
-}
-
-/// Issue one step through a Pacon client; `Ok(())` means the client
-/// acknowledged the mutation.
-fn issue(c: &pacon::PaconClient, cred: &Credentials, s: &KStep) -> Result<(), FsError> {
-    match s {
-        KStep::Mkdir(d) => c.mkdir(&dir_path(*d), cred, 0o755),
-        KStep::Create(i) => c.create(&file_path(*i), cred, 0o644),
-        KStep::Unlink(i) => c.unlink(&file_path(*i), cred),
-        KStep::Write(i, b) => c.write(&file_path(*i), cred, 0, &payload(*b)).map(|_| ()),
-    }
-}
-
-/// Apply one step directly to the oracle DFS, ignoring rejections (the
-/// oracle only sees steps the crashed region acknowledged, but stays
-/// defensive about ordering edge cases).
-fn oracle_apply(fs: &dfs::DfsClient, cred: &Credentials, s: &KStep) {
-    let _ = match s {
-        KStep::Mkdir(d) => fs.mkdir(&dir_path(*d), cred, 0o755),
-        KStep::Create(i) => fs.create(&file_path(*i), cred, 0o644),
-        KStep::Unlink(i) => fs.unlink(&file_path(*i), cred),
-        KStep::Write(i, b) => fs.write(&file_path(*i), cred, 0, &payload(*b)).map(|_| ()),
-    };
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
     /// The tentpole property: for every workload, every kill stage, and
     /// every arming depth, the region recovered from its WALs converges
-    /// to exactly the state an uncrashed oracle reaches by applying the
-    /// acknowledged ops in program order — including a crash *during*
-    /// recovery (the log replays twice).
+    /// to exactly the program-order reference of the acknowledged ops —
+    /// including a crash *during* recovery (the log replays twice).
     #[test]
     fn crash_kill_recovery_converges_to_oracle(
-        steps in proptest::collection::vec(kstep_strategy(), 4..24),
+        steps in proptest::collection::vec(kill_op_strategy(), 4..24),
         nth in 1u32..4,
         use_batching in any::<bool>(),
     ) {
@@ -622,10 +596,10 @@ proptest! {
             CrashPoint::MidBatch,
             CrashPoint::PreTruncate,
         ];
+        let universe: Vec<String> = (0..4).map(dir_path).chain((0..12).map(file_path)).collect();
         for point in points {
-            let profile = Arc::new(LatencyProfile::zero());
             let cred = Credentials::new(1, 1);
-            let dfs = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
+            let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
             let wal_dir = fresh_wal_dir("prop");
             let mut config = PaconConfig::new("/w", Topology::new(1, 1), cred)
                 .with_durability(&wal_dir);
@@ -640,45 +614,25 @@ proptest! {
             // Issue until the crash switch kills the publish path. An op
             // that dies pre-append was never durable (the client saw the
             // error); one that dies post-append is durable despite the
-            // error and the oracle must include it.
-            let mut acked: Vec<KStep> = Vec::new();
-            for s in &steps {
-                match issue(&c, &cred, s) {
-                    Ok(()) => acked.push(s.clone()),
-                    Err(e) if CrashSwitch::is_crash_error(&e) => {
+            // error and the reference must include it. An admission
+            // rejection (missing parent, duplicate, …) was never enqueued.
+            let mut history = History::new("/w");
+            for op in &steps {
+                if let Err(e) = history.issue(&c, &cred, op.clone()) {
+                    if CrashSwitch::is_crash_error(&e) {
                         if point == CrashPoint::PostAppend {
-                            acked.push(s.clone());
+                            history.acknowledge_last();
                         }
                         break;
                     }
-                    // Admission rejection (missing parent, duplicate,
-                    // …): never enqueued, never durable.
-                    Err(_) => {}
                 }
             }
 
-            // Drive the commit worker until it drains or the node dies.
-            let mut w = region.take_worker(0);
-            let mut spins = 0;
-            while !region.core().drained() {
-                if w.step() == WorkerStep::Crashed {
-                    break;
-                }
-                spins += 1;
-                prop_assert!(spins < 50_000, "worker did not converge at {:?}", point);
-            }
-            drop(w);
+            // Step the commit process until it drains or the node dies.
+            drain(&region, 50_000);
             region.abort();
             drop(c);
             drop(region);
-
-            // Uncrashed oracle: acknowledged ops in program order.
-            let oracle = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
-            let ofs = oracle.client();
-            ofs.mkdir("/w", &cred, 0o777).unwrap();
-            for s in &acked {
-                oracle_apply(&ofs, &cred, s);
-            }
 
             // Recovery — killed again mid-replay whenever the log is
             // non-trivial, so the double-replay (crash during recovery)
@@ -703,22 +657,8 @@ proptest! {
             );
             drop(recovered);
 
-            // Namespace equivalence: paths, kinds, and sizes.
-            let got = dfs.snapshot();
-            let want = oracle.snapshot();
-            prop_assert_eq!(&got, &want, "namespace diverged at {:?}", point);
-
-            // Content equivalence for every file slot in the universe.
-            for i in 0..12 {
-                let p = file_path(i);
-                let want = ofs.read(&p, &cred, 0, 1 << 12);
-                let got = dfs.client().read(&p, &cred, 0, 1 << 12);
-                match (want, got) {
-                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "content diverged at {} ({:?})", p, point),
-                    (Err(FsError::NotFound), Err(FsError::NotFound)) => {}
-                    other => prop_assert!(false, "content diverged at {} ({:?}): {:?}", p, point, other),
-                }
-            }
+            // Namespace (paths, kinds, sizes) and contents equivalence.
+            history.assert_backup_matches(&dfs, &cred, &universe);
             let _ = std::fs::remove_dir_all(&wal_dir);
         }
     }
@@ -741,19 +681,12 @@ fn pre_truncate_crash_replays_the_full_log_as_noops() {
     for i in 0..6 {
         c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
     }
-    let mut w = region.take_worker(0);
-    let mut spins = 0;
-    while !region.core().drained() {
-        assert_ne!(w.step(), WorkerStep::Crashed, "kill point is after the last settle");
-        spins += 1;
-        assert!(spins < 10_000, "commit never converged");
-    }
+    assert!(drain(&region, DRAIN_ROUNDS), "kill point is after the last settle");
     let old = region.report();
     assert_eq!(old.committed, 6);
     assert_eq!(old.wal_appended, 6);
     assert_eq!(old.wal_fsyncs, 6, "fsync batch 1 syncs per append");
     assert_eq!(old.wal_truncations, 0, "the kill point must block truncation");
-    drop(w);
     region.abort();
     drop(c);
     drop(region);
@@ -795,9 +728,8 @@ fn mid_batch_crash_keeps_every_acked_op() {
     for i in 0..8 {
         c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
     }
-    let mut w = region.take_worker(0);
-    assert_eq!(w.step(), WorkerStep::Crashed, "kill before the first settle");
-    assert_eq!(w.step(), WorkerStep::Crashed, "a dead node stays dead");
+    assert_eq!(step(&region), WorkerStep::Crashed, "kill before the first settle");
+    assert_eq!(step(&region), WorkerStep::Crashed, "a dead node stays dead");
     assert_eq!(
         dfs.client().readdir("/job", &cred).unwrap().len(),
         8,
@@ -806,7 +738,6 @@ fn mid_batch_crash_keeps_every_acked_op() {
     let old = region.report();
     assert_eq!(old.committed, 0, "nothing settled");
     assert_eq!(old.wal_appended, 8);
-    drop(w);
     region.abort();
     drop(c);
     drop(region);
@@ -827,16 +758,6 @@ fn mid_batch_crash_keeps_every_acked_op() {
 // Data-plane group commit: faults inside a writeback group
 // ---------------------------------------------------------------------------
 
-/// Step `w` until the region is drained.
-fn drain(region: &PaconRegion, w: &mut pacon::commit::CommitWorker) {
-    let mut spins = 0;
-    while !region.core().drained() {
-        assert_ne!(w.step(), WorkerStep::Crashed);
-        spins += 1;
-        assert!(spins < 10_000, "commit never converged");
-    }
-}
-
 fn group_payload(i: usize) -> Vec<u8> {
     vec![b'a' + i as u8; 16 + i]
 }
@@ -854,25 +775,25 @@ fn outage_inside_a_size_group_retries_only_the_struck_writebacks() {
     )
     .unwrap();
     let c = region.client(ClientId(0));
-    let mut w = region.take_worker(0);
     for i in 0..6 {
         c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
     }
     // One writeback alone first: it walks `/job` into the commit process's
     // dentry cache, so the group below resolves without an MDS round.
     c.write("/job/f0", &cred, 0, b"warm").unwrap();
-    drain(&region, &mut w);
+    assert!(drain(&region, DRAIN_ROUNDS));
     // Six writebacks, one full batch. The size request is the group's only
     // MDS round and the outage strikes its first two items.
     for i in 0..6 {
         c.write(&format!("/job/f{i}"), &cred, 0, &group_payload(i)).unwrap();
     }
     dfs.inject_mds_failures(0, 2);
-    assert_eq!(w.step(), WorkerStep::Batch { committed: 4, retried: 2, discarded: 0 });
+    let (group, backlog_empty) = region.core().step_worker(0).unwrap();
+    assert_eq!(group, WorkerStep::Batch { committed: 4, retried: 2, discarded: 0 });
     assert_eq!(dfs.mds_counter("size_batch"), 1);
     assert_eq!(dfs.mds_counter("size_batch_ops"), 6);
     assert_eq!(dfs.mds_counter("injected_failures"), 2);
-    assert!(!w.backlog_empty());
+    assert!(!backlog_empty);
     let sizes = |dfs: &dfs::DfsCluster| -> Vec<u64> {
         let mut files: Vec<_> =
             dfs.snapshot().into_iter().filter(|(p, _, _)| p.starts_with("/job/f")).collect();
@@ -881,7 +802,7 @@ fn outage_inside_a_size_group_retries_only_the_struck_writebacks() {
     };
     assert_eq!(sizes(&dfs), [4, 0, 18, 19, 20, 21], "the struck items did not grow");
 
-    drain(&region, &mut w);
+    assert!(drain(&region, DRAIN_ROUNDS));
     let report = region.report();
     assert_eq!(report.committed, 13);
     assert_eq!(report.resubmitted, 2);
@@ -911,12 +832,11 @@ fn cache_node_down_during_the_group_claim_retries_instead_of_skipping() {
     )
     .unwrap();
     let c = region.client(ClientId(0));
-    let mut w = region.take_worker(0);
     let paths: Vec<String> = (0..8).map(|i| format!("/job/f{i}")).collect();
     for p in &paths {
         c.create(p, &cred, 0o644).unwrap();
     }
-    drain(&region, &mut w);
+    assert!(drain(&region, DRAIN_ROUNDS));
     for (i, p) in paths.iter().enumerate() {
         c.write(p, &cred, 0, &group_payload(i)).unwrap();
     }
@@ -929,17 +849,17 @@ fn cache_node_down_during_the_group_claim_retries_instead_of_skipping() {
     assert!(down > 0 && down < 8, "the eight names must spread over both shards");
 
     region.apply_fault(simnet::FaultEvent::CrashCacheNode(victim));
-    assert_eq!(w.step(), WorkerStep::Batch { committed: 8 - down, retried: down, discarded: 0 });
+    assert_eq!(step(&region), WorkerStep::Batch { committed: 8 - down, retried: down, discarded: 0 });
     let counters = &region.core().counters;
     assert_eq!(region.report().resubmitted, down as u64);
     assert_eq!(counters.get("writeback_skipped"), 0, "unreachable is not absent");
     // Still unreachable: the single-op retries keep failing the same way.
-    w.step();
+    step(&region);
     assert_eq!(counters.get("writeback_skipped"), 0);
     assert!(region.report().resubmitted > down as u64);
 
     region.apply_fault(simnet::FaultEvent::RestartCacheNode(victim));
-    drain(&region, &mut w);
+    assert!(drain(&region, DRAIN_ROUNDS));
     assert_eq!(counters.get("writeback_skipped"), down as u64, "wiped records are gone");
     assert_eq!(region.report().committed, 16);
     assert_eq!(region.report().discarded, 0);
@@ -973,15 +893,13 @@ fn mid_batch_crash_inside_a_writeback_group_replays_without_duplicates() {
         c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
         c.write(&format!("/job/f{i}"), &cred, 0, &group_payload(i)).unwrap();
     }
-    let mut w = region.take_worker(0);
-    assert_eq!(w.step(), WorkerStep::Crashed, "killed between the group's apply and its settle");
+    assert_eq!(step(&region), WorkerStep::Crashed, "killed between the group's apply and its settle");
     let old = region.report();
     assert_eq!(old.committed, 4, "the creates settled, no writeback did");
     assert_eq!(old.wal_appended, 8);
     assert_eq!(dfs.mds_counter("size_batch_ops"), 4, "the group reached the DFS");
     let identities = dfs.seen_len();
     assert_eq!(identities, 8, "four creates and four writebacks are remembered");
-    drop(w);
     region.abort();
     drop(c);
     drop(region);
@@ -1034,14 +952,12 @@ fn mid_batch_crash_inside_a_two_plane_message_keeps_every_acked_op() {
             "one message: {N} creates and the {} writebacks between them",
             N - 1
         );
-        let mut w = region.take_worker(0);
-        assert_eq!(w.step(), WorkerStep::Crashed, "window {window}");
+        assert_eq!(step(&region), WorkerStep::Crashed, "window {window}");
         let old = region.report();
         assert_eq!(old.committed, if window == 1 { 0 } else { N as u64 }, "window {window}");
         assert_eq!(dfs.mds_counter("batch_ops"), N as u64, "the namespace RPC landed");
         assert_eq!(dfs.mds_counter("size_batch_ops"), if window == 1 { 0 } else { N as u64 - 1 });
         assert_eq!(old.wal_appended, 2 * (N as u64 + 1));
-        drop(w);
         region.abort();
         drop(c);
         drop(region);

@@ -1,23 +1,17 @@
 //! Randomized cross-backend equivalence: arbitrary op sequences applied
-//! through Pacon (with threaded commit) and directly to a reference DFS
-//! must agree on every observable — the application view immediately and
-//! the backup copy after quiescing.
+//! through Pacon (with threaded commit) must be answered as a plain DFS
+//! answers them in program order, and agree with that reference on every
+//! observable — the application view immediately and the backup copy
+//! after quiescing.
 
 use std::sync::Arc;
 
-use fsapi::{Credentials, FileSystem, FsError};
+use fsapi::Credentials;
 use pacon::{PaconConfig, PaconRegion};
 use proptest::prelude::*;
 use simnet::{ClientId, LatencyProfile, Topology};
-
-#[derive(Debug, Clone)]
-enum Op {
-    Mkdir(u8),
-    Create(u8),
-    Unlink(u8),
-    Write(u8, u16),
-    Stat(u8),
-}
+use workloads::history::{observe, History};
+use workloads::FsOp;
 
 /// Path universe: 3 dirs x 4 file slots + the dirs themselves.
 fn dir_of(i: u8) -> String {
@@ -27,43 +21,18 @@ fn file_of(i: u8) -> String {
     format!("/w/d{}/f{}", (i / 4) % 3, i % 4)
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy() -> impl Strategy<Value = FsOp> {
     prop_oneof![
-        2 => any::<u8>().prop_map(Op::Mkdir),
-        4 => any::<u8>().prop_map(Op::Create),
-        2 => any::<u8>().prop_map(Op::Unlink),
-        2 => (any::<u8>(), 0u16..2048).prop_map(|(i, n)| Op::Write(i, n)),
-        2 => any::<u8>().prop_map(Op::Stat),
+        2 => any::<u8>().prop_map(|i| FsOp::Mkdir(dir_of(i), 0o755)),
+        4 => any::<u8>().prop_map(|i| FsOp::Create(file_of(i), 0o644)),
+        2 => any::<u8>().prop_map(|i| FsOp::Unlink(file_of(i))),
+        2 => (any::<u8>(), 0u16..2048).prop_map(|(i, n)| FsOp::Write {
+            path: file_of(i),
+            offset: 0,
+            data: vec![i.wrapping_add(1); n as usize],
+        }),
+        2 => any::<u8>().prop_map(|i| FsOp::Stat(file_of(i))),
     ]
-}
-
-fn apply(fs: &dyn FileSystem, cred: &Credentials, op: &Op) -> Result<(), FsError> {
-    match op {
-        Op::Mkdir(i) => fs.mkdir(&dir_of(*i), cred, 0o755),
-        Op::Create(i) => fs.create(&file_of(*i), cred, 0o644),
-        Op::Unlink(i) => fs.unlink(&file_of(*i), cred),
-        Op::Write(i, n) => {
-            fs.write(&file_of(*i), cred, 0, &vec![(*i).wrapping_add(1); *n as usize]).map(|_| ())
-        }
-        Op::Stat(i) => fs.stat(&file_of(*i), cred).map(|_| ()),
-    }
-}
-
-fn observe(fs: &dyn FileSystem, cred: &Credentials) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for i in 0..12u8 {
-        let p = file_of(i);
-        if let Ok(st) = fs.stat(&p, cred) {
-            out.push((p, st.size));
-        }
-    }
-    for d in 0..3u8 {
-        if fs.stat(&dir_of(d), cred).is_ok() {
-            out.push((dir_of(d), u64::MAX));
-        }
-    }
-    out.sort();
-    out
 }
 
 proptest! {
@@ -72,40 +41,30 @@ proptest! {
     fn pacon_matches_reference_on_random_sequences(
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        let profile = Arc::new(LatencyProfile::zero());
         let cred = Credentials::new(1, 1);
-
-        let ref_dfs = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
-        let rfs = ref_dfs.client();
-        rfs.mkdir("/w", &cred, 0o777).unwrap();
-
-        let dfs = dfs::DfsCluster::with_default_config(Arc::clone(&profile));
+        let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
         let region = PaconRegion::launch(
             PaconConfig::new("/w", Topology::new(2, 1), cred),
             &dfs,
         ).unwrap();
         let client = region.client(ClientId(0));
 
-        for op in &ops {
-            let a = apply(&client, &cred, op);
-            let b = apply(&rfs, &cred, op);
-            // Outcomes must agree (both Ok or both the same error class).
-            match (&a, &b) {
-                (Ok(()), Ok(())) => {}
-                (Err(x), Err(y)) => prop_assert_eq!(
-                    std::mem::discriminant(x),
-                    std::mem::discriminant(y),
-                    "different errors for {:?}: pacon={:?} ref={:?}", op, x, y
-                ),
-                other => prop_assert!(false, "divergent outcome for {:?}: {:?}", op, other),
-            }
+        let mut history = History::new("/w");
+        for op in ops {
+            let _ = history.issue(&client, &cred, op);
         }
+        history.assert_answers_match(&cred);
 
+        let universe: Vec<String> = (0..3).map(dir_of).chain((0..12).map(file_of)).collect();
+        let reference = history.reference(&cred);
         // Application view matches the reference now...
-        prop_assert_eq!(observe(&client, &cred), observe(&rfs, &cred));
+        prop_assert_eq!(
+            observe(&client, &cred, &universe),
+            observe(&reference.client(), &cred, &universe)
+        );
         // ...and the backup copy matches after draining the queues.
         region.quiesce();
-        prop_assert_eq!(observe(&dfs.client(), &cred), observe(&rfs, &cred));
+        history.assert_backup_matches(&dfs, &cred, &universe);
         region.shutdown().unwrap();
     }
 }
