@@ -9,13 +9,12 @@
 //! quantifies in Figures 2 and 9 and that Pacon's batch permission
 //! management avoids.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use fsapi::types::ACCESS_X;
 use fsapi::{path as fspath, Credentials, FileKind, FileStat, FsError, FsResult, Perm};
 use fsapi::FileSystem;
-use simnet::{charge, Counters, Station};
+use simnet::{charge, Counters, FastMap, Station};
 use syncguard::{level, Mutex};
 
 use crate::cluster::DfsCluster;
@@ -54,7 +53,7 @@ struct Node {
 /// last use.
 struct DentryCache {
     /// Path → slot in `nodes`; the key is the node's own.
-    map: HashMap<Arc<str>, usize>,
+    map: FastMap<Arc<str>, usize>,
     /// Dense: every slot is linked and mapped.
     nodes: Vec<Node>,
     /// Most recently used node.
@@ -66,7 +65,7 @@ struct DentryCache {
 
 impl DentryCache {
     fn new(capacity: usize) -> Self {
-        Self { map: HashMap::new(), nodes: Vec::new(), newest: NIL, oldest: NIL, capacity }
+        Self { map: FastMap::default(), nodes: Vec::new(), newest: NIL, oldest: NIL, capacity }
     }
 
     fn get(&mut self, path: &str) -> Option<Dentry> {

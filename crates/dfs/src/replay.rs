@@ -21,10 +21,10 @@
 //! never skipped: dropping an acknowledged write is strictly worse than
 //! re-applying one.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use fsapi::path as fspath;
+use simnet::FastMap;
 use syncguard::{level, Mutex};
 
 use crate::namespace::Ino;
@@ -97,7 +97,7 @@ impl PathIds {
 /// holds both its identities and its latest generation.
 #[derive(Debug, Default)]
 pub struct SeenCache {
-    paths: HashMap<Box<str>, PathIds>,
+    paths: FastMap<Box<str>, PathIds>,
     /// Identities over every path (`len`).
     identities: usize,
 }
@@ -202,6 +202,7 @@ impl SeenCache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     #[test]
     fn replay_hits_after_record() {

@@ -12,7 +12,9 @@
 //! * values are stored as `Arc<[u8]>` — a hit hands out a refcount bump,
 //!   not a byte copy;
 //! * operation counters live outside the lock as atomics, so `get` never
-//!   writes shard state.
+//!   writes shard state, and a batch adds its counts once;
+//! * every op probes the map once: `add` is one entry lookup, a CAS
+//!   updates the entry in place without copying its key.
 //!
 //! A shard never sheds a record on its own: a key leaves only through
 //! [`Shard::delete`], [`Shard::migrate_out`] or [`Shard::clear`]. Pacon's
@@ -27,20 +29,21 @@
 //! [`Shard::keys_with_prefix`] and [`Shard::first_key_at_or_after`] —
 //! go through an ordered key index (a `BTreeSet` of the live keys). The
 //! index is **built by the first ordered query** and kept current from
-//! then on at every place a key enters or leaves the map (`store`,
-//! `install`, `Inner::remove`, `clear`). A shard that is never asked an
+//! then on at every place a key enters or leaves the map (`admit`,
+//! `Inner::remove`, `clear`). A shard that is never asked an
 //! ordered question never pays for one: an always-on index cost the
 //! create-only benchmark workload 10–20 % host throughput and 11 % peak
 //! RSS (DESIGN §5.2), and Pacon only asks under cache pressure, on
 //! `rmdir` and on a reshard. Once built, a query costs O(log n) plus the
 //! keys it yields ([`ShardStats::scanned_keys`] counts exactly those).
 
-use std::collections::hash_map::Entry as MapEntry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::{Entry as MapEntry, VacantEntry};
+use std::collections::BTreeSet;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use simnet::{FastMap, FastSet};
 use syncguard::{level, RwLock};
 
 /// A cached value: shared, immutable bytes. Cloning is a refcount bump.
@@ -165,7 +168,7 @@ impl Counters {
 }
 
 struct Inner {
-    map: HashMap<Vec<u8>, Entry>,
+    map: FastMap<Vec<u8>, Entry>,
     next_version: u64,
     used_bytes: usize,
     /// Keys migrated off this shard by a live reshard. While a marker is
@@ -173,28 +176,22 @@ struct Inner {
     /// miss means "moved", not "absent". Cleared when the migration
     /// completes or aborts, and by [`Shard::clear`] (crash wipes markers
     /// with the rest of volatile memory).
-    moved_out: std::collections::HashSet<Vec<u8>>,
+    moved_out: FastSet<Vec<u8>>,
     /// The live keys in byte order; `None` until the first ordered query
     /// builds it (module docs).
     index: Option<BTreeSet<Vec<u8>>>,
 }
 
 impl Inner {
-    /// Single-lookup store (entry API — one hash per call).
+    /// Unconditional store: one probe, and the key is copied only when
+    /// it is new.
     fn store(&mut self, key: &[u8], value: &[u8]) -> u64 {
         self.next_version += 1;
         let version = self.next_version;
         match self.map.entry(key.to_vec()) {
-            MapEntry::Occupied(mut o) => {
-                let e = o.get_mut();
-                self.used_bytes = self.used_bytes - e.value.len() + value.len();
-                e.value = Arc::from(value);
-                e.version = version;
-            }
+            MapEntry::Occupied(mut o) => replace(&mut self.used_bytes, o.get_mut(), value, version),
             MapEntry::Vacant(slot) => {
-                self.used_bytes += entry_cost(key, value);
-                index_insert(&mut self.index, key);
-                slot.insert(Entry { value: Arc::from(value), version });
+                admit(&mut self.used_bytes, &mut self.index, slot, value, version)
             }
         }
         version
@@ -212,13 +209,32 @@ impl Inner {
     }
 }
 
-/// A new key entered the map: mirror it into the ordered index, if built.
-/// (A free function so the `map.entry` borrow in the callers stays
-/// field-disjoint.)
-fn index_insert(index: &mut Option<BTreeSet<Vec<u8>>>, key: &[u8]) {
+/// Overwrite a live entry. (Free functions, so that a caller's borrow of
+/// `map` stays field-disjoint from the byte count and the index.)
+fn replace(used_bytes: &mut usize, e: &mut Entry, value: &[u8], version: u64) {
+    *used_bytes = *used_bytes - e.value.len() + value.len();
+    e.value = Arc::from(value);
+    e.version = version;
+}
+
+fn lookup(g: &Inner, key: &[u8]) -> Option<(Value, u64)> {
+    g.map.get(key).map(|e| (Arc::clone(&e.value), e.version))
+}
+
+/// A new key enters the map: count its bytes and mirror it into the
+/// ordered index, if built.
+fn admit(
+    used_bytes: &mut usize,
+    index: &mut Option<BTreeSet<Vec<u8>>>,
+    slot: VacantEntry<'_, Vec<u8>, Entry>,
+    value: &[u8],
+    version: u64,
+) {
+    *used_bytes += entry_cost(slot.key(), value);
     if let Some(index) = index {
-        index.insert(key.to_vec());
+        index.insert(slot.key().clone());
     }
+    slot.insert(Entry { value: Arc::from(value), version });
 }
 
 /// A single cache shard. Thread-safe; reads share the lock.
@@ -241,10 +257,10 @@ impl Shard {
     pub fn new() -> Self {
         Self {
             inner: RwLock::new(level::SHARD, "memkv.shard", Inner {
-                map: HashMap::new(),
+                map: FastMap::default(),
                 next_version: 1,
                 used_bytes: 0,
-                moved_out: std::collections::HashSet::new(),
+                moved_out: FastSet::default(),
                 index: None,
             }),
             stats: Counters::default(),
@@ -255,24 +271,42 @@ impl Shard {
     /// other readers and never writes shard state.
     pub fn get(&self, key: &[u8]) -> Option<(Value, u64)> {
         let g = self.inner.read();
-        self.lookup(&g, key)
+        self.lookup_one(&g, key)
     }
 
-    /// Batched `gets`: one lock acquisition for the whole key batch.
-    /// Results are in input order; a missing key yields `None`.
+    /// Batched `gets`: one lock acquisition for the whole key batch, and
+    /// its lookups counted once. Results are in input order; a missing key
+    /// yields `None`.
     pub fn get_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Vec<Option<(Value, u64)>> {
         let g = self.inner.read();
+        let (mut hits, mut bytes) = (0u64, 0usize);
+        let found = keys
+            .iter()
+            .map(|k| {
+                let e = lookup(&g, k.as_ref())?;
+                hits += 1;
+                bytes += e.0.len();
+                Some(e)
+            })
+            .collect();
         self.stats.multi_gets.fetch_add(1, Ordering::Relaxed);
         self.stats.multi_keys.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        keys.iter().map(|k| self.lookup(&g, k.as_ref())).collect()
+        self.count_lookups(keys.len() as u64, bytes, hits);
+        found
     }
 
-    fn lookup(&self, g: &Inner, key: &[u8]) -> Option<(Value, u64)> {
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let e = g.map.get(key)?;
-        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_referenced.fetch_add(e.value.len() as u64, Ordering::Relaxed);
-        Some((Arc::clone(&e.value), e.version))
+    fn lookup_one(&self, g: &Inner, key: &[u8]) -> Option<(Value, u64)> {
+        let found = lookup(g, key);
+        self.count_lookups(1, found.as_ref().map_or(0, |(v, _)| v.len()), found.is_some() as u64);
+        found
+    }
+
+    fn count_lookups(&self, gets: u64, bytes: usize, hits: u64) {
+        self.stats.gets.fetch_add(gets, Ordering::Relaxed);
+        if hits > 0 {
+            self.stats.hits.fetch_add(hits, Ordering::Relaxed);
+            self.stats.bytes_referenced.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
     }
 
     /// Unconditional store. Returns the new version.
@@ -285,12 +319,15 @@ impl Shard {
     /// `add`: store only if absent. Returns the version, or `None` if the
     /// key already exists.
     pub fn add(&self, key: &[u8], value: &[u8]) -> Option<u64> {
-        let mut g = self.inner.write();
-        if g.map.contains_key(key) {
+        let mut guard = self.inner.write();
+        let g = &mut *guard;
+        let MapEntry::Vacant(slot) = g.map.entry(key.to_vec()) else {
             return None;
-        }
+        };
         self.stats.sets.fetch_add(1, Ordering::Relaxed);
-        Some(g.store(key, value))
+        g.next_version += 1;
+        admit(&mut g.used_bytes, &mut g.index, slot, value, g.next_version);
+        Some(g.next_version)
     }
 
     /// Check-and-swap against the version obtained from [`Shard::get`].
@@ -298,18 +335,19 @@ impl Shard {
         self.cas_locked(&mut self.inner.write(), key, expected_version, value)
     }
 
+    /// One probe: the entry is updated in place, its key never copied.
     fn cas_locked(&self, g: &mut Inner, key: &[u8], expected: u64, value: &[u8]) -> CasOutcome {
-        match g.map.get(key).map(|e| e.version) {
-            None => CasOutcome::NotFound,
-            Some(current) if current != expected => {
-                self.stats.cas_conflicts.fetch_add(1, Ordering::Relaxed);
-                CasOutcome::Conflict { current_version: current }
-            }
-            Some(_) => {
-                self.stats.cas_ok.fetch_add(1, Ordering::Relaxed);
-                CasOutcome::Stored { new_version: g.store(key, value) }
-            }
+        let Some(e) = g.map.get_mut(key) else {
+            return CasOutcome::NotFound;
+        };
+        if e.version != expected {
+            self.stats.cas_conflicts.fetch_add(1, Ordering::Relaxed);
+            return CasOutcome::Conflict { current_version: e.version };
         }
+        self.stats.cas_ok.fetch_add(1, Ordering::Relaxed);
+        g.next_version += 1;
+        replace(&mut g.used_bytes, e, value, g.next_version);
+        CasOutcome::Stored { new_version: g.next_version }
     }
 
     /// Remove a key — with `expected_version`, only while it still holds
@@ -460,25 +498,12 @@ impl Shard {
     pub fn install(&self, key: &[u8], value: &[u8], version: u64) -> bool {
         let mut guard = self.inner.write();
         let g = &mut *guard;
-        if let Some(e) = g.map.get(key) {
-            if e.version >= version {
-                return false;
-            }
+        match g.map.entry(key.to_vec()) {
+            MapEntry::Occupied(o) if o.get().version >= version => return false,
+            MapEntry::Occupied(mut o) => replace(&mut g.used_bytes, o.get_mut(), value, version),
+            MapEntry::Vacant(slot) => admit(&mut g.used_bytes, &mut g.index, slot, value, version),
         }
         g.next_version = g.next_version.max(version);
-        match g.map.entry(key.to_vec()) {
-            MapEntry::Occupied(mut o) => {
-                let e = o.get_mut();
-                g.used_bytes = g.used_bytes - e.value.len() + value.len();
-                e.value = Arc::from(value);
-                e.version = version;
-            }
-            MapEntry::Vacant(slot) => {
-                g.used_bytes += entry_cost(key, value);
-                index_insert(&mut g.index, key);
-                slot.insert(Entry { value: Arc::from(value), version });
-            }
-        }
         true
     }
 
@@ -496,7 +521,7 @@ impl Shard {
         if g.moved_out.contains(key) {
             return Err(KeyMoved);
         }
-        Ok(self.lookup(&g, key))
+        Ok(self.lookup_one(&g, key))
     }
 
     /// Drop all moved-out markers (migration completed or aborted).
@@ -622,7 +647,7 @@ mod tests {
         // what is resident.
         let s = Shard::new();
         let key = |i: u32| format!("/w/d{}/f{i}", i % 7).into_bytes();
-        let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+        let mut model: std::collections::HashMap<Vec<u8>, Vec<u8>> = Default::default();
         for i in 0..4000u32 {
             let k = key(i);
             let version = s.add(&k, &[b'a'; 40]).expect("fresh key");

@@ -17,11 +17,11 @@
 //! by a rate-limited recovery probe ([`crate::degraded`]). A bare handle
 //! ([`MetaCache::new`]) makes exactly one attempt.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use fsapi::{FsError, FsResult};
 use memkv::{CasOutcome, CondOutcome, KvClient, KvError};
+use simnet::FastMap;
 
 use crate::degraded::Mode;
 use crate::metadata::CachedMeta;
@@ -219,7 +219,8 @@ impl MetaCache {
     /// fallback *is* the degraded read, counted here.
     pub fn multi_get(&self, paths: &[&str]) -> Result<(Records, usize), CacheError> {
         // `slot[i]`: the index of `paths[i]` among the distinct paths.
-        let mut first: HashMap<&str, usize> = HashMap::with_capacity(paths.len());
+        let mut first: FastMap<&str, usize> =
+            FastMap::with_capacity_and_hasher(paths.len(), Default::default());
         let mut distinct: Vec<&str> = Vec::with_capacity(paths.len());
         let slot: Vec<usize> = paths
             .iter()

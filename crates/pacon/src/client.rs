@@ -14,20 +14,20 @@
 //! DFS untouched (weak consistency, Section III.A); merged regions are
 //! read-only (Section III.D-4).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dfs::DfsClient;
 use fsapi::types::{ACCESS_R, ACCESS_W, ACCESS_X};
 use fsapi::{path as fspath, Credentials, FileKind, FileStat, FsError, FsResult, Perm};
 use fsapi::FileSystem;
-use simnet::{charge, ClientId, NodeId, Station};
+use simnet::{charge, ClientId, FastMap, NodeId, Station};
 use syncguard::{level, Mutex, RwLock};
 
 use crate::cache::{CacheError, Held, MetaCache};
 use crate::commit::op::{CommitOp, QueueMsg};
 use crate::degraded::Mode as DegradedMode;
 use crate::eviction;
+use crate::inflight::Staging;
 use crate::metadata::CachedMeta;
 use crate::region::{RegionCore, RegionHandle};
 
@@ -352,7 +352,7 @@ impl PaconClient {
             })
         } else {
             self.fetch(cache, paths).map(|hits| {
-                let mut loaded: HashMap<&str, FsResult<Found>> = HashMap::new();
+                let mut loaded: FastMap<&str, FsResult<Found>> = FastMap::default();
                 for (i, hit) in hits.into_iter().enumerate() {
                     let found = match hit {
                         Some((meta, _)) => Ok(Found::Meta(meta)),
@@ -605,6 +605,46 @@ impl PaconClient {
         }
         let mib = (charged_len as u64).div_ceil(1 << 20).max(1);
         charge(Station::DataServer((h % n_data) as u32), mib * p.data_write_per_mib);
+    }
+
+    /// Bytes of a file already on the DFS, written to its copy there.
+    fn write_backup(&self, path: &str, cred: &Credentials, off: u64, data: &[u8]) -> FsResult<()> {
+        // lint: allow(commit-path, data plane: committed file contents write back directly, only metadata is queued)
+        self.dfs.write(path, cred, off, data).map(drop)
+    }
+
+    /// Make sure bytes just staged for a file whose creation had not
+    /// committed when the record was read are not stranded (DESIGN §10.4):
+    /// the creation may have gone by them. `committed_since` reads the
+    /// record again — only asked on a [`Staging::Recheck`].
+    fn settle_staging(
+        &self,
+        path: &str,
+        cred: &Credentials,
+        offset: u64,
+        data: &[u8],
+        staging: Staging,
+        committed_since: impl FnOnce() -> bool,
+    ) -> FsResult<()> {
+        let to_dfs = match staging {
+            Staging::Held => false,
+            Staging::AlsoToDfs => true,
+            Staging::Recheck => {
+                let committed = committed_since();
+                if committed {
+                    self.core.in_flight().unstage(path);
+                }
+                committed
+            }
+        };
+        if to_dfs {
+            self.write_backup(path, cred, offset, data)?;
+        }
+        Ok(())
+    }
+
+    fn reads_committed(&self, path: &str) -> bool {
+        matches!(self.cache.get(path), Ok(Some((meta, _))) if meta.committed)
     }
 
     /// Would the record still be a small file? Its whole cache entry —
@@ -904,6 +944,7 @@ impl FileSystem for PaconClient {
                 }
                 let mut outcome = Outcome::Inline;
                 let end = offset as usize + data.len();
+                let settles = self.core.in_flight().settles();
                 let memo = self.take_memo(path);
                 let updated = match self.update_cached(path, cred, memo, |m| {
                     if m.removed {
@@ -917,7 +958,14 @@ impl FileSystem for PaconClient {
                         return Ok(());
                     }
                     let new_len = end.max(m.inline.len());
-                    if self.inline_fits(path, new_len) {
+                    // While an inline writeback is queued or in flight the
+                    // file stays inline past the threshold: a writeback
+                    // that read the record already would write its older
+                    // bytes over a large file's DFS copy. It goes large on
+                    // a later write.
+                    let stays_inline = self.inline_fits(path, new_len)
+                        || self.core.in_flight().writeback_pending(path);
+                    if stays_inline {
                         if m.inline.len() < end {
                             m.inline.resize(end, 0);
                         }
@@ -976,11 +1024,12 @@ impl FileSystem for PaconClient {
                     }
                     Outcome::WentLarge(full) => {
                         if held.meta.committed {
-                            // lint: allow(commit-path, data plane: committed file contents write back directly, only metadata is queued)
-                            self.dfs.write(path, cred, 0, &full)?;
+                            self.write_backup(path, cred, 0, &full)?;
                         } else {
+                            let staging = self.core.in_flight().stage(path, &full, settles);
                             self.charge_staging(path, full.len());
-                            self.core.in_flight().stage(path, full);
+                            let committed = || self.reads_committed(path);
+                            self.settle_staging(path, cred, 0, &full, staging, committed)?;
                         }
                         Some(held)
                     }
@@ -988,8 +1037,7 @@ impl FileSystem for PaconClient {
                     // first update just read: one CAS, no second read.
                     Outcome::AlreadyLarge { committed } => {
                         let resized = if committed {
-                            // lint: allow(commit-path, data plane: committed file contents write back directly, only metadata is queued)
-                            self.dfs.write(path, cred, offset, data)?;
+                            self.write_backup(path, cred, offset, data)?;
                             // Best-effort: a wiped record reloads its
                             // size from the DFS copy just written.
                             self.cache.update::<()>(path, Some(held), |m| {
@@ -998,13 +1046,20 @@ impl FileSystem for PaconClient {
                                 Ok(())
                             })
                         } else {
-                            self.core.in_flight().stage_at(path, offset as usize, data);
+                            let staging =
+                                self.core.in_flight().stage_at(path, offset as usize, data, settles);
                             self.charge_staging(path, data.len());
                             // Best-effort: the bytes are staged durably.
-                            self.cache.update::<()>(path, Some(held), |m| {
+                            // The update stores over the record read
+                            // before the staging or reads it again, so
+                            // what it returns is the record after it.
+                            let resized = self.cache.update::<()>(path, Some(held), |m| {
                                 m.size = m.size.max(end as u64);
                                 Ok(())
-                            })
+                            });
+                            let committed = matches!(&resized, Ok(Ok(Some(h))) if h.meta.committed);
+                            self.settle_staging(path, cred, offset, data, staging, || committed)?;
+                            resized
                         };
                         match resized {
                             Ok(Ok(held)) => held,
@@ -1066,6 +1121,7 @@ impl FileSystem for PaconClient {
         self.charge_overhead();
         match self.route(path) {
             Route::Own => {
+                let settles = self.core.in_flight().settles();
                 let meta = self.get_or_load(path, cred)?;
                 if meta.kind == FileKind::Dir {
                     return Ok(());
@@ -1074,16 +1130,16 @@ impl FileSystem for PaconClient {
                     // Small file already on the DFS: write back inline
                     // data synchronously.
                     (false, true) => {
-                        // lint: allow(commit-path, fsync writes back committed inline data directly; metadata already queued)
-                        self.dfs.write(path, cred, 0, &meta.inline)?;
+                        self.write_backup(path, cred, 0, &meta.inline)?;
                         self.dfs.fsync(path, cred)
                     }
                     // Small file not yet created on the DFS: direct-I/O
                     // staging ("cache files", Section III.D-2).
                     (false, false) => {
+                        let staging = self.core.in_flight().stage(path, &meta.inline, settles);
                         self.charge_staging(path, meta.inline.len());
-                        self.core.in_flight().stage(path, meta.inline);
-                        Ok(())
+                        let committed = || self.reads_committed(path);
+                        self.settle_staging(path, cred, 0, &meta.inline, staging, committed)
                     }
                     (true, true) => self.dfs.fsync(path, cred),
                     // Large & uncommitted: every write already staged

@@ -40,14 +40,14 @@
 //! any other error but a missing prerequisite fails the launch.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dfs::{BatchOp, DfsClient, Ino};
 use fsapi::{FsError, FsResult};
 use fsapi::FileSystem;
 use mq::Consumer;
-use simnet::{charge, NodeId, Station};
+use simnet::{charge, FastMap, NodeId, Station};
 
 use crate::cache::{CacheError, MetaCache};
 use crate::commit::op::{CommitOp, QueueMsg};
@@ -320,7 +320,7 @@ impl CommitWorker {
         let take: Vec<bool> = {
             // Per path met: is the run open to its next op? Not once an op of
             // it waits or was left, and only to writebacks once it holds one.
-            let mut paths: HashMap<&str, bool> =
+            let mut paths: FastMap<&str, bool> =
                 self.retry.iter().filter_map(|e| Some((e.msg.op.path()?, false))).collect();
             let mut taken = 0;
             let scan = log.iter().take(room.saturating_mul(2)).map_while(|e| {
@@ -711,7 +711,8 @@ impl CommitWorker {
         fn ns_path(msg: &QueueMsg) -> Option<&str> {
             msg.op.path().filter(|_| !matches!(msg.op, CommitOp::WriteInline { .. }))
         }
-        let mut last: HashMap<&str, usize> = HashMap::with_capacity(applied.len());
+        let mut last: FastMap<&str, usize> =
+            FastMap::with_capacity_and_hasher(applied.len(), Default::default());
         for (i, msg) in applied.iter().enumerate() {
             if let Some(path) = ns_path(msg) {
                 last.insert(path, i);
@@ -785,6 +786,12 @@ impl CommitWorker {
                 _ => {}
             }
         }
+        for (w, _, meta) in &writes {
+            if meta.as_ref().is_some_and(|m| m.large) {
+                let (msg, path) = work[*w];
+                self.write_through(path, msg.timestamp);
+            }
+        }
         let items: Vec<(&str, u64, Option<&CachedMeta>)> =
             writes.iter().map(|(w, version, meta)| (work[*w].1, *version, meta.as_ref())).collect();
         let settled =
@@ -831,10 +838,20 @@ impl CommitWorker {
         let unlinked_after = || self.core.in_flight().unlinks_pending_after(&[(path, ts)])[0];
         let _ = self.cache.update::<()>(path, None, |m| {
             if Self::marks(m, unlinked_after) {
+                if m.large {
+                    self.write_through(path, ts);
+                }
                 m.committed = true;
             }
             Ok(())
         });
+    }
+
+    /// Before a large record is marked committed, what is staged for it
+    /// goes to its file — and what is staged from then on as well (DESIGN
+    /// §10.4): a reader of the mark reads the DFS copy.
+    fn write_through(&self, path: &str, ts: u64) {
+        self.core.in_flight().write_through(path, ts, |data| self.write_staged(path, data));
     }
 
     /// Per-key deferred deletion of a committed unlink's record.
@@ -852,11 +869,15 @@ impl CommitWorker {
     /// what is staged then is a later incarnation's.
     fn flush_staged(&self, created: &[(&str, u64)]) {
         for (path, data) in self.core.in_flight().take_staged(created) {
-            if self.dfs.write(path, &self.core.config.cred, 0, &data).is_ok() {
-                self.core.counters.incr("staged_writebacks");
-            } else {
-                self.core.counters.incr("staged_writeback_errors");
-            }
+            self.write_staged(path, &data);
+        }
+    }
+
+    fn write_staged(&self, path: &str, data: &[u8]) {
+        if self.dfs.write(path, &self.core.config.cred, 0, data).is_ok() {
+            self.core.counters.incr("staged_writebacks");
+        } else {
+            self.core.counters.incr("staged_writeback_errors");
         }
     }
 }

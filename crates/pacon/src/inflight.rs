@@ -15,7 +15,9 @@
 //! | `settle_unlink` | unlink settled | − stamp (− its inode's birth, committed) |
 //! | `note_birth` | creation committed | its inode's birth = its stamp (no record) |
 //! | `stage` / `stage_at` | data for a file not on the DFS yet | + staged bytes |
+//! | `write_through` | creation about to mark its large record committed | staged bytes on the DFS |
 //! | `take_staged` | creation committed or discarded | − its staged bytes |
+//! | `unstage` | staged after the creation settled them | − staged bytes |
 //! | `remove_dir` | rmdir, inside its barrier | − slots and staged bytes under it |
 //! | `new_generation` | durable create / mkdir / unlink published | generation = its write id |
 //! | `clear_stale` | stale record deleted, or fresh one stored | − stale mark |
@@ -38,6 +40,16 @@
 //! acknowledged since the bytes were staged ended their incarnation, and
 //! the next staging replaces them.
 //!
+//! **Staging and the creation meet here** (DESIGN §10.4). A writer stages
+//! after it read an uncommitted record, so its bytes can arrive after the
+//! creation settled what was staged. Before the creation marks a large
+//! record committed, `write_through` writes the staged bytes to the DFS
+//! and then flags them `on_dfs`: a reader of the mark finds them there,
+//! and a later staging is told to write its bytes there too. Settling
+//! (`take_staged`) drops flagged bytes and counts a settle; a writer that
+//! read the count before its record and finds it moved on staging reads
+//! the record again, and, committed, writes the bytes itself.
+//!
 //! **Removed directories.** `rmdir` inside barrier `e` records `(dir, e)`.
 //! Ops are stamped at publish with the last *completed* epoch, so a stamp
 //! `< e` raced the removal — rejected by the DFS under `dir`, it is
@@ -47,11 +59,11 @@
 //! flight before it reads its stamp (`RegionCore::note_enqueued`), so none
 //! can still hold a stamp below an epoch released before the drained read.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use dfs::Ino;
 use fsapi::path as fspath;
+use simnet::FastMap;
 use syncguard::{level, Mutex};
 
 /// A path's inline writeback slot; any slot pins the record against
@@ -85,6 +97,41 @@ struct Pending {
 struct Staged {
     after: u64,
     bytes: Vec<u8>,
+    /// Stagings so far: a write-through pass that saw this many wrote all.
+    edits: u32,
+    /// Written to the DFS by their creation, which marks the record
+    /// committed next; kept for readers of the uncommitted record.
+    on_dfs: bool,
+}
+
+/// What became of bytes handed to [`InFlight::stage`] or
+/// [`InFlight::stage_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Staging {
+    /// Staged: the creation that owns them writes them to the DFS.
+    Held,
+    /// Staged for readers of the uncommitted record, but the creation has
+    /// written what was staged: the caller writes them to the DFS too.
+    AlsoToDfs,
+    /// Staged, but a creation settled its staged bytes since the caller
+    /// read [`InFlight::settles`]: if its record now reads committed, the
+    /// caller takes them back ([`InFlight::unstage`]) and writes them to
+    /// the DFS itself.
+    Recheck,
+}
+
+impl Staged {
+    fn empty(after: u64) -> Self {
+        Self { after, bytes: Vec::new(), edits: 0, on_dfs: false }
+    }
+
+    fn outcome(&self, settled_since: bool) -> Staging {
+        match (self.on_dfs, settled_since) {
+            (true, _) => Staging::AlsoToDfs,
+            (false, true) => Staging::Recheck,
+            (false, false) => Staging::Held,
+        }
+    }
 }
 
 /// What a path with nothing pending reads as.
@@ -102,20 +149,37 @@ impl Pending {
         }
     }
 
+    fn newest_unlink(&self) -> u64 {
+        self.unlinks.iter().copied().max().unwrap_or(0)
+    }
+
     /// The staged bytes of the live incarnation, empty if none are (also
-    /// when the staged ones are an unlinked incarnation's).
-    fn staged_live(&mut self) -> &mut Vec<u8> {
-        let after = self.unlinks.iter().copied().max().unwrap_or(0);
+    /// when the staged ones are an unlinked incarnation's), counting the
+    /// staging about to change them.
+    fn staged_live(&mut self) -> &mut Staged {
+        let after = self.newest_unlink();
         if self.staged.as_ref().is_some_and(|s| after > s.after) {
             self.staged = None;
         }
-        &mut self.staged.get_or_insert_with(|| Box::new(Staged { after, bytes: Vec::new() })).bytes
+        let staged = self.staged.get_or_insert_with(|| Box::new(Staged::empty(after)));
+        staged.edits = staged.edits.wrapping_add(1);
+        staged
+    }
+
+    /// The staged bytes a creation stamped `ts` owns, empty ones if none
+    /// are staged; `None` while they are a later incarnation's.
+    fn owned_by(&mut self, ts: u64) -> Option<&mut Staged> {
+        let after = self.newest_unlink();
+        if self.staged.is_none() && after < ts {
+            self.staged = Some(Box::new(Staged::empty(after)));
+        }
+        self.staged.as_deref_mut().filter(|s| s.after < ts)
     }
 
     /// The staged bytes, if a creation stamped `ts` (or one an unlink
     /// stamped `ts` cancelled) owns them.
-    fn take_owned(&mut self, ts: u64) -> Option<Vec<u8>> {
-        Some(self.staged.take_if(|s| s.after < ts)?.bytes)
+    fn take_owned(&mut self, ts: u64) -> Option<Box<Staged>> {
+        self.staged.take_if(|s| s.after < ts)
     }
 }
 
@@ -209,7 +273,7 @@ impl Births {
 
 #[derive(Default)]
 struct Table {
-    paths: HashMap<Box<str>, PathState>,
+    paths: FastMap<Box<str>, PathState>,
     births: Births,
     removed_dirs: Vec<(String, u64)>,
     /// Paths with staged bytes, kept as `edit`, `remove_dir` and `clear`
@@ -270,12 +334,15 @@ pub struct InFlight {
     /// with the `Release` of a change) orders itself before any mark not
     /// yet counted.
     stale: AtomicUsize,
+    /// Calls that settled creations' staged bytes ([`InFlight::take_staged`]),
+    /// bumped under the lock (module docs).
+    settles: AtomicU64,
 }
 
 impl Default for InFlight {
     fn default() -> Self {
         let table = Mutex::new(level::REGION_STATE, "pacon.region.paths", Table::default());
-        Self { table, stale: AtomicUsize::new(0) }
+        Self { table, stale: AtomicUsize::new(0), settles: AtomicU64::new(0) }
     }
 }
 
@@ -335,6 +402,11 @@ impl InFlight {
         });
     }
 
+    /// Is an inline writeback of `path` queued or in flight?
+    pub(crate) fn writeback_pending(&self, path: &str) -> bool {
+        self.table.lock().pending(path).writeback != Writeback::None
+    }
+
     /// Eviction: drop from `victims` every path whose slot pins it.
     pub(crate) fn drop_pinned<T>(&self, victims: &mut Vec<(&str, T)>) {
         let t = self.table.lock();
@@ -368,7 +440,8 @@ impl InFlight {
     }
 
     /// The unlink stamped `ts` settled in the publish buffer, and with it
-    /// the creation it cancelled and that creation's staged bytes.
+    /// the creation it cancelled and that creation's staged bytes (no
+    /// writer can stage for it any more: its record is marked removed).
     pub(crate) fn cancel_create(&self, path: &str, ts: u64) {
         self.table.lock().edit_pending(path, |r| {
             r.drop_stamp(ts);
@@ -437,20 +510,66 @@ impl InFlight {
         }
     }
 
-    /// `data` is the whole content.
-    pub(crate) fn stage(&self, path: &str, data: Vec<u8>) {
-        self.table.lock().edit(path, |s| *s.pending().staged_live() = data);
+    /// Read before the record a staging follows: see [`Staging::Recheck`].
+    pub(crate) fn settles(&self) -> u64 {
+        self.settles.load(Ordering::Acquire)
     }
 
-    pub(crate) fn stage_at(&self, path: &str, offset: usize, data: &[u8]) {
-        self.table.lock().edit(path, |s| {
-            let buf = s.pending().staged_live();
+    /// `data` is the whole content; `settles` was read before the record.
+    pub(crate) fn stage(&self, path: &str, data: &[u8], settles: u64) -> Staging {
+        let mut t = self.table.lock();
+        let since = self.settles.load(Ordering::Acquire) != settles;
+        t.edit(path, |s| {
+            let staged = s.pending().staged_live();
+            staged.bytes.clear();
+            staged.bytes.extend_from_slice(data);
+            staged.outcome(since)
+        })
+    }
+
+    /// [`Self::stage`] of `data` at `offset` into what is staged.
+    pub(crate) fn stage_at(&self, path: &str, offset: usize, data: &[u8], settles: u64) -> Staging {
+        let mut t = self.table.lock();
+        let since = self.settles.load(Ordering::Acquire) != settles;
+        t.edit(path, |s| {
+            let staged = s.pending().staged_live();
             let end = offset + data.len();
-            if buf.len() < end {
-                buf.resize(end, 0);
+            if staged.bytes.len() < end {
+                staged.bytes.resize(end, 0);
             }
-            buf[offset..end].copy_from_slice(data);
+            staged.bytes[offset..end].copy_from_slice(data);
+            staged.outcome(since)
+        })
+    }
+
+    /// The record read committed after a [`Staging::Recheck`]: drop what
+    /// is staged for `path` unless its creation wrote it to the DFS.
+    pub(crate) fn unstage(&self, path: &str) {
+        self.table.lock().edit_pending(path, |r| {
+            r.staged.take_if(|s| !s.on_dfs);
         });
+    }
+
+    /// Before the creation stamped `ts` marks its large record committed:
+    /// hand `write` what is staged for it, again while stagings arrive in
+    /// the meantime, then flag the bytes `on_dfs` (module docs). The bytes
+    /// stay staged for readers of the uncommitted record until
+    /// [`Self::take_staged`]. Nothing for bytes already flagged.
+    pub(crate) fn write_through(&self, path: &str, ts: u64, mut write: impl FnMut(&[u8])) {
+        let mut written = 0;
+        loop {
+            let pass = self.table.lock().edit(path, |s| {
+                let staged = s.pending().owned_by(ts).filter(|st| !st.on_dfs)?;
+                if staged.edits == written {
+                    staged.on_dfs = true;
+                    return None;
+                }
+                Some((staged.bytes.clone(), staged.edits))
+            });
+            let Some((bytes, edits)) = pass else { return };
+            write(&bytes);
+            written = edits;
+        }
     }
 
     pub(crate) fn read_staged(&self, path: &str, offset: usize, len: usize) -> Vec<u8> {
@@ -461,14 +580,17 @@ impl InFlight {
     }
 
     /// Per `(path, ts)`: the staged bytes of `path` if the creation stamped
-    /// `ts` owns them, in one hold (none for no items).
+    /// `ts` owns them and has not written them to the DFS already, in one
+    /// hold (none for no items).
     pub(crate) fn take_staged<'a>(&self, items: &[(&'a str, u64)]) -> Vec<(&'a str, Vec<u8>)> {
         if items.is_empty() {
             return Vec::new();
         }
         let mut t = self.table.lock();
+        self.settles.fetch_add(1, Ordering::Release);
         let mut take = |(path, ts): (&'a str, u64)| {
-            Some((path, t.edit_pending(path, |r| r.take_owned(ts))??))
+            let staged = t.edit_pending(path, |r| r.take_owned(ts))??;
+            (!staged.on_dfs).then_some((path, staged.bytes))
         };
         items.iter().filter_map(|&item| take(item)).collect()
     }
@@ -518,6 +640,68 @@ mod tests {
     fn an_idle_committed_path_keeps_no_record_a_durable_one_a_32_byte_bucket() {
         assert_eq!(std::mem::size_of::<(Box<str>, PathState)>(), 32);
         assert_eq!(std::mem::size_of::<Pending>(), 40);
+    }
+
+    /// Bug 20: a writer read the record before its creation committed and
+    /// stages only after the creation settled what was staged. Each
+    /// position of the staging against the creation's steps — write
+    /// through, mark (not a table step), settle — either reaches the
+    /// creation's writes or tells the writer to write the DFS itself.
+    #[test]
+    fn a_staging_is_never_stranded_by_its_creation() {
+        let creation = |t: &InFlight| {
+            let mut written = Vec::new();
+            t.write_through("/w/f", 1, |bytes| written.push(bytes.to_vec()));
+            written
+        };
+        // Staged before the write-through: written by it, kept for
+        // readers of the uncommitted record until the settle drops it.
+        let t = InFlight::default();
+        let settles = t.settles();
+        assert_eq!(t.stage("/w/f", b"early", settles), Staging::Held);
+        assert_eq!(creation(&t), [b"early".to_vec()]);
+        assert_eq!(t.read_staged("/w/f", 0, 10), b"early");
+        assert!(t.take_staged(&[("/w/f", 1)]).is_empty(), "on the DFS already");
+        assert_eq!(t.counts(), InFlightCounts::default());
+
+        // Between the write-through and the settle: staged for readers,
+        // and the writer writes the DFS too.
+        let t = InFlight::default();
+        let settles = t.settles();
+        assert!(creation(&t).is_empty(), "nothing staged yet");
+        assert_eq!(t.stage_at("/w/f", 0, b"mid", settles), Staging::AlsoToDfs);
+        assert_eq!(t.read_staged("/w/f", 0, 10), b"mid");
+        assert!(creation(&t).is_empty(), "a second pass writes nothing");
+        assert!(t.take_staged(&[("/w/f", 1)]).is_empty());
+        assert_eq!(t.counts(), InFlightCounts::default());
+
+        // After the settle: the writer must read the record again, and on
+        // finding it committed take its bytes back.
+        let t = InFlight::default();
+        let settles = t.settles();
+        assert!(creation(&t).is_empty());
+        assert!(t.take_staged(&[("/w/f", 1)]).is_empty());
+        assert_eq!(t.stage("/w/f", b"late", settles), Staging::Recheck);
+        t.unstage("/w/f");
+        assert_eq!(t.counts(), InFlightCounts::default(), "nothing left stranded");
+    }
+
+    /// A staging that lands while the write-through writes is written by
+    /// its next pass.
+    #[test]
+    fn a_write_through_repeats_until_no_staging_is_new() {
+        let t = InFlight::default();
+        t.stage("/w/f", b"ab", 0);
+        let mut passes = Vec::new();
+        t.write_through("/w/f", 1, |bytes| {
+            if passes.is_empty() {
+                assert_eq!(t.stage_at("/w/f", 2, b"cd", 0), Staging::Held);
+            }
+            passes.push(bytes.to_vec());
+        });
+        assert_eq!(passes, [b"ab".to_vec(), b"abcd".to_vec()]);
+        assert_eq!(t.stage_at("/w/f", 4, b"e", 0), Staging::AlsoToDfs);
+        assert_eq!(t.read_staged("/w/f", 0, 10), b"abcde");
     }
 
     #[test]
@@ -599,11 +783,11 @@ mod tests {
     #[test]
     fn staged_bytes_are_patched_read_and_taken() {
         let t = InFlight::default();
-        t.stage_at("/w/f", 2, b"cd");
-        t.stage_at("/w/f", 0, b"ab");
+        t.stage_at("/w/f", 2, b"cd", 0);
+        t.stage_at("/w/f", 0, b"ab", 0);
         assert_eq!(t.read_staged("/w/f", 1, 10), b"bcd");
         assert_eq!(t.read_staged("/w/g", 0, 10), b"");
-        t.stage("/w/g", Vec::new());
+        t.stage("/w/g", b"", 0);
         let taken = t.take_staged(&[("/w/f", 1), ("/w/x", 1), ("/w/g", 1)]);
         assert_eq!(taken, [("/w/f", b"abcd".to_vec()), ("/w/g", vec![])]);
         assert_eq!(t.counts(), InFlightCounts::default());
@@ -615,14 +799,14 @@ mod tests {
     #[test]
     fn staged_bytes_belong_to_the_creation_after_the_newest_unlink() {
         let t = InFlight::default();
-        t.stage("/w/f", b"old".to_vec());
+        t.stage("/w/f", b"old", 0);
         t.ack_unlink("/w/f", 2, false);
-        t.stage_at("/w/f", 0, b"new");
+        t.stage_at("/w/f", 0, b"new", 0);
         assert_eq!(t.read_staged("/w/f", 0, 10), b"new", "the unlinked incarnation's bytes go");
         assert!(t.take_staged(&[("/w/f", 1)]).is_empty(), "the older creation owns nothing");
         t.cancel_create("/w/f", 2);
         assert_eq!(t.counts().staged, 1, "nor does the creation the unlink cancels");
-        t.stage_at("/w/f", 3, b"+");
+        t.stage_at("/w/f", 3, b"+", 0);
         assert_eq!(t.take_staged(&[("/w/f", 3)]), [("/w/f", b"new+".to_vec())]);
         assert_eq!(t.counts(), InFlightCounts::default());
     }
@@ -631,8 +815,8 @@ mod tests {
     fn rmdir_prunes_its_subtree_and_the_removed_list_when_drained() {
         let t = InFlight::default();
         t.queue_writeback("/w/d/f");
-        t.stage("/w/d/g", b"x".to_vec());
-        t.stage("/w/e", b"y".to_vec());
+        t.stage("/w/d/g", b"x", 0);
+        t.stage("/w/e", b"y", 0);
         t.remove_dir("/w/d", 1, false);
         t.remove_dir("/w/e/sub", 2, false);
         let c = t.counts();

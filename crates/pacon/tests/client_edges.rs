@@ -941,6 +941,42 @@ fn unchanged_records_are_not_stored_again() {
     assert!(dfs.client().stat("/app/f", &cred).unwrap().is_file());
 }
 
+/// A file whose inline writeback is still pending stays inline past the
+/// small-file threshold: a writeback that had read the record before the
+/// file went large would write its older bytes over the large file's DFS
+/// copy. The pending writeback carries the whole content; once it has
+/// settled, the next write takes the file large.
+#[test]
+fn a_file_with_a_pending_writeback_stays_inline() {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let region = PaconRegion::launch_paused(
+        PaconConfig::new("/app", Topology::new(1, 1), cred).with_small_file_threshold(64),
+        &dfs,
+    )
+    .unwrap();
+    let c = region.client(ClientId(0));
+    let mut w = region.take_worker(0);
+    let cache = pacon::cache::MetaCache::new(region.core().cache_cluster.client(NodeId(0)));
+    let large = || cache.get("/app/f").unwrap().unwrap().0.large;
+
+    c.create("/app/f", &cred, 0o644).unwrap();
+    step_to_idle(&mut w);
+    c.write("/app/f", &cred, 0, b"tiny").unwrap(); // queues a writeback
+    c.write("/app/f", &cred, 0, &[7u8; 256]).unwrap();
+    assert!(!large(), "a writeback is queued: the file stays inline");
+    assert_eq!(c.read("/app/f", &cred, 0, 512).unwrap(), vec![7u8; 256]);
+    step_to_idle(&mut w);
+    assert_eq!(dfs.client().read("/app/f", &cred, 0, 512).unwrap(), vec![7u8; 256]);
+
+    c.write("/app/f", &cred, 256, &[8u8; 256]).unwrap();
+    assert!(large(), "nothing pending: the file goes large");
+    let mut both = vec![7u8; 256];
+    both.extend([8u8; 256]);
+    assert_eq!(dfs.client().read("/app/f", &cred, 0, 1024).unwrap(), both);
+    assert_eq!(c.read("/app/f", &cred, 0, 1024).unwrap(), both);
+}
+
 /// The memo can never land a stale write (a): another client unlinks and
 /// re-creates the path between this client's create and its write. The
 /// write must land on the record that is there now.

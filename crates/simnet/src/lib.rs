@@ -17,6 +17,8 @@
 //! * [`profiles`] — the calibrated latency constants (documented in
 //!   `EXPERIMENTS.md`) shared by every experiment.
 //!
+//! Beside them, [`hash`] is the keyed hasher of every path-keyed table.
+//!
 //! When no recorder is installed, [`charge`] is a cheap no-op, so the
 //! functional code paths can also be used directly by unit tests and
 //! real-thread examples.
@@ -24,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod fault;
+pub mod hash;
 pub mod profiles;
 pub mod station;
 pub mod stats;
@@ -31,6 +34,7 @@ pub mod topology;
 pub mod trace;
 
 pub use fault::{FaultEvent, FaultPlan};
+pub use hash::{FastMap, FastSet, PathHasher};
 pub use profiles::LatencyProfile;
 pub use station::Station;
 pub use stats::{Counters, LatencyHistogram};

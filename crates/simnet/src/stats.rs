@@ -8,10 +8,11 @@
 //! response-time recorder the `qsim` engine fills per op class, so every
 //! bench can report p50/p99/p999 without keeping millions of raw samples.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use syncguard::{level, RwLock};
+
+use crate::hash::FastMap;
 
 /// Sub-bucket precision of [`LatencyHistogram`]: 2^5 = 32 linear
 /// sub-buckets per power of two, bounding the relative quantization
@@ -163,7 +164,8 @@ impl std::fmt::Debug for LatencyHistogram {
 
 /// A concurrent map of named monotonically increasing counters.
 pub struct Counters {
-    inner: RwLock<BTreeMap<&'static str, AtomicU64>>,
+    /// Unordered: [`Counters::snapshot`] sorts.
+    inner: RwLock<FastMap<&'static str, AtomicU64>>,
 }
 
 impl Default for Counters {
@@ -176,7 +178,7 @@ impl Counters {
     pub fn new() -> Self {
         // Innermost tier: counters are bumped from inside arbitrary
         // critical sections across the workspace.
-        Self { inner: RwLock::new(level::STATS, "simnet.counters", BTreeMap::new()) }
+        Self { inner: RwLock::new(level::STATS, "simnet.counters", FastMap::default()) }
     }
 
     /// Add `n` to the counter named `name`, creating it at zero first if
@@ -205,11 +207,14 @@ impl Counters {
 
     /// Snapshot of all counters, sorted by name.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.inner
+        let mut all: Vec<(String, u64)> = self
+            .inner
             .read()
             .iter()
             .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
-            .collect()
+            .collect();
+        all.sort_unstable();
+        all
     }
 
     /// Reset every counter to zero (keeps the names).
