@@ -100,4 +100,14 @@ fn main() {
         "  stat:   Pacon/IndexFS = {:>5.1}x   (paper: >  2.6x)",
         pac[2] / idx[2]
     );
+
+    // Acceptance: the paper's bounds hold.
+    for (claim, got, paper) in [
+        ("create Pacon/BeeGFS", pac[1] / bee[1], 76.4),
+        ("create Pacon/IndexFS", pac[1] / idx[1], 8.8),
+        ("stat Pacon/BeeGFS", pac[2] / bee[2], 6.5),
+        ("stat Pacon/IndexFS", pac[2] / idx[2], 2.6),
+    ] {
+        assert!(got >= paper, "acceptance: {claim} = {got:.2}x, paper: > {paper}x");
+    }
 }

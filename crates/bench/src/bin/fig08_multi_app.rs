@@ -84,4 +84,11 @@ fn main() {
             pac[i] / idx[i]
         );
     }
+
+    // Acceptance: the paper's bounds hold for every op.
+    for (i, op) in ["mkdir", "create", "stat"].iter().enumerate() {
+        let (vs_bee, vs_idx) = (pac[i] / bee[i], pac[i] / idx[i]);
+        assert!(vs_bee >= 10.0, "acceptance: {op} Pacon/BeeGFS = {vs_bee:.2}x, paper: > 10x");
+        assert!(vs_idx >= 1.07, "acceptance: {op} Pacon/IndexFS = {vs_idx:.3}x, paper: > 1.07x");
+    }
 }

@@ -65,6 +65,16 @@ fn main() {
         &rows,
     );
     println!();
+    // Acceptance: the depth-6 loss orders as the paper's (BeeGFS ~63 % >
+    // IndexFS ~47 % > Pacon, "only a slight impact").
+    let loss = |b: Backend| {
+        summary.iter().find(|(k, _)| *k == b).map(|&(_, drop)| drop).expect("every system ran")
+    };
+    let (bee, idx, pac) = (loss(Backend::BeeGfs), loss(Backend::IndexFs), loss(Backend::Pacon));
+    assert!(
+        bee > idx && idx > pac,
+        "acceptance: depth-6 loss must order BeeGFS > IndexFS > Pacon, got {summary:?}"
+    );
     for (backend, drop) in summary {
         if backend == Backend::Pacon && drop <= 5.0 {
             println!(

@@ -97,4 +97,8 @@ fn main() {
         min * 100.0,
         pacon_vs_kv.iter().cloned().fold(0.0, f64::max) * 100.0
     );
+    // Acceptance: the paper's bound holds at every depth, on the unrounded
+    // ratio (64.64 % at its lowest).
+    let lowest = min * 100.0;
+    assert!(lowest >= 64.6, "acceptance: Pacon at {lowest:.3}% of raw Memcached, paper: > 64.6%");
 }

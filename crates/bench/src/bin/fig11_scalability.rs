@@ -76,4 +76,11 @@ fn main() {
         "  Pacon absolute            = {} ops/s (paper: > 1M)",
         fmt_ops(pacon_abs_320)
     );
+    // Acceptance: the absolute claim holds. The two normalized ratios
+    // deviate, because the model charges no client CPU to co-located
+    // IndexFS servers (EXPERIMENTS.md, Fig 11): neither is asserted.
+    assert!(
+        pacon_abs_320 >= 1e6,
+        "acceptance: Pacon at 320 clients = {pacon_abs_320:.0} ops/s, paper: > 1M"
+    );
 }

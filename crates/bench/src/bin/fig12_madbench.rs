@@ -74,8 +74,12 @@ fn main() {
         pac.init_ns as f64 / 1e6,
         bee.init_ns as f64 / 1e6
     );
-    println!(
-        "  totals within {:.1}% of each other (paper: almost the same)",
-        100.0 * ((pac.total_ns() as f64 / bee.total_ns() as f64) - 1.0).abs()
-    );
+    let gap = 100.0 * ((pac.total_ns() as f64 / bee.total_ns() as f64) - 1.0).abs();
+    println!("  totals within {gap:.1}% of each other (paper: almost the same)");
+    // Acceptance: the totals hold. The init row deviates (0.27 ms against
+    // 22.3 ms, not "slightly smaller"), because init here is the 256
+    // creates alone — acknowledged from the cache under Pacon, serialized
+    // on the one MDS under BeeGFS — and no model term stands for what else
+    // the paper's init spends (EXPERIMENTS.md, Fig 12): it is not asserted.
+    assert!(gap <= 1.0, "acceptance: totals {gap:.2}% apart, paper: almost the same (within 1%)");
 }

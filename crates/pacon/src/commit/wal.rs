@@ -214,45 +214,37 @@ pub enum CrashPoint {
     /// In the client's publish path, before the WAL append: the op was
     /// never durable and the client saw an error — an uncrashed oracle
     /// excludes it.
-    PreAppend = 0,
+    PreAppend,
     /// After the WAL append, before the queue send: the client saw an
     /// error but the op *is* durable — recovery must still apply it.
-    PostAppend = 1,
-    /// In the commit worker, after the DFS applied a message but before
-    /// it was settled/confirmed: replay hits the seen-cache.
-    MidBatch = 2,
-    /// Everything applied, crash before the log truncates: the whole log
-    /// replays as no-ops.
-    PreTruncate = 3,
+    PostAppend,
+    /// In the commit worker, after the DFS applied a plane of a run but
+    /// before it was settled/confirmed — recovery's runs included: replay
+    /// hits the seen-cache.
+    MidBatch,
+    /// Everything applied, crash before the log truncates — at the end of
+    /// a recovery too: the whole log replays as no-ops.
+    PreTruncate,
 }
 
-/// Deterministic kill trigger. Lock-free because `hit` runs on hot
+/// Deterministic kill trigger, armed when it is made and handed to the
+/// region at launch (`PaconRegion::launch_armed`): it counts hits from the
+/// launch on, recovery's included. Lock-free because `hit` runs on hot
 /// paths, sometimes while the WAL lock is held. Once tripped, the node
 /// is dead: *every* subsequent `hit` reports `true` regardless of stage,
-/// so all pipeline entry points fail fast.
-#[derive(Debug)]
+/// so all pipeline entry points fail fast. The default never trips.
+#[derive(Debug, Default)]
 pub struct CrashSwitch {
-    armed: AtomicU32,
+    armed: Option<CrashPoint>,
     countdown: AtomicU32,
     tripped: AtomicBool,
 }
 
 impl CrashSwitch {
-    const DISARMED: u32 = u32::MAX;
-
-    pub fn new() -> Self {
-        Self {
-            armed: AtomicU32::new(Self::DISARMED),
-            countdown: AtomicU32::new(0),
-            tripped: AtomicBool::new(false),
-        }
-    }
-
-    /// Arm the switch to trip on the `nth` (1-based) hit of `point`.
-    pub fn arm(&self, point: CrashPoint, nth: u32) {
+    /// A switch that trips on the `nth` (1-based) hit of `point`.
+    pub fn armed(point: CrashPoint, nth: u32) -> Self {
         assert!(nth >= 1, "nth is 1-based");
-        self.countdown.store(nth, Ordering::Release);
-        self.armed.store(point as u32, Ordering::Release);
+        Self { armed: Some(point), countdown: AtomicU32::new(nth), tripped: AtomicBool::new(false) }
     }
 
     /// Report passing `point`; returns whether the node is (now) dead.
@@ -260,7 +252,7 @@ impl CrashSwitch {
         if self.tripped.load(Ordering::Acquire) {
             return true;
         }
-        if self.armed.load(Ordering::Acquire) != point as u32 {
+        if self.armed != Some(point) {
             return false;
         }
         match self
@@ -287,12 +279,6 @@ impl CrashSwitch {
     /// Whether an error came from a crash kill (harness support).
     pub fn is_crash_error(e: &FsError) -> bool {
         matches!(e, FsError::Backend(s) if s.starts_with("crash-kill"))
-    }
-}
-
-impl Default for CrashSwitch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -429,9 +415,8 @@ mod tests {
 
     #[test]
     fn crash_switch_trips_on_the_nth_hit_and_stays_dead() {
-        let s = CrashSwitch::new();
-        assert!(!s.hit(CrashPoint::PreAppend), "disarmed switch never trips");
-        s.arm(CrashPoint::MidBatch, 3);
+        assert!(!CrashSwitch::default().hit(CrashPoint::PreAppend), "disarmed switch never trips");
+        let s = CrashSwitch::armed(CrashPoint::MidBatch, 3);
         assert!(!s.hit(CrashPoint::MidBatch));
         assert!(!s.hit(CrashPoint::PreAppend), "other stages don't consume the countdown");
         assert!(!s.hit(CrashPoint::MidBatch));

@@ -51,7 +51,7 @@ use simnet::{charge, FastMap, NodeId, Station};
 
 use crate::cache::{CacheError, MetaCache};
 use crate::commit::op::{CommitOp, QueueMsg};
-use crate::commit::wal::{CrashPoint, WalEntry};
+use crate::commit::wal::{CrashPoint, CrashSwitch, WalEntry};
 use crate::metadata::CachedMeta;
 use crate::region::RegionCore;
 
@@ -315,7 +315,8 @@ impl CommitWorker {
     /// entries or, with none free to go, retry the backlog's head. The run
     /// keeps the log's order per path: it leaves at the log's head every op
     /// of a path whose earlier op waits or was left, and a namespace op of a
-    /// path it holds (writebacks go last). `Err`: an error no wait resolves.
+    /// path it holds (writebacks go last). `Err`: an error no wait resolves,
+    /// or the crash switch killed the run (the log stays whole).
     pub(crate) fn recover(&mut self, log: &mut VecDeque<WalEntry>, room: usize) -> FsResult<()> {
         let take: Vec<bool> = {
             // Per path met: is the run open to its next op? Not once an op of
@@ -354,8 +355,8 @@ impl CommitWorker {
         if run.is_empty() {
             run.extend(self.retry.pop_front());
         }
-        if !run.is_empty() {
-            self.commit(run);
+        if !run.is_empty() && self.commit(run) == WorkerStep::Crashed {
+            return Err(CrashSwitch::error(CrashPoint::MidBatch));
         }
         self.failed.take().map_or(Ok(()), Err)
     }

@@ -87,11 +87,6 @@ pub struct PaconConfig {
     /// durability). In use at 1 and 32 (`wal_commit`) and 32 (the repo
     /// benchmark).
     pub wal_fsync_batch: usize,
-    /// Test knob: fail the launch-time WAL replay after this many
-    /// recovered ops have applied, *before* the log is truncated — the
-    /// crash-during-recovery (double-replay) scenario. A field because it
-    /// must arm before `launch` builds the core and its `CrashSwitch`.
-    pub recovery_crash_after: Option<u64>,
 }
 
 impl PaconConfig {
@@ -111,7 +106,6 @@ impl PaconConfig {
             station_base: 0,
             wal_dir: None,
             wal_fsync_batch: 1,
-            recovery_crash_after: None,
         }
     }
 

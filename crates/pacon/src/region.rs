@@ -72,9 +72,10 @@ pub struct RegionCore {
     /// The durable commit log, shared by every node. `None` in volatile
     /// mode — the durability switch on every hot path.
     wal: Option<CommitWal>,
-    /// Deterministic kill trigger for the crash-recovery harness. Never
-    /// armed in production; two relaxed atomic loads when idle.
-    pub crash: CrashSwitch,
+    /// Deterministic kill trigger for the crash-recovery harness, handed
+    /// over at launch ([`PaconRegion::launch_armed`]). Never armed in
+    /// production; one atomic load and a compare when idle.
+    pub(crate) crash: CrashSwitch,
     /// This launch's incarnation (from the WAL directory's counter file;
     /// 0 in volatile mode). High bits of every `write_id`.
     pub incarnation: u64,
@@ -353,6 +354,17 @@ impl PaconRegion {
     /// process waits in its slot until a barrier op, `quiesce` or the DES
     /// steps it, or someone takes it ([`PaconRegion::take_worker`]).
     pub fn launch_paused(config: PaconConfig, dfs: &Arc<DfsCluster>) -> FsResult<Arc<Self>> {
+        Self::launch_armed(config, dfs, CrashSwitch::default())
+    }
+
+    /// [`PaconRegion::launch_paused`] with the crash-kill harness's switch,
+    /// the only way to arm one: it counts hits from this launch on, so a
+    /// recovery's runs reach `MidBatch` and its end reaches `PreTruncate`.
+    pub fn launch_armed(
+        config: PaconConfig,
+        dfs: &Arc<DfsCluster>,
+        crash: CrashSwitch,
+    ) -> FsResult<Arc<Self>> {
         let root = fspath::normalize(&config.workspace)?;
         if root == "/" {
             return Err(FsError::InvalidPath(
@@ -418,7 +430,7 @@ impl PaconRegion {
                 Vec::new(),
             ),
             wal,
-            crash: CrashSwitch::new(),
+            crash,
             incarnation,
             write_seq: AtomicU64::new(0),
             sim_ns: AtomicU64::new(0),
@@ -678,10 +690,10 @@ fn bump_incarnation(wal_dir: &std::path::Path) -> FsResult<u64> {
 /// `commit_batch_size` entries, in log order per path, or, with none free
 /// to go, a retry of an entry waiting in the backlog for a prerequisite.
 /// Then the log is truncated, once. Every apply is idempotent, so a crash
-/// during recovery (`recovery_crash_after`: runs are cut so that exactly
-/// that many ops have applied) only means the next launch replays the
-/// same log and the seen-cache no-ops the prefix that landed. An error no
-/// wait resolves fails the launch the same way.
+/// during recovery (the launch's switch tripping in a run, or just before
+/// the truncation) only means the next launch replays the same log and the
+/// seen-cache no-ops the prefix that landed. An error no wait resolves
+/// fails the launch the same way.
 fn recover(core: &RegionCore, worker: &mut CommitWorker, log: Vec<WalEntry>) -> FsResult<()> {
     let total = log.len() as u64;
     core.counters.add("wal_replayed", total);
@@ -692,20 +704,17 @@ fn recover(core: &RegionCore, worker: &mut CommitWorker, log: Vec<WalEntry>) -> 
     // One op more than the log holds, completed after the last run: the
     // route's `maybe_truncate_wal` never finds the region drained.
     core.enqueued.fetch_add(total + 1, Ordering::Relaxed);
-    let applied = || core.counters.get("committed");
-    let batch = core.config.commit_batch_size as u64;
-    let crash_after = core.config.recovery_crash_after;
     let mut log = VecDeque::from(log);
     while !log.is_empty() || !worker.backlog_empty() {
-        let room = crash_after.map_or(batch, |n| n.saturating_sub(applied()).clamp(1, batch));
-        worker.recover(&mut log, room as usize)?;
-        if crash_after.is_some_and(|n| n == applied()) {
-            return Err(FsError::Backend("crash-kill: recovery interrupted".into()));
-        }
+        worker.recover(&mut log, core.config.commit_batch_size)?;
     }
     core.note_completed();
-    core.counters.add("recovery_applied", applied());
-    core.counters.add("recovery_skipped", total - applied());
+    let applied = core.counters.get("committed");
+    core.counters.add("recovery_applied", applied);
+    core.counters.add("recovery_skipped", total - applied);
+    if core.crash.hit(CrashPoint::PreTruncate) {
+        return Err(CrashSwitch::error(CrashPoint::PreTruncate));
+    }
     core.reset_wal()
 }
 

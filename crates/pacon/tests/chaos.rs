@@ -20,7 +20,6 @@
 //! On failure the applied fault trace is written to `target/chaos/` so
 //! the run can be replayed from its seed.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use dfs::DfsCluster;
@@ -29,6 +28,7 @@ use pacon::{DegradedMode, PaconConfig, PaconRegion};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use simnet::{ClientId, FaultEvent, FaultPlan, LatencyProfile, NodeId, Topology};
+use workloads::crash::WalDir;
 use workloads::history::{drain, History};
 use workloads::FsOp;
 
@@ -280,16 +280,6 @@ fn cache_storm(seed: u64, pressure: bool) -> u64 {
     core.counters.get("duplicate_drops")
 }
 
-/// Fresh WAL directory per run (durable scenario).
-fn fresh_wal_dir(tag: &str) -> std::path::PathBuf {
-    static SEQ: AtomicU32 = AtomicU32::new(0);
-    std::env::temp_dir().join(format!(
-        "pacon-chaos-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// Link-fault-only plan: partitions, lossy broker crashes and duplicated
 /// sends — the cache stays up, so inline-write data rides the WAL'd,
 /// idempotent commit path through every outage.
@@ -329,10 +319,10 @@ fn link_plan(seed: u64) -> FaultPlan {
 fn link_storm_with_writes(seed: u64, batch: usize) -> FsResult<()> {
     let cred = Credentials::new(1, 1);
     let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
-    let wal_dir = fresh_wal_dir("link");
+    let wal_dir = WalDir::new("chaos-link");
     let config = PaconConfig::new("/w", Topology::new(NODES, 1), cred)
         .with_commit_batch(batch)
-        .with_durability(&wal_dir);
+        .with_durability(wal_dir.path());
     let region = PaconRegion::launch_paused(config, &dfs)?;
     let clients: Vec<_> = (0..NODES).map(|i| region.client(ClientId(i))).collect();
     let core = region.core();
@@ -376,7 +366,6 @@ fn link_storm_with_writes(seed: u64, batch: usize) -> FsResult<()> {
     assert_eq!(core.degraded.mode(), DegradedMode::Healthy);
     assert_eq!(core.counters.get("degraded_reads"), 0);
 
-    let _ = std::fs::remove_dir_all(&wal_dir);
     Ok(())
 }
 

@@ -52,7 +52,7 @@ pub fn observe(
 }
 
 /// The ops a client issued, in program order, each with the answer it got.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct History {
     root: String,
     issued: Vec<(FsOp, FsResult<()>)>,
@@ -85,6 +85,19 @@ impl History {
         if let Some((_, answer)) = self.issued.last_mut() {
             *answer = Ok(());
         }
+    }
+
+    /// How many issued ops were acknowledged.
+    pub fn acknowledged(&self) -> usize {
+        self.issued.iter().filter(|(_, answer)| answer.is_ok()).count()
+    }
+
+    /// The acknowledged ops alone, up to the `n`-th: what a commit log cut
+    /// after its `n`-th record holds, one record per acknowledged op.
+    pub fn acknowledged_prefix(&self, n: usize) -> Self {
+        let acked = self.issued.iter().filter(|(_, answer)| answer.is_ok());
+        let issued = acked.take(n).cloned().collect();
+        Self { root: self.root.clone(), issued, label: self.label.clone() }
     }
 
     /// The program-order reference: a zero-profile DFS given the workspace

@@ -20,10 +20,12 @@
 //! * [`threaded`] — a small real-thread driver used by smoke tests.
 //!
 //! [`history`] is the program-order reference the equivalence tests
-//! check a region against.
+//! check a region against; [`crash`] enumerates the crash points of the
+//! durable commit log against it.
 
 #![forbid(unsafe_code)]
 
+pub mod crash;
 pub mod driver;
 pub mod history;
 pub mod madbench;

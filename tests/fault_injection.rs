@@ -8,16 +8,15 @@
 //! not make the replayed creation burn its retry budget against its own
 //! already-applied DFS entry.
 
-//! Crash-kill layer: a deterministic [`CrashSwitch`] kills the node at
-//! one of four pipeline stages — before the WAL append, after the append
-//! but before the queue send, after the DFS applied a message but before
-//! it settled, and after everything applied but before the log truncated.
-//! Property tests relaunch the region from its logs and assert the
-//! recovered DFS converges to an uncrashed oracle (the vendored proptest
-//! runner prints the failing seed and inputs on any failure or panic, so
-//! every counterexample is replayable).
+//! Crash-kill layer: a deterministic [`CrashSwitch`], armed at launch,
+//! kills the node at one of four pipeline stages — before the WAL append,
+//! after the append but before the queue send, after the DFS applied a
+//! message but before it settled, and after everything applied but before
+//! the log truncated. The property test relaunches the region from its
+//! log and checks it as `workloads::crash` checks each enumerated crash
+//! point (the vendored proptest runner prints the failing seed and inputs
+//! on any failure or panic, so every counterexample is replayable).
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use fsapi::{Credentials, FileSystem, FsError};
@@ -26,6 +25,7 @@ use pacon::commit::worker::WorkerStep;
 use pacon::{PaconConfig, PaconRegion};
 use proptest::prelude::*;
 use simnet::{ClientId, FaultEvent, LatencyProfile, NodeId, Topology};
+use workloads::crash::{check_relaunch, issue_until_crash, WalDir};
 use workloads::history::{drain, History};
 use workloads::FsOp;
 
@@ -321,18 +321,14 @@ fn for_each_commit_shape(
             let cred = Credentials::new(1, 1);
             let mut config =
                 PaconConfig::new("/job", Topology::new(1, 2), cred).with_commit_batch(batch);
-            let wal_dir = durable.then(|| fresh_wal_dir(tag));
+            let wal_dir = durable.then(|| WalDir::new(tag));
             if let Some(dir) = &wal_dir {
-                config = config.with_durability(dir);
+                config = config.with_durability(dir.path());
             }
             let region = PaconRegion::launch_paused(config, &dfs).unwrap();
             let shape = format!("batch {batch}, durable {durable}");
             probe(&region, &dfs, &cred, &shape);
             assert_quiescent(&region, &shape);
-            drop(region);
-            if let Some(dir) = wal_dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
         }
     }
 }
@@ -544,18 +540,6 @@ fn a_healed_backlog_longer_than_the_commit_queue_drains_under_backpressure() {
 // Crash-kill recovery harness (durable commit queue)
 // ---------------------------------------------------------------------------
 
-/// A unique, empty WAL directory per scenario.
-fn fresh_wal_dir(tag: &str) -> std::path::PathBuf {
-    static SEQ: AtomicU32 = AtomicU32::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pacon-crashkill-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn dir_path(d: usize) -> String {
     format!("/w/d{}", d % 4)
 }
@@ -580,10 +564,10 @@ fn kill_op_strategy() -> impl Strategy<Value = FsOp> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-    /// The tentpole property: for every workload, every kill stage, and
-    /// every arming depth, the region recovered from its WALs converges
-    /// to exactly the program-order reference of the acknowledged ops —
-    /// including a crash *during* recovery (the log replays twice).
+    /// For every workload, every kill stage and every arming depth, the
+    /// region recovered from its log passes the row check of
+    /// `workloads::crash` — a recovery killed at its first run included,
+    /// so the log replays twice.
     #[test]
     fn crash_kill_recovery_converges_to_oracle(
         steps in proptest::collection::vec(kill_op_strategy(), 4..24),
@@ -600,158 +584,23 @@ proptest! {
         for point in points {
             let cred = Credentials::new(1, 1);
             let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
-            let wal_dir = fresh_wal_dir("prop");
-            let mut config = PaconConfig::new("/w", Topology::new(1, 1), cred)
-                .with_durability(&wal_dir);
-            if use_batching {
-                config = config.with_commit_batch(4);
-            }
-
-            let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-            region.core().crash.arm(point, nth);
-            let c = region.client(ClientId(0));
-
-            // Issue until the crash switch kills the publish path. An op
-            // that dies pre-append was never durable (the client saw the
-            // error); one that dies post-append is durable despite the
-            // error and the reference must include it. An admission
-            // rejection (missing parent, duplicate, …) was never enqueued.
+            let wal_dir = WalDir::new("crashkill-prop");
+            let config = PaconConfig::new("/w", Topology::new(1, 1), cred)
+                .with_commit_batch(if use_batching { 4 } else { 1 })
+                .with_durability(wal_dir.path());
+            let switch = CrashSwitch::armed(point, nth);
+            let region = PaconRegion::launch_armed(config.clone(), &dfs, switch).unwrap();
             let mut history = History::new("/w");
-            for op in &steps {
-                if let Err(e) = history.issue(&c, &cred, op.clone()) {
-                    if CrashSwitch::is_crash_error(&e) {
-                        if point == CrashPoint::PostAppend {
-                            history.acknowledge_last();
-                        }
-                        break;
-                    }
-                }
-            }
-
+            let ops = steps.iter().map(|op| (0, op.clone()));
+            issue_until_crash(&mut history, &[region.client(ClientId(0))], &cred, ops);
             // Step the commit process until it drains or the node dies.
             drain(&region, 50_000);
             region.abort();
-            drop(c);
             drop(region);
-
-            // Recovery — killed again mid-replay whenever the log is
-            // non-trivial, so the double-replay (crash during recovery)
-            // path is exercised on the same schedules.
-            let mut interrupted = config.clone();
-            interrupted.recovery_crash_after = Some(1);
-            let recovered = match PaconRegion::launch_paused(interrupted, &dfs) {
-                Ok(r) => r, // log was empty or all-stuck: nothing applied
-                Err(e) => {
-                    prop_assert!(
-                        CrashSwitch::is_crash_error(&e),
-                        "unexpected recovery error at {:?}: {}", point, e
-                    );
-                    PaconRegion::launch_paused(config.clone(), &dfs).unwrap()
-                }
-            };
-            let rep = recovered.report();
-            prop_assert_eq!(
-                rep.wal_replayed,
-                rep.recovery_applied + rep.recovery_skipped,
-                "every replayed op must be applied or accounted as skipped"
-            );
-            drop(recovered);
-
-            // Namespace (paths, kinds, sizes) and contents equivalence.
-            history.assert_backup_matches(&dfs, &cred, &universe);
-            let _ = std::fs::remove_dir_all(&wal_dir);
+            let (row, relaunch) = (format!("{point:?} #{nth}"), Some((CrashPoint::MidBatch, 1)));
+            check_relaunch(&config, &dfs, &history, &universe, relaunch, 0, &row);
         }
     }
-}
-
-/// Deterministic post-apply/pre-truncate kill: every op committed, the
-/// log never truncated, so the *whole* log replays as seen-cache no-ops —
-/// no duplicates, and the counters reconcile exactly.
-#[test]
-fn pre_truncate_crash_replays_the_full_log_as_noops() {
-    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
-    let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("pretruncate");
-    let config =
-        PaconConfig::new("/job", Topology::new(1, 1), cred).with_durability(&wal_dir);
-
-    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-    region.core().crash.arm(CrashPoint::PreTruncate, 1);
-    let c = region.client(ClientId(0));
-    for i in 0..6 {
-        c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
-    }
-    assert!(drain(&region, DRAIN_ROUNDS), "kill point is after the last settle");
-    let old = region.report();
-    assert_eq!(old.committed, 6);
-    assert_eq!(old.wal_appended, 6);
-    assert_eq!(old.wal_fsyncs, 6, "fsync batch 1 syncs per append");
-    assert_eq!(old.wal_truncations, 0, "the kill point must block truncation");
-    region.abort();
-    drop(c);
-    drop(region);
-
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    let rep = region.report();
-    assert_eq!(rep.wal_replayed, 6);
-    assert_eq!(rep.recovery_applied, 6);
-    assert_eq!(rep.recovery_skipped, 0);
-    assert_eq!(
-        dfs.mds_counter("replay_noop"),
-        6,
-        "every replayed op must be recognized as already applied"
-    );
-    let mut names = dfs.client().readdir("/job", &cred).unwrap();
-    names.sort();
-    assert_eq!(names, (0..6).map(|i| format!("f{i}")).collect::<Vec<_>>());
-    let _ = std::fs::remove_dir_all(&wal_dir);
-}
-
-/// Deterministic mid-batch kill: the DFS applied a whole batched RPC — a
-/// run of both queued messages — but the node died before settling it.
-/// Recovery replays the full log; what applied no-ops, nothing is lost or
-/// duplicated.
-#[test]
-fn mid_batch_crash_keeps_every_acked_op() {
-    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
-    let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("midbatch");
-    let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
-        .with_commit_batch(4)
-        .with_durability(&wal_dir);
-
-    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-    region.core().crash.arm(CrashPoint::MidBatch, 1);
-    let c = region.client(ClientId(0));
-    // Two full messages of 4, taken as one run: its RPC lands, then the
-    // node dies.
-    for i in 0..8 {
-        c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
-    }
-    assert_eq!(step(&region), WorkerStep::Crashed, "kill before the first settle");
-    assert_eq!(step(&region), WorkerStep::Crashed, "a dead node stays dead");
-    assert_eq!(
-        dfs.client().readdir("/job", &cred).unwrap().len(),
-        8,
-        "the run applied server-side"
-    );
-    let old = region.report();
-    assert_eq!(old.committed, 0, "nothing settled");
-    assert_eq!(old.wal_appended, 8);
-    region.abort();
-    drop(c);
-    drop(region);
-
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    let rep = region.report();
-    assert_eq!(rep.wal_replayed, 8);
-    assert_eq!(rep.recovery_applied, 8);
-    assert_eq!(rep.recovery_skipped, 0);
-    assert_eq!(dfs.mds_counter("replay_noop"), 8, "the applied run must no-op");
-    let mut names = dfs.client().readdir("/job", &cred).unwrap();
-    names.sort();
-    assert_eq!(names, (0..8).map(|i| format!("f{i}")).collect::<Vec<_>>());
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -871,110 +720,3 @@ fn cache_node_down_during_the_group_claim_retries_instead_of_skipping() {
     assert_eq!(region.core().in_flight().counts().writebacks, 0);
 }
 
-/// `CrashPoint::MidBatch` firing inside a writeback group: the group's
-/// bytes and sizes are on the DFS, none of its writebacks has settled.
-/// The relaunch replays the whole log — creates and writebacks alike
-/// no-op on their recorded identities — and every file is complete,
-/// exactly once.
-#[test]
-fn mid_batch_crash_inside_a_writeback_group_replays_without_duplicates() {
-    let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
-    let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("midgroup");
-    let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
-        .with_commit_batch(8)
-        .with_durability(&wal_dir);
-
-    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-    // First hit: after the namespace batch. Second: after the group.
-    region.core().crash.arm(CrashPoint::MidBatch, 2);
-    let c = region.client(ClientId(0));
-    for i in 0..4 {
-        c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
-        c.write(&format!("/job/f{i}"), &cred, 0, &group_payload(i)).unwrap();
-    }
-    assert_eq!(step(&region), WorkerStep::Crashed, "killed between the group's apply and its settle");
-    let old = region.report();
-    assert_eq!(old.committed, 4, "the creates settled, no writeback did");
-    assert_eq!(old.wal_appended, 8);
-    assert_eq!(dfs.mds_counter("size_batch_ops"), 4, "the group reached the DFS");
-    let identities = dfs.seen_len();
-    assert_eq!(identities, 8, "four creates and four writebacks are remembered");
-    region.abort();
-    drop(c);
-    drop(region);
-
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    let rep = region.report();
-    assert_eq!(rep.wal_replayed, 8);
-    assert_eq!(rep.wal_replayed, rep.recovery_applied + rep.recovery_skipped);
-    assert_eq!(dfs.mds_counter("replay_noop"), 4, "replayed creates no-op");
-    assert_eq!(dfs.mds_counter("set_size"), 0, "replayed writebacks no-op: no size moved twice");
-    let fs = dfs.client();
-    let mut names = fs.readdir("/job", &cred).unwrap();
-    names.sort();
-    assert_eq!(names, (0..4).map(|i| format!("f{i}")).collect::<Vec<_>>());
-    for i in 0..4 {
-        assert_eq!(fs.read(&format!("/job/f{i}"), &cred, 0, 64).unwrap(), group_payload(i));
-    }
-    let _ = std::fs::remove_dir_all(&wal_dir);
-}
-
-/// The per-plane budget makes messages of up to `2·n − 1` ops (here 4
-/// creates + 3 writebacks at batch 4). `CrashPoint::MidBatch` in either
-/// window of such a message — after its namespace RPC, after its
-/// writeback group — and a relaunch: every acknowledged op is on the DFS
-/// with its payload, the ones still in the publish buffer included.
-#[test]
-fn mid_batch_crash_inside_a_two_plane_message_keeps_every_acked_op() {
-    const N: usize = 4;
-    for window in [1u32, 2] {
-        let dfs = dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
-        let cred = Credentials::new(1, 1);
-        let wal_dir = fresh_wal_dir(&format!("twoplane{window}"));
-        let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
-            .with_commit_batch(N)
-            .with_durability(&wal_dir);
-
-        let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-        region.core().crash.arm(CrashPoint::MidBatch, window);
-        let c = region.client(ClientId(0));
-        // The fourth create fills the namespace plane and flushes; its
-        // write and one more file stay behind in the buffer.
-        for i in 0..N + 1 {
-            c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
-            c.write(&format!("/job/f{i}"), &cred, 0, &group_payload(i)).unwrap();
-        }
-        let counters = &region.core().counters;
-        assert_eq!(
-            (counters.get("batches_flushed"), counters.get("batched_ops")),
-            (1, 2 * N as u64 - 1),
-            "one message: {N} creates and the {} writebacks between them",
-            N - 1
-        );
-        assert_eq!(step(&region), WorkerStep::Crashed, "window {window}");
-        let old = region.report();
-        assert_eq!(old.committed, if window == 1 { 0 } else { N as u64 }, "window {window}");
-        assert_eq!(dfs.mds_counter("batch_ops"), N as u64, "the namespace RPC landed");
-        assert_eq!(dfs.mds_counter("size_batch_ops"), if window == 1 { 0 } else { N as u64 - 1 });
-        assert_eq!(old.wal_appended, 2 * (N as u64 + 1));
-        region.abort();
-        drop(c);
-        drop(region);
-
-        let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-        let rep = region.report();
-        assert_eq!(rep.wal_replayed, 2 * (N as u64 + 1));
-        assert_eq!(rep.wal_replayed, rep.recovery_applied + rep.recovery_skipped);
-        assert_eq!(dfs.mds_counter("replay_noop"), N as u64, "the applied creates no-op");
-        let fs = dfs.client();
-        let mut names = fs.readdir("/job", &cred).unwrap();
-        names.sort();
-        assert_eq!(names, (0..N + 1).map(|i| format!("f{i}")).collect::<Vec<_>>());
-        for i in 0..N + 1 {
-            let got = fs.read(&format!("/job/f{i}"), &cred, 0, 64).unwrap();
-            assert_eq!(got, group_payload(i), "window {window}, f{i}");
-        }
-        let _ = std::fs::remove_dir_all(&wal_dir);
-    }
-}

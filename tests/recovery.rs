@@ -2,33 +2,22 @@
 //! copies on the DFS; rollback restores them and rebuilds the cache;
 //! region isolation keeps failures from leaking across applications.
 //!
-//! Durable-mode additions: the WAL-backed commit queue must replay
-//! buffered-but-unpublished ops after a crash, survive a crash *during*
-//! recovery (double replay), and must not resurrect mutations that a
-//! checkpoint rollback discarded.
+//! Durable-mode additions: the WAL-backed commit queue must recover to the
+//! program-order reference from every crash point of its log, the ones
+//! during recovery included (`crash_points`, rows of
+//! `workloads::crash`), find the outcomes the DFS already holds in place,
+//! and not resurrect mutations that a checkpoint rollback discarded.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use fsapi::{Credentials, FileSystem, FsError};
 use pacon::commit::CrashSwitch;
 use pacon::{PaconConfig, PaconRegion};
 use simnet::{ClientId, FaultEvent, LatencyProfile, Topology};
+use workloads::crash::WalDir;
 
 fn dfs() -> Arc<dfs::DfsCluster> {
     dfs::DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()))
-}
-
-/// A unique, empty WAL directory per test invocation.
-fn fresh_wal_dir(tag: &str) -> std::path::PathBuf {
-    static SEQ: AtomicU32 = AtomicU32::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pacon-recovery-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]
@@ -146,59 +135,6 @@ fn crash_loses_only_uncommitted_work() {
     region.shutdown().unwrap();
 }
 
-/// Durable mode closes the window `crash_loses_only_uncommitted_work`
-/// documents: ops acknowledged locally but still sitting in the publish
-/// buffer when the node dies are journaled, and the next launch replays
-/// them into the DFS before serving clients.
-#[test]
-fn durable_region_recovers_buffered_ops_after_crash() {
-    let dfs = dfs();
-    let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("buffered");
-    let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
-        .with_commit_batch(16)
-        .with_durability(&wal_dir);
-
-    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-    let c = region.client(ClientId(0));
-    for i in 0..5 {
-        let p = format!("/job/f{i}");
-        c.create(&p, &cred, 0o644).unwrap();
-        c.write(&p, &cred, 0, format!("payload-{i}").as_bytes()).unwrap();
-    }
-    // Everything is below the flush threshold: nothing reached the DFS.
-    assert!(dfs.client().readdir("/job", &cred).unwrap().is_empty());
-    region.abort();
-    drop(c);
-    drop(region);
-
-    // Relaunch against the same log directory: recovery replays the five
-    // creates and their inline snapshots before the region opens.
-    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-    assert_eq!(region.core().incarnation, 2);
-    let r = region.report();
-    assert_eq!(r.wal_replayed, 10, "5 creates + 5 writeback snapshots");
-    assert_eq!(r.recovery_applied, 10);
-    assert_eq!(r.recovery_skipped, 0);
-    for i in 0..5 {
-        let p = format!("/job/f{i}");
-        assert_eq!(
-            dfs.client().read(&p, &cred, 0, 64).unwrap(),
-            format!("payload-{i}").as_bytes(),
-            "recovered content must match the last acknowledged write"
-        );
-    }
-    // The log was reset after replay, so every replay identity from
-    // incarnation 1 is confirmed-and-gone: the launch pruned them.
-    assert_eq!(dfs.seen_len(), 0, "seen-cache must not leak across recoveries");
-    assert!(region.report().replay_pruned > 0);
-    drop(region);
-
-    // Recovery truncated the log: a third launch has nothing to replay.
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    assert_eq!(region.report().wal_replayed, 0);
-}
-
 /// Regression (review, dfs layer): `write_idempotent` must not skip a
 /// generation-0 writeback just because the path already has a recorded
 /// generation. Generation 0 means the writer could not learn the file's
@@ -247,10 +183,10 @@ fn generation_zero_writeback_applies_over_recorded_generations() {
 fn writeback_to_preexisting_file_recovers_across_incarnations() {
     let dfs = dfs();
     let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("preexisting");
+    let wal_dir = WalDir::new("recovery-preexisting");
     let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
         .with_commit_batch(16)
-        .with_durability(&wal_dir);
+        .with_durability(wal_dir.path());
 
     // Incarnation 1: create the file and commit it all the way through.
     let region = PaconRegion::launch(config.clone(), &dfs).unwrap();
@@ -283,53 +219,6 @@ fn writeback_to_preexisting_file_recovers_across_incarnations() {
     drop(region);
 }
 
-/// Crash *during* recovery: the half-replayed log replays again on the
-/// next launch, and the seen-cache turns the already-applied prefix into
-/// no-ops instead of double-applying it.
-#[test]
-fn crash_during_recovery_replays_idempotently() {
-    let dfs = dfs();
-    let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("double-replay");
-    let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
-        .with_commit_batch(16)
-        .with_durability(&wal_dir);
-
-    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-    let c = region.client(ClientId(0));
-    for i in 0..6 {
-        c.create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
-    }
-    region.abort();
-    drop(c);
-    drop(region);
-
-    // First recovery attempt dies after three replayed ops, before any
-    // truncation.
-    let mut interrupted = config.clone();
-    interrupted.recovery_crash_after = Some(3);
-    let err = match PaconRegion::launch_paused(interrupted, &dfs) {
-        Ok(_) => panic!("interrupted recovery must fail the launch"),
-        Err(e) => e,
-    };
-    assert!(CrashSwitch::is_crash_error(&err), "unexpected launch error: {err}");
-    assert_eq!(dfs.client().readdir("/job", &cred).unwrap().len(), 3);
-
-    // Second attempt replays the whole log; the first three ops no-op.
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    let r = region.report();
-    assert_eq!(r.wal_replayed, 6);
-    assert_eq!(r.recovery_applied, 6);
-    assert_eq!(r.recovery_skipped, 0);
-    assert!(
-        dfs.mds_counter("replay_noop") >= 3,
-        "the replayed prefix must be recognized, not re-applied"
-    );
-    let mut names = dfs.client().readdir("/job", &cred).unwrap();
-    names.sort();
-    assert_eq!(names, (0..6).map(|i| format!("f{i}")).collect::<Vec<_>>());
-}
-
 /// Launch paused on `config`, publish what `log` does, and die with all
 /// of it still in the commit logs; returns the relaunched region.
 fn crash_and_relaunch(
@@ -352,10 +241,10 @@ fn crash_and_relaunch(
 fn recovered_ops_whose_outcome_is_in_place_are_not_skipped() {
     let dfs = dfs();
     let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("in-place");
+    let wal_dir = WalDir::new("recovery-in-place");
     let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
         .with_commit_batch(16)
-        .with_durability(&wal_dir);
+        .with_durability(wal_dir.path());
 
     // Incarnation 1 commits the file the logged unlink will name.
     let region = PaconRegion::launch(config.clone(), &dfs).unwrap();
@@ -383,114 +272,6 @@ fn recovered_ops_whose_outcome_is_in_place_are_not_skipped() {
     assert!(dfs.client().stat("/job/new", &cred).unwrap().is_file());
     assert!(matches!(dfs.client().stat("/job/old", &cred), Err(FsError::NotFound)));
     drop(region);
-    let _ = std::fs::remove_dir_all(&wal_dir);
-}
-
-/// Recovery truncates the log once, after the last recovered op. A crash
-/// right after that op (`recovery_crash_after` = the log's length) leaves
-/// the log as it was, and the next launch replays it whole.
-#[test]
-fn recovery_truncates_each_log_once_and_only_at_its_end() {
-    const NODES: u32 = 2;
-    const PER_NODE: usize = 3;
-    let dfs = dfs();
-    let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("one-truncation");
-    let config =
-        PaconConfig::new("/job", Topology::new(NODES, 1), cred).with_durability(&wal_dir);
-    let log_creates = |config: &PaconConfig, tag: &str| {
-        let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-        for n in 0..NODES {
-            let c = region.client(ClientId(n));
-            for i in 0..PER_NODE {
-                c.create(&format!("/job/{tag}-{n}-{i}"), &cred, 0o644).unwrap();
-            }
-        }
-        region.abort();
-    };
-    let total = NODES as u64 * PER_NODE as u64;
-
-    log_creates(&config, "a");
-    let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
-    let r = region.report();
-    assert_eq!((r.wal_replayed, r.recovery_applied), (total, total));
-    assert_eq!(r.wal_truncations, 1, "one truncation of the one log");
-    drop(region);
-
-    log_creates(&config, "b");
-    let mut interrupted = config.clone();
-    interrupted.recovery_crash_after = Some(total);
-    let err = match PaconRegion::launch_paused(interrupted, &dfs) {
-        Ok(_) => panic!("interrupted recovery must fail the launch"),
-        Err(e) => e,
-    };
-    assert!(CrashSwitch::is_crash_error(&err), "unexpected launch error: {err}");
-    assert_eq!(dfs.client().readdir("/job", &cred).unwrap().len(), 2 * total as usize);
-    let noops = dfs.mds_counter("replay_noop");
-
-    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
-    let r = region.report();
-    assert_eq!(r.wal_replayed, total, "the interrupted recovery truncated no log");
-    assert_eq!(r.recovery_applied, total);
-    assert!(dfs.mds_counter("replay_noop") - noops >= total, "the whole log replays as no-ops");
-    assert_eq!(r.wal_truncations, 1);
-    drop(region);
-    let _ = std::fs::remove_dir_all(&wal_dir);
-}
-
-/// The log keeps publish order across nodes: a mkdir on node 1, then a
-/// create in it and the unlink of that file on node 0. The unlink must not
-/// count as done while the file is not there yet, or the create lands
-/// after it and resurrects the file.
-#[test]
-fn an_unlink_behind_a_waiting_create_still_removes_the_file() {
-    let cred = Credentials::new(1, 1);
-    for batch in [1, 16] {
-        let dfs = dfs();
-        let wal_dir = fresh_wal_dir("waiting-create");
-        let config = PaconConfig::new("/job", Topology::new(2, 1), cred)
-            .with_commit_batch(batch)
-            .with_durability(&wal_dir);
-        let region = crash_and_relaunch(&config, &dfs, |region| {
-            region.client(ClientId(1)).mkdir("/job/d", &cred, 0o755).unwrap();
-            let c = region.client(ClientId(0));
-            c.create("/job/d/f", &cred, 0o644).unwrap();
-            c.unlink("/job/d/f", &cred).unwrap();
-        });
-        let r = region.report();
-        assert_eq!((r.wal_replayed, r.recovery_applied), (3, 3), "batch {batch}");
-        assert_eq!(region.core().counters.get("recovery_gone"), 0, "batch {batch}");
-        let got = dfs.client().stat("/job/d/f", &cred);
-        assert!(matches!(got, Err(FsError::NotFound)), "batch {batch}: {got:?}");
-        drop(region);
-        let _ = std::fs::remove_dir_all(&wal_dir);
-    }
-}
-
-/// One log orders the nodes' ops as they were published: a file created
-/// on node 1 and then unlinked on node 0 replays as that create, then that
-/// unlink, and stays gone.
-#[test]
-fn a_file_created_on_one_node_and_unlinked_on_another_stays_gone() {
-    let cred = Credentials::new(1, 1);
-    for batch in [1, 16] {
-        let dfs = dfs();
-        let wal_dir = fresh_wal_dir("cross-node");
-        let config = PaconConfig::new("/job", Topology::new(2, 1), cred)
-            .with_commit_batch(batch)
-            .with_durability(&wal_dir);
-        let region = crash_and_relaunch(&config, &dfs, |region| {
-            region.client(ClientId(1)).create("/job/f", &cred, 0o644).unwrap();
-            region.client(ClientId(0)).unlink("/job/f", &cred).unwrap();
-        });
-        let r = region.report();
-        assert_eq!((r.wal_replayed, r.recovery_applied), (2, 2), "batch {batch}");
-        assert_eq!(region.core().counters.get("recovery_gone"), 0, "batch {batch}");
-        let got = dfs.client().stat("/job/f", &cred);
-        assert!(matches!(got, Err(FsError::NotFound)), "batch {batch}: {got:?}");
-        drop(region);
-        let _ = std::fs::remove_dir_all(&wal_dir);
-    }
 }
 
 /// Group fsync counts per node, and one sync covers every node: four
@@ -501,10 +282,10 @@ fn one_group_fsync_makes_every_nodes_appends_durable() {
     const NODES: u32 = 4;
     let dfs = dfs();
     let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("shared-fsync");
+    let wal_dir = WalDir::new("recovery-shared-fsync");
     let config = PaconConfig::new("/job", Topology::new(NODES, 1), cred)
         .with_wal_fsync_batch(4)
-        .with_durability(&wal_dir);
+        .with_durability(wal_dir.path());
     let region = PaconRegion::launch_paused(config, &dfs).unwrap();
     for i in 0..4 {
         for n in 0..NODES {
@@ -514,7 +295,6 @@ fn one_group_fsync_makes_every_nodes_appends_durable() {
     let r = region.report();
     assert_eq!((r.wal_appended, r.wal_fsyncs), (16, 1));
     drop(region);
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// A logged create whose path then appeared outside the log, and the
@@ -527,9 +307,9 @@ fn a_logged_unlink_removes_a_file_its_logged_create_found_in_place() {
     let cred = Credentials::new(1, 1);
     for degraded in [false, true] {
         let dfs = dfs();
-        let wal_dir = fresh_wal_dir("found-in-place");
+        let wal_dir = WalDir::new("recovery-found-in-place");
         let config =
-            PaconConfig::new("/job", Topology::new(2, 1), cred).with_durability(&wal_dir);
+            PaconConfig::new("/job", Topology::new(2, 1), cred).with_durability(wal_dir.path());
         let region = crash_and_relaunch(&config, &dfs, |region| {
             if degraded {
                 let owner = region.core().cache_cluster.shard_node(b"/job/f");
@@ -548,7 +328,6 @@ fn a_logged_unlink_removes_a_file_its_logged_create_found_in_place() {
         let got = dfs.client().stat("/job/f", &cred);
         assert!(matches!(got, Err(FsError::NotFound)), "degraded {degraded}: {got:?}");
         drop(region);
-        let _ = std::fs::remove_dir_all(&wal_dir);
     }
 }
 
@@ -560,10 +339,10 @@ fn a_dfs_error_during_recovery_fails_the_launch_and_keeps_the_logs() {
     const FILES: u64 = 4;
     let dfs = dfs();
     let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("dfs-error");
+    let wal_dir = WalDir::new("recovery-dfs-error");
     let config = PaconConfig::new("/job", Topology::new(2, 1), cred)
         .with_commit_batch(16)
-        .with_durability(&wal_dir);
+        .with_durability(wal_dir.path());
     let region = PaconRegion::launch_paused(config.clone(), &dfs).unwrap();
     for i in 0..FILES {
         region.client(ClientId(i as u32 % 2)).create(&format!("/job/f{i}"), &cred, 0o644).unwrap();
@@ -588,7 +367,6 @@ fn a_dfs_error_during_recovery_fails_the_launch_and_keeps_the_logs() {
     assert!(dfs.mds_counter("replay_noop") > noops, "the op that applied replays as a no-op");
     assert_eq!(dfs.client().readdir("/job", &cred).unwrap().len(), FILES as usize);
     drop(region);
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 /// Checkpoint rollback with ops buffered but never published: the
@@ -598,10 +376,10 @@ fn a_dfs_error_during_recovery_fails_the_launch_and_keeps_the_logs() {
 fn rollback_does_not_resurrect_walled_ops() {
     let dfs = dfs();
     let cred = Credentials::new(1, 1);
-    let wal_dir = fresh_wal_dir("rollback");
+    let wal_dir = WalDir::new("recovery-rollback");
     let config = PaconConfig::new("/job", Topology::new(1, 1), cred)
         .with_commit_batch(16)
-        .with_durability(&wal_dir);
+        .with_durability(wal_dir.path());
 
     let region = PaconRegion::launch(config.clone(), &dfs).unwrap();
     let c = region.client(ClientId(0));
@@ -699,4 +477,34 @@ fn region_failure_is_isolated_from_other_regions() {
     b.create("/appB/z", &cred_b, 0o644).unwrap();
     region_b.shutdown().unwrap();
     assert!(dfs.client().stat("/appB/z", &cred_b).unwrap().is_file());
+}
+
+/// Every crash point of the commit log, at commit batch 1 and 4 × fsync
+/// batch 1 and 4, checked against the program-order reference: one test
+/// per family of `workloads::crash`.
+mod crash_points {
+    use workloads::crash;
+
+    fn at_every_setting(family: fn(usize, usize) -> usize) {
+        for batch in [1, 4] {
+            for fsync in [1, 4] {
+                assert!(family(batch, fsync) > 1, "batch {batch}, fsync {fsync}: no rows");
+            }
+        }
+    }
+
+    #[test]
+    fn every_cut_of_the_log() {
+        at_every_setting(crash::log_cuts);
+    }
+
+    #[test]
+    fn every_hit_of_the_first_incarnation() {
+        at_every_setting(crash::first_incarnation_hits);
+    }
+
+    #[test]
+    fn every_hit_of_recovery() {
+        at_every_setting(crash::recovery_hits);
+    }
 }
