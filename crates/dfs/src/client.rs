@@ -260,6 +260,16 @@ impl DfsClient {
         Ok(cur.ino)
     }
 
+    /// A write to `path` failed: on `NotFound` its cached dentry may name
+    /// an inode another client removed, so it goes and a retry resolves the
+    /// path afresh.
+    fn forget_if_gone<T>(&self, path: &str, res: FsResult<T>) -> FsResult<T> {
+        if res.as_ref().err() == Some(&FsError::NotFound) {
+            self.dentries.lock().remove(path);
+        }
+        res
+    }
+
     fn resolve_parent<'p>(&self, path: &'p str, cred: &Credentials) -> FsResult<(Ino, &'p str)> {
         let parent = fspath::parent(path)
             .ok_or_else(|| FsError::InvalidPath(format!("no parent: {path}")))?;
@@ -459,7 +469,8 @@ impl DfsClient {
                 }));
             }
         }
-        results.into_iter().map(|r| r.expect("every item settled above")).collect()
+        let settled = results.into_iter().map(|r| r.expect("every item settled above"));
+        settled.zip(items).map(|(res, &(path, ..))| self.forget_if_gone(path, res)).collect()
     }
 
     /// Drop every cached dentry: the tree they name was replaced through
@@ -529,22 +540,25 @@ impl FileSystem for DfsClient {
         }
         let ino = self.resolve(path, cred)?;
         let end = offset + data.len() as u64;
-        // Stripe across data servers chunk by chunk; one round trip per
-        // contiguous chunk write.
-        let mut written = 0usize;
-        for (chunk_idx, in_chunk, take) in chunk_pieces(offset, data.len()) {
-            let server = self.cluster.data_server_for(ino, chunk_idx);
+        let write = || {
+            // Stripe across data servers chunk by chunk; one round trip per
+            // contiguous chunk write.
+            let mut written = 0usize;
+            for (chunk_idx, in_chunk, take) in chunk_pieces(offset, data.len()) {
+                let server = self.cluster.data_server_for(ino, chunk_idx);
+                self.charge_rtt();
+                server.write_chunk(ino, chunk_idx, in_chunk, &data[written..written + take]);
+                written += take;
+            }
+            // Size update on the MDS when the file grew.
+            let cur = self.cluster.mds_for(ino).getattr(ino, cred)?.size;
             self.charge_rtt();
-            server.write_chunk(ino, chunk_idx, in_chunk, &data[written..written + take]);
-            written += take;
-        }
-        // Size update on the MDS when the file grew.
-        let cur = self.cluster.mds_for(ino).getattr(ino, cred)?.size;
-        self.charge_rtt();
-        if end > cur {
-            self.cluster.mds_for(ino).set_size(ino, end, cred)?;
-        }
-        Ok(written)
+            if end > cur {
+                self.cluster.mds_for(ino).set_size(ino, end, cred)?;
+            }
+            Ok(written)
+        };
+        self.forget_if_gone(path, write())
     }
 
     fn read(&self, path: &str, cred: &Credentials, offset: u64, len: usize) -> FsResult<Vec<u8>> {

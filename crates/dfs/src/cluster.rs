@@ -88,6 +88,12 @@ impl DfsCluster {
         !id.is_none() && self.seen.lock().data_replay_is_stale(path, id)
     }
 
+    /// Whether replaying the identified namespace op `id` of `path` would
+    /// undo a later one that applied ([`SeenCache::ns_replay_is_superseded`]).
+    pub fn ns_replay_is_superseded(&self, path: &str, id: &OpId) -> bool {
+        !id.is_none() && self.seen.lock().ns_replay_is_superseded(path, id.write_id)
+    }
+
     /// Record an applied identified data writeback so a second replay of
     /// the same log (crash during recovery) no-ops.
     pub fn record_data_replay(&self, path: &str, id: &OpId, ino: Ino) {
@@ -228,6 +234,34 @@ mod tests {
         assert_eq!(fs2.counters.get("dentry_miss"), 2);
         fs2.stat("/a/b/f", &u).unwrap();
         assert_eq!(fs2.counters.get("dentry_miss"), 2);
+    }
+
+    /// Client A caches `/f`; client B unlinks and re-creates it. A's write
+    /// through the stale dentry fails `NotFound` at most once, the dentry
+    /// goes, and the retry lands in the new file — plain, identified and
+    /// grouped writes alike.
+    #[test]
+    fn a_write_through_a_stale_dentry_lands_in_the_new_file_on_retry() {
+        let u = cred();
+        for form in ["write", "write_idempotent", "write_small_batch"] {
+            let c = cluster();
+            let (a, b) = (c.client(), c.client());
+            a.create("/f", &u, 0o644).unwrap();
+            b.unlink("/f", &u).unwrap();
+            b.create("/f", &u, 0o644).unwrap();
+            let write = || match form {
+                "write" => a.write("/f", &u, 0, b"new"),
+                "write_idempotent" => {
+                    a.write_idempotent("/f", &u, b"new", OpId { write_id: 7, generation: 0 })
+                }
+                _ => a.write_small_batch(&[("/f", &b"new"[..], OpId::NONE)], &u).remove(0),
+            };
+            if let Err(e) = write() {
+                assert_eq!(e, FsError::NotFound, "{form}");
+                assert_eq!(write(), Ok(3), "{form}: the retry resolves afresh");
+            }
+            assert_eq!(b.read("/f", &u, 0, 8).as_deref(), Ok(&b"new"[..]), "{form}");
+        }
     }
 
     #[test]

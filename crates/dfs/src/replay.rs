@@ -151,6 +151,15 @@ impl SeenCache {
         })
     }
 
+    /// Whether the identified namespace op `write_id` of `path` never
+    /// applied while a later one of the path did (its generation is the
+    /// path's latest): replayed, it would undo that later op's outcome.
+    pub fn ns_replay_is_superseded(&self, path: &str, write_id: u64) -> bool {
+        self.paths.get(path).is_some_and(|ids| {
+            ids.latest_gen > write_id && ids.ino_of(write_id).is_none()
+        })
+    }
+
     /// Latest recorded namespace generation of every path under `root`
     /// (a region seeds its in-memory generation map from this at launch,
     /// so writebacks to files created by earlier incarnations carry the

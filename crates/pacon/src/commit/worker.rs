@@ -24,20 +24,28 @@
 //! base, one namespace-lock acquisition server-side), its writebacks as
 //! one group, then one cache settle, each op settling independently — a
 //! failed op goes to the retry backlog alone, so a partial batch failure
-//! degrades to exactly the paper's independent-commit behaviour. A retry
-//! is a run of one. So is a lone message, the only kind a cut of a single
-//! op makes; a run of one differs in its request forms alone (the
-//! single-op RPCs, cheaper for one op: DESIGN §5.1). When the queue runs
-//! empty the worker asks its node's outbox (`Outbox::refill`) for what a
-//! faulted link still owes the queue or still coalesces below the flush
-//! threshold — quiesce/shutdown liveness without a flush timer; that cut
-//! is taken alone, a run holds only what the broker already held.
+//! degrades to exactly the paper's independent-commit behaviour. When the
+//! queue runs empty the worker asks its node's outbox (`Outbox::refill`)
+//! for what a faulted link still owes the queue or still coalesces below
+//! the flush threshold — quiesce/shutdown liveness without a flush timer;
+//! that cut is taken alone, a run holds only what the broker already held.
 //!
-//! Recovery is a commit ([`CommitWorker::recover`]): at launch, the worker
-//! commits its node's surviving log entries on the same route. A recovered
-//! op takes its writeback bytes from the log and settles no cache records;
-//! its creation that meets its path, or unlink that misses it, is in place;
-//! any other error but a missing prerequisite fails the launch.
+//! Per-path order: every run — fresh, a retry, a recovered one — is formed
+//! by one rule (`CommitWorker::next_run`). An op is attempted only when
+//! no earlier op of its path waits, and a run holds at most one namespace
+//! op per path, its writebacks behind it. What may not go yet waits in the
+//! worker's *line*, in order, and goes in a later run: with no fresh input,
+//! a run of up to `commit_batch_size` of the line's ops or, with none free
+//! to go, a retry of the backlog's head alone (a run of one). A run of one
+//! differs in its request forms alone (the single-op RPCs, cheaper for one
+//! op: DESIGN §5.1). With nothing waiting, a run is its messages' ops.
+//!
+//! Recovery is a commit (`region::recover`): at launch, the region's
+//! surviving log entries join node 0's line and its steps commit them on
+//! the same route. A recovered op takes its writeback bytes from the log
+//! and settles no cache records; its creation that meets its path, or
+//! unlink that misses it, is in place; any other error but a missing
+//! prerequisite fails the launch.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -51,20 +59,23 @@ use simnet::{charge, FastMap, NodeId, Station};
 
 use crate::cache::{CacheError, MetaCache};
 use crate::commit::op::{CommitOp, QueueMsg};
-use crate::commit::wal::{CrashPoint, CrashSwitch, WalEntry};
+use crate::commit::wal::{CrashPoint, WalEntry};
 use crate::metadata::CachedMeta;
 use crate::region::RegionCore;
 
 /// Outcome of one `step()` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerStep {
-    /// A run of one op (a lone message or a retry) applied to the DFS.
+    /// A run of one op (a lone message, a retry, or one op of the line)
+    /// applied to the DFS.
     Committed,
     /// A run of two or more ops handled; per-op outcomes tallied. Each
-    /// retried op went to the retry backlog alone.
+    /// retried op went to the retry backlog alone; a writeback sent back
+    /// to the line is not tallied.
     Batch { committed: u32, retried: u32, discarded: u32 },
     /// A run of one op failed a namespace check and went (back) to the
-    /// retry backlog.
+    /// retry backlog — or a step consumed messages and attempted nothing
+    /// (a marker, duplicates, or ops that all wait in the line).
     Retried,
     /// A run of one op was discarded (removed directory, or retry budget
     /// exhausted).
@@ -91,8 +102,8 @@ pub enum WorkerStep {
 /// small window suffices.
 const SEEN_WINDOW: usize = 64;
 
-/// One op of a run: fresh from the queue or the commit log, or awaiting
-/// resubmission.
+/// One op of a run: fresh from the queue or the commit log, waiting in the
+/// line, or awaiting resubmission.
 struct RetryEntry {
     msg: QueueMsg,
     /// Failed attempts so far; 0 for a fresh op.
@@ -119,7 +130,10 @@ pub struct CommitWorker {
     dfs: Arc<DfsClient>,
     cache: MetaCache,
     core: Arc<RegionCore>,
-    /// Ops awaiting resubmission.
+    /// Ops received and not yet attempted, in order: each waits for an
+    /// earlier op of its path ([`Self::next_run`]).
+    line: VecDeque<RetryEntry>,
+    /// Ops attempted that failed, awaiting resubmission.
     retry: VecDeque<RetryEntry>,
     /// Barrier epoch we reported and are stalled on.
     waiting: Option<u64>,
@@ -132,8 +146,8 @@ pub struct CommitWorker {
     /// `(client, timestamp)` of the most recent messages, for dropping
     /// duplicated deliveries (lossy-link fault plane).
     seen: VecDeque<(u32, u64)>,
-    /// The error that ends a recovery ([`Self::recover`]).
-    failed: Option<FsError>,
+    /// The error that ends a recovery (`region::recover`).
+    pub(crate) failed: Option<FsError>,
 }
 
 impl CommitWorker {
@@ -150,6 +164,7 @@ impl CommitWorker {
             dfs,
             cache,
             core,
+            line: VecDeque::new(),
             retry: VecDeque::new(),
             waiting: None,
             flushing_for: None,
@@ -188,9 +203,10 @@ impl CommitWorker {
         &self.dfs
     }
 
-    /// True when the retry backlog is empty (shutdown condition).
+    /// True when no op waits: the line and the retry backlog are empty
+    /// (shutdown condition).
     pub fn backlog_empty(&self) -> bool {
-        self.retry.is_empty()
+        self.line.is_empty() && self.retry.is_empty()
     }
 
     fn charge_dispatch(&self) {
@@ -217,15 +233,13 @@ impl CommitWorker {
             }
         }
 
-        // A marker was consumed: flush the retry backlog, then report —
-        // unless its barrier is already over. A barrier that could not
-        // post every marker is abandoned by its client, and the markers
+        // A marker was consumed: flush the line and the retry backlog, then
+        // report — unless its barrier is already over. A barrier that could
+        // not post every marker is abandoned by its client, and the markers
         // it did post are stale: flush nothing, report nothing.
         if let Some(epoch) = self.flushing_for {
-            if !self.core.board.is_released(epoch) {
-                if let Some(e) = self.retry.pop_front() {
-                    return self.commit(vec![e]);
-                }
+            if !self.core.board.is_released(epoch) && !self.backlog_empty() {
+                return self.step_retry();
             }
             self.flushing_for = None;
             if !self.core.board.worker_reached(epoch) {
@@ -237,8 +251,8 @@ impl CommitWorker {
         }
 
         // Fresh messages first — with the queue empty, whatever the node
-        // still has to send — then the retry backlog. The outbox is only
-        // ever tried, never waited for (`commit::outbox` module docs).
+        // still has to send — then what waits. The outbox is only ever
+        // tried, never waited for (`commit::outbox` module docs).
         let outbox = self.core.outbox(self.node.index());
         let Some(first) =
             self.consumer.try_recv().ok().or_else(|| outbox.refill(&self.core, &self.consumer))
@@ -281,18 +295,29 @@ impl CommitWorker {
             // Re-enter immediately on the next step to flush.
             return WorkerStep::Retried;
         }
-        // The run's ops in queue order, a batched message's in its place.
-        let run = msgs.into_iter().flat_map(|msg| match msg.op {
+        // The messages' ops in queue order, a batched message's in its
+        // place, behind whatever waits in the line.
+        let fresh = msgs.into_iter().flat_map(|msg| match msg.op {
             CommitOp::Batch(inner) => inner,
             _ => vec![msg],
         });
-        self.commit(run.map(RetryEntry::fresh).collect())
+        let run = self.next_run(fresh.map(RetryEntry::fresh).collect(), usize::MAX);
+        if run.is_empty() {
+            return WorkerStep::Retried;
+        }
+        self.commit(run)
     }
 
-    /// Work the retry backlog with no fresh input. After one full cycle of
-    /// failures, report `Idle` so the caller can sleep — the prerequisite
-    /// commit must come from another queue.
+    /// Work what waits with no fresh input: a run of the line's ops that
+    /// are free to go, else the retry backlog. After one full cycle of
+    /// failed retries, report `Idle` so the caller can sleep — the
+    /// prerequisite commit must come from another queue.
     fn step_retry(&mut self) -> WorkerStep {
+        let run = self.next_run(Vec::new(), self.core.config.commit_batch_size);
+        if !run.is_empty() {
+            self.stuck_retries = 0;
+            return self.commit(run);
+        }
         if self.stuck_retries >= self.retry.len() {
             self.stuck_retries = 0;
             return WorkerStep::Idle;
@@ -310,25 +335,55 @@ impl CommitWorker {
         }
     }
 
-    /// One recovery turn (DESIGN §5.3) on `log`, the rest of the region's
-    /// commit log: commit a run of up to `room` of its next `2 * room`
-    /// entries or, with none free to go, retry the backlog's head. The run
-    /// keeps the log's order per path: it leaves at the log's head every op
-    /// of a path whose earlier op waits or was left, and a namespace op of a
-    /// path it holds (writebacks go last). `Err`: an error no wait resolves,
-    /// or the crash switch killed the run (the log stays whole).
-    pub(crate) fn recover(&mut self, log: &mut VecDeque<WalEntry>, room: usize) -> FsResult<()> {
+    /// Recovery (DESIGN §5.3): the previous incarnation's surviving log
+    /// entries join the line in log order, each with the bytes its record
+    /// carries; the worker's steps commit them. A namespace op that never
+    /// applied while a later one of its path did is in place: the DFS shows
+    /// the path as program order leaves it after that later op.
+    pub(crate) fn line_up(&mut self, log: Vec<WalEntry>) {
+        for WalEntry { msg, snapshot } in log {
+            let namespace = !matches!(msg.op, CommitOp::WriteInline { .. });
+            let path = msg.op.path().expect("logged ops have a path");
+            if namespace && self.dfs.cluster().ns_replay_is_superseded(path, &msg.id) {
+                self.in_place(&msg, "recovery_superseded");
+                continue;
+            }
+            let recovered = Some(snapshot.unwrap_or_default());
+            self.line.push_back(RetryEntry { recovered, ..RetryEntry::fresh(msg) });
+        }
+    }
+
+    /// Form the next run — the one rule of every run the worker commits.
+    /// `fresh` joins the line's tail; then, of the line's first `2 * room`
+    /// ops, up to `room` are taken in order: an op goes only when no earlier
+    /// op of its path waits — in the retry backlog, or passed over here —
+    /// and a run holds at most one namespace op per path, writebacks of
+    /// that path behind it. What is not taken stays in the line, in order.
+    /// With nothing waiting, a run of all of `fresh` is `fresh` itself.
+    fn next_run(&mut self, fresh: Vec<RetryEntry>, room: usize) -> Vec<RetryEntry> {
+        if self.line.is_empty() {
+            self.line = VecDeque::from(fresh);
+        } else {
+            self.line.extend(fresh);
+        }
+        if self.line.is_empty() {
+            return Vec::new();
+        }
         let take: Vec<bool> = {
             // Per path met: is the run open to its next op? Not once an op of
-            // it waits or was left, and only to writebacks once it holds one.
+            // it waits or was passed over, and only to writebacks once it
+            // holds one.
+            let waiting = self.retry.iter().filter_map(|e| Some((e.msg.op.path()?, false)));
+            let window = self.line.len().min(room.saturating_mul(2));
             let mut paths: FastMap<&str, bool> =
-                self.retry.iter().filter_map(|e| Some((e.msg.op.path()?, false))).collect();
+                FastMap::with_capacity_and_hasher(window, Default::default());
+            paths.extend(waiting);
             let mut taken = 0;
-            let scan = log.iter().take(room.saturating_mul(2)).map_while(|e| {
+            let scan = self.line.iter().take(window).map_while(|e| {
                 if taken == room {
                     return None;
                 }
-                let path = e.msg.op.path().expect("logged ops have a path");
+                let path = e.msg.op.path().expect("committed ops have a path");
                 let writeback = matches!(e.msg.op, CommitOp::WriteInline { .. });
                 let go = match paths.entry(path) {
                     Entry::Vacant(slot) => *slot.insert(true),
@@ -342,23 +397,19 @@ impl CommitWorker {
             });
             scan.collect()
         };
+        if take.len() == self.line.len() && take.iter().all(|&go| go) {
+            return Vec::from(std::mem::take(&mut self.line));
+        }
         let (mut run, mut held) = (Vec::new(), Vec::new());
-        for (WalEntry { msg, snapshot }, go) in log.drain(..take.len()).zip(take) {
+        for (entry, go) in self.line.drain(..take.len()).zip(take) {
             if go {
-                let recovered = Some(snapshot.unwrap_or_default());
-                run.push(RetryEntry { recovered, ..RetryEntry::fresh(msg) });
+                run.push(entry);
             } else {
-                held.push(WalEntry { msg, snapshot });
+                held.push(entry);
             }
         }
-        held.into_iter().rev().for_each(|entry| log.push_front(entry));
-        if run.is_empty() {
-            run.extend(self.retry.pop_front());
-        }
-        if !run.is_empty() && self.commit(run) == WorkerStep::Crashed {
-            return Err(CrashSwitch::error(CrashPoint::MidBatch));
-        }
-        self.failed.take().map_or(Ok(()), Err)
+        held.into_iter().rev().for_each(|entry| self.line.push_front(entry));
+        run
     }
 
     /// Commit a run of ops (Fig. 5): the namespace ops through one DFS
@@ -368,14 +419,16 @@ impl CommitWorker {
     /// Writebacks read the *current* primary copy at commit time, so
     /// settling them after the run's namespace ops cannot regress any data.
     /// Each op settles independently; a failed one goes to the retry
-    /// backlog alone. An applied op counts as completed only once the run's
-    /// cache work has landed, so `drained()` implies it.
+    /// backlog alone, and the writebacks of its path wait in the line
+    /// ([`Self::hold_writebacks`]). An applied op counts as completed only
+    /// once the run's cache work has landed, so `drained()` implies it.
     ///
-    /// `solo` — a run of one op: a lone message or a retry — picks only the
-    /// request forms, never the protocol: a standalone namespace RPC, `get`
-    /// and `write` for a writeback, a per-key settle, and the op's own
-    /// outcome instead of a tally. Only a cut of two or more ops is a
-    /// [`CommitOp::Batch`], so no message that was batched takes them.
+    /// `solo` — a run of one op: a lone message, a retry or one op of the
+    /// line — picks only the request forms, never the protocol: a
+    /// standalone namespace RPC, `get` and `write` for a writeback, a
+    /// per-key settle, and the op's own outcome instead of a tally. Only a
+    /// cut of two or more ops is a [`CommitOp::Batch`], so no message that
+    /// was batched takes them.
     fn commit(&mut self, run: Vec<RetryEntry>) -> WorkerStep {
         let solo = run.len() == 1;
         // A run is recovered whole or not at all (a retry is a run of one).
@@ -392,6 +445,7 @@ impl CommitWorker {
         };
 
         for (plane, writebacks) in [(ns, false), (wb, true)] {
+            let plane = if writebacks { self.hold_writebacks(plane) } else { plane };
             if plane.is_empty() {
                 continue;
             }
@@ -430,6 +484,18 @@ impl CommitWorker {
             (true, _, 1) => WorkerStep::Retried,
             (true, ..) => WorkerStep::Discarded,
         }
+    }
+
+    /// The writebacks of `plane` whose path waits in the retry backlog —
+    /// its namespace op failed in this run, as a run takes no op of a path
+    /// that waited before — are not attempted: they go back to the head of
+    /// the line, ahead of the later ops of their path, to wait for that
+    /// op's retry. Returns the rest.
+    fn hold_writebacks(&mut self, plane: Vec<RetryEntry>) -> Vec<RetryEntry> {
+        let waits = |e: &RetryEntry| self.retry.iter().any(|w| w.msg.op.path() == e.msg.op.path());
+        let (held, plane): (Vec<_>, Vec<_>) = plane.into_iter().partition(waits);
+        held.into_iter().rev().for_each(|entry| self.line.push_front(entry));
+        plane
     }
 
     /// The run's namespace ops on the DFS, one result per op in order: one
@@ -555,7 +621,7 @@ impl CommitWorker {
             Ok(()) => self.committed(msg, ino, None, applied),
             // Recovered (DESIGN §5.3), a creation that meets its path or an
             // unlink that misses its file is in place: no earlier op of its
-            // log is left to change the path (`recover`). Any other error but
+            // log is left to change the path (`next_run`). Any other error but
             // a missing prerequisite fails the launch: the log holds its only copy.
             Err(FsError::AlreadyExists) if recovered.is_some() && msg.op.is_creation() => {
                 self.committed(msg, None, Some("recovery_exists"), applied)
@@ -596,6 +662,14 @@ impl CommitWorker {
                 if msg.op.is_creation() && self.is_duplicate_admission(&msg, ino) =>
             {
                 self.committed(msg, None, Some("degraded_idempotent"), applied)
+            }
+            // A later op of its path, from another node, took its place on
+            // the DFS, and the op that would undo that waits behind it in
+            // the line: both are in place ([`Self::overtaken`]).
+            Err(FsError::AlreadyExists | FsError::NotFound)
+                if self.overtaken(&msg, ino, applied) =>
+            {
+                WorkerStep::Committed
             }
             // Namespace-convention rejections (resubmit until the missing
             // prerequisite commit arrives — independent commit) and
@@ -640,6 +714,58 @@ impl CommitWorker {
         let path = msg.op.path().expect("creations have a path");
         let birth = holder.and_then(|h| self.core.in_flight().birth_precedes(path, h, msg.timestamp));
         birth.unwrap_or(msg.degraded)
+    }
+
+    /// Is `msg`, refused by the DFS, in place with the next namespace op of
+    /// its path waiting in the line? Only where a later op of the path,
+    /// from another node, took its place, so that no wait resolves it: a
+    /// creation refused by `holder`, a file born after that next op — an
+    /// unlink — was stamped; or an unlink whose file a later unlink removed,
+    /// the next op a creation. In program order the pair made and removed
+    /// one incarnation, or removed one and made the next, and the DFS
+    /// already shows the outcome: both settle as committed without touching
+    /// it. The creation's staged bytes go with it; the unlink settles its
+    /// record with the run (`applied`). False, and nothing done, otherwise.
+    fn overtaken(
+        &mut self,
+        msg: &QueueMsg,
+        holder: Option<Ino>,
+        applied: &mut Vec<QueueMsg>,
+    ) -> bool {
+        let Some(path) = msg.op.path() else { return false };
+        let next = self.line.iter().position(|e| {
+            e.msg.op.path() == Some(path) && !matches!(e.msg.op, CommitOp::WriteInline { .. })
+        });
+        let Some(i) = next else { return false };
+        let (partner, in_flight) = (&self.line[i].msg, self.core.in_flight());
+        let overtaken = match partner.op {
+            CommitOp::Unlink { .. } if msg.op.is_creation() => holder
+                .and_then(|h| in_flight.birth(h))
+                .is_some_and(|born| partner.timestamp < born),
+            _ if partner.op.is_creation() && matches!(msg.op, CommitOp::Unlink { .. }) => {
+                in_flight.unlink_moved(msg.timestamp)
+            }
+            _ => false,
+        };
+        if !overtaken {
+            return false;
+        }
+        let partner = self.line.remove(i).expect("found above").msg;
+        let (creation, unlink) =
+            if msg.op.is_creation() { (msg.clone(), partner) } else { (partner, msg.clone()) };
+        in_flight.take_staged(&[(path, creation.timestamp)]);
+        self.in_place(&creation, "overtaken");
+        self.committed(unlink, None, Some("overtaken"), applied);
+        true
+    }
+
+    /// The op's outcome is on the DFS without it: it settles as committed,
+    /// with no post-commit cache work.
+    fn in_place(&self, msg: &QueueMsg, counter: &'static str) {
+        self.retire(msg, None);
+        self.core.counters.incr("committed");
+        self.core.counters.incr(counter);
+        self.core.note_completed();
     }
 
     /// The op applied (`also`: `None`; `ino`: the inode it made or
@@ -704,38 +830,19 @@ impl CommitWorker {
     /// faults: a crashed shard's record is wiped anyway and rewarms from
     /// the DFS.
     ///
-    /// One write per key: of the ops on one path, the last that applied
-    /// decides. A run of messages can carry a creation, the unlink that
-    /// removed it and a re-creation; all three read the same record.
+    /// A run holds at most one namespace op per path ([`Self::next_run`]),
+    /// so each applied one settles its own record: a creation marks it; an
+    /// unlink deletes it unless a later unlink of the path is still queued.
     fn settle_records(&self, applied: &[QueueMsg], solo: bool) {
         let in_flight = self.core.in_flight();
-        fn ns_path(msg: &QueueMsg) -> Option<&str> {
-            msg.op.path().filter(|_| !matches!(msg.op, CommitOp::WriteInline { .. }))
-        }
-        let mut last: FastMap<&str, usize> =
-            FastMap::with_capacity_and_hasher(applied.len(), Default::default());
-        for (i, msg) in applied.iter().enumerate() {
-            if let Some(path) = ns_path(msg) {
-                last.insert(path, i);
-            }
-        }
-        // A creation marks its record; an unlink deletes its record
-        // unless a later unlink of the path is still queued. A creation
-        // an unlink of this run already removed leaves its staged bytes
-        // to go with the file, as that unlink would have deleted them.
-        let mut work: Vec<(&QueueMsg, &str)> = Vec::with_capacity(last.len());
-        let mut removed: Vec<(&str, u64)> = Vec::new();
-        for (i, msg) in applied.iter().enumerate() {
-            let Some(path) = ns_path(msg) else { continue };
-            let decider = last[path];
-            if decider != i {
-                if msg.op.is_creation() && matches!(applied[decider].op, CommitOp::Unlink { .. }) {
-                    removed.push((path, msg.timestamp));
-                }
-            } else if msg.op.is_creation() || !in_flight.unlink_pending(path) {
-                work.push((msg, path));
-            }
-        }
+        let work: Vec<(&QueueMsg, &str)> = applied
+            .iter()
+            .filter_map(|msg| match &msg.op {
+                CommitOp::Unlink { path } if in_flight.unlink_pending(path) => None,
+                CommitOp::WriteInline { .. } => None,
+                op => Some((msg, op.path()?)),
+            })
+            .collect();
         let creations: Vec<(&str, u64)> = work
             .iter()
             .filter(|(msg, _)| msg.op.is_creation())
@@ -749,7 +856,6 @@ impl CommitWorker {
             }
         }
         self.flush_staged(&creations);
-        in_flight.take_staged(&removed);
     }
 
     /// The batched half of [`Self::settle_records`]: one read and one

@@ -12,7 +12,7 @@
 //! | `ack_unlink` | unlink acknowledged | slot → none, + stamp (+ stale mark, degraded) |
 //! | `retract_unlink` | its publish failed | − stamp (− stale mark) |
 //! | `cancel_create` | unlink annihilated a buffered create | − stamp, − its staged bytes |
-//! | `settle_unlink` | unlink settled | − stamp (− its inode's birth, committed) |
+//! | `settle_unlink` | unlink settled | − stamp: its own, or an earlier pending one's whose file it removed (that unlink takes its place) (− its inode's birth, committed) |
 //! | `note_birth` | creation committed | its inode's birth = its stamp (no record) |
 //! | `stage` / `stage_at` | data for a file not on the DFS yet | + staged bytes |
 //! | `write_through` | creation about to mark its large record committed | staged bytes on the DFS |
@@ -275,6 +275,10 @@ impl Births {
 struct Table {
     paths: FastMap<Box<str>, PathState>,
     births: Births,
+    /// `(unlink, place)`: the pending unlink stamped `unlink` holds the
+    /// pending-unlink stamp `place` of a later one ([`InFlight::settle_unlink`];
+    /// stamps are unique region-wide).
+    moved: Vec<(u64, u64)>,
     removed_dirs: Vec<(String, u64)>,
     /// Paths with staged bytes, kept as `edit`, `remove_dir` and `clear`
     /// change them: the region report reads it without a pass.
@@ -310,6 +314,15 @@ impl Table {
 
     fn pending(&self, path: &str) -> &Pending {
         self.paths.get(path).and_then(|s| s.pending.as_deref()).unwrap_or(&NONE)
+    }
+
+    /// The stamp the unlink stamped `ts` holds — its own, or the one it
+    /// moved to — which it gives up.
+    fn take_place(&mut self, ts: u64) -> u64 {
+        match self.moved.iter().position(|&(unlink, _)| unlink == ts) {
+            Some(i) => self.moved.swap_remove(i).1,
+            None => ts,
+        }
     }
 }
 
@@ -431,8 +444,10 @@ impl InFlight {
 
     /// Undo `ack_unlink`: the publish failed.
     pub(crate) fn retract_unlink(&self, path: &str, ts: u64, degraded: bool) {
-        self.table.lock().edit_pending(path, |r| {
-            r.drop_stamp(ts);
+        let mut t = self.table.lock();
+        let place = t.take_place(ts);
+        t.edit_pending(path, |r| {
+            r.drop_stamp(place);
             if degraded {
                 self.unmark_stale(r);
             }
@@ -443,20 +458,45 @@ impl InFlight {
     /// the creation it cancelled and that creation's staged bytes (no
     /// writer can stage for it any more: its record is marked removed).
     pub(crate) fn cancel_create(&self, path: &str, ts: u64) {
-        self.table.lock().edit_pending(path, |r| {
-            r.drop_stamp(ts);
+        let mut t = self.table.lock();
+        let place = t.take_place(ts);
+        t.edit_pending(path, |r| {
+            r.drop_stamp(place);
             r.take_owned(ts);
         });
     }
 
     /// Committed (`removed`: the inode it unlinked), discarded or dropped
-    /// by a commit process.
+    /// by a commit process. Across nodes an unlink can remove a file an
+    /// earlier one, still pending, was to remove — the first pending after
+    /// the file's birth. Then it settles that earlier stamp, and the
+    /// unlink holding it moves to this one's: the path's stamps stay the
+    /// program-order places of the unlinks still to come.
     pub(crate) fn settle_unlink(&self, path: &str, ts: u64, removed: Option<Ino>) {
         let mut t = self.table.lock();
+        let place = t.take_place(ts);
+        let born = removed.map_or(0, |ino| t.births.get(ino));
         if let Some(ino) = removed {
             t.births.remove(ino);
         }
-        t.edit_pending(path, |r| r.drop_stamp(ts));
+        let unlinks = t.pending(path).unlinks.iter().copied();
+        let settled = match unlinks.filter(|&u| born != 0 && born < u && u < place).min() {
+            Some(earlier) => {
+                match t.moved.iter_mut().find(|(_, held)| *held == earlier) {
+                    Some(holder) => holder.1 = place,
+                    None => t.moved.push((earlier, place)),
+                }
+                earlier
+            }
+            None => place,
+        };
+        t.edit_pending(path, |r| r.drop_stamp(settled));
+    }
+
+    /// Has a later unlink removed the file the pending unlink stamped `ts`
+    /// was to remove ([`Self::settle_unlink`])?
+    pub(crate) fn unlink_moved(&self, ts: u64) -> bool {
+        self.table.lock().moved.iter().any(|&(unlink, _)| unlink == ts)
     }
 
     /// Then the DFS copy may still hold the file, but program order says
@@ -479,6 +519,11 @@ impl InFlight {
     /// The creation stamped `ts` made `ino`.
     pub(crate) fn note_birth(&self, ino: Ino, ts: u64) {
         self.table.lock().births.set(ino, ts);
+    }
+
+    /// The stamp of the creation that made `ino`, if one was recorded.
+    pub(crate) fn birth(&self, ino: Ino) -> Option<u64> {
+        Some(self.table.lock().births.get(ino)).filter(|&b| b != 0)
     }
 
     /// Duplicate admission (DESIGN §10.4) of a creation of `path` stamped

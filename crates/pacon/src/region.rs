@@ -12,7 +12,6 @@
 //! thread; the DES steps one slot per process. A worker taken with
 //! [`PaconRegion::take_worker`] is stepped by its taker alone.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -684,14 +683,15 @@ fn bump_incarnation(wal_dir: &std::path::Path) -> FsResult<u64> {
     Ok(next)
 }
 
-/// Recovery (DESIGN §5.3): the log's surviving entries re-enter one
-/// worker's commit route as ops published and not yet committed, in
-/// append order, which is publish order across every node: runs of up to
-/// `commit_batch_size` entries, in log order per path, or, with none free
-/// to go, a retry of an entry waiting in the backlog for a prerequisite.
-/// Then the log is truncated, once. Every apply is idempotent, so a crash
-/// during recovery (the launch's switch tripping in a run, or just before
-/// the truncation) only means the next launch replays the same log and the
+/// Recovery (DESIGN §5.3): the log's surviving entries join one worker's
+/// line as ops published and not yet committed, in append order, which is
+/// publish order across every node, and its steps commit them as they
+/// commit fresh ops: runs of up to `commit_batch_size` entries, in log
+/// order per path (`CommitWorker::next_run`), or, with none free to go, a
+/// retry of an entry waiting in the backlog for a prerequisite. Then the
+/// log is truncated, once. Every apply is idempotent, so a crash during
+/// recovery (the launch's switch tripping in a run, or just before the
+/// truncation) only means the next launch replays the same log and the
 /// seen-cache no-ops the prefix that landed. An error no wait resolves
 /// fails the launch the same way.
 fn recover(core: &RegionCore, worker: &mut CommitWorker, log: Vec<WalEntry>) -> FsResult<()> {
@@ -704,9 +704,14 @@ fn recover(core: &RegionCore, worker: &mut CommitWorker, log: Vec<WalEntry>) -> 
     // One op more than the log holds, completed after the last run: the
     // route's `maybe_truncate_wal` never finds the region drained.
     core.enqueued.fetch_add(total + 1, Ordering::Relaxed);
-    let mut log = VecDeque::from(log);
-    while !log.is_empty() || !worker.backlog_empty() {
-        worker.recover(&mut log, core.config.commit_batch_size)?;
+    worker.line_up(log);
+    while !worker.backlog_empty() {
+        if worker.step() == WorkerStep::Crashed {
+            return Err(CrashSwitch::error(CrashPoint::MidBatch));
+        }
+        if let Some(e) = worker.failed.take() {
+            return Err(e);
+        }
     }
     core.note_completed();
     let applied = core.counters.get("committed");

@@ -393,11 +393,14 @@ proptest! {
     }
 }
 
-/// The shape the proptest is built to reach, pinned: one batch carrying
-/// two writebacks of the same path around an unlink and a re-create. Both
-/// settle, and the DFS copy holds the re-created file's bytes.
+/// The shape the proptest is built to reach, pinned: one message carrying
+/// two writebacks of the same path around an unlink and a re-create. A run
+/// holds one namespace op of a path, so the first writeback goes with the
+/// bystander's, the unlink alone in the next run and the re-create with
+/// its writeback in the last. Both writebacks settle, and the DFS copy
+/// holds the re-created file's bytes.
 #[test]
-fn one_batch_with_two_writebacks_of_one_path_settles_both() {
+fn two_writebacks_of_one_path_around_a_recreation_both_land() {
     let cred = Credentials::new(1, 1);
     let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
     let config = PaconConfig::new("/w", Topology::new(1, 1), cred).with_commit_batch(32);
@@ -412,14 +415,18 @@ fn one_batch_with_two_writebacks_of_one_path_settles_both() {
     c.create("/w/f", &cred, 0o644).unwrap();
     c.write("/w/f", &cred, 0, b"second").unwrap();
     c.write("/w/g", &cred, 0, b"bystander").unwrap();
+    let steps: Vec<_> =
+        (0..3).map(|_| region.core().step_worker(0).map(|(step, _)| step)).collect();
+    let batch = |committed| Some(WorkerStep::Batch { committed, retried: 0, discarded: 0 });
     assert_eq!(
-        region.core().step_worker(0).map(|(step, _)| step),
-        Some(WorkerStep::Batch { committed: 5, retried: 0, discarded: 0 }),
-        "[write f, unlink f, create f, write f, write g] in one message"
+        steps,
+        [batch(2), Some(WorkerStep::Committed), batch(2)],
+        "[write f, unlink f, create f, write f, write g] in one message: \
+         [write f, write g], then [unlink f], then [create f, write f]"
     );
     assert!(region.core().drained());
-    assert_eq!(dfs.mds_counter("size_batch"), 1, "one size request for the group");
-    assert_eq!(dfs.mds_counter("size_batch_ops"), 3, "both writebacks of /w/f are in it");
+    assert_eq!(dfs.mds_counter("size_batch"), 2, "one size request per group");
+    assert_eq!(dfs.mds_counter("size_batch_ops"), 3, "both writebacks of /w/f are in them");
     assert_eq!(region.core().counters.get("writeback_skipped"), 0);
     let fs = dfs.client();
     assert_eq!(fs.read("/w/f", &cred, 0, 64).unwrap(), b"second");

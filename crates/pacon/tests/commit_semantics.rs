@@ -314,12 +314,14 @@ fn a_large_write_to_a_recreated_file_survives_the_older_incarnation_in_the_queue
 /// A run of queued messages can carry a creation, the unlink that removed
 /// it and a re-creation (the publish buffer cancels such a pair only
 /// within one message): three ops on one path meet in one cache settle.
-/// The last op on the path decides, in one conditional write per key — no
-/// version conflict is left for the per-key fallback. The re-creation's
-/// staged bytes reach its file; without a re-creation, the first
-/// incarnation's staged bytes go with the file the unlink removed.
+/// A run holds one namespace op of a path: the unlink and the re-creation
+/// of `/w/f` wait in the worker's line and go in the runs after, one each,
+/// while the first run settles every other op in one conditional write per
+/// key — no version conflict is left for the per-key fallback. The
+/// re-creation's staged bytes reach its file; without a re-creation, the
+/// first incarnation's staged bytes go with the file the unlink removed.
 #[test]
-fn a_run_settles_a_path_by_its_last_op() {
+fn a_later_namespace_op_of_a_path_waits_for_the_next_run() {
     const N: usize = 3;
     for recreate in [true, false] {
         let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
@@ -355,14 +357,21 @@ fn a_run_settles_a_path_by_its_last_op() {
         let cache = &region.core().cache_cluster;
         let before = cache.stats();
         let mut w = region.take_worker(0);
-        let run = WorkerStep::Batch { committed: 3 * N as u32, retried: 0, discarded: 0 };
-        assert_eq!(w.step(), run, "recreate={recreate}: one run");
-        let after = cache.stats();
-        // Seven paths; without the re-creation `/w/g` is an eighth.
-        let keys = if recreate { 7 } else { 8 };
-        assert_eq!(after.multi_write_keys - before.multi_write_keys, keys, "recreate={recreate}");
-        assert_eq!(after.cas_conflicts - before.cas_conflicts, 0, "recreate={recreate}");
+        let waiting = if recreate { 2 } else { 1 };
+        let run = WorkerStep::Batch { committed: 3 * N as u32 - waiting, retried: 0, discarded: 0 };
+        assert_eq!(w.step(), run, "recreate={recreate}: the first run");
+        // The six fillers, `/w/f` — unless the re-creation's live record is
+        // there, which the first creation leaves alone (the mark rule) —
+        // and, without the re-creation, `/w/g`.
+        let keys = if recreate { 6 } else { 8 };
+        let writes = cache.stats().multi_write_keys - before.multi_write_keys;
+        assert_eq!(writes, keys, "recreate={recreate}");
+        for _ in 0..waiting {
+            assert_eq!(w.step(), WorkerStep::Committed, "recreate={recreate}: a run of one");
+        }
         assert_eq!(w.step(), WorkerStep::Idle);
+        let after = cache.stats();
+        assert_eq!(after.cas_conflicts - before.cas_conflicts, 0, "recreate={recreate}");
         assert!(region.core().drained());
         assert_eq!(region.core().counters.get("resubmitted"), 0);
         assert_eq!(region.core().in_flight().counts().staged, 0);
@@ -379,6 +388,32 @@ fn a_run_settles_a_path_by_its_last_op() {
             assert_eq!(c.stat("/w/f", &cred), Err(FsError::NotFound));
         }
     }
+}
+
+/// One run holds a re-creation and the write behind it, and the
+/// re-creation waits for another node's unlink of the file before it. The
+/// write waits in the line with it instead of landing in the file that
+/// unlink removes, so the re-created file gets the bytes.
+#[test]
+fn a_writeback_waits_in_the_line_for_its_runs_failed_creation() {
+    let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+    let cred = Credentials::new(1, 1);
+    let config = PaconConfig::new("/w", Topology::new(2, 1), cred).with_commit_batch(2);
+    let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+    let (c0, c1) = (region.client(ClientId(0)), region.client(ClientId(1)));
+    let (mut w0, mut w1) = (region.take_worker(0), region.take_worker(1));
+    c1.create("/w/f", &cred, 0o644).unwrap();
+    drain(&mut w1);
+    c1.unlink("/w/f", &cred).unwrap(); // still in node 1's outbox
+    c0.create("/w/f", &cred, 0o644).unwrap();
+    c0.write("/w/f", &cred, 0, b"bytes").unwrap();
+    // The run [create, write]: the creation meets the first file and
+    // goes to the backlog; the write is not attempted.
+    assert_eq!(w0.step(), WorkerStep::Batch { committed: 0, retried: 1, discarded: 0 });
+    drain(&mut w1);
+    drain(&mut w0);
+    assert!(region.core().drained());
+    assert_eq!(dfs.client().read("/w/f", &cred, 0, 16).as_deref(), Ok(&b"bytes"[..]));
 }
 
 #[test]
@@ -517,11 +552,12 @@ fn the_duplicate_verdict_reads_the_current_incarnation_not_a_cached_dentry() {
     assert_eq!(counter(&region, "dropped_retry_budget"), 1);
 }
 
-/// One run holds a duplicate creation of a committed file (admitted over
-/// a cold shard), an unlink of that file and a fresh creation of the path,
-/// in that order. The duplicate is judged by the file the DFS refused it
-/// over — older than it, no unlink between — not by the newer file the run
-/// leaves at the path: it settles in place. Retried instead, it would
+/// Two queued messages hold a duplicate creation of a committed file
+/// (admitted over a cold shard), an unlink of that file and a fresh
+/// creation of the path, in that order. The duplicate's run takes it alone
+/// of the path; the unlink and the creation wait for the runs after. The
+/// duplicate is judged by the file the DFS refused it over — older than
+/// it, no unlink between — and settles in place. Retried instead, it would
 /// create the path again once a later unlink commits, and the file would
 /// come back although program order removed it.
 #[test]
@@ -540,7 +576,7 @@ fn a_duplicate_is_judged_by_the_file_that_refused_it_not_by_what_its_run_leaves(
     c.create("/w/g", &cred, 0o644).unwrap();
     c.unlink("/w/f", &cred).unwrap();
     c.create("/w/f", &cred, 0o644).unwrap();
-    assert_eq!(w.step(), WorkerStep::Batch { committed: 4, retried: 0, discarded: 0 });
+    assert_eq!(w.step(), WorkerStep::Batch { committed: 2, retried: 0, discarded: 0 });
     assert_eq!(counter(&region, "degraded_idempotent"), 1);
 
     c.unlink("/w/f", &cred).unwrap();

@@ -8,7 +8,7 @@
 //!   script and was never stepped, cut at every frame boundary and at
 //!   every byte inside its last frame;
 //! - (B) [`first_incarnation_hits`]: every `(CrashPoint, nth)` that an
-//!   incarnation reaches which issues the script and drains after each op;
+//!   incarnation reaches which issues the whole script and then drains;
 //! - (C) [`recovery_hits`]: every hit a recovery of (A)'s whole log
 //!   reaches — `MidBatch` per run, `PreTruncate` at its end — followed by
 //!   a relaunch with the switch disarmed.
@@ -272,9 +272,9 @@ pub fn log_cuts(batch: usize, fsync: usize) -> usize {
 }
 
 /// Family (B): at each crash point, every `nth` hit the script's
-/// incarnation reaches — it steps its commit processes until they drain
-/// after each op it issues — up to the first `nth` it outlives, whose row
-/// is an incarnation aborted when drained. Returns the rows.
+/// incarnation reaches — it issues the whole script, then steps its commit
+/// processes until they drain — up to the first `nth` it outlives, whose
+/// row is an incarnation aborted when drained. Returns the rows.
 pub fn first_incarnation_hits(batch: usize, fsync: usize) -> usize {
     let (mut rows, setting) = (0, format!("batch {batch}, fsync {fsync}"));
     use CrashPoint::{MidBatch, PostAppend, PreAppend, PreTruncate};
@@ -286,18 +286,11 @@ pub fn first_incarnation_hits(batch: usize, fsync: usize) -> usize {
             let switch = CrashSwitch::armed(point, nth);
             let region = PaconRegion::launch_armed(config.clone(), &dfs, switch).expect("launch");
             let (mut history, clients) = (History::new("/w"), clients(&region));
-            // The identities of the ops the last truncation took out of the log.
-            let truncations = || region.core().counters.get("wal_truncations");
-            let (mut truncated_at, mut truncated) = (0, 0);
-            for op in script() {
-                let issued = issue_until_crash(&mut history, &clients, &CRED, [op]);
-                if !issued || !drain(&region, DRAIN_ROUNDS) {
-                    break;
-                }
-                if truncations() > truncated_at {
-                    (truncated_at, truncated) = (truncations(), dfs.seen_len() as u64);
-                }
-            }
+            let drained = issue_until_crash(&mut history, &clients, &CRED, script())
+                && drain(&region, DRAIN_ROUNDS);
+            // A drained region truncated its log: the identities the DFS
+            // holds are of the ops that truncation took out of it.
+            let truncated = if drained { dfs.seen_len() as u64 } else { 0 };
             drop(clients);
             let dead = matches!(region.core().step_worker(0), Some((WorkerStep::Crashed, _)));
             region.abort();

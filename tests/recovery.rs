@@ -507,4 +507,32 @@ mod crash_points {
     fn every_hit_of_recovery() {
         at_every_setting(crash::recovery_hits);
     }
+
+    /// No crash: the whole script issued on a paused region, then one
+    /// drain. An op waiting for a prerequisite holds the later ops of its
+    /// path on its node, so the backup copy ends as program order says,
+    /// volatile or durable.
+    #[test]
+    fn the_whole_script_then_one_drain() {
+        use super::*;
+        use workloads::history::{drain, History};
+        let cred = Credentials::new(1, 1);
+        for batch in [1, 4] {
+            for durable in [false, true] {
+                let (dir, dfs) = (WalDir::new("wholescript"), dfs());
+                let config =
+                    PaconConfig::new("/w", Topology::new(2, 1), cred).with_commit_batch(batch);
+                let config = if durable { config.with_durability(dir.path()) } else { config };
+                let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+                let clients = [region.client(ClientId(0)), region.client(ClientId(1))];
+                let row = format!("batch {batch}, durable {durable}");
+                let mut history = History::new("/w").labelled(row);
+                for (client, op) in crash::script() {
+                    history.issue(&clients[client], &cred, op).unwrap();
+                }
+                assert!(drain(&region, 10_000));
+                history.assert_backup_matches(&dfs, &cred, &crash::universe());
+            }
+        }
+    }
 }
