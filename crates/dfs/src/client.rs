@@ -19,7 +19,7 @@ use syncguard::{level, Mutex};
 
 use crate::cluster::DfsCluster;
 use crate::datasrv::{ChunkWrite, DataServer, CHUNK_SIZE};
-use crate::mds::{BatchOp, OpResult};
+use crate::mds::BatchOp;
 use crate::namespace::Ino;
 use crate::replay::OpId;
 
@@ -284,18 +284,18 @@ impl DfsClient {
         cred: &Credentials,
         mode: u16,
         kind: FileKind,
-    ) -> OpResult {
+    ) -> FsResult<()> {
         let (parent, name) = self.resolve_parent(path, cred)?;
         self.charge_rtt();
         let ino = self.cluster.mds_for(parent).create(parent, name, kind, mode, cred)?;
         self.dentries
             .lock()
             .insert(path, Dentry { ino, perm: Perm::new(mode, cred.uid, cred.gid), kind });
-        Ok(ino)
+        Ok(())
     }
 
-    /// Unlink a file; returns the inode it removed.
-    fn remove_file(&self, path: &str, cred: &Credentials) -> FsResult<Ino> {
+    /// Unlink a file and reclaim its chunks.
+    fn remove_file(&self, path: &str, cred: &Credentials) -> FsResult<()> {
         let (parent, name) = self.resolve_parent(path, cred)?;
         self.charge_rtt();
         let ino = self.cluster.mds_for(parent).unlink(parent, name, cred)?;
@@ -303,26 +303,22 @@ impl DfsClient {
         // Chunk reclamation happens server-side in a real DFS; it is not a
         // client-visible cost.
         self.cluster.drop_file(ino);
-        Ok(ino)
+        Ok(())
     }
 
     /// One namespace update as its own RPC (`mkdir`, `create` or
-    /// `unlink`), cheaper for a single op than a batch of one: returns the
-    /// inode the op made or removed, or — a creation refused over a taken
-    /// name — the inode holding it.
-    pub fn apply(&self, op: &BatchOp, cred: &Credentials) -> OpResult {
+    /// `unlink`), cheaper for a single op than a batch of one.
+    pub fn apply(&self, op: &BatchOp, cred: &Credentials) -> FsResult<()> {
         match op {
             BatchOp::Mkdir { path, mode } => self.create_kind(path, cred, *mode, FileKind::Dir),
             BatchOp::Create { path, mode } => self.create_kind(path, cred, *mode, FileKind::File),
-            BatchOp::Unlink { path } => Ok(self.remove_file(path, cred)?),
+            BatchOp::Unlink { path } => self.remove_file(path, cred),
         }
     }
 
     /// Apply a batch of namespace updates in one RPC (group commit): a
     /// single storage round trip and a single MDS request carrying every
-    /// op. Results come back per op in input order, each the inode the op
-    /// made or removed (a creation refused over a taken name: the inode
-    /// holding it at that point of the batch); the dentry cache is
+    /// op. Results come back per op in input order; the dentry cache is
     /// maintained for each op that succeeded. Batches route to one MDS
     /// (root-sharded), matching the single-MDS testbed the paper runs.
     /// `ids` are the per-op replay identities of a durable commit
@@ -333,7 +329,7 @@ impl DfsClient {
         ops: &[BatchOp],
         ids: &[OpId],
         cred: &Credentials,
-    ) -> Vec<OpResult> {
+    ) -> Vec<FsResult<()>> {
         if ops.is_empty() {
             return Vec::new();
         }
@@ -360,7 +356,7 @@ impl DfsClient {
                         self.cluster.drop_file(ino);
                     }
                 }
-                Ok(ino)
+                Ok(())
             })
             .collect()
     }
@@ -492,11 +488,11 @@ impl DfsClient {
 
 impl FileSystem for DfsClient {
     fn mkdir(&self, path: &str, cred: &Credentials, mode: u16) -> FsResult<()> {
-        self.create_kind(path, cred, mode, FileKind::Dir).map(drop).map_err(|e| e.error)
+        self.create_kind(path, cred, mode, FileKind::Dir)
     }
 
     fn create(&self, path: &str, cred: &Credentials, mode: u16) -> FsResult<()> {
-        self.create_kind(path, cred, mode, FileKind::File).map(drop).map_err(|e| e.error)
+        self.create_kind(path, cred, mode, FileKind::File)
     }
 
     fn stat(&self, path: &str, cred: &Credentials) -> FsResult<FileStat> {
@@ -515,7 +511,7 @@ impl FileSystem for DfsClient {
     }
 
     fn unlink(&self, path: &str, cred: &Credentials) -> FsResult<()> {
-        self.remove_file(path, cred).map(drop)
+        self.remove_file(path, cred)
     }
 
     fn rmdir(&self, path: &str, cred: &Credentials) -> FsResult<()> {
@@ -535,10 +531,10 @@ impl FileSystem for DfsClient {
     }
 
     fn write(&self, path: &str, cred: &Credentials, offset: u64, data: &[u8]) -> FsResult<usize> {
+        let ino = self.resolve(path, cred)?;
         if data.is_empty() {
             return Ok(0);
         }
-        let ino = self.resolve(path, cred)?;
         let end = offset + data.len() as u64;
         let write = || {
             // Stripe across data servers chunk by chunk; one round trip per

@@ -264,6 +264,18 @@ mod tests {
         }
     }
 
+    /// A zero-length write writes nothing but still names a file: to a
+    /// missing one it fails `NotFound`, as a write of any length does.
+    #[test]
+    fn a_zero_length_write_to_a_missing_file_fails_not_found() {
+        let (c, u) = (cluster(), cred());
+        let fs = c.client();
+        assert_eq!(fs.write("/f", &u, 0, b""), Err(FsError::NotFound));
+        fs.create("/f", &u, 0o644).unwrap();
+        assert_eq!(fs.write("/f", &u, 4, b""), Ok(0));
+        assert_eq!(fs.stat("/f", &u).map(|st| st.size), Ok(0), "nothing written");
+    }
+
     #[test]
     fn deeper_paths_cost_more_rpcs_for_cold_clients() {
         let c = cluster();

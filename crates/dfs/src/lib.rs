@@ -29,6 +29,6 @@ pub mod replay;
 
 pub use client::DfsClient;
 pub use cluster::{DfsCluster, DfsConfig};
-pub use mds::{BatchOp, OpError, OpResult};
+pub use mds::BatchOp;
 pub use namespace::Ino;
 pub use replay::{OpId, SeenCache};

@@ -28,24 +28,6 @@ pub enum BatchOp {
     Unlink { path: String },
 }
 
-/// Why one namespace op failed. A creation refused over a taken name
-/// also names the inode that holds it, read under the same hold of the
-/// namespace lock that refused the creation (`AlreadyExists` only).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpError {
-    pub error: FsError,
-    pub holder: Option<Ino>,
-}
-
-impl From<FsError> for OpError {
-    fn from(error: FsError) -> Self {
-        OpError { error, holder: None }
-    }
-}
-
-/// One namespace op's outcome: the inode it made or removed.
-pub type OpResult = Result<Ino, OpError>;
-
 impl BatchOp {
     pub fn path(&self) -> &str {
         match self {
@@ -209,7 +191,7 @@ impl Mds {
         kind: FileKind,
         mode: u16,
         cred: &Credentials,
-    ) -> OpResult {
+    ) -> FsResult<Ino> {
         let demand = match kind {
             FileKind::File => self.profile.mds_create,
             FileKind::Dir => self.profile.mds_mkdir,
@@ -220,26 +202,9 @@ impl Mds {
             FileKind::Dir => "mkdir",
         });
         self.check_fault()?;
-        let ino = Self::create_locked(&mut self.ns.write(), parent, name, kind, mode, cred)?;
+        let ino = self.ns.write().create_child(parent, name, kind, mode, cred)?;
         self.check_reply_loss()?;
         Ok(ino)
-    }
-
-    /// `Namespace::create_child` under a held namespace lock; a refusal
-    /// over a taken name carries the inode holding it.
-    fn create_locked(
-        ns: &mut Namespace,
-        parent: Ino,
-        name: &str,
-        kind: FileKind,
-        mode: u16,
-        cred: &Credentials,
-    ) -> OpResult {
-        ns.create_child(parent, name, kind, mode, cred).map_err(|error| {
-            let taken = error == FsError::AlreadyExists;
-            let holder = taken.then(|| ns.lookup(parent, name, cred).ok()).flatten();
-            OpError { error, holder }
-        })
     }
 
     /// Unlink a file; returns the removed inode for chunk reclamation.
@@ -267,9 +232,13 @@ impl Mds {
     /// ("replay_noop"), and every applied op is recorded *before* its
     /// reply can be lost — so a durable commit log can be replayed any
     /// number of times without duplicating effects. [`OpId::NONE`] (or a
-    /// missing id) leaves an op unidentified. A creation refused over a
-    /// taken name names the inode holding it at that point of the batch.
-    pub fn apply_batch(&self, ops: &[BatchOp], ids: &[OpId], cred: &Credentials) -> Vec<OpResult> {
+    /// missing id) leaves an op unidentified.
+    pub fn apply_batch(
+        &self,
+        ops: &[BatchOp],
+        ids: &[OpId],
+        cred: &Credentials,
+    ) -> Vec<FsResult<Ino>> {
         charge(
             self.station(),
             self.profile.mds_batch_base + ops.len() as u64 * self.profile.mds_batch_per_op,
@@ -291,10 +260,10 @@ impl Mds {
                 let (parent, name) = Self::resolve_parent_locked(&ns, op.path(), cred)?;
                 let ino = match op {
                     BatchOp::Mkdir { mode, .. } => {
-                        Self::create_locked(&mut ns, parent, name, FileKind::Dir, *mode, cred)?
+                        ns.create_child(parent, name, FileKind::Dir, *mode, cred)?
                     }
                     BatchOp::Create { mode, .. } => {
-                        Self::create_locked(&mut ns, parent, name, FileKind::File, *mode, cred)?
+                        ns.create_child(parent, name, FileKind::File, *mode, cred)?
                     }
                     BatchOp::Unlink { .. } => ns.unlink_child(parent, name, cred)?,
                 };
@@ -483,7 +452,7 @@ mod tests {
         ];
         let results = m.apply_batch(&ops, &[OpId::NONE; 3], &cred);
         assert!(results[0].is_ok());
-        assert_eq!(results[1], Err(FsError::NotFound.into()));
+        assert_eq!(results[1].as_ref().err(), Some(&FsError::NotFound));
         assert!(results[2].is_ok(), "a namespace rejection must not poison the batch");
     }
 
@@ -496,8 +465,8 @@ mod tests {
             .collect();
         m.inject_failures(2);
         let results = m.apply_batch(&ops, &[OpId::NONE; 5], &cred);
-        assert!(matches!(results[0], Err(OpError { error: FsError::Backend(_), .. })));
-        assert!(matches!(results[1], Err(OpError { error: FsError::Backend(_), .. })));
+        assert!(matches!(results[0], Err(FsError::Backend(_))));
+        assert!(matches!(results[1], Err(FsError::Backend(_))));
         assert!(results[2..].iter().all(|r| r.is_ok()), "{results:?}");
         // Exactly the survivors exist.
         assert_eq!(m.lookup(Ino::ROOT, "f0", &cred), Err(FsError::NotFound));
@@ -549,35 +518,10 @@ mod tests {
         let cred = Credentials::new(1, 1);
         m.inject_reply_loss(1);
         let res = m.create(Ino::ROOT, "ghost", FileKind::File, 0o644, &cred);
-        assert!(matches!(res, Err(OpError { error: FsError::Backend(_), holder: None })));
-        // The op applied despite the error: a replay sees AlreadyExists,
-        // refused by the file the lost reply made.
-        let ghost = m.lookup(Ino::ROOT, "ghost", &cred).unwrap();
+        assert!(matches!(res, Err(FsError::Backend(_))));
+        // The op applied despite the error: a replay sees AlreadyExists.
+        assert!(m.lookup(Ino::ROOT, "ghost", &cred).is_ok());
         let replay = m.create(Ino::ROOT, "ghost", FileKind::File, 0o644, &cred);
-        assert_eq!(replay, Err(OpError { error: FsError::AlreadyExists, holder: Some(ghost) }));
-    }
-
-    /// A creation refused over a taken name names the file holding it at
-    /// that point of the batch, not the one the name ends the batch with.
-    #[test]
-    fn a_refused_creation_names_the_holder_it_met() {
-        let m = mds();
-        let cred = Credentials::new(1, 1);
-        let old = m.create(Ino::ROOT, "f", FileKind::File, 0o644, &cred).unwrap();
-        let ops = vec![
-            BatchOp::Create { path: "/f".into(), mode: 0o644 },
-            BatchOp::Unlink { path: "/f".into() },
-            BatchOp::Create { path: "/f".into(), mode: 0o644 },
-            BatchOp::Mkdir { path: "/f".into(), mode: 0o755 },
-            BatchOp::Create { path: "/missing/f".into(), mode: 0o644 },
-        ];
-        let results = m.apply_batch(&ops, &[OpId::NONE; 5], &cred);
-        let new = *results[2].as_ref().unwrap();
-        assert_ne!(new, old);
-        let refused = |holder| Err(OpError { error: FsError::AlreadyExists, holder: Some(holder) });
-        assert_eq!(results[0], refused(old));
-        assert_eq!(results[1], Ok(old), "an unlink returns the inode it removed");
-        assert_eq!(results[3], refused(new));
-        assert_eq!(results[4], Err(FsError::NotFound.into()), "no holder but for a taken name");
+        assert_eq!(replay.err(), Some(FsError::AlreadyExists));
     }
 }

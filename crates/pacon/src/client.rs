@@ -141,11 +141,10 @@ impl PaconClient {
     /// those ops complete without ever touching the queue.
     /// `snapshot` is journaled alongside an inline writeback (replay
     /// rebuilds file content from the log, not from the cache). `degraded`
-    /// tags an op admitted against the backup view only: the commit worker
-    /// applies create-if-absent semantics to it. `ts` carries a
-    /// pre-allocated publish timestamp — unlinks stamp themselves *before*
-    /// marking the removal pending, so the pending-removal table and the
-    /// queue envelope agree on the op's identity.
+    /// tags an op admitted against the backup view only. `ts` carries the
+    /// stamp drawn where the primary copy admitted the op (DESIGN §10.4),
+    /// which an unlink also notes pending: the pending-removal table and
+    /// the queue envelope agree on the op's identity.
     fn publish_at(
         &self,
         op: CommitOp,
@@ -509,14 +508,21 @@ impl PaconClient {
         // Read before the store, like `update` reads it before its get:
         // a membership change in between then fences the memo's CAS.
         let epoch = self.core.cache_cluster.ring_epoch();
+        // The op's stamp is drawn where the primary copy admits it: before
+        // the store that lands, so the unlink that removes this file,
+        // which must read the record first, is stamped after it
+        // (DESIGN §10.4).
+        let mut ts = self.core.now();
         match self.cache.add_new(path, &fresh) {
             Ok(Ok(version)) => self.remember(path, Held { meta: fresh, version, epoch }),
             Ok(Err(FsError::AlreadyExists)) => {
                 // A record exists; re-creation is legal only over a
-                // marked-removed one (Section III.D-1).
+                // marked-removed one (Section III.D-1), and is stamped after
+                // reading it: after the unlink that marked it.
                 match self.cache.update(path, None, |m| {
                     if m.removed {
                         *m = fresh.clone();
+                        ts = self.core.now();
                         Ok(())
                     } else {
                         Err(FsError::AlreadyExists)
@@ -526,6 +532,7 @@ impl PaconClient {
                     Ok(Ok(None)) => {
                         // Record vanished between add and update: retry
                         // once as a fresh add.
+                        ts = self.core.now();
                         match self.cache.add_new(path, &fresh) {
                             Ok(r) => {
                                 r?;
@@ -563,7 +570,7 @@ impl PaconClient {
             FileKind::Dir => CommitOp::Mkdir { path: path.to_string(), mode },
             FileKind::File => CommitOp::Create { path: path.to_string(), mode },
         };
-        self.publish_at(op, None, degraded, None)?;
+        self.publish_at(op, None, degraded, Some(ts))?;
         self.core.counters.incr(match kind {
             FileKind::Dir => "mkdir",
             FileKind::File => "create",
@@ -670,12 +677,12 @@ impl PaconClient {
         if stat.kind == FileKind::Dir {
             return Err(FsError::IsADirectory);
         }
-        self.publish_unlink(path, true)
+        self.publish_unlink(path, self.core.now(), true)
     }
 
-    /// Note the acknowledged unlink in the per-path table, then publish it.
-    fn publish_unlink(&self, path: &str, degraded: bool) -> FsResult<()> {
-        let ts = self.core.now();
+    /// Note the acknowledged unlink stamped `ts` in the per-path table,
+    /// then publish it.
+    fn publish_unlink(&self, path: &str, ts: u64, degraded: bool) -> FsResult<()> {
         self.core.in_flight().ack_unlink(path, ts, degraded);
         let op = CommitOp::Unlink { path: path.to_string() };
         if let Err(e) = self.publish_at(op, None, degraded, Some(ts)) {
@@ -797,6 +804,10 @@ impl FileSystem for PaconClient {
                 // marked the record committed by then, and a copy gone
                 // stale costs a wasted CAS on top of the read.
                 drop(self.take_memo(path));
+                // Stamped where the primary copy admits it: in the pass
+                // whose store lands, after the creation of the file it
+                // read and before the re-creation that reads its mark.
+                let mut ts = 0;
                 let updated = match self.update_cached(path, cred, None, |m| {
                     if m.removed {
                         return Err(FsError::NotFound);
@@ -805,6 +816,7 @@ impl FileSystem for PaconClient {
                         return Err(FsError::IsADirectory);
                     }
                     m.removed = true;
+                    ts = self.core.now();
                     Ok(())
                 }) {
                     Ok(r) => r?,
@@ -815,7 +827,7 @@ impl FileSystem for PaconClient {
                 if updated.is_none() {
                     return Err(FsError::NotFound);
                 }
-                self.publish_unlink(path, false)
+                self.publish_unlink(path, ts, false)
             }
             Route::Merged(_) => Err(FsError::PermissionDenied),
             // lint: allow(commit-path, Route::Redirect: paths outside the workspace bypass partial consistency entirely)

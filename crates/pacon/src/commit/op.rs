@@ -66,17 +66,18 @@ pub struct QueueMsg {
     pub client: u32,
     /// Barrier epoch the publisher observed (Section III.E-2).
     pub epoch: u64,
-    /// Logical timestamp at publish time.
+    /// Logical timestamp, drawn where the primary copy admitted the op
+    /// (a namespace op's) or at publish: per path, a creation's and an
+    /// unlink's are in admission order (DESIGN §10.4).
     pub timestamp: u64,
     /// Replay identity for the durable commit log. `OpId::NONE` in
     /// volatile mode and on envelopes that are never replayed (barrier
     /// markers, batch wrappers).
     pub id: dfs::OpId,
-    /// Published while the region was degraded. A degraded admission
-    /// check can only consult the committed backup view, so such a
-    /// creation may duplicate one that is already acknowledged but not
-    /// yet committed — the commit worker settles its `AlreadyExists` as
-    /// idempotent success instead of retrying it.
+    /// Published while the region was degraded: its admission check could
+    /// only consult the committed backup view. No commit verdict reads it
+    /// (a creation that meets its path is in place, degraded or not); the
+    /// commit log's frame still carries it.
     pub degraded: bool,
 }
 

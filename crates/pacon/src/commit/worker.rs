@@ -39,6 +39,9 @@
 //! to go, a retry of the backlog's head alone (a run of one). A run of one
 //! differs in its request forms alone (the single-op RPCs, cheaper for one
 //! op: DESIGN §5.1). With nothing waiting, a run is its messages' ops.
+//! Across nodes one more rule keeps the order (DESIGN §10.4): a namespace
+//! op goes to the DFS only when no unlink of its path stamped before it is
+//! pending, so a creation that meets its path there is in place.
 //!
 //! Recovery is a commit (`region::recover`): at launch, the region's
 //! surviving log entries join node 0's line and its steps commit them on
@@ -51,7 +54,7 @@ use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use dfs::{BatchOp, DfsClient, Ino};
+use dfs::{BatchOp, DfsClient};
 use fsapi::{FsError, FsResult};
 use fsapi::FileSystem;
 use mq::Consumer;
@@ -73,9 +76,10 @@ pub enum WorkerStep {
     /// retried op went to the retry backlog alone; a writeback sent back
     /// to the line is not tallied.
     Batch { committed: u32, retried: u32, discarded: u32 },
-    /// A run of one op failed a namespace check and went (back) to the
-    /// retry backlog — or a step consumed messages and attempted nothing
-    /// (a marker, duplicates, or ops that all wait in the line).
+    /// A run of one op failed a namespace check, or waits for an earlier
+    /// unlink of its path, and went (back) to the retry backlog — or a step
+    /// consumed messages and attempted nothing (a marker, duplicates, or
+    /// ops that all wait in the line).
     Retried,
     /// A run of one op was discarded (removed directory, or retry budget
     /// exhausted).
@@ -445,28 +449,28 @@ impl CommitWorker {
         };
 
         for (plane, writebacks) in [(ns, false), (wb, true)] {
-            let plane = if writebacks { self.hold_writebacks(plane) } else { plane };
+            let plane = if writebacks {
+                self.hold_writebacks(plane)
+            } else {
+                let (waiting, plane) = self.wait_for_unlinks(plane);
+                waiting.into_iter().for_each(|entry| tally(self.resubmit(entry, false)));
+                plane
+            };
             if plane.is_empty() {
                 continue;
             }
-            // Per op, beside its outcome: the inode a namespace op made,
-            // removed or was refused by (a writeback's: none).
-            let results: Vec<(FsResult<()>, Option<Ino>)> = if writebacks {
-                self.apply_writebacks(&plane, solo).into_iter().map(|r| (r, None)).collect()
+            let results = if writebacks {
+                self.apply_writebacks(&plane, solo)
             } else {
-                let split = |r: dfs::OpResult| match r {
-                    Ok(ino) => (Ok(()), Some(ino)),
-                    Err(e) => (Err(e.error), e.holder),
-                };
-                self.apply_namespace(&plane, solo).into_iter().map(split).collect()
+                self.apply_namespace(&plane, solo)
             };
             // Crash window: the DFS applied the plane but nothing has
             // settled. Recovery must re-drive these ops idempotently.
             if self.core.crash.hit(CrashPoint::MidBatch) {
                 return WorkerStep::Crashed;
             }
-            for (entry, (res, ino)) in plane.into_iter().zip(results) {
-                tally(self.settle(entry, res, ino, &mut applied));
+            for (entry, res) in plane.into_iter().zip(results) {
+                tally(self.settle(entry, res, &mut applied));
             }
         }
         // A recovered run's records died with the old incarnation's cache.
@@ -486,11 +490,28 @@ impl CommitWorker {
         }
     }
 
+    /// The wait rule (DESIGN §10.4): the namespace ops of `plane` with an
+    /// unlink of their path stamped before them still pending, apart from
+    /// the rest. No later creation then lands before an earlier unlink, nor
+    /// does a later unlink remove an earlier one's file. Returns `(waiting,
+    /// rest)`. A recovered run meets no stamp: the log's died with the old
+    /// incarnation, and its order per path is the line's.
+    fn wait_for_unlinks(&self, plane: Vec<RetryEntry>) -> (Vec<RetryEntry>, Vec<RetryEntry>) {
+        let items: Vec<(&str, u64)> = plane
+            .iter()
+            .map(|e| (e.msg.op.path().expect("namespace ops have a path"), e.msg.timestamp))
+            .collect();
+        let own = plane.iter().filter(|e| matches!(e.msg.op, CommitOp::Unlink { .. })).count();
+        let waits = self.core.in_flight().unlinked_before(&items, own);
+        let mut waits = waits.into_iter();
+        plane.into_iter().partition(|_| waits.next() == Some(true))
+    }
+
     /// The writebacks of `plane` whose path waits in the retry backlog —
-    /// its namespace op failed in this run, as a run takes no op of a path
-    /// that waited before — are not attempted: they go back to the head of
-    /// the line, ahead of the later ops of their path, to wait for that
-    /// op's retry. Returns the rest.
+    /// its namespace op failed or waits in this run, as a run takes no op
+    /// of a path that waited before — are not attempted: they go back to
+    /// the head of the line, ahead of the later ops of their path, to wait
+    /// for that op's retry. Returns the rest.
     fn hold_writebacks(&mut self, plane: Vec<RetryEntry>) -> Vec<RetryEntry> {
         let waits = |e: &RetryEntry| self.retry.iter().any(|w| w.msg.op.path() == e.msg.op.path());
         let (held, plane): (Vec<_>, Vec<_>) = plane.into_iter().partition(waits);
@@ -502,7 +523,7 @@ impl CommitWorker {
     /// batched request, or a lone unidentified op's own RPC. Ops carrying a
     /// replay identity (durable mode) always go through the idempotent
     /// entry point, so a post-crash replay of an applied op is a no-op.
-    fn apply_namespace(&self, plane: &[RetryEntry], solo: bool) -> Vec<dfs::OpResult> {
+    fn apply_namespace(&self, plane: &[RetryEntry], solo: bool) -> Vec<FsResult<()>> {
         let cred = self.core.config.cred;
         let ops: Vec<BatchOp> = plane
             .iter()
@@ -603,73 +624,44 @@ impl CommitWorker {
         }
     }
 
-    /// Book the outcome of one op's commit attempt. `ino` is the inode a
-    /// namespace op made or removed, or — a creation refused over a taken
-    /// name — the one holding it when the DFS refused it. An op that
-    /// applied, or whose outcome is in place, is pushed to `applied`: the
-    /// caller runs the run's post-commit cache work and completes it.
+    /// Book the outcome of one op's commit attempt. An op that applied, or
+    /// whose outcome is in place, is pushed to `applied`: the caller runs
+    /// the run's post-commit cache work and completes it.
     fn settle(
         &mut self,
         entry: RetryEntry,
         result: FsResult<()>,
-        ino: Option<Ino>,
         applied: &mut Vec<QueueMsg>,
     ) -> WorkerStep {
-        let RetryEntry { msg, attempts, backend_faulted, recovered } = entry;
-        let unlink = matches!(msg.op, CommitOp::Unlink { .. });
+        let recovered = entry.recovered.is_some();
+        let msg = &entry.msg;
         match result {
-            Ok(()) => self.committed(msg, ino, None, applied),
-            // Recovered (DESIGN §5.3), a creation that meets its path or an
-            // unlink that misses its file is in place: no earlier op of its
-            // log is left to change the path (`next_run`). Any other error but
-            // a missing prerequisite fails the launch: the log holds its only copy.
-            Err(FsError::AlreadyExists) if recovered.is_some() && msg.op.is_creation() => {
-                self.committed(msg, None, Some("recovery_exists"), applied)
+            Ok(()) => self.committed(entry.msg, None, applied),
+            // A creation that meets its path is in place (create-if-absent).
+            // Under the wait rule every earlier unlink of the path has
+            // settled and no later creation lands before the next one, so
+            // the file is the one program order leaves: its own, made by an
+            // attempt whose reply was lost or by the log's last incarnation,
+            // or an earlier creation's that this one duplicates, admitted
+            // over a cold or unreachable cache.
+            Err(FsError::AlreadyExists) if msg.op.is_creation() => {
+                let counter = match (recovered, entry.backend_faulted) {
+                    (true, _) => "recovery_exists",
+                    (false, true) => "idempotent_replays",
+                    (false, false) => "degraded_idempotent",
+                };
+                self.committed(entry.msg, Some(counter), applied)
             }
-            Err(FsError::NotFound) if recovered.is_some() && unlink => {
-                self.committed(msg, None, Some("recovery_gone"), applied)
+            // Recovered (DESIGN §5.3), an unlink that misses its file is in
+            // place: no earlier op of its log is left to change the path
+            // (`next_run`). Any other error but a missing prerequisite fails
+            // the launch: the log holds its only copy.
+            Err(FsError::NotFound) if recovered && matches!(msg.op, CommitOp::Unlink { .. }) => {
+                self.committed(entry.msg, Some("recovery_gone"), applied)
             }
-            Err(e) if recovered.is_some() && e != FsError::NotFound => {
+            Err(e) if recovered && e != FsError::NotFound => {
                 self.failed.get_or_insert(e);
                 WorkerStep::Retried
-            }
-            // A replayed creation that already failed with a transient
-            // backend error may have applied server-side with its reply
-            // lost; the DFS entry it "conflicts" with is its own. Treat
-            // the replay as success instead of burning retry budget.
-            Err(FsError::AlreadyExists)
-                if backend_faulted && attempts > 0 && msg.op.is_creation() =>
-            {
-                self.committed(msg, None, Some("idempotent_replays"), applied)
-            }
-            // A duplicate admission: the path's committed file is *older*
-            // than this creation and no acknowledged unlink separates
-            // them, so the path was already created when this op was
-            // acknowledged — its admission check saw a cold or
-            // unreachable cache (degraded windows, post-crash cold
-            // shards). `AlreadyExists` means its outcome is in place
-            // (create-if-absent semantics). It must NOT sit in the
-            // backlog waiting for the path to free up — committing the
-            // duplicate after a later acknowledged unlink would resurrect
-            // the file. Both other causes of the conflict fall through to
-            // the retry backlog and resolve there: a *pending* unlink
-            // between the birth and this creation (a legitimate
-            // re-creation waiting for its predecessor's removal) and a
-            // committed file *newer* than the creation (a cross-queue
-            // race — the blocking file will be removed by an acknowledged
-            // unlink).
-            Err(FsError::AlreadyExists)
-                if msg.op.is_creation() && self.is_duplicate_admission(&msg, ino) =>
-            {
-                self.committed(msg, None, Some("degraded_idempotent"), applied)
-            }
-            // A later op of its path, from another node, took its place on
-            // the DFS, and the op that would undo that waits behind it in
-            // the line: both are in place ([`Self::overtaken`]).
-            Err(FsError::AlreadyExists | FsError::NotFound)
-                if self.overtaken(&msg, ino, applied) =>
-            {
-                WorkerStep::Committed
             }
             // Namespace-convention rejections (resubmit until the missing
             // prerequisite commit arrives — independent commit) and
@@ -680,105 +672,50 @@ impl CommitWorker {
                 | FsError::AlreadyExists
                 | FsError::NotEmpty
                 | FsError::Backend(_)),
-            ) => {
-                let in_flight = self.core.in_flight();
-                if msg.op.path().is_some_and(|path| in_flight.under_removed_dir(path, msg.epoch)) {
-                    return self.discarded(&msg, "discarded_removed_dir");
-                }
-                if attempts + 1 >= self.core.config.max_commit_retries {
-                    return self.discarded(&msg, "dropped_retry_budget");
-                }
-                self.core.counters.incr("resubmitted");
-                self.retry.push_back(RetryEntry {
-                    msg,
-                    attempts: attempts + 1,
-                    backend_faulted: backend_faulted || matches!(e, FsError::Backend(_)),
-                    recovered,
-                });
-                WorkerStep::Retried
-            }
+            ) => self.resubmit(entry, matches!(e, FsError::Backend(_))),
             // Permission or backend error: not retriable; count and
             // surface through counters (the primary copy stays).
-            Err(_) => self.discarded(&msg, "commit_errors"),
+            Err(_) => self.discarded(&entry.msg, "commit_errors"),
         }
     }
 
-    /// The birth rule (DESIGN §10.4) for a creation that met
-    /// `AlreadyExists`, judged on `holder`, the file the DFS refused it
-    /// over — not on what the path names later in the run, nor on the
-    /// node's dentry cache, whose entry may name an incarnation another
-    /// node has since unlinked. No tracked birth: the holder never
-    /// committed through this region, and only a degraded admission takes
-    /// it for its own duplicate.
-    fn is_duplicate_admission(&self, msg: &QueueMsg, holder: Option<Ino>) -> bool {
-        let path = msg.op.path().expect("creations have a path");
-        let birth = holder.and_then(|h| self.core.in_flight().birth_precedes(path, h, msg.timestamp));
-        birth.unwrap_or(msg.degraded)
-    }
-
-    /// Is `msg`, refused by the DFS, in place with the next namespace op of
-    /// its path waiting in the line? Only where a later op of the path,
-    /// from another node, took its place, so that no wait resolves it: a
-    /// creation refused by `holder`, a file born after that next op — an
-    /// unlink — was stamped; or an unlink whose file a later unlink removed,
-    /// the next op a creation. In program order the pair made and removed
-    /// one incarnation, or removed one and made the next, and the DFS
-    /// already shows the outcome: both settle as committed without touching
-    /// it. The creation's staged bytes go with it; the unlink settles its
-    /// record with the run (`applied`). False, and nothing done, otherwise.
-    fn overtaken(
-        &mut self,
-        msg: &QueueMsg,
-        holder: Option<Ino>,
-        applied: &mut Vec<QueueMsg>,
-    ) -> bool {
-        let Some(path) = msg.op.path() else { return false };
-        let next = self.line.iter().position(|e| {
-            e.msg.op.path() == Some(path) && !matches!(e.msg.op, CommitOp::WriteInline { .. })
-        });
-        let Some(i) = next else { return false };
-        let (partner, in_flight) = (&self.line[i].msg, self.core.in_flight());
-        let overtaken = match partner.op {
-            CommitOp::Unlink { .. } if msg.op.is_creation() => holder
-                .and_then(|h| in_flight.birth(h))
-                .is_some_and(|born| partner.timestamp < born),
-            _ if partner.op.is_creation() && matches!(msg.op, CommitOp::Unlink { .. }) => {
-                in_flight.unlink_moved(msg.timestamp)
-            }
-            _ => false,
-        };
-        if !overtaken {
-            return false;
+    /// Send an op that failed, or waits, to the retry backlog, spending one
+    /// attempt of its budget (`backend`: it failed with a transient backend
+    /// error) — or discard it: it raced the removal of its directory, or
+    /// its budget is spent.
+    fn resubmit(&mut self, entry: RetryEntry, backend: bool) -> WorkerStep {
+        let RetryEntry { msg, attempts, backend_faulted, recovered } = entry;
+        let in_flight = self.core.in_flight();
+        if msg.op.path().is_some_and(|path| in_flight.under_removed_dir(path, msg.epoch)) {
+            return self.discarded(&msg, "discarded_removed_dir");
         }
-        let partner = self.line.remove(i).expect("found above").msg;
-        let (creation, unlink) =
-            if msg.op.is_creation() { (msg.clone(), partner) } else { (partner, msg.clone()) };
-        in_flight.take_staged(&[(path, creation.timestamp)]);
-        self.in_place(&creation, "overtaken");
-        self.committed(unlink, None, Some("overtaken"), applied);
-        true
+        if attempts + 1 >= self.core.config.max_commit_retries {
+            return self.discarded(&msg, "dropped_retry_budget");
+        }
+        self.core.counters.incr("resubmitted");
+        let (attempts, backend_faulted) = (attempts + 1, backend_faulted || backend);
+        self.retry.push_back(RetryEntry { msg, attempts, backend_faulted, recovered });
+        WorkerStep::Retried
     }
 
     /// The op's outcome is on the DFS without it: it settles as committed,
     /// with no post-commit cache work.
     fn in_place(&self, msg: &QueueMsg, counter: &'static str) {
-        self.retire(msg, None);
+        self.retire(msg);
         self.core.counters.incr("committed");
         self.core.counters.incr(counter);
         self.core.note_completed();
     }
 
-    /// The op applied (`also`: `None`; `ino`: the inode it made or
-    /// removed) or its outcome is in place: count it and leave its
-    /// post-commit cache work and completion to the run.
+    /// The op applied (`also`: `None`) or its outcome is in place: count it
+    /// and leave its post-commit cache work and completion to the run.
     fn committed(
         &mut self,
         msg: QueueMsg,
-        ino: Option<Ino>,
         also: Option<&'static str>,
         applied: &mut Vec<QueueMsg>,
     ) -> WorkerStep {
-        self.retire(&msg, ino);
+        self.retire(&msg);
         self.core.counters.incr("committed");
         if let Some(counter) = also {
             self.core.counters.incr(counter);
@@ -790,7 +727,7 @@ impl CommitWorker {
     /// The op will never apply. A discarded creation's staged bytes go
     /// with it: they were written to the incarnation it would have made.
     fn discarded(&self, msg: &QueueMsg, counter: &'static str) -> WorkerStep {
-        self.retire(msg, None);
+        self.retire(msg);
         if let (true, Some(path)) = (msg.op.is_creation(), msg.op.path()) {
             self.core.in_flight().take_staged(&[(path, msg.timestamp)]);
         }
@@ -800,20 +737,12 @@ impl CommitWorker {
     }
 
     /// Settle what an op holds in the per-path table for good: an unlink's
-    /// stamp, a writeback's slot, and — `ino`: the op itself changed the
-    /// DFS — the birth of the inode a creation made or an unlink removed.
-    /// Runs *before* `settle_records`, whose deferred cache deletion must
-    /// see the post-retirement stamps.
-    fn retire(&self, msg: &QueueMsg, ino: Option<Ino>) {
-        let in_flight = self.core.in_flight();
+    /// stamp, a writeback's slot. Runs *before* `settle_records`, whose
+    /// deferred cache deletion must see the post-retirement stamps.
+    fn retire(&self, msg: &QueueMsg) {
         match &msg.op {
-            CommitOp::Unlink { path } => in_flight.settle_unlink(path, msg.timestamp, ino),
-            CommitOp::WriteInline { path } => in_flight.release_writeback(path),
-            CommitOp::Mkdir { .. } | CommitOp::Create { .. } => {
-                if let Some(ino) = ino {
-                    in_flight.note_birth(ino, msg.timestamp)
-                }
-            }
+            CommitOp::Unlink { path } => self.core.in_flight().settle_unlink(path, msg.timestamp),
+            CommitOp::WriteInline { path } => self.core.in_flight().release_writeback(path),
             _ => {}
         }
     }

@@ -1,8 +1,7 @@
 //! What the region remembers about a path between "acknowledged" and
 //! "committed" (Section III.D–E): one record per path, in one table behind
-//! one lock (`pacon.region.paths`), beside the committed creations' births
-//! by DFS inode. The record's fields are private; the methods of
-//! [`InFlight`] are the protocol's transitions, one each:
+//! one lock (`pacon.region.paths`). The record's fields are private; the
+//! methods of [`InFlight`] are the protocol's transitions, one each:
 //!
 //! | transition | by | the record |
 //! |---|---|---|
@@ -12,8 +11,7 @@
 //! | `ack_unlink` | unlink acknowledged | slot → none, + stamp (+ stale mark, degraded) |
 //! | `retract_unlink` | its publish failed | − stamp (− stale mark) |
 //! | `cancel_create` | unlink annihilated a buffered create | − stamp, − its staged bytes |
-//! | `settle_unlink` | unlink settled | − stamp: its own, or an earlier pending one's whose file it removed (that unlink takes its place) (− its inode's birth, committed) |
-//! | `note_birth` | creation committed | its inode's birth = its stamp (no record) |
+//! | `settle_unlink` | unlink settled | − stamp |
 //! | `stage` / `stage_at` | data for a file not on the DFS yet | + staged bytes |
 //! | `write_through` | creation about to mark its large record committed | staged bytes on the DFS |
 //! | `take_staged` | creation committed or discarded | − its staged bytes |
@@ -24,12 +22,13 @@
 //! | `clear` | checkpoint rollback | everything goes |
 //!
 //! A record goes when its last field empties, so a volatile region's
-//! committed, idle path costs nothing: its birth is 8 B in a column
-//! indexed by the inode the creation made, cleared when an unlink of that
-//! inode commits, and a drained region holds no record. A durable path keeps its generation inline in a 32 B bucket,
-//! under which what is pending hangs. Stale marks are also counted
-//! outside the lock: with none set, the stale check of every cache hit,
-//! `put` and `add_new` takes no lock.
+//! committed, idle path costs nothing and a drained region holds no
+//! record. A durable path keeps its generation inline in a 32 B bucket,
+//! under which what is pending hangs. Stale marks and pending-unlink
+//! stamps are also counted outside the lock: with no mark set, the stale
+//! check of every cache hit, `put` and `add_new` takes no lock, and with
+//! no stamp but a run's own, neither does that run's wait check
+//! ([`InFlight::unlinked_before`]).
 //!
 //! **Staged bytes and their creation.** A path's incarnations are
 //! separated by unlinks: a creation is acknowledged only over a removed
@@ -61,7 +60,6 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use dfs::Ino;
 use fsapi::path as fspath;
 use simnet::FastMap;
 use syncguard::{level, Mutex};
@@ -143,10 +141,11 @@ static NONE: Pending = Pending {
 };
 
 impl Pending {
-    fn drop_stamp(&mut self, ts: u64) {
-        if let Some(i) = self.unlinks.iter().position(|&t| t == ts) {
-            self.unlinks.swap_remove(i);
-        }
+    /// True when the stamp was pending.
+    fn drop_stamp(&mut self, ts: u64) -> bool {
+        let Some(i) = self.unlinks.iter().position(|&t| t == ts) else { return false };
+        self.unlinks.swap_remove(i);
+        true
     }
 
     fn newest_unlink(&self) -> u64 {
@@ -213,72 +212,9 @@ impl PathState {
     }
 }
 
-/// Stamps per page of [`Births`]: 32 KiB.
-const BIRTH_PAGE: usize = 4096;
-
-/// The stamp of each creation committed through this region, by the DFS
-/// inode it made (0: none; stamps start at 1), until an unlink of the file
-/// commits. The column holds a zeroed page per 4096 inode numbers that
-/// have a stamp and never moves what it holds; a page goes when its last
-/// stamp does, and only the page list (24 B per page) grows by doubling.
-#[derive(Default)]
-struct Births {
-    pages: Vec<Option<BirthPage>>,
-}
-
-struct BirthPage {
-    /// Nonzero stamps in `stamps`.
-    live: u32,
-    stamps: Box<[u64]>,
-}
-
-/// `ino`'s page and its slot in the page.
-fn birth_slot(ino: Ino) -> (usize, usize) {
-    let i = ino.0 as usize;
-    (i / BIRTH_PAGE, i % BIRTH_PAGE)
-}
-
-impl Births {
-    fn get(&self, ino: Ino) -> u64 {
-        let (page, slot) = birth_slot(ino);
-        self.pages.get(page).and_then(Option::as_ref).map_or(0, |p| p.stamps[slot])
-    }
-
-    fn set(&mut self, ino: Ino, ts: u64) {
-        let (page, slot) = birth_slot(ino);
-        if self.pages.len() <= page {
-            self.pages.resize_with(page + 1, || None);
-        }
-        let p = self.pages[page].get_or_insert_with(|| BirthPage {
-            live: 0,
-            stamps: vec![0; BIRTH_PAGE].into_boxed_slice(),
-        });
-        p.live += (p.stamps[slot] == 0) as u32;
-        p.stamps[slot] = ts;
-    }
-
-    /// `ino` was unlinked: no file reads its stamp again (inode numbers
-    /// are never reused).
-    fn remove(&mut self, ino: Ino) {
-        let (page, slot) = birth_slot(ino);
-        let Some(entry) = self.pages.get_mut(page) else { return };
-        let Some(p) = entry.as_mut().filter(|p| p.stamps[slot] != 0) else { return };
-        p.stamps[slot] = 0;
-        p.live -= 1;
-        if p.live == 0 {
-            *entry = None;
-        }
-    }
-}
-
 #[derive(Default)]
 struct Table {
     paths: FastMap<Box<str>, PathState>,
-    births: Births,
-    /// `(unlink, place)`: the pending unlink stamped `unlink` holds the
-    /// pending-unlink stamp `place` of a later one ([`InFlight::settle_unlink`];
-    /// stamps are unique region-wide).
-    moved: Vec<(u64, u64)>,
     removed_dirs: Vec<(String, u64)>,
     /// Paths with staged bytes, kept as `edit`, `remove_dir` and `clear`
     /// change them: the region report reads it without a pass.
@@ -315,15 +251,6 @@ impl Table {
     fn pending(&self, path: &str) -> &Pending {
         self.paths.get(path).and_then(|s| s.pending.as_deref()).unwrap_or(&NONE)
     }
-
-    /// The stamp the unlink stamped `ts` holds — its own, or the one it
-    /// moved to — which it gives up.
-    fn take_place(&mut self, ts: u64) -> u64 {
-        match self.moved.iter().position(|&(unlink, _)| unlink == ts) {
-            Some(i) => self.moved.swap_remove(i).1,
-            None => ts,
-        }
-    }
 }
 
 /// What the table holds (tests, [`crate::RegionReport`]).
@@ -347,6 +274,8 @@ pub struct InFlight {
     /// with the `Release` of a change) orders itself before any mark not
     /// yet counted.
     stale: AtomicUsize,
+    /// Pending-unlink stamps in the table, kept and read as `stale` is.
+    unlinks: AtomicUsize,
     /// Calls that settled creations' staged bytes ([`InFlight::take_staged`]),
     /// bumped under the lock (module docs).
     settles: AtomicU64,
@@ -355,7 +284,12 @@ pub struct InFlight {
 impl Default for InFlight {
     fn default() -> Self {
         let table = Mutex::new(level::REGION_STATE, "pacon.region.paths", Table::default());
-        Self { table, stale: AtomicUsize::new(0), settles: AtomicU64::new(0) }
+        Self {
+            table,
+            stale: AtomicUsize::new(0),
+            unlinks: AtomicUsize::new(0),
+            settles: AtomicU64::new(0),
+        }
     }
 }
 
@@ -371,6 +305,7 @@ impl InFlight {
             c.staged += p.staged.is_some() as usize;
         }
         debug_assert_eq!(c.staged, t.staged, "the running count of staged paths drifted");
+        debug_assert_eq!(c.unlinks, self.unlinks.load(Ordering::Acquire), "unlink count drifted");
         c
     }
 
@@ -384,6 +319,7 @@ impl InFlight {
     pub(crate) fn clear(&self) {
         *self.table.lock() = Table::default();
         self.stale.store(0, Ordering::Release);
+        self.unlinks.store(0, Ordering::Release);
     }
 
     /// True when the caller must publish a `WriteInline`.
@@ -436,6 +372,7 @@ impl InFlight {
             let r = s.pending();
             r.writeback = Writeback::None;
             r.unlinks.push(ts);
+            self.unlinks.fetch_add(1, Ordering::Release);
             if degraded && !std::mem::replace(&mut r.stale, true) {
                 self.stale.fetch_add(1, Ordering::Release);
             }
@@ -444,10 +381,8 @@ impl InFlight {
 
     /// Undo `ack_unlink`: the publish failed.
     pub(crate) fn retract_unlink(&self, path: &str, ts: u64, degraded: bool) {
-        let mut t = self.table.lock();
-        let place = t.take_place(ts);
-        t.edit_pending(path, |r| {
-            r.drop_stamp(place);
+        self.table.lock().edit_pending(path, |r| {
+            self.drop_stamp(r, ts);
             if degraded {
                 self.unmark_stale(r);
             }
@@ -458,45 +393,21 @@ impl InFlight {
     /// the creation it cancelled and that creation's staged bytes (no
     /// writer can stage for it any more: its record is marked removed).
     pub(crate) fn cancel_create(&self, path: &str, ts: u64) {
-        let mut t = self.table.lock();
-        let place = t.take_place(ts);
-        t.edit_pending(path, |r| {
-            r.drop_stamp(place);
+        self.table.lock().edit_pending(path, |r| {
+            self.drop_stamp(r, ts);
             r.take_owned(ts);
         });
     }
 
-    /// Committed (`removed`: the inode it unlinked), discarded or dropped
-    /// by a commit process. Across nodes an unlink can remove a file an
-    /// earlier one, still pending, was to remove — the first pending after
-    /// the file's birth. Then it settles that earlier stamp, and the
-    /// unlink holding it moves to this one's: the path's stamps stay the
-    /// program-order places of the unlinks still to come.
-    pub(crate) fn settle_unlink(&self, path: &str, ts: u64, removed: Option<Ino>) {
-        let mut t = self.table.lock();
-        let place = t.take_place(ts);
-        let born = removed.map_or(0, |ino| t.births.get(ino));
-        if let Some(ino) = removed {
-            t.births.remove(ino);
-        }
-        let unlinks = t.pending(path).unlinks.iter().copied();
-        let settled = match unlinks.filter(|&u| born != 0 && born < u && u < place).min() {
-            Some(earlier) => {
-                match t.moved.iter_mut().find(|(_, held)| *held == earlier) {
-                    Some(holder) => holder.1 = place,
-                    None => t.moved.push((earlier, place)),
-                }
-                earlier
-            }
-            None => place,
-        };
-        t.edit_pending(path, |r| r.drop_stamp(settled));
+    /// Committed, discarded or dropped by a commit process.
+    pub(crate) fn settle_unlink(&self, path: &str, ts: u64) {
+        self.table.lock().edit_pending(path, |r| self.drop_stamp(r, ts));
     }
 
-    /// Has a later unlink removed the file the pending unlink stamped `ts`
-    /// was to remove ([`Self::settle_unlink`])?
-    pub(crate) fn unlink_moved(&self, ts: u64) -> bool {
-        self.table.lock().moved.iter().any(|&(unlink, _)| unlink == ts)
+    fn drop_stamp(&self, r: &mut Pending, ts: u64) {
+        if r.drop_stamp(ts) {
+            self.unlinks.fetch_sub(1, Ordering::Release);
+        }
     }
 
     /// Then the DFS copy may still hold the file, but program order says
@@ -516,25 +427,18 @@ impl InFlight {
         items.iter().map(after).collect()
     }
 
-    /// The creation stamped `ts` made `ino`.
-    pub(crate) fn note_birth(&self, ino: Ino, ts: u64) {
-        self.table.lock().births.set(ino, ts);
-    }
-
-    /// The stamp of the creation that made `ino`, if one was recorded.
-    pub(crate) fn birth(&self, ino: Ino) -> Option<u64> {
-        Some(self.table.lock().births.get(ino)).filter(|&b| b != 0)
-    }
-
-    /// Duplicate admission (DESIGN §10.4) of a creation of `path` stamped
-    /// `ts` that hit `AlreadyExists`, `blocker` the file the path names:
-    /// `None` without a recorded birth of it, else whether the birth is
-    /// older with no acknowledged unlink of `path` stamped in between.
-    pub(crate) fn birth_precedes(&self, path: &str, blocker: Ino, ts: u64) -> Option<bool> {
+    /// The wait rule (DESIGN §10.4), per `(path, ts)` of a run's namespace
+    /// ops in one hold: is an unlink of `path` stamped before `ts` pending?
+    /// Then the op waits for it. No hold while every pending stamp may be
+    /// one of the run's `own` unlinks, each pending until it settles: a
+    /// run holds one namespace op per path, so those make no op of it wait.
+    pub(crate) fn unlinked_before(&self, items: &[(&str, u64)], own: usize) -> Vec<bool> {
+        if items.is_empty() || self.unlinks.load(Ordering::Acquire) <= own {
+            return vec![false; items.len()];
+        }
         let t = self.table.lock();
-        let b = t.births.get(blocker);
-        let between = t.pending(path).unlinks.iter().any(|&u| b < u && u < ts);
-        (b != 0).then_some(b < ts && !between)
+        let before = |&(path, ts): &(&str, u64)| t.pending(path).unlinks.iter().any(|&u| u < ts);
+        items.iter().map(before).collect()
     }
 
     /// No lock while nothing is marked.
@@ -754,60 +658,33 @@ mod tests {
         let t = InFlight::default();
         assert!(t.queue_writeback("/w/f"));
         assert!(!t.queue_writeback("/w/f"), "queued: later writes coalesce");
-        t.note_birth(Ino(9), 3);
         t.claim_writebacks(&["/w/f"]);
         assert!(t.queue_writeback("/w/f"), "in flight: a fresh writeback is due");
         t.claim_writebacks(&["/w/f"]);
         t.release_writeback("/w/f");
-        assert_eq!(t.counts(), InFlightCounts::default(), "a birth keeps no record");
+        assert_eq!(t.counts(), InFlightCounts::default());
         t.ack_unlink("/w/f", 5, false);
         assert!(t.unlink_pending("/w/f"));
-        assert_eq!(t.birth_precedes("/w/f", Ino(9), 7), Some(false), "an unlink lies in between");
-        assert_eq!(t.birth_precedes("/w/f", Ino(9), 4), Some(true));
-        t.settle_unlink("/w/f", 5, None);
+        t.settle_unlink("/w/f", 5);
         assert_eq!(t.counts(), InFlightCounts::default());
-        assert_eq!(t.birth_precedes("/w/f", Ino(9), 7), Some(true), "nothing in between now");
-        assert_eq!(t.birth_precedes("/w/f", Ino(10), 7), None, "the re-created file's");
-        t.ack_unlink("/w/f", 8, false);
-        t.settle_unlink("/w/f", 8, Some(Ino(9)));
-        assert_eq!(t.birth_precedes("/w/f", Ino(9), 9), None, "a committed unlink takes the birth");
     }
 
+    /// An op waits for the pending unlinks of its path stamped before it,
+    /// and only for those.
     #[test]
-    fn births_are_read_back_by_inode_across_pages() {
+    fn a_namespace_op_waits_for_its_paths_earlier_pending_unlinks() {
         let t = InFlight::default();
-        let far = Ino(3 * BIRTH_PAGE as u64 + 5);
-        t.note_birth(Ino(2), 4);
-        t.note_birth(far, 6);
-        assert_eq!(t.birth_precedes("/w/f", Ino(2), 5), Some(true));
-        assert_eq!(t.birth_precedes("/w/g", far, 5), Some(false));
-        assert_eq!(t.birth_precedes("/w/g", Ino(far.0 - 1), 5), None);
-        assert_eq!(t.birth_precedes("/w/g", Ino(BIRTH_PAGE as u64), 5), None, "an absent page");
-        assert_eq!(t.table.lock().births.pages.iter().flatten().count(), 2);
-        t.clear();
-        assert_eq!(t.birth_precedes("/w/f", Ino(2), 5), None);
-    }
-
-    /// Create-and-unlink churn keeps the column bounded: a page goes once
-    /// every inode stamped on it has been unlinked.
-    #[test]
-    fn a_birth_page_goes_with_its_last_stamp() {
-        let t = InFlight::default();
-        let pages = || t.table.lock().births.pages.iter().flatten().count();
-        for i in 0..3 * BIRTH_PAGE as u64 {
-            t.note_birth(Ino(i + 1), i + 1);
-            if i >= 2 {
-                t.settle_unlink("/w/f", 0, Some(Ino(i - 1)));
-            }
-        }
-        assert_eq!(pages(), 2, "only the pages of the last two inodes are left");
-        t.settle_unlink("/w/f", 0, Some(Ino(1)));
-        t.settle_unlink("/w/f", 0, Some(Ino(9)));
-        assert_eq!(pages(), 2, "an unlink of a cleared inode changes nothing");
-        t.settle_unlink("/w/f", 0, Some(Ino(3 * BIRTH_PAGE as u64 - 1)));
-        t.settle_unlink("/w/f", 0, Some(Ino(3 * BIRTH_PAGE as u64)));
-        assert_eq!(pages(), 0);
-        assert_eq!(t.counts(), InFlightCounts::default());
+        let ops = [("/w/f", 4), ("/w/f", 6), ("/w/g", 6)];
+        assert_eq!(t.unlinked_before(&ops, 0), [false; 3], "nothing pending");
+        t.ack_unlink("/w/f", 5, false);
+        assert_eq!(t.unlinked_before(&ops, 0), [false, true, false]);
+        assert_eq!(t.unlinked_before(&[("/w/f", 5)], 1), [false], "its own stamp");
+        t.ack_unlink("/w/g", 7, false);
+        assert_eq!(t.unlinked_before(&[("/w/f", 5), ("/w/g", 8)], 1), [false, true]);
+        t.retract_unlink("/w/g", 7, false);
+        t.settle_unlink("/w/f", 5);
+        assert_eq!(t.unlinked_before(&ops, 0), [false; 3]);
+        assert_eq!(t.unlinks.load(Ordering::Acquire), 0, "every stamp uncounted");
     }
 
     #[test]
@@ -820,7 +697,7 @@ mod tests {
         assert_eq!(t.stale.load(Ordering::Acquire), 1, "one mark per path");
         t.retract_unlink("/w/f", 2, true);
         assert!(!t.is_stale("/w/f"));
-        t.settle_unlink("/w/f", 1, None);
+        t.settle_unlink("/w/f", 1);
         assert_eq!(t.counts(), InFlightCounts::default());
         assert_eq!(t.stale.load(Ordering::Acquire), 0);
     }

@@ -697,8 +697,7 @@ fn bump_incarnation(wal_dir: &std::path::Path) -> FsResult<u64> {
 fn recover(core: &RegionCore, worker: &mut CommitWorker, log: Vec<WalEntry>) -> FsResult<()> {
     let total = log.len() as u64;
     core.counters.add("wal_replayed", total);
-    // The births and unlink stamps the route records order before every
-    // new op.
+    // The stamps of the logged ops order before every new op's.
     let newest = log.iter().map(|e| e.msg.timestamp).max().unwrap_or(0);
     core.clock.fetch_max(newest, Ordering::Relaxed);
     // One op more than the log holds, completed after the last run: the

@@ -32,8 +32,8 @@ const DRAIN_ROUNDS: u32 = 100_000;
 
 /// A drained volatile region owes nothing per path: every writeback slot
 /// released, every pending-unlink stamp retired, every staged byte flushed
-/// or dropped, and so no record left (births live by inode, outside the
-/// records; only the removed-directory list outlives its ops).
+/// or dropped, and so no record left (only the removed-directory list
+/// outlives its ops).
 fn assert_quiescent(region: &PaconRegion) {
     assert!(region.core().drained());
     let c = region.core().in_flight().counts();
@@ -84,7 +84,7 @@ fn step_strategy() -> impl Strategy<Value = FsOp> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(1_500))]
     #[test]
     fn any_worker_interleaving_converges_to_program_order(
         steps in proptest::collection::vec(step_strategy(), 1..60),
@@ -123,6 +123,37 @@ proptest! {
             observe(&clients[0], &cred, &universe),
             observe(&reference.client(), &cred, &universe)
         );
+    }
+}
+
+/// The shape of `any_worker_interleaving_converges_to_program_order`'s
+/// case 754 at 1 500 cases: node 1 creates `/w/f`, node 0 unlinks it,
+/// node 1 creates it again, node 0 unlinks that, and node 2 creates it
+/// last. Node 2's creation reaches its commit process before the first
+/// file is on the DFS and would land first; node 0's first unlink would
+/// then remove it, and the re-creation would meet the first file and pass
+/// for a duplicate while the second unlink removed that file: the path
+/// lost. Each namespace op waits for the unlinks of its path stamped
+/// before it, so the path ends as program order says, at batch 1 and 4.
+#[test]
+fn a_later_creation_waits_for_the_unlinks_before_it_on_other_nodes() {
+    let cred = Credentials::new(1, 1);
+    for batch in [1, 4] {
+        let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
+        let config = PaconConfig::new("/w", Topology::new(3, 1), cred).with_commit_batch(batch);
+        let region = PaconRegion::launch_paused(config, &dfs).unwrap();
+        let clients: Vec<_> = (0..3).map(|i| region.client(ClientId(i))).collect();
+        let mut history = History::new("/w").labelled(format!("batch {batch}"));
+        let (create, unlink) = (FsOp::Create("/w/f".into(), 0o644), FsOp::Unlink("/w/f".into()));
+        for (node, op) in [(1, &create), (0, &unlink), (1, &create), (0, &unlink), (2, &create)] {
+            history.issue(&clients[node], &cred, op.clone()).unwrap();
+        }
+        for node in [2, 0, 1, 1, 0] {
+            let _ = region.core().step_worker(node);
+        }
+        drain(&region, DRAIN_ROUNDS);
+        assert_quiescent(&region);
+        history.assert_backup_matches(&dfs, &cred, &["/w/f".to_string()]);
     }
 }
 

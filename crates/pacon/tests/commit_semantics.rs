@@ -10,6 +10,8 @@ use fsapi::{Credentials, FileSystem, FsError};
 use pacon::commit::worker::{CommitWorker, WorkerStep};
 use pacon::{PaconConfig, PaconRegion};
 use simnet::{ClientId, FaultEvent, LatencyProfile, Topology};
+use workloads::history::History;
+use workloads::FsOp;
 
 fn setup(nodes: u32) -> (Arc<DfsCluster>, Arc<PaconRegion>, Credentials) {
     let profile = Arc::new(LatencyProfile::zero());
@@ -482,10 +484,15 @@ fn counter(region: &PaconRegion, name: &str) -> u64 {
     region.core().counters.get(name)
 }
 
+fn create(path: &str) -> FsOp {
+    FsOp::Create(path.into(), 0o644)
+}
+
 /// A committed file is created again after its shard restarted cold: the
-/// admission check saw no record, and at commit the DFS file is older than
-/// the creation with no unlink between them — the creation's outcome is in
-/// place, and it settles without touching the retry backlog.
+/// admission check saw no record, and at commit no unlink of the path is
+/// pending before the creation, so the file it meets is the path's — the
+/// creation's outcome is in place, and it settles without touching the
+/// retry backlog.
 #[test]
 fn a_creation_admitted_over_a_cold_shard_settles_as_its_own_duplicate() {
     let (dfs, region, cred) = short_budget(1);
@@ -503,63 +510,69 @@ fn a_creation_admitted_over_a_cold_shard_settles_as_its_own_duplicate() {
     assert!(dfs.client().stat("/w/f", &cred).unwrap().is_file());
 }
 
-/// A creation queued on node 0 is blocked by a file node 1 committed from a
-/// *later* creation (admitted over a cold shard). The blocking file is
-/// newer, so this creation is no duplicate of it: it goes to the retry
-/// backlog every time, never settles as in place, and the budget ends it.
+/// A creation queued on node 0 is refused by the file node 1 committed from
+/// a *later* creation of the path, admitted over a cold shard: in program
+/// order that one is the duplicate, and the path exists either way. No
+/// unlink of the path is pending, so the refused creation is in place.
 #[test]
-fn a_creation_blocked_by_a_newer_committed_file_is_retried() {
+fn a_creation_refused_by_a_later_duplicate_is_in_place() {
     let (dfs, region, cred) = short_budget(2);
     let (c0, c1) = (region.client(ClientId(0)), region.client(ClientId(1)));
     let (mut w0, mut w1) = (region.take_worker(0), region.take_worker(1));
-    c0.create("/w/f", &cred, 0o644).unwrap();
+    let mut history = History::new("/w");
+    history.issue(&c0, &cred, create("/w/f")).unwrap();
     wipe_owner(&region, "/w/f");
-    c1.create("/w/f", &cred, 0o644).unwrap();
+    history.issue(&c1, &cred, create("/w/f")).unwrap();
     drain(&mut w1);
     assert_eq!(counter(&region, "committed"), 1);
 
-    assert_eq!(w0.step(), WorkerStep::Retried);
+    assert_eq!(w0.step(), WorkerStep::Committed);
     drain(&mut w0);
     assert!(region.core().drained());
-    assert_eq!(counter(&region, "degraded_idempotent"), 0);
-    assert_eq!(counter(&region, "resubmitted"), 4);
-    assert_eq!(counter(&region, "dropped_retry_budget"), 1);
+    assert_eq!(counter(&region, "degraded_idempotent"), 1);
+    assert_eq!(counter(&region, "resubmitted"), 0);
+    assert_eq!(counter(&region, "dropped_retry_budget"), 0);
     assert!(dfs.client().stat("/w/f", &cred).unwrap().is_file());
+    history.assert_backup_matches(&dfs, &cred, &["/w/f".to_string()]);
 }
 
-/// Node 0's DFS mount still caches the dentry of the file node 0 committed
-/// first, an incarnation node 1 has since unlinked and replaced. Judged by
-/// that dentry, node 0's next creation would meet an older file with no
-/// pending unlink in between and pass as a duplicate; judged by the file
-/// the path names now — node 1's, created after it — it is retried.
+/// Node 0's re-creation of a file node 1 unlinked is refused by node 1's
+/// newest incarnation, a later creation admitted over a cold shard — while
+/// node 0's DFS mount still caches the dentry of the first incarnation.
+/// The unlink before the re-creation has committed, so the re-creation
+/// goes to the DFS and, refused, is in place: the path exists, as program
+/// order says.
 #[test]
-fn the_duplicate_verdict_reads_the_current_incarnation_not_a_cached_dentry() {
-    let (_dfs, region, cred) = short_budget(2);
+fn a_re_creation_refused_by_a_later_duplicate_is_in_place() {
+    let (dfs, region, cred) = short_budget(2);
     let (c0, c1) = (region.client(ClientId(0)), region.client(ClientId(1)));
     let (mut w0, mut w1) = (region.take_worker(0), region.take_worker(1));
-    c0.create("/w/f", &cred, 0o644).unwrap();
+    let mut history = History::new("/w");
+    history.issue(&c0, &cred, create("/w/f")).unwrap();
     drain(&mut w0); // node 0's mount caches the first incarnation's dentry
-    c1.unlink("/w/f", &cred).unwrap();
-    c0.create("/w/f", &cred, 0o644).unwrap(); // over the removed-mark
+    history.issue(&c1, &cred, FsOp::Unlink("/w/f".into())).unwrap();
+    history.issue(&c0, &cred, create("/w/f")).unwrap(); // over the removed-mark
     wipe_owner(&region, "/w/f");
-    c1.create("/w/f", &cred, 0o644).unwrap(); // admitted over the cold shard
+    history.issue(&c1, &cred, create("/w/f")).unwrap(); // admitted over the cold shard
     drain(&mut w1); // the unlink, then the newest incarnation
     assert_eq!(counter(&region, "committed"), 3);
 
-    assert_eq!(w0.step(), WorkerStep::Retried);
+    assert_eq!(w0.step(), WorkerStep::Committed);
     drain(&mut w0);
-    assert_eq!(counter(&region, "degraded_idempotent"), 0);
-    assert_eq!(counter(&region, "dropped_retry_budget"), 1);
+    assert!(region.core().drained());
+    assert_eq!(counter(&region, "degraded_idempotent"), 1);
+    assert_eq!(counter(&region, "dropped_retry_budget"), 0);
+    history.assert_backup_matches(&dfs, &cred, &["/w/f".to_string()]);
 }
 
 /// Two queued messages hold a duplicate creation of a committed file
 /// (admitted over a cold shard), an unlink of that file and a fresh
 /// creation of the path, in that order. The duplicate's run takes it alone
-/// of the path; the unlink and the creation wait for the runs after. The
-/// duplicate is judged by the file the DFS refused it over — older than
-/// it, no unlink between — and settles in place. Retried instead, it would
-/// create the path again once a later unlink commits, and the file would
-/// come back although program order removed it.
+/// of the path; the unlink and the creation wait for the runs after. No
+/// unlink of the path is pending before the duplicate, so the file the DFS
+/// refuses it over is the committed one, and it settles in place. Retried
+/// instead, it would create the path again once a later unlink commits,
+/// and the file would come back although program order removed it.
 #[test]
 fn a_duplicate_is_judged_by_the_file_that_refused_it_not_by_what_its_run_leaves() {
     let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
@@ -588,9 +601,8 @@ fn a_duplicate_is_judged_by_the_file_that_refused_it_not_by_what_its_run_leaves(
 }
 
 /// Once its ops commit, a volatile region keeps no per-path record: a
-/// committed creation's birth is kept by the inode it made, not by its
-/// path, so the table drains to nothing — one op per message and in group
-/// commit alike.
+/// committed, idle path holds nothing, so the table drains to nothing —
+/// one op per message and in group commit alike.
 #[test]
 fn a_drained_volatile_region_keeps_no_path_record() {
     for batch in [1, 8] {

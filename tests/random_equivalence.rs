@@ -36,7 +36,7 @@ fn op_strategy() -> impl Strategy<Value = FsOp> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn pacon_matches_reference_on_random_sequences(
         ops in proptest::collection::vec(op_strategy(), 1..80),
