@@ -4,27 +4,21 @@
 //! interleaving across queues — with resubmission on rejection — yields
 //! the same final namespace as applying them in program order.
 //!
-//! Group-commit extension: the same workloads run once unbatched and once
-//! through the batched, coalescing publish buffer (random batch sizes and
-//! flush boundaries, barrier/rmdir interleavings, injected MDS faults) —
-//! the final DFS namespaces must be identical.
-//!
-//! The batch-1 runs are the uncoalesced reference although they take the
-//! same route as every other batch size (publish buffer → redelivery
-//! window → queue): at threshold 1 every push flushes, so on these
-//! single-threaded drivers no two ops ever meet in the buffer, and the
-//! worker still commits the resulting one-op messages as runs of one,
-//! through the single-op DFS entry points.
+//! Group-commit extension: the same workloads run through the batched,
+//! coalescing publish buffer at every batch size from 1 up (random flush
+//! boundaries, barrier/rmdir interleavings, injected MDS faults), each run
+//! checked against program order (`workloads::history::Reference`, whose
+//! rmdir is recursive as Pacon's is) rather than against another run.
 
 use std::sync::Arc;
 
 use dfs::DfsCluster;
-use fsapi::{Credentials, FileSystem, FsResult};
+use fsapi::{Credentials, FileSystem};
 use pacon::commit::worker::WorkerStep;
 use pacon::{PaconConfig, PaconRegion};
 use proptest::prelude::*;
 use simnet::{ClientId, LatencyProfile, Topology};
-use workloads::history::{drain, observe, History, Seen};
+use workloads::history::{drain, observe, History};
 use workloads::FsOp;
 
 /// Rounds a generated sequence's commit pipeline gets to settle.
@@ -92,8 +86,8 @@ proptest! {
     ) {
         let cred = Credentials::new(1, 1);
 
-        // Pacon clients spread over 3 nodes, answering every op as a
-        // plain DFS does in program order (an op the cache rejects never
+        // Pacon clients spread over 3 nodes, answering every op as the
+        // program-order reference does (an op the cache rejects never
         // reaches the queue)...
         let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
         let region = PaconRegion::launch_paused(
@@ -121,7 +115,7 @@ proptest! {
         let reference = history.assert_backup_matches(&dfs, &cred, &universe);
         prop_assert_eq!(
             observe(&clients[0], &cred, &universe),
-            observe(&reference.client(), &cred, &universe)
+            observe(&reference, &cred, &universe)
         );
     }
 }
@@ -185,22 +179,20 @@ fn bstep_strategy(with_rmdir: bool, with_faults: bool) -> impl Strategy<Value = 
     ]
 }
 
-/// Final DFS state: the full namespace snapshot plus what [`observe`]
-/// reads over the universe.
-type DfsState = (Vec<(String, fsapi::FileKind, u64)>, Vec<(String, FsResult<Seen>)>);
-
 /// Run `steps` on a threaded region with the given group-commit batch
-/// size and return the final [`DfsState`].
-fn run_grouped(steps: &[BStep], batch: usize) -> DfsState {
+/// size and check it against program order: the client's answers when no
+/// MDS fault was injected (under faults a refused op is simply not
+/// acknowledged), the backup copy always.
+fn run_grouped(steps: &[BStep], batch: usize) {
     let cred = Credentials::new(1, 1);
     let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
-    let config =
-        PaconConfig::new("/w", Topology::new(3, 1), cred).with_commit_batch(batch.max(1));
+    let config = PaconConfig::new("/w", Topology::new(3, 1), cred).with_commit_batch(batch);
     let region = PaconRegion::launch(config, &dfs).unwrap();
     let clients: Vec<_> = (0..3).map(|i| region.client(ClientId(i))).collect();
+    let mut history = History::new("/w").labelled(format!("batch {batch}"));
     for s in steps.iter() {
         let _ = match s {
-            BStep::Op(op) => op.exec(&clients[node_of(op, 3)], &cred),
+            BStep::Op(op) => history.issue(&clients[node_of(op, 3)], &cred, op.clone()),
             BStep::SyncBarrier => region.sync_barrier(),
             BStep::InjectFaults(n) => {
                 dfs.inject_mds_failures(0, *n as u64);
@@ -213,41 +205,37 @@ fn run_grouped(steps: &[BStep], batch: usize) -> DfsState {
     // are left over depends on commit/retry interleaving, and the state
     // reads below must observe the namespace, not eat a stale fault.
     dfs.inject_mds_failures(0, 0);
-    (dfs.snapshot(), observe(&dfs.client(), &cred, &universe()))
+    if !steps.iter().any(|s| matches!(s, BStep::InjectFaults(_))) {
+        history.assert_answers_match(&cred);
+    }
+    history.assert_backup_matches(&dfs, &cred, &universe());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Tentpole equivalence: batched, coalescing group commit (random
-    /// batch sizes, random sync-barrier flush boundaries, rmdir barrier
-    /// interleavings) ends in a DFS namespace identical to the unbatched
-    /// seed path.
+    /// Tentpole equivalence: batched, coalescing group commit (every
+    /// batch size from 1, random sync-barrier flush boundaries, recursive
+    /// rmdir barrier interleavings) ends in program order's namespace.
     #[test]
     fn batched_commit_equivalent_to_unbatched(
         steps in proptest::collection::vec(bstep_strategy(true, false), 1..60),
-        batch in 2usize..9,
+        batch in 1usize..9,
     ) {
-        let (want_snap, want_data) = run_grouped(&steps, 1);
-        let (got_snap, got_data) = run_grouped(&steps, batch);
-        prop_assert_eq!(&got_snap, &want_snap, "namespace diverged (batch={})", batch);
-        prop_assert_eq!(&got_data, &want_data, "file contents diverged (batch={})", batch);
+        run_grouped(&steps, batch);
     }
 
     /// Same equivalence under transient MDS outages injected mid-stream:
     /// partial batch failures disaggregate into single-op retries and the
-    /// final namespace still matches the unbatched run. (Barrier ops are
-    /// excluded here: a fault during rmdir's synchronous subtree removal
-    /// surfaces to the caller and legitimately depends on timing.)
+    /// backup copy still ends in program order's namespace. (Barrier ops
+    /// are excluded here: a fault during rmdir's synchronous subtree
+    /// removal surfaces to the caller and legitimately depends on timing.)
     #[test]
     fn batched_commit_equivalent_under_mds_faults(
         steps in proptest::collection::vec(bstep_strategy(false, true), 1..60),
-        batch in 2usize..9,
+        batch in 1usize..9,
     ) {
-        let (want_snap, want_data) = run_grouped(&steps, 1);
-        let (got_snap, got_data) = run_grouped(&steps, batch);
-        prop_assert_eq!(&got_snap, &want_snap, "namespace diverged (batch={})", batch);
-        prop_assert_eq!(&got_data, &want_data, "file contents diverged (batch={})", batch);
+        run_grouped(&steps, batch);
     }
 }
 
@@ -296,13 +284,10 @@ fn wsteps_strategy() -> impl Strategy<Value = Vec<Option<FsOp>>> {
     ]
 }
 
-/// What one run leaves behind: the DFS (namespace with sizes, what
-/// [`observe`] reads over every slot) and the per-op accounting of the
-/// commit pipeline.
+/// What one run leaves behind: the per-op accounting of the commit
+/// pipeline.
 #[derive(Debug, PartialEq)]
 struct WOutcome {
-    snapshot: Vec<(String, fsapi::FileKind, u64)>,
-    contents: Vec<(String, FsResult<Seen>)>,
     /// Ops that settled as committed or never needed the queue (cancelled
     /// or collapsed in the publish buffer).
     settled: u64,
@@ -315,7 +300,7 @@ struct WOutcome {
 
 /// Run `steps` on a paused two-node region, the commit processes stepped
 /// round-robin in their slots at every drain and at the end, and check
-/// the client's answers and the DFS against program order on a plain DFS.
+/// the client's answers and the DFS against program order.
 /// Deterministic: the same steps drain at the same points whatever the
 /// batch size.
 fn run_writebacks(steps: &[Option<FsOp>], batch: usize) -> WOutcome {
@@ -360,8 +345,6 @@ fn run_writebacks(steps: &[Option<FsOp>], batch: usize) -> WOutcome {
     let report = region.report();
     let counters = &region.core().counters;
     WOutcome {
-        snapshot: dfs.snapshot(),
-        contents: observe(&dfs.client(), &cred, &universe),
         settled: report.committed + report.coalesced_cancel + report.coalesced_collapse,
         writeback_skipped: counters.get("writeback_skipped"),
         discarded: report.discarded + counters.get("commit_errors"),
@@ -379,10 +362,9 @@ thread_local! {
 const WBATCHES: [usize; 3] = [2, 8, 32];
 
 /// Grouping a batch's writebacks changes how many requests carry them,
-/// never what they do: at batch 2, 8 and 32 the DFS ends with the
-/// namespace, file sizes and file contents of the one-at-a-time path,
-/// and every run ends with what the same ops leave on a plain DFS in
-/// program order; every op settles exactly once; and a writeback is
+/// never what they do: at batch 1, 2, 8 and 32 every run ends with what
+/// the same ops leave in program order; every op settles exactly once,
+/// as on the one-at-a-time path; and a writeback is
 /// skipped only where the single path skips it too (a create cancelled in
 /// the publish buffer takes its queued writebacks with it, so there may
 /// be fewer).
@@ -412,8 +394,6 @@ proptest! {
             let mut largest = LARGEST_MESSAGE.get();
             largest[slot] = largest[slot].max(grouped.largest_message);
             LARGEST_MESSAGE.set(largest);
-            prop_assert_eq!(&grouped.snapshot, &single.snapshot, "namespace/sizes (batch={})", batch);
-            prop_assert_eq!(&grouped.contents, &single.contents, "contents (batch={})", batch);
             prop_assert_eq!(grouped.settled, single.settled, "settled ops (batch={})", batch);
             prop_assert_eq!(grouped.discarded, 0, "discarded (batch={})", batch);
             prop_assert!(
@@ -473,9 +453,9 @@ fn two_writebacks_of_one_path_around_a_recreation_both_land() {
 /// commit process runs (one step, or to idle) after any subset of the ops:
 /// each mark-committed, deferred delete and writeback claim in between
 /// moves the record under the remembered copy or leaves it valid. Whatever
-/// the interleaving, the client must answer as a plain DFS given the same
-/// ops in program order, the DFS must end as that one, and the primary
-/// copy must read the same.
+/// the interleaving, the client must answer the ops as the program-order
+/// reference does, the DFS must end as that one, and the primary copy
+/// must read the same.
 #[test]
 fn remembered_records_commit_like_a_plain_dfs_at_every_worker_position() {
     let create = || FsOp::Create("/w/f".into(), 0o644);
@@ -516,7 +496,7 @@ fn remembered_records_commit_like_a_plain_dfs_at_every_worker_position() {
                     assert_quiescent(&region);
                     history.assert_answers_match(&cred);
                     let reference = history.assert_backup_matches(&dfs, &cred, &universe);
-                    assert_eq!(primary, observe(&reference.client(), &cred, &universe), "primary copy, {at}");
+                    assert_eq!(primary, observe(&reference, &cred, &universe), "primary copy, {at}");
                     assert_eq!(region.report().discarded, 0, "{at}");
                 }
             }

@@ -3,21 +3,136 @@
 //! Pacon's independent-commit theorem (Section III.E-1) says that ops
 //! obeying the namespace conventions, committed in any interleaving
 //! across queues, end in the namespace that program order gives. Program
-//! order is a plain DFS given the acknowledged ops one at a time: a
-//! [`History`] records what a client acknowledged and builds that DFS
-//! ([`History::reference`]), [`observe`] reads any backend the same way so
-//! that two views compare, and [`History::assert_backup_matches`] is the
-//! one check of a region's backup copy against the reference.
+//! order is a [`Reference`], a pure machine given the acknowledged ops one
+//! at a time: a [`History`] records what a client acknowledged and builds
+//! that machine ([`History::reference`]), [`observe`] reads any backend the
+//! same way so that two views compare, and [`History::assert_backup_matches`]
+//! is the one check of a region's backup copy against the reference.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dfs::DfsCluster;
-use fsapi::{Credentials, FileKind, FileSystem, FsResult};
+use fsapi::{path as fspath, Credentials, FileKind, FileStat, FileSystem, FsError, FsResult, Perm};
 use pacon::commit::worker::WorkerStep;
 use pacon::PaconRegion;
-use simnet::LatencyProfile;
+use syncguard::{level, Mutex};
 
 use crate::ops::FsOp;
+
+/// A [`Reference`]'s entries by path: kind, mode, and a file's bytes.
+type Tree = BTreeMap<String, (FileKind, u16, Vec<u8>)>;
+
+/// The namespace rules stated once: a map from path to entry, starting
+/// with `/`. One user and no permission model; a missing ancestor is
+/// `NotFound` and a file on the way is `NotADirectory`, as on the DFS. Its
+/// rmdir removes the whole subtree, as Pacon's does (Section III.D-1).
+pub struct Reference {
+    tree: Mutex<Tree>,
+}
+
+impl Default for Reference {
+    fn default() -> Self {
+        let tree = Tree::from([("/".to_string(), (FileKind::Dir, 0o777, Vec::new()))]);
+        Self { tree: Mutex::new(level::BACKEND, "workloads.history.reference", tree) }
+    }
+}
+
+/// The kind at `path`, once every ancestor resolved to a directory; an
+/// op that needs a `want` kind is refused on the other.
+fn kind(tree: &Tree, path: &str, want: Option<FileKind>) -> FsResult<FileKind> {
+    if let Some(parent) = fspath::parent(path) {
+        kind(tree, parent, Some(FileKind::Dir))?;
+    }
+    match (tree.get(path).ok_or(FsError::NotFound)?.0, want) {
+        (FileKind::File, Some(FileKind::Dir)) => Err(FsError::NotADirectory),
+        (FileKind::Dir, Some(FileKind::File)) => Err(FsError::IsADirectory),
+        (found, _) => Ok(found),
+    }
+}
+
+/// The names directly under `dir`, sorted.
+fn children<'t>(tree: &'t Tree, dir: &'t str) -> impl Iterator<Item = String> + 't {
+    let under = tree.keys().filter(move |p| fspath::parent(p) == Some(dir));
+    under.filter_map(|p| fspath::basename(p)).map(String::from)
+}
+
+impl Reference {
+    /// Sorted `(path, kind, size)` listing, as `DfsCluster::snapshot`.
+    pub fn snapshot(&self) -> Vec<(String, FileKind, u64)> {
+        self.tree.lock().iter().map(|(p, (k, _, bytes))| (p.clone(), *k, bytes.len() as u64)).collect()
+    }
+
+    fn create_kind(&self, path: &str, mode: u16, new: FileKind) -> FsResult<()> {
+        let mut tree = self.tree.lock();
+        kind(&tree, fspath::parent(path).unwrap_or("/"), Some(FileKind::Dir))?;
+        if tree.contains_key(path) {
+            return Err(FsError::AlreadyExists);
+        }
+        tree.insert(path.to_string(), (new, mode, Vec::new()));
+        Ok(())
+    }
+}
+
+impl FileSystem for Reference {
+    fn mkdir(&self, path: &str, _: &Credentials, mode: u16) -> FsResult<()> {
+        self.create_kind(path, mode, FileKind::Dir)
+    }
+
+    fn create(&self, path: &str, _: &Credentials, mode: u16) -> FsResult<()> {
+        self.create_kind(path, mode, FileKind::File)
+    }
+
+    fn stat(&self, path: &str, cred: &Credentials) -> FsResult<FileStat> {
+        let tree = self.tree.lock();
+        let found = kind(&tree, path, None)?;
+        let (_, mode, bytes) = &tree[path];
+        let nlink = if found == FileKind::Dir { children(&tree, path).count() as u64 + 2 } else { 1 };
+        let perm = Perm::new(*mode, cred.uid, cred.gid);
+        Ok(FileStat { kind: found, perm, size: bytes.len() as u64, mtime: 0, nlink })
+    }
+
+    fn unlink(&self, path: &str, _: &Credentials) -> FsResult<()> {
+        let mut tree = self.tree.lock();
+        kind(&tree, path, Some(FileKind::File))?;
+        tree.remove(path).map(drop).ok_or(FsError::NotFound)
+    }
+
+    fn rmdir(&self, path: &str, _: &Credentials) -> FsResult<()> {
+        let mut tree = self.tree.lock();
+        kind(&tree, path, Some(FileKind::Dir))?;
+        tree.retain(|p, _| !fspath::is_same_or_ancestor(path, p));
+        Ok(())
+    }
+
+    fn readdir(&self, path: &str, _: &Credentials) -> FsResult<Vec<String>> {
+        let tree = self.tree.lock();
+        kind(&tree, path, Some(FileKind::Dir))?;
+        Ok(children(&tree, path).collect())
+    }
+
+    fn write(&self, path: &str, _: &Credentials, offset: u64, data: &[u8]) -> FsResult<usize> {
+        let mut tree = self.tree.lock();
+        kind(&tree, path, Some(FileKind::File))?;
+        let bytes = &mut tree.get_mut(path).expect("the file was just found").2;
+        let end = offset as usize + data.len();
+        bytes.resize(end.max(bytes.len()), 0);
+        bytes[offset as usize..end].copy_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn read(&self, path: &str, _: &Credentials, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+        let tree = self.tree.lock();
+        kind(&tree, path, Some(FileKind::File))?;
+        let bytes = &tree[path].2;
+        let start = (offset as usize).min(bytes.len());
+        Ok(bytes[start..(start + len).min(bytes.len())].to_vec())
+    }
+
+    fn fsync(&self, path: &str, _: &Credentials) -> FsResult<()> {
+        kind(&self.tree.lock(), path, None).map(drop)
+    }
+}
 
 /// What [`observe`] reads at one path: kind and size, and a file's bytes
 /// (empty for a directory).
@@ -100,27 +215,25 @@ impl History {
         Self { root: self.root.clone(), issued, label: self.label.clone() }
     }
 
-    /// The program-order reference: a zero-profile DFS given the workspace
+    /// The program-order reference: a [`Reference`] given the workspace
     /// root at 0o777 and then every acknowledged op, in order. A rejection
     /// is ignored, as the region's idempotent commit absorbs a re-ack of an
     /// op that is already satisfied.
-    pub fn reference(&self, cred: &Credentials) -> Arc<DfsCluster> {
-        let dfs = DfsCluster::with_default_config(Arc::new(LatencyProfile::zero()));
-        let fs = dfs.client();
-        fs.mkdir(&self.root, cred, 0o777).expect("workspace root on an empty DFS");
+    pub fn reference(&self, cred: &Credentials) -> Reference {
+        let reference = Reference::default();
+        reference.mkdir(&self.root, cred, 0o777).expect("workspace root on an empty namespace");
         for (op, _) in self.issued.iter().filter(|(_, answer)| answer.is_ok()) {
-            let _ = op.exec(&fs, cred);
+            let _ = op.exec(&reference, cred);
         }
-        dfs
+        reference
     }
 
     /// Every issued op, acknowledged or not, answered in program order by
-    /// a plain DFS as the client answered it.
+    /// the [`Reference`] as the client answered it.
     pub fn assert_answers_match(&self, cred: &Credentials) {
-        let plain = History::new(&self.root).reference(cred);
-        let fs = plain.client();
+        let reference = History::new(&self.root).reference(cred);
         for (n, (op, answer)) in self.issued.iter().enumerate() {
-            assert_eq!(&op.exec(&fs, cred), answer, "answer to op {n}, {op:?} {}", self.label);
+            assert_eq!(&op.exec(&reference, cred), answer, "answer to op {n}, {op:?} {}", self.label);
         }
     }
 
@@ -132,12 +245,12 @@ impl History {
         dfs: &Arc<DfsCluster>,
         cred: &Credentials,
         universe: &[String],
-    ) -> Arc<DfsCluster> {
+    ) -> Reference {
         let reference = self.reference(cred);
         assert_eq!(dfs.snapshot(), reference.snapshot(), "backup namespace {}", self.label);
         assert_eq!(
             observe(&dfs.client(), cred, universe),
-            observe(&reference.client(), cred, universe),
+            observe(&reference, cred, universe),
             "backup contents {}",
             self.label
         );
@@ -169,7 +282,7 @@ pub fn drain(region: &PaconRegion, max_rounds: u32) -> bool {
 mod tests {
     use super::*;
     use pacon::PaconConfig;
-    use simnet::{ClientId, Topology};
+    use simnet::{ClientId, LatencyProfile, Topology};
 
     /// The backup-copy check can fail: a paused region acknowledges an op,
     /// then dies before any commit step. For a lost create, and for a
@@ -198,5 +311,31 @@ mod tests {
             }));
             assert!(check.is_err(), "the check passed without {lost:?}");
         }
+    }
+
+    /// The reference's rmdir takes the subtree, as Pacon's does, and a
+    /// directory made again under the same name starts empty.
+    #[test]
+    fn the_reference_rmdir_takes_the_subtree() {
+        let cred = Credentials::new(1, 1);
+        let reference = History::new("/w").reference(&cred);
+        for dir in ["/w/d", "/w/d/e"] {
+            reference.mkdir(dir, &cred, 0o755).unwrap();
+        }
+        reference.create("/w/d/e/f", &cred, 0o644).unwrap();
+        reference.rmdir("/w/d", &cred).unwrap();
+        reference.mkdir("/w/d", &cred, 0o755).unwrap();
+        assert_eq!(reference.readdir("/w/d", &cred), Ok(Vec::new()));
+        assert_eq!(reference.snapshot().len(), 3, "/, /w and the new /w/d");
+    }
+
+    /// A zero-length write to a missing file is refused, so a client that
+    /// acknowledges one fails the answer check.
+    #[test]
+    fn a_zero_length_write_to_a_missing_file_is_not_found() {
+        let cred = Credentials::new(1, 1);
+        let write = FsOp::Write { path: "/w/f".into(), offset: 0, data: Vec::new() };
+        let history = History { issued: vec![(write, Ok(()))], ..History::new("/w") };
+        assert!(std::panic::catch_unwind(|| history.assert_answers_match(&cred)).is_err());
     }
 }

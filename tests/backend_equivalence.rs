@@ -61,7 +61,7 @@ fn all_backends_converge_to_the_same_namespace() {
         let _ = history.issue(&client, &cred, op);
     }
     history.assert_answers_match(&cred);
-    let want = observe(&history.reference(&cred).client(), &cred, &universe);
+    let want = observe(&history.reference(&cred), &cred, &universe);
     assert!(want.iter().any(|(_, seen)| seen.is_ok()));
     assert!(
         want.iter().all(|(_, seen)| matches!(seen, Ok(_) | Err(FsError::NotFound))),
@@ -113,7 +113,7 @@ fn pacon_view_matches_reference_during_mixed_multi_client_run() {
         .map(|d| format!("/w/d{d}"))
         .chain((0..20).map(|round| format!("/w/d{}/r{round}", round % 4)))
         .collect();
-    let want = observe(&history.reference(&cred).client(), &cred, &universe);
+    let want = observe(&history.reference(&cred), &cred, &universe);
     for c in &clients {
         assert_eq!(observe(c, &cred, &universe), want);
     }

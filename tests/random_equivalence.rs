@@ -1,6 +1,6 @@
 //! Randomized cross-backend equivalence: arbitrary op sequences applied
-//! through Pacon (with threaded commit) must be answered as a plain DFS
-//! answers them in program order, and agree with that reference on every
+//! through Pacon (with threaded commit) must be answered as the
+//! program-order reference answers them, and agree with it on every
 //! observable — the application view immediately and the backup copy
 //! after quiescing.
 
@@ -32,6 +32,8 @@ fn op_strategy() -> impl Strategy<Value = FsOp> {
             data: vec![i.wrapping_add(1); n as usize],
         }),
         2 => any::<u8>().prop_map(|i| FsOp::Stat(file_of(i))),
+        1 => any::<u8>().prop_map(|i| FsOp::Rmdir(dir_of(i))),
+        1 => any::<u8>().prop_map(|i| FsOp::Readdir(dir_of(i))),
     ]
 }
 
@@ -60,7 +62,7 @@ proptest! {
         // Application view matches the reference now...
         prop_assert_eq!(
             observe(&client, &cred, &universe),
-            observe(&reference.client(), &cred, &universe)
+            observe(&reference, &cred, &universe)
         );
         // ...and the backup copy matches after draining the queues.
         region.quiesce();
